@@ -148,7 +148,7 @@ SearchResult RunOnSearcher(core::KDashSearcher& searcher, const Query& query) {
   options.root_override = query.root_override;
   // View rather than copy the exclusion set — `query` outlives the call,
   // and a per-query O(|exclude|) copy would sit on the hot serving path.
-  options.excluded_view = query.exclude;
+  options.excluded = query.exclude;
   SearchResult result;
   if (query.sources.size() == 1) {
     result.top =

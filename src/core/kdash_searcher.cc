@@ -83,21 +83,16 @@ std::vector<ScoredNode> KDashSearcher::Search(
   KDASH_CHECK(k > 0);
   KDASH_CHECK(sources.size() == source_weights.size());
 
-  // Mark the exclusion set (cleared at the end of the query): the owned
-  // list plus the caller's non-owning view.
+  // Mark the exclusion set (cleared at the end of the query).
   excluded_rows_.clear();
-  const auto mark_excluded = [&](std::span<const NodeId> nodes) {
-    for (const NodeId node : nodes) {
-      KDASH_CHECK(node >= 0 && node < index_->num_nodes())
-          << "excluded node " << node;
-      if (!excluded_[static_cast<std::size_t>(node)]) {
-        excluded_[static_cast<std::size_t>(node)] = true;
-        excluded_rows_.push_back(node);
-      }
+  for (const NodeId node : options.excluded) {
+    KDASH_CHECK(node >= 0 && node < index_->num_nodes())
+        << "excluded node " << node;
+    if (!excluded_[static_cast<std::size_t>(node)]) {
+      excluded_[static_cast<std::size_t>(node)] = true;
+      excluded_rows_.push_back(node);
     }
-  };
-  mark_excluded(options.excluded);
-  mark_excluded(options.excluded_view);
+  }
 
   // Step 1: y = L⁻¹ q — accumulate the stored sparse columns of the
   // inverse lower factor, one per source, scaled by the restart weight.

@@ -45,14 +45,10 @@ struct SearchOptions {
   // still visited and selected — their exact proximities feed the
   // estimator — they just never enter the top-k heap, so the returned k
   // are exactly the best k among the allowed nodes. Duplicates are
-  // harmless; owned by the options, no lifetime to manage.
-  std::vector<NodeId> excluded;
-
-  // Non-owning companion to `excluded`: a view over an exclusion list the
-  // caller already holds (Engine::Search points it at Query::exclude so the
-  // hot path never copies). The viewed storage must stay alive for the
-  // duration of the call; when both fields are set the union is excluded.
-  std::span<const NodeId> excluded_view;
+  // harmless. A view, not a copy (Engine::Search points it at
+  // Query::exclude so the hot path never copies): the viewed storage must
+  // stay alive for the duration of the call.
+  std::span<const NodeId> excluded;
 };
 
 struct SearchStats {

@@ -80,11 +80,6 @@ int RemoteWorker::shard_weight() const {
   return shard_weight_;
 }
 
-long long RemoteWorker::advertised_nodes() const {
-  MutexLock lock(mutex_);
-  return advertised_nodes_;
-}
-
 void RemoteWorker::MarkTransportFailure() {
   bool transitioned = false;
   {
@@ -289,13 +284,6 @@ void RemoteWorker::Abandon(Call call) {
   (void)call;
 }
 
-Result<std::string> RemoteWorker::RoundTrip(
-    const std::string& line, std::chrono::steady_clock::time_point deadline) {
-  const auto io_deadline = std::chrono::steady_clock::now() + options_.io_timeout;
-  KDASH_ASSIGN_OR_RETURN(Call call, Begin(line));
-  return Finish(std::move(call), std::min(deadline, io_deadline));
-}
-
 Status RemoteWorker::Probe() {
   Result<Call> call = CheckOut(/*bypass_backoff=*/true);
   if (!call.ok()) {
@@ -333,7 +321,6 @@ Status RemoteWorker::Probe() {
   }
   MutexLock lock(mutex_);
   if (record.pong_shards > 0) shard_weight_ = record.pong_shards;
-  if (record.pong_nodes >= 0) advertised_nodes_ = record.pong_nodes;
   return Status::Ok();
 }
 

@@ -1,7 +1,7 @@
 // kdash::serving::RemoteWorker — one failable worker endpoint.
 //
-// The distributed tier's unit of failure is a worker process (tools/
-// kdash_worker) serving one or more shards of a sharded index over the
+// The distributed tier's unit of failure is a worker process (a
+// kdash_server serving one or more shards of a sharded index) speaking the
 // JSON-lines TCP protocol. This class owns everything about talking to
 // one such endpoint and assuming it can die at any moment:
 //
@@ -110,16 +110,9 @@ class RemoteWorker {
   // mistaken for the next request's. Does not touch health accounting.
   void Abandon(Call call);
 
-  // Begin + Finish against the default io_timeout (or `deadline`, when
-  // earlier than now + io_timeout).
-  [[nodiscard]] Result<std::string> RoundTrip(
-      const std::string& line,
-      std::chrono::steady_clock::time_point deadline =
-          std::chrono::steady_clock::time_point::max());
-
   // One {"ping":1} round-trip, bypassing the reconnect-backoff gate. A
-  // pong marks the endpoint up and harvests its advertised footprint
-  // (shard count, node count) for the router's failure accounting.
+  // pong marks the endpoint up and harvests its advertised shard count for
+  // the router's failure accounting.
   [[nodiscard]] Status Probe();
 
   bool healthy() const;
@@ -128,9 +121,6 @@ class RemoteWorker {
   // field); 1 until a pong says otherwise — the router weighs the
   // endpoint's success or failure by this many shards.
   int shard_weight() const;
-
-  // Node count from the last pong, -1 before any.
-  long long advertised_nodes() const;
 
  private:
   // Dial a fresh connection (non-blocking connect bounded by
@@ -154,7 +144,6 @@ class RemoteWorker {
   int consecutive_failures_ KDASH_GUARDED_BY(mutex_) = 0;
   bool healthy_ KDASH_GUARDED_BY(mutex_) = true;
   int shard_weight_ KDASH_GUARDED_BY(mutex_) = 1;
-  long long advertised_nodes_ KDASH_GUARDED_BY(mutex_) = -1;
   // Reconnect gate: no dialing before this instant.
   std::chrono::steady_clock::time_point next_dial_
       KDASH_GUARDED_BY(mutex_) = std::chrono::steady_clock::time_point::min();

@@ -3,26 +3,24 @@
 // ShardedEngine scales a too-big index across P in-process shard engines;
 // the Router is the same idea across *processes*: each slot of a worker
 // topology serves a disjoint subset of a sharded index's shards (a
-// tools/kdash_worker per slot, optionally replicated), a query fans out to
-// every slot, and the per-slot exact top-k answers merge under the
-// library-wide (score desc, id asc) total order into the exact global
-// top-k — bit-identical, ids and scores, to the in-process ShardedEngine
-// over the same shards (scores cross the wire as hexfloats; see wire.h).
+// `kdash_server <dir> --shards=...` per slot, optionally replicated), a
+// query fans out to every slot, and the per-slot exact top-k answers merge
+// under the library-wide (score desc, id asc) total order into the exact
+// global top-k — bit-identical, ids and scores, to the in-process
+// ShardedEngine over the same shards (scores cross the wire as hexfloats;
+// see wire.h).
 //
-// Every worker is assumed failable, and the failure machinery mirrors the
-// in-process ShardFailurePolicy exactly so operators reason about one
-// policy, not two:
+// Every worker is assumed failable. Retries, degradation and the merge are
+// the very FanOut the in-process engine runs (fan_out.h), under the same
+// ShardFailurePolicy, so operators reason about one policy, not two. Slots
+// carry no score bounds, so the router never skips one. On top of that:
 //
 //   - replica failover: a slot's replicas are tried healthy-first; an
 //     answer from any replica is the slot's answer (replicas serve
 //     identical shards, so answers are interchangeable bit-for-bit);
-//   - retries with deadline-capped exponential backoff (kRetry/kDegrade),
-//     failing fast once the query's deadline has passed;
-//   - graceful degradation (kDegrade): a slot that stays dead after
-//     retries is dropped, the surviving slots merge exactly, and the
-//     result is tagged shards_ok/shards_failed in *shard units* (each
-//     worker's pong advertises how many shards it serves), matching the
-//     accounting an in-process ShardedEngine would report;
+//   - shard-unit accounting: under kDegrade a dead slot counts as the
+//     shards its workers' pongs advertise, so shards_ok/shards_failed
+//     match what an in-process ShardedEngine would report;
 //   - hedged requests: when a slot's first replica has not answered
 //     within the hedge delay — the observed p99 of router.remote_us, or a
 //     fixed override — the request is re-issued to another healthy
@@ -46,8 +44,8 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "core/engine.h"
+#include "serving/fan_out.h"
 #include "serving/remote_shard.h"
-#include "serving/sharded_engine.h"
 
 namespace kdash::serving {
 
@@ -103,7 +101,8 @@ class Router {
   // Same contracts as ShardedEngine::Search/SearchBatch, with slots in
   // place of shards: results[i] answers queries[i]; a worker-reported
   // kInvalidArgument fails the call outright under every policy; under
-  // kDegrade a result may cover only surviving slots (check degraded()).
+  // kDegrade a result may cover only surviving slots (check degraded()),
+  // and a worker that degraded itself passes its own tags through.
   [[nodiscard]] Result<SearchResult> Search(const Query& query) const;
   [[nodiscard]] Result<std::vector<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
@@ -120,11 +119,6 @@ class Router {
   // True iff any replica of the slot is currently marked healthy.
   bool slot_healthy(int slot) const;
 
-  const RemoteWorker& worker(int slot, int replica) const {
-    return *slots_[static_cast<std::size_t>(slot)]
-                  [static_cast<std::size_t>(replica)];
-  }
-
   // Policy snapshot/replacement, thread-safe with in-flight queries (same
   // whole-query snapshot rule as ShardedEngine).
   ShardFailurePolicy failure_policy() const;
@@ -133,16 +127,9 @@ class Router {
  private:
   explicit Router(RouterOptions options);
 
-  // The flat (query × slot) fan-out + exact merge (see ShardedEngine::
-  // FanOut — same slot-order error scan, same degradation accounting).
-  [[nodiscard]] Result<std::vector<SearchResult>> FanOut(
-      std::span<const Query> queries) const;
-
-  // One slot's answer for one query: replica failover, hedging, retries
-  // with deadline-capped backoff. On Ok, *out holds the parsed result.
-  [[nodiscard]] Status CallSlot(const Query& query, std::size_t slot,
-                                const ShardFailurePolicy& policy,
-                                SearchResult* out) const;
+  // The slots as the fan-out's member set: one attempt picks a replica
+  // (healthy-first, rotating per retry) and a hedge target (.cc).
+  class Slots;
 
   // One request/response against `primary`, hedged to `hedge` when it is
   // non-null and the primary misses the hedge delay.

@@ -6,15 +6,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "common/top_k.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -36,7 +35,7 @@ struct ShardedEngine::ControlBlock {
   // Registry mirrors of the counters above (process-cumulative, across
   // every ShardedEngine) plus the per-shard latency histograms, resolved
   // once so the fan-out hot path never takes the registry lock. The
-  // histogram vector is filled by InitShardMetrics once the shard count is
+  // histogram vector is filled by SetShards once the served shards are
   // known (Build/Open).
   obs::Counter* m_shard_failures =
       &obs::MetricRegistry::Global().GetCounter("serving.shard_failures");
@@ -46,19 +45,9 @@ struct ShardedEngine::ControlBlock {
       &obs::MetricRegistry::Global().GetCounter("serving.degraded_queries");
   obs::Counter* m_shards_skipped =
       &obs::MetricRegistry::Global().GetCounter("serving.shards_skipped");
-  obs::Histogram* m_merge_us =
-      &obs::MetricRegistry::Global().GetHistogram("serving.merge_us");
-  std::vector<obs::Histogram*> m_shard_latency_us;
+  std::vector<obs::Histogram*> m_shard_latency_us;  // parallel to shards_
 
-  void InitShardMetrics(std::size_t shard_count) {
-    m_shard_latency_us.resize(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      m_shard_latency_us[s] = &obs::MetricRegistry::Global().GetHistogram(
-          "serving.shard_latency_us.s" + std::to_string(s));
-    }
-  }
-
-  // The failure policy is multi-field, so it gets a real lock: FanOut
+  // The failure policy is multi-field, so it gets a real lock: SearchBatch
   // snapshots it once per call and set_failure_policy replaces it whole —
   // a policy change never tears across one query's shard attempts.
   mutable Mutex policy_mutex;
@@ -155,12 +144,7 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
   if (options.num_search_threads < 0) {
     return Status::InvalidArgument("num_search_threads must be >= 0");
   }
-  if (options.failure_policy.max_retries < 0) {
-    return Status::InvalidArgument("failure_policy.max_retries must be >= 0");
-  }
-  if (options.failure_policy.min_shards_ok < 1) {
-    return Status::InvalidArgument("failure_policy.min_shards_ok must be >= 1");
-  }
+  KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(options.failure_policy));
 
   // One full precompute (Engine::Build validates graph and index options),
   // then P restrictions of it.
@@ -181,33 +165,43 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
   }
   sharded.bounds_ = MakeBounds(graph.num_nodes(), options.num_shards);
 
-  const int num_shards = options.num_shards;
-  std::vector<std::optional<Engine>> shards(
-      static_cast<std::size_t>(num_shards));
+  const auto num_shards = static_cast<std::size_t>(options.num_shards);
+  std::vector<std::optional<Engine>> restricted(num_shards);
   ThreadPool::Shared().ParallelFor(
-      0, num_shards, /*grain=*/1, [&](Index begin, Index end, int) {
+      0, options.num_shards, /*grain=*/1, [&](Index begin, Index end, int) {
         for (Index s = begin; s < end; ++s) {
           const auto i = static_cast<std::size_t>(s);
-          shards[i] = Engine::FromIndex(full.index().Restrict(
+          restricted[i] = Engine::FromIndex(full.index().Restrict(
               sharded.bounds_[i], sharded.bounds_[i + 1]));
         }
       });
-  sharded.shards_.reserve(static_cast<std::size_t>(num_shards));
-  for (auto& shard : shards) sharded.shards_.push_back(std::move(*shard));
-  sharded.InitShardScoreBounds();
-  sharded.control_->InitShardMetrics(sharded.shards_.size());
+  std::vector<int> ids(num_shards);
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<Engine> shards;
+  shards.reserve(num_shards);
+  for (auto& shard : restricted) shards.push_back(std::move(*shard));
+  sharded.SetShards(std::move(ids), std::move(shards));
   return sharded;
 }
 
-void ShardedEngine::InitShardScoreBounds() {
-  shard_score_bounds_.clear();
-  shard_score_bounds_.reserve(shards_.size());
-  for (const Engine& shard : shards_) {
-    shard_score_bounds_.push_back(shard.index().owned_score_bound());
+void ShardedEngine::SetShards(std::vector<int> ids,
+                              std::vector<Engine> shards) {
+  shard_ids_ = std::move(ids);
+  shards_ = std::move(shards);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shard_score_bounds_.push_back(shards_[s].index().owned_score_bound());
+    control_->m_shard_latency_us.push_back(
+        &obs::MetricRegistry::Global().GetHistogram(
+            "serving.shard_latency_us.s" + std::to_string(shard_ids_[s])));
   }
 }
 
 Status ShardedEngine::Save(const std::string& dir) const {
+  if (shards_.size() + 1 != bounds_.size()) {
+    return Status::FailedPrecondition(
+        "cannot save an engine serving " + std::to_string(shards_.size()) +
+        " of its index's " + std::to_string(bounds_.size() - 1) + " shards");
+  }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -239,6 +233,11 @@ Status ShardedEngine::Save(const std::string& dir) const {
 }
 
 Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
+  return Open(dir, {});
+}
+
+Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
+                                          const std::vector<int>& shards) {
   const std::string manifest_path = dir + "/" + kManifestName;
   std::ifstream manifest(manifest_path);
   if (!manifest.good()) {
@@ -301,15 +300,35 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
     files[s] = std::move(file);
   }
 
-  // Load the shard files in parallel on the shared pool.
-  std::vector<std::optional<Engine>> loaded(shard_count);
-  std::vector<Status> statuses(shard_count);
+  // The served ids: every MANIFEST shard, or the requested ones, each once.
+  std::vector<int> ids = shards;
+  if (ids.empty()) {
+    ids.resize(shard_count);
+    std::iota(ids.begin(), ids.end(), 0);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0 || ids[i] >= num_shards) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(ids[i]) + " is not in the manifest's [0, " +
+          std::to_string(num_shards) + ")");
+    }
+    if (i > 0 && ids[i] == ids[i - 1]) {
+      return Status::InvalidArgument("shard " + std::to_string(ids[i]) +
+                                     " listed twice");
+    }
+  }
+
+  // Load the served shard files in parallel on the shared pool.
+  std::vector<std::optional<Engine>> loaded(ids.size());
+  std::vector<Status> statuses(ids.size());
   ThreadPool::Shared().ParallelFor(
-      0, static_cast<Index>(shard_count), /*grain=*/1,
+      0, static_cast<Index>(ids.size()), /*grain=*/1,
       [&](Index begin, Index end, int) {
-        for (Index s = begin; s < end; ++s) {
-          const auto i = static_cast<std::size_t>(s);
-          auto engine = Engine::Open(dir + "/" + files[i]);
+        for (Index t = begin; t < end; ++t) {
+          const auto i = static_cast<std::size_t>(t);
+          auto engine = Engine::Open(
+              dir + "/" + files[static_cast<std::size_t>(ids[i])]);
           if (engine.ok()) {
             loaded[i].emplace(std::move(*engine));
           } else {
@@ -317,283 +336,120 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
           }
         }
       });
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (!statuses[s].ok()) {
-      return Status(statuses[s].code(), "shard " + std::to_string(s) + ": " +
-                                            statuses[s].message());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::string shard = "shard " + std::to_string(ids[i]);
+    if (!statuses[i].ok()) {
+      return Status(statuses[i].code(),
+                    shard + ": " + statuses[i].message());
     }
-    const Engine& engine = *loaded[s];
+    const Engine& engine = *loaded[i];
+    const auto g = static_cast<std::size_t>(ids[i]);
     if (engine.num_nodes() != num_nodes ||
-        engine.index().owned_begin() != bounds[s] ||
-        engine.index().owned_end() != bounds[s + 1] ||
+        engine.index().owned_begin() != bounds[g] ||
+        engine.index().owned_end() != bounds[g + 1] ||
         engine.restart_prob() != loaded[0]->restart_prob()) {
-      return ManifestError("shard " + std::to_string(s) +
-                           " file disagrees with the manifest");
+      return ManifestError(shard + " file disagrees with the manifest");
     }
   }
+  std::vector<Engine> engines;
+  engines.reserve(ids.size());
+  for (auto& engine : loaded) engines.push_back(std::move(*engine));
 
   ShardedEngine sharded;
   sharded.num_nodes_ = num_nodes;
   sharded.bounds_ = std::move(bounds);
-  sharded.shards_.reserve(shard_count);
-  for (auto& engine : loaded) sharded.shards_.push_back(std::move(*engine));
-  sharded.InitShardScoreBounds();
-  sharded.control_->InitShardMetrics(shard_count);
+  sharded.SetShards(std::move(ids), std::move(engines));
   return sharded;
 }
 
-Status ShardedEngine::SearchShard(const Query& query, std::size_t s,
-                                  const ShardFailurePolicy& policy,
-                                  SearchResult* out) const {
-  const bool retryable_mode = policy.mode != ShardFailureMode::kFailFast;
-  auto backoff = policy.initial_backoff;
-  for (int attempt = 0;; ++attempt) {
-    Status status = Status::Ok();
+class ShardedEngine::Members final : public ShardSet {
+ public:
+  Members(const ShardedEngine& engine, bool skip)
+      : engine_(engine), skip_(skip) {}
+
+  std::size_t size() const override { return engine_.shards_.size(); }
+
+  Status SearchOnce(const Query& query, std::size_t s, int /*attempt*/,
+                    SearchResult* out) const override {
     if (fault::AnyArmed()) {
       // Two sites: a generic one for probabilistic chaos over the whole
-      // fan-out, and a per-shard one so tests can kill shard s exactly.
-      status = fault::Check("sharded.shard_search");
-      if (status.ok()) {
-        status = fault::Check("sharded.shard_search.s" + std::to_string(s));
-      }
+      // fan-out, and a per-shard one (MANIFEST id) so tests can kill one
+      // shard exactly.
+      KDASH_RETURN_IF_ERROR(fault::Check("sharded.shard_search"));
+      const std::string id = std::to_string(engine_.shard_ids_[s]);
+      KDASH_RETURN_IF_ERROR(fault::Check("sharded.shard_search.s" + id));
     }
-    if (status.ok()) {
-      obs::ScopedSpan span(query.trace.get(), "sharded.shard_search",
-                           static_cast<int>(s));
-      WallTimer timer;
-      // Shard queries run with the trace detached: the shard engine is a
-      // plain Engine whose "engine.search" span would duplicate the
-      // per-shard span stamped here (with the shard id attached). The copy
-      // happens only for traced queries — the untraced hot path passes the
-      // caller's query through untouched.
-      auto result = [&] {
-        if (query.trace == nullptr) return shards_[s].Search(query);
-        Query shard_query = query;
-        shard_query.trace = nullptr;
-        return shards_[s].Search(shard_query);
-      }();
-      control_->m_shard_latency_us[s]->Record(
-          static_cast<std::uint64_t>(timer.Micros()));
-      if (result.ok()) {
-        *out = std::move(*result);
-        return Status::Ok();
-      }
-      status = result.status();
-    }
-    control_->shard_failures.fetch_add(1, std::memory_order_relaxed);
-    control_->m_shard_failures->Add();
-    // An invalid query fails identically on every shard and on every
-    // attempt — retrying or degrading would only mask the caller's bug.
-    if (!retryable_mode || status.code() == StatusCode::kInvalidArgument ||
-        attempt >= policy.max_retries) {
-      return status;
-    }
-    // Retry backoff is deadline-aware: an uncapped sleep could overshoot
-    // the query's remaining budget (up to max_backoff past it), burning
-    // wall-clock on a retry whose answer the caller will discard as
-    // DEADLINE_EXCEEDED anyway. Fail fast once the budget is gone, and
-    // never sleep past it.
-    auto sleep = backoff;
-    if (query.deadline != std::chrono::steady_clock::time_point::max()) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::microseconds>(query.deadline -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        return Status::DeadlineExceeded(
-            "deadline expired before shard " + std::to_string(s) +
-            " retry: " + status.message());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    control_->shard_retries.fetch_add(1, std::memory_order_relaxed);
-    control_->m_shard_retries->Add();
-    if (sleep.count() > 0) std::this_thread::sleep_for(sleep);
-    backoff = std::min(backoff * 2, policy.max_backoff);
-  }
-}
-
-Result<std::vector<SearchResult>> ShardedEngine::FanOut(
-    std::span<const Query> queries) const {
-  const std::size_t num_queries = queries.size();
-  const auto shard_count = shards_.size();
-  const ShardFailurePolicy policy = failure_policy();  // one snapshot per call
-
-  // Flat (query × shard) slots: partial answers land in fixed positions, so
-  // the merge below is deterministic regardless of which worker ran what.
-  std::vector<SearchResult> partials(num_queries * shard_count);
-  std::vector<Status> statuses(num_queries * shard_count);
-
-  // Runs the given flat slots on the pool.
-  const auto run_slots = [&](const std::vector<Index>& slots) {
-    Pool().ParallelFor(
-        0, static_cast<Index>(slots.size()), /*grain=*/1,
-        [&](Index begin, Index end, int) {
-          for (Index t = begin; t < end; ++t) {
-            const auto i =
-                static_cast<std::size_t>(slots[static_cast<std::size_t>(t)]);
-            const std::size_t q = i / shard_count;
-            const std::size_t s = i % shard_count;
-            statuses[i] = SearchShard(queries[q], s, policy, &partials[i]);
-          }
-        });
-  };
-
-  const bool skip = shard_count > 1 &&
-                    control_->skip_enabled.load(std::memory_order_relaxed);
-  if (!skip) {
-    std::vector<Index> all(num_queries * shard_count);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<Index>(i);
-    }
-    run_slots(all);
-  } else {
-    // Phase A: source-owning shards are mandatory — the per-shard score
-    // bound holds only for non-source nodes (a source's own proximity can
-    // reach c). Their exact partial top-k seeds each query's threshold.
-    std::vector<char> mandatory(num_queries * shard_count, 0);
-    const auto shard_of = [&](NodeId u) {
-      return static_cast<std::size_t>(
-                 std::upper_bound(bounds_.begin(), bounds_.end(), u) -
-                 bounds_.begin()) -
-             1;
-    };
-    std::vector<Index> phase_a;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      for (const NodeId source : queries[q].sources) {
-        // An out-of-range source is a caller bug every shard rejects
-        // identically; leave it to per-shard validation in phase B.
-        if (source < 0 || source >= num_nodes_) continue;
-        char& slot = mandatory[q * shard_count + shard_of(source)];
-        if (!slot) {
-          slot = 1;
-          phase_a.push_back(
-              static_cast<Index>(q * shard_count + shard_of(source)));
-        }
-      }
-    }
-    run_slots(phase_a);
-
-    // Phase B: every remaining shard whose bound could still beat the
-    // threshold the mandatory partials establish. A skipped slot keeps its
-    // default Ok status and empty partial — the merge below then counts it
-    // as a surviving shard that contributed no candidates, which is exactly
-    // what the bound proves.
-    std::vector<Index> phase_b;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      Scalar theta = 0.0;
-      if (queries[q].k > 0) {  // k == 0 is invalid; let phase B report it
-        TopKHeap seed(queries[q].k);
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const std::size_t i = q * shard_count + s;
-          if (!mandatory[i] || !statuses[i].ok()) continue;
-          for (const ScoredNode& entry : partials[i].top) {
-            seed.Push(entry.node, entry.score);
-          }
-        }
-        // 0 until k candidates exist — a partial heap can never justify a
-        // skip. Under kDegrade a failed mandatory shard only lowers θ,
-        // which is conservative.
-        theta = seed.Threshold();
-      }
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        const std::size_t i = q * shard_count + s;
-        if (mandatory[i]) continue;
-        // Strict <: a tied score with a smaller node id could still enter
-        // under the (score desc, id asc) total order.
-        if (theta > 0.0 && shard_score_bounds_[s] < theta) {
-          control_->shards_skipped.fetch_add(1, std::memory_order_relaxed);
-          control_->m_shards_skipped->Add();
-          obs::ScopedSpan span(queries[q].trace.get(), "sharded.shard_skip",
-                               static_cast<int>(s));
-        } else {
-          phase_b.push_back(static_cast<Index>(i));
-        }
-      }
-    }
-    run_slots(phase_b);
+    // Span indexes are member indexes, like FanOut's skip spans.
+    obs::ScopedSpan span(query.trace.get(), "sharded.shard_search",
+                         static_cast<int>(s));
+    WallTimer timer;
+    // Shard queries run with the trace detached: the shard engine is a
+    // plain Engine whose "engine.search" span would duplicate the
+    // per-shard span stamped here (with the shard id attached). The copy
+    // happens only for traced queries — the untraced hot path passes the
+    // caller's query through untouched.
+    auto result = [&] {
+      if (query.trace == nullptr) return engine_.shards_[s].Search(query);
+      Query shard_query = query;
+      shard_query.trace = nullptr;
+      return engine_.shards_[s].Search(shard_query);
+    }();
+    engine_.control_->m_shard_latency_us[s]->Record(
+        static_cast<std::uint64_t>(timer.Micros()));
+    if (!result.ok()) return result.status();
+    *out = std::move(*result);
+    return Status::Ok();
   }
 
-  const auto fail_query = [&](std::size_t q,
-                              const Status& status) -> Status {
-    if (num_queries == 1) return status;
-    return Status(status.code(),
-                  "query " + std::to_string(q) + ": " + status.message());
-  };
+  int weight(std::size_t /*s*/) const override { return 1; }
 
-  // Per-query failure domains: a shard failure poisons only its own query,
-  // and only as far as the policy allows. Scanning shards in slot order
-  // keeps the reported error deterministic regardless of fan-out timing.
-  const bool degrade = policy.mode == ShardFailureMode::kDegrade;
-  std::vector<SearchResult> results(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    int ok_shards = 0;
-    const Status* first_failure = nullptr;
-    bool invalid = false;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const Status& status = statuses[q * shard_count + s];
-      if (status.ok()) {
-        ++ok_shards;
-      } else {
-        if (first_failure == nullptr) first_failure = &status;
-        invalid |= status.code() == StatusCode::kInvalidArgument;
-      }
-    }
-    const int failed_shards = static_cast<int>(shard_count) - ok_shards;
-    if (failed_shards > 0) {
-      // kInvalidArgument is never degradable (see ShardFailureMode), and
-      // fail-fast/retry-exhausted failures keep today's whole-call
-      // contract.
-      if (invalid || !degrade) return fail_query(q, *first_failure);
-      if (ok_shards < policy.min_shards_ok) {
-        return fail_query(
-            q, Status(first_failure->code(),
-                      "degraded below min_shards_ok (" +
-                          std::to_string(ok_shards) + "/" +
-                          std::to_string(shard_count) + " shards ok): " +
-                          first_failure->message()));
-      }
-      control_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-      control_->m_degraded_queries->Add();
-    }
-
-    // Exact merge over the surviving shards: each returned the exact top-k
-    // among its own nodes, so the k best of their union under the
-    // library-wide (score desc, id asc) total order is exactly what a
-    // single engine restricted to those node ranges would return.
-    obs::ScopedSpan merge_span(queries[q].trace.get(), "sharded.merge");
-    WallTimer merge_timer;
-    TopKHeap heap(queries[q].k);
-    core::SearchStats merged;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (!statuses[q * shard_count + s].ok()) continue;
-      const SearchResult& partial = partials[q * shard_count + s];
-      for (const ScoredNode& entry : partial.top) {
-        heap.Push(entry.node, entry.score);
-      }
-      merged.nodes_visited += partial.stats.nodes_visited;
-      merged.proximity_computations += partial.stats.proximity_computations;
-      merged.terminated_early |= partial.stats.terminated_early;
-      merged.tree_size += partial.stats.tree_size;
-    }
-    results[q].top = heap.Sorted();
-    results[q].stats = merged;
-    results[q].shards_ok = ok_shards;
-    results[q].shards_failed = failed_shards;
-    control_->m_merge_us->Record(
-        static_cast<std::uint64_t>(merge_timer.Micros()));
+  Scalar score_bound(std::size_t s) const override {
+    return engine_.shard_score_bounds_[s];
   }
-  return results;
-}
+
+  // With skipping off no shard is mandatory: phase A stays empty, θ stays
+  // 0, and every shard runs in phase B.
+  std::optional<std::size_t> owner(NodeId u) const override {
+    if (!skip_ || u < 0 || u >= engine_.num_nodes_) return std::nullopt;
+    const auto& bounds = engine_.bounds_;
+    const int id = static_cast<int>(
+        std::upper_bound(bounds.begin(), bounds.end(), u) - bounds.begin() -
+        1);
+    const auto& ids = engine_.shard_ids_;
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) return std::nullopt;
+    return static_cast<std::size_t>(it - ids.begin());
+  }
+
+ private:
+  const ShardedEngine& engine_;
+  const bool skip_;
+};
 
 Result<SearchResult> ShardedEngine::Search(const Query& query) const {
-  KDASH_ASSIGN_OR_RETURN(auto results, FanOut({&query, 1}));
+  KDASH_ASSIGN_OR_RETURN(auto results, SearchBatch({&query, 1}));
   return std::move(results.front());
 }
 
 Result<std::vector<SearchResult>> ShardedEngine::SearchBatch(
     std::span<const Query> queries) const {
   if (queries.empty()) return std::vector<SearchResult>{};
-  return FanOut(queries);
+  // Skipping reads its flag once per call, like the policy snapshot.
+  const Members members(*this, skip_enabled());
+  FanOutTally tally;
+  auto results = FanOut(members, queries, failure_policy(), Pool(),
+                        "sharded.merge", &tally);
+  ControlBlock& control = *control_;
+  control.shard_failures.fetch_add(tally.failures, std::memory_order_relaxed);
+  control.m_shard_failures->Add(tally.failures);
+  control.shard_retries.fetch_add(tally.retries, std::memory_order_relaxed);
+  control.m_shard_retries->Add(tally.retries);
+  control.shards_skipped.fetch_add(tally.skipped, std::memory_order_relaxed);
+  control.m_shards_skipped->Add(tally.skipped);
+  control.degraded_queries.fetch_add(tally.degraded,
+                                     std::memory_order_relaxed);
+  control.m_degraded_queries->Add(tally.degraded);
+  return results;
 }
 
 }  // namespace kdash::serving

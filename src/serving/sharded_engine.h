@@ -27,7 +27,6 @@
 #ifndef KDASH_SERVING_SHARDED_ENGINE_H_
 #define KDASH_SERVING_SHARDED_ENGINE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,41 +37,9 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "graph/graph.h"
+#include "serving/fan_out.h"
 
 namespace kdash::serving {
-
-// What the fan-out does when one shard's search fails (an injected fault, a
-// failed IO-backed shard, an internal error) while the others succeed. A
-// kInvalidArgument is never subject to this policy: every shard validates
-// the query identically, so an invalid query fails the call outright under
-// every mode — degradation must never mask caller bugs.
-enum class ShardFailureMode {
-  // Today's behavior and the default: the first shard failure fails the
-  // whole query (SearchBatch: the whole batch).
-  kFailFast,
-  // Retry the failing shard with bounded exponential backoff; if it still
-  // fails after max_retries extra attempts, fail the query.
-  kRetry,
-  // Retry like kRetry, then drop the shard: merge the surviving shards
-  // exactly and tag the result (shards_ok/shards_failed). Fails only when
-  // fewer than min_shards_ok shards survive.
-  kDegrade,
-};
-
-struct ShardFailurePolicy {
-  ShardFailureMode mode = ShardFailureMode::kFailFast;
-
-  // Extra attempts per shard per query (kRetry/kDegrade). 0 = no retries.
-  int max_retries = 2;
-
-  // Backoff before retry r is initial_backoff · 2^r, capped at max_backoff.
-  std::chrono::microseconds initial_backoff{100};
-  std::chrono::microseconds max_backoff{10'000};
-
-  // kDegrade: a query needs at least this many surviving shards, else it
-  // fails with the first shard's error.
-  int min_shards_ok = 1;
-};
 
 struct ShardedEngineOptions {
   // Number of node partitions. Must be in [1, num_nodes]; each shard owns a
@@ -107,11 +74,21 @@ class ShardedEngine {
   // Open a sharded index directory written by Save(): a MANIFEST naming the
   // per-shard files, validated end to end (missing manifest/shard file =
   // kNotFound, malformed manifest = kDataLoss, version mismatch =
-  // kFailedPrecondition, shards not partitioning [0, n) = kDataLoss). Shard
-  // files load in parallel on the thread pool.
+  // kFailedPrecondition, shards not partitioning [0, n) = kDataLoss). Only
+  // the files the MANIFEST lists are read, in parallel on the thread pool.
   [[nodiscard]] static Result<ShardedEngine> Open(const std::string& dir);
 
+  // Open only the listed shards (MANIFEST ids; empty = all) — what one
+  // process of a multi-process topology serves. A duplicate or
+  // out-of-range id is kInvalidArgument. Answers are the exact top-k over
+  // the listed shards' nodes; per-shard metric and fault-site names keep
+  // the MANIFEST id.
+  [[nodiscard]] static Result<ShardedEngine> Open(
+      const std::string& dir, const std::vector<int>& shards);
+
   // Persist as a directory: MANIFEST plus one index file per shard.
+  // kFailedPrecondition on an engine opened with a strict subset of its
+  // directory's shards.
   [[nodiscard]] Status Save(const std::string& dir) const;
 
   // Fan one query out to every shard (in parallel) and merge the per-shard
@@ -131,25 +108,23 @@ class ShardedEngine {
       std::span<const Query> queries) const;
 
   NodeId num_nodes() const { return num_nodes_; }
+  // Shards this engine serves (all of them unless opened with a subset);
+  // s below indexes them in ascending MANIFEST-id order.
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // The shard engine owning node range [shard_begin(s), shard_end(s)).
   const Engine& shard(int s) const { return shards_[static_cast<std::size_t>(s)]; }
-  NodeId shard_begin(int s) const { return bounds_[static_cast<std::size_t>(s)]; }
-  NodeId shard_end(int s) const { return bounds_[static_cast<std::size_t>(s) + 1]; }
+  NodeId shard_begin(int s) const { return bounds_[shard_id(s)]; }
+  NodeId shard_end(int s) const { return bounds_[shard_id(s) + 1]; }
 
   // ---- shard-skip acceleration --------------------------------------------
   //
   // Each shard carries a precomputed upper bound on the proximity any query
   // can assign to a NON-SOURCE node it owns (KDashIndex::owned_score_bound,
-  // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax). The fan-out
-  // first searches the source-owning shards — mandatory, since a source
-  // escapes the bound — then skips any remaining shard whose bound is
-  // strictly below the top-k threshold those partials establish: no owned
-  // node of a skipped shard can displace k already-found candidates under
-  // the (score desc, id asc) total order, so results stay bit-identical.
-  // With c = 0.95 the bound is ≈ 0.05, so skips fire mostly on k=1
-  // single-source workloads where the source shard alone yields θ ≈ c.
+  // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax), which FanOut
+  // (fan_out.h) uses to skip shards exactly. With c = 0.95 the bound is
+  // ≈ 0.05, so skips fire mostly on k=1 single-source workloads where the
+  // source shard alone yields θ ≈ c.
   bool skip_enabled() const;
   void set_skip_enabled(bool enabled);
 
@@ -195,33 +170,28 @@ class ShardedEngine {
   // movable nor copyable, but a ShardedEngine is movable.
   struct ControlBlock;
 
+  // The served shards as the fan-out's member set, for one call (.cc).
+  class Members;
+
   ShardedEngine();
 
-  // Runs (query, shard) pairs on the serving pool in two phases — the
-  // source-owning shards first, then every non-skipped remainder — and
-  // merges shard partial top lists per query. A skipped slot keeps its
-  // default Ok status and empty partial, so the merge treats it as a
-  // surviving shard that contributed no candidates. Snapshots the failure
-  // policy once.
-  [[nodiscard]] Result<std::vector<SearchResult>> FanOut(
-      std::span<const Query> queries) const;
+  // Installs the served shards with their MANIFEST ids, and derives their
+  // score bounds and metric handles (Build/Open tail).
+  void SetShards(std::vector<int> ids, std::vector<Engine> shards);
 
-  // Fills shard_score_bounds_ from the shards' indexes (Build/Open tail).
-  void InitShardScoreBounds();
-
-  // One shard's attempt(s) at one query under the given policy snapshot:
-  // evaluates the fault-injection sites, retries with bounded exponential
-  // backoff when the policy says so, and returns the last failure
-  // otherwise.
-  [[nodiscard]] Status SearchShard(const Query& query, std::size_t s,
-                     const ShardFailurePolicy& policy, SearchResult* out) const;
+  std::size_t shard_id(int s) const {
+    return static_cast<std::size_t>(shard_ids_[static_cast<std::size_t>(s)]);
+  }
 
   // The fan-out pool: owned when num_search_threads was set to a size that
   // differs from the shared pool's, the process-wide shared pool otherwise.
   ThreadPool& Pool() const;
 
   NodeId num_nodes_ = 0;
-  std::vector<NodeId> bounds_;  // P + 1 fenceposts: shard s = [b[s], b[s+1])
+  // P + 1 fenceposts over every shard of the index: shard id g owns
+  // [b[g], b[g+1]), whether or not this engine serves it.
+  std::vector<NodeId> bounds_;
+  std::vector<int> shard_ids_;  // MANIFEST id of each served shard, ascending
   std::vector<Engine> shards_;
   std::vector<Scalar> shard_score_bounds_;  // parallel to shards_
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -10,13 +10,15 @@
 //
 // Workers here are the real thing minus the process boundary: each one is
 // a tools::LineServer over a BatchScheduler over shard engines — the exact
-// stack tools/kdash_worker.cc runs — listening on an ephemeral loopback
-// port. Killing one (Stop + drain) looks like a worker crash to the
+// stack `kdash_server <dir> --shards=...` runs — listening on an ephemeral
+// loopback port. Killing one (Stop + drain) looks like a worker crash to the
 // router: connects refused, pooled connections EOF.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -83,7 +85,7 @@ class TestWorker {
 };
 
 // A worker backend serving exactly one shard engine of a ShardedEngine —
-// what `kdash_worker dir/ --shard=s` runs. The engine must outlive the
+// what `kdash_server dir/ --shards=s` answers. The engine must outlive the
 // worker.
 BatchScheduler::Backend ShardBackend(const Engine& shard) {
   return [&shard](std::span<const Query> queries) {
@@ -272,6 +274,102 @@ TEST_F(RemoteServingTest, KilledWorkerDegradesExactlyLikeInProcessFault) {
   const auto failed = (*router)->Search(probe_query);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(RemoteServingTest, MultiShardWorkersMatchInProcessAndPassDegradationOn) {
+  // Two workers over one P=5 directory, {0,1,2} and {3,4}, each serving
+  // ShardedEngine::Open(dir, subset) with shard skipping on — what
+  // `kdash_server dir --shards=...` runs. Degradation inside a worker must
+  // reach the router's tags in shard units.
+  const auto graph = test::RandomDirectedGraph(120, 700, 53);
+  const std::string dir = ::testing::TempDir() + "/kdash_remote_subsets";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(BuildSharded(graph, 5).Save(dir).ok());
+
+  ShardFailurePolicy degrade;
+  degrade.mode = ShardFailureMode::kDegrade;
+  degrade.max_retries = 0;
+  auto in_process = ShardedEngine::Open(dir);
+  ASSERT_TRUE(in_process.ok()) << in_process.status();
+  in_process->set_failure_policy(degrade);
+
+  std::vector<ShardedEngine> subsets;
+  std::vector<std::unique_ptr<TestWorker>> workers;
+  std::string spec;
+  for (const std::vector<int>& ids : {std::vector<int>{0, 1, 2}, {3, 4}}) {
+    auto opened = ShardedEngine::Open(dir, ids);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ASSERT_TRUE(opened->skip_enabled());
+    opened->set_failure_policy(degrade);
+    subsets.push_back(std::move(*opened));
+  }
+  for (const ShardedEngine& subset : subsets) {
+    workers.push_back(std::make_unique<TestWorker>(
+        [&subset](std::span<const Query> queries) {
+          return subset.SearchBatch(queries);
+        },
+        WorkerStream(subset.num_shards(), graph.num_nodes())));
+    if (!spec.empty()) spec.append(",");
+    spec.append("127.0.0.1:" + std::to_string(workers.back()->port()));
+  }
+  auto router = Router::Connect(spec, FastOptions(ShardFailureMode::kFailFast));
+  ASSERT_TRUE(router.ok()) << router.status();
+  ASSERT_EQ((*router)->shards_total(), 5);
+
+  std::vector<Query> queries;
+  for (NodeId q = 0; q < graph.num_nodes(); q += 5) {
+    for (const std::size_t k : {1, 10}) queries.push_back(Query::Single(q, k));
+  }
+  queries.push_back(Query::Personalized({2, 50, 110}, 10));
+
+  // Shard 1 fails whenever it is searched, and it is always searched for a
+  // source it owns. Elsewhere a bound-based skip may spare it — in the
+  // in-process engine and in worker {0,1,2} alike, but that worker knows
+  // no θ for a source outside its shards, so it may lose shard 1 where the
+  // in-process engine skips it: the top-k agree, the tags need not.
+  const auto owned_by_s1 = [&](const Query& query) {
+    for (const NodeId source : query.sources) {
+      if (source >= in_process->shard_begin(1) &&
+          source < in_process->shard_end(1)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  int degraded = 0;
+  for (const bool faulted : {false, true}) {
+    std::optional<fault::ScopedFault> guard;
+    if (faulted) guard.emplace("sharded.shard_search.s1", AlwaysFail());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto expected = in_process->Search(queries[i]);
+      const auto got = (*router)->Search(queries[i]);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(got.ok()) << got.status();
+      const std::string what = std::string(faulted ? "degraded" : "healthy") +
+                               " query " + std::to_string(i);
+      ExpectBitIdentical(*got, *expected, what);
+      // The router folds each worker's own tags through, in shard units.
+      int ok = 0;
+      int failed = 0;
+      for (const ShardedEngine& subset : subsets) {
+        const auto partial = subset.Search(queries[i]);
+        ASSERT_TRUE(partial.ok()) << partial.status();
+        ok += partial->shards_ok;
+        failed += partial->shards_failed;
+      }
+      EXPECT_EQ(got->shards_ok, ok) << what;
+      EXPECT_EQ(got->shards_failed, failed) << what;
+      const bool lost_s1 = faulted && (got->degraded() ||
+                                       expected->degraded() ||
+                                       owned_by_s1(queries[i]));
+      EXPECT_EQ(got->shards_ok, lost_s1 ? 4 : 5) << what;
+      EXPECT_EQ(got->shards_failed, lost_s1 ? 1 : 0) << what;
+      degraded += got->degraded() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(degraded, 0);
+  workers.clear();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RemoteServingTest, FailoverServesFromReplicaWhenPrimaryDies) {

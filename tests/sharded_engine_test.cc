@@ -285,6 +285,51 @@ TEST(ShardedEngineTest, SaveOpenRoundTripStaysBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ShardedEngineTest, OpenReadsOnlyManifestShardsAndValidatesSubsets) {
+  // A P=3 save over a P=4 directory leaves a stale shard-0003.kdash behind.
+  // Opening must follow the MANIFEST, never the files on disk: serving the
+  // stale shard too would return its nodes twice.
+  const auto g = test::RandomDirectedGraph(90, 500, 19);
+  auto single = Engine::Build(g);
+  ASSERT_TRUE(single.ok());
+  const std::string dir = ::testing::TempDir() + "/kdash_sharded_resave";
+  std::filesystem::remove_all(dir);
+  for (const int num_shards : {4, 3}) {
+    ShardedEngineOptions options;
+    options.num_shards = num_shards;
+    auto built = ShardedEngine::Build(g, options);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(built->Save(dir).ok());
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir + "/shard-0003.kdash"));
+
+  const auto queries = MixedQueries(g.num_nodes());
+  auto all = ShardedEngine::Open(dir);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->num_shards(), 3);
+  ExpectIdentical(*single, *all, queries, "resaved");
+  auto listed = ShardedEngine::Open(dir, {0, 1, 2});
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  EXPECT_EQ(listed->num_shards(), 3);
+  ExpectIdentical(*single, *listed, queries, "resaved {0,1,2}");
+
+  EXPECT_EQ(ShardedEngine::Open(dir, {0, 0}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ShardedEngine::Open(dir, {3}).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A strict subset serves its own shards' ranges and cannot be saved as
+  // if it were the whole index.
+  auto subset = ShardedEngine::Open(dir, {2, 0});
+  ASSERT_TRUE(subset.ok()) << subset.status();
+  ASSERT_EQ(subset->num_shards(), 2);
+  EXPECT_EQ(subset->shard_begin(0), all->shard_begin(0));
+  EXPECT_EQ(subset->shard_begin(1), all->shard_begin(2));
+  EXPECT_EQ(subset->Save(dir + "-copy").code(),
+            StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedEngineTest, OpenRejectsMissingAndCorruptManifests) {
   EXPECT_EQ(ShardedEngine::Open("/nonexistent/sharded-dir").status().code(),
             StatusCode::kNotFound);

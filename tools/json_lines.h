@@ -188,8 +188,8 @@ inline std::string FormatErrorRecord(long long id, const std::string& message,
 // `shards` (how many index shards this process serves — the router weighs
 // a worker's success/failure in shard units so its shards_ok/shards_failed
 // accounting matches an in-process ShardedEngine) and `nodes` (the graph
-// size, a cheap cross-worker sanity handshake). Negative values omit the
-// field, so plain servers keep byte-stable pongs.
+// size, informational only). Negative values omit the field, so unsharded
+// servers keep byte-stable pongs.
 inline std::string FormatPongRecord(long long id, long long t_us = -1,
                                     int shards = -1, long long nodes = -1) {
   std::string record = "{\"id\":" + std::to_string(id) + ",\"pong\":1";

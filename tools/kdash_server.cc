@@ -8,33 +8,40 @@
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
 //                [--wait-us=500] [--deadline-ms=0] [--window=256]
 //                [--max-queue=4096] [--degrade=fail|retry|degrade]
-//                [--cache-entries=1024] [--no-shard-skip]
+//                [--cache-entries=1024] [--no-shard-skip] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
 //   kdash_server --workers=host:port[+replica...][,slot2...] [common flags]
 //                [--no-hedge] [--hedge-delay-us=0] [--probe-period-ms=250]
 //
 // The index argument is a single-index file, or a directory written by
 // serving::ShardedEngine::Save (detected automatically; queries then fan
-// out across the shards and merge exactly).
+// out across the shards and merge exactly). --shards=a,b serves only those
+// shards of the directory (MANIFEST ids): the per-process memory win of a
+// multi-process topology, where each such server is one worker — one
+// failure domain — behind a router. Its answers are the exact top-k over
+// its own shards, its pongs advertise how many shards it serves
+// ({"pong":1,"shards":N}), and queries may carry hex=1 (exact hexfloat
+// "score_hex" fields) and deadline_us=N (the router's remaining budget).
 //
 // Router mode (--workers= in place of an index path) serves no index
-// itself: every query fans out over TCP to the listed kdash_worker
-// processes — comma-separated slots, '+'-separated failover replicas
-// within a slot — and the per-worker exact top-k answers merge into the
-// exact global top-k, bit-identical to the in-process sharded engine over
-// the same shards. --degrade selects the same failure policy across the
-// process boundary (a dead worker under --degrade=degrade yields partial
-// answers tagged "shards_failed"); hedging re-issues slow requests to a
-// replica (--no-hedge disables, --hedge-delay-us pins the delay, 0 derives
-// it from the live p99); --probe-period-ms paces the background health
-// prober that marks crashed workers down and restarted ones back up.
+// itself: every query fans out over TCP to the listed worker servers —
+// comma-separated slots, '+'-separated failover replicas within a slot —
+// and the per-worker exact top-k answers merge into the exact global
+// top-k, bit-identical to the in-process sharded engine over the same
+// shards. --degrade selects the same failure policy across the process
+// boundary (a dead worker under --degrade=degrade yields partial answers
+// tagged "shards_failed"); hedging re-issues slow requests to a replica
+// (--no-hedge disables, --hedge-delay-us pins the delay, 0 derives it from
+// the live p99); --probe-period-ms paces the background health prober that
+// marks crashed workers down and restarted ones back up.
 //
 // Without --port the server pumps stdin→stdout: requests are submitted
 // asynchronously with up to --window in flight, responses print in input
 // order, and EOF drains the scheduler cleanly. With --port it accepts TCP
-// connections (one thread per connection, same line protocol per
-// connection) — requests from *different* clients batch together, which is
-// where micro-batching pays off.
+// connections on 127.0.0.1 (one thread per connection, same line protocol
+// per connection; --port=0 picks an ephemeral port, printed on the
+// "listening" stderr line) — requests from *different* clients batch
+// together, which is where micro-batching pays off.
 //
 //   --deadline-ms=N  per-request deadline; expired requests come back as
 //                    {"code":"DEADLINE_EXCEEDED",...} records (0 = none).
@@ -52,6 +59,7 @@
 //                    without touching the backend (0 = caching off)
 //   --no-shard-skip  disable the score-bound shard-skip optimization on
 //                    sharded indexes (every query visits every shard)
+//   --shards=a,b,... serve only these shards of a sharded directory
 //
 //   --stats-period=N per-process metric snapshot (obs::MetricRegistry) to
 //                    stderr every N seconds (0 = off)
@@ -70,9 +78,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -92,6 +103,7 @@ struct ServerConfig {
   int port = -1;                         // -1 = stdin/stdout mode
   std::chrono::seconds stats_period{0};  // 0 = no periodic stats dump
   bool shard_skip = true;                // sharded indexes only
+  std::vector<int> shards;               // sharded indexes only; empty = all
   serving::BatchSchedulerOptions scheduler;
   serving::ShardFailurePolicy failure_policy;  // sharded/router backends
 
@@ -110,7 +122,8 @@ int Usage() {
                "                    [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
                "                    [--cache-entries=1024] [--no-shard-skip]\n"
-               "                    [--port=7607] [--stats-period=0]\n"
+               "                    [--shards=a,b,...] [--port=7607]\n"
+               "                    [--stats-period=0]\n"
                "       kdash_server --workers=h:p[+h:p...][,h:p...]\n"
                "                    [--no-hedge] [--hedge-delay-us=0]\n"
                "                    [--probe-period-ms=250] [common flags]\n");
@@ -122,14 +135,29 @@ int Fail(const Status& status) {
   return 1;
 }
 
+bool ParseInt(const std::string& text, long long* value) {
+  char* end = nullptr;
+  *value = std::strtoll(text.c_str(), &end, 10);
+  return end != text.c_str() && *end == '\0';
+}
+
 bool NumericFlag(const std::string& arg, const char* name, long long* value) {
   std::string text;
-  if (!tools::FlagValue(arg, name, &text)) return false;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *value = parsed;
-  return true;
+  return tools::FlagValue(arg, name, &text) && ParseInt(text, value);
+}
+
+// "a,b,..." → non-negative shard ids; false on an empty or malformed list.
+bool ParseShardList(const std::string& text, std::vector<int>* shards) {
+  std::istringstream list(text);
+  for (std::string token; std::getline(list, token, ',');) {
+    long long id = 0;
+    if (!ParseInt(token, &id) || id < 0 ||
+        id > std::numeric_limits<int>::max()) {
+      return false;
+    }
+    shards->push_back(static_cast<int>(id));
+  }
+  return !shards->empty();
 }
 
 // ---- TCP mode --------------------------------------------------------------
@@ -209,7 +237,9 @@ int Main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (NumericFlag(arg, "--port", &value) && value > 0 &&
+    } else if (std::string list; tools::FlagValue(arg, "--shards", &list)) {
+      if (!ParseShardList(list, &config.shards)) return Usage();
+    } else if (NumericFlag(arg, "--port", &value) && value >= 0 &&
                value < 65536) {
       config.port = static_cast<int>(value);
     } else if (NumericFlag(arg, "--stats-period", &value) && value >= 0) {
@@ -225,6 +255,12 @@ int Main(int argc, char** argv) {
   std::unique_ptr<serving::ShardedEngine> sharded;
   std::unique_ptr<serving::Router> router;
   serving::BatchScheduler::Backend backend;
+  const bool sharded_dir = config.workers.empty() &&
+                           std::filesystem::is_directory(index_path);
+  if (!config.shards.empty() && !sharded_dir) {
+    return Fail(Status::InvalidArgument(
+        "--shards applies to sharded index directories only"));
+  }
   if (!config.workers.empty()) {
     config.router.failure_policy = config.failure_policy;
     auto connected = serving::Router::Connect(config.workers, config.router);
@@ -235,8 +271,8 @@ int Main(int argc, char** argv) {
     };
     std::fprintf(stderr, "routing to %d worker slot(s), %d shard(s) total\n",
                  router->num_slots(), router->shards_total());
-  } else if (std::filesystem::is_directory(index_path)) {
-    auto opened = serving::ShardedEngine::Open(index_path);
+  } else if (sharded_dir) {
+    auto opened = serving::ShardedEngine::Open(index_path, config.shards);
     if (!opened.ok()) return Fail(opened.status());
     sharded = std::make_unique<serving::ShardedEngine>(std::move(*opened));
     sharded->set_failure_policy(config.failure_policy);
@@ -244,6 +280,8 @@ int Main(int argc, char** argv) {
     backend = [&s = *sharded](std::span<const Query> queries) {
       return s.SearchBatch(queries);
     };
+    // A router weighs this process's failures in the shards it serves.
+    config.stream.pong_shards = sharded->num_shards();
     std::fprintf(stderr, "opened sharded index: %d nodes, %d shards\n",
                  sharded->num_nodes(), sharded->num_shards());
   } else {
@@ -291,7 +329,7 @@ int Main(int argc, char** argv) {
   }
 
   int exit_code = 0;
-  if (config.port > 0) {
+  if (config.port >= 0) {
     exit_code = ServeTcp(scheduler, config);
   } else {
     // Flush per record: an interactive client must see each response as it
