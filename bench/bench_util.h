@@ -4,7 +4,8 @@
 // paper's evaluation (Section 6). Dataset sizes are controlled by the
 // KDASH_BENCH_SCALE environment variable (default 1.0 ≈ a quarter of the
 // paper's node counts; 4.0 reproduces the paper's sizes but makes the
-// quadratic baselines very slow — see EXPERIMENTS.md).
+// quadratic baselines very slow — their ranks and hub counts grow with n,
+// so their dense factors and hub vectors grow with n²).
 #ifndef KDASH_BENCH_BENCH_UTIL_H_
 #define KDASH_BENCH_BENCH_UTIL_H_
 

@@ -34,8 +34,9 @@ void Run() {
   //  * eps:     entries below double-precision ranking resolution (1e-16)
   //             dropped. This is the accounting under which the paper's
   //             "number of non-zero elements is O(m)" claim is reproducible
-  //             (see EXPERIMENTS.md); top-5 results are unaffected at this
-  //             tolerance (ablation_drop_tolerance).
+  //             (it drops the sub-1e-16 reachability tail counted
+  //             above); top-5 results are unaffected at this tolerance
+  //             (ablation_drop_tolerance).
   for (const double tolerance : {0.0, 1e-16}) {
     std::printf("\n--- drop tolerance %.0e (%s) ---\n", tolerance,
                 tolerance == 0.0 ? "exact" : "machine-precision accounting");

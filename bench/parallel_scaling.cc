@@ -1,20 +1,22 @@
 // Thread-scaling of the parallelized paths: the precompute's three heavy
 // stages — the phase-synchronous Louvain reordering, the pipelined
 // level-scheduled LU factorization, and the explicit triangular inverses
-// (the Figure 6 axis) — and batch query serving through the persistent
-// SearcherPool (the Figure 2 axis). Prints a human-readable table plus one
+// (the Figure 6 axis) — and batch query serving, one searcher per pool
+// rank (the Figure 2 axis). Prints a human-readable table plus one
 // machine-readable JSON line so future changes have a perf trajectory to
 // compare against; every record carries the full per-stage precompute
 // breakdown (reorder / LU / L⁻¹ / U⁻¹) so the trajectory shows where any
 // remaining sequential wall is.
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
-#include "core/batch.h"
 #include "core/kdash_index.h"
+#include "core/kdash_searcher.h"
 #include "graph/generators.h"
 #include "lu/sparse_lu.h"
 #include "lu/triangular.h"
@@ -84,9 +86,27 @@ int Main() {
         },
         3);
 
-    core::SearcherPool pool(&index, threads);
+    // Batch serving as Engine::SearchBatch runs it: each rank of a
+    // `threads`-sized pool keeps one searcher and pulls queries off a
+    // shared cursor.
+    ThreadPool pool(threads);
+    std::vector<std::unique_ptr<core::KDashSearcher>> searchers;
+    for (int rank = 0; rank < threads; ++rank) {
+      searchers.push_back(std::make_unique<core::KDashSearcher>(&index));
+    }
     const double batch_seconds = MedianSeconds(
-        [&] { pool.TopKBatch(queries, 10); }, 3);
+        [&] {
+          std::atomic<std::size_t> cursor{0};
+          pool.RunOnAllThreads([&](int rank) {
+            core::KDashSearcher& searcher =
+                *searchers[static_cast<std::size_t>(rank)];
+            for (std::size_t i = cursor.fetch_add(1); i < queries.size();
+                 i = cursor.fetch_add(1)) {
+              searcher.TopK(queries[i], 10);
+            }
+          });
+        },
+        3);
     const double qps = static_cast<double>(queries.size()) / batch_seconds;
 
     if (threads == 1) {

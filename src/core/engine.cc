@@ -7,37 +7,29 @@
 #include <utility>
 
 #include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/timer.h"
-#include "core/batch.h"
 #include "core/dynamic.h"
 #include "obs/metrics.h"
 
 namespace kdash {
 
 // The facade's moving parts. Static engines own the immutable KDashIndex
-// plus two kinds of reusable searcher workspace: a checkout list for
-// concurrent single-query Search (each caller borrows a private searcher,
-// so N threads search truly in parallel) and a lazily created SearcherPool
-// for SearchBatch (serialized per batch — the pool itself is single-caller,
-// but batches from different threads queue on the mutex rather than abort).
+// plus a checkout list of reusable searcher workspaces: every concurrent
+// caller — a Search, or one rank of a SearchBatch — borrows a private
+// searcher, so N threads search truly in parallel.
 // Updatable engines own a DynamicKDash whose correction state is shared,
 // so every operation on it takes the exclusive lock.
 struct Engine::Impl {
-  EngineOptions options;
   NodeId num_nodes = 0;
   Scalar restart_prob = 0.0;
 
   // Static backend. The index itself is immutable once built; the searcher
-  // checkout list and the lazily-built batch pool are the mutable state,
-  // each guarded by its own mutex so single-query checkouts never contend
-  // with batch dispatch.
+  // checkout list is the only mutable state.
   std::unique_ptr<core::KDashIndex> index;
   mutable Mutex searcher_mutex;
   mutable std::vector<std::unique_ptr<core::KDashSearcher>> idle_searchers
       KDASH_GUARDED_BY(searcher_mutex);
-  mutable Mutex batch_mutex;
-  mutable std::unique_ptr<core::SearcherPool> batch_pool
-      KDASH_GUARDED_BY(batch_mutex);
 
   // Updatable backend: the DynamicKDash's correction state is shared, so
   // every solve and every edge update holds dynamic_mutex. The pointer is
@@ -80,14 +72,6 @@ struct Engine::Impl {
   void ReleaseSearcher(std::unique_ptr<core::KDashSearcher> searcher) const {
     MutexLock lock(searcher_mutex);
     idle_searchers.push_back(std::move(searcher));
-  }
-
-  core::SearcherPool& BatchPool() const KDASH_REQUIRES(batch_mutex) {
-    if (batch_pool == nullptr) {
-      batch_pool = std::make_unique<core::SearcherPool>(
-          index.get(), options.num_search_threads);
-    }
-    return *batch_pool;
   }
 };
 
@@ -184,8 +168,8 @@ Status ValidateOptions(const EngineOptions& options) {
   if (options.index.drop_tolerance < 0.0) {
     return Status::InvalidArgument("drop_tolerance must be >= 0");
   }
-  if (options.index.num_threads < 0 || options.num_search_threads < 0) {
-    return Status::InvalidArgument("thread counts must be >= 0");
+  if (options.index.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0");
   }
   if (options.updatable && options.max_pending_columns < 1) {
     return Status::InvalidArgument("max_pending_columns must be >= 1");
@@ -208,7 +192,6 @@ Result<Engine> Engine::Build(const graph::Graph& graph,
                                    "graph");
   }
   auto impl = std::make_unique<Impl>();
-  impl->options = options;
   impl->num_nodes = graph.num_nodes();
   impl->restart_prob = options.index.restart_prob;
   if (options.updatable) {
@@ -231,7 +214,6 @@ Result<Engine> Engine::WrapLoadedIndex(Result<core::KDashIndex> loaded) {
 
 Engine Engine::FromIndex(core::KDashIndex index) {
   auto impl = std::make_unique<Impl>();
-  impl->options.index = index.options();
   impl->num_nodes = index.num_nodes();
   impl->restart_prob = index.restart_prob();
   impl->index = std::make_unique<core::KDashIndex>(std::move(index));
@@ -309,14 +291,24 @@ Result<std::vector<SearchResult>> Engine::SearchBatch(
     }
     return results;
   }
-  MutexLock lock(impl_->batch_mutex);
-  impl_->BatchPool().ForEach(
-      queries.size(), [&](core::KDashSearcher& searcher, std::size_t i) {
-        obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
-        WallTimer timer;
-        results[i] = RunOnSearcher(searcher, queries[i]);
-        impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
-      });
+  if (queries.empty()) return results;
+  // Each pool rank pulls query indexes off a shared cursor with one
+  // searcher checked out of the same list Search uses; a rank that finds
+  // no work takes none.
+  std::atomic<std::size_t> cursor{0};
+  ThreadPool::Shared().RunOnAllThreads([&](int /*rank*/) {
+    std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (i >= queries.size()) return;
+    auto searcher = impl_->AcquireSearcher();
+    for (; i < queries.size();
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
+      WallTimer timer;
+      results[i] = RunOnSearcher(*searcher, queries[i]);
+      impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
+    }
+    impl_->ReleaseSearcher(std::move(searcher));
+  });
   return results;
 }
 

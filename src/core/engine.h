@@ -1,9 +1,8 @@
 // kdash::Engine — the single serving facade of the library.
 //
-// The paper-artifact API (KDashIndex + KDashSearcher + SearcherPool + free
-// batch functions, positional arguments, borrowed exclusion pointers,
-// abort-on-bad-file loading) is the wrong surface for a long-lived server.
-// Engine replaces that three-class dance with one thread-safe handle:
+// The paper-artifact API (KDashIndex + KDashSearcher, positional
+// arguments, abort-on-bad-file loading) is the wrong surface for a
+// long-lived server. Engine wraps it in one thread-safe handle:
 //
 //   KDASH_ASSIGN_OR_RETURN(auto engine, Engine::Open("social.kdash"));
 //   Query query = Query::Single(123, /*k=*/10);
@@ -56,10 +55,6 @@ struct EngineOptions {
   // lock (the correction state is shared) and cannot be Saved/Opened.
   bool updatable = false;
   int max_pending_columns = 64;
-
-  // Worker threads for SearchBatch on a static engine. 0 = the process-wide
-  // shared pool (KDASH_NUM_THREADS workers).
-  int num_search_threads = 0;
 };
 
 // A fully-typed, self-contained query: no positional-argument juggling, no
@@ -168,9 +163,10 @@ class Engine {
   [[nodiscard]] Result<SearchResult> Search(const Query& query) const;
 
   // Answer a batch; results[i] answers queries[i]. On a static engine the
-  // batch fans out over the internal SearcherPool; any invalid query fails
-  // the whole batch (use Search per query for per-query error handling —
-  // the CLI batch mode does). Thread-safe.
+  // batch fans out over the process-wide thread pool (KDASH_NUM_THREADS
+  // workers), each worker borrowing a searcher from the same checkout list
+  // as Search; any invalid query fails the whole batch (use Search per
+  // query for per-query error handling). Thread-safe.
   [[nodiscard]] Result<std::vector<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 

@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -98,10 +99,6 @@ void ShardedEngine::set_failure_policy(const ShardFailurePolicy& policy) {
   control_->policy = policy;
 }
 
-ThreadPool& ShardedEngine::Pool() const {
-  return owned_pool_ != nullptr ? *owned_pool_ : ThreadPool::Shared();
-}
-
 namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
@@ -141,9 +138,6 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
         " exceeds the graph's " + std::to_string(graph.num_nodes()) +
         " nodes");
   }
-  if (options.num_search_threads < 0) {
-    return Status::InvalidArgument("num_search_threads must be >= 0");
-  }
   KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(options.failure_policy));
 
   // One full precompute (Engine::Build validates graph and index options),
@@ -155,14 +149,6 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
   ShardedEngine sharded;
   sharded.num_nodes_ = graph.num_nodes();
   sharded.set_failure_policy(options.failure_policy);
-  // A dedicated fan-out pool only when the requested size differs from the
-  // shared pool's default — same single-default-pool policy (and same
-  // no-materialization size check) as core::SearcherPool.
-  if (options.num_search_threads > 0 &&
-      options.num_search_threads != DefaultNumThreads()) {
-    sharded.owned_pool_ =
-        std::make_unique<ThreadPool>(options.num_search_threads);
-  }
   sharded.bounds_ = MakeBounds(graph.num_nodes(), options.num_shards);
 
   const auto num_shards = static_cast<std::size_t>(options.num_shards);
@@ -437,8 +423,8 @@ Result<std::vector<SearchResult>> ShardedEngine::SearchBatch(
   // Skipping reads its flag once per call, like the policy snapshot.
   const Members members(*this, skip_enabled());
   FanOutTally tally;
-  auto results = FanOut(members, queries, failure_policy(), Pool(),
-                        "sharded.merge", &tally);
+  auto results = FanOut(members, queries, failure_policy(),
+                        ThreadPool::Shared(), "sharded.merge", &tally);
   ControlBlock& control = *control_;
   control.shard_failures.fetch_add(tally.failures, std::memory_order_relaxed);
   control.m_shard_failures->Add(tally.failures);

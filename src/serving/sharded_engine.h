@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "graph/graph.h"
@@ -48,11 +47,6 @@ struct ShardedEngineOptions {
 
   // Precompute knobs for the underlying (single, then restricted) index.
   core::KDashOptions index;
-
-  // Worker threads for fan-out and batch serving. 0 = the process-wide
-  // shared pool (KDASH_NUM_THREADS workers); the shard engines themselves
-  // always borrow the shared pool so P shards never spawn P pools.
-  int num_search_threads = 0;
 
   // Per-shard failure handling for Search/SearchBatch (see above).
   ShardFailurePolicy failure_policy;
@@ -183,10 +177,6 @@ class ShardedEngine {
     return static_cast<std::size_t>(shard_ids_[static_cast<std::size_t>(s)]);
   }
 
-  // The fan-out pool: owned when num_search_threads was set to a size that
-  // differs from the shared pool's, the process-wide shared pool otherwise.
-  ThreadPool& Pool() const;
-
   NodeId num_nodes_ = 0;
   // P + 1 fenceposts over every shard of the index: shard id g owns
   // [b[g], b[g+1]), whether or not this engine serves it.
@@ -194,7 +184,6 @@ class ShardedEngine {
   std::vector<int> shard_ids_;  // MANIFEST id of each served shard, ascending
   std::vector<Engine> shards_;
   std::vector<Scalar> shard_score_bounds_;  // parallel to shards_
-  std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<ControlBlock> control_;
 };
 

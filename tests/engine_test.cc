@@ -8,7 +8,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/engine.h"
 #include "core/kdash_searcher.h"
 #include "rwr/power_iteration.h"
@@ -143,12 +142,35 @@ TEST(EngineTest, QueryValidationAtTheBoundary) {
   EXPECT_TRUE(dup_sources.ok()) << dup_sources.status();
 }
 
+// Asserts that `got` is bit-identical (ids, scores and work counts) to
+// what a plain searcher over the same graph returns for `query`.
+void ExpectMatchesSearcher(core::KDashSearcher& searcher, const Query& query,
+                           const SearchResult& got) {
+  core::SearchOptions options;
+  options.excluded = query.exclude;
+  core::SearchStats want_stats;
+  const auto want =
+      query.sources.size() == 1
+          ? searcher.TopK(query.sources.front(), query.k, options,
+                          &want_stats)
+          : searcher.TopKPersonalized(query.sources, query.k, options,
+                                      &want_stats);
+  ASSERT_EQ(got.top.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got.top[r].node, want[r].node) << "rank " << r;
+    EXPECT_EQ(got.top[r].score, want[r].score) << "rank " << r;
+  }
+  EXPECT_EQ(got.stats.proximity_computations,
+            want_stats.proximity_computations);
+  EXPECT_GT(got.stats.proximity_computations, 0);
+}
+
 TEST(EngineTest, SearchBatchMatchesSequentialSearch) {
   const auto g = test::RandomDirectedGraph(110, 750, 204);
-  EngineOptions options;
-  options.num_search_threads = 4;
-  auto engine = Engine::Build(g, options);
+  auto engine = Engine::Build(g, StaticOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
+  const core::KDashIndex index = core::KDashIndex::Build(g, {});
+  core::KDashSearcher searcher(&index);
 
   std::vector<Query> queries;
   for (NodeId q = 0; q < 30; ++q) {
@@ -169,6 +191,55 @@ TEST(EngineTest, SearchBatchMatchesSequentialSearch) {
       EXPECT_EQ((*batch)[i].top[r].node, single->top[r].node);
       EXPECT_DOUBLE_EQ((*batch)[i].top[r].score, single->top[r].score);
     }
+    SCOPED_TRACE("query " + std::to_string(i));
+    ExpectMatchesSearcher(searcher, queries[i], (*batch)[i]);
+  }
+
+  // Three more batches on the same engine: searchers checked back in by
+  // one batch serve the next and must keep answering exactly.
+  for (NodeId round = 0; round < 3; ++round) {
+    std::vector<Query> reuse;
+    for (NodeId q = round; q < g.num_nodes(); q += 7) {
+      reuse.push_back(Query::Single(q, 5));
+    }
+    const auto again = engine->SearchBatch(reuse);
+    ASSERT_TRUE(again.ok()) << again.status();
+    ASSERT_EQ(again->size(), reuse.size());
+    for (std::size_t i = 0; i < reuse.size(); ++i) {
+      SCOPED_TRACE("round " + std::to_string(round) + " query " +
+                   std::to_string(i));
+      ExpectMatchesSearcher(searcher, reuse[i], (*again)[i]);
+    }
+  }
+
+  // An empty batch is a valid, empty answer.
+  const auto empty = engine->SearchBatch({});
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
+
+  // Fewer queries than pool ranks: the idle ranks take no searcher and
+  // the two answers still land in input order.
+  const std::vector<Query> pair{Query::Single(0, 3), Query::Single(1, 3)};
+  const auto two = engine->SearchBatch(pair);
+  ASSERT_TRUE(two.ok()) << two.status();
+  ASSERT_EQ(two->size(), 2u);
+  for (std::size_t i = 0; i < pair.size(); ++i) {
+    SCOPED_TRACE("pair query " + std::to_string(i));
+    ExpectMatchesSearcher(searcher, pair[i], (*two)[i]);
+  }
+
+  // Personalized restart sets with repeated sources (each occurrence
+  // carries its share of the restart mass).
+  const std::vector<Query> personalized{
+      Query::Personalized({4, 4, 9}, 6),
+      Query::Personalized({7, 30, 7, 30, 7}, 8),
+      Query::Personalized({12, 88, 12}, 10)};
+  const auto restart_sets = engine->SearchBatch(personalized);
+  ASSERT_TRUE(restart_sets.ok()) << restart_sets.status();
+  ASSERT_EQ(restart_sets->size(), personalized.size());
+  for (std::size_t i = 0; i < personalized.size(); ++i) {
+    SCOPED_TRACE("personalized query " + std::to_string(i));
+    ExpectMatchesSearcher(searcher, personalized[i], (*restart_sets)[i]);
   }
 }
 

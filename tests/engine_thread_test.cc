@@ -113,9 +113,7 @@ TEST(EngineThreadTest, ConcurrentSearchBitIdenticalToSequential) {
 
 TEST(EngineThreadTest, ConcurrentSearchBatchAndSearch) {
   const auto g = test::RandomDirectedGraph(130, 900, 302);
-  EngineOptions options;
-  options.num_search_threads = 2;
-  auto engine = Engine::Build(g, options);
+  auto engine = Engine::Build(g, {});
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   const auto queries = MixedQueries(g.num_nodes(), 40);

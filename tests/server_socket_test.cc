@@ -10,12 +10,15 @@
 //   - a slow client that stops reading its responses must not hang
 //     shutdown: the SO_SNDTIMEO bound plus the two-phase drain force the
 //     connection closed within the drain grace;
-//   - Stop() from another thread unblocks Serve().
+//   - Stop() from another thread unblocks Serve();
+//   - accepted connections get TCP_NODELAY and the configured send timeout.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -225,6 +228,45 @@ TEST_F(ServerSocketTest, StopFromAnotherThreadUnblocksServe) {
   StopServer();
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(2));
+}
+
+TEST(ConfigureAcceptedSocketTest, SetsNoDelayAndSendTimeout) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), addr_len),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  RawClient client(ntohs(addr.sin_port));
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+
+  ConfigureAcceptedSocket(accepted, std::chrono::milliseconds(1500));
+
+  int no_delay = 0;
+  socklen_t size = sizeof(no_delay);
+  ASSERT_EQ(
+      ::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &no_delay, &size), 0);
+  EXPECT_EQ(no_delay, 1);
+  timeval timeout{};
+  size = sizeof(timeout);
+  ASSERT_EQ(::getsockopt(accepted, SOL_SOCKET, SO_SNDTIMEO, &timeout, &size),
+            0);
+  // The kernel keeps the timeout in scheduler ticks, so read it back to
+  // within one tick (at most 10 ms).
+  const long long timeout_us =
+      static_cast<long long>(timeout.tv_sec) * 1'000'000 + timeout.tv_usec;
+  EXPECT_NEAR(timeout_us, 1'500'000, 10'000);
+
+  ::close(accepted);
+  ::close(listener);
 }
 
 }  // namespace

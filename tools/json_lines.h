@@ -1,7 +1,7 @@
-// The JSON-lines batch protocol shared by `kdash_cli batch` and
-// `kdash_server`: one request per input line, one JSON object per output
-// line, errors reported inline so a bad request never takes down the
-// stream.
+// The JSON-lines protocol of `kdash_server` (stdin or TCP) and of the
+// router's worker connections: one request per input line, one JSON object
+// per output line, errors reported inline so a bad request never takes
+// down the stream.
 //
 // Request line grammar (whitespace-separated):
 //   <source> [<source> ...] [-- <exclude> ...] [k=<n>] [trace=1]
@@ -12,15 +12,16 @@
 // snapshot, see obs/metrics.h).
 //
 // The last four tokens exist for the distributed tier (serving::Router →
-// kdash_worker), though any client may use them: `pruning=0` and
-// `root=<node>` carry the Query diagnostics fields that would otherwise be
-// unreachable over the wire, `deadline_us=<n>` hands the server the
-// request's *remaining* budget (it stamps Query::deadline n µs from
-// receipt, so an expired budget comes back DEADLINE_EXCEEDED instead of as
-// an answer nobody is waiting for), and `hex=1` asks for a "score_hex"
-// hexfloat alongside each entry's decimal score — %.12g loses low bits,
-// and the router's cross-worker merge is only bit-identical to the
-// in-process ShardedEngine if scores survive the round-trip exactly.
+// `kdash_server <dir> --shards=...` workers), though any client may use
+// them: `pruning=0` and `root=<node>` carry the Query diagnostics fields
+// that would otherwise be unreachable over the wire, `deadline_us=<n>`
+// hands the server the request's *remaining* budget (it stamps
+// Query::deadline n µs from receipt, so an expired budget comes back
+// DEADLINE_EXCEEDED instead of as an answer nobody is waiting for), and
+// `hex=1` asks for a "score_hex" hexfloat alongside each entry's decimal
+// score — %.12g loses low bits, and the router's cross-worker merge is
+// only bit-identical to the in-process ShardedEngine if scores survive the
+// round-trip exactly.
 // Response records:
 //   {"id":7,"sources":[3],"k":5,"top":[{"node":9,"score":0.0123},...],
 //    "visited":42,"computed":17,"pruned":true,"t_us":184}

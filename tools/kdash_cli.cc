@@ -11,28 +11,19 @@
 //       Opens an index and prints the exact top-k for each query node.
 //       Multiple nodes with --personalized run one restart-set query.
 //
-//   kdash_cli batch <index.kdash> [queries.txt] [--k=5] [--stats]
-//       Streams queries (one per line, from the file or stdin) through the
-//       engine and emits one JSON object per query on stdout. Line format:
-//         <source> [<source> ...] [-- <exclude> ...] [k=<n>] [trace=1]
-//       Invalid lines produce {"error": ...} records and processing
-//       continues — the groundwork for the async server front end. Every
-//       record carries "t_us" (per-request wall time); {"ping":1} and
-//       {"stats":1} lines are answered like kdash_server answers them, and
-//       --stats dumps the final metric-registry snapshot to stderr.
-//
 //   kdash_cli stats <index.kdash>
 //       Prints the index's size and precompute accounting.
 //
 //   kdash_cli generate <dataset> <edges.txt> [--scale=1.0] [--seed=42]
 //       Writes one of the synthetic dataset stand-ins as an edge list
 //       (dictionary | internet | citation | social | email).
+//
+// JSON-lines serving (one query per input line, one record per answer) is
+// `kdash_server <index.kdash>`, which reads stdin when given no --port.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -42,7 +33,6 @@
 #include "datasets/datasets.h"
 #include "graph/io.h"
 #include "json_lines.h"
-#include "obs/metrics.h"
 #include "serving/sharded_engine.h"
 
 namespace kdash {
@@ -57,7 +47,6 @@ int Usage() {
       "            [--undirected] [--shards=P  (writes a sharded dir)]\n"
       "  kdash_cli query <index.kdash> <node> [<node>...] [--k=5]\n"
       "            [--personalized]\n"
-      "  kdash_cli batch <index.kdash> [queries.txt|-] [--k=5] [--stats]\n"
       "  kdash_cli stats <index.kdash>\n"
       "  kdash_cli generate <dictionary|internet|citation|social|email>\n"
       "            <edges.txt> [--scale=1.0] [--seed=42]\n");
@@ -69,7 +58,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// query/batch/stats read single-index files; catch a sharded directory
+// query/stats read single-index files; catch a sharded directory
 // early with a pointed message instead of a confusing stream error.
 Result<Engine> OpenIndexFile(const std::string& path) {
   if (std::filesystem::is_directory(path)) {
@@ -214,94 +203,6 @@ int CmdQuery(const std::vector<std::string>& args) {
   return 0;
 }
 
-// JSON-lines batch serving over the Engine: read queries, answer each,
-// report per-query errors inline and keep going. The protocol helpers are
-// shared with kdash_server (tools/json_lines.h) — the async front end
-// speaks exactly this format.
-int CmdBatch(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  std::size_t default_k = 5;
-  std::string input_path = "-";
-  bool dump_stats = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    std::string value;
-    if (FlagValue(args[i], "--k", &value)) {
-      const long long parsed = std::atoll(value.c_str());
-      if (parsed <= 0) return Usage();
-      default_k = static_cast<std::size_t>(parsed);
-    } else if (args[i] == "--stats") {
-      dump_stats = true;
-    } else {
-      input_path = args[i];
-    }
-  }
-
-  auto engine = OpenIndexFile(args[0]);
-  if (!engine.ok()) return Fail(engine.status());
-
-  std::ifstream file;
-  if (input_path != "-") {
-    file.open(input_path);
-    if (!file.good()) {
-      return Fail(Status::NotFound("cannot open " + input_path));
-    }
-  }
-  std::istream& in = input_path == "-" ? std::cin : file;
-
-  int failures = 0;
-  long long id = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF input
-    if (line.empty() || line[0] == '#') continue;
-    WallTimer request_timer;  // "t_us" on every record, like kdash_server
-    if (tools::IsPingLine(line)) {  // protocol parity with kdash_server
-      std::printf("%s\n",
-                  tools::FormatPongRecord(
-                      id++, static_cast<long long>(request_timer.Micros()))
-                      .c_str());
-      continue;
-    }
-    if (tools::IsStatsLine(line)) {
-      std::printf("%s\n",
-                  tools::FormatStatsRecord(
-                      id++, obs::MetricRegistry::Global().SnapshotToJson(),
-                      static_cast<long long>(request_timer.Micros()))
-                      .c_str());
-      continue;
-    }
-    Query query;
-    std::string parse_error;
-    if (!tools::ParseQueryLine(line, default_k, &query, &parse_error)) {
-      std::printf("%s\n",
-                  tools::FormatErrorRecord(
-                      id++, parse_error,
-                      static_cast<long long>(request_timer.Micros()))
-                      .c_str());
-      ++failures;
-      continue;
-    }
-    const auto result = engine->Search(query);
-    const long long t_us = static_cast<long long>(request_timer.Micros());
-    if (!result.ok()) {
-      std::printf(
-          "%s\n",
-          tools::FormatErrorRecord(id++, result.status(), t_us).c_str());
-      ++failures;
-      continue;
-    }
-    std::printf(
-        "%s\n",
-        tools::FormatResultRecord(id++, query, *result, t_us).c_str());
-  }
-  if (dump_stats) {
-    // To stderr so stdout stays protocol-pure (one record per request).
-    std::fprintf(stderr, "%s\n",
-                 obs::MetricRegistry::Global().SnapshotToJson().c_str());
-  }
-  return failures == 0 ? 0 : 1;
-}
-
 int CmdStats(const std::vector<std::string>& args) {
   if (args.size() != 1) return Usage();
   auto engine = OpenIndexFile(args[0]);
@@ -358,7 +259,6 @@ int Main(int argc, char** argv) {
   std::vector<std::string> args(argv + 2, argv + argc);
   if (command == "build") return CmdBuild(args);
   if (command == "query") return CmdQuery(args);
-  if (command == "batch") return CmdBatch(args);
   if (command == "stats") return CmdStats(args);
   if (command == "generate") return CmdGenerate(args);
   return Usage();

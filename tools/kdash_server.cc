@@ -1,9 +1,8 @@
 // kdash_server — JSON-lines serving front end over the micro-batching
-// scheduler. Speaks exactly the `kdash_cli batch` protocol (one request
-// per line, one JSON record per line, inline error records), but routes
-// every request through serving::BatchScheduler, so concurrent request
-// streams coalesce into SearchBatch micro-batches on the shared thread
-// pool.
+// scheduler. Speaks the tools/json_lines.h protocol (one request per line,
+// one JSON record per line, inline error records) and routes every request
+// through serving::BatchScheduler, so concurrent request streams coalesce
+// into SearchBatch micro-batches on the shared thread pool.
 //
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
 //                [--wait-us=500] [--deadline-ms=0] [--window=256]

@@ -15,7 +15,8 @@
 //   - PumpStream: the per-connection request pump — reader submits lines
 //     to the BatchScheduler with a bounded in-flight window, writer
 //     resolves responses in input order.
-//   - SendAll / SocketStreamBuf / IgnoreSigpipe: socket primitives.
+//   - SendAll / SocketStreamBuf / IgnoreSigpipe / ConfigureAcceptedSocket:
+//     socket primitives.
 //
 // A dead client must never kill the process: every send uses MSG_NOSIGNAL
 // and servers call IgnoreSigpipe() at startup anyway (belt and braces —
@@ -25,6 +26,7 @@
 #define KDASH_TOOLS_NET_UTIL_H_
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -257,6 +259,27 @@ inline bool SendAll(int fd, const std::string& record) {
   return true;
 }
 
+// Socket options for one accepted client connection.
+//   - TCP_NODELAY: a record goes out as soon as it is written. With Nagle
+//     on, a short record sent while an earlier one is unacknowledged waits
+//     for the client's delayed ACK (tens of ms on loopback).
+//   - SO_SNDTIMEO = send_timeout: bounds every send. A client that stops
+//     reading its responses would otherwise park the worker in a blocking
+//     send() forever — surviving the drain's SHUT_RD (which only wakes
+//     readers) and pinning its pipeline window in steady state. After the
+//     timeout SendAll fails, the stream winds down, and the worker exits.
+inline void ConfigureAcceptedSocket(int fd,
+                                    std::chrono::milliseconds send_timeout) {
+  const int no_delay = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
+  const auto timeout_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(send_timeout);
+  const timeval timeout{
+      static_cast<time_t>(timeout_us.count() / 1'000'000),
+      static_cast<suseconds_t>(timeout_us.count() % 1'000'000)};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+}
+
 // A loopback JSON-lines TCP server over one BatchScheduler: Listen() binds
 // (port 0 = ephemeral, port() tells which), Serve() accepts until Stop()
 // and then drains, one thread per connection running PumpStream.
@@ -366,18 +389,7 @@ class LineServer {
         }
         break;  // unrecoverable listener error
       }
-      // Bound every send: a client that stops reading its responses would
-      // otherwise park the worker in a blocking send() forever — surviving
-      // the SHUT_RD drain below (which only wakes readers) and pinning its
-      // pipeline window in steady state. After the timeout SendAll fails,
-      // the stream winds down, and the worker exits.
-      const auto timeout_us = std::chrono::duration_cast<
-          std::chrono::microseconds>(config_.send_timeout);
-      const timeval send_timeout{
-          static_cast<time_t>(timeout_us.count() / 1'000'000),
-          static_cast<suseconds_t>(timeout_us.count() % 1'000'000)};
-      ::setsockopt(conn_fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                   sizeof(send_timeout));
+      ConfigureAcceptedSocket(conn_fd, config_.send_timeout);
       MutexLock lock(registry.mutex);
       registry.open_fds.push_back(conn_fd);
       registry.connections.emplace_back();
