@@ -157,7 +157,6 @@ class BenchWorker {
   static serving::BatchSchedulerOptions SchedulerOptions() {
     serving::BatchSchedulerOptions options;
     options.max_batch_size = 256;
-    options.max_wait = std::chrono::microseconds(200);
     options.max_queue_depth = 0;
     return options;
   }
@@ -246,7 +245,6 @@ int Main() {
 
   serving::BatchSchedulerOptions scheduler_options;
   scheduler_options.max_batch_size = 256;
-  scheduler_options.max_wait = std::chrono::microseconds(200);
   // Throughput measurement wants every request answered, not shed: the
   // client windows above can legitimately stack clients x window requests.
   scheduler_options.max_queue_depth = 0;

@@ -74,14 +74,13 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "router.marked_up",         // endpoint transitions down -> healthy
     "router.remote_us",         // per-call wire round-trip latency
     "scheduler.batch_size",     // live (non-expired) requests per batch
-    "scheduler.batch_wait_us",  // per-request queue wait until dispatch
+    "scheduler.batch_wait_us",  // per-request wait for the in-flight batch
     "scheduler.batches_dispatched",
     "scheduler.coalesced",      // duplicates answered by a batchmate
     "scheduler.deadline_expired",
     "scheduler.degraded",       // served with shards_failed > 0
     "scheduler.queue_depth",    // current pending requests (gauge)
     "scheduler.rejected",       // submitted after shutdown
-    "scheduler.retried",        // backend re-invocations (transient errors)
     "scheduler.served",         // resolved through the backend
     "scheduler.shed",           // refused: queue at max_queue_depth
     "scheduler.submitted",

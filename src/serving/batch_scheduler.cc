@@ -1,7 +1,6 @@
 #include "serving/batch_scheduler.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -10,18 +9,6 @@
 namespace kdash::serving {
 
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-// Codes worth a retry: the condition can clear on its own (an injected
-// transient, a momentarily saturated backend). Everything else is
-// deterministic for a fixed query and would fail identically again.
-bool IsTransient(StatusCode code) {
-  return code == StatusCode::kUnavailable ||
-         code == StatusCode::kResourceExhausted;
-}
-
-}  // namespace
 
 BatchScheduler::Metrics BatchScheduler::ResolveMetrics() {
   auto& registry = obs::MetricRegistry::Global();
@@ -34,7 +21,6 @@ BatchScheduler::Metrics BatchScheduler::ResolveMetrics() {
   metrics.deadline_expired = &registry.GetCounter("scheduler.deadline_expired");
   metrics.rejected = &registry.GetCounter("scheduler.rejected");
   metrics.shed = &registry.GetCounter("scheduler.shed");
-  metrics.retried = &registry.GetCounter("scheduler.retried");
   metrics.degraded = &registry.GetCounter("scheduler.degraded");
   metrics.queue_depth = &registry.GetGauge("scheduler.queue_depth");
   metrics.batch_size = &registry.GetHistogram("scheduler.batch_size");
@@ -49,9 +35,6 @@ BatchScheduler::BatchScheduler(Backend backend,
       metrics_(ResolveMetrics()) {
   KDASH_CHECK(backend_ != nullptr);
   KDASH_CHECK(options_.max_batch_size >= 1);
-  KDASH_CHECK(options_.max_wait.count() >= 0);
-  KDASH_CHECK(options_.max_retries >= 0);
-  KDASH_CHECK(options_.retry_backoff.count() >= 0);
   if (options_.cache_entries > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_entries);
     if (options_.backend_epoch != nullptr) {
@@ -108,12 +91,9 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
     metrics_.submitted->Add();
     queue_.push_back(std::move(request));
     metrics_.queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
-    // Wake the scheduler only when this submission changes what it can do:
-    // the queue just became non-empty (it may be idle-waiting) or just
-    // filled a batch (it may be waiting out max_wait). Intermediate
-    // submissions ride along for free — at high load this drops the
-    // notify cost from one per request to two per batch.
-    wake = queue_.size() == 1 || queue_.size() == options_.max_batch_size;
+    // The scheduler sleeps only on an empty queue, so only the submission
+    // that makes it non-empty needs to wake it; later ones ride along.
+    wake = queue_.size() == 1;
   }
   if (wake) wake_scheduler_.NotifyOne();
   return future;
@@ -125,16 +105,8 @@ void BatchScheduler::SchedulerLoop() {
     while (!shutdown_ && queue_.empty()) wake_scheduler_.Wait(mutex_);
     if (queue_.empty()) return;  // shutdown with nothing left to drain
 
-    // Batch-forming policy: dispatch when full, when the oldest pending
-    // request has waited max_wait, or when draining after shutdown.
-    const Clock::time_point flush_at = queue_.front().arrival + options_.max_wait;
-    while (!shutdown_ && queue_.size() < options_.max_batch_size) {
-      if (wake_scheduler_.WaitUntil(mutex_, flush_at) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-
+    // Idle with work pending: dispatch whatever has queued — everything
+    // that arrived while the previous batch ran — up to max_batch_size.
     std::vector<Request> batch;
     const std::size_t take = std::min(queue_.size(), options_.max_batch_size);
     batch.reserve(take);
@@ -235,60 +207,51 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
       unique_of[i] = queries.size() - 1;
     }
 
-    // Runs the given distinct queries through the backend — whole-batch
-    // first, per-query on a batch-level error (e.g. one malformed query
-    // fails an Engine::SearchBatch) so only the bad ones fail.
-    const auto invoke = [&](std::span<const Query> distinct) {
-      std::vector<Result<SearchResult>> invoked;
-      invoked.reserve(distinct.size());
-      auto results = InvokeBackend(distinct);
+    // Look every distinct query up (a null cache misses them all) and run
+    // only the misses: whole-batch first, per-query on a batch-level error
+    // (e.g. one malformed query fails an Engine::SearchBatch) so only the
+    // bad ones fail. Results are admitted under the epoch captured before
+    // the backend ran (an Invalidate in between rejects the admission).
+    const std::uint64_t admit_epoch = cache_ != nullptr ? cache_->epoch() : 0;
+    std::vector<SearchResult> hit_results(queries.size());
+    std::vector<char> hit(queries.size(), 0);
+    std::vector<Query> miss_queries;
+    for (std::size_t u = 0; u < queries.size(); ++u) {
+      hit[u] = cache_ != nullptr && cache_->Lookup(queries[u], &hit_results[u]);
+      if (!hit[u]) miss_queries.push_back(std::move(queries[u]));
+    }
+    std::vector<Result<SearchResult>> miss_results;
+    miss_results.reserve(miss_queries.size());
+    if (!miss_queries.empty()) {
+      auto results = InvokeBackend(miss_queries);
       if (results.ok()) {
-        KDASH_CHECK(results->size() == distinct.size())
+        KDASH_CHECK(results->size() == miss_queries.size())
             << "backend returned " << results->size() << " results for "
-            << distinct.size() << " queries";
-        for (auto& result : *results) invoked.push_back(std::move(result));
+            << miss_queries.size() << " queries";
+        for (auto& result : *results) miss_results.push_back(std::move(result));
       } else {
-        for (std::size_t u = 0; u < distinct.size(); ++u) {
-          auto single = InvokeBackend({&distinct[u], 1});
-          invoked.push_back(single.ok()
-                                ? Result<SearchResult>(
-                                      std::move(single->front()))
-                                : Result<SearchResult>(single.status()));
+        for (const Query& query : miss_queries) {
+          auto single = InvokeBackend({&query, 1});
+          miss_results.push_back(single.ok()
+                                     ? Result<SearchResult>(
+                                           std::move(single->front()))
+                                     : Result<SearchResult>(single.status()));
         }
       }
-      return invoked;
-    };
-
+    }
     std::vector<Result<SearchResult>> per_unique;
     per_unique.reserve(queries.size());
-    if (cache_ == nullptr) {
-      per_unique = invoke(queries);
-    } else {
-      // Cache path: look every distinct query up, run only the misses, and
-      // admit their results under the epoch captured before the backend ran
-      // (an Invalidate in between rejects the admission).
-      const std::uint64_t admit_epoch = cache_->epoch();
-      std::vector<SearchResult> hit_results(queries.size());
-      std::vector<char> hit(queries.size(), 0);
-      std::vector<Query> miss_queries;
-      for (std::size_t u = 0; u < queries.size(); ++u) {
-        hit[u] = cache_->Lookup(queries[u], &hit_results[u]) ? 1 : 0;
-        if (!hit[u]) miss_queries.push_back(queries[u]);
+    std::size_t m = 0;
+    for (std::size_t u = 0; u < queries.size(); ++u) {
+      if (hit[u]) {
+        per_unique.push_back(std::move(hit_results[u]));
+        continue;
       }
-      std::vector<Result<SearchResult>> miss_results;
-      if (!miss_queries.empty()) miss_results = invoke(miss_queries);
-      std::size_t m = 0;
-      for (std::size_t u = 0; u < queries.size(); ++u) {
-        if (hit[u]) {
-          per_unique.push_back(std::move(hit_results[u]));
-        } else {
-          if (miss_results[m].ok()) {
-            cache_->Admit(queries[u], admit_epoch, *miss_results[m]);
-          }
-          per_unique.push_back(std::move(miss_results[m]));
-          ++m;
-        }
+      if (cache_ != nullptr && miss_results[m].ok()) {
+        cache_->Admit(miss_queries[m], admit_epoch, *miss_results[m]);
       }
+      per_unique.push_back(std::move(miss_results[m]));
+      ++m;
     }
     // Fan each unique result out to its consumers, copying only for
     // duplicates: the last consumer of a group takes the result by move,
@@ -336,30 +299,11 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
 
 Result<std::vector<SearchResult>> BatchScheduler::InvokeBackend(
     std::span<const Query> queries) {
-  auto backoff = options_.retry_backoff;
-  for (int attempt = 0;; ++attempt) {
-    // Chaos hook: a firing "scheduler.dispatch" stands in for a transient
-    // backend failure at the moment of dispatch.
-    Status injected = fault::Check("scheduler.dispatch");
-    auto results = injected.ok()
-                       ? backend_(queries)
-                       : Result<std::vector<SearchResult>>(injected);
-    if (results.ok() || !IsTransient(results.status().code()) ||
-        attempt >= options_.max_retries) {
-      return results;
-    }
-    {
-      MutexLock lock(mutex_);
-      ++stats_.retried;
-    }
-    metrics_.retried->Add();
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, options_.max_retry_backoff);
-  }
-}
-
-void BatchScheduler::InvalidateCache() {
-  if (cache_ != nullptr) cache_->Invalidate();
+  // Chaos hook: a firing "scheduler.dispatch" stands in for a backend
+  // failure at the moment of dispatch.
+  Status injected = fault::Check("scheduler.dispatch");
+  if (!injected.ok()) return injected;
+  return backend_(queries);
 }
 
 void BatchScheduler::Shutdown() {
@@ -391,7 +335,6 @@ std::string BatchScheduler::Stats::ToJson() const {
   field("deadline_expired", deadline_expired);
   field("rejected", rejected);
   field("shed", shed);
-  field("retried", retried);
   field("degraded", degraded);
   out.append("}");
   return out;

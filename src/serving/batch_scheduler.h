@@ -4,11 +4,15 @@
 // on the table: with C clients and T cores, C < T cores sit idle, and every
 // request pays its own dispatch. The scheduler turns independent requests
 // into micro-batches: Submit() enqueues a query and returns a future
-// immediately; one scheduler thread pops up to max_batch_size requests —
-// waiting at most max_wait after the oldest arrival so a lone request is
-// never stuck — and runs them as one SearchBatch through the backend, which
+// immediately; one scheduler thread runs a queue -> coalesce -> cache ->
+// dispatch loop. Whenever it is idle it takes everything pending (up to
+// max_batch_size) and runs it as one SearchBatch through the backend, which
 // fans the batch across the process-wide thread pool (KDASH_NUM_THREADS;
 // the scheduler itself adds exactly one thread, never a second pool).
+// There is no batching timer: a request arriving at an idle scheduler is
+// dispatched at once, and requests arriving while a batch runs queue up to
+// form the next one, so the batching window is exactly the in-flight
+// batch's run time.
 //
 // Batching also shares work sync execution cannot: identical requests in a
 // batch (hot queries of a head-heavy production stream) are coalesced —
@@ -24,17 +28,17 @@
 //     every already-accepted request (deadlines still honored), then joins
 //     the scheduler thread. Submissions after shutdown resolve immediately
 //     to kUnavailable.
-//   - A batch-level backend error (Engine::SearchBatch fails the whole
-//     batch on one invalid query) triggers a per-request retry, so one bad
-//     request never poisons its batchmates.
+//   - No retries: a batch's distinct queries go to the backend in one
+//     call. Only a batch-level error (Engine::SearchBatch fails the whole
+//     batch on one invalid query) is followed by one call per distinct
+//     request, so one bad request never poisons its batchmates. Retrying
+//     transient member failures is the fan-out's job (ShardFailurePolicy
+//     in serving/fan_out.h), where the member, the policy and the deadline
+//     are known.
 //   - Admission control: at most max_queue_depth requests may be pending;
 //     past that, Submit resolves immediately to kResourceExhausted (shed)
 //     instead of queueing unboundedly — under overload latency stays
 //     bounded and the client gets a machine-readable "back off" signal.
-//   - Transient backend failures (kUnavailable, kResourceExhausted — e.g.
-//     an injected fault or a momentarily overloaded sharded backend) are
-//     retried with bounded exponential backoff before the error reaches
-//     any future.
 #ifndef KDASH_SERVING_BATCH_SCHEDULER_H_
 #define KDASH_SERVING_BATCH_SCHEDULER_H_
 
@@ -59,24 +63,13 @@
 namespace kdash::serving {
 
 struct BatchSchedulerOptions {
-  // Dispatch as soon as this many requests are pending...
+  // At most this many requests per dispatched batch.
   std::size_t max_batch_size = 64;
-  // ...or when the oldest pending request has waited this long.
-  std::chrono::microseconds max_wait{500};
 
   // Admission control: shed (kResourceExhausted) any Submit that would
   // leave more than this many requests queued. 0 = unbounded (the
   // pre-admission-control behavior).
   std::size_t max_queue_depth = 4096;
-
-  // Transient-failure handling: a backend call failing with kUnavailable
-  // or kResourceExhausted is retried up to max_retries times, sleeping
-  // retry_backoff · 2^r (capped at max_retry_backoff) before retry r.
-  // Other codes (kInvalidArgument, kDataLoss, ...) are deterministic and
-  // never retried.
-  int max_retries = 2;
-  std::chrono::microseconds retry_backoff{200};
-  std::chrono::microseconds max_retry_backoff{20'000};
 
   // Cross-batch result cache (serving/result_cache.h): keep the complete
   // results of up to this many distinct queries and answer repeats without
@@ -121,10 +114,6 @@ class BatchScheduler {
   // Idempotent and safe to call concurrently with Submit.
   void Shutdown();
 
-  // Purge the result cache (no-op when cache_entries == 0). For callers
-  // that mutate the backend out of band of the backend_epoch hook.
-  void InvalidateCache();
-
   // Every Submit call lands in exactly one of {rejected, shed, submitted},
   // and every submitted request eventually lands in exactly one of
   // {served, deadline_expired} — so after all futures resolve,
@@ -137,7 +126,6 @@ class BatchScheduler {
     std::uint64_t deadline_expired = 0;   // resolved to kDeadlineExceeded
     std::uint64_t rejected = 0;           // submitted after shutdown
     std::uint64_t shed = 0;               // refused: queue at max_queue_depth
-    std::uint64_t retried = 0;            // backend re-invocations (transient)
     std::uint64_t degraded = 0;           // served with shards_failed > 0
 
     // One JSON object, keys matching the registry's scheduler.* metric
@@ -170,7 +158,6 @@ class BatchScheduler {
     obs::Counter* deadline_expired;
     obs::Counter* rejected;
     obs::Counter* shed;
-    obs::Counter* retried;
     obs::Counter* degraded;
     obs::Gauge* queue_depth;
     obs::Histogram* batch_size;
@@ -184,8 +171,8 @@ class BatchScheduler {
   // batch-level error). Runs with mutex_ released — the backend call is
   // the long pole and must not block Submit.
   void RunBatch(std::vector<Request> batch) KDASH_EXCLUDES(mutex_);
-  // One backend call with the transient-retry policy (and the
-  // "scheduler.dispatch" fault-injection site) applied.
+  // One backend call, behind the "scheduler.dispatch" fault-injection
+  // site.
   [[nodiscard]] Result<std::vector<SearchResult>> InvokeBackend(
       std::span<const Query> queries) KDASH_EXCLUDES(mutex_);
 

@@ -2,8 +2,8 @@
 //
 // Scheduler coalescing dedups identical queries *within* one batch; a
 // head-heavy stream (hot users/items in a degree-weighted workload) repeats
-// its head *across* batches too, recomputing the same answer every
-// max_wait. This cache closes that gap: a bounded map from query identity
+// its head *across* batches too, recomputing the same answer in every
+// batch. This cache closes that gap: a bounded map from query identity
 // to its complete SearchResult, consulted by BatchScheduler::RunBatch
 // before the backend is invoked.
 //
@@ -23,9 +23,8 @@
 //   - Degraded results (shards_failed > 0) are never admitted: a complete
 //     answer computed later must not be shadowed by a cached partial one.
 //
-// Thread-safe; one mutex. The scheduler thread is the only hot-path caller,
-// so contention is not a concern — correctness under an external
-// InvalidateCache() is.
+// Thread-safe; one mutex. The scheduler thread is the only caller in
+// serving, so contention is not a concern.
 #ifndef KDASH_SERVING_RESULT_CACHE_H_
 #define KDASH_SERVING_RESULT_CACHE_H_
 

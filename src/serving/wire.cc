@@ -56,8 +56,8 @@ std::string Unescape(std::string_view text) {
   return plain;
 }
 
-// The quoted string starting at `pos` (which must point at the opening
-// quote's content, i.e. FieldPos + 1); honors escapes.
+// The quoted string value of field `name`; honors escapes. False when the
+// field is absent or its closing quote is missing (a truncated record).
 bool ParseStringField(const std::string& line, std::string_view name,
                       std::string* out) {
   std::size_t pos = FieldPos(line, name);
@@ -69,7 +69,7 @@ bool ParseStringField(const std::string& line, std::string_view name,
   while (end < line.size() && line[end] != '"') {
     end += line[end] == '\\' ? 2 : 1;
   }
-  if (end > line.size()) return false;
+  if (end >= line.size()) return false;
   *out = Unescape(std::string_view(line).substr(pos, end - pos));
   return true;
 }

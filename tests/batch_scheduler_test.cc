@@ -1,14 +1,18 @@
-// BatchScheduler semantics: coalescing never changes answers, deadlines
-// surface kDeadlineExceeded, shutdown drains every accepted future, and
-// post-shutdown submissions are rejected with kUnavailable.
+// BatchScheduler semantics: an idle scheduler dispatches at once and a
+// batch forms from what queued behind the busy one, coalescing never
+// changes answers, deadlines surface kDeadlineExceeded, shutdown drains
+// every accepted future, and post-shutdown submissions are rejected with
+// kUnavailable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "backend_gate.h"
 #include "serving/batch_scheduler.h"
 #include "test_util.h"
 
@@ -50,28 +54,33 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 16;
-  options.max_wait = milliseconds(1);
-  BatchScheduler scheduler(EngineBackend(engine), options);
+  test::BackendGate gate;
+  BatchScheduler scheduler(gate.Wrap(EngineBackend(engine)), options);
+
+  // Every submitter's requests queue behind the gated occupant, so they
+  // are dispatched in full batches of 16.
+  auto occupant = scheduler.Submit(Query::Single(0, 1));
+  gate.AwaitOccupant();
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 40;
   std::vector<std::thread> submitters;
-  std::vector<std::vector<Result<SearchResult>>> outcomes(kThreads);
+  std::vector<std::vector<std::future<Result<SearchResult>>>> futures(
+      kThreads);
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
-      std::vector<std::future<Result<SearchResult>>> futures;
       for (int i = 0; i < kPerThread; ++i) {
         Query query = Query::Single((t * kPerThread + i) % engine.num_nodes(),
                                     5 + static_cast<std::size_t>(i % 3));
         if (i % 4 == 0) query.exclude = {static_cast<NodeId>(t)};
-        futures.push_back(scheduler.Submit(query));
-      }
-      for (auto& future : futures) {
-        outcomes[static_cast<std::size_t>(t)].push_back(future.get());
+        futures[static_cast<std::size_t>(t)].push_back(
+            scheduler.Submit(query));
       }
     });
   }
   for (auto& submitter : submitters) submitter.join();
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
 
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
@@ -79,8 +88,9 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
                                   5 + static_cast<std::size_t>(i % 3));
       if (i % 4 == 0) query.exclude = {static_cast<NodeId>(t)};
       const auto expected = engine.Search(query);
-      const auto& got = outcomes[static_cast<std::size_t>(t)]
-                                [static_cast<std::size_t>(i)];
+      const auto got = futures[static_cast<std::size_t>(t)]
+                              [static_cast<std::size_t>(i)]
+                                  .get();
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_EQ(got->top.size(), expected->top.size());
@@ -92,8 +102,8 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
   }
 
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(stats.served, kThreads * kPerThread);
+  EXPECT_EQ(stats.submitted, kThreads * kPerThread + 1);  // + the occupant
+  EXPECT_EQ(stats.served, kThreads * kPerThread + 1);
   // Coalescing actually happened: strictly fewer dispatches than requests.
   EXPECT_LT(stats.batches_dispatched, stats.submitted);
 }
@@ -104,7 +114,6 @@ TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
   std::atomic<int> backend_calls{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // each request dispatches alone
-  options.max_wait = milliseconds(0);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         ++backend_calls;
@@ -128,7 +137,6 @@ TEST(BatchSchedulerTest, ShutdownDrainsAcceptedFutures) {
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = milliseconds(50);  // long: shutdown must not wait it out
   BatchScheduler scheduler(EngineBackend(engine), options);
 
   std::vector<std::future<Result<SearchResult>>> futures;
@@ -160,17 +168,22 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   std::atomic<std::uint64_t> backend_queries{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 32;
-  options.max_wait = milliseconds(50);  // let every submission join one batch
+  test::BackendGate gate;
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) {
+      gate.Wrap([&](std::span<const Query> queries) {
         backend_queries += queries.size();
         return engine.SearchBatch(queries);
-      },
+      }),
       options);
 
+  // Every hot submission queues behind the gated occupant: one batch.
+  auto occupant = scheduler.Submit(Query::Single(0, 1));
+  gate.AwaitOccupant();
   const Query hot = Query::Single(5, 10);
   std::vector<std::future<Result<SearchResult>>> futures;
   for (int i = 0; i < 20; ++i) futures.push_back(scheduler.Submit(hot));
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
 
   const auto direct = engine.Search(hot);
   ASSERT_TRUE(direct.ok());
@@ -185,14 +198,63 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   }
 
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 20u);
+  EXPECT_EQ(stats.served, 20u + 1);  // + the occupant
   // Duplicates shared a computation: the backend saw fewer queries than
   // were submitted, and the difference is accounted as coalesced.
   EXPECT_LT(backend_queries.load(), 20u);
   EXPECT_EQ(backend_queries.load() + stats.coalesced, 20u);
+  EXPECT_EQ(backend_queries.load(), 1u);  // one batch, one distinct query
 }
 
-// ---- stress: degenerate deadlines, zero batching windows, shutdown races.
+TEST(BatchSchedulerTest, IdleDispatchesAtOnceAndQueuedRequestsFormTheNextBatch) {
+  // No batching timer. A lone request on an idle scheduler reaches the
+  // backend at once, as a batch of 1. Its deadline is well under a
+  // millisecond, so a scheduler that held requests for a batching window
+  // would expire every try; a few tries absorb a descheduled thread.
+  std::mutex mutex;
+  std::vector<std::size_t> lone_sizes;
+  BatchScheduler idle(
+      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+        std::lock_guard<std::mutex> lock(mutex);
+        lone_sizes.push_back(queries.size());
+        return std::vector<SearchResult>(queries.size());
+      });
+  bool served = false;
+  for (NodeId attempt = 0; attempt < 100 && !served; ++attempt) {
+    const auto result = idle.Submit(Query::Single(attempt, 1),
+                                    std::chrono::microseconds(400))
+                            .get();
+    if (result.ok()) {
+      served = true;
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+    }
+  }
+  idle.Shutdown();
+  EXPECT_TRUE(served) << "no lone request was dispatched within 400us";
+  EXPECT_EQ(lone_sizes, std::vector<std::size_t>(lone_sizes.size(), 1));
+
+  // Requests submitted while the occupant blocks form the next batch, up to
+  // max_batch_size; the remainder follows as its own batch.
+  const Engine engine = BuildTestEngine();
+  BatchSchedulerOptions options;
+  options.max_batch_size = 4;
+  test::BackendGate gate;
+  BatchScheduler scheduler(gate.Wrap(EngineBackend(engine)), options);
+  auto occupant = scheduler.Submit(Query::Single(0, 1));
+  gate.AwaitOccupant();
+  std::vector<std::future<Result<SearchResult>>> futures;
+  for (NodeId q = 1; q <= 6; ++q) {
+    futures.push_back(scheduler.Submit(Query::Single(q, 5)));
+  }
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 4, 2}));
+  EXPECT_EQ(scheduler.stats().batches_dispatched, 3u);
+}
+
+// ---- stress: degenerate deadlines, shutdown races.
 
 TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   // A deadline of 1ns is expired on arrival for all practical purposes; the
@@ -204,7 +266,6 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   std::atomic<std::uint64_t> backend_queries{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
-  options.max_wait = milliseconds(0);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         backend_queries += queries.size();
@@ -227,40 +288,6 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
 }
 
-TEST(BatchSchedulerStressTest, MaxWaitZeroDispatchesImmediatelyWithoutHangs) {
-  // max_wait = 0 means "never hold a request for batching": the scheduler
-  // must dispatch whatever is queued the moment it wakes — a busy-spin-free
-  // fast path that is easy to get wrong (a wait_until on an already-passed
-  // time point that is not treated as an immediate timeout would hang).
-  const Engine engine = BuildTestEngine();
-  BatchSchedulerOptions options;
-  options.max_batch_size = 4;
-  options.max_wait = std::chrono::microseconds(0);
-  BatchScheduler scheduler(EngineBackend(engine), options);
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  std::vector<std::thread> submitters;
-  std::atomic<std::uint64_t> ok_count{0};
-  for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      std::vector<std::future<Result<SearchResult>>> futures;
-      for (int i = 0; i < kPerThread; ++i) {
-        futures.push_back(scheduler.Submit(
-            Query::Single((t * kPerThread + i) % engine.num_nodes(), 3)));
-      }
-      for (auto& future : futures) {
-        if (future.get().ok()) ++ok_count;
-      }
-    });
-  }
-  for (auto& submitter : submitters) submitter.join();
-  EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, kThreads * kPerThread);
-  EXPECT_EQ(stats.deadline_expired, 0u);
-}
-
 TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
   // Submitters hammer the scheduler while Shutdown lands mid-stream (twice,
   // concurrently — it is documented idempotent). Every future must resolve
@@ -270,7 +297,6 @@ TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
   for (int round = 0; round < 4; ++round) {
     BatchSchedulerOptions options;
     options.max_batch_size = 8;
-    options.max_wait = milliseconds(1);
     BatchScheduler scheduler(EngineBackend(engine), options);
 
     constexpr int kThreads = 6;
@@ -320,18 +346,25 @@ TEST(BatchSchedulerTest, BadRequestDoesNotPoisonItsBatch) {
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
-  options.max_wait = milliseconds(20);  // let all three land in one batch
-  BatchScheduler scheduler(EngineBackend(engine), options);
+  test::BackendGate gate;
+  BatchScheduler scheduler(gate.Wrap(EngineBackend(engine)), options);
 
+  // All three queue behind the gated occupant and land in one batch.
+  auto occupant = scheduler.Submit(Query::Single(0, 1));
+  gate.AwaitOccupant();
   auto good1 = scheduler.Submit(Query::Single(1, 5));
   auto bad = scheduler.Submit(Query::Single(engine.num_nodes() + 7, 5));
   auto good2 = scheduler.Submit(Query::Single(2, 5));
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
 
   EXPECT_TRUE(good1.get().ok());
   EXPECT_TRUE(good2.get().ok());
   const auto bad_result = bad.get();
   ASSERT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
+  // The failed batch of three, then one call per request.
+  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
 }
 
 }  // namespace

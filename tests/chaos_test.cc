@@ -136,7 +136,7 @@ TEST_F(ChaosTest, IndexSaveUnderWriteFaults) {
 }
 
 TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
-  // Transient dispatch failures under concurrent submitters: every future
+  // Dispatch failures under concurrent submitters: every future
   // resolves (finishing this test at all proves no hang), each to either a
   // bit-exact answer or a clean kUnavailable, and the stats invariant
   // submitted == served + deadline_expired holds afterwards.
@@ -150,9 +150,6 @@ TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = std::chrono::milliseconds(1);
-  options.max_retries = 1;  // some bursts of fires exhaust this: errors reach
-  options.retry_backoff = std::chrono::microseconds(10);  // futures too
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) { return engine->SearchBatch(queries); },
       options);
@@ -193,11 +190,10 @@ TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
       ExpectBitIdentical(*got, *expected);
     }
   }
-  EXPECT_GT(ok_count, 0);  // retries rescued at least some dispatches
+  EXPECT_GT(ok_count, 0);  // the per-request fallback rescued some requests
   const auto stats = scheduler.stats();
   EXPECT_EQ(stats.submitted, kThreads * kPerThread);
   EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
-  EXPECT_GT(stats.retried, 0u);
 }
 
 TEST_F(ChaosTest, ShardFaultsUnderDegradePolicyNeverWrongAnswer) {
@@ -279,10 +275,7 @@ TEST_F(ChaosTest, FullStackMultiSiteChaos) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = std::chrono::milliseconds(1);
   options.max_queue_depth = 64;
-  options.max_retries = 2;
-  options.retry_backoff = std::chrono::microseconds(10);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) {
         return sharded->SearchBatch(queries);

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -51,7 +52,7 @@ class TestWorker {
  public:
   TestWorker(BatchScheduler::Backend backend, tools::StreamConfig config,
              int port = 0)
-      : scheduler_(std::move(backend), SchedulerOptions()),
+      : scheduler_(std::move(backend)),
         server_(scheduler_, config) {
     const Status listening = server_.Listen(port);
     KDASH_CHECK(listening.ok()) << listening;
@@ -73,12 +74,6 @@ class TestWorker {
   }
 
  private:
-  static BatchSchedulerOptions SchedulerOptions() {
-    BatchSchedulerOptions options;
-    options.max_wait = std::chrono::microseconds(100);
-    return options;
-  }
-
   BatchScheduler scheduler_;
   tools::LineServer server_;
   std::thread thread_;
@@ -598,6 +593,59 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
   ASSERT_EQ(parsed_pong->kind, wire::ParsedRecord::Kind::kPong);
   EXPECT_EQ(parsed_pong->pong_shards, 3);
   EXPECT_EQ(parsed_pong->pong_nodes, 120);
+
+  // A record cut off inside a string is malformed, not a shorter message.
+  auto truncated = wire::ParseRecordLine(
+      R"({"id":4,"code":"UNAVAILABLE","error":"worker cra)");
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
+  const std::string past_max =
+      std::to_string(static_cast<long long>(std::numeric_limits<NodeId>::max()) +
+                     1);
+  for (const std::string& line : std::vector<std::string>{
+           "3 k=5abc", "3 k=2.9", "3 k=0", "3 k=-3", "3 k=", "3 root=1x",
+           "3 deadline_us=", "3 deadline_us=5ms", "3x", "3 -- 4y", past_max,
+           "3 -- " + past_max}) {
+    Query query;
+    std::string error;
+    EXPECT_FALSE(tools::ParseQueryLine(line, 5, &query, &error)) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+
+  struct Accepted {
+    std::string line;
+    std::vector<NodeId> sources;
+    std::vector<NodeId> exclude;
+    std::size_t k;
+    bool use_pruning;
+    bool hex;
+    bool traced;
+  };
+  for (const Accepted& want : std::vector<Accepted>{
+           {"3", {3}, {}, 5, true, false, false},
+           {"3 k=7", {3}, {}, 7, true, false, false},
+           {"3 9 -- 1 2 k=4", {3, 9}, {1, 2}, 4, true, false, false},
+           {"3 hex=1", {3}, {}, 5, true, true, false},
+           {"3 pruning=0", {3}, {}, 5, false, false, false},
+           {"3 trace=1", {3}, {}, 5, true, false, true},
+           {"3 root=2 deadline_us=1000 hex=1 trace=1 pruning=0 k=2",
+            {3}, {}, 2, false, true, true},
+       }) {
+    Query query;
+    std::string error;
+    bool hex = false;
+    ASSERT_TRUE(tools::ParseQueryLine(want.line, 5, &query, &error, &hex))
+        << want.line << ": " << error;
+    EXPECT_EQ(query.sources, want.sources) << want.line;
+    EXPECT_EQ(query.exclude, want.exclude) << want.line;
+    EXPECT_EQ(query.k, want.k) << want.line;
+    EXPECT_EQ(query.use_pruning, want.use_pruning) << want.line;
+    EXPECT_EQ(hex, want.hex) << want.line;
+    EXPECT_EQ(query.trace != nullptr, want.traced) << want.line;
+  }
 }
 
 }  // namespace

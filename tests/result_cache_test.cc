@@ -266,21 +266,5 @@ TEST(ResultCacheSchedulerTest, AddEdgeInvalidatesBetweenIdenticalQueries) {
   scheduler.Shutdown();
 }
 
-TEST(ResultCacheSchedulerTest, InvalidateCachePurgesManually) {
-  const auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
-  ASSERT_TRUE(engine.ok());
-  CountingBackend backend{&*engine};
-  BatchSchedulerOptions options;
-  options.cache_entries = 16;
-  BatchScheduler scheduler(backend.AsBackend(), options);
-
-  const Query query = Query::Single(3, 10);
-  ASSERT_TRUE(scheduler.Submit(query).get().ok());
-  scheduler.InvalidateCache();
-  ASSERT_TRUE(scheduler.Submit(query).get().ok());
-  EXPECT_EQ(backend.queries_served.load(), 2u);
-  scheduler.Shutdown();
-}
-
 }  // namespace
 }  // namespace kdash::serving

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_gate.h"
 #include "serving/batch_scheduler.h"
 #include "test_util.h"
 
@@ -35,9 +36,7 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // one request per dispatch, FIFO
-  options.max_wait = milliseconds(0);
   options.max_queue_depth = 3;
-  options.max_retries = 0;
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         if (backend_calls.fetch_add(1) == 0) entered.set_value();
@@ -87,71 +86,50 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.deadline_expired, 1u);
   EXPECT_EQ(stats.served, 3u);
-  EXPECT_EQ(stats.retried, 0u);
   EXPECT_EQ(stats.degraded, 0u);
   EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
   EXPECT_EQ(backend_calls.load(), 3);  // shed/expired never reached it
 }
 
-TEST(SchedulerStatsTest, TransientFailureRetriedThenServed) {
-  std::atomic<int> backend_calls{0};
-  BatchSchedulerOptions options;
-  options.max_retries = 3;
-  options.retry_backoff = std::chrono::microseconds(10);
-  BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
-        if (backend_calls.fetch_add(1) < 2) {
-          return Status::Unavailable("transient backend hiccup");
-        }
-        return OkResults(queries.size());
-      },
-      options);
+TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest) {
+  // The scheduler has no retry policy (that lives in the fan-out, per
+  // member): a failing backend sees exactly the whole-batch call plus the
+  // per-request fallback, one call per distinct request, whether the
+  // code is transient or not.
+  for (const StatusCode code :
+       {StatusCode::kUnavailable, StatusCode::kResourceExhausted,
+        StatusCode::kDataLoss, StatusCode::kInternal}) {
+    SCOPED_TRACE(StatusCodeName(code));
+    BatchSchedulerOptions options;
+    options.max_batch_size = 8;
+    test::BackendGate gate;
+    BatchScheduler scheduler(
+        gate.Wrap([code](std::span<const Query>)
+                      -> Result<std::vector<SearchResult>> {
+          return Status(code, "backend down");
+        }),
+        options);
 
-  const auto result = scheduler.Submit(Query::Single(0, 1)).get();
-  ASSERT_TRUE(result.ok()) << result.status();
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 1u);
-  EXPECT_EQ(stats.retried, 2u);  // exactly the two failing invocations
-  EXPECT_EQ(backend_calls.load(), 3);
-}
-
-TEST(SchedulerStatsTest, DeterministicFailureIsNeverRetried) {
-  std::atomic<int> backend_calls{0};
-  BatchSchedulerOptions options;
-  options.max_retries = 5;
-  options.retry_backoff = std::chrono::microseconds(10);
-  BatchScheduler scheduler(
-      [&](std::span<const Query>) -> Result<std::vector<SearchResult>> {
-        ++backend_calls;
-        return Status::DataLoss("corrupt index block");
-      },
-      options);
-
-  const auto result = scheduler.Submit(Query::Single(0, 1)).get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(scheduler.stats().retried, 0u);
-  // Whole-batch call plus the per-request fallback — but no retry loops.
-  EXPECT_EQ(backend_calls.load(), 2);
-}
-
-TEST(SchedulerStatsTest, RetryExhaustionSurfacesTransientError) {
-  BatchSchedulerOptions options;
-  options.max_retries = 1;
-  options.retry_backoff = std::chrono::microseconds(10);
-  BatchScheduler scheduler(
-      [&](std::span<const Query>) -> Result<std::vector<SearchResult>> {
-        return Status::Unavailable("still down");
-      },
-      options);
-
-  const auto result = scheduler.Submit(Query::Single(0, 1)).get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  // One retry inside the whole-batch invocation, one inside the
-  // per-request fallback invocation: bounded at max_retries each.
-  EXPECT_EQ(scheduler.stats().retried, 2u);
-  EXPECT_EQ(scheduler.stats().served, 1u);  // resolved through the backend path
+    auto occupant = scheduler.Submit(Query::Single(0, 1));
+    gate.AwaitOccupant();
+    std::vector<std::future<Result<SearchResult>>> futures;
+    for (const NodeId source : {1, 2, 3, 2}) {  // 3 distinct + 1 duplicate
+      futures.push_back(scheduler.Submit(Query::Single(source, 1)));
+    }
+    gate.Release();
+    ASSERT_TRUE(occupant.get().ok());
+    for (auto& future : futures) {
+      const auto result = future.get();
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), code);
+    }
+    // The occupant, the failed batch of 3 distinct queries, then one call
+    // for each of them.
+    EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
+    const auto stats = scheduler.stats();
+    EXPECT_EQ(stats.served, 1u + 4);  // resolved through the backend path
+    EXPECT_EQ(stats.coalesced, 1u);
+  }
 }
 
 TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
@@ -159,9 +137,10 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   // the scheduler must surface how many requests were served degraded.
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
-  options.max_wait = milliseconds(20);
+  test::BackendGate gate;
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      gate.Wrap([&](std::span<const Query> queries)
+                    -> Result<std::vector<SearchResult>> {
         std::vector<SearchResult> results(queries.size());
         for (std::size_t q = 0; q < queries.size(); ++q) {
           // Even sources hit the lost shard; odd ones are served complete.
@@ -173,13 +152,18 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
           }
         }
         return results;
-      },
+      }),
       options);
 
+  // The eight requests queue behind the gated occupant: two full batches.
+  auto occupant = scheduler.Submit(Query::Single(0, 1));
+  gate.AwaitOccupant();
   std::vector<std::future<Result<SearchResult>>> futures;
   for (NodeId q = 0; q < 8; ++q) {
     futures.push_back(scheduler.Submit(Query::Single(q, 1)));
   }
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
   int degraded_seen = 0;
   for (auto& future : futures) {
     const auto result = future.get();
@@ -187,8 +171,9 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
     if (result->degraded()) ++degraded_seen;
   }
   EXPECT_EQ(degraded_seen, 4);
+  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 4, 4}));
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 8u);
+  EXPECT_EQ(stats.served, 8u + 1);  // + the occupant, served complete
   EXPECT_EQ(stats.degraded, 4u);
 }
 
@@ -199,7 +184,6 @@ TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
   std::atomic<int> backend_calls{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
-  options.max_wait = milliseconds(0);
   options.max_queue_depth = 0;  // explicit opt-out of admission control
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {

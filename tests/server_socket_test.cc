@@ -108,13 +108,10 @@ class ServerSocketTest : public ::testing::Test {
     auto engine = Engine::Build(graph_);
     KDASH_CHECK(engine.ok()) << engine.status();
     engine_ = std::make_unique<Engine>(std::move(*engine));
-    serving::BatchSchedulerOptions options;
-    options.max_wait = std::chrono::microseconds(100);
     scheduler_ = std::make_unique<serving::BatchScheduler>(
         [&e = *engine_](std::span<const Query> queries) {
           return e.SearchBatch(queries);
-        },
-        options);
+        });
   }
 
   void TearDown() override {

@@ -5,11 +5,14 @@
 // shards_ok/shards_failed result tags.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 #include <vector>
 
+#include "backend_gate.h"
 #include "common/fault.h"
 #include "common/top_k.h"
+#include "serving/batch_scheduler.h"
 #include "serving/sharded_engine.h"
 #include "test_util.h"
 
@@ -132,6 +135,52 @@ TEST_F(ShardedFailureTest, RetryExhaustsWithBoundedAttempts) {
   // runaway retry loop.
   EXPECT_EQ(fault::GetStats(ShardSite(0)).evaluations, 3u);
   EXPECT_EQ(sharded.failure_stats().shard_retries, 2u);
+}
+
+TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
+  // Retries belong to the fan-out, which knows the member, the policy and
+  // the deadline. A scheduler in front of it adds none: one whole-batch
+  // call, then one call per distinct query. So with one dead shard each of
+  // B batched queries costs the dead shard's site exactly
+  // 2 * (1 + max_retries) evaluations.
+  const auto graph = test::RandomDirectedGraph(90, 500, 3);
+  ShardFailurePolicy policy;
+  policy.mode = ShardFailureMode::kRetry;
+  policy.max_retries = 2;
+  policy.initial_backoff = std::chrono::microseconds(10);
+  auto sharded = BuildSharded(graph, policy);
+  sharded.set_skip_enabled(false);  // every query visits every shard
+
+  constexpr std::size_t kBatch = 5;
+  BatchSchedulerOptions options;
+  options.max_batch_size = kBatch;
+  test::BackendGate gate;
+  BatchScheduler scheduler(gate.Wrap([&](std::span<const Query> queries) {
+                             return sharded.SearchBatch(queries);
+                           }),
+                           options);
+  auto occupant = scheduler.Submit(Query::Single(0, 5));
+  gate.AwaitOccupant();
+
+  fault::ScopedFault guard(ShardSite(1), AlwaysFail());
+  std::vector<std::future<Result<SearchResult>>> futures;
+  for (NodeId source = 1; source <= static_cast<NodeId>(kBatch); ++source) {
+    futures.push_back(scheduler.Submit(Query::Single(source * 7, 5)));
+  }
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
+  for (auto& future : futures) {
+    const auto result = future.get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  }
+  scheduler.Shutdown();
+
+  EXPECT_EQ(gate.batch_sizes(),
+            (std::vector<std::size_t>{1, kBatch, 1, 1, 1, 1, 1}));
+  const auto retries = static_cast<std::uint64_t>(policy.max_retries);
+  EXPECT_EQ(fault::GetStats(ShardSite(1)).fires, 2 * kBatch * (1 + retries));
+  EXPECT_EQ(sharded.failure_stats().shard_retries, 2 * kBatch * retries);
 }
 
 TEST_F(ShardedFailureTest, DegradeMergesSurvivorsExactlyForEveryLostShard) {

@@ -77,6 +77,15 @@ inline std::string JsonEscape(const std::string& text) {
   return escaped;
 }
 
+// Parses all of `text` as a base-10 integer: false on empty text or any
+// trailing character ("5abc", "2.9"). Out-of-range values saturate, for
+// the caller's range check to reject.
+inline bool ParseWholeInt(const std::string& text, long long* value) {
+  char* end = nullptr;
+  *value = std::strtoll(text.c_str(), &end, 10);
+  return end != text.c_str() && *end == '\0';
+}
+
 // One request line → a Query. Returns false with a message on a malformed
 // line (the caller reports it as an error record and keeps going).
 // `hex_scores`, when non-null, reports whether the line carried `hex=1`
@@ -97,8 +106,8 @@ inline bool ParseQueryLine(const std::string& line, std::size_t default_k,
     }
     if (token.rfind("k=", 0) == 0) {
       const std::string value = token.substr(2);
-      const long long parsed = std::atoll(value.c_str());
-      if (parsed <= 0) {
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed) || parsed <= 0) {
         *error = "bad k '" + value + "'";
         return false;
       }
@@ -119,9 +128,8 @@ inline bool ParseQueryLine(const std::string& line, std::size_t default_k,
     }
     if (token.rfind("root=", 0) == 0) {
       const std::string value = token.substr(5);
-      char* root_end = nullptr;
-      const long long parsed = std::strtoll(value.c_str(), &root_end, 10);
-      if (root_end == value.c_str() || *root_end != '\0' || parsed < 0 ||
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed) || parsed < 0 ||
           parsed > std::numeric_limits<NodeId>::max()) {
         *error = "bad root '" + value + "'";
         return false;
@@ -134,9 +142,8 @@ inline bool ParseQueryLine(const std::string& line, std::size_t default_k,
       // two hosts share no clock. Receipt is the budget's new epoch; a
       // non-positive budget arrives already expired.
       const std::string value = token.substr(12);
-      char* deadline_end = nullptr;
-      const long long parsed = std::strtoll(value.c_str(), &deadline_end, 10);
-      if (deadline_end == value.c_str() || *deadline_end != '\0') {
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed)) {
         *error = "bad deadline_us '" + value + "'";
         return false;
       }
@@ -144,9 +151,8 @@ inline bool ParseQueryLine(const std::string& line, std::size_t default_k,
           std::chrono::steady_clock::now() + std::chrono::microseconds(parsed);
       continue;
     }
-    char* end = nullptr;
-    const long long id = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
+    long long id = 0;
+    if (!ParseWholeInt(token, &id)) {
       *error = "bad token '" + token + "'";
       return false;
     }

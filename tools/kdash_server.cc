@@ -5,7 +5,7 @@
 // into SearchBatch micro-batches on the shared thread pool.
 //
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
-//                [--wait-us=500] [--deadline-ms=0] [--window=256]
+//                [--deadline-ms=0] [--window=256]
 //                [--max-queue=4096] [--degrade=fail|retry|degrade]
 //                [--cache-entries=1024] [--no-shard-skip] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
@@ -42,6 +42,10 @@
 // "listening" stderr line) — requests from *different* clients batch
 // together, which is where micro-batching pays off.
 //
+//   --batch=N        at most N requests per micro-batch. There is no
+//                    batching timer: an idle scheduler dispatches a request
+//                    at once, and a batch forms from whatever queued while
+//                    the previous one ran
 //   --deadline-ms=N  per-request deadline; expired requests come back as
 //                    {"code":"DEADLINE_EXCEEDED",...} records (0 = none).
 //                    The remaining budget also propagates to workers in
@@ -51,7 +55,8 @@
 //                    {"code":"RESOURCE_EXHAUSTED",...} (0 = unbounded)
 //   --degrade=MODE   shard/worker failure policy: fail (default), retry,
 //                    or degrade (serve partial top-k from live shards,
-//                    tagged with "shards_failed")
+//                    tagged with "shards_failed"). The only retry policy:
+//                    the scheduler never retries a failed batch
 //
 //   --cache-entries=N  cross-batch result cache capacity (distinct query
 //                    identities); repeats of a cached query are answered
@@ -116,9 +121,8 @@ struct ServerConfig {
 int Usage() {
   std::fprintf(stderr,
                "usage: kdash_server <index.kdash|sharded-dir> [--k=5]\n"
-               "                    [--batch=64] [--wait-us=500]\n"
-               "                    [--deadline-ms=0] [--window=256]\n"
-               "                    [--max-queue=4096]\n"
+               "                    [--batch=64] [--deadline-ms=0]\n"
+               "                    [--window=256] [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
                "                    [--cache-entries=1024] [--no-shard-skip]\n"
                "                    [--shards=a,b,...] [--port=7607]\n"
@@ -208,8 +212,6 @@ int Main(int argc, char** argv) {
       config.stream.default_k = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--batch", &value) && value > 0) {
       config.scheduler.max_batch_size = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--wait-us", &value) && value >= 0) {
-      config.scheduler.max_wait = std::chrono::microseconds(value);
     } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0) {
       config.stream.deadline = std::chrono::milliseconds(value);
     } else if (NumericFlag(arg, "--window", &value) && value > 0) {
@@ -290,10 +292,6 @@ int Main(int argc, char** argv) {
     backend = [&e = *engine](std::span<const Query> queries) {
       return e.SearchBatch(queries);
     };
-    // The epoch hook keeps the result cache honest should this process ever
-    // grow a mutation endpoint; for today's read-only server it polls a
-    // counter that never moves.
-    config.scheduler.backend_epoch = [&e = *engine] { return e.update_epoch(); };
     std::fprintf(stderr, "opened index: %d nodes\n", engine->num_nodes());
   }
 

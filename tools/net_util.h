@@ -150,7 +150,7 @@ inline bool Resolve(Pending& pending, const WriteLine& write,
 // line as it arrives (at most `window` in flight, so batches can form
 // without unbounded memory) while a writer thread resolves responses in
 // input order as soon as they complete — a request-response client gets
-// its answer after max_wait, never "once the window fills or EOF".
+// its answer once its batch runs, never "once the window fills or EOF".
 inline void PumpStream(std::istream& in, const WriteLine& write,
                        serving::BatchScheduler& scheduler,
                        const StreamConfig& config) {
