@@ -101,14 +101,20 @@ void BM_TriangularSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangularSolve)->Arg(1000)->Arg(4000);
 
-void BM_TriangularInvert(benchmark::State& state) {
-  // The parallelized precompute stage, isolated. Arg is the thread count.
+// The factors of a hybrid-reordered graph, as the index build sees them.
+lu::LuFactors InvertBenchFactors() {
   const auto g = BenchGraph(2000);
   const auto index_order =
       reorder::ComputeReordering(g, reorder::Method::kHybrid);
   const auto a =
       sparse::PermuteSymmetric(g.NormalizedAdjacency(), index_order.new_of_old);
-  const auto factors = lu::FactorizeLu(lu::BuildRwrSystemMatrix(a, 0.95));
+  return lu::FactorizeLu(lu::BuildRwrSystemMatrix(a, 0.95));
+}
+
+void BM_TriangularInvert(benchmark::State& state) {
+  // The parallelized precompute stage, isolated: L⁻¹. Arg is the thread
+  // count.
+  const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     const auto inv = lu::InvertLowerTriangular(factors.lower, 0.0, threads);
@@ -116,6 +122,17 @@ void BM_TriangularInvert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TriangularInvert)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_TriangularInvertUpper(benchmark::State& state) {
+  // U⁻¹, the other half of the inverse stage. Arg is the thread count.
+  const auto factors = InvertBenchFactors();
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    const auto inv = lu::InvertUpperTriangular(factors.upper, 0.0, threads);
+    benchmark::DoNotOptimize(inv.nnz());
+  }
+}
+BENCHMARK(BM_TriangularInvertUpper)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ProximityRowDot(benchmark::State& state) {
   // The dense-gather side of the adaptive proximity kernel: U⁻¹ row · y

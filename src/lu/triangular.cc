@@ -45,7 +45,19 @@ void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b) {
 
 namespace {
 
-// Column-by-column inverse builder.
+// Inverse columns computed per pass of the blocked kernel. A touched row owns
+// 16 contiguous accumulators (128 bytes), one per column of the block.
+constexpr NodeId kBlockWidth = 16;
+constexpr NodeId kNoSlot = -1;
+
+// The blocked kernel streams every factor column of a block's union pattern
+// once for all 16 lanes, and each lane update costs far less than the column
+// kernel's indirect, test-and-branch update. It pays off while at least
+// 1 / kLaneCostRatio of its lane updates are live, i.e. while the block's
+// columns share most of their patterns.
+constexpr Index kLaneCostRatio = 4;
+
+// Explicit inverse builder.
 //
 // For the lower case, column j of L⁻¹ solves L x = e_j; the nonzero pattern
 // is the set of nodes reachable from j in the DAG "k → rows below the
@@ -53,16 +65,35 @@ namespace {
 // order is a valid elimination order for a lower triangular matrix (all
 // updates flow strictly downward). The upper case is the mirror image.
 //
-// Entries with |value| <= drop_tolerance are discarded. With
-// drop_tolerance == 0 only exact-zero (cancelled) values are discarded, so
-// the result is the exact inverse.
+// Columns are computed in aligned blocks of kBlockWidth by one of two
+// kernels producing the same bits:
+//   * the column kernel solves one column at a time into a dense
+//     accumulator, exactly like SolveLowerInPlace / SolveUpperInPlace
+//     restricted to the column's pattern;
+//   * the blocked kernel solves the block's columns together over the union
+//     of their patterns, streaming each factor column once and updating all
+//     lanes with a branch-free loop. For every column the nonzero updates
+//     arrive in the same elimination order as in the column kernel; a lane
+//     whose x_k is zero subtracts ±0, which leaves every nonzero value
+//     unchanged, and zeros are dropped at gather.
+// Neighbouring columns of a factor with a dense tail (the hybrid reorder's
+// border) share most of their patterns, so the blocked kernel reads each
+// tail column once instead of up to 16 times. On very sparse factors the
+// patterns barely overlap and the blocked kernel does up to 16× the work,
+// so each workspace picks the kernel for its next block from the lane
+// utilization it observed on its previous block.
 //
-// Columns are independent, so Build() farms out fixed blocks of columns to
-// a thread pool; each worker owns a dense workspace and appends its block's
-// columns to a per-block buffer. Assembly is two passes: per-column nnz
-// counts become exact offsets via a prefix sum, then blocks are copied into
-// the final arrays in parallel. ComputeColumn is shared by the sequential
-// and parallel paths, so the output is bit-identical for any thread count.
+// Entries with |value| <= drop_tolerance are discarded once a column is
+// complete. With drop_tolerance == 0 only exact-zero (cancelled) values are
+// discarded, so the result is the exact inverse.
+//
+// Build() farms out fixed chunks of whole blocks to a thread pool; each
+// worker owns a workspace and appends its chunk's columns to a per-chunk
+// buffer. Assembly is two passes: per-column nnz counts become exact
+// offsets via a prefix sum, then chunks are copied into the final arrays in
+// parallel. Both kernels produce the same bits and every column's output
+// depends only on the column, so the result is bit-identical for any thread
+// count.
 class TriangularInverter {
  public:
   TriangularInverter(const sparse::CscMatrix& matrix, bool lower,
@@ -86,54 +117,125 @@ class TriangularInverter {
   }
 
  private:
-  // Dense per-worker scratch. `x`/`occupied` are full-length and cleared
-  // after every column, so a column costs O(pattern) rather than O(n).
+  // Per-worker scratch. `x` and `slot` are restored after each column or
+  // block and `mark` needs no reset, so a block costs O(pattern) rather
+  // than O(n).
   struct Workspace {
+    // Column kernel: dense accumulator of one column, and the last column
+    // whose pattern held each row.
     std::vector<Scalar> x;
-    std::vector<bool> occupied;
+    std::vector<NodeId> mark;
+    // Blocked kernel: row → slot; slot s owns acc[s·B, (s+1)·B).
+    std::vector<NodeId> slot;
+    std::vector<Scalar> acc;
     std::vector<NodeId> pattern;
     std::vector<NodeId> heap;
+    // Kernel for the next block. The first block of a worker is blocked:
+    // on a sparse factor it is cheap either way.
+    bool blocked = true;
 
     void EnsureSize(NodeId n) {
       if (x.size() == static_cast<std::size_t>(n)) return;
       x.assign(static_cast<std::size_t>(n), 0.0);
-      occupied.assign(static_cast<std::size_t>(n), false);
+      mark.assign(static_cast<std::size_t>(n), -1);
+      slot.assign(static_cast<std::size_t>(n), kNoSlot);
     }
   };
 
-  // Computes column j of the inverse and appends it (ascending rows, drop
-  // tolerance applied) to rows/vals. Returns the column's kept nnz.
-  Index ComputeColumn(NodeId j, Workspace& ws, std::vector<NodeId>& rows,
-                      std::vector<Scalar>& vals) const {
-    const NodeId n = m_.rows();
-    std::vector<Scalar>& x = ws.x;
-    std::vector<bool>& occupied = ws.occupied;
-    std::vector<NodeId>& pattern = ws.pattern;
-    // Min-heap worklist keyed in elimination order: ascending rows for the
-    // lower case, descending for the upper case (keys are mirrored so one
-    // min-heap serves both). Every row enters the heap exactly once (guarded
-    // by `occupied`), so a column with p nonzeros costs O(p log p + flops).
-    std::vector<NodeId>& heap = ws.heap;
-    const auto heap_key = [this, n](NodeId row) {
-      return lower_ ? row : static_cast<NodeId>(n - 1 - row);
-    };
-    const auto heap_cmp = [](NodeId a, NodeId b) { return a > b; };  // min-heap
+  // Factor entries × lanes a block streamed, and how many of those lane
+  // updates carried a nonzero x_k.
+  struct LaneWork {
+    Index live = 0;
+    Index streamed = 0;
+  };
 
+  // Min-heap worklist keyed in elimination order: ascending rows for the
+  // lower case, descending for the upper case (keys are mirrored so one
+  // min-heap serves both). Every row enters the heap once, and rows leave
+  // it strictly in elimination order.
+  NodeId HeapKey(NodeId row) const {
+    return lower_ ? row : static_cast<NodeId>(m_.rows() - 1 - row);
+  }
+  static bool HeapAfter(NodeId a, NodeId b) { return a > b; }
+  void HeapPush(std::vector<NodeId>& heap, NodeId row) const {
+    heap.push_back(HeapKey(row));
+    std::push_heap(heap.begin(), heap.end(), HeapAfter);
+  }
+  NodeId HeapPop(std::vector<NodeId>& heap) const {
+    std::pop_heap(heap.begin(), heap.end(), HeapAfter);
+    const NodeId row = HeapKey(heap.back());  // the key map is an involution
+    heap.pop_back();
+    return row;
+  }
+
+  // Puts a pattern popped in elimination order into ascending row order.
+  void IntoAscendingRows(std::vector<NodeId>& pattern) const {
+    if (!lower_) std::reverse(pattern.begin(), pattern.end());
+  }
+
+  // Whether entry (i, value) of column j is stored: it is nonzero and, with
+  // a drop tolerance, on the diagonal or above the tolerance in magnitude.
+  bool Keep(NodeId i, NodeId j, Scalar value) const {
+    if (value == 0.0) return false;
+    return tol_ == 0.0 || std::abs(value) > tol_ || i == j;
+  }
+
+  // Computes columns [begin, end) (begin a multiple of kBlockWidth), appends
+  // them to rows/vals and stores each column's kept nnz in col_nnz[j + 1].
+  void ComputeColumns(NodeId begin, NodeId end, Workspace& ws,
+                      std::vector<NodeId>& rows, std::vector<Scalar>& vals,
+                      std::vector<Index>& col_nnz) const {
+    for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
+      const NodeId width = std::min<NodeId>(kBlockWidth, end - j0);
+      LaneWork work;
+      if (ws.blocked) {
+        ComputeBlock(j0, width, ws, rows, vals, col_nnz, work);
+      } else {
+        for (NodeId j = j0; j < j0 + width; ++j) {
+          col_nnz[static_cast<std::size_t>(j) + 1] =
+              ComputeColumn(j, j0, ws, rows, vals, work);
+        }
+      }
+      ws.blocked = work.streamed <= kLaneCostRatio * work.live;
+    }
+  }
+
+  // Column kernel: computes column j of the inverse and appends it
+  // (ascending rows, drop tolerance applied) to rows/vals. Returns the
+  // column's kept nnz. Adds to `work` what the blocked kernel would have
+  // streamed for block j0 and what this column uses of it.
+  Index ComputeColumn(NodeId j, NodeId j0, Workspace& ws,
+                      std::vector<NodeId>& rows, std::vector<Scalar>& vals,
+                      LaneWork& work) const {
+    std::vector<Scalar>& x = ws.x;
+    std::vector<NodeId>& pattern = ws.pattern;
+    std::vector<NodeId>& heap = ws.heap;
     pattern.clear();
-    x[static_cast<std::size_t>(j)] = 1.0;
-    occupied[static_cast<std::size_t>(j)] = true;
     heap.clear();
-    heap.push_back(heap_key(j));
+
+    // Adds row i to column j's pattern. A row that no earlier column of
+    // block j0 reached also joins the block's union pattern, whose factor
+    // columns the blocked kernel streams for every lane. (A mark above j
+    // is left by a later chunk this worker ran first.)
+    const auto visit = [&](NodeId i) {
+      NodeId& last = ws.mark[static_cast<std::size_t>(i)];
+      if (last == j) return;
+      if (last < j0 || last > j) {
+        work.streamed += kBlockWidth * (m_.ColEnd(i) - m_.ColBegin(i));
+      }
+      last = j;
+      HeapPush(heap, i);
+    };
+    x[static_cast<std::size_t>(j)] = 1.0;
+    visit(j);
 
     while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      const NodeId k =
-          lower_ ? heap.back() : static_cast<NodeId>(n - 1 - heap.back());
-      heap.pop_back();
+      const NodeId k = HeapPop(heap);
       pattern.push_back(k);
 
       const Index begin = m_.ColBegin(k);
       const Index end = m_.ColEnd(k);
+      work.live += end - begin;
       const Index diag_pos = lower_ ? begin : end - 1;
       KDASH_DCHECK(m_.RowIndex(diag_pos) == k) << "missing diagonal";
       const Scalar xk = x[static_cast<std::size_t>(k)] / m_.Value(diag_pos);
@@ -144,28 +246,109 @@ class TriangularInverter {
       for (Index t = lo; t < hi; ++t) {
         const NodeId i = m_.RowIndex(t);
         x[static_cast<std::size_t>(i)] -= m_.Value(t) * xk;
-        if (!occupied[static_cast<std::size_t>(i)]) {
-          occupied[static_cast<std::size_t>(i)] = true;
-          heap.push_back(heap_key(i));
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
+        visit(i);
       }
     }
 
-    // Gather the column (ascending rows), applying the drop tolerance.
     Index kept = 0;
-    std::sort(pattern.begin(), pattern.end());
+    IntoAscendingRows(pattern);
     for (const NodeId i : pattern) {
       const Scalar xi = x[static_cast<std::size_t>(i)];
       x[static_cast<std::size_t>(i)] = 0.0;
-      occupied[static_cast<std::size_t>(i)] = false;
-      if (xi == 0.0) continue;
-      if (tol_ > 0.0 && std::abs(xi) <= tol_ && i != j) continue;
+      if (!Keep(i, j, xi)) continue;
       rows.push_back(i);
       vals.push_back(xi);
       ++kept;
     }
     return kept;
+  }
+
+  // Blocked kernel: computes columns [j0, j0 + width) in one pass over the
+  // union of their patterns, appends them column after column to rows/vals
+  // and stores their kept nnz in col_nnz[j + 1].
+  void ComputeBlock(NodeId j0, NodeId width, Workspace& ws,
+                    std::vector<NodeId>& rows, std::vector<Scalar>& vals,
+                    std::vector<Index>& col_nnz, LaneWork& work) const {
+    std::vector<NodeId>& slot = ws.slot;
+    std::vector<Scalar>& acc = ws.acc;
+    std::vector<NodeId>& pattern = ws.pattern;
+    std::vector<NodeId>& heap = ws.heap;
+    pattern.clear();
+    heap.clear();
+    acc.clear();
+
+    // The accumulators of row i, given a zeroed slot on first touch.
+    const auto lanes_of = [&](NodeId i) {
+      NodeId& s = slot[static_cast<std::size_t>(i)];
+      if (s == kNoSlot) {
+        s = static_cast<NodeId>(acc.size() / kBlockWidth);
+        acc.resize(acc.size() + kBlockWidth, 0.0);
+        HeapPush(heap, i);
+      }
+      return acc.data() + static_cast<std::size_t>(s) * kBlockWidth;
+    };
+    for (NodeId lane = 0; lane < width; ++lane) lanes_of(j0 + lane)[lane] = 1.0;
+
+    while (!heap.empty()) {
+      const NodeId k = HeapPop(heap);
+      pattern.push_back(k);
+
+      const Index begin = m_.ColBegin(k);
+      const Index end = m_.ColEnd(k);
+      const Index diag_pos = lower_ ? begin : end - 1;
+      KDASH_DCHECK(m_.RowIndex(diag_pos) == k) << "missing diagonal";
+      const Scalar diag = m_.Value(diag_pos);
+      Scalar* const lanes_k = lanes_of(k);
+      // Separate lane loops: fused, GCC keeps x_k in scalar registers and
+      // leaves the update loop below unvectorized.
+      Scalar xk[kBlockWidth];
+      for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
+        xk[lane] = lanes_k[lane] / diag;
+      }
+      for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
+        lanes_k[lane] = xk[lane];
+      }
+      Index live = 0;
+      for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
+        live += xk[lane] != 0.0 ? 1 : 0;
+      }
+      work.live += live * (end - begin);
+      work.streamed += kBlockWidth * (end - begin);
+
+      const Index lo = lower_ ? begin + 1 : begin;
+      const Index hi = lower_ ? end : end - 1;
+      for (Index t = lo; t < hi; ++t) {
+        Scalar* const lanes_i = lanes_of(m_.RowIndex(t));
+        const Scalar v = m_.Value(t);
+        for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
+          lanes_i[lane] -= v * xk[lane];
+        }
+      }
+    }
+
+    // Gather: split the block back into columns (ascending rows).
+    IntoAscendingRows(pattern);
+    for (NodeId lane = 0; lane < width; ++lane) {
+      const NodeId j = j0 + lane;
+      Index kept = 0;
+      for (const NodeId i : pattern) {
+        const Scalar xi =
+            acc[static_cast<std::size_t>(slot[static_cast<std::size_t>(i)]) *
+                    kBlockWidth +
+                static_cast<std::size_t>(lane)];
+        if (!Keep(i, j, xi)) continue;
+        rows.push_back(i);
+        vals.push_back(xi);
+        ++kept;
+      }
+      col_nnz[static_cast<std::size_t>(j) + 1] = kept;
+    }
+    for (const NodeId i : pattern) slot[static_cast<std::size_t>(i)] = kNoSlot;
+  }
+
+  // Turns per-column counts in ptr[j + 1] into column offsets.
+  static void PrefixSum(std::vector<Index>& ptr) {
+    for (std::size_t j = 1; j < ptr.size(); ++j) ptr[j] += ptr[j - 1];
   }
 
   sparse::CscMatrix BuildSequential() {
@@ -175,10 +358,8 @@ class TriangularInverter {
     std::vector<Scalar> vals;
     Workspace ws;
     ws.EnsureSize(n);
-    for (NodeId j = 0; j < n; ++j) {
-      ComputeColumn(j, ws, rows, vals);
-      ptr[static_cast<std::size_t>(j) + 1] = static_cast<Index>(rows.size());
-    }
+    ComputeColumns(0, n, ws, rows, vals, ptr);
+    PrefixSum(ptr);
     return sparse::CscMatrix(n, n, std::move(ptr), std::move(rows),
                              std::move(vals));
   }
@@ -186,56 +367,53 @@ class TriangularInverter {
   sparse::CscMatrix BuildParallel(ThreadPool& pool) {
     const int num_threads = pool.num_threads();
     const NodeId n = m_.rows();
-    // Fixed column blocks: small enough for load balance under the dynamic
-    // scheduler, large enough to amortize the per-block buffers. Boundaries
-    // do not affect the output (columns are independent), only performance.
-    const Index grain = std::clamp<Index>(
-        static_cast<Index>(n) / (static_cast<Index>(num_threads) * 8), 8, 512);
-    const Index num_blocks = (static_cast<Index>(n) + grain - 1) / grain;
+    // Fixed chunks of whole blocks: small enough for load balance under the
+    // dynamic scheduler, large enough to amortize the per-chunk buffers.
+    // Boundaries do not affect the output (columns are independent), only
+    // performance.
+    const Index grain =
+        kBlockWidth *
+        std::clamp<Index>(static_cast<Index>(n) /
+                              (static_cast<Index>(num_threads) * 8 * kBlockWidth),
+                          1, 32);
+    const Index num_chunks = (static_cast<Index>(n) + grain - 1) / grain;
 
-    struct Block {
+    struct Chunk {
       std::vector<NodeId> rows;
       std::vector<Scalar> vals;
     };
-    std::vector<Block> blocks(static_cast<std::size_t>(num_blocks));
+    std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
     std::vector<Index> ptr(static_cast<std::size_t>(n) + 1, 0);
     std::vector<Workspace> workspaces(static_cast<std::size_t>(num_threads));
 
-    // Pass 1 (parallel): compute every column into its block's buffer and
+    // Pass 1 (parallel): compute every column into its chunk's buffer and
     // record per-column nnz counts in ptr[j + 1].
-    pool.ParallelFor(0, num_blocks, 1, [&](Index b_begin, Index b_end, int rank) {
+    pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
       Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
       ws.EnsureSize(n);
-      for (Index b = b_begin; b < b_end; ++b) {
-        Block& block = blocks[static_cast<std::size_t>(b)];
-        const NodeId col_begin = static_cast<NodeId>(b * grain);
-        const NodeId col_end =
-            static_cast<NodeId>(std::min<Index>(n, (b + 1) * grain));
-        for (NodeId j = col_begin; j < col_end; ++j) {
-          ptr[static_cast<std::size_t>(j) + 1] =
-              ComputeColumn(j, ws, block.rows, block.vals);
-        }
+      for (Index c = c_begin; c < c_end; ++c) {
+        Chunk& chunk = chunks[static_cast<std::size_t>(c)];
+        ComputeColumns(static_cast<NodeId>(c * grain),
+                       static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain)),
+                       ws, chunk.rows, chunk.vals, ptr);
       }
     });
 
     // Pass 2a (sequential): per-column counts → exact offsets.
-    for (NodeId j = 0; j < n; ++j) {
-      ptr[static_cast<std::size_t>(j) + 1] += ptr[static_cast<std::size_t>(j)];
-    }
+    PrefixSum(ptr);
 
-    // Pass 2b (parallel): copy each block to its exact position. A block's
-    // first column starts at ptr[block's first column].
+    // Pass 2b (parallel): copy each chunk to its exact position. A chunk's
+    // first column starts at ptr[chunk's first column].
     const Index total_nnz = ptr[static_cast<std::size_t>(n)];
     std::vector<NodeId> rows(static_cast<std::size_t>(total_nnz));
     std::vector<Scalar> vals(static_cast<std::size_t>(total_nnz));
-    pool.ParallelFor(0, num_blocks, 1, [&](Index b_begin, Index b_end, int) {
-      for (Index b = b_begin; b < b_end; ++b) {
-        const Block& block = blocks[static_cast<std::size_t>(b)];
-        const NodeId col_begin = static_cast<NodeId>(b * grain);
-        const Index offset = ptr[static_cast<std::size_t>(col_begin)];
-        std::copy(block.rows.begin(), block.rows.end(),
+    pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int) {
+      for (Index c = c_begin; c < c_end; ++c) {
+        const Chunk& chunk = chunks[static_cast<std::size_t>(c)];
+        const Index offset = ptr[static_cast<std::size_t>(c * grain)];
+        std::copy(chunk.rows.begin(), chunk.rows.end(),
                   rows.begin() + static_cast<std::ptrdiff_t>(offset));
-        std::copy(block.vals.begin(), block.vals.end(),
+        std::copy(chunk.vals.begin(), chunk.vals.end(),
                   vals.begin() + static_cast<std::ptrdiff_t>(offset));
       }
     });

@@ -5,18 +5,24 @@
 // recurrences); at query time the column L⁻¹(:, q) and single rows of U⁻¹
 // are all that is touched. This header provides:
 //   * dense forward/backward substitution (reference + tests),
-//   * sparse right-hand-side triangular solves (used to build the inverses
-//     column by column with cost proportional to output nonzeros),
 //   * the explicit inverse builders with an optional drop tolerance
 //     (default 0 = exact; used only by the ablation benchmark).
 //
-// The inverse builders parallelize across column blocks: every column of
-// L⁻¹/U⁻¹ is an independent sparse triangular solve, so blocks of columns
-// are computed on a thread pool into per-block buffers and then assembled
-// into one CSC matrix with a two-pass scheme (per-column nnz counts →
-// exact offsets → parallel fill). Each column's values are produced by the
-// same code in the same order regardless of thread count, so the parallel
-// result is bit-identical to the sequential one.
+// Column j of an inverse is the sparse solve of L x = e_j (U x = e_j), at a
+// cost proportional to its nonzeros, and it equals SolveLowerInPlace
+// (SolveUpperInPlace) applied to e_j bit for bit. The builders solve blocks
+// of 16 consecutive columns in one pass over the union of their patterns,
+// so neighbouring columns that reach the same dense tail of the factor (the
+// hybrid reorder's border) read each factor column once per block instead
+// of once per column. Blocks whose columns barely overlap fall back to
+// solving one column at a time; both kernels apply each column's nonzero
+// updates in the same order and produce the same bits.
+//
+// Blocks are computed in parallel on a thread pool into per-chunk buffers
+// and then assembled into one CSC matrix with a two-pass scheme
+// (per-column nnz counts → exact offsets → parallel fill). Every column's
+// values depend only on the column, so the parallel result is
+// bit-identical to the sequential one.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 
@@ -35,16 +41,19 @@ void SolveLowerInPlace(const sparse::CscMatrix& lower, std::vector<Scalar>& b);
 // triangular CSC with the diagonal stored last in each column.
 void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 
-// Explicit inverse of a lower triangular matrix, column by column, keeping
-// entries with |value| > drop_tolerance. drop_tolerance == 0 keeps every
-// numerically nonzero entry (exact). num_threads: 0 = DefaultNumThreads()
-// (KDASH_NUM_THREADS or hardware concurrency), 1 = sequential, T > 1 = a
-// pool of T workers. The output is identical for every thread count.
+// Explicit inverse of a lower triangular matrix: column j is
+// SolveLowerInPlace(e_j), computed in blocks of columns, keeping the
+// diagonal and the entries with |value| > drop_tolerance. drop_tolerance
+// == 0 keeps every numerically nonzero entry (exact). num_threads: 0 =
+// DefaultNumThreads() (KDASH_NUM_THREADS or hardware concurrency), 1 =
+// sequential, T > 1 = a pool of T workers. The output is identical for
+// every thread count.
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                         Scalar drop_tolerance = 0.0,
                                         int num_threads = 0);
 
-// Explicit inverse of an upper triangular matrix.
+// Explicit inverse of an upper triangular matrix: column j is
+// SolveUpperInPlace(e_j); otherwise as InvertLowerTriangular.
 sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                         Scalar drop_tolerance = 0.0,
                                         int num_threads = 0);

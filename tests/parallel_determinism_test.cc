@@ -7,6 +7,8 @@
 #include "core/kdash_index.h"
 #include "lu/sparse_lu.h"
 #include "lu/triangular.h"
+#include "reorder/reorder.h"
+#include "sparse/permute.h"
 #include "test_util.h"
 
 namespace kdash::lu {
@@ -59,6 +61,27 @@ TEST(ParallelInverseDeterminismTest, TinyMatricesAcrossThreads) {
       EXPECT_EQ(InvertLowerTriangular(factors.lower, 0.0, threads), sequential)
           << "n=" << n << " threads=" << threads;
     }
+  }
+}
+
+TEST(ParallelInverseDeterminismTest, OddBlockBoundariesAcrossThreads) {
+  // The inverses walk 16-column blocks and hand out chunks of whole blocks;
+  // n = 16·20 + 7 leaves a partial last block. Hybrid reordering gives L⁻¹
+  // a dense tail, so blocks of shared columns and blocks of sparse ones
+  // both occur.
+  const NodeId n = 16 * 20 + 7;
+  const auto g = test::RandomDirectedGraph(n, 6 * n, 23);
+  const auto order = reorder::ComputeReordering(g, reorder::Method::kHybrid);
+  const LuFactors factors = FactorizeLu(BuildRwrSystemMatrix(
+      sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
+      0.95));
+  const CscMatrix lower = InvertLowerTriangular(factors.lower, 0.0, 1);
+  const CscMatrix upper = InvertUpperTriangular(factors.upper, 0.0, 1);
+  for (int threads : {2, 3, 8}) {
+    EXPECT_EQ(InvertLowerTriangular(factors.lower, 0.0, threads), lower)
+        << "threads=" << threads;
+    EXPECT_EQ(InvertUpperTriangular(factors.upper, 0.0, threads), upper)
+        << "threads=" << threads;
   }
 }
 

@@ -646,6 +646,35 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
     EXPECT_EQ(hex, want.hex) << want.line;
     EXPECT_EQ(query.trace != nullptr, want.traced) << want.line;
   }
+
+  // deadline_us= is a remaining budget. Extreme budgets must not wrap
+  // around steady_clock: a non-positive one arrives expired, and one past
+  // what the clock can hold means no deadline at all.
+  struct Budget {
+    std::string line;
+    bool expired;
+    bool unbounded;
+  };
+  const std::string llong_max =
+      std::to_string(std::numeric_limits<long long>::max());
+  for (const Budget& want : std::vector<Budget>{
+           {"3 deadline_us=1000000000", false, false},
+           {"3 deadline_us=0", true, false},
+           {"3 deadline_us=-5", true, false},
+           {"3 deadline_us=10000000000000000", false, true},
+           {"3 deadline_us=-9223372036854775807", true, false},
+           {"3 deadline_us=" + llong_max, false, true},
+       }) {
+    Query query;
+    std::string error;
+    ASSERT_TRUE(tools::ParseQueryLine(want.line, 5, &query, &error))
+        << want.line << ": " << error;
+    EXPECT_EQ(query.deadline <= std::chrono::steady_clock::now(), want.expired)
+        << want.line;
+    EXPECT_EQ(query.deadline == std::chrono::steady_clock::time_point::max(),
+              want.unbounded)
+        << want.line;
+  }
 }
 
 }  // namespace

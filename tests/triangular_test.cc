@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
+#include "datasets/datasets.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
+#include "reorder/reorder.h"
+#include "sparse/permute.h"
 #include "test_util.h"
 
 namespace kdash::lu {
@@ -122,6 +129,92 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
   const auto w_dense = test::ToDense(BuildRwrSystemMatrix(a, c));
   const auto product = linalg::MatMul(w_dense, w_inv_dense);
   EXPECT_LT(test::MaxAbsDiff(product, linalg::DenseMatrix::Identity(n)), 1e-11);
+}
+
+// The oracle for the inverse builders: column j of L⁻¹ (U⁻¹) is the dense
+// solve of L x = e_j (U x = e_j), bit for bit, with exact zeros dropped and,
+// under a drop tolerance, off-diagonal entries with |x_i| <= tolerance
+// dropped too. Returns the number of columns that differ.
+NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
+                                      const CscMatrix& inverse, bool lower,
+                                      Scalar drop_tolerance) {
+  const NodeId n = factor.cols();
+  NodeId differing = 0;
+  for (NodeId j = 0; j < n; ++j) {
+    std::vector<Scalar> x(static_cast<std::size_t>(n), 0.0);
+    x[static_cast<std::size_t>(j)] = 1.0;
+    if (lower) {
+      SolveLowerInPlace(factor, x);
+    } else {
+      SolveUpperInPlace(factor, x);
+    }
+    std::vector<NodeId> want_rows;
+    std::vector<Scalar> want_vals;
+    for (NodeId i = 0; i < n; ++i) {
+      const Scalar xi = x[static_cast<std::size_t>(i)];
+      if (xi == 0.0) continue;
+      if (i != j && std::abs(xi) <= drop_tolerance) continue;
+      want_rows.push_back(i);
+      want_vals.push_back(xi);
+    }
+    const std::vector<NodeId> got_rows(
+        inverse.row_idx().begin() + inverse.ColBegin(j),
+        inverse.row_idx().begin() + inverse.ColEnd(j));
+    const std::vector<Scalar> got_vals(
+        inverse.values().begin() + inverse.ColBegin(j),
+        inverse.values().begin() + inverse.ColEnd(j));
+    const bool same =
+        got_rows == want_rows &&
+        std::memcmp(got_vals.data(), want_vals.data(),
+                    want_vals.size() * sizeof(Scalar)) == 0;
+    if (!same) ++differing;
+  }
+  return differing;
+}
+
+void ExpectInversesMatchDenseSolve(const LuFactors& factors,
+                                   const std::string& label) {
+  for (const Scalar tol : {0.0, 1e-4}) {
+    for (const int threads : {1, 3}) {
+      const CscMatrix l_inv =
+          InvertLowerTriangular(factors.lower, tol, threads);
+      EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.lower, l_inv, true, tol),
+                0)
+          << label << " L, tol=" << tol << " threads=" << threads;
+      const CscMatrix u_inv =
+          InvertUpperTriangular(factors.upper, tol, threads);
+      EXPECT_EQ(
+          ColumnsDifferingFromDenseSolve(factors.upper, u_inv, false, tol), 0)
+          << label << " U, tol=" << tol << " threads=" << threads;
+    }
+  }
+}
+
+TEST(TriangularInverseOracleTest, ColumnsEqualDenseSolvesAroundBlockSizes) {
+  // Around the 16-column block: one partial block, exactly one, one plus a
+  // column, and two plus a partial third.
+  for (const NodeId n : {1, 15, 16, 17, 35}) {
+    ExpectInversesMatchDenseSolve(
+        FactorsOfRandomRwr(n, n > 1 ? static_cast<Index>(6 * n) : 0, 0.9,
+                           static_cast<std::uint64_t>(60 + n)),
+        "n=" + std::to_string(n));
+  }
+}
+
+TEST(TriangularInverseOracleTest, ColumnsEqualDenseSolvesOnReorderedDatasets) {
+  // Hybrid-reordered factors as the index builds them: Social's border
+  // gives L⁻¹ a dense tail shared by neighbouring columns, while Email's
+  // factors stay so sparse that neighbouring columns barely overlap.
+  for (const datasets::DatasetId id :
+       {datasets::DatasetId::kSocial, datasets::DatasetId::kEmail}) {
+    const datasets::Dataset data = datasets::MakeDataset(id, 0.1);
+    const reorder::Reordering order =
+        reorder::ComputeReordering(data.graph, reorder::Method::kHybrid);
+    const CscMatrix a = sparse::PermuteSymmetric(
+        data.graph.NormalizedAdjacency(), order.new_of_old);
+    ExpectInversesMatchDenseSolve(FactorizeLu(BuildRwrSystemMatrix(a, 0.95)),
+                                  data.name);
+  }
 }
 
 class TriangularRoundTripTest

@@ -140,15 +140,29 @@ inline bool ParseQueryLine(const std::string& line, std::size_t default_k,
     if (token.rfind("deadline_us=", 0) == 0) {
       // The wire carries the *remaining* budget, not an absolute time —
       // two hosts share no clock. Receipt is the budget's new epoch; a
-      // non-positive budget arrives already expired.
+      // non-positive budget arrives already expired, and one past what
+      // steady_clock can hold means no deadline. Clamping before the add
+      // keeps a huge budget from wrapping around into the past (and a huge
+      // negative one into the future).
       const std::string value = token.substr(12);
       long long parsed = 0;
       if (!ParseWholeInt(value, &parsed)) {
         *error = "bad deadline_us '" + value + "'";
         return false;
       }
-      query->deadline =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(parsed);
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point now = Clock::now();
+      const long long max_budget_us =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::time_point::max() - now)
+              .count();
+      if (parsed <= 0) {
+        query->deadline = now;
+      } else if (parsed > max_budget_us) {
+        query->deadline = Clock::time_point::max();
+      } else {
+        query->deadline = now + std::chrono::microseconds(parsed);
+      }
       continue;
     }
     long long id = 0;
