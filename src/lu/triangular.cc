@@ -50,13 +50,6 @@ namespace {
 constexpr NodeId kBlockWidth = 16;
 constexpr NodeId kNoSlot = -1;
 
-// The blocked kernel streams every factor column of a block's union pattern
-// once for all 16 lanes, and each lane update costs far less than the column
-// kernel's indirect, test-and-branch update. It pays off while at least
-// 1 / kLaneCostRatio of its lane updates are live, i.e. while the block's
-// columns share most of their patterns.
-constexpr Index kLaneCostRatio = 4;
-
 // Explicit inverse builder.
 //
 // For the lower case, column j of L⁻¹ solves L x = e_j; the nonzero pattern
@@ -65,23 +58,15 @@ constexpr Index kLaneCostRatio = 4;
 // order is a valid elimination order for a lower triangular matrix (all
 // updates flow strictly downward). The upper case is the mirror image.
 //
-// Columns are computed in aligned blocks of kBlockWidth by one of two
-// kernels producing the same bits:
-//   * the column kernel solves one column at a time into a dense
-//     accumulator, exactly like SolveLowerInPlace / SolveUpperInPlace
-//     restricted to the column's pattern;
-//   * the blocked kernel solves the block's columns together over the union
-//     of their patterns, streaming each factor column once and updating all
-//     lanes with a branch-free loop. For every column the nonzero updates
-//     arrive in the same elimination order as in the column kernel; a lane
-//     whose x_k is zero subtracts ±0, which leaves every nonzero value
-//     unchanged, and zeros are dropped at gather.
-// Neighbouring columns of a factor with a dense tail (the hybrid reorder's
-// border) share most of their patterns, so the blocked kernel reads each
-// tail column once instead of up to 16 times. On very sparse factors the
-// patterns barely overlap and the blocked kernel does up to 16× the work,
-// so each workspace picks the kernel for its next block from the lane
-// utilization it observed on its previous block.
+// Columns are computed in aligned blocks of kBlockWidth, solved together
+// over the union of their patterns: each factor column is streamed once per
+// block and updates all lanes with a branch-free loop. For every column the
+// nonzero updates arrive in the same elimination order as in
+// SolveLowerInPlace / SolveUpperInPlace; a lane whose x_k is zero subtracts
+// ±0, which leaves every nonzero value unchanged, and zeros are dropped at
+// gather. Neighbouring columns of a factor with a dense tail (the hybrid
+// reorder's border) share most of their patterns, so each tail column is
+// read once per block instead of up to 16 times.
 //
 // Entries with |value| <= drop_tolerance are discarded once a column is
 // complete. With drop_tolerance == 0 only exact-zero (cancelled) values are
@@ -91,8 +76,7 @@ constexpr Index kLaneCostRatio = 4;
 // worker owns a workspace and appends its chunk's columns to a per-chunk
 // buffer. Assembly is two passes: per-column nnz counts become exact
 // offsets via a prefix sum, then chunks are copied into the final arrays in
-// parallel. Both kernels produce the same bits and every column's output
-// depends only on the column, so the result is bit-identical for any thread
+// parallel. Every column's output depends only on the column, so the result is bit-identical for any thread
 // count.
 class TriangularInverter {
  public:
@@ -117,36 +101,19 @@ class TriangularInverter {
   }
 
  private:
-  // Per-worker scratch. `x` and `slot` are restored after each column or
-  // block and `mark` needs no reset, so a block costs O(pattern) rather
-  // than O(n).
+  // Per-worker scratch. `slot` is restored after each block, so a block
+  // costs O(pattern) rather than O(n).
   struct Workspace {
-    // Column kernel: dense accumulator of one column, and the last column
-    // whose pattern held each row.
-    std::vector<Scalar> x;
-    std::vector<NodeId> mark;
-    // Blocked kernel: row → slot; slot s owns acc[s·B, (s+1)·B).
+    // Row → slot; slot s owns acc[s·B, (s+1)·B).
     std::vector<NodeId> slot;
     std::vector<Scalar> acc;
     std::vector<NodeId> pattern;
     std::vector<NodeId> heap;
-    // Kernel for the next block. The first block of a worker is blocked:
-    // on a sparse factor it is cheap either way.
-    bool blocked = true;
 
     void EnsureSize(NodeId n) {
-      if (x.size() == static_cast<std::size_t>(n)) return;
-      x.assign(static_cast<std::size_t>(n), 0.0);
-      mark.assign(static_cast<std::size_t>(n), -1);
+      if (slot.size() == static_cast<std::size_t>(n)) return;
       slot.assign(static_cast<std::size_t>(n), kNoSlot);
     }
-  };
-
-  // Factor entries × lanes a block streamed, and how many of those lane
-  // updates carried a nonzero x_k.
-  struct LaneWork {
-    Index live = 0;
-    Index streamed = 0;
   };
 
   // Min-heap worklist keyed in elimination order: ascending rows for the
@@ -186,89 +153,17 @@ class TriangularInverter {
                       std::vector<NodeId>& rows, std::vector<Scalar>& vals,
                       std::vector<Index>& col_nnz) const {
     for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
-      const NodeId width = std::min<NodeId>(kBlockWidth, end - j0);
-      LaneWork work;
-      if (ws.blocked) {
-        ComputeBlock(j0, width, ws, rows, vals, col_nnz, work);
-      } else {
-        for (NodeId j = j0; j < j0 + width; ++j) {
-          col_nnz[static_cast<std::size_t>(j) + 1] =
-              ComputeColumn(j, j0, ws, rows, vals, work);
-        }
-      }
-      ws.blocked = work.streamed <= kLaneCostRatio * work.live;
+      ComputeBlock(j0, std::min<NodeId>(kBlockWidth, end - j0), ws, rows, vals,
+                   col_nnz);
     }
   }
 
-  // Column kernel: computes column j of the inverse and appends it
-  // (ascending rows, drop tolerance applied) to rows/vals. Returns the
-  // column's kept nnz. Adds to `work` what the blocked kernel would have
-  // streamed for block j0 and what this column uses of it.
-  Index ComputeColumn(NodeId j, NodeId j0, Workspace& ws,
-                      std::vector<NodeId>& rows, std::vector<Scalar>& vals,
-                      LaneWork& work) const {
-    std::vector<Scalar>& x = ws.x;
-    std::vector<NodeId>& pattern = ws.pattern;
-    std::vector<NodeId>& heap = ws.heap;
-    pattern.clear();
-    heap.clear();
-
-    // Adds row i to column j's pattern. A row that no earlier column of
-    // block j0 reached also joins the block's union pattern, whose factor
-    // columns the blocked kernel streams for every lane. (A mark above j
-    // is left by a later chunk this worker ran first.)
-    const auto visit = [&](NodeId i) {
-      NodeId& last = ws.mark[static_cast<std::size_t>(i)];
-      if (last == j) return;
-      if (last < j0 || last > j) {
-        work.streamed += kBlockWidth * (m_.ColEnd(i) - m_.ColBegin(i));
-      }
-      last = j;
-      HeapPush(heap, i);
-    };
-    x[static_cast<std::size_t>(j)] = 1.0;
-    visit(j);
-
-    while (!heap.empty()) {
-      const NodeId k = HeapPop(heap);
-      pattern.push_back(k);
-
-      const Index begin = m_.ColBegin(k);
-      const Index end = m_.ColEnd(k);
-      work.live += end - begin;
-      const Index diag_pos = lower_ ? begin : end - 1;
-      KDASH_DCHECK(m_.RowIndex(diag_pos) == k) << "missing diagonal";
-      const Scalar xk = x[static_cast<std::size_t>(k)] / m_.Value(diag_pos);
-      x[static_cast<std::size_t>(k)] = xk;
-      if (xk == 0.0) continue;
-      const Index lo = lower_ ? begin + 1 : begin;
-      const Index hi = lower_ ? end : end - 1;
-      for (Index t = lo; t < hi; ++t) {
-        const NodeId i = m_.RowIndex(t);
-        x[static_cast<std::size_t>(i)] -= m_.Value(t) * xk;
-        visit(i);
-      }
-    }
-
-    Index kept = 0;
-    IntoAscendingRows(pattern);
-    for (const NodeId i : pattern) {
-      const Scalar xi = x[static_cast<std::size_t>(i)];
-      x[static_cast<std::size_t>(i)] = 0.0;
-      if (!Keep(i, j, xi)) continue;
-      rows.push_back(i);
-      vals.push_back(xi);
-      ++kept;
-    }
-    return kept;
-  }
-
-  // Blocked kernel: computes columns [j0, j0 + width) in one pass over the
+  // Computes columns [j0, j0 + width) in one pass over the
   // union of their patterns, appends them column after column to rows/vals
   // and stores their kept nnz in col_nnz[j + 1].
   void ComputeBlock(NodeId j0, NodeId width, Workspace& ws,
                     std::vector<NodeId>& rows, std::vector<Scalar>& vals,
-                    std::vector<Index>& col_nnz, LaneWork& work) const {
+                    std::vector<Index>& col_nnz) const {
     std::vector<NodeId>& slot = ws.slot;
     std::vector<Scalar>& acc = ws.acc;
     std::vector<NodeId>& pattern = ws.pattern;
@@ -308,12 +203,6 @@ class TriangularInverter {
       for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
         lanes_k[lane] = xk[lane];
       }
-      Index live = 0;
-      for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
-        live += xk[lane] != 0.0 ? 1 : 0;
-      }
-      work.live += live * (end - begin);
-      work.streamed += kBlockWidth * (end - begin);
 
       const Index lo = lower_ ? begin + 1 : begin;
       const Index hi = lower_ ? end : end - 1;

@@ -14,9 +14,8 @@
 // of 16 consecutive columns in one pass over the union of their patterns,
 // so neighbouring columns that reach the same dense tail of the factor (the
 // hybrid reorder's border) read each factor column once per block instead
-// of once per column. Blocks whose columns barely overlap fall back to
-// solving one column at a time; both kernels apply each column's nonzero
-// updates in the same order and produce the same bits.
+// of once per column. Each column's nonzero updates are applied in the
+// same order as in the dense solve, so the blocking does not change a bit.
 //
 // Blocks are computed in parallel on a thread pool into per-chunk buffers
 // and then assembled into one CSC matrix with a two-pass scheme

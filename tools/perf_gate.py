@@ -15,8 +15,8 @@ Three record formats are understood:
            and exists in both runs is gated on real_time; the default
            filter pins the single-thread query-latency benchmarks, which
            must never pay for precompute-side parallelism, and the
-           single-thread L and U inverse builds, so the blocked inverse
-           kernel cannot silently fall back to the column-at-a-time one.
+           single-thread L and U inverse builds, so a slower inverse
+           kernel cannot silently replace the blocked one.
 
   latency  one bench_util JSON line whose "metrics" array carries the
            process metric-registry snapshot (src/obs/metrics.h). The gated
