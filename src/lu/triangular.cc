@@ -76,8 +76,8 @@ constexpr NodeId kNoSlot = -1;
 // worker owns a workspace and appends its chunk's columns to a per-chunk
 // buffer. Assembly is two passes: per-column nnz counts become exact
 // offsets via a prefix sum, then chunks are copied into the final arrays in
-// parallel. Every column's output depends only on the column, so the result is bit-identical for any thread
-// count.
+// parallel. Every column's output depends only on the column, so the
+// result is bit-identical for any thread count.
 class TriangularInverter {
  public:
   TriangularInverter(const sparse::CscMatrix& matrix, bool lower,
@@ -158,9 +158,9 @@ class TriangularInverter {
     }
   }
 
-  // Computes columns [j0, j0 + width) in one pass over the
-  // union of their patterns, appends them column after column to rows/vals
-  // and stores their kept nnz in col_nnz[j + 1].
+  // Computes columns [j0, j0 + width) in one pass over the union of their
+  // patterns, appends them column after column to rows/vals and stores
+  // their kept nnz in col_nnz[j + 1].
   void ComputeBlock(NodeId j0, NodeId width, Workspace& ws,
                     std::vector<NodeId>& rows, std::vector<Scalar>& vals,
                     std::vector<Index>& col_nnz) const {
