@@ -1,6 +1,7 @@
 #include "core/dynamic.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/check.h"
@@ -61,10 +62,29 @@ Status DynamicKDash::AddEdge(NodeId src, NodeId dst, Scalar weight) {
                                    std::to_string(src) + "->" +
                                    std::to_string(dst));
   }
-  if (!(weight > 0.0)) {
-    return Status::InvalidArgument("edge weight must be positive");
+  if (!(weight > 0.0 && std::isfinite(weight))) {
+    return Status::InvalidArgument("edge weight must be positive and finite");
   }
-  out_edges_[static_cast<std::size_t>(src)][dst] += weight;
+  // The column is normalized by the source's out-weight total, summed in
+  // the same map order NormalizedFromMaps uses. An infinite total would
+  // zero the column (or, for an infinite entry, turn it into NaNs), so the
+  // update is rolled back instead of applied.
+  auto& edges = out_edges_[static_cast<std::size_t>(src)];
+  const auto [it, inserted] = edges.try_emplace(dst, 0.0);
+  const Scalar previous = it->second;
+  it->second += weight;
+  Scalar total = 0.0;
+  for (const auto& [node, edge_weight] : edges) total += edge_weight;
+  if (!std::isfinite(total)) {
+    if (inserted) {
+      edges.erase(it);
+    } else {
+      it->second = previous;
+    }
+    return Status::InvalidArgument("out-weight total of node " +
+                                   std::to_string(src) +
+                                   " would overflow to infinity");
+  }
   MarkColumnChanged(src);
   return Status::Ok();
 }

@@ -49,7 +49,10 @@ class DynamicKDash {
 
   // Edge mutations. AddEdge on an existing edge adds weight; RemoveEdge
   // returns kNotFound if the edge does not exist; both return
-  // kInvalidArgument on out-of-range endpoints or a non-positive weight.
+  // kInvalidArgument on out-of-range endpoints. AddEdge also returns
+  // kInvalidArgument, leaving the graph unchanged, for a weight that is not
+  // positive and finite or that would make the source's out-weight total
+  // overflow to infinity.
   // Both are O(out-degree) plus a deferred O(solve) refresh on the next
   // query.
   [[nodiscard]] Status AddEdge(NodeId src, NodeId dst, Scalar weight = 1.0);

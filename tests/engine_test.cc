@@ -4,7 +4,9 @@
 // (dynamic) backend.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -373,6 +375,49 @@ TEST(EngineTest, UpdatableEngineServesExactResultsAcrossUpdates) {
   ASSERT_NE(absent, kInvalidNode);
   EXPECT_EQ(engine->RemoveEdge(0, absent).code(), StatusCode::kNotFound);
   EXPECT_EQ(engine->AddEdge(-1, 0).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, UpdatableEngineRejectsNonFiniteWeights) {
+  // An infinite weight, or finite adds whose total overflows, used to be
+  // accepted and made the next Search abort on a singular correction
+  // system. Both must be typed errors that leave the graph unchanged.
+  const auto g = test::RandomDirectedGraph(6, 12, 211);
+  auto engine = Engine::Build(g, UpdatableOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const auto before = engine->Search(Query::Single(0, 6));
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  EXPECT_EQ(engine->AddEdge(0, 3, std::numeric_limits<Scalar>::infinity())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->AddEdge(0, 3, std::numeric_limits<Scalar>::quiet_NaN())
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine->AddEdge(1, 4, 1e308).ok());
+  EXPECT_EQ(engine->AddEdge(1, 4, 1e308).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->AddEdge(1, 5, 1e308).code(),
+            StatusCode::kInvalidArgument);
+
+  const auto after = engine->Search(Query::Single(0, 6));
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_FALSE(after->top.empty());
+  for (const auto& entry : after->top) {
+    EXPECT_TRUE(std::isfinite(entry.score)) << "node " << entry.node;
+  }
+
+  // The rejected updates left no trace: an engine that saw only the one
+  // accepted add answers identically.
+  auto reference = Engine::Build(g, UpdatableOptions());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->AddEdge(1, 4, 1e308).ok());
+  const auto expected = reference->Search(Query::Single(0, 6));
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(after->top.size(), expected->top.size());
+  for (std::size_t i = 0; i < expected->top.size(); ++i) {
+    EXPECT_EQ(after->top[i].node, expected->top[i].node);
+    EXPECT_EQ(after->top[i].score, expected->top[i].score);
+  }
 }
 
 TEST(EngineTest, UpdatableEngineFullQuerySurface) {
