@@ -64,8 +64,7 @@ class ThreadPool {
   // Barrier guarantee: when ParallelFor returns, every fn invocation has
   // returned and its writes happen-before the caller's subsequent reads —
   // and therefore before any later job on the same pool. Stage-by-stage
-  // pipelines (the level-scheduled LU factors one dependency level per
-  // call) need no synchronization beyond this.
+  // pipelines need no synchronization beyond this.
   void ParallelFor(Index begin, Index end, Index grain,
                    const std::function<void(Index, Index, int)>& fn);
 

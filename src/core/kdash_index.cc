@@ -33,7 +33,7 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   state.c_prime_of_node = ComputeCPrime(a.Diagonal(), options.restart_prob);
 
   // Step 1: reorder (phase-synchronous parallel Louvain for cluster/hybrid;
-  // num_threads drives it exactly like the LU and inverse stages).
+  // num_threads drives it exactly like the inverse stage).
   WallTimer phase_timer;
   reorder::ReorderOptions reorder_options;
   reorder_options.seed = options.seed;
@@ -45,15 +45,14 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   index.stats_.num_partitions = reordering.num_partitions;
   index.stats_.reorder_seconds = phase_timer.Seconds();
 
-  // Step 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (level-scheduled parallel
-  // numeric pass overlapped with the symbolic analysis).
+  // Step 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (sequential; see
+  // lu/sparse_lu.h).
   phase_timer.Restart();
   const sparse::CscMatrix a_perm =
       sparse::PermuteSymmetric(a, state.new_of_old);
   const sparse::CscMatrix w =
       lu::BuildRwrSystemMatrix(a_perm, options.restart_prob);
-  lu::LuFactors factors =
-      lu::FactorizeLu(w, lu::LuOptions{options.num_threads});
+  lu::LuFactors factors = lu::FactorizeLu(w);
   index.stats_.lu_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower = factors.lower.nnz();
   index.stats_.nnz_upper = factors.upper.nnz();

@@ -39,8 +39,8 @@ struct KDashOptions {
   // used only by the ablation benchmark.
   Scalar drop_tolerance = 0.0;
   // Worker threads for the precompute's parallel stages: the
-  // phase-synchronous Louvain reordering, the pipelined (symbolic-overlapped)
-  // level-scheduled LU factorization, and the explicit triangular inverses.
+  // phase-synchronous Louvain reordering and the explicit triangular
+  // inverses (the LU factorization is sequential; see lu/sparse_lu.h).
   // 0 = KDASH_NUM_THREADS or hardware concurrency. An execution knob, not
   // index state: it does not affect the built index (every parallel stage is
   // bit-identical to its sequential counterpart) and is not serialized by

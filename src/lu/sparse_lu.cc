@@ -1,17 +1,10 @@
 #include "lu/sparse_lu.h"
 
 #include <algorithm>
-#include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "sparse/coo_builder.h"
 
 namespace kdash::lu {
@@ -182,476 +175,6 @@ LuFactors FactorizeLu(const sparse::CscMatrix& w) {
   factors.upper =
       sparse::CscMatrix(n, n, std::move(u_ptr), std::move(u_rows), std::move(u_vals));
   return factors;
-}
-
-namespace {
-
-// ---- pipelined (symbolic-overlapped) level-scheduled factorization --------
-//
-// The symbolic analysis is a sequential per-column DFS (column j's DFS walks
-// the symbolic L structure of every column k < j), but the numeric pass only
-// needs the symbolic data of the columns it is currently factoring. So the
-// two passes pipeline: a producer thread runs the symbolic sweep and
-// publishes it in fixed-size column windows, while the consumer (the caller,
-// driving the pool) level-schedules and factors each window as it arrives —
-// the symbolic DFS for window w+1 runs while window w's numeric columns
-// factor, taking the symbolic pass off the critical path entirely once the
-// pipeline fills. Window size and handoff points are fixed constants, and
-// every column replays the identical arithmetic sequence, so the factors
-// stay bit-identical to the sequential code at every thread count.
-
-// One window's slice of the symbolic analysis: everything the numeric pass
-// needs to factor columns [begin, end). Offset arrays are window-local.
-struct SymbolicWindow {
-  NodeId begin = 0;
-  NodeId end = 0;  // columns [begin, end)
-
-  // Column j's dependency columns (the k < j part of its elimination
-  // reach) in numeric replay order — reverse DFS postorder, a topological
-  // order of its dependency subgraph, exactly the sequence the sequential
-  // numeric loop eliminates. reach_nodes holds GLOBAL column ids;
-  // reach_ptr is window-local: column j's slice is
-  // reach_nodes[reach_ptr[j - begin] .. reach_ptr[j - begin + 1]).
-  std::vector<Index> reach_ptr;  // (end - begin) + 1
-  std::vector<NodeId> reach_nodes;
-
-  // Symbolic column patterns, sorted ascending (global row ids,
-  // window-local offsets): column j's below-diagonal L rows are
-  // l_pattern[l_off[j - begin] .. l_off[j - begin + 1]), its U rows
-  // (diagonal included) the matching u_off/u_pattern slice. The window's
-  // numeric buffers use the same offsets, and the gather walks these
-  // slices directly — the sequential code's per-column sort already
-  // happened here.
-  std::vector<Index> l_off;  // (end - begin) + 1
-  std::vector<Index> u_off;  // (end - begin) + 1
-  std::vector<NodeId> l_pattern;
-  std::vector<NodeId> u_pattern;
-};
-
-// Bounded producer→consumer handoff of symbolic windows. The bound caps the
-// transient duplicate-pattern memory at capacity windows; the mutex hands
-// every window's bytes over with a happens-before edge. Close/Abort make
-// the handoff exception-safe in both directions: a dying producer closes
-// the queue (waking a consumer that would otherwise wait forever for a
-// window that is never coming), and an unwinding consumer aborts it
-// (waking a producer that would otherwise wait forever for queue space).
-class WindowQueue {
- public:
-  explicit WindowQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  // Blocks while the queue is full. Returns false once the consumer has
-  // Aborted — the window is dropped and the producer should stop analyzing.
-  bool Push(std::unique_ptr<SymbolicWindow> window) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return aborted_ || queue_.size() < capacity_; });
-    if (aborted_) return false;
-    queue_.push_back(std::move(window));
-    cv_.notify_all();
-    return true;
-  }
-
-  // Blocks until a window is available; nullptr once the producer Closed
-  // with nothing left (the consumer then checks TakeError()).
-  std::unique_ptr<SymbolicWindow> Pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) return nullptr;
-    auto window = std::move(queue_.front());
-    queue_.pop_front();
-    cv_.notify_all();
-    return window;
-  }
-
-  // Producer is done; `error` is what killed it (nullptr on clean exit).
-  void Close(std::exception_ptr error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    error_ = error;
-    closed_ = true;
-    cv_.notify_all();
-  }
-
-  // Consumer is unwinding: unblock and no-op every future Push.
-  void Abort() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
-    cv_.notify_all();
-  }
-
-  std::exception_ptr TakeError() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return error_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::unique_ptr<SymbolicWindow>> queue_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool aborted_ = false;
-  std::exception_ptr error_;
-};
-
-// The sequential symbolic sweep (the same per-column DFS the sequential
-// factorization runs, minus the arithmetic), publishing one SymbolicWindow
-// per kWindow columns. Runs on a dedicated thread; keeps its own growing
-// global L-structure arrays (the DFS of column j walks every k < j) and
-// copies each window's slice out for the consumer, so the consumer never
-// touches producer-side arrays that are still growing.
-void SymbolicProducer(const sparse::CscMatrix& w, NodeId window_size,
-                      WindowQueue& queue) {
-  const NodeId n = w.rows();
-  std::vector<Index> l_off{0};
-  std::vector<NodeId> l_pattern;
-  ReachDfs dfs(n);
-  std::vector<NodeId> roots, topo;
-  for (NodeId window_begin = 0; window_begin < n; window_begin += window_size) {
-    const NodeId window_end =
-        std::min<NodeId>(n, static_cast<NodeId>(window_begin + window_size));
-    auto window = std::make_unique<SymbolicWindow>();
-    window->begin = window_begin;
-    window->end = window_end;
-    window->reach_ptr.push_back(0);
-    window->l_off.push_back(0);
-    window->u_off.push_back(0);
-    for (NodeId j = window_begin; j < window_end; ++j) {
-      roots.clear();
-      const Index col_end = w.ColEnd(j);
-      for (Index k = w.ColBegin(j); k < col_end; ++k) {
-        roots.push_back(w.RowIndex(k));
-      }
-      // The DFS walks the symbolic L structure grown by the previous
-      // columns: l_off[k .. k+1] is final for every k < j.
-      dfs.Run(l_off, l_pattern, /*pivot_limit=*/j, roots, topo);
-
-      // Replay order = the order the sequential numeric loop iterates;
-      // dropping the k >= j entries it skips preserves the relative order
-      // of the rest.
-      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        if (*it < j) window->reach_nodes.push_back(*it);
-      }
-      window->reach_ptr.push_back(static_cast<Index>(window->reach_nodes.size()));
-
-      // Split the sorted pattern (the numeric gather order) into the U and
-      // below-diagonal L parts; the L part is also the structure later
-      // columns' DFS runs over, so it goes into both the producer-global
-      // arrays and the window copy.
-      std::sort(topo.begin(), topo.end());
-      for (const NodeId i : topo) {
-        if (i <= j) {
-          window->u_pattern.push_back(i);
-        } else {
-          l_pattern.push_back(i);
-          window->l_pattern.push_back(i);
-        }
-      }
-      l_off.push_back(static_cast<Index>(l_pattern.size()));
-      window->l_off.push_back(static_cast<Index>(window->l_pattern.size()));
-      window->u_off.push_back(static_cast<Index>(window->u_pattern.size()));
-    }
-    // An aborted queue means the consumer is unwinding: stop analyzing
-    // instead of burning a core on windows nobody will factor.
-    if (!queue.Push(std::move(window))) return;
-  }
-}
-
-LuFactors FactorizeLevelScheduled(const sparse::CscMatrix& w,
-                                  ThreadPool& pool) {
-  const NodeId n = w.rows();
-
-  // Fixed pipeline constants — NOT functions of the thread count, so the
-  // work decomposition (and with it every float, though those are exact
-  // replays anyway) is identical for every pool size.
-  constexpr NodeId kWindow = 2048;
-  constexpr std::size_t kQueueDepth = 8;
-  constexpr Index kInlineLevelWidth = 4;
-
-  WindowQueue queue(kQueueDepth);
-  std::thread producer([&] {
-    std::exception_ptr error;
-    try {
-      SymbolicProducer(w, kWindow, queue);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    queue.Close(error);
-  });
-  // Unwind safety: if anything below throws (ParallelFor rethrows the first
-  // worker exception; the big resizes can throw bad_alloc), the producer
-  // must be unparked and joined before `producer` is destroyed — destroying
-  // a joinable std::thread terminates the process.
-  struct ProducerGuard {
-    WindowQueue& queue;
-    std::thread& thread;
-    ~ProducerGuard() {
-      queue.Abort();
-      if (thread.joinable()) thread.join();
-    }
-  } producer_guard{queue, producer};
-
-  // Per-column views of the factored numeric slices, published as columns
-  // finish. Writes happen inside a level; reads happen in later levels (or
-  // later windows / assembly), always across a ParallelFor barrier.
-  std::vector<const NodeId*> col_l_rows(static_cast<std::size_t>(n), nullptr);
-  std::vector<const Scalar*> col_l_vals(static_cast<std::size_t>(n), nullptr);
-  std::vector<const NodeId*> col_u_rows(static_cast<std::size_t>(n), nullptr);
-  std::vector<const Scalar*> col_u_vals(static_cast<std::size_t>(n), nullptr);
-  std::vector<Index> l_cnt(static_cast<std::size_t>(n), 0);
-  std::vector<Index> u_cnt(static_cast<std::size_t>(n), 0);
-
-  // One numeric buffer block per window, sized by the window's symbolic
-  // counts (actual counts fall short only on exact cancellation — never for
-  // RWR matrices — and columns are compacted at assembly). The numeric
-  // vectors live until assembly (addresses are stable because they are
-  // sized once); the symbolic copy is released as soon as the window's
-  // levels finish, so at most kQueueDepth + 1 windows of duplicate pattern
-  // data are alive at any moment.
-  struct WindowNumeric {
-    std::unique_ptr<SymbolicWindow> sym;
-    std::vector<NodeId> l_rows, u_rows;
-    std::vector<Scalar> l_vals, u_vals;
-  };
-  std::vector<std::unique_ptr<WindowNumeric>> windows;
-  windows.reserve(static_cast<std::size_t>((n + kWindow - 1) / kWindow));
-
-  // Per-thread scatter workspace: the dense accumulator of one in-flight
-  // column (cleared along its pattern after every gather).
-  struct Workspace {
-    std::vector<Scalar> x;
-
-    void EnsureSize(NodeId nodes) {
-      if (x.size() != static_cast<std::size_t>(nodes)) {
-        x.assign(static_cast<std::size_t>(nodes), 0.0);
-      }
-    }
-  };
-  std::vector<Workspace> workspaces(
-      static_cast<std::size_t>(pool.num_threads()));
-
-  std::vector<NodeId> local_level;
-  std::vector<Index> level_ptr;
-  std::vector<NodeId> level_cols;
-  for (NodeId window_begin = 0; window_begin < n; window_begin += kWindow) {
-    auto numeric = std::make_unique<WindowNumeric>();
-    numeric->sym = queue.Pop();
-    if (numeric->sym == nullptr) {
-      // The producer died before publishing this window; surface its error
-      // on the caller (the guard joins it during unwind).
-      if (std::exception_ptr error = queue.TakeError()) {
-        std::rethrow_exception(error);
-      }
-      KDASH_CHECK(false) << "symbolic producer ended early without an error";
-    }
-    const SymbolicWindow& sym = *numeric->sym;
-    const NodeId width = sym.end - sym.begin;
-    numeric->l_rows.resize(sym.l_pattern.size());
-    numeric->l_vals.resize(sym.l_pattern.size());
-    numeric->u_rows.resize(sym.u_pattern.size());
-    numeric->u_vals.resize(sym.u_pattern.size());
-    WindowNumeric& win = *numeric;
-    windows.push_back(std::move(numeric));
-
-    // Window-local dependency levels: reach columns before the window are
-    // already factored (level 0 dependencies); reach columns inside it are
-    // earlier columns of this window, whose level is already computed
-    // (every dependency k < j and j ascends).
-    local_level.assign(static_cast<std::size_t>(width), 0);
-    NodeId num_levels = 1;
-    for (NodeId j = 0; j < width; ++j) {
-      NodeId level = 0;
-      const Index reach_begin = sym.reach_ptr[static_cast<std::size_t>(j)];
-      const Index reach_end = sym.reach_ptr[static_cast<std::size_t>(j) + 1];
-      for (Index t = reach_begin; t < reach_end; ++t) {
-        const NodeId k = sym.reach_nodes[static_cast<std::size_t>(t)];
-        if (k >= sym.begin) {
-          level = std::max(
-              level,
-              static_cast<NodeId>(
-                  local_level[static_cast<std::size_t>(k - sym.begin)] + 1));
-        }
-      }
-      local_level[static_cast<std::size_t>(j)] = level;
-      num_levels = std::max(num_levels, static_cast<NodeId>(level + 1));
-    }
-
-    // Bucket columns by level (counting sort keeps each level ascending).
-    level_ptr.assign(static_cast<std::size_t>(num_levels) + 1, 0);
-    for (NodeId j = 0; j < width; ++j) {
-      ++level_ptr[static_cast<std::size_t>(local_level[static_cast<std::size_t>(j)]) + 1];
-    }
-    for (NodeId l = 0; l < num_levels; ++l) {
-      level_ptr[static_cast<std::size_t>(l) + 1] +=
-          level_ptr[static_cast<std::size_t>(l)];
-    }
-    level_cols.resize(static_cast<std::size_t>(width));
-    std::vector<Index> cursor(level_ptr.begin(), level_ptr.end() - 1);
-    for (NodeId j = 0; j < width; ++j) {
-      level_cols[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(local_level[static_cast<std::size_t>(j)])]++)] =
-          static_cast<NodeId>(sym.begin + j);
-    }
-
-    // Replays the sequential numeric elimination of column j: identical
-    // scatter, identical update sequence (the stored reach order),
-    // identical ascending gather — hence bit-identical values.
-    const auto factor_column = [&](NodeId j, Workspace& ws) {
-      std::vector<Scalar>& x = ws.x;
-      const Index col_end = w.ColEnd(j);
-      for (Index k = w.ColBegin(j); k < col_end; ++k) {
-        x[static_cast<std::size_t>(w.RowIndex(k))] = w.Value(k);
-      }
-
-      const auto local = static_cast<std::size_t>(j - sym.begin);
-      const Index reach_begin = sym.reach_ptr[local];
-      const Index reach_end = sym.reach_ptr[local + 1];
-      for (Index t = reach_begin; t < reach_end; ++t) {
-        const NodeId k = sym.reach_nodes[static_cast<std::size_t>(t)];
-        const Scalar xk = x[static_cast<std::size_t>(k)];
-        if (xk == 0.0) continue;
-        const NodeId* rows = col_l_rows[static_cast<std::size_t>(k)];
-        const Scalar* vals = col_l_vals[static_cast<std::size_t>(k)];
-        const Index count = l_cnt[static_cast<std::size_t>(k)];
-        for (Index s = 0; s < count; ++s) {
-          x[static_cast<std::size_t>(rows[s])] -= vals[s] * xk;
-        }
-      }
-
-      const Scalar pivot = x[static_cast<std::size_t>(j)];
-      KDASH_CHECK(pivot != 0.0) << "zero pivot at column " << j
-                                << " (matrix not diagonally dominant?)";
-      // Gather along the presorted symbolic pattern — the same ascending
-      // order the sequential code reaches by sorting per column (every U
-      // row ≤ j < every L row, and both slices are ascending).
-      const Index l_base = sym.l_off[local];
-      const Index u_base = sym.u_off[local];
-      Index uc = 0;
-      for (Index s = u_base; s < sym.u_off[local + 1]; ++s) {
-        const NodeId i = sym.u_pattern[static_cast<std::size_t>(s)];
-        const Scalar xi = x[static_cast<std::size_t>(i)];
-        x[static_cast<std::size_t>(i)] = 0.0;  // clear for the next column
-        if (xi == 0.0) continue;               // numerically cancelled
-        win.u_rows[static_cast<std::size_t>(u_base + uc)] = i;
-        win.u_vals[static_cast<std::size_t>(u_base + uc)] = xi;
-        ++uc;
-      }
-      Index lc = 0;
-      for (Index s = l_base; s < sym.l_off[local + 1]; ++s) {
-        const NodeId i = sym.l_pattern[static_cast<std::size_t>(s)];
-        const Scalar xi = x[static_cast<std::size_t>(i)];
-        x[static_cast<std::size_t>(i)] = 0.0;
-        if (xi == 0.0) continue;
-        win.l_rows[static_cast<std::size_t>(l_base + lc)] = i;
-        win.l_vals[static_cast<std::size_t>(l_base + lc)] = xi / pivot;
-        ++lc;
-      }
-      l_cnt[static_cast<std::size_t>(j)] = lc;
-      u_cnt[static_cast<std::size_t>(j)] = uc;
-      col_l_rows[static_cast<std::size_t>(j)] =
-          win.l_rows.data() + static_cast<std::size_t>(l_base);
-      col_l_vals[static_cast<std::size_t>(j)] =
-          win.l_vals.data() + static_cast<std::size_t>(l_base);
-      col_u_rows[static_cast<std::size_t>(j)] =
-          win.u_rows.data() + static_cast<std::size_t>(u_base);
-      col_u_vals[static_cast<std::size_t>(j)] =
-          win.u_vals.data() + static_cast<std::size_t>(u_base);
-    };
-
-    // Numeric pass over the window, one level at a time. Columns inside a
-    // level share no dependencies; the ParallelFor barrier between levels
-    // orders every read of a dependency column after its write. Narrow
-    // levels (elimination chains) run inline on the caller — a pool
-    // dispatch costs more than a handful of columns.
-    for (NodeId level = 0; level < num_levels; ++level) {
-      const Index begin = level_ptr[static_cast<std::size_t>(level)];
-      const Index end = level_ptr[static_cast<std::size_t>(level) + 1];
-      const Index level_width = end - begin;
-      if (level_width <= kInlineLevelWidth) {
-        Workspace& ws = workspaces[0];
-        ws.EnsureSize(n);
-        for (Index c = begin; c < end; ++c) {
-          factor_column(level_cols[static_cast<std::size_t>(c)], ws);
-        }
-        continue;
-      }
-      const Index grain = std::max<Index>(
-          1, level_width / (static_cast<Index>(pool.num_threads()) * 4));
-      pool.ParallelFor(begin, end, grain,
-                       [&](Index c_begin, Index c_end, int rank) {
-                         Workspace& ws =
-                             workspaces[static_cast<std::size_t>(rank)];
-                         ws.EnsureSize(n);
-                         for (Index c = c_begin; c < c_end; ++c) {
-                           factor_column(
-                               level_cols[static_cast<std::size_t>(c)], ws);
-                         }
-                       });
-    }
-    // The window is fully factored: later windows and the assembly read
-    // only the numeric slices (through the col_* views), so the symbolic
-    // copy can go now instead of doubling peak metadata memory.
-    win.sym.reset();
-  }
-  // Every window arrived, so the producer has finished (or is inside
-  // Close()); the guard joins it when this frame unwinds.
-
-  // Assembly: compact the per-column slices into final CSC arrays — unit
-  // diagonal prepended to L, exactly like the sequential assembly.
-  std::vector<Index> lf_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<Index> uf_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId j = 0; j < n; ++j) {
-    lf_ptr[static_cast<std::size_t>(j) + 1] =
-        lf_ptr[static_cast<std::size_t>(j)] + 1 + l_cnt[static_cast<std::size_t>(j)];
-    uf_ptr[static_cast<std::size_t>(j) + 1] =
-        uf_ptr[static_cast<std::size_t>(j)] + u_cnt[static_cast<std::size_t>(j)];
-  }
-  std::vector<NodeId> lf_rows(
-      static_cast<std::size_t>(lf_ptr[static_cast<std::size_t>(n)]));
-  std::vector<Scalar> lf_vals(lf_rows.size());
-  std::vector<NodeId> uf_rows(
-      static_cast<std::size_t>(uf_ptr[static_cast<std::size_t>(n)]));
-  std::vector<Scalar> uf_vals(uf_rows.size());
-  pool.ParallelFor(0, n, 256, [&](Index j_begin, Index j_end, int) {
-    for (Index j = j_begin; j < j_end; ++j) {
-      Index out = lf_ptr[static_cast<std::size_t>(j)];
-      lf_rows[static_cast<std::size_t>(out)] = static_cast<NodeId>(j);
-      lf_vals[static_cast<std::size_t>(out)] = 1.0;
-      ++out;
-      const NodeId* l_rows = col_l_rows[static_cast<std::size_t>(j)];
-      const Scalar* l_vals = col_l_vals[static_cast<std::size_t>(j)];
-      for (Index s = 0; s < l_cnt[static_cast<std::size_t>(j)]; ++s, ++out) {
-        lf_rows[static_cast<std::size_t>(out)] = l_rows[s];
-        lf_vals[static_cast<std::size_t>(out)] = l_vals[s];
-      }
-      Index u_out = uf_ptr[static_cast<std::size_t>(j)];
-      const NodeId* u_rows = col_u_rows[static_cast<std::size_t>(j)];
-      const Scalar* u_vals = col_u_vals[static_cast<std::size_t>(j)];
-      for (Index s = 0; s < u_cnt[static_cast<std::size_t>(j)]; ++s, ++u_out) {
-        uf_rows[static_cast<std::size_t>(u_out)] = u_rows[s];
-        uf_vals[static_cast<std::size_t>(u_out)] = u_vals[s];
-      }
-    }
-  });
-
-  LuFactors factors;
-  factors.lower = sparse::CscMatrix(n, n, std::move(lf_ptr), std::move(lf_rows),
-                                    std::move(lf_vals));
-  factors.upper = sparse::CscMatrix(n, n, std::move(uf_ptr), std::move(uf_rows),
-                                    std::move(uf_vals));
-  return factors;
-}
-
-}  // namespace
-
-LuFactors FactorizeLu(const sparse::CscMatrix& w, const LuOptions& options) {
-  KDASH_CHECK_EQ(w.rows(), w.cols());
-  // The library-wide pool policy (SelectPool: 0 = shared, explicit T =
-  // dedicated); one column or one effective thread has nothing to overlap,
-  // so those fall back to the sequential path before any pool is spawned.
-  if (options.num_threads == 1 || w.cols() < 2) return FactorizeLu(w);
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool& pool = SelectPool(options.num_threads, local_pool);
-  if (pool.num_threads() == 1) return FactorizeLu(w);
-  return FactorizeLevelScheduled(w, pool);
 }
 
 }  // namespace kdash::lu

@@ -11,30 +11,13 @@
 // discovers the nonzero pattern first, so total work is proportional to
 // arithmetic operations (not to n²).
 //
-// Parallel variant (level scheduling, symbolic overlapped with numeric).
-// Column j of the factorization reads exactly the columns k < j that appear
-// in its elimination reach — the column dependency DAG of sparse-direct
-// folklore (SuperLU_MT's elimination scheduling). Since K-dash factors a
-// *fixed* reorder-optimized pattern, the DAG is known before any
-// arithmetic: a symbolic pass computes every column's reach (stored in the
-// numeric replay order), and the numeric pass factors independent columns
-// concurrently on the thread pool with per-thread scatter workspaces.
-//
-// The symbolic pass itself is sequential (column j's DFS walks the symbolic
-// structure of every k < j), so instead of running it up front it is
-// *pipelined* with the numeric pass: a producer thread runs the symbolic
-// sweep and hands fixed-size column windows to the numeric consumer, which
-// level-schedules and factors each window as it arrives — the symbolic DFS
-// for the next window runs while the current window's numeric columns
-// factor, taking the symbolic pass off the numeric critical path once the
-// pipeline fills. Window boundaries are fixed constants (never a function
-// of the thread count), and each column replays the identical per-column
-// arithmetic sequence of the sequential code, so the parallel factors are
-// bit-identical to FactorizeLu(w) at every thread count — the same
-// guarantee the explicit inverse builders give. (The symbolic schedule
-// assumes no entry cancels to exactly 0.0 mid-elimination; W = I - (1-c)A
-// is a sign-structured M-matrix, so cancellation cannot occur for RWR
-// systems.)
+// The factorization is sequential. The hybrid reorder puts the dense border
+// partition last, so the column elimination DAG is essentially one chain:
+// on the paper's Social graph it has 983 levels and its critical path
+// carries 98% of the column-update work, which caps column-level
+// parallelism at 1.02x (at most 1.01x on Dictionary, Internet and
+// Citation). The parallel precompute stages are the reorder and the
+// explicit inverses (lu/triangular.h).
 #ifndef KDASH_LU_SPARSE_LU_H_
 #define KDASH_LU_SPARSE_LU_H_
 
@@ -50,23 +33,9 @@ struct LuFactors {
   sparse::CscMatrix upper;
 };
 
-struct LuOptions {
-  // Worker threads for the numeric factorization. 0 = DefaultNumThreads()
-  // (KDASH_NUM_THREADS or hardware concurrency) on the shared pool, 1 = the
-  // sequential left-looking path, T > 1 = a dedicated pool of T workers.
-  // The parallel path additionally spawns one transient producer thread for
-  // the overlapped symbolic sweep. An execution knob only: the factors are
-  // bit-identical for every value.
-  int num_threads = 0;
-};
-
 // Factors the square matrix `w` as w = lower * upper. Aborts if a pivot is
 // exactly zero (cannot happen for RWR matrices; see header comment).
 LuFactors FactorizeLu(const sparse::CscMatrix& w);
-
-// Level-scheduled parallel factorization; bit-identical to the sequential
-// overload (see header comment for the guarantee and its one caveat).
-LuFactors FactorizeLu(const sparse::CscMatrix& w, const LuOptions& options);
 
 // Builds W = I - (1-c) * A from a normalized adjacency matrix.
 sparse::CscMatrix BuildRwrSystemMatrix(const sparse::CscMatrix& a,

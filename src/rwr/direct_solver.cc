@@ -6,12 +6,10 @@
 namespace kdash::rwr {
 
 DirectRwrSolver::DirectRwrSolver(const sparse::CscMatrix& a,
-                                 Scalar restart_prob,
-                                 const lu::LuOptions& lu_options)
+                                 Scalar restart_prob)
     : restart_prob_(restart_prob),
       num_nodes_(a.rows()),
-      factors_(lu::FactorizeLu(lu::BuildRwrSystemMatrix(a, restart_prob),
-                               lu_options)) {}
+      factors_(lu::FactorizeLu(lu::BuildRwrSystemMatrix(a, restart_prob))) {}
 
 std::vector<Scalar> DirectRwrSolver::Solve(NodeId query) const {
   KDASH_CHECK(query >= 0 && query < num_nodes_);

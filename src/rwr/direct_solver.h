@@ -15,11 +15,8 @@ namespace kdash::rwr {
 
 class DirectRwrSolver {
  public:
-  // Factors W = I - (1-c)A once (level-scheduled parallel LU; bit-identical
-  // for every lu_options.num_threads); Solve() then costs two triangular
-  // solves.
-  DirectRwrSolver(const sparse::CscMatrix& a, Scalar restart_prob,
-                  const lu::LuOptions& lu_options = {});
+  // Factors W = I - (1-c)A once; Solve() then costs two triangular solves.
+  DirectRwrSolver(const sparse::CscMatrix& a, Scalar restart_prob);
 
   // Full proximity vector for query node q.
   std::vector<Scalar> Solve(NodeId query) const;

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
+#include "graph/graph.h"
 #include "linalg/dense_matrix.h"
+#include "reorder/reorder.h"
 #include "sparse/coo_builder.h"
+#include "sparse/permute.h"
 #include "test_util.h"
 
 namespace kdash::lu {
@@ -75,34 +82,157 @@ TEST(SparseLuTest, FactorsAreTriangularWithUnitLowerDiagonal) {
   }
 }
 
+// The RWR system matrix exactly as KDashIndex::Build stages it: reorder,
+// symmetric permutation, W = I - (1-c)A.
+CscMatrix ReorderedRwrSystem(const graph::Graph& graph, reorder::Method method,
+                             Scalar restart_prob) {
+  const auto order = reorder::ComputeReordering(graph, method);
+  const auto a_perm =
+      sparse::PermuteSymmetric(graph.NormalizedAdjacency(), order.new_of_old);
+  return BuildRwrSystemMatrix(a_perm, restart_prob);
+}
+
+// A directed path: the elimination DAG is one chain.
+graph::Graph PathGraph() {
+  constexpr NodeId kNodes = 64;
+  graph::GraphBuilder builder(kNodes);
+  for (NodeId u = 0; u + 1 < kNodes; ++u) builder.AddEdge(u, u + 1);
+  return std::move(builder).Build();
+}
+
+// A star: one hub column with maximal fan-in and fan-out.
+graph::Graph StarGraph() {
+  constexpr NodeId kNodes = 101;
+  graph::GraphBuilder builder(kNodes);
+  for (NodeId leaf = 1; leaf < kNodes; ++leaf) {
+    builder.AddUndirectedEdge(0, leaf);
+  }
+  return std::move(builder).Build();
+}
+
+// Two dense blocks plus 3 isolated nodes at the end.
+graph::Graph TwoBlocksGraph() {
+  constexpr NodeId kBlock = 20;
+  graph::GraphBuilder builder(2 * kBlock + 3);
+  for (NodeId block = 0; block < 2; ++block) {
+    const NodeId base = block * kBlock;
+    for (NodeId i = 0; i < kBlock; ++i) {
+      for (NodeId j = 0; j < kBlock; ++j) {
+        if (i != j && (i + 2 * j + block) % 3 == 0) {
+          builder.AddEdge(base + i, base + j);
+        }
+      }
+    }
+  }
+  return std::move(builder).Build();
+}
+
+// One LTimesUEqualsW input: a named recipe for the system matrix W (built
+// lazily, inside the test, so reordering never runs at registration time).
+struct ReconstructionCase {
+  std::string name;
+  std::function<CscMatrix()> make_w;
+};
+
+void PrintTo(const ReconstructionCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<ReconstructionCase> ReconstructionCases() {
+  std::vector<ReconstructionCase> cases;
+  // Unordered random graphs across restart probabilities.
+  for (const auto& [n, m, c] :
+       {std::tuple{10, 30, 0.95}, std::tuple{25, 120, 0.95},
+        std::tuple{40, 300, 0.9}, std::tuple{60, 200, 0.5},
+        std::tuple{80, 700, 0.99}, std::tuple{50, 50, 0.95},
+        std::tuple{30, 600, 0.2}}) {
+    cases.push_back(
+        {"random_n" + std::to_string(n) + "_m" + std::to_string(m) + "_c" +
+             std::to_string(static_cast<int>(c * 100)),
+         [n = n, m = m, c = c] {
+           const auto g = test::RandomDirectedGraph(
+               static_cast<NodeId>(n), static_cast<Index>(m),
+               static_cast<std::uint64_t>(n * m));
+           return BuildRwrSystemMatrix(g.NormalizedAdjacency(), c);
+         }});
+  }
+  // Random graphs under the paper's three reorder heuristics, whose
+  // elimination structures differ widely.
+  for (const auto& [n, m, seed] : {std::tuple{120, 700, 5},
+                                   std::tuple{300, 2600, 6},
+                                   std::tuple{80, 1200, 7}}) {
+    for (const auto method : {reorder::Method::kDegree,
+                              reorder::Method::kCluster,
+                              reorder::Method::kHybrid}) {
+      cases.push_back({"random_n" + std::to_string(n) + "_" +
+                           reorder::MethodName(method),
+                       [n = n, m = m, seed = seed, method] {
+                         const auto g = test::RandomDirectedGraph(
+                             static_cast<NodeId>(n), static_cast<Index>(m),
+                             static_cast<std::uint64_t>(seed));
+                         return ReorderedRwrSystem(g, method, 0.95);
+                       }});
+    }
+  }
+  // Structured shapes, raw and reordered.
+  cases.push_back({"path_raw", [] {
+                     return BuildRwrSystemMatrix(
+                         PathGraph().NormalizedAdjacency(), 0.9);
+                   }});
+  cases.push_back({"path_degree", [] {
+                     return ReorderedRwrSystem(PathGraph(),
+                                               reorder::Method::kDegree, 0.9);
+                   }});
+  cases.push_back({"star_raw", [] {
+                     return BuildRwrSystemMatrix(
+                         StarGraph().NormalizedAdjacency(), 0.95);
+                   }});
+  cases.push_back({"star_hybrid", [] {
+                     return ReorderedRwrSystem(StarGraph(),
+                                               reorder::Method::kHybrid, 0.95);
+                   }});
+  cases.push_back({"two_blocks_raw", [] {
+                     return BuildRwrSystemMatrix(
+                         TwoBlocksGraph().NormalizedAdjacency(), 0.9);
+                   }});
+  cases.push_back({"two_blocks_cluster", [] {
+                     return ReorderedRwrSystem(TwoBlocksGraph(),
+                                               reorder::Method::kCluster, 0.9);
+                   }});
+  cases.push_back({"single_node", [] {
+                     return BuildRwrSystemMatrix(
+                         graph::GraphBuilder(1).Build().NormalizedAdjacency(),
+                         0.95);
+                   }});
+  return cases;
+}
+
 class LuReconstructionTest
-    : public ::testing::TestWithParam<std::tuple<int, int, double>> {};
+    : public ::testing::TestWithParam<ReconstructionCase> {};
 
 TEST_P(LuReconstructionTest, LTimesUEqualsW) {
-  const auto [n, m, c] = GetParam();
-  const auto g = test::RandomDirectedGraph(static_cast<NodeId>(n),
-                                           static_cast<Index>(m),
-                                           static_cast<std::uint64_t>(n * m));
-  const CscMatrix w = BuildRwrSystemMatrix(g.NormalizedAdjacency(), c);
+  const CscMatrix w = GetParam().make_w();
   const LuFactors factors = FactorizeLu(w);
 
   const auto dense_l = test::ToDense(factors.lower);
   const auto dense_u = test::ToDense(factors.upper);
   const auto product = linalg::MatMul(dense_l, dense_u);
   const auto dense_w = test::ToDense(w);
-  EXPECT_LT(test::MaxAbsDiff(product, dense_w), 1e-12)
-      << "n=" << n << " m=" << m << " c=" << c;
+  EXPECT_LT(test::MaxAbsDiff(product, dense_w), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, LuReconstructionTest,
-    ::testing::Values(std::make_tuple(10, 30, 0.95),
-                      std::make_tuple(25, 120, 0.95),
-                      std::make_tuple(40, 300, 0.9),
-                      std::make_tuple(60, 200, 0.5),
-                      std::make_tuple(80, 700, 0.99),
-                      std::make_tuple(50, 50, 0.95),
-                      std::make_tuple(30, 600, 0.2)));
+    Sweep, LuReconstructionTest, ::testing::ValuesIn(ReconstructionCases()),
+    [](const ::testing::TestParamInfo<ReconstructionCase>& info) {
+      return info.param.name;
+    });
+
+TEST(SparseLuTest, SingleNode) {
+  const CscMatrix w = BuildRwrSystemMatrix(
+      graph::GraphBuilder(1).Build().NormalizedAdjacency(), 0.95);
+  const LuFactors factors = FactorizeLu(w);
+  EXPECT_EQ(factors.lower.nnz(), 1);
+  EXPECT_EQ(factors.upper.nnz(), 1);
+  EXPECT_DOUBLE_EQ(factors.upper.At(0, 0), 1.0);
+}
 
 TEST(SparseLuTest, SolvesMatchDenseInverse) {
   // W x = e_j solved via the factors must equal column j of the dense
