@@ -117,7 +117,7 @@ void BM_TriangularInvert(benchmark::State& state) {
   const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const auto inv = lu::InvertLowerTriangular(factors.lower, 0.0, threads);
+    const auto inv = lu::InvertLowerTriangular(factors.lower, threads);
     benchmark::DoNotOptimize(inv.nnz());
   }
 }
@@ -128,7 +128,7 @@ void BM_TriangularInvertUpper(benchmark::State& state) {
   const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const auto inv = lu::InvertUpperTriangular(factors.upper, 0.0, threads);
+    const auto inv = lu::InvertUpperTriangular(factors.upper, threads);
     benchmark::DoNotOptimize(inv.nnz());
   }
 }

@@ -73,15 +73,15 @@ int Main() {
       lu_seconds = MedianSeconds([&] { factors = lu::FactorizeLu(w); }, 3);
     }
     const double lower_inverse_seconds = MedianSeconds(
-        [&] { lu::InvertLowerTriangular(factors.lower, 0.0, threads); }, 3);
+        [&] { lu::InvertLowerTriangular(factors.lower, threads); }, 3);
     const double upper_inverse_seconds = MedianSeconds(
-        [&] { lu::InvertUpperTriangular(factors.upper, 0.0, threads); }, 3);
+        [&] { lu::InvertUpperTriangular(factors.upper, threads); }, 3);
     // The legacy index_build_seconds key keeps its original methodology (one
     // combined L⁻¹ + U⁻¹ timing) so the cross-PR trajectory stays comparable.
     const double invert_seconds = MedianSeconds(
         [&] {
-          lu::InvertLowerTriangular(factors.lower, 0.0, threads);
-          lu::InvertUpperTriangular(factors.upper, 0.0, threads);
+          lu::InvertLowerTriangular(factors.lower, threads);
+          lu::InvertUpperTriangular(factors.upper, threads);
         },
         3);
 

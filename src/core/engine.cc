@@ -165,9 +165,6 @@ Status ValidateOptions(const EngineOptions& options) {
     return Status::InvalidArgument("restart_prob must be in (0, 1), got " +
                                    std::to_string(c));
   }
-  if (options.index.drop_tolerance < 0.0) {
-    return Status::InvalidArgument("drop_tolerance must be >= 0");
-  }
   if (options.index.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }

@@ -6,13 +6,16 @@
 // (when it is seekable) before allocation, so a corrupt length field cannot
 // trigger a huge allocation.
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <string>
 #include <type_traits>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -235,7 +238,9 @@ Status KDashIndex::Save(std::ostream& out) const {
   WritePod(out, options_.restart_prob);
   WritePod(out, static_cast<std::int32_t>(options_.reorder_method));
   WritePod(out, options_.seed);
-  WritePod(out, options_.drop_tolerance);
+  // The retired drop-tolerance slot. Every index is exact, so it holds 0.
+  const Scalar drop_tolerance = 0.0;
+  WritePod(out, drop_tolerance);
 
   const SharedState& state = *shared_;
   WritePod(out, num_nodes_);
@@ -306,10 +311,21 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   }
   index.options_.reorder_method = static_cast<reorder::Method>(reorder_method);
   KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.drop_tolerance));
-  if (!(index.options_.drop_tolerance >= 0.0)) {
+  // The retired drop-tolerance slot. Older binaries could write a positive
+  // tolerance, which made the inverses (and every score) lossy; such an
+  // index is refused rather than served as if it were exact.
+  Scalar drop_tolerance = 0.0;
+  KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
+  if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
     return Status::DataLoss(
         "corrupt index stream: negative or non-finite drop tolerance");
+  }
+  if (drop_tolerance > 0.0) {
+    return Status::FailedPrecondition(
+        "index was built with drop tolerance " +
+        std::to_string(drop_tolerance) +
+        ", which this build no longer serves (it answers exactly only) — "
+        "rebuild the index with this binary (kdash_cli build)");
   }
 
   KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
@@ -402,11 +418,8 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
 }
 
 Status KDashIndex::SaveFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    return Status::FailedPrecondition("cannot open " + path + " for writing");
-  }
-  return Save(out);
+  return WriteFileAtomically(path,
+                             [this](std::ostream& out) { return Save(out); });
 }
 
 Result<KDashIndex> KDashIndex::LoadFile(const std::string& path) {

@@ -59,10 +59,10 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
 
   // Step 4: explicit sparse inverses (parallel across column blocks).
   phase_timer.Restart();
-  state.lower_inverse = lu::InvertLowerTriangular(
-      factors.lower, options.drop_tolerance, options.num_threads);
-  const sparse::CscMatrix upper_inverse_csc = lu::InvertUpperTriangular(
-      factors.upper, options.drop_tolerance, options.num_threads);
+  state.lower_inverse =
+      lu::InvertLowerTriangular(factors.lower, options.num_threads);
+  const sparse::CscMatrix upper_inverse_csc =
+      lu::InvertUpperTriangular(factors.upper, options.num_threads);
   index.upper_inverse_ = upper_inverse_csc.ToCsr();
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();

@@ -34,10 +34,6 @@ struct KDashOptions {
   Scalar restart_prob = 0.95;
   reorder::Method reorder_method = reorder::Method::kHybrid;
   std::uint64_t seed = 42;
-  // Drop tolerance for the explicit inverses. 0 = exact (default).
-  // Nonzero values trade a bounded proximity error for sparser inverses;
-  // used only by the ablation benchmark.
-  Scalar drop_tolerance = 0.0;
   // Worker threads for the precompute's parallel stages: the
   // phase-synchronous Louvain reordering and the explicit triangular
   // inverses (the LU factorization is sequential; see lu/sparse_lu.h).
@@ -74,7 +70,10 @@ class KDashIndex {
   // kFailedPrecondition on a version mismatch, and the File variants return
   // kNotFound/kFailedPrecondition when the file cannot be opened — the
   // process never aborts on bad input, which is what lets a long-lived
-  // server treat index files as untrusted.
+  // server treat index files as untrusted. An index built with a lossy
+  // drop tolerance by an older binary is kFailedPrecondition: every index
+  // this build serves is exact. SaveFile replaces the file atomically, so
+  // a failed save leaves the previous index intact.
   [[nodiscard]] Status Save(std::ostream& out) const;
   [[nodiscard]] static Result<KDashIndex> Load(std::istream& in);
   [[nodiscard]] Status SaveFile(const std::string& path) const;

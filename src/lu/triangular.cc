@@ -1,7 +1,6 @@
 #include "lu/triangular.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -63,14 +62,11 @@ constexpr NodeId kNoSlot = -1;
 // block and updates all lanes with a branch-free loop. For every column the
 // nonzero updates arrive in the same elimination order as in
 // SolveLowerInPlace / SolveUpperInPlace; a lane whose x_k is zero subtracts
-// ±0, which leaves every nonzero value unchanged, and zeros are dropped at
-// gather. Neighbouring columns of a factor with a dense tail (the hybrid
+// ±0, which leaves every nonzero value unchanged, and zeros (including
+// cancelled values) are dropped at gather, so the result is the exact
+// inverse. Neighbouring columns of a factor with a dense tail (the hybrid
 // reorder's border) share most of their patterns, so each tail column is
 // read once per block instead of up to 16 times.
-//
-// Entries with |value| <= drop_tolerance are discarded once a column is
-// complete. With drop_tolerance == 0 only exact-zero (cancelled) values are
-// discarded, so the result is the exact inverse.
 //
 // Build() farms out fixed chunks of whole blocks to a thread pool; each
 // worker owns a workspace and appends its chunk's columns to a per-chunk
@@ -80,11 +76,9 @@ constexpr NodeId kNoSlot = -1;
 // result is bit-identical for any thread count.
 class TriangularInverter {
  public:
-  TriangularInverter(const sparse::CscMatrix& matrix, bool lower,
-                     Scalar drop_tolerance)
-      : m_(matrix), lower_(lower), tol_(drop_tolerance) {
+  TriangularInverter(const sparse::CscMatrix& matrix, bool lower)
+      : m_(matrix), lower_(lower) {
     KDASH_CHECK_EQ(m_.rows(), m_.cols());
-    KDASH_CHECK(tol_ >= 0.0);
   }
 
   sparse::CscMatrix Build(int num_threads) {
@@ -138,13 +132,6 @@ class TriangularInverter {
   // Puts a pattern popped in elimination order into ascending row order.
   void IntoAscendingRows(std::vector<NodeId>& pattern) const {
     if (!lower_) std::reverse(pattern.begin(), pattern.end());
-  }
-
-  // Whether entry (i, value) of column j is stored: it is nonzero and, with
-  // a drop tolerance, on the diagonal or above the tolerance in magnitude.
-  bool Keep(NodeId i, NodeId j, Scalar value) const {
-    if (value == 0.0) return false;
-    return tol_ == 0.0 || std::abs(value) > tol_ || i == j;
   }
 
   // Computes columns [begin, end) (begin a multiple of kBlockWidth), appends
@@ -225,7 +212,7 @@ class TriangularInverter {
             acc[static_cast<std::size_t>(slot[static_cast<std::size_t>(i)]) *
                     kBlockWidth +
                 static_cast<std::size_t>(lane)];
-        if (!Keep(i, j, xi)) continue;
+        if (xi == 0.0) continue;
         rows.push_back(i);
         vals.push_back(xi);
         ++kept;
@@ -313,23 +300,18 @@ class TriangularInverter {
 
   const sparse::CscMatrix& m_;
   bool lower_;
-  Scalar tol_;
 };
 
 }  // namespace
 
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
-                                        Scalar drop_tolerance,
                                         int num_threads) {
-  return TriangularInverter(lower, /*lower=*/true, drop_tolerance)
-      .Build(num_threads);
+  return TriangularInverter(lower, /*lower=*/true).Build(num_threads);
 }
 
 sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
-                                        Scalar drop_tolerance,
                                         int num_threads) {
-  return TriangularInverter(upper, /*lower=*/false, drop_tolerance)
-      .Build(num_threads);
+  return TriangularInverter(upper, /*lower=*/false).Build(num_threads);
 }
 
 }  // namespace kdash::lu

@@ -5,8 +5,7 @@
 // recurrences); at query time the column L⁻¹(:, q) and single rows of U⁻¹
 // are all that is touched. This header provides:
 //   * dense forward/backward substitution (reference + tests),
-//   * the explicit inverse builders with an optional drop tolerance
-//     (default 0 = exact; used only by the ablation benchmark).
+//   * the exact explicit inverse builders.
 //
 // Column j of an inverse is the sparse solve of L x = e_j (U x = e_j), at a
 // cost proportional to its nonzeros, and it equals SolveLowerInPlace
@@ -41,20 +40,16 @@ void SolveLowerInPlace(const sparse::CscMatrix& lower, std::vector<Scalar>& b);
 void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 
 // Explicit inverse of a lower triangular matrix: column j is
-// SolveLowerInPlace(e_j), computed in blocks of columns, keeping the
-// diagonal and the entries with |value| > drop_tolerance. drop_tolerance
-// == 0 keeps every numerically nonzero entry (exact). num_threads: 0 =
-// DefaultNumThreads() (KDASH_NUM_THREADS or hardware concurrency), 1 =
-// sequential, T > 1 = a pool of T workers. The output is identical for
-// every thread count.
+// SolveLowerInPlace(e_j), computed in blocks of columns, keeping every
+// numerically nonzero entry (exact). num_threads: 0 = DefaultNumThreads()
+// (KDASH_NUM_THREADS or hardware concurrency), 1 = sequential, T > 1 = a
+// pool of T workers. The output is identical for every thread count.
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
-                                        Scalar drop_tolerance = 0.0,
                                         int num_threads = 0);
 
 // Explicit inverse of an upper triangular matrix: column j is
 // SolveUpperInPlace(e_j); otherwise as InvertLowerTriangular.
 sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
-                                        Scalar drop_tolerance = 0.0,
                                         int num_threads = 0);
 
 }  // namespace kdash::lu

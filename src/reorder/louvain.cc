@@ -1,7 +1,6 @@
 #include "reorder/louvain.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -18,6 +17,12 @@ namespace {
 // the output (every per-node computation is independent), so this is purely
 // a scheduling knob.
 constexpr Index kNodeGrain = 256;
+
+// A local-moving phase stops once a full pass gains less modularity than
+// this.
+constexpr double kMinModularityGain = 1e-7;
+// Safety cap on aggregation levels (Louvain converges in far fewer).
+constexpr int kMaxLevels = 32;
 
 // Undirected weighted working graph for the aggregation levels.
 // For u != v both (u, v) and (v, u) are stored with the same weight; a
@@ -427,17 +432,6 @@ double ModularityOfWork(const WorkGraph& work,
 
 }  // namespace
 
-LouvainResult RunLouvain(const graph::Graph& g, const LouvainOptions& options) {
-  const bool legacy =
-      options.algorithm == LouvainOptions::Algorithm::kLegacySequential;
-  std::unique_ptr<ThreadPool> local_pool;
-  // The legacy algorithm is inherently sequential; run its (deterministic)
-  // symmetrize/aggregate stages inline too so its cost profile matches the
-  // original implementation.
-  ThreadPool& pool = SelectPool(legacy ? 1 : options.num_threads, local_pool);
-  return RunLouvain(g, options, pool);
-}
-
 LouvainResult RunLouvain(const graph::Graph& g, const LouvainOptions& options,
                          ThreadPool& pool) {
   LouvainResult result;
@@ -454,11 +448,10 @@ LouvainResult RunLouvain(const graph::Graph& g, const LouvainOptions& options,
   std::vector<NodeId> membership(static_cast<std::size_t>(g.num_nodes()));
   std::iota(membership.begin(), membership.end(), 0);
 
-  for (int level = 0; level < options.max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     LevelResult lr =
-        legacy ? LocalMovingLegacy(work, options.min_modularity_gain, rng)
-               : LocalMovingPhaseSynchronous(work, options.min_modularity_gain,
-                                             pool);
+        legacy ? LocalMovingLegacy(work, kMinModularityGain, rng)
+               : LocalMovingPhaseSynchronous(work, kMinModularityGain, pool);
     if (!lr.moved) break;
     result.levels = level + 1;
     for (auto& m : membership) {

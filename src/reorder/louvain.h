@@ -35,12 +35,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/types.h"
 #include "graph/graph.h"
-
-namespace kdash {
-class ThreadPool;
-}  // namespace kdash
 
 namespace kdash::reorder {
 
@@ -50,19 +47,9 @@ struct LouvainOptions {
     kLegacySequential,   // original asynchronous algorithm (quality baseline)
   };
 
-  // Stop a local-moving sweep phase once the modularity gain of a full pass
-  // drops below this threshold.
-  double min_modularity_gain = 1e-7;
-  // Safety cap on aggregation levels (Louvain converges in far fewer).
-  int max_levels = 32;
   // Seed for the node visiting order of kLegacySequential. The
   // phase-synchronous algorithm is seed-free (fixed node-id order).
   std::uint64_t seed = 42;
-  // Worker threads for kPhaseSynchronous: 0 = the process-wide shared pool
-  // (KDASH_NUM_THREADS or hardware concurrency), 1 = inline on the caller,
-  // T > 1 = a dedicated pool. An execution knob only: the partition is
-  // bit-identical for every value.
-  int num_threads = 0;
   Algorithm algorithm = Algorithm::kPhaseSynchronous;
 };
 
@@ -75,18 +62,17 @@ struct LouvainResult {
   int levels = 0;  // aggregation levels performed
 };
 
+// Partitions `graph` on `pool`. A local-moving phase stops once a full pass
+// gains less than 1e-7 modularity, and at most 32 aggregation levels run
+// (Louvain converges in far fewer). The pool is an execution knob only: the
+// partition is bit-identical for every pool size, including for
+// kLegacySequential (whose local moving is sequential regardless; its
+// symmetrize/aggregate stages are order-canonicalized like the parallel
+// path's). A caller that already sized a pool for the surrounding stage —
+// e.g. the cluster/hybrid reorderings — passes it here.
 LouvainResult RunLouvain(const graph::Graph& graph,
-                         const LouvainOptions& options = {});
-
-// Same, on a caller-provided pool (options.num_threads is ignored). Lets a
-// caller that already sized a pool for the surrounding stage — e.g. the
-// cluster/hybrid reorderings — reuse it instead of paying a second pool
-// spawn/teardown. The pool is an execution knob only: the partition is
-// bit-identical for every pool size, including for kLegacySequential
-// (whose local moving is sequential regardless; its symmetrize/aggregate
-// stages are order-canonicalized like the parallel path's).
-LouvainResult RunLouvain(const graph::Graph& graph,
-                         const LouvainOptions& options, ThreadPool& pool);
+                         const LouvainOptions& options = {},
+                         ThreadPool& pool = ThreadPool::Shared());
 
 // Newman modularity Q of an arbitrary node→community labeling on the
 // symmetrized weighted graph. Exposed for tests and diagnostics.

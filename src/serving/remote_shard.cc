@@ -19,6 +19,9 @@
 namespace kdash::serving {
 namespace {
 
+// Cap on the doubling reconnect backoff.
+constexpr std::chrono::milliseconds kMaxReconnectBackoff{2000};
+
 // Registry handles resolved once — Begin/Finish sit on the query path.
 struct RemoteMetrics {
   obs::Counter* connects;
@@ -181,8 +184,7 @@ Result<RemoteWorker::Call> RemoteWorker::CheckOut(bool bypass_backoff) {
   MutexLock lock(mutex_);
   if (!fd.ok()) {
     next_dial_ = std::chrono::steady_clock::now() + dial_backoff_;
-    dial_backoff_ = std::min(dial_backoff_ * 2,
-                             options_.max_reconnect_backoff);
+    dial_backoff_ = std::min(dial_backoff_ * 2, kMaxReconnectBackoff);
     return fd.status();
   }
   dial_backoff_ = options_.reconnect_backoff;

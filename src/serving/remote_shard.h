@@ -51,11 +51,10 @@ struct RemoteOptions {
   std::chrono::milliseconds io_timeout{5000};
 
   // After a failed dial the endpoint is not re-dialed for the current
-  // backoff, which doubles per consecutive failure up to the max. The
-  // health prober bypasses the gate — something must eventually re-dial a
+  // backoff, which doubles per consecutive failure up to 2 s. The health
+  // prober bypasses the gate — something must eventually re-dial a
   // recovered worker.
   std::chrono::milliseconds reconnect_backoff{50};
-  std::chrono::milliseconds max_reconnect_backoff{2000};
 
   // Consecutive transport failures before healthy() flips false.
   int down_after_failures = 3;

@@ -34,6 +34,10 @@ struct Router::RouterMetrics {
 
 namespace {
 
+// Bounds on the p99-derived hedge delay.
+constexpr std::chrono::microseconds kHedgeMinDelay{1'000};
+constexpr std::chrono::microseconds kHedgeMaxDelay{50'000};
+
 Result<RemoteEndpoint> ParseEndpoint(const std::string& text) {
   const std::size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
@@ -91,10 +95,13 @@ Result<std::unique_ptr<Router>> Router::Connect(const std::string& spec,
     router->slots_.push_back(std::move(replicas));
   }
 
-  const int default_io_threads = std::clamp(2 * router->num_slots(), 2, 32);
+  // Two fan-out IO threads per slot, clamped to [2, 32]. The router never
+  // borrows the process-wide shared pool: its tasks block on recv(), and
+  // parking shared-pool workers on a socket would starve (or, with
+  // in-process test workers on the same pool, deadlock) the compute the
+  // answers depend on.
   router->io_pool_ = std::make_unique<ThreadPool>(
-      router->options_.num_io_threads > 0 ? router->options_.num_io_threads
-                                          : default_io_threads);
+      std::clamp(2 * router->num_slots(), 2, 32));
 
   // One best-effort probe round: learn replica shard weights (the pong
   // handshake) and initial health before the first query, so a topology
@@ -187,7 +194,7 @@ std::chrono::microseconds Router::HedgeDelay() const {
   if (options_.hedge_delay.count() > 0) return options_.hedge_delay;
   const auto p99 =
       std::chrono::microseconds(metrics_->remote_us->Quantile(0.99));
-  return std::clamp(p99, options_.hedge_min_delay, options_.hedge_max_delay);
+  return std::clamp(p99, kHedgeMinDelay, kHedgeMaxDelay);
 }
 
 Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,

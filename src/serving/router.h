@@ -60,25 +60,16 @@ struct RouterOptions {
   RemoteOptions remote;
 
   // Hedging. hedge_delay == 0 derives the delay from the live p99 of
-  // router.remote_us, clamped to [hedge_min_delay, hedge_max_delay]; a
-  // positive hedge_delay is a fixed override (tests pin it to make hedges
-  // deterministic). Hedging needs a second healthy replica to re-issue to;
-  // single-replica slots never hedge.
+  // router.remote_us, clamped to [1 ms, 50 ms]; a positive hedge_delay is a
+  // fixed override (tests pin it to make hedges deterministic). Hedging
+  // needs a second healthy replica to re-issue to; single-replica slots
+  // never hedge.
   bool hedging = true;
   std::chrono::microseconds hedge_delay{0};
-  std::chrono::microseconds hedge_min_delay{1'000};
-  std::chrono::microseconds hedge_max_delay{50'000};
 
   // Background health-probe cadence; 0 disables the prober (tests that
   // want full control of mark-down/mark-up timing).
   std::chrono::milliseconds probe_period{250};
-
-  // Fan-out IO threads. The router NEVER borrows the process-wide shared
-  // pool: its tasks block on recv(), and parking shared-pool workers on a
-  // socket would starve (or, with in-process test workers on the same
-  // pool, deadlock) the compute the answers depend on. 0 = two per slot,
-  // clamped to [2, 32].
-  int num_io_threads = 0;
 };
 
 class Router {

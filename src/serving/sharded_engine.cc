@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/mutex.h"
 #include "common/parallel.h"
@@ -194,28 +195,23 @@ Status ShardedEngine::Save(const std::string& dir) const {
     return Status::FailedPrecondition("cannot create directory " + dir + ": " +
                                       ec.message());
   }
-  const std::string manifest_path = dir + "/" + kManifestName;
-  std::ofstream manifest(manifest_path);
-  if (!manifest.good()) {
-    return Status::FailedPrecondition("cannot open " + manifest_path +
-                                      " for writing");
-  }
-  manifest << kManifestHeader << "\n";
-  manifest << "num_nodes " << num_nodes_ << "\n";
-  manifest << "num_shards " << num_shards() << "\n";
-  for (int s = 0; s < num_shards(); ++s) {
-    manifest << "shard " << s << " " << shard_begin(s) << " " << shard_end(s)
-             << " " << ShardFileName(s) << "\n";
-  }
-  manifest.flush();
-  if (!manifest.good()) {
-    return Status::DataLoss("manifest write to " + manifest_path + " failed");
-  }
+  // Shard files first, the MANIFEST last: a save that fails midway leaves
+  // the previous MANIFEST in place.
   for (int s = 0; s < num_shards(); ++s) {
     KDASH_RETURN_IF_ERROR(
         shards_[static_cast<std::size_t>(s)].Save(dir + "/" + ShardFileName(s)));
   }
-  return Status::Ok();
+  return WriteFileAtomically(
+      dir + "/" + kManifestName, [this](std::ostream& manifest) {
+        manifest << kManifestHeader << "\n";
+        manifest << "num_nodes " << num_nodes_ << "\n";
+        manifest << "num_shards " << num_shards() << "\n";
+        for (int s = 0; s < num_shards(); ++s) {
+          manifest << "shard " << s << " " << shard_begin(s) << " "
+                   << shard_end(s) << " " << ShardFileName(s) << "\n";
+        }
+        return Status::Ok();
+      });
 }
 
 Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {

@@ -80,7 +80,8 @@ class ShardedEngine {
   [[nodiscard]] static Result<ShardedEngine> Open(
       const std::string& dir, const std::vector<int>& shards);
 
-  // Persist as a directory: MANIFEST plus one index file per shard.
+  // Persist as a directory: one index file per shard, then the MANIFEST.
+  // Each file is replaced atomically (common/atomic_file.h).
   // kFailedPrecondition on an engine opened with a strict subset of its
   // directory's shards.
   [[nodiscard]] Status Save(const std::string& dir) const;

@@ -6,9 +6,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "common/fault.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
 #include "test_util.h"
@@ -194,6 +197,44 @@ TEST(IndexIoTest, RejectsCorruptScalarOptions) {
   }
 }
 
+TEST(IndexIoTest, DropToleranceSlotMustHoldZero) {
+  // The retired drop-tolerance slot, bytes 28-35 (magic, version, c,
+  // reorder method and seed precede it). Save writes 0.0; a positive value
+  // is a lossy index from an older binary, anything else is corruption.
+  constexpr std::size_t kSlot = 28;
+  const auto g = test::RandomDirectedGraph(30, 150, 88);
+  const auto index = KDashIndex::Build(g, {});
+  std::stringstream buffer;
+  ASSERT_TRUE(index.Save(buffer).ok());
+  const std::string full = buffer.str();
+  const auto load_with = [&](double value) {
+    std::string bytes = full;
+    std::memcpy(&bytes[kSlot], &value, sizeof(value));
+    std::stringstream patched(bytes);
+    return KDashIndex::Load(patched);
+  };
+
+  double saved = -1.0;
+  std::memcpy(&saved, &full[kSlot], sizeof(saved));
+  EXPECT_EQ(saved, 0.0);
+  const auto exact = load_with(0.0);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  ExpectIndexesEquivalent(index, *exact);
+
+  const auto lossy = load_with(1e-6);
+  ASSERT_FALSE(lossy.ok());
+  EXPECT_EQ(lossy.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(lossy.status().message().find("rebuild"), std::string::npos);
+
+  for (const double corrupt :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    const auto loaded = load_with(corrupt);
+    ASSERT_FALSE(loaded.ok()) << corrupt;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << corrupt;
+  }
+}
+
 TEST(IndexIoTest, HugeLengthFieldRejectedNotAllocated) {
   const auto g = test::RandomDirectedGraph(30, 150, 98);
   const auto index = KDashIndex::Build(g, {});
@@ -227,6 +268,31 @@ TEST(IndexIoTest, SaveFileUnwritablePathFails) {
       index.SaveFile("/nonexistent-dir/definitely/not/writable.bin");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(IndexIoTest, FailedSaveFileKeepsPreviousIndex) {
+  const std::string path = ::testing::TempDir() + "/kdash_failed_save.bin";
+  const auto a = KDashIndex::Build(test::RandomDirectedGraph(40, 200, 87), {});
+  const auto b = KDashIndex::Build(test::RandomDirectedGraph(50, 300, 86), {});
+  ASSERT_TRUE(a.SaveFile(path).ok());
+  {
+    fault::FaultSpec spec;
+    spec.probability = 1.0;
+    fault::ScopedFault guard("index_io.write", spec);
+    const Status status = b.SaveFile(path);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const auto loaded = KDashIndex::LoadFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::stringstream want;
+  std::stringstream got;
+  ASSERT_TRUE(a.Save(want).ok());
+  ASSERT_TRUE(loaded->Save(got).ok());
+  EXPECT_EQ(got.str(), want.str());
+  std::remove(path.c_str());
 }
 
 TEST(IndexIoTest, LoadFileCorruptFileFails) {
@@ -270,7 +336,7 @@ std::string AsV1Bytes(const std::string& v2) {
   constexpr std::size_t kWindowOffset =
       4 /*magic*/ + sizeof(std::uint32_t) /*version*/ +
       sizeof(Scalar) /*restart_prob*/ + sizeof(std::int32_t) /*method*/ +
-      sizeof(std::uint64_t) /*seed*/ + sizeof(Scalar) /*drop_tolerance*/ +
+      sizeof(std::uint64_t) /*seed*/ + sizeof(Scalar) /*drop-tolerance slot*/ +
       sizeof(NodeId) /*num_nodes*/;
   std::string v1 = v2;
   v1[4] = 1;  // version field follows the 4-byte magic (little-endian)

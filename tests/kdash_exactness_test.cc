@@ -146,13 +146,10 @@ TEST(ExactnessTest, KLargerThanGraph) {
   ExpectExactTopK(g, {}, 0, 50, "k-exceeds-n");
 }
 
-TEST(ExactnessTest, DropToleranceZeroIsExactNonzeroMayNotBe) {
-  // The exactness guarantee is tied to drop_tolerance == 0; this documents
-  // that the knob exists and the default preserves Theorem 2.
+TEST(ExactnessTest, DefaultOptionsGiveExactTopKOnRandomGraph) {
+  // Theorem 2 holds for the default options: no setting trades exactness.
   const auto g = test::RandomDirectedGraph(150, 900, 77);
-  KDashOptions exact;
-  exact.drop_tolerance = 0.0;
-  ExpectExactTopK(g, exact, 42, 10, "tol-0");
+  ExpectExactTopK(g, {}, 42, 10, "default-options");
 }
 
 }  // namespace

@@ -23,28 +23,18 @@ LuFactors FactorsOfRandomRwr(NodeId n, Index m, Scalar c, std::uint64_t seed) {
 
 TEST(ParallelInverseDeterminismTest, LowerInverseBitIdenticalAcrossThreads) {
   const LuFactors factors = FactorsOfRandomRwr(300, 2400, 0.95, 17);
-  const CscMatrix sequential = InvertLowerTriangular(factors.lower, 0.0, 1);
+  const CscMatrix sequential = InvertLowerTriangular(factors.lower, 1);
   for (int threads : {2, 4, 8}) {
-    const CscMatrix parallel = InvertLowerTriangular(factors.lower, 0.0, threads);
+    const CscMatrix parallel = InvertLowerTriangular(factors.lower, threads);
     EXPECT_EQ(parallel, sequential) << "threads=" << threads;
   }
 }
 
 TEST(ParallelInverseDeterminismTest, UpperInverseBitIdenticalAcrossThreads) {
   const LuFactors factors = FactorsOfRandomRwr(300, 2400, 0.95, 18);
-  const CscMatrix sequential = InvertUpperTriangular(factors.upper, 0.0, 1);
+  const CscMatrix sequential = InvertUpperTriangular(factors.upper, 1);
   for (int threads : {2, 4, 8}) {
-    const CscMatrix parallel = InvertUpperTriangular(factors.upper, 0.0, threads);
-    EXPECT_EQ(parallel, sequential) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelInverseDeterminismTest, DropToleranceBitIdenticalAcrossThreads) {
-  const LuFactors factors = FactorsOfRandomRwr(250, 2000, 0.9, 19);
-  const CscMatrix sequential = InvertLowerTriangular(factors.lower, 1e-6, 1);
-  for (int threads : {2, 8}) {
-    const CscMatrix parallel =
-        InvertLowerTriangular(factors.lower, 1e-6, threads);
+    const CscMatrix parallel = InvertUpperTriangular(factors.upper, threads);
     EXPECT_EQ(parallel, sequential) << "threads=" << threads;
   }
 }
@@ -56,9 +46,9 @@ TEST(ParallelInverseDeterminismTest, TinyMatricesAcrossThreads) {
     const LuFactors factors =
         FactorsOfRandomRwr(n, static_cast<Index>(2 * n), 0.9,
                            static_cast<std::uint64_t>(40 + n));
-    const CscMatrix sequential = InvertLowerTriangular(factors.lower, 0.0, 1);
+    const CscMatrix sequential = InvertLowerTriangular(factors.lower, 1);
     for (int threads : {2, 4}) {
-      EXPECT_EQ(InvertLowerTriangular(factors.lower, 0.0, threads), sequential)
+      EXPECT_EQ(InvertLowerTriangular(factors.lower, threads), sequential)
           << "n=" << n << " threads=" << threads;
     }
   }
@@ -75,12 +65,12 @@ TEST(ParallelInverseDeterminismTest, OddBlockBoundariesAcrossThreads) {
   const LuFactors factors = FactorizeLu(BuildRwrSystemMatrix(
       sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
       0.95));
-  const CscMatrix lower = InvertLowerTriangular(factors.lower, 0.0, 1);
-  const CscMatrix upper = InvertUpperTriangular(factors.upper, 0.0, 1);
+  const CscMatrix lower = InvertLowerTriangular(factors.lower, 1);
+  const CscMatrix upper = InvertUpperTriangular(factors.upper, 1);
   for (int threads : {2, 3, 8}) {
-    EXPECT_EQ(InvertLowerTriangular(factors.lower, 0.0, threads), lower)
+    EXPECT_EQ(InvertLowerTriangular(factors.lower, threads), lower)
         << "threads=" << threads;
-    EXPECT_EQ(InvertUpperTriangular(factors.upper, 0.0, threads), upper)
+    EXPECT_EQ(InvertUpperTriangular(factors.upper, threads), upper)
         << "threads=" << threads;
   }
 }

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -92,15 +94,17 @@ TEST(ReorderParallelTest, PermutationsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ReorderParallelTest, LouvainIdenticalAcrossThreadCountsAndSharedPool) {
+  ThreadPool inline_pool(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  const std::vector<std::pair<std::string, ThreadPool*>> pools = {
+      // The process-wide shared pool, whatever size it happens to have.
+      {"shared", &ThreadPool::Shared()}, {"t=2", &pool2}, {"t=8", &pool8}};
   for (const auto& [name, g] : TestGraphs()) {
-    LouvainOptions options;
-    options.num_threads = 1;
-    const LouvainResult reference = RunLouvain(g, options);
-    // 0 = the process-wide shared pool, whatever size it happens to have.
-    for (const int threads : {0, 2, 8}) {
-      options.num_threads = threads;
-      const LouvainResult result = RunLouvain(g, options);
-      const std::string label = name + "/t=" + std::to_string(threads);
+    const LouvainResult reference = RunLouvain(g, {}, inline_pool);
+    for (const auto& [pool_name, pool] : pools) {
+      const LouvainResult result = RunLouvain(g, {}, *pool);
+      const std::string label = name + "/" + pool_name;
       EXPECT_EQ(result.community_of_node, reference.community_of_node) << label;
       EXPECT_EQ(result.num_communities, reference.num_communities) << label;
       EXPECT_EQ(result.modularity, reference.modularity) << label;

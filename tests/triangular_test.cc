@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -99,22 +98,6 @@ TEST(TriangularInverseTest, PaperEquation4Recurrence) {
   }
 }
 
-TEST(TriangularInverseTest, DropToleranceReducesNnzKeepsDiagonal) {
-  const LuFactors factors = FactorsOfRandomRwr(200, 1600, 0.95, 9);
-  const CscMatrix exact = InvertLowerTriangular(factors.lower, 0.0);
-  const CscMatrix dropped = InvertLowerTriangular(factors.lower, 1e-6);
-  EXPECT_LT(dropped.nnz(), exact.nnz());
-  for (NodeId j = 0; j < 200; ++j) {
-    EXPECT_NE(dropped.At(j, j), 0.0) << "diagonal dropped at " << j;
-  }
-  // Every kept entry must match the exact inverse (dropping only removes).
-  for (NodeId j = 0; j < 200; ++j) {
-    for (Index k = dropped.ColBegin(j); k < dropped.ColEnd(j); ++k) {
-      EXPECT_DOUBLE_EQ(dropped.Value(k), exact.At(dropped.RowIndex(k), j));
-    }
-  }
-}
-
 TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
   // c · U⁻¹ L⁻¹ e_q must equal the RWR proximity vector (Eq. 3).
   const NodeId n = 35;
@@ -132,12 +115,10 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
 }
 
 // The oracle for the inverse builders: column j of L⁻¹ (U⁻¹) is the dense
-// solve of L x = e_j (U x = e_j), bit for bit, with exact zeros dropped and,
-// under a drop tolerance, off-diagonal entries with |x_i| <= tolerance
-// dropped too. Returns the number of columns that differ.
+// solve of L x = e_j (U x = e_j), bit for bit, with exact zeros dropped.
+// Returns the number of columns that differ.
 NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
-                                      const CscMatrix& inverse, bool lower,
-                                      Scalar drop_tolerance) {
+                                      const CscMatrix& inverse, bool lower) {
   const NodeId n = factor.cols();
   NodeId differing = 0;
   for (NodeId j = 0; j < n; ++j) {
@@ -153,7 +134,6 @@ NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
     for (NodeId i = 0; i < n; ++i) {
       const Scalar xi = x[static_cast<std::size_t>(i)];
       if (xi == 0.0) continue;
-      if (i != j && std::abs(xi) <= drop_tolerance) continue;
       want_rows.push_back(i);
       want_vals.push_back(xi);
     }
@@ -174,19 +154,13 @@ NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
 
 void ExpectInversesMatchDenseSolve(const LuFactors& factors,
                                    const std::string& label) {
-  for (const Scalar tol : {0.0, 1e-4}) {
-    for (const int threads : {1, 3}) {
-      const CscMatrix l_inv =
-          InvertLowerTriangular(factors.lower, tol, threads);
-      EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.lower, l_inv, true, tol),
-                0)
-          << label << " L, tol=" << tol << " threads=" << threads;
-      const CscMatrix u_inv =
-          InvertUpperTriangular(factors.upper, tol, threads);
-      EXPECT_EQ(
-          ColumnsDifferingFromDenseSolve(factors.upper, u_inv, false, tol), 0)
-          << label << " U, tol=" << tol << " threads=" << threads;
-    }
+  for (const int threads : {1, 3}) {
+    const CscMatrix l_inv = InvertLowerTriangular(factors.lower, threads);
+    EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.lower, l_inv, true), 0)
+        << label << " L, threads=" << threads;
+    const CscMatrix u_inv = InvertUpperTriangular(factors.upper, threads);
+    EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.upper, u_inv, false), 0)
+        << label << " U, threads=" << threads;
   }
 }
 

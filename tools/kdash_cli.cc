@@ -22,7 +22,6 @@
 // `kdash_server <index.kdash>`, which reads stdin when given no --port.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -70,6 +69,7 @@ Result<Engine> OpenIndexFile(const std::string& path) {
 }
 
 using tools::FlagValue;
+using tools::ParseWholeInt;
 
 bool ParseReorder(const std::string& name, reorder::Method* method) {
   if (name == "hybrid") *method = reorder::Method::kHybrid;
@@ -93,8 +93,12 @@ int CmdBuild(const std::vector<std::string>& args) {
     } else if (FlagValue(args[i], "--reorder", &value)) {
       if (!ParseReorder(value, &options.index.reorder_method)) return Usage();
     } else if (FlagValue(args[i], "--shards", &value)) {
-      shards = std::atoi(value.c_str());
-      if (shards < 1) return Usage();
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed) || parsed < 1 ||
+          parsed > std::numeric_limits<int>::max()) {
+        return Usage();
+      }
+      shards = static_cast<int>(parsed);
     } else if (args[i] == "--undirected") {
       undirected = true;
     } else {
@@ -165,15 +169,14 @@ int CmdQuery(const std::vector<std::string>& args) {
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--k", &value)) {
-      const long long parsed = std::atoll(value.c_str());
-      if (parsed <= 0) return Usage();
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed) || parsed <= 0) return Usage();
       k = static_cast<std::size_t>(parsed);
     } else if (args[i] == "--personalized") {
       personalized = true;
     } else {
-      char* end = nullptr;
-      const long long id = std::strtoll(args[i].c_str(), &end, 10);
-      if (end == args[i].c_str() || *end != '\0' ||
+      long long id = 0;
+      if (!ParseWholeInt(args[i], &id) ||
           id < std::numeric_limits<NodeId>::min() ||
           id > std::numeric_limits<NodeId>::max()) {
         std::fprintf(stderr, "error: bad node id '%s'\n", args[i].c_str());
@@ -213,7 +216,6 @@ int CmdStats(const std::vector<std::string>& args) {
   std::printf("restart prob (c) : %.4f\n", index.restart_prob());
   std::printf("reordering       : %s\n",
               reorder::MethodName(index.options().reorder_method).c_str());
-  std::printf("drop tolerance   : %g\n", index.options().drop_tolerance);
   std::printf("nnz L^-1 / U^-1  : %lld / %lld\n",
               static_cast<long long>(stats.nnz_lower_inverse),
               static_cast<long long>(stats.nnz_upper_inverse));
@@ -233,7 +235,9 @@ int CmdGenerate(const std::vector<std::string>& args) {
     if (FlagValue(args[i], "--scale", &value)) {
       scale = std::atof(value.c_str());
     } else if (FlagValue(args[i], "--seed", &value)) {
-      seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      long long parsed = 0;
+      if (!ParseWholeInt(value, &parsed)) return Usage();
+      seed = static_cast<std::uint64_t>(parsed);
     } else {
       return Usage();
     }

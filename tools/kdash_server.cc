@@ -79,7 +79,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <limits>
@@ -138,15 +137,10 @@ int Fail(const Status& status) {
   return 1;
 }
 
-bool ParseInt(const std::string& text, long long* value) {
-  char* end = nullptr;
-  *value = std::strtoll(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
-}
-
 bool NumericFlag(const std::string& arg, const char* name, long long* value) {
   std::string text;
-  return tools::FlagValue(arg, name, &text) && ParseInt(text, value);
+  return tools::FlagValue(arg, name, &text) &&
+         tools::ParseWholeInt(text, value);
 }
 
 // "a,b,..." → non-negative shard ids; false on an empty or malformed list.
@@ -154,7 +148,7 @@ bool ParseShardList(const std::string& text, std::vector<int>* shards) {
   std::istringstream list(text);
   for (std::string token; std::getline(list, token, ',');) {
     long long id = 0;
-    if (!ParseInt(token, &id) || id < 0 ||
+    if (!tools::ParseWholeInt(token, &id) || id < 0 ||
         id > std::numeric_limits<int>::max()) {
       return false;
     }
