@@ -262,6 +262,10 @@ int Main() {
   cached_options.cache_entries = 1024;
   obs::Counter& cache_hits =
       obs::MetricRegistry::Global().GetCounter("cache.hit");
+  obs::Counter& coalesced =
+      obs::MetricRegistry::Global().GetCounter("scheduler.coalesced");
+  obs::Counter& submitted =
+      obs::MetricRegistry::Global().GetCounter("scheduler.submitted");
 
   const std::vector<int> client_counts{1, 2, 4, 8};
   PrintTableHeader({"clients", "sync_qps", "sched_qps", "sched_x",
@@ -287,15 +291,17 @@ int Main() {
     double cache_hit_frac = 0.0;
     for (int rep = 0; rep < 5; ++rep) {
       sync_runs.push_back(RunSync(*engine, clients, queries));
+      const std::uint64_t coalesced_before = coalesced.Value();
+      const std::uint64_t submitted_before = submitted.Value();
       serving::BatchScheduler scheduler(
           [&](std::span<const Query> batch) { return engine->SearchBatch(batch); },
           scheduler_options);
       Measurement m = RunScheduled(scheduler, clients, queries);
       scheduler.Shutdown();
-      const auto stats = scheduler.stats();
-      m.coalesced_frac = static_cast<double>(stats.coalesced) /
-                         static_cast<double>(std::max<std::uint64_t>(
-                             1, stats.submitted));
+      m.coalesced_frac =
+          static_cast<double>(coalesced.Value() - coalesced_before) /
+          static_cast<double>(std::max<std::uint64_t>(
+              1, submitted.Value() - submitted_before));
       scheduled_runs.push_back(m);
       // Paired ratio: this rep's sync and scheduled runs are adjacent in
       // time, so machine-load drift cancels out of the quotient.

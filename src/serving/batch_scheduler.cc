@@ -1,6 +1,7 @@
 #include "serving/batch_scheduler.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -69,7 +70,6 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
   {
     MutexLock lock(mutex_);
     if (shutdown_) {
-      ++stats_.rejected;
       metrics_.rejected->Add();
       request.promise.set_value(Status::Unavailable(
           "batch scheduler is shut down and not accepting requests"));
@@ -80,14 +80,12 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
       // Admission control: shedding here keeps queueing delay bounded and
       // tells the client to back off, instead of letting overload show up
       // as unbounded latency (and memory) growth.
-      ++stats_.shed;
       metrics_.shed->Add();
       request.promise.set_value(Status::ResourceExhausted(
           "scheduler queue full (" + std::to_string(queue_.size()) +
           " pending); request shed — retry with backoff"));
       return future;
     }
-    ++stats_.submitted;
     metrics_.submitted->Add();
     queue_.push_back(std::move(request));
     metrics_.queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
@@ -114,7 +112,6 @@ void BatchScheduler::SchedulerLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    ++stats_.batches_dispatched;
     metrics_.batches_dispatched->Add();
     metrics_.queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
 
@@ -137,8 +134,8 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
   }
 
   // Expire overdue requests without touching the backend. Their promises
-  // are fulfilled below, after the stats update — a caller that has seen
-  // all its futures resolve must also see them counted.
+  // are fulfilled below, after the counters are bumped — a caller that has
+  // seen all its futures resolve must also see them counted.
   const Clock::time_point now = Clock::now();
   std::vector<Request> live;
   live.reserve(batch.size());
@@ -273,13 +270,6 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
   for (const Result<SearchResult>& outcome : outcomes) {
     if (outcome.ok() && outcome->degraded()) ++degraded;
   }
-  {
-    MutexLock lock(mutex_);
-    stats_.deadline_expired += overdue.size();
-    stats_.served += live.size();
-    stats_.coalesced += coalesced;
-    stats_.degraded += degraded;
-  }
   metrics_.deadline_expired->Add(overdue.size());
   metrics_.served->Add(live.size());
   metrics_.coalesced->Add(coalesced);
@@ -315,29 +305,6 @@ void BatchScheduler::Shutdown() {
   // Serialize the join so concurrent Shutdown calls are safe.
   MutexLock join_lock(join_mutex_);
   if (scheduler_.joinable()) scheduler_.join();
-}
-
-BatchScheduler::Stats BatchScheduler::stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
-
-std::string BatchScheduler::Stats::ToJson() const {
-  std::string out = "{";
-  const auto field = [&out](const char* key, std::uint64_t value) {
-    if (out.size() > 1) out.append(",");
-    out.append("\"").append(key).append("\":").append(std::to_string(value));
-  };
-  field("submitted", submitted);
-  field("batches_dispatched", batches_dispatched);
-  field("served", served);
-  field("coalesced", coalesced);
-  field("deadline_expired", deadline_expired);
-  field("rejected", rejected);
-  field("shed", shed);
-  field("degraded", degraded);
-  out.append("}");
-  return out;
 }
 
 }  // namespace kdash::serving

@@ -39,6 +39,12 @@
 //     past that, Submit resolves immediately to kResourceExhausted (shed)
 //     instead of queueing unboundedly — under overload latency stays
 //     bounded and the client gets a machine-readable "back off" signal.
+//   - Accounting lives in the metric registry (obs/metrics.h), counted
+//     before the request's future resolves: every Submit lands in exactly
+//     one of scheduler.{rejected, shed, submitted}, and every submitted
+//     request in exactly one of scheduler.{served, deadline_expired}.
+//     scheduler.coalesced counts duplicates answered by a batchmate and
+//     scheduler.degraded the served results with shards_failed > 0.
 #ifndef KDASH_SERVING_BATCH_SCHEDULER_H_
 #define KDASH_SERVING_BATCH_SCHEDULER_H_
 
@@ -51,8 +57,6 @@
 #include <span>
 #include <thread>
 #include <vector>
-
-#include <string>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -74,7 +78,7 @@ struct BatchSchedulerOptions {
   // Cross-batch result cache (serving/result_cache.h): keep the complete
   // results of up to this many distinct queries and answer repeats without
   // touching the backend. 0 (the default) disables caching — results and
-  // stats are then exactly the pre-cache scheduler's.
+  // counters are then exactly the pre-cache scheduler's.
   std::size_t cache_entries = 0;
 
   // Invalidation hook for updatable backends: polled once per batch; when
@@ -114,27 +118,6 @@ class BatchScheduler {
   // Idempotent and safe to call concurrently with Submit.
   void Shutdown();
 
-  // Every Submit call lands in exactly one of {rejected, shed, submitted},
-  // and every submitted request eventually lands in exactly one of
-  // {served, deadline_expired} — so after all futures resolve,
-  // submitted == served + deadline_expired.
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t batches_dispatched = 0;
-    std::uint64_t served = 0;             // resolved through the backend
-    std::uint64_t coalesced = 0;          // duplicates answered by a batchmate
-    std::uint64_t deadline_expired = 0;   // resolved to kDeadlineExceeded
-    std::uint64_t rejected = 0;           // submitted after shutdown
-    std::uint64_t shed = 0;               // refused: queue at max_queue_depth
-    std::uint64_t degraded = 0;           // served with shards_failed > 0
-
-    // One JSON object, keys matching the registry's scheduler.* metric
-    // suffixes (scheduler.submitted ↔ "submitted", ...), so the server has
-    // one stats vocabulary instead of a hand-rolled struct dump.
-    std::string ToJson() const;
-  };
-  Stats stats() const;
-
  private:
   struct Request {
     Query query;
@@ -147,9 +130,8 @@ class BatchScheduler {
   };
 
   // Process-global registry handles, resolved once at construction (metric
-  // lookup locks; Submit and the scheduler loop must not). Counters mirror
-  // the per-instance stats_ — the registry aggregates across every
-  // scheduler in the process, stats() stays per-instance.
+  // lookup locks; Submit and the scheduler loop must not). Counters add up
+  // across every scheduler in the process (see the contract above).
   struct Metrics {
     obs::Counter* submitted;
     obs::Counter* batches_dispatched;
@@ -186,12 +168,11 @@ class BatchScheduler {
   std::unique_ptr<ResultCache> cache_;
   std::uint64_t last_backend_epoch_ = 0;
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   Mutex join_mutex_;  // serializes concurrent Shutdown joins
   CondVar wake_scheduler_;
   std::deque<Request> queue_ KDASH_GUARDED_BY(mutex_);
   bool shutdown_ KDASH_GUARDED_BY(mutex_) = false;
-  Stats stats_ KDASH_GUARDED_BY(mutex_);
 
   std::thread scheduler_;  // started last, so it sees a fully-built object
 };

@@ -102,9 +102,10 @@ struct FanOutTally {
 // searches every other member whose score_bound is not strictly below θ;
 // no node of a skipped member can displace k found candidates, so answers
 // stay bit-identical. Failures are scanned per query in member order, so
-// the reported error never depends on timing. `policy` is the caller's
-// snapshot for the whole call; `merge_span` names the trace span of each
-// query's merge. Fills *tally even when the call fails.
+// the reported error never depends on timing. `policy` is the caller's,
+// fixed when it was built, opened or connected, so no lock guards it;
+// `merge_span` names the trace span of each query's merge. Fills *tally
+// even when the call fails.
 [[nodiscard]] Result<std::vector<SearchResult>> FanOut(
     const ShardSet& members, std::span<const Query> queries,
     const ShardFailurePolicy& policy, ThreadPool& pool, const char* merge_span,

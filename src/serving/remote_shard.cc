@@ -44,19 +44,15 @@ const RemoteMetrics& Metrics() {
   return metrics;
 }
 
-// Milliseconds until `deadline`, rounded up, clamped to [0, 60s] for
-// poll()'s int argument. An already-passed deadline polls with 0 (one
-// non-blocking readiness check).
+}  // namespace
+
 int PollTimeoutMs(std::chrono::steady_clock::time_point deadline) {
   const auto remaining = deadline - std::chrono::steady_clock::now();
   if (remaining.count() <= 0) return 0;
   const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(remaining).count() +
-      1;
+      std::chrono::ceil<std::chrono::milliseconds>(remaining).count();
   return static_cast<int>(std::min<long long>(ms, 60'000));
 }
-
-}  // namespace
 
 RemoteWorker::Call::~Call() {
   if (fd_ >= 0) ::close(fd_);
@@ -203,26 +199,32 @@ Result<RemoteWorker::Call> RemoteWorker::Begin(const std::string& line) {
   Metrics().requests->Add();
   const Status sent = [&]() -> Status {
     KDASH_INJECT_FAULT("remote.send");
-    const std::string payload = line + "\n";
-    std::size_t done = 0;
-    while (done < payload.size()) {
-      const ssize_t wrote = ::send(call->fd_, payload.data() + done,
-                                   payload.size() - done, MSG_NOSIGNAL);
-      if (wrote < 0 && errno == EINTR) continue;
-      if (wrote <= 0) {
-        return Status::Unavailable("send to " + endpoint_.ToString() +
-                                   " failed");
-      }
-      done += static_cast<std::size_t>(wrote);
-    }
-    return Status::Ok();
+    return SendLine(*call, line);
   }();
-  if (!sent.ok()) {
-    Metrics().io_errors->Add();
-    MarkTransportFailure();
-    return sent;  // the Call's destructor closes the poisoned connection
-  }
+  if (!sent.ok()) return FailIo(sent);
   return std::move(*call);
+}
+
+Status RemoteWorker::SendLine(const Call& call, std::string_view line) {
+  const std::string payload = std::string(line) + "\n";
+  std::size_t done = 0;
+  while (done < payload.size()) {
+    const ssize_t wrote = ::send(call.fd_, payload.data() + done,
+                                 payload.size() - done, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      return Status::Unavailable("send to " + endpoint_.ToString() +
+                                 " failed");
+    }
+    done += static_cast<std::size_t>(wrote);
+  }
+  return Status::Ok();
+}
+
+Status RemoteWorker::FailIo(Status status) {
+  Metrics().io_errors->Add();
+  MarkTransportFailure();
+  return status;
 }
 
 Result<std::string> RemoteWorker::Finish(
@@ -230,14 +232,11 @@ Result<std::string> RemoteWorker::Finish(
   if (!call.active()) {
     return Status::Internal("Finish on an inactive remote call");
   }
-  const auto fail_io = [&](Status status) -> Status {
-    Metrics().io_errors->Add();
-    MarkTransportFailure();
-    return status;  // `call` goes out of scope and closes the connection
-  };
+  // Every failure below returns FailIo(...): `call` goes out of scope and
+  // closes the connection.
   if (fault::AnyArmed()) {
     const Status injected = fault::Check("remote.recv");
-    if (!injected.ok()) return fail_io(injected);
+    if (!injected.ok()) return FailIo(injected);
   }
   for (;;) {
     const std::size_t newline = call.buffer_.find('\n');
@@ -258,12 +257,12 @@ Result<std::string> RemoteWorker::Finish(
     const int ready = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (ready < 0 && errno == EINTR) continue;
     if (ready < 0) {
-      return fail_io(Status::Unavailable("poll on " + endpoint_.ToString() +
-                                         " failed"));
+      return FailIo(Status::Unavailable("poll on " + endpoint_.ToString() +
+                                        " failed"));
     }
     if (ready == 0) {
       if (std::chrono::steady_clock::now() >= deadline) {
-        return fail_io(Status::DeadlineExceeded(
+        return FailIo(Status::DeadlineExceeded(
             "no response from " + endpoint_.ToString() +
             " before the deadline"));
       }
@@ -273,7 +272,7 @@ Result<std::string> RemoteWorker::Finish(
     const ssize_t got = ::recv(call.fd_, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) {
-      return fail_io(
+      return FailIo(
           Status::Unavailable(endpoint_.ToString() + " closed the connection"));
     }
     call.buffer_.append(chunk, static_cast<std::size_t>(got));
@@ -292,25 +291,12 @@ Status RemoteWorker::Probe() {
     MarkTransportFailure();
     return call.status();
   }
-  // Reuse Begin's send path by hand: the probe already holds a connection
-  // (checked out past the backoff gate, which Begin would re-apply).
+  // Not Begin: the probe already holds a connection (checked out past the
+  // backoff gate, which Begin would re-apply), and the remote.send fault
+  // site stays on the query path.
   Metrics().requests->Add();
-  {
-    const std::string payload = std::string(wire::PingLine()) + "\n";
-    std::size_t done = 0;
-    while (done < payload.size()) {
-      const ssize_t wrote = ::send(call->fd_, payload.data() + done,
-                                   payload.size() - done, MSG_NOSIGNAL);
-      if (wrote < 0 && errno == EINTR) continue;
-      if (wrote <= 0) {
-        Metrics().io_errors->Add();
-        MarkTransportFailure();
-        return Status::Unavailable("ping send to " + endpoint_.ToString() +
-                                   " failed");
-      }
-      done += static_cast<std::size_t>(wrote);
-    }
-  }
+  const Status sent = SendLine(*call, wire::PingLine());
+  if (!sent.ok()) return FailIo(sent);
   KDASH_ASSIGN_OR_RETURN(
       std::string line,
       Finish(std::move(*call),

@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,12 @@ struct RemoteOptions {
   // Consecutive transport failures before healthy() flips false.
   int down_after_failures = 3;
 };
+
+// Milliseconds until `deadline` for poll(), rounded up so a wait never
+// ends before it, clamped to [0, 60 s] for poll()'s int argument (callers
+// re-poll until the deadline has really passed). An already-passed
+// deadline gives 0: one non-blocking readiness check.
+int PollTimeoutMs(std::chrono::steady_clock::time_point deadline);
 
 class RemoteWorker {
  public:
@@ -129,6 +136,14 @@ class RemoteWorker {
   // Pop a pooled connection or dial, honoring the backoff gate unless
   // `bypass_backoff`.
   [[nodiscard]] Result<Call> CheckOut(bool bypass_backoff);
+
+  // Writes `line` plus a newline on the call's connection, looping over
+  // short writes. kUnavailable when the connection fails mid-line.
+  [[nodiscard]] Status SendLine(const Call& call, std::string_view line);
+
+  // Counts an IO error against the endpoint's health and returns `status`.
+  // The caller drops the call, whose destructor closes the connection.
+  Status FailIo(Status status);
 
   void MarkTransportFailure();
   void MarkTransportSuccess();

@@ -71,8 +71,7 @@ std::vector<std::string> SplitOn(const std::string& text, char separator) {
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      metrics_(std::make_unique<RouterMetrics>()),
-      policy_(options_.failure_policy) {}
+      metrics_(std::make_unique<RouterMetrics>()) {}
 
 Result<std::unique_ptr<Router>> Router::Connect(const std::string& spec,
                                                 RouterOptions options) {
@@ -157,16 +156,6 @@ Router::~Router() {
   }
 }
 
-ShardFailurePolicy Router::failure_policy() const {
-  MutexLock lock(policy_mutex_);
-  return policy_;
-}
-
-void Router::set_failure_policy(const ShardFailurePolicy& policy) {
-  MutexLock lock(policy_mutex_);
-  policy_ = policy;
-}
-
 int Router::SlotWeight(std::size_t slot) const {
   // Replicas serve identical shards; trust the largest advertisement (a
   // replica that never answered a pong still defaults to 1).
@@ -215,17 +204,20 @@ Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
   Result<std::string> response = Status::Internal("unreachable");
   bool resolved = false;
   if (options_.hedging && hedge != nullptr) {
-    // Give the primary the hedge delay; re-issue to the replica only when
-    // it misses it, then take whichever answers first.
-    const auto hedge_at = std::chrono::steady_clock::now() + HedgeDelay();
+    // Give the primary the full hedge delay; re-issue to the replica only
+    // when it misses it, then take whichever answers first. poll() counts
+    // whole milliseconds, so the wait rounds up and re-polls until the
+    // hedge instant has really passed — a hedge never fires early.
+    const auto wait_until =
+        std::min(std::chrono::steady_clock::now() + HedgeDelay(), deadline);
     int ready = 0;
     for (;;) {
       pollfd pfd{call.fd(), POLLIN, 0};
-      const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::min(hedge_at, deadline) - std::chrono::steady_clock::now());
-      ready = ::poll(&pfd, 1,
-                     wait.count() > 0 ? static_cast<int>(wait.count()) : 0);
+      ready = ::poll(&pfd, 1, PollTimeoutMs(wait_until));
       if (ready < 0 && errno == EINTR) continue;
+      if (ready == 0 && std::chrono::steady_clock::now() < wait_until) {
+        continue;
+      }
       break;
     }
     if (ready == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -236,20 +228,14 @@ Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
       if (hedged.ok()) {
         for (;;) {
           pollfd fds[2] = {{call.fd(), POLLIN, 0}, {hedged->fd(), POLLIN, 0}};
-          const auto wait =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  deadline - std::chrono::steady_clock::now());
-          const int both =
-              ::poll(fds, 2,
-                     wait.count() > 0 ? static_cast<int>(wait.count()) : 0);
+          const int both = ::poll(fds, 2, PollTimeoutMs(deadline));
           if (both < 0 && errno == EINTR) continue;
-          if (both == 0) {
-            // Neither made the deadline; Finish on the primary surfaces
-            // the deadline status and handles health accounting.
-            hedge->Abandon(std::move(*hedged));
-            break;
+          if (both == 0 && std::chrono::steady_clock::now() < deadline) {
+            continue;
           }
-          if (both < 0) {
+          if (both <= 0) {
+            // Neither made the deadline (or poll failed); Finish on the
+            // primary surfaces the status and handles health accounting.
             hedge->Abandon(std::move(*hedged));
             break;
           }
@@ -352,8 +338,8 @@ Result<std::vector<SearchResult>> Router::SearchBatch(
   if (queries.empty()) return std::vector<SearchResult>{};
   // The IO pool, never the shared one: slot attempts block on recv().
   FanOutTally tally;
-  auto results = FanOut(Slots(*this), queries, failure_policy(), *io_pool_,
-                        "router.merge", &tally);
+  auto results = FanOut(Slots(*this), queries, options_.failure_policy,
+                        *io_pool_, "router.merge", &tally);
   metrics_->degraded_queries->Add(tally.degraded);
   return results;
 }

@@ -53,7 +53,8 @@ struct RouterOptions {
   // Same semantics as the in-process fan-out: kFailFast fails the query on
   // the first slot failure, kRetry retries a failing slot (across its
   // replicas), kDegrade additionally drops a slot that stays dead and
-  // serves the exact merge of the survivors.
+  // serves the exact merge of the survivors. Fixed for the router's
+  // lifetime; Connect rejects an invalid one with kInvalidArgument.
   ShardFailurePolicy failure_policy;
 
   // Transport knobs applied to every worker connection.
@@ -110,11 +111,6 @@ class Router {
   // True iff any replica of the slot is currently marked healthy.
   bool slot_healthy(int slot) const;
 
-  // Policy snapshot/replacement, thread-safe with in-flight queries (same
-  // whole-query snapshot rule as ShardedEngine).
-  ShardFailurePolicy failure_policy() const;
-  void set_failure_policy(const ShardFailurePolicy& policy);
-
  private:
   explicit Router(RouterOptions options);
 
@@ -138,9 +134,6 @@ class Router {
   // Registry handles resolved once at Connect (lookups lock).
   struct RouterMetrics;
   std::unique_ptr<RouterMetrics> metrics_;
-
-  mutable Mutex policy_mutex_;
-  ShardFailurePolicy policy_ KDASH_GUARDED_BY(policy_mutex_);
 
   // Prober shutdown handshake.
   mutable Mutex prober_mutex_;

@@ -13,7 +13,6 @@
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
-#include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -22,23 +21,19 @@
 namespace kdash::serving {
 
 struct ShardedEngine::ControlBlock {
-  // Counters are atomics: fan-out workers bump them concurrently and a
-  // relaxed add is all the accounting needs.
-  std::atomic<std::uint64_t> shard_failures{0};
-  std::atomic<std::uint64_t> shard_retries{0};
-  std::atomic<std::uint64_t> degraded_queries{0};
+  // Per-engine skip count (shards_skipped()); concurrent SearchBatch calls
+  // bump it, and a relaxed add is all the accounting needs.
   std::atomic<std::uint64_t> shards_skipped{0};
 
   // Bound-based shard skipping (see the header). On by default; an atomic
-  // bool rather than policy state because flipping it mid-flight is safe —
-  // any individual fan-out reads it once.
+  // bool because flipping it mid-flight is safe — any individual fan-out
+  // reads it once.
   std::atomic<bool> skip_enabled{true};
 
-  // Registry mirrors of the counters above (process-cumulative, across
-  // every ShardedEngine) plus the per-shard latency histograms, resolved
-  // once so the fan-out hot path never takes the registry lock. The
-  // histogram vector is filled by SetShards once the served shards are
-  // known (Build/Open).
+  // Registry counters (process-cumulative, across every ShardedEngine) plus
+  // the per-shard latency histograms, resolved once so the fan-out hot
+  // path never takes the registry lock. The histogram vector is filled by
+  // SetShards once the served shards are known (Build/Open).
   obs::Counter* m_shard_failures =
       &obs::MetricRegistry::Global().GetCounter("serving.shard_failures");
   obs::Counter* m_shard_retries =
@@ -48,35 +43,12 @@ struct ShardedEngine::ControlBlock {
   obs::Counter* m_shards_skipped =
       &obs::MetricRegistry::Global().GetCounter("serving.shards_skipped");
   std::vector<obs::Histogram*> m_shard_latency_us;  // parallel to shards_
-
-  // The failure policy is multi-field, so it gets a real lock: SearchBatch
-  // snapshots it once per call and set_failure_policy replaces it whole —
-  // a policy change never tears across one query's shard attempts.
-  mutable Mutex policy_mutex;
-  ShardFailurePolicy policy KDASH_GUARDED_BY(policy_mutex);
 };
 
 ShardedEngine::ShardedEngine() : control_(std::make_unique<ControlBlock>()) {}
 ShardedEngine::ShardedEngine(ShardedEngine&&) noexcept = default;
 ShardedEngine& ShardedEngine::operator=(ShardedEngine&&) noexcept = default;
 ShardedEngine::~ShardedEngine() = default;
-
-ShardedEngine::FailureStats ShardedEngine::failure_stats() const {
-  FailureStats stats;
-  stats.shard_failures =
-      control_->shard_failures.load(std::memory_order_relaxed);
-  stats.shard_retries =
-      control_->shard_retries.load(std::memory_order_relaxed);
-  stats.degraded_queries =
-      control_->degraded_queries.load(std::memory_order_relaxed);
-  return stats;
-}
-
-std::string ShardedEngine::FailureStats::ToJson() const {
-  return "{\"shard_failures\":" + std::to_string(shard_failures) +
-         ",\"shard_retries\":" + std::to_string(shard_retries) +
-         ",\"degraded_queries\":" + std::to_string(degraded_queries) + "}";
-}
 
 bool ShardedEngine::skip_enabled() const {
   return control_->skip_enabled.load(std::memory_order_relaxed);
@@ -88,16 +60,6 @@ void ShardedEngine::set_skip_enabled(bool enabled) {
 
 std::uint64_t ShardedEngine::shards_skipped() const {
   return control_->shards_skipped.load(std::memory_order_relaxed);
-}
-
-ShardFailurePolicy ShardedEngine::failure_policy() const {
-  MutexLock lock(control_->policy_mutex);
-  return control_->policy;
-}
-
-void ShardedEngine::set_failure_policy(const ShardFailurePolicy& policy) {
-  MutexLock lock(control_->policy_mutex);
-  control_->policy = policy;
 }
 
 namespace {
@@ -149,7 +111,7 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
 
   ShardedEngine sharded;
   sharded.num_nodes_ = graph.num_nodes();
-  sharded.set_failure_policy(options.failure_policy);
+  sharded.policy_ = options.failure_policy;
   sharded.bounds_ = MakeBounds(graph.num_nodes(), options.num_shards);
 
   const auto num_shards = static_cast<std::size_t>(options.num_shards);
@@ -214,12 +176,10 @@ Status ShardedEngine::Save(const std::string& dir) const {
       });
 }
 
-Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
-  return Open(dir, {});
-}
-
 Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
-                                          const std::vector<int>& shards) {
+                                          const std::vector<int>& shards,
+                                          const ShardFailurePolicy& policy) {
+  KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(policy));
   const std::string manifest_path = dir + "/" + kManifestName;
   std::ifstream manifest(manifest_path);
   if (!manifest.good()) {
@@ -339,6 +299,7 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
 
   ShardedEngine sharded;
   sharded.num_nodes_ = num_nodes;
+  sharded.policy_ = policy;
   sharded.bounds_ = std::move(bounds);
   sharded.SetShards(std::move(ids), std::move(engines));
   return sharded;
@@ -416,20 +377,16 @@ Result<SearchResult> ShardedEngine::Search(const Query& query) const {
 Result<std::vector<SearchResult>> ShardedEngine::SearchBatch(
     std::span<const Query> queries) const {
   if (queries.empty()) return std::vector<SearchResult>{};
-  // Skipping reads its flag once per call, like the policy snapshot.
+  // Skipping reads its flag once per call.
   const Members members(*this, skip_enabled());
   FanOutTally tally;
-  auto results = FanOut(members, queries, failure_policy(),
-                        ThreadPool::Shared(), "sharded.merge", &tally);
+  auto results = FanOut(members, queries, policy_, ThreadPool::Shared(),
+                        "sharded.merge", &tally);
   ControlBlock& control = *control_;
-  control.shard_failures.fetch_add(tally.failures, std::memory_order_relaxed);
   control.m_shard_failures->Add(tally.failures);
-  control.shard_retries.fetch_add(tally.retries, std::memory_order_relaxed);
   control.m_shard_retries->Add(tally.retries);
   control.shards_skipped.fetch_add(tally.skipped, std::memory_order_relaxed);
   control.m_shards_skipped->Add(tally.skipped);
-  control.degraded_queries.fetch_add(tally.degraded,
-                                     std::memory_order_relaxed);
   control.m_degraded_queries->Add(tally.degraded);
   return results;
 }

@@ -69,16 +69,18 @@ class ShardedEngine {
   // per-shard files, validated end to end (missing manifest/shard file =
   // kNotFound, malformed manifest = kDataLoss, version mismatch =
   // kFailedPrecondition, shards not partitioning [0, n) = kDataLoss). Only
-  // the files the MANIFEST lists are read, in parallel on the thread pool.
-  [[nodiscard]] static Result<ShardedEngine> Open(const std::string& dir);
-
-  // Open only the listed shards (MANIFEST ids; empty = all) — what one
+  // the served shards' files are read, in parallel on the thread pool.
+  //
+  // `shards` lists the MANIFEST ids to serve (empty = all) — what one
   // process of a multi-process topology serves. A duplicate or
   // out-of-range id is kInvalidArgument. Answers are the exact top-k over
   // the listed shards' nodes; per-shard metric and fault-site names keep
-  // the MANIFEST id.
+  // the MANIFEST id. `policy` is the failure policy for every later
+  // Search/SearchBatch, fixed for the engine's lifetime like Build's; an
+  // invalid one is kInvalidArgument.
   [[nodiscard]] static Result<ShardedEngine> Open(
-      const std::string& dir, const std::vector<int>& shards);
+      const std::string& dir, const std::vector<int>& shards = {},
+      const ShardFailurePolicy& policy = {});
 
   // Persist as a directory: one index file per shard, then the MANIFEST.
   // Each file is replaced atomically (common/atomic_file.h).
@@ -124,34 +126,15 @@ class ShardedEngine {
   void set_skip_enabled(bool enabled);
 
   // Cumulative (query, shard) fan-out slots pruned by the bound, across
-  // every Search/SearchBatch on this engine. Also mirrored into the
-  // process-wide "serving.shards_skipped" counter.
+  // every Search/SearchBatch on this engine. Also counted into the
+  // process-wide "serving.shards_skipped" counter, next to the fan-out's
+  // serving.{shard_failures, shard_retries, degraded_queries}.
   std::uint64_t shards_skipped() const;
 
   // Shard s's precomputed score bound (diagnostics/tests).
   Scalar shard_score_bound(int s) const {
     return shard_score_bounds_[static_cast<std::size_t>(s)];
   }
-
-  // Failure policy. The setter is for engines opened from disk (Open takes
-  // no options). Both are thread-safe: the policy lives behind its own
-  // mutex and every fan-out snapshots it once at entry, so a concurrent
-  // set_failure_policy applies to whole queries, never to half a fan-out.
-  ShardFailurePolicy failure_policy() const;
-  void set_failure_policy(const ShardFailurePolicy& policy);
-
-  // Cumulative failure-domain counters across every Search/SearchBatch on
-  // this engine (thread-safe; snapshot semantics).
-  struct FailureStats {
-    std::uint64_t shard_failures = 0;   // individual shard attempts that failed
-    std::uint64_t shard_retries = 0;    // retry attempts issued
-    std::uint64_t degraded_queries = 0; // answered from a strict shard subset
-
-    // One JSON object, keys matching the registry's serving.* metric
-    // suffixes (serving.shard_failures ↔ "shard_failures", ...).
-    std::string ToJson() const;
-  };
-  FailureStats failure_stats() const;
 
   ShardedEngine(ShardedEngine&&) noexcept;
   ShardedEngine& operator=(ShardedEngine&&) noexcept;
@@ -160,9 +143,9 @@ class ShardedEngine {
   ~ShardedEngine();
 
  private:
-  // Atomic FailureStats backing store plus the mutex-guarded failure
-  // policy (see .cc). Behind a unique_ptr: atomics and Mutex are neither
-  // movable nor copyable, but a ShardedEngine is movable.
+  // The shard-skip flag and counter plus registry handles (see .cc).
+  // Behind a unique_ptr: atomics are neither movable nor copyable, but a
+  // ShardedEngine is movable.
   struct ControlBlock;
 
   // The served shards as the fan-out's member set, for one call (.cc).
@@ -185,6 +168,8 @@ class ShardedEngine {
   std::vector<int> shard_ids_;  // MANIFEST id of each served shard, ascending
   std::vector<Engine> shards_;
   std::vector<Scalar> shard_score_bounds_;  // parallel to shards_
+  // Fixed at Build/Open; read without a lock by every fan-out.
+  ShardFailurePolicy policy_;
   std::unique_ptr<ControlBlock> control_;
 };
 

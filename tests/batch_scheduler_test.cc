@@ -55,6 +55,9 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
   BatchSchedulerOptions options;
   options.max_batch_size = 16;
   test::BackendGate gate;
+  const test::CounterDelta submitted("scheduler.submitted");
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta batches("scheduler.batches_dispatched");
   BatchScheduler scheduler(gate.Wrap(EngineBackend(engine)), options);
 
   // Every submitter's requests queue behind the gated occupant, so they
@@ -101,11 +104,10 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
     }
   }
 
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread + 1);  // + the occupant
-  EXPECT_EQ(stats.served, kThreads * kPerThread + 1);
+  EXPECT_EQ(submitted(), kThreads * kPerThread + 1);  // + the occupant
+  EXPECT_EQ(served(), kThreads * kPerThread + 1);
   // Coalescing actually happened: strictly fewer dispatches than requests.
-  EXPECT_LT(stats.batches_dispatched, stats.submitted);
+  EXPECT_LT(batches(), submitted());
 }
 
 TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
@@ -114,6 +116,7 @@ TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
   std::atomic<int> backend_calls{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // each request dispatches alone
+  const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         ++backend_calls;
@@ -130,13 +133,14 @@ TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(backend_calls.load(), 1);
-  EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
+  EXPECT_EQ(deadline_expired(), 1u);
 }
 
 TEST(BatchSchedulerTest, ShutdownDrainsAcceptedFutures) {
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
+  const test::CounterDelta served("scheduler.served");
   BatchScheduler scheduler(EngineBackend(engine), options);
 
   std::vector<std::future<Result<SearchResult>>> futures;
@@ -149,18 +153,19 @@ TEST(BatchSchedulerTest, ShutdownDrainsAcceptedFutures) {
         << "shutdown returned before draining";
     EXPECT_TRUE(future.get().ok());
   }
-  EXPECT_EQ(scheduler.stats().served, 30u);
+  EXPECT_EQ(served(), 30u);
 }
 
 TEST(BatchSchedulerTest, SubmitAfterShutdownIsUnavailable) {
   const Engine engine = BuildTestEngine();
+  const test::CounterDelta rejected("scheduler.rejected");
   BatchScheduler scheduler(EngineBackend(engine));
   scheduler.Shutdown();
   auto future = scheduler.Submit(Query::Single(0, 5));
   const auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(scheduler.stats().rejected, 1u);
+  EXPECT_EQ(rejected(), 1u);
 }
 
 TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
@@ -169,6 +174,8 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   BatchSchedulerOptions options;
   options.max_batch_size = 32;
   test::BackendGate gate;
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta coalesced("scheduler.coalesced");
   BatchScheduler scheduler(
       gate.Wrap([&](std::span<const Query> queries) {
         backend_queries += queries.size();
@@ -197,12 +204,11 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
     }
   }
 
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 20u + 1);  // + the occupant
+  EXPECT_EQ(served(), 20u + 1);  // + the occupant
   // Duplicates shared a computation: the backend saw fewer queries than
   // were submitted, and the difference is accounted as coalesced.
   EXPECT_LT(backend_queries.load(), 20u);
-  EXPECT_EQ(backend_queries.load() + stats.coalesced, 20u);
+  EXPECT_EQ(backend_queries.load() + coalesced(), 20u);
   EXPECT_EQ(backend_queries.load(), 1u);  // one batch, one distinct query
 }
 
@@ -240,6 +246,8 @@ TEST(BatchSchedulerTest, IdleDispatchesAtOnceAndQueuedRequestsFormTheNextBatch) 
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
   test::BackendGate gate;
+  // Counted from here: `idle` has shut down and adds nothing more.
+  const test::CounterDelta batches("scheduler.batches_dispatched");
   BatchScheduler scheduler(gate.Wrap(EngineBackend(engine)), options);
   auto occupant = scheduler.Submit(Query::Single(0, 1));
   gate.AwaitOccupant();
@@ -251,7 +259,7 @@ TEST(BatchSchedulerTest, IdleDispatchesAtOnceAndQueuedRequestsFormTheNextBatch) 
   ASSERT_TRUE(occupant.get().ok());
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
   EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 4, 2}));
-  EXPECT_EQ(scheduler.stats().batches_dispatched, 3u);
+  EXPECT_EQ(batches(), 3u);
 }
 
 // ---- stress: degenerate deadlines, shutdown races.
@@ -266,6 +274,7 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   std::atomic<std::uint64_t> backend_queries{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
+  const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         backend_queries += queries.size();
@@ -285,18 +294,23 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(backend_queries.load(), 1u);  // only the occupant
-  EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
+  EXPECT_EQ(deadline_expired(), 1u);
 }
 
 TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
   // Submitters hammer the scheduler while Shutdown lands mid-stream (twice,
   // concurrently — it is documented idempotent). Every future must resolve
-  // — no hangs — to either a served result or kUnavailable, and the stats
-  // must account for every submission exactly once.
+  // — no hangs — to either a served result or kUnavailable, and the
+  // counters must account for every submission exactly once.
   const Engine engine = BuildTestEngine();
   for (int round = 0; round < 4; ++round) {
     BatchSchedulerOptions options;
     options.max_batch_size = 8;
+    // Each round counts from here: the previous round's scheduler is gone.
+    const test::CounterDelta submitted("scheduler.submitted");
+    const test::CounterDelta served("scheduler.served");
+    const test::CounterDelta rejected("scheduler.rejected");
+    const test::CounterDelta deadline_expired("scheduler.deadline_expired");
     BatchScheduler scheduler(EngineBackend(engine), options);
 
     constexpr int kThreads = 6;
@@ -332,13 +346,12 @@ TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
     EXPECT_EQ(ok_count.load() + unavailable_count.load(),
               kThreads * kPerThread)
         << "round " << round;
-    const auto stats = scheduler.stats();
     // Accepted requests are drained and served; rejected ones are counted.
-    EXPECT_EQ(stats.served, ok_count.load()) << "round " << round;
-    EXPECT_EQ(stats.rejected, unavailable_count.load()) << "round " << round;
-    EXPECT_EQ(stats.submitted + stats.rejected, kThreads * kPerThread)
+    EXPECT_EQ(served(), ok_count.load()) << "round " << round;
+    EXPECT_EQ(rejected(), unavailable_count.load()) << "round " << round;
+    EXPECT_EQ(submitted() + rejected(), kThreads * kPerThread)
         << "round " << round;
-    EXPECT_EQ(stats.deadline_expired, 0u) << "round " << round;
+    EXPECT_EQ(deadline_expired(), 0u) << "round " << round;
   }
 }
 

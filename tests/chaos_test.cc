@@ -138,7 +138,7 @@ TEST_F(ChaosTest, IndexSaveUnderWriteFaults) {
 TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
   // Dispatch failures under concurrent submitters: every future
   // resolves (finishing this test at all proves no hang), each to either a
-  // bit-exact answer or a clean kUnavailable, and the stats invariant
+  // bit-exact answer or a clean kUnavailable, and the counter invariant
   // submitted == served + deadline_expired holds afterwards.
   auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
   ASSERT_TRUE(engine.ok());
@@ -150,6 +150,9 @@ TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
+  const test::CounterDelta submitted("scheduler.submitted");
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) { return engine->SearchBatch(queries); },
       options);
@@ -191,9 +194,8 @@ TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
     }
   }
   EXPECT_GT(ok_count, 0);  // the per-request fallback rescued some requests
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
+  EXPECT_EQ(submitted(), kThreads * kPerThread);
+  EXPECT_EQ(submitted(), served() + deadline_expired());
 }
 
 TEST_F(ChaosTest, ShardFaultsUnderDegradePolicyNeverWrongAnswer) {
@@ -213,6 +215,7 @@ TEST_F(ChaosTest, ShardFaultsUnderDegradePolicyNeverWrongAnswer) {
   spec.seed = ChaosBaseSeed() + 1;
   fault::ScopedFault guard("sharded.shard_search", spec);
 
+  const test::CounterDelta degraded_queries("serving.degraded_queries");
   int complete = 0, degraded = 0, failed = 0;
   for (int i = 0; i < 120; ++i) {
     const Query query = Query::Single(i % graph.num_nodes(), 10);
@@ -245,8 +248,7 @@ TEST_F(ChaosTest, ShardFaultsUnderDegradePolicyNeverWrongAnswer) {
   EXPECT_GT(complete, 0);
   EXPECT_GT(degraded, 0);
   EXPECT_GT(failed, 0);
-  EXPECT_EQ(sharded->failure_stats().degraded_queries,
-            static_cast<std::uint64_t>(degraded));
+  EXPECT_EQ(degraded_queries(), static_cast<std::uint64_t>(degraded));
 }
 
 TEST_F(ChaosTest, FullStackMultiSiteChaos) {
@@ -276,6 +278,11 @@ TEST_F(ChaosTest, FullStackMultiSiteChaos) {
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
   options.max_queue_depth = 64;
+  const test::CounterDelta submitted("scheduler.submitted");
+  const test::CounterDelta shed_count("scheduler.shed");
+  const test::CounterDelta rejected("scheduler.rejected");
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) {
         return sharded->SearchBatch(queries);
@@ -329,10 +336,9 @@ TEST_F(ChaosTest, FullStackMultiSiteChaos) {
 
   EXPECT_EQ(exact + degraded + transient + shed, kThreads * kPerThread);
   EXPECT_GT(exact.load(), 0);
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted + stats.shed + stats.rejected,
+  EXPECT_EQ(submitted() + shed_count() + rejected(),
             static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
+  EXPECT_EQ(submitted(), served() + deadline_expired());
   std::printf(
       "[chaos] full-stack: %d exact, %d degraded, %d transient, %d shed "
       "(faults: %s)\n",
@@ -404,6 +410,7 @@ TEST_F(ChaosTest, DisarmedSitesAreInvisible) {
   options.failure_policy.mode = ShardFailureMode::kDegrade;
   auto sharded = ShardedEngine::Build(graph, options);
   ASSERT_TRUE(sharded.ok());
+  const test::CounterDelta shard_failures("serving.shard_failures");
   for (NodeId q = 0; q < 20; ++q) {
     const Query query = Query::Single(q * 4, 8);
     const auto got = sharded->Search(query);
@@ -413,7 +420,7 @@ TEST_F(ChaosTest, DisarmedSitesAreInvisible) {
     EXPECT_FALSE(got->degraded());
     ExpectBitIdentical(*got, *expected);
   }
-  EXPECT_EQ(sharded->failure_stats().shard_failures, 0u);
+  EXPECT_EQ(shard_failures(), 0u);
 }
 
 }  // namespace

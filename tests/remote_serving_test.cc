@@ -29,6 +29,7 @@
 #include "common/fault.h"
 #include "common/top_k.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serving/batch_scheduler.h"
 #include "serving/router.h"
 #include "serving/sharded_engine.h"
@@ -263,10 +264,10 @@ TEST_F(RemoteServingTest, KilledWorkerDegradesExactlyLikeInProcessFault) {
   }
 
   // Under kFailFast the same dead worker fails the whole query instead.
-  ShardFailurePolicy fail_fast;
-  fail_fast.mode = ShardFailureMode::kFailFast;
-  (*router)->set_failure_policy(fail_fast);
-  const auto failed = (*router)->Search(probe_query);
+  auto fail_fast =
+      Router::Connect(spec, FastOptions(ShardFailureMode::kFailFast));
+  ASSERT_TRUE(fail_fast.ok()) << fail_fast.status();
+  const auto failed = (*fail_fast)->Search(probe_query);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
 }
@@ -284,18 +285,16 @@ TEST_F(RemoteServingTest, MultiShardWorkersMatchInProcessAndPassDegradationOn) {
   ShardFailurePolicy degrade;
   degrade.mode = ShardFailureMode::kDegrade;
   degrade.max_retries = 0;
-  auto in_process = ShardedEngine::Open(dir);
+  auto in_process = ShardedEngine::Open(dir, {}, degrade);
   ASSERT_TRUE(in_process.ok()) << in_process.status();
-  in_process->set_failure_policy(degrade);
 
   std::vector<ShardedEngine> subsets;
   std::vector<std::unique_ptr<TestWorker>> workers;
   std::string spec;
   for (const std::vector<int>& ids : {std::vector<int>{0, 1, 2}, {3, 4}}) {
-    auto opened = ShardedEngine::Open(dir, ids);
+    auto opened = ShardedEngine::Open(dir, ids, degrade);
     ASSERT_TRUE(opened.ok()) << opened.status();
     ASSERT_TRUE(opened->skip_enabled());
-    opened->set_failure_policy(degrade);
     subsets.push_back(std::move(*opened));
   }
   for (const ShardedEngine& subset : subsets) {
@@ -457,6 +456,49 @@ TEST_F(RemoteServingTest, HedgedRequestBeatsSlowPrimary) {
   const std::size_t pos = snapshot.find(entry);
   ASSERT_NE(pos, std::string::npos) << snapshot;
   EXPECT_NE(snapshot[pos + entry.size()], '0') << snapshot;
+}
+
+TEST_F(RemoteServingTest, HedgeWaitsOutTheWholeDelay) {
+  // poll() takes whole milliseconds. A wait truncated to them would hedge a
+  // pinned 1ms delay at once; the hedge must start no earlier than the
+  // delay after the remote call began.
+  const auto graph = test::RandomDirectedGraph(80, 450, 37);
+  const auto sharded = BuildSharded(graph, 1);
+  const long long nodes = graph.num_nodes();
+
+  constexpr auto kSlow = std::chrono::milliseconds(100);
+  BatchScheduler::Backend slow_backend =
+      [&engine = sharded.shard(0), kSlow](std::span<const Query> queries) {
+        std::this_thread::sleep_for(kSlow);
+        return engine.SearchBatch(queries);
+      };
+  TestWorker slow(std::move(slow_backend), WorkerStream(1, nodes));
+  TestWorker prompt(ShardBackend(sharded.shard(0)), WorkerStream(1, nodes));
+  const std::string spec = "127.0.0.1:" + std::to_string(slow.port()) +
+                           "+127.0.0.1:" + std::to_string(prompt.port());
+  auto options = FastOptions(ShardFailureMode::kRetry);
+  options.hedging = true;
+  options.hedge_delay = std::chrono::milliseconds(1);
+  auto router = Router::Connect(spec, options);
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  Query query = Query::Single(5, 10);
+  query.trace = std::make_shared<obs::TraceContext>();
+  const auto got = (*router)->Search(query);
+  ASSERT_TRUE(got.ok()) << got.status();
+
+  const std::vector<obs::Span> spans = query.trace->spans();
+  const auto find = [&spans](const char* stage) -> const obs::Span* {
+    for (const obs::Span& span : spans) {
+      if (span.stage == stage) return &span;
+    }
+    return nullptr;
+  };
+  const obs::Span* call = find("router.remote_call");
+  const obs::Span* hedge = find("router.hedge");
+  ASSERT_NE(call, nullptr) << query.trace->ToJson();
+  ASSERT_NE(hedge, nullptr) << query.trace->ToJson();
+  EXPECT_GE(hedge->start_us, call->start_us + 1000) << query.trace->ToJson();
 }
 
 TEST_F(RemoteServingTest, ProberMarksWorkerDownAndBackUpAcrossRestart) {

@@ -1,7 +1,8 @@
-// BatchScheduler::Stats exact accounting. The counters are the operator's
-// only window into an overloaded or degraded scheduler, so they must obey
-// hard invariants, not be best-effort: every Submit lands in exactly one
-// of {rejected, shed, submitted}, and once all futures resolve,
+// BatchScheduler's exact accounting in the metric registry. The
+// scheduler.* counters are the operator's only window into an overloaded
+// or degraded scheduler, so they must obey hard invariants, not be
+// best-effort: every Submit lands in exactly one of {rejected, shed,
+// submitted}, and once all futures resolve,
 // submitted == served + deadline_expired.
 #include <gtest/gtest.h>
 
@@ -37,6 +38,12 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // one request per dispatch, FIFO
   options.max_queue_depth = 3;
+  const test::CounterDelta submitted("scheduler.submitted");
+  const test::CounterDelta shed("scheduler.shed");
+  const test::CounterDelta rejected_count("scheduler.rejected");
+  const test::CounterDelta deadline_expired("scheduler.deadline_expired");
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta degraded("scheduler.degraded");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         if (backend_calls.fetch_add(1) == 0) entered.set_value();
@@ -80,14 +87,13 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, 4u);  // occupant + expired + 2 queued
-  EXPECT_EQ(stats.shed, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.deadline_expired, 1u);
-  EXPECT_EQ(stats.served, 3u);
-  EXPECT_EQ(stats.degraded, 0u);
-  EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
+  EXPECT_EQ(submitted(), 4u);  // occupant + expired + 2 queued
+  EXPECT_EQ(shed(), 2u);
+  EXPECT_EQ(rejected_count(), 1u);
+  EXPECT_EQ(deadline_expired(), 1u);
+  EXPECT_EQ(served(), 3u);
+  EXPECT_EQ(degraded(), 0u);
+  EXPECT_EQ(submitted(), served() + deadline_expired());
   EXPECT_EQ(backend_calls.load(), 3);  // shed/expired never reached it
 }
 
@@ -103,6 +109,8 @@ TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest)
     BatchSchedulerOptions options;
     options.max_batch_size = 8;
     test::BackendGate gate;
+    const test::CounterDelta served("scheduler.served");
+    const test::CounterDelta coalesced("scheduler.coalesced");
     BatchScheduler scheduler(
         gate.Wrap([code](std::span<const Query>)
                       -> Result<std::vector<SearchResult>> {
@@ -126,9 +134,8 @@ TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest)
     // The occupant, the failed batch of 3 distinct queries, then one call
     // for each of them.
     EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
-    const auto stats = scheduler.stats();
-    EXPECT_EQ(stats.served, 1u + 4);  // resolved through the backend path
-    EXPECT_EQ(stats.coalesced, 1u);
+    EXPECT_EQ(served(), 1u + 4);  // resolved through the backend path
+    EXPECT_EQ(coalesced(), 1u);
   }
 }
 
@@ -138,6 +145,8 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
   test::BackendGate gate;
+  const test::CounterDelta served("scheduler.served");
+  const test::CounterDelta degraded("scheduler.degraded");
   BatchScheduler scheduler(
       gate.Wrap([&](std::span<const Query> queries)
                     -> Result<std::vector<SearchResult>> {
@@ -172,9 +181,8 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   }
   EXPECT_EQ(degraded_seen, 4);
   EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 4, 4}));
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 8u + 1);  // + the occupant, served complete
-  EXPECT_EQ(stats.degraded, 4u);
+  EXPECT_EQ(served(), 8u + 1);  // + the occupant, served complete
+  EXPECT_EQ(degraded(), 4u);
 }
 
 TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
@@ -185,6 +193,9 @@ TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
   options.max_queue_depth = 0;  // explicit opt-out of admission control
+  const test::CounterDelta shed("scheduler.shed");
+  const test::CounterDelta submitted("scheduler.submitted");
+  const test::CounterDelta served("scheduler.served");
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         if (backend_calls.fetch_add(1) == 0) entered.set_value();
@@ -202,10 +213,9 @@ TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
   release.set_value();
   ASSERT_TRUE(occupant.get().ok());
   for (auto& future : futures) ASSERT_TRUE(future.get().ok());
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.submitted, 101u);
-  EXPECT_EQ(stats.served, 101u);
+  EXPECT_EQ(shed(), 0u);
+  EXPECT_EQ(submitted(), 101u);
+  EXPECT_EQ(served(), 101u);
 }
 
 }  // namespace

@@ -362,6 +362,26 @@ TEST(ShardedEngineTest, OpenRejectsMissingAndCorruptManifests) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ShardedEngineTest, OpenRejectsInvalidFailurePolicy) {
+  // The policy is fixed at Open, so Open validates it like Build does.
+  const auto g = test::SmallDirectedGraph();
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  auto built = ShardedEngine::Build(g, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const std::string dir = ::testing::TempDir() + "/kdash_sharded_policy";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(built->Save(dir).ok());
+
+  ShardFailurePolicy policy;
+  policy.max_retries = -1;
+  EXPECT_EQ(ShardedEngine::Open(dir, {}, policy).status().code(),
+            StatusCode::kInvalidArgument);
+  policy.max_retries = 0;
+  EXPECT_TRUE(ShardedEngine::Open(dir, {}, policy).ok());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedEngineTest, BuildValidatesShardCount) {
   const auto g = test::SmallDirectedGraph();  // 5 nodes
   ShardedEngineOptions options;

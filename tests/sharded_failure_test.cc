@@ -81,14 +81,16 @@ class ShardedFailureTest : public ::testing::Test {
 TEST_F(ShardedFailureTest, FailFastPropagatesInjectedShardError) {
   const auto graph = test::RandomDirectedGraph(90, 500, 3);
   const auto sharded = BuildSharded(graph);  // default: kFailFast
+  const test::CounterDelta retries("serving.shard_retries");
+  const test::CounterDelta failures("serving.shard_failures");
 
   fault::ScopedFault guard(ShardSite(1), AlwaysFail(StatusCode::kInternal));
   const auto result = sharded.Search(Query::Single(5, 10));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find(ShardSite(1)), std::string::npos);
-  EXPECT_EQ(sharded.failure_stats().shard_retries, 0u);
-  EXPECT_GE(sharded.failure_stats().shard_failures, 1u);
+  EXPECT_EQ(retries(), 0u);
+  EXPECT_GE(failures(), 1u);
 }
 
 TEST_F(ShardedFailureTest, RetryRecoversFromTransientShardFault) {
@@ -101,6 +103,8 @@ TEST_F(ShardedFailureTest, RetryRecoversFromTransientShardFault) {
   policy.max_retries = 2;
   policy.initial_backoff = std::chrono::microseconds(10);
   const auto sharded = BuildSharded(graph, policy);
+  const test::CounterDelta retries("serving.shard_retries");
+  const test::CounterDelta degraded_queries("serving.degraded_queries");
 
   auto spec = AlwaysFail();
   spec.max_fires = 1;  // fails exactly once; the retry must succeed
@@ -115,8 +119,8 @@ TEST_F(ShardedFailureTest, RetryRecoversFromTransientShardFault) {
   EXPECT_EQ(got->shards_ok, kShards);
   EXPECT_EQ(got->shards_failed, 0);
   EXPECT_FALSE(got->degraded());
-  EXPECT_EQ(sharded.failure_stats().shard_retries, 1u);
-  EXPECT_EQ(sharded.failure_stats().degraded_queries, 0u);
+  EXPECT_EQ(retries(), 1u);
+  EXPECT_EQ(degraded_queries(), 0u);
 }
 
 TEST_F(ShardedFailureTest, RetryExhaustsWithBoundedAttempts) {
@@ -126,6 +130,7 @@ TEST_F(ShardedFailureTest, RetryExhaustsWithBoundedAttempts) {
   policy.max_retries = 2;
   policy.initial_backoff = std::chrono::microseconds(10);
   const auto sharded = BuildSharded(graph, policy);
+  const test::CounterDelta retries("serving.shard_retries");
 
   fault::ScopedFault guard(ShardSite(0), AlwaysFail());
   const auto result = sharded.Search(Query::Single(1, 5));
@@ -134,7 +139,7 @@ TEST_F(ShardedFailureTest, RetryExhaustsWithBoundedAttempts) {
   // Exactly 1 + max_retries attempts hit the per-shard site — bounded, no
   // runaway retry loop.
   EXPECT_EQ(fault::GetStats(ShardSite(0)).evaluations, 3u);
-  EXPECT_EQ(sharded.failure_stats().shard_retries, 2u);
+  EXPECT_EQ(retries(), 2u);
 }
 
 TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
@@ -150,6 +155,7 @@ TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
   policy.initial_backoff = std::chrono::microseconds(10);
   auto sharded = BuildSharded(graph, policy);
   sharded.set_skip_enabled(false);  // every query visits every shard
+  const test::CounterDelta retries("serving.shard_retries");
 
   constexpr std::size_t kBatch = 5;
   BatchSchedulerOptions options;
@@ -178,9 +184,10 @@ TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
 
   EXPECT_EQ(gate.batch_sizes(),
             (std::vector<std::size_t>{1, kBatch, 1, 1, 1, 1, 1}));
-  const auto retries = static_cast<std::uint64_t>(policy.max_retries);
-  EXPECT_EQ(fault::GetStats(ShardSite(1)).fires, 2 * kBatch * (1 + retries));
-  EXPECT_EQ(sharded.failure_stats().shard_retries, 2 * kBatch * retries);
+  const auto max_retries = static_cast<std::uint64_t>(policy.max_retries);
+  EXPECT_EQ(fault::GetStats(ShardSite(1)).fires,
+            2 * kBatch * (1 + max_retries));
+  EXPECT_EQ(retries(), 2 * kBatch * max_retries);
 }
 
 TEST_F(ShardedFailureTest, DegradeMergesSurvivorsExactlyForEveryLostShard) {
@@ -197,6 +204,7 @@ TEST_F(ShardedFailureTest, DegradeMergesSurvivorsExactlyForEveryLostShard) {
   excluded.exclude = {100, 3};
   queries.push_back(excluded);
 
+  const test::CounterDelta degraded_queries("serving.degraded_queries");
   for (int lost = 0; lost < kShards; ++lost) {
     fault::ScopedFault guard(ShardSite(lost), AlwaysFail());
     std::vector<int> survivors;
@@ -213,7 +221,7 @@ TEST_F(ShardedFailureTest, DegradeMergesSurvivorsExactlyForEveryLostShard) {
       ExpectBitIdentical(*got, expected, "degraded merge");
     }
   }
-  EXPECT_EQ(sharded.failure_stats().degraded_queries,
+  EXPECT_EQ(degraded_queries(),
             static_cast<std::uint64_t>(kShards * queries.size()));
 }
 
@@ -279,6 +287,8 @@ TEST_F(ShardedFailureTest, InvalidQueryNeverDegradesOrRetries) {
   policy.mode = ShardFailureMode::kDegrade;
   policy.max_retries = 5;
   const auto sharded = BuildSharded(graph, policy);
+  const test::CounterDelta retries("serving.shard_retries");
+  const test::CounterDelta degraded_queries("serving.degraded_queries");
 
   const auto result =
       sharded.Search(Query::Single(graph.num_nodes() + 17, 5));
@@ -286,8 +296,8 @@ TEST_F(ShardedFailureTest, InvalidQueryNeverDegradesOrRetries) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   // No retries: the failure is deterministic caller error, and degrading
   // would have masked it as a "partial success".
-  EXPECT_EQ(sharded.failure_stats().shard_retries, 0u);
-  EXPECT_EQ(sharded.failure_stats().degraded_queries, 0u);
+  EXPECT_EQ(retries(), 0u);
+  EXPECT_EQ(degraded_queries(), 0u);
 }
 
 TEST_F(ShardedFailureTest, BatchTagsEveryDegradedResult) {

@@ -2,12 +2,15 @@
 #ifndef KDASH_TESTS_TEST_UTIL_H_
 #define KDASH_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
+#include "obs/metrics.h"
 #include "sparse/csc_matrix.h"
 
 namespace kdash::test {
@@ -85,6 +88,23 @@ inline Scalar MaxAbsDiff(const linalg::DenseMatrix& a,
   }
   return worst;
 }
+
+// Growth of one process-global registry counter since construction. The
+// registry never resets and every component in the process adds to it, so
+// tests assert on deltas: construct before the component under test starts
+// counting, read once every other counting component in the test is idle.
+class CounterDelta {
+ public:
+  explicit CounterDelta(std::string_view name)
+      : counter_(obs::MetricRegistry::Global().GetCounter(name)),
+        start_(counter_.Value()) {}
+
+  std::uint64_t operator()() const { return counter_.Value() - start_; }
+
+ private:
+  const obs::Counter& counter_;
+  const std::uint64_t start_;
+};
 
 }  // namespace kdash::test
 

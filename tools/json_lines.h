@@ -40,6 +40,7 @@
 #define KDASH_TOOLS_JSON_LINES_H_
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -84,6 +85,14 @@ inline bool ParseWholeInt(const std::string& text, long long* value) {
   char* end = nullptr;
   *value = std::strtoll(text.c_str(), &end, 10);
   return end != text.c_str() && *end == '\0';
+}
+
+// Parses all of `text` as a finite decimal number: false on empty text,
+// any trailing character ("0.05abc"), "inf", "nan" or an overflow.
+inline bool ParseWholeDouble(const std::string& text, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(*value);
 }
 
 // One request line → a Query. Returns false with a message on a malformed

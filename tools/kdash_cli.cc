@@ -21,7 +21,6 @@
 // JSON-lines serving (one query per input line, one record per answer) is
 // `kdash_server <index.kdash>`, which reads stdin when given no --port.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -69,6 +68,7 @@ Result<Engine> OpenIndexFile(const std::string& path) {
 }
 
 using tools::FlagValue;
+using tools::ParseWholeDouble;
 using tools::ParseWholeInt;
 
 bool ParseReorder(const std::string& name, reorder::Method* method) {
@@ -89,7 +89,9 @@ int CmdBuild(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--c", &value)) {
-      options.index.restart_prob = std::atof(value.c_str());
+      if (!ParseWholeDouble(value, &options.index.restart_prob)) {
+        return Usage();
+      }
     } else if (FlagValue(args[i], "--reorder", &value)) {
       if (!ParseReorder(value, &options.index.reorder_method)) return Usage();
     } else if (FlagValue(args[i], "--shards", &value)) {
@@ -233,7 +235,7 @@ int CmdGenerate(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--scale", &value)) {
-      scale = std::atof(value.c_str());
+      if (!ParseWholeDouble(value, &scale) || scale <= 0) return Usage();
     } else if (FlagValue(args[i], "--seed", &value)) {
       long long parsed = 0;
       if (!ParseWholeInt(value, &parsed)) return Usage();

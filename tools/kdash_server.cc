@@ -55,8 +55,9 @@
 //                    {"code":"RESOURCE_EXHAUSTED",...} (0 = unbounded)
 //   --degrade=MODE   shard/worker failure policy: fail (default), retry,
 //                    or degrade (serve partial top-k from live shards,
-//                    tagged with "shards_failed"). The only retry policy:
-//                    the scheduler never retries a failed batch
+//                    tagged with "shards_failed"), fixed when the index is
+//                    opened or the workers connected. The only retry
+//                    policy: the scheduler never retries a failed batch
 //
 //   --cache-entries=N  cross-batch result cache capacity (distinct query
 //                    identities); repeats of a cached query are answered
@@ -66,7 +67,8 @@
 //   --shards=a,b,... serve only these shards of a sharded directory
 //
 //   --stats-period=N per-process metric snapshot (obs::MetricRegistry) to
-//                    stderr every N seconds (0 = off)
+//                    stderr every N seconds (0 = off). On exit the server
+//                    prints one last snapshot, prefixed "metrics at exit: "
 //
 // Every error record carries the canonical status-code name in "code", and
 // the literal request line {"ping":1} answers {"id":N,"pong":1} in order —
@@ -267,10 +269,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "routing to %d worker slot(s), %d shard(s) total\n",
                  router->num_slots(), router->shards_total());
   } else if (sharded_dir) {
-    auto opened = serving::ShardedEngine::Open(index_path, config.shards);
+    auto opened = serving::ShardedEngine::Open(index_path, config.shards,
+                                               config.failure_policy);
     if (!opened.ok()) return Fail(opened.status());
     sharded = std::make_unique<serving::ShardedEngine>(std::move(*opened));
-    sharded->set_failure_policy(config.failure_policy);
     sharded->set_skip_enabled(config.shard_skip);
     backend = [&s = *sharded](std::span<const Query> queries) {
       return s.SearchBatch(queries);
@@ -341,14 +343,10 @@ int Main(int argc, char** argv) {
     dumper.stop_changed.NotifyAll();
     stats_thread.join();
   }
-  // Exit summary in the same vocabulary as the live metrics — one JSON
-  // object per line, machine-diffable against a {"stats":1} snapshot.
-  std::fprintf(stderr, "scheduler stats: %s\n",
-               scheduler.stats().ToJson().c_str());
-  if (sharded != nullptr) {
-    std::fprintf(stderr, "shard failure stats: %s\n",
-                 sharded->failure_stats().ToJson().c_str());
-  }
+  // Exit summary: the registry snapshot after the drain, the same object a
+  // {"stats":1} record or a --stats-period line carries.
+  std::fprintf(stderr, "metrics at exit: %s\n",
+               obs::MetricRegistry::Global().SnapshotToJson().c_str());
   return exit_code;
 }
 
