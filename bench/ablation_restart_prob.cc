@@ -30,8 +30,8 @@ void Run() {
 
     double prox = 0.0, visited = 0.0, tree = 0.0;
     for (const NodeId q : queries) {
-      core::SearchStats stats;
-      searcher.TopK(q, 5, {}, &stats);
+      const core::SearchStats stats =
+          searcher.Search(Query::Single(q, 5)).stats;
       prox += static_cast<double>(stats.proximity_computations);
       visited += static_cast<double>(stats.nodes_visited);
       tree += static_cast<double>(stats.tree_size);
@@ -40,7 +40,7 @@ void Run() {
     const double time = bench::MedianSeconds(
                             [&] {
                               for (const NodeId q : queries) {
-                                searcher.TopK(q, 5);
+                                searcher.Search(Query::Single(q, 5));
                               }
                             },
                             3) /

@@ -71,7 +71,9 @@ void Run() {
     const auto index = core::KDashIndex::Build(graph, {});
     core::KDashSearcher searcher(&index);
     measure("K-dash", index.stats().total_seconds,
-            [&](NodeId q) { return searcher.TopK(q, kTopK); });
+            [&](NodeId q) {
+              return searcher.Search(Query::Single(q, kTopK)).top;
+            });
   }
   {
     const baselines::NbLin nb(a, {.restart_prob = 0.95, .target_rank = rank});

@@ -56,7 +56,8 @@ void Run() {
 
     std::vector<double> row;
     for (const std::size_t k : {5u, 25u, 50u}) {
-      row.push_back(time_queries([&](NodeId q) { searcher.TopK(q, k); }));
+      row.push_back(time_queries(
+          [&](NodeId q) { searcher.Search(Query::Single(q, k)); }));
     }
     row.push_back(time_queries([&](NodeId q) { nb_lo.TopK(q, 5); }));
     row.push_back(time_queries([&](NodeId q) { nb_hi.TopK(q, 5); }));

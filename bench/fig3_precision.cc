@@ -65,7 +65,8 @@ void Run() {
                            ? 0.0
                            : static_cast<double>(hits) /
                                  static_cast<double>(bpa_answer.size());
-      kdash_precision += bench::PrecisionAtK(searcher.TopK(queries[i], kTopK),
+      kdash_precision += bench::PrecisionAtK(
+          searcher.Search(Query::Single(queries[i], kTopK)).top,
                                              truth[i], kTopK);
     }
     const double count = static_cast<double>(queries.size());

@@ -40,7 +40,7 @@ void Run() {
            static_cast<double>(queries.size());
   };
   const double kdash_time =
-      per_query([&](NodeId q) { searcher.TopK(q, kTopK); });
+      per_query([&](NodeId q) { searcher.Search(Query::Single(q, kTopK)); });
 
   bench::PrintTableHeader({"param", "NB_LIN", "BPA", "K-dash"});
   for (const int param : params) {

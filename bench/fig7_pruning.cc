@@ -1,6 +1,7 @@
 // Figure 7: effect of the tree-estimation pruning — K-dash vs K-dash with
 // the pruning removed (every reachable node's proximity computed).
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/kdash_index.h"
@@ -24,24 +25,27 @@ void Run() {
     core::KDashSearcher searcher(&index);
     const auto queries = bench::SampleQueries(dataset.graph, 10);
 
-    core::SearchOptions no_pruning;
-    no_pruning.use_pruning = false;
+    std::vector<Query> pruned, unpruned;
+    for (const NodeId q : queries) {
+      pruned.push_back(Query::Single(q, 5));
+      unpruned.push_back(Query::Single(q, 5));
+      unpruned.back().use_pruning = false;
+    }
 
     double prox_pruned = 0.0, prox_unpruned = 0.0;
-    for (const NodeId q : queries) {
-      core::SearchStats stats;
-      searcher.TopK(q, 5, {}, &stats);
-      prox_pruned += static_cast<double>(stats.proximity_computations);
-      searcher.TopK(q, 5, no_pruning, &stats);
-      prox_unpruned += static_cast<double>(stats.proximity_computations);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      prox_pruned += static_cast<double>(
+          searcher.Search(pruned[i]).stats.proximity_computations);
+      prox_unpruned += static_cast<double>(
+          searcher.Search(unpruned[i]).stats.proximity_computations);
     }
     prox_pruned /= static_cast<double>(queries.size());
     prox_unpruned /= static_cast<double>(queries.size());
 
     const double pruned_time = bench::MedianSeconds(
                                    [&] {
-                                     for (const NodeId q : queries) {
-                                       searcher.TopK(q, 5);
+                                     for (const Query& q : pruned) {
+                                       searcher.Search(q);
                                      }
                                    },
                                    3) /
@@ -49,7 +53,7 @@ void Run() {
     const double unpruned_time =
         bench::MedianSeconds(
             [&] {
-              for (const NodeId q : queries) searcher.TopK(q, 5, no_pruning);
+              for (const Query& q : unpruned) searcher.Search(q);
             },
             3) /
         static_cast<double>(queries.size());

@@ -26,14 +26,13 @@ void Run() {
 
     double query_root = 0.0, random_root = 0.0;
     for (const NodeId q : queries) {
-      core::SearchStats stats;
-      searcher.TopK(q, 5, {}, &stats);
-      query_root += static_cast<double>(stats.proximity_computations);
+      Query query = Query::Single(q, 5);
+      query_root += static_cast<double>(
+          searcher.Search(query).stats.proximity_computations);
 
-      core::SearchOptions options;
-      options.root_override = rng.NextNode(dataset.graph.num_nodes());
-      searcher.TopK(q, 5, options, &stats);
-      random_root += static_cast<double>(stats.proximity_computations);
+      query.root_override = rng.NextNode(dataset.graph.num_nodes());
+      random_root += static_cast<double>(
+          searcher.Search(query).stats.proximity_computations);
     }
     query_root /= static_cast<double>(queries.size());
     random_root /= static_cast<double>(queries.size());

@@ -176,9 +176,11 @@ void BM_KDashQuery(benchmark::State& state) {
   const auto index = core::KDashIndex::Build(g, {});
   core::KDashSearcher searcher(&index);
   Rng rng(7);
+  Query query = Query::Single(0, 5);
   for (auto _ : state) {
-    const auto top = searcher.TopK(rng.NextNode(g.num_nodes()), 5);
-    benchmark::DoNotOptimize(top.data());
+    query.sources.front() = rng.NextNode(g.num_nodes());
+    const auto result = searcher.Search(query);
+    benchmark::DoNotOptimize(result.top.data());
   }
 }
 BENCHMARK(BM_KDashQuery)->Arg(1000)->Arg(4000);

@@ -101,7 +101,7 @@ int Main() {
                 *searchers[static_cast<std::size_t>(rank)];
             for (std::size_t i = cursor.fetch_add(1); i < queries.size();
                  i = cursor.fetch_add(1)) {
-              searcher.TopK(queries[i], 10);
+              searcher.Search(Query::Single(queries[i], 10));
             }
           });
         },

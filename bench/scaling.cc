@@ -28,14 +28,15 @@ void Run() {
 
     double prox = 0.0;
     for (const NodeId q : queries) {
-      core::SearchStats stats;
-      searcher.TopK(q, 5, {}, &stats);
-      prox += static_cast<double>(stats.proximity_computations);
+      prox += static_cast<double>(
+          searcher.Search(Query::Single(q, 5)).stats.proximity_computations);
     }
     const double query_time =
         bench::MedianSeconds(
             [&] {
-              for (const NodeId q : queries) searcher.TopK(q, 5);
+              for (const NodeId q : queries) {
+                searcher.Search(Query::Single(q, 5));
+              }
             },
             3) /
         static_cast<double>(queries.size());

@@ -39,7 +39,7 @@ void Run() {
   for (const std::string& query : datasets::CaseStudyQueries()) {
     const NodeId q = term_graph.IdOf(query);
     std::printf("\nTerm: %s\n", query.c_str());
-    print_list("K-dash", searcher.TopK(q, 5));
+    print_list("K-dash", searcher.Search(Query::Single(q, 5)).top);
     print_list("NB_LIN", nb_lin.TopK(q, 5));
   }
 

@@ -2,7 +2,8 @@
 // Theorem 3 of the K-dash paper also covers.
 //
 // Precompute: partition the graph (the authors used METIS; we use our
-// Louvain partitioner — DESIGN.md §4), split A = A₁ + A₂ into
+// Louvain partitioner, which the reordering already ships, so no external
+// partitioner is needed), split A = A₁ + A₂ into
 // within-partition and cross-partition parts, factor W₁ = I - (1-c)A₁
 // exactly (block-diagonal, so the explicit inverse stays block-sparse), and
 // approximate A₂ by a rank-r SVD. By Sherman–Morrison–Woodbury:

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/top_k.h"
 #include "lu/triangular.h"
 #include "sparse/coo_builder.h"
 
@@ -169,18 +170,13 @@ void DynamicKDash::RefreshCorrection() {
   correction_fresh_ = true;
 }
 
-std::vector<Scalar> DynamicKDash::Solve(NodeId query) {
-  return SolvePersonalized({query});
-}
-
-std::vector<Scalar> DynamicKDash::SolvePersonalized(
-    const std::vector<NodeId>& sources) {
+std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
   KDASH_CHECK(!sources.empty());
   if (!correction_fresh_) RefreshCorrection();
 
   // rhs = c·q with q the restart distribution placing 1/|sources| on each
   // occurrence — a duplicated source accumulates multiplicity, matching
-  // KDashSearcher::TopKPersonalized (q = e_query for a single source).
+  // KDashSearcher::Search (q = e_source for a single source).
   std::vector<Scalar> rhs(static_cast<std::size_t>(num_nodes_), 0.0);
   const Scalar restart_mass =
       options_.restart_prob / static_cast<Scalar>(sources.size());
@@ -206,22 +202,18 @@ std::vector<Scalar> DynamicKDash::SolvePersonalized(
   return p;
 }
 
-std::vector<ScoredNode> DynamicKDash::TopK(NodeId query, std::size_t k) {
-  return TopKPersonalized({query}, k);
-}
-
-std::vector<ScoredNode> DynamicKDash::TopKPersonalized(
-    const std::vector<NodeId>& sources, std::size_t k,
-    const std::vector<NodeId>& exclude) {
-  const auto scores = SolvePersonalized(sources);
-  TopKHeap heap(k);
-  if (exclude.empty()) {
+SearchResult DynamicKDash::Search(const Query& query) {
+  KDASH_CHECK(query.root_override == kInvalidNode)
+      << "root_override needs a BFS tree; the updatable backend has none";
+  const auto scores = Solve(query.sources);
+  TopKHeap heap(query.k);
+  if (query.exclude.empty()) {
     for (std::size_t u = 0; u < scores.size(); ++u) {
       heap.Push(static_cast<NodeId>(u), scores[u]);
     }
   } else {
     std::vector<bool> excluded(scores.size(), false);
-    for (const NodeId node : exclude) {
+    for (const NodeId node : query.exclude) {
       KDASH_CHECK(node >= 0 && node < num_nodes_) << "excluded node " << node;
       excluded[static_cast<std::size_t>(node)] = true;
     }
@@ -229,11 +221,17 @@ std::vector<ScoredNode> DynamicKDash::TopKPersonalized(
       if (!excluded[u]) heap.Push(static_cast<NodeId>(u), scores[u]);
     }
   }
-  auto top = heap.Sorted();
+  SearchResult result;
+  result.top = heap.Sorted();
   // Unreachable nodes carry only numerical noise, not proximity.
   constexpr Scalar kUnreachableScore = 1e-13;
-  while (!top.empty() && top.back().score < kUnreachableScore) top.pop_back();
-  return top;
+  while (!result.top.empty() && result.top.back().score < kUnreachableScore) {
+    result.top.pop_back();
+  }
+  result.stats.nodes_visited = num_nodes_;
+  result.stats.proximity_computations = num_nodes_;
+  result.stats.tree_size = num_nodes_;
+  return result;
 }
 
 }  // namespace kdash::core

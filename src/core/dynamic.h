@@ -17,9 +17,10 @@
 // Solves against W₀ use the stored sparse LU factors (two triangular
 // solves); Z and M are refreshed only when the set of touched columns
 // changes. When d exceeds `max_pending_columns` the index auto-rebuilds
-// from the current graph, restoring the fast path. Queries return the full
-// exact proximity vector (no BFS pruning — the correction term is global),
-// so this sits between the iterative solver and the static K-dash index:
+// from the current graph, restoring the fast path. Queries take the same
+// core/query.h `Query` as the static searcher and solve for the full exact
+// proximity vector (no BFS pruning — the correction term is global), so
+// this sits between the iterative solver and the static K-dash index:
 // exact, factor-based, update-friendly.
 #ifndef KDASH_CORE_DYNAMIC_H_
 #define KDASH_CORE_DYNAMIC_H_
@@ -28,8 +29,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/top_k.h"
 #include "common/types.h"
+#include "core/query.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
@@ -58,24 +59,19 @@ class DynamicKDash {
   [[nodiscard]] Status AddEdge(NodeId src, NodeId dst, Scalar weight = 1.0);
   [[nodiscard]] Status RemoveEdge(NodeId src, NodeId dst);
 
-  // Exact proximity vector under the *current* graph.
-  std::vector<Scalar> Solve(NodeId query);
+  // Exact proximity vector under the *current* graph for a uniform restart
+  // over `sources` (one source = the plain RWR column), exact by linearity
+  // of W⁻¹. Each occurrence carries 1/|sources| of the restart mass, so a
+  // repeated source is weighted by its multiplicity, as in
+  // KDashSearcher::Search. Sources must be non-empty and in range.
+  std::vector<Scalar> Solve(const std::vector<NodeId>& sources);
 
-  // Exact proximity vector for a uniform restart over `sources` (the
-  // personalized restart-set semantics of KDashSearcher::TopKPersonalized,
-  // exact by linearity of W⁻¹). Sources must be in range and are deduped.
-  std::vector<Scalar> SolvePersonalized(const std::vector<NodeId>& sources);
-
-  // Exact top-k under the current graph. Unreachable nodes (proximity ~ 0)
-  // are not answers, matching the static searcher's reachable-only results.
-  std::vector<ScoredNode> TopK(NodeId query, std::size_t k);
-
-  // Personalized variant with an optional exclusion set (nodes barred from
-  // the result; must be in range). This is the updatable Engine backend's
-  // query primitive.
-  std::vector<ScoredNode> TopKPersonalized(
-      const std::vector<NodeId>& sources, std::size_t k,
-      const std::vector<NodeId>& exclude = {});
+  // Exact top-k for `query` under the current graph. Unreachable nodes
+  // (proximity ~ 0) are not answers, as with the static searcher. The
+  // solve is global (the correction touches every node), so the stats
+  // report a full scan, `use_pruning` is moot and `root_override` must be
+  // unset.
+  SearchResult Search(const Query& query);
 
   // Number of columns currently represented as a correction.
   int pending_columns() const { return static_cast<int>(delta_columns_.size()); }
@@ -83,7 +79,6 @@ class DynamicKDash {
   // Fold all pending updates into a fresh factorization.
   void Rebuild();
 
-  NodeId num_nodes() const { return num_nodes_; }
   int rebuild_count() const { return rebuild_count_; }
 
  private:

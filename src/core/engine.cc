@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/dynamic.h"
+#include "core/kdash_searcher.h"
 #include "obs/metrics.h"
 
 namespace kdash {
@@ -125,40 +126,6 @@ Status ValidateQuery(const Query& query, NodeId num_nodes, bool updatable) {
   return Status::Ok();
 }
 
-// Runs one pre-validated query on a borrowed static-backend searcher.
-SearchResult RunOnSearcher(core::KDashSearcher& searcher, const Query& query) {
-  core::SearchOptions options;
-  options.use_pruning = query.use_pruning;
-  options.root_override = query.root_override;
-  // View rather than copy the exclusion set — `query` outlives the call,
-  // and a per-query O(|exclude|) copy would sit on the hot serving path.
-  options.excluded = query.exclude;
-  SearchResult result;
-  if (query.sources.size() == 1) {
-    result.top =
-        searcher.TopK(query.sources.front(), query.k, options, &result.stats);
-  } else {
-    result.top = searcher.TopKPersonalized(query.sources, query.k, options,
-                                           &result.stats);
-  }
-  return result;
-}
-
-// Runs one pre-validated query against the updatable backend. The solve is
-// global (no BFS pruning — the Woodbury correction term touches every
-// node), so stats report a full scan.
-SearchResult RunOnDynamic(core::DynamicKDash& dynamic, const Query& query) {
-  SearchResult result;
-  result.top =
-      dynamic.TopKPersonalized(query.sources, query.k, query.exclude);
-  const NodeId n = dynamic.num_nodes();
-  result.stats.nodes_visited = n;
-  result.stats.proximity_computations = n;
-  result.stats.terminated_early = false;
-  result.stats.tree_size = n;
-  return result;
-}
-
 Status ValidateOptions(const EngineOptions& options) {
   const Scalar c = options.index.restart_prob;
   if (!(c > 0.0 && c < 1.0)) {
@@ -167,9 +134,6 @@ Status ValidateOptions(const EngineOptions& options) {
   }
   if (options.index.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  if (options.updatable && options.max_pending_columns < 1) {
-    return Status::InvalidArgument("max_pending_columns must be >= 1");
   }
   return Status::Ok();
 }
@@ -194,7 +158,6 @@ Result<Engine> Engine::Build(const graph::Graph& graph,
   if (options.updatable) {
     core::DynamicKDashOptions dynamic_options;
     dynamic_options.restart_prob = options.index.restart_prob;
-    dynamic_options.max_pending_columns = options.max_pending_columns;
     impl->dynamic =
         std::make_unique<core::DynamicKDash>(graph, dynamic_options);
   } else {
@@ -255,12 +218,12 @@ Result<SearchResult> Engine::Search(const Query& query) const {
   WallTimer timer;
   if (impl_->dynamic != nullptr) {
     MutexLock lock(impl_->dynamic_mutex);
-    SearchResult result = RunOnDynamic(*impl_->dynamic, query);
+    SearchResult result = impl_->dynamic->Search(query);
     impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
     return result;
   }
   auto searcher = impl_->AcquireSearcher();
-  SearchResult result = RunOnSearcher(*searcher, query);
+  SearchResult result = searcher->Search(query);
   impl_->ReleaseSearcher(std::move(searcher));
   impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
   return result;
@@ -283,7 +246,7 @@ Result<std::vector<SearchResult>> Engine::SearchBatch(
     for (std::size_t i = 0; i < queries.size(); ++i) {
       obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
       WallTimer timer;
-      results[i] = RunOnDynamic(*impl_->dynamic, queries[i]);
+      results[i] = impl_->dynamic->Search(queries[i]);
       impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
     }
     return results;
@@ -301,7 +264,7 @@ Result<std::vector<SearchResult>> Engine::SearchBatch(
          i = cursor.fetch_add(1, std::memory_order_relaxed)) {
       obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
       WallTimer timer;
-      results[i] = RunOnSearcher(*searcher, queries[i]);
+      results[i] = searcher->Search(queries[i]);
       impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
     }
     impl_->ReleaseSearcher(std::move(searcher));

@@ -20,13 +20,13 @@
 //   - An Engine is either *static* (immutable precomputed index — the
 //     paper's K-dash, milliseconds per query) or *updatable*
 //     (EngineOptions::updatable — Woodbury-corrected exact solves that
-//     absorb AddEdge/RemoveEdge without refactorizing). The Query surface
-//     is the same for both.
+//     absorb AddEdge/RemoveEdge without refactorizing). Both backends
+//     take the same core/query.h `Query` (KDashSearcher::Search,
+//     DynamicKDash::Search); Engine validates it and hands it through
+//     unchanged.
 #ifndef KDASH_CORE_ENGINE_H_
 #define KDASH_CORE_ENGINE_H_
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -35,11 +35,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/top_k.h"
 #include "common/types.h"
 #include "core/kdash_index.h"
-#include "core/kdash_searcher.h"
-#include "obs/trace.h"
+#include "core/query.h"
 
 namespace kdash {
 
@@ -50,87 +48,11 @@ struct EngineOptions {
 
   // Build an updatable engine: AddEdge/RemoveEdge are accepted and queries
   // stay exact under the mutated graph (Woodbury correction over the base
-  // factorization, auto-refactorize after `max_pending_columns` distinct
-  // changed columns). Updatable engines serve queries under an exclusive
-  // lock (the correction state is shared) and cannot be Saved/Opened.
+  // factorization, auto-refactorize after DynamicKDashOptions' default
+  // number of distinct changed columns). Updatable engines serve queries
+  // under an exclusive lock (the correction state is shared) and cannot be
+  // Saved/Opened.
   bool updatable = false;
-  int max_pending_columns = 64;
-};
-
-// A fully-typed, self-contained query: no positional-argument juggling, no
-// borrowed pointers. One source = the paper's single-source top-k RWR;
-// several sources = the personalized restart-set query (each occurrence
-// carries 1/|sources| of the restart mass, so a repeated source is
-// weighted by its multiplicity).
-struct Query {
-  // Restart set. Must be non-empty, every id in [0, num_nodes).
-  std::vector<NodeId> sources;
-
-  // How many results to return (fewer come back when fewer nodes are
-  // reachable). Must be ≥ 1.
-  std::size_t k = 10;
-
-  // Owned exclusion set: nodes barred from the result while still feeding
-  // the pruning estimator, so the answer is the exact top-k of the allowed
-  // nodes. Must be duplicate-free and in range.
-  std::vector<NodeId> exclude;
-
-  // Diagnostics (Figure 7 / Figure 9 of the paper). `use_pruning = false`
-  // disables tree-estimation pruning; `root_override` roots the BFS tree
-  // at a non-query node (single-source static queries only — results are
-  // then not guaranteed exact).
-  bool use_pruning = true;
-  NodeId root_override = kInvalidNode;
-
-  // Absolute serving deadline. time_point::max() (the default) means none.
-  // Like `trace`, the deadline never affects the answer and never
-  // participates in query identity (coalescing/caching ignore it); it is a
-  // *propagated budget*: BatchScheduler stamps each request's deadline here
-  // before dispatch, the sharded fan-out caps retry backoff at the time
-  // remaining and fails fast once expired, and the distributed router
-  // forwards the remaining budget over the wire (`deadline_us=`) so a
-  // remote worker's scheduler can expire the request instead of serving an
-  // answer nobody is waiting for.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  // Optional per-query trace sink (see obs/trace.h): when set, every layer
-  // the query passes through — scheduler queue, engine search, per-shard
-  // fan-out, merge — stamps a timing span into it. Never affects results,
-  // and never participates in query identity: the batch scheduler coalesces
-  // queries that differ only in `trace` (the duplicate's trace then carries
-  // its own queue span but the group head's compute spans).
-  std::shared_ptr<obs::TraceContext> trace;
-
-  static Query Single(NodeId source, std::size_t k = 10) {
-    Query query;
-    query.sources = {source};
-    query.k = k;
-    return query;
-  }
-
-  static Query Personalized(std::vector<NodeId> sources, std::size_t k = 10) {
-    Query query;
-    query.sources = std::move(sources);
-    query.k = k;
-    return query;
-  }
-};
-
-struct SearchResult {
-  std::vector<ScoredNode> top;  // ranked best-first
-  core::SearchStats stats;
-
-  // Failure-domain accounting, filled by serving::ShardedEngine: how many
-  // shards contributed to `top` and how many were dropped by a graceful
-  // degradation policy. A single unsharded Engine leaves both at 0. A
-  // result is complete iff shards_failed == 0; a degraded result is still
-  // the *exact* top-k over the surviving shards' nodes, just possibly
-  // missing nodes owned by the failed ones.
-  int shards_ok = 0;
-  int shards_failed = 0;
-
-  bool degraded() const { return shards_failed > 0; }
 };
 
 class Engine {

@@ -8,15 +8,17 @@
 //
 // Protocol per query:
 //   estimator.Reset();
-//   for each node u in BFS order:
-//     p_bar = (u == query) ? 1 : estimator.EstimateNext(u, layer(u));
+//   for each layer-0 root r (the query node, or every restart source):
+//     estimator.RecordQuery(r, exact proximity of r);   // p̄(r) = 1
+//   for each later node u in BFS order:
+//     p_bar = estimator.EstimateNext(u, layer(u));
 //     if (p_bar < theta) stop;                 // prune
-//     p = exact proximity of u;
-//     estimator.RecordSelected(u, layer(u), p);
+//     estimator.RecordSelected(u, exact proximity of u);
 //
 // Paper erratum: Definition 2's u′ = q base case prints the third term as
 // (1 - p_q)·Amax(u); Definition 1 requires the global Amax, which is what we
-// implement (see DESIGN.md §8 and the Definition-1-equivalence test).
+// implement, since Lemma 1 needs the remainder bounded for every node
+// (checked by EstimatorPropertyTest.Definition2EqualsDefinition1).
 #ifndef KDASH_CORE_ESTIMATOR_H_
 #define KDASH_CORE_ESTIMATOR_H_
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/check.h"
+#include "common/top_k.h"
 
 namespace kdash::core {
 
@@ -36,31 +37,29 @@ Scalar KDashSearcher::Proximity(NodeId u) const {
   return index_->restart_prob() * uinv.RowDot(reordered, y_);
 }
 
-std::vector<ScoredNode> KDashSearcher::TopK(NodeId query, std::size_t k,
-                                            const SearchOptions& options,
-                                            SearchStats* stats) {
-  KDASH_CHECK(query >= 0 && query < index_->num_nodes());
-  const NodeId root =
-      options.root_override == kInvalidNode ? query : options.root_override;
-  KDASH_CHECK(root >= 0 && root < index_->num_nodes());
-  return Search({query}, {1.0}, {root}, k, options, stats);
-}
-
-std::vector<ScoredNode> KDashSearcher::TopKPersonalized(
-    const std::vector<NodeId>& sources, std::size_t k,
-    const SearchOptions& options, SearchStats* stats) {
-  KDASH_CHECK(!sources.empty());
+SearchResult KDashSearcher::Search(const Query& query) {
+  KDASH_CHECK(!query.sources.empty());
+  if (query.sources.size() == 1) {
+    const NodeId source = query.sources.front();
+    KDASH_CHECK(source >= 0 && source < index_->num_nodes());
+    const NodeId root =
+        query.root_override == kInvalidNode ? source : query.root_override;
+    KDASH_CHECK(root >= 0 && root < index_->num_nodes());
+    const Scalar weight = 1.0;
+    return Run(query.sources, {&weight, 1}, {&root, 1}, query.k,
+               query.use_pruning, query.exclude);
+  }
   // Counted dedup: a repeated source carries extra restart mass, so each
   // unique source is weighted by multiplicity / |sources| — dropping the
   // duplicates and renormalizing by 1/|unique| (the old behavior) silently
   // rescaled the restart vector.
-  std::vector<NodeId> sorted = sources;
+  std::vector<NodeId> sorted = query.sources;
   std::sort(sorted.begin(), sorted.end());
   std::vector<NodeId> unique;
   std::vector<Scalar> weights;
   unique.reserve(sorted.size());
   weights.reserve(sorted.size());
-  const Scalar per_occurrence = 1.0 / static_cast<Scalar>(sources.size());
+  const Scalar per_occurrence = 1.0 / static_cast<Scalar>(query.sources.size());
   for (const NodeId s : sorted) {
     KDASH_CHECK(s >= 0 && s < index_->num_nodes()) << "source " << s;
     if (!unique.empty() && unique.back() == s) {
@@ -70,22 +69,22 @@ std::vector<ScoredNode> KDashSearcher::TopKPersonalized(
       weights.push_back(per_occurrence);
     }
   }
-  SearchOptions effective = options;
-  effective.root_override = kInvalidNode;  // roots are the sources
-  return Search(unique, weights, unique, k, effective, stats);
+  // The roots are the sources.
+  return Run(unique, weights, unique, query.k, query.use_pruning,
+             query.exclude);
 }
 
-std::vector<ScoredNode> KDashSearcher::Search(
-    const std::vector<NodeId>& sources,
-    const std::vector<Scalar>& source_weights,
-    const std::vector<NodeId>& roots, std::size_t k,
-    const SearchOptions& options, SearchStats* stats) {
+SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
+                                std::span<const Scalar> source_weights,
+                                std::span<const NodeId> roots, std::size_t k,
+                                bool use_pruning,
+                                std::span<const NodeId> exclude) {
   KDASH_CHECK(k > 0);
   KDASH_CHECK(sources.size() == source_weights.size());
 
   // Mark the exclusion set (cleared at the end of the query).
   excluded_rows_.clear();
-  for (const NodeId node : options.excluded) {
+  for (const NodeId node : exclude) {
     KDASH_CHECK(node >= 0 && node < index_->num_nodes())
         << "excluded node " << node;
     if (!excluded_[static_cast<std::size_t>(node)]) {
@@ -158,7 +157,7 @@ std::vector<ScoredNode> KDashSearcher::Search(
       estimator_.RecordQuery(u, proximity);
     } else {
       const NodeId u_layer = layer_[static_cast<std::size_t>(u)];
-      if (options.use_pruning) {
+      if (use_pruning) {
         const Scalar upper_bound = estimator_.EstimateNext(u, u_layer);
         if (upper_bound < heap.Threshold()) {
           // Lemma 2: every remaining node's bound is ≤ this one; terminate.
@@ -199,8 +198,10 @@ std::vector<ScoredNode> KDashSearcher::Search(
     excluded_[static_cast<std::size_t>(node)] = false;
   }
 
-  if (stats != nullptr) *stats = local_stats;
-  return heap.Sorted();
+  SearchResult result;
+  result.top = heap.Sorted();
+  result.stats = local_stats;
+  return result;
 }
 
 }  // namespace kdash::core

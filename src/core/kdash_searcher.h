@@ -2,8 +2,8 @@
 //
 // Per query:
 //   1. load y = L⁻¹ q (stored sparse columns of the inverse lower factor;
-//      q is e_query, or a uniform restart distribution for personalized
-//      queries),
+//      q is e_source for a single-source Query, or the restart distribution
+//      over Query::sources for a personalized one),
 //   2. lazily expand the breadth-first tree rooted at the query node(s),
 //   3. visit nodes in ascending layer order, maintaining the O(1)
 //      incremental upper bound p̄ (Definitions 1–2),
@@ -20,46 +20,12 @@
 #include <span>
 #include <vector>
 
-#include "common/top_k.h"
 #include "common/types.h"
 #include "core/estimator.h"
 #include "core/kdash_index.h"
+#include "core/query.h"
 
 namespace kdash::core {
-
-struct SearchOptions {
-  // Disable the tree-estimation pruning: every node reachable from the
-  // query gets an exact proximity computation. This is the "Without
-  // pruning" configuration of Figure 7.
-  bool use_pruning = true;
-
-  // Diagnostic for Figure 9 / Appendix D: root the BFS tree at this node
-  // instead of the query node. With a non-query root the search examines
-  // only nodes reachable from that root, so results are NOT guaranteed
-  // exact; K-dash proper always roots at the query node. Ignored by
-  // personalized queries.
-  NodeId root_override = kInvalidNode;
-
-  // Nodes barred from the result (e.g., a recommender excluding items the
-  // user already rated, or the query node itself). Excluded nodes are
-  // still visited and selected — their exact proximities feed the
-  // estimator — they just never enter the top-k heap, so the returned k
-  // are exactly the best k among the allowed nodes. Duplicates are
-  // harmless. A view, not a copy (Engine::Search points it at
-  // Query::exclude so the hot path never copies): the viewed storage must
-  // stay alive for the duration of the call.
-  std::span<const NodeId> excluded;
-};
-
-struct SearchStats {
-  NodeId nodes_visited = 0;           // estimates evaluated
-  NodeId proximity_computations = 0;  // exact proximities computed
-  bool terminated_early = false;      // pruning fired
-  // Nodes discovered by the lazy BFS before the search ended. Equals the
-  // full reachable set when pruning is off; with pruning it only counts the
-  // explored neighborhood (the BFS never expands past the stop point).
-  NodeId tree_size = 0;
-};
 
 class KDashSearcher {
  public:
@@ -69,35 +35,27 @@ class KDashSearcher {
   KDashSearcher(const KDashSearcher&) = delete;
   KDashSearcher& operator=(const KDashSearcher&) = delete;
 
-  // Returns up to k nodes with the highest proximities w.r.t. `query`,
-  // ranked best-first (the query node itself is a legal answer and, having
-  // proximity ≥ c, is in practice always rank 1). Fewer than k nodes are
-  // returned when fewer than k are reachable from the query.
-  std::vector<ScoredNode> TopK(NodeId query, std::size_t k,
-                               const SearchOptions& options = {},
-                               SearchStats* stats = nullptr);
-
-  // Personalized top-k: the walk restarts into `sources` (the Personalized
-  // PageRank start-set semantics the paper contrasts with RWR in
-  // Section 6), each occurrence carrying 1/|sources| of the restart mass —
-  // a duplicated source gets proportionally more weight, matching an
-  // explicit restart-vector solve over the raw list. Exact, like TopK: the
-  // estimator's Lemma 1 argument carries over to a multi-source BFS tree,
-  // with every source a layer-0 root.
-  std::vector<ScoredNode> TopKPersonalized(const std::vector<NodeId>& sources,
-                                           std::size_t k,
-                                           const SearchOptions& options = {},
-                                           SearchStats* stats = nullptr);
+  // Answers `query` exactly: up to k nodes ranked best-first (fewer when
+  // fewer are reachable), plus the search's work counts.
+  //   - One source: the paper's single-source top-k; the query node itself
+  //     is a legal answer and, with proximity ≥ c, is in practice rank 1.
+  //   - Several sources: the restart-set query. Exact, since Lemma 1
+  //     carries over to a multi-source BFS tree with every source a
+  //     layer-0 root; `root_override` is ignored.
+  //   - `exclude` is read in place, never copied, and may hold duplicates.
+  //     Excluded nodes still feed the estimator; they only skip the heap.
+  // Aborts (KDASH_CHECK) on k = 0, an empty source set or an out-of-range
+  // id; Engine::Search validates first and returns a Status instead.
+  SearchResult Search(const Query& query);
 
  private:
   // Shared engine. `source_weights[i]` (parallel to `sources`) scales
   // source i's L⁻¹ column when building y; `roots` seed layer 0 of the BFS
   // in visit order.
-  std::vector<ScoredNode> Search(const std::vector<NodeId>& sources,
-                                 const std::vector<Scalar>& source_weights,
-                                 const std::vector<NodeId>& roots,
-                                 std::size_t k, const SearchOptions& options,
-                                 SearchStats* stats);
+  SearchResult Run(std::span<const NodeId> sources,
+                   std::span<const Scalar> source_weights,
+                   std::span<const NodeId> roots, std::size_t k,
+                   bool use_pruning, std::span<const NodeId> exclude);
 
   // Exact proximity of original node u using the loaded query column.
   Scalar Proximity(NodeId u) const;

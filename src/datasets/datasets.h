@@ -2,8 +2,9 @@
 //
 // The originals (FOLDOC, Oregon AS, cond-mat, Epinions, email-EuAll) are
 // public downloads the paper cites; this offline reproduction synthesizes
-// graphs from the same structural families at a configurable scale
-// (DESIGN.md §4 records each substitution). `scale = 1.0` is the default
+// graphs from the same structural families at a configurable scale, so
+// every benchmark runs without a download (each DatasetId below names the
+// family its stand-in reproduces). `scale = 1.0` is the default
 // benchmark size (≈ 1/4 of the paper's node counts so the O(n²)/O(n³)
 // baselines finish on a laptop); `scale = 4.0` reproduces the paper's
 // sizes. Real edge lists can be used instead via graph::ReadEdgeListFile.

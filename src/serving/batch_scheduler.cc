@@ -191,6 +191,11 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
         queries.push_back(std::move(live[i].query));
       } else {
         ++coalesced;
+        // The group is computed once, under one budget: the latest member
+        // deadline (max() = none wins), so no member can expire because of
+        // a batchmate's tighter one.
+        queries.back().deadline =
+            std::max(queries.back().deadline, live[i].query.deadline);
         // Query identity excludes `trace`, so a traced request can coalesce
         // behind an untraced group head — whose null context would swallow
         // every engine/shard span. Promote the first traced duplicate's

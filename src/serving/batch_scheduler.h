@@ -21,7 +21,9 @@
 // Contracts:
 //   - Submit is thread-safe; results are identical to calling the backend
 //     synchronously per query (coalescing only merges *identical* queries,
-//     whose results are deterministic and equal).
+//     whose results are deterministic and equal; the merged query carries
+//     the group's latest deadline, so no member runs under a tighter
+//     budget than its own).
 //   - A request whose deadline passes before its batch is dispatched
 //     resolves to kDeadlineExceeded — it never reaches the backend.
 //   - Shutdown() (and the destructor) stops accepting new work, drains

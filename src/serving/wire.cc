@@ -1,8 +1,11 @@
 #include "serving/wire.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
+#include <type_traits>
 
 namespace kdash::serving::wire {
 namespace {
@@ -21,13 +24,32 @@ std::size_t FieldPos(const std::string& line, std::string_view name) {
   return at == std::string::npos ? std::string::npos : at + token.size();
 }
 
-bool ParseIntField(const std::string& line, std::string_view name,
-                   long long* out) {
-  const std::size_t pos = FieldPos(line, name);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  *out = std::strtoll(line.c_str() + pos, &end, 10);
-  return end != line.c_str() + pos;
+// The value of field `name` up to the next ',' or '}' — one JSON number
+// in the records this parser reads. `absent` when the field is missing;
+// empty (so unparseable) when it runs off the end of a truncated record.
+std::string_view NumberField(const std::string& object, std::string_view name,
+                             std::string_view absent = {}) {
+  const std::size_t pos = FieldPos(object, name);
+  if (pos == std::string::npos) return absent;
+  const std::size_t end = object.find_first_of(",}", pos);
+  if (end == std::string::npos) return {};
+  return std::string_view(object).substr(pos, end - pos);
+}
+
+// Parses `token` whole into *out; false on any other text or on a value
+// outside [lo, hi].
+template <typename T>
+bool ParseNumber(std::string_view token, T* out,
+                 std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+                 std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data(), last, value);
+  if (error != std::errc() || end != last || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 // Undo tools::JsonEscape: \" and \\ plus \u00XX for control bytes. Any
@@ -95,22 +117,27 @@ Status ParseTopArray(const std::string& line, std::vector<ScoredNode>* top) {
       return Malformed(line, "unterminated top entry");
     }
     const std::string entry = line.substr(pos, entry_end - pos + 1);
-    long long node = 0;
-    if (!ParseIntField(entry, "node", &node)) {
-      return Malformed(line, "top entry without node");
+    NodeId node = 0;
+    if (!ParseNumber(NumberField(entry, "node"), &node, 0)) {
+      return Malformed(line, "top entry without a valid node");
     }
-    Scalar score = 0;
+    Scalar score = -1.0;  // stays out of range unless a parse succeeds
     std::string hex;
     if (ParseStringField(entry, "score_hex", &hex)) {
-      score = std::strtod(hex.c_str(), nullptr);
+      char* end = nullptr;
+      const Scalar parsed = std::strtod(hex.c_str(), &end);
+      if (end != hex.c_str() && *end == '\0') score = parsed;
     } else {
-      const std::size_t score_pos = FieldPos(entry, "score");
-      if (score_pos == std::string::npos) {
-        return Malformed(line, "top entry without score");
-      }
-      score = std::strtod(entry.c_str() + score_pos, nullptr);
+      ParseNumber(NumberField(entry, "score"), &score);
     }
-    top->push_back(ScoredNode{static_cast<NodeId>(node), score});
+    // A proximity is a probability, so anything else (NaN would break the
+    // merge's strict weak order) is not a score. The upper end allows for
+    // rounding: a node whose only edge is a self-loop scores 1 + 2⁻⁵² at
+    // c = 0.1, and that is a real answer.
+    if (!(score >= 0.0 && score <= 1.0 + 1e-9)) {
+      return Malformed(line, "top entry without a valid score");
+    }
+    top->push_back(ScoredNode{node, score});
     pos = entry_end + 1;
     if (pos < line.size() && line[pos] == ',') ++pos;
   }
@@ -150,18 +177,18 @@ std::string FormatRequestLine(const Query& query) {
 
 Result<ParsedRecord> ParseRecordLine(const std::string& line) {
   ParsedRecord record;
-  if (!ParseIntField(line, "id", &record.id)) {
+  if (!ParseNumber(NumberField(line, "id"), &record.id)) {
     return Malformed(line, "missing id");
   }
 
   if (line.find("\"pong\":1") != std::string::npos) {
     record.kind = ParsedRecord::Kind::kPong;
-    long long shards = -1;
-    long long nodes = -1;
-    if (ParseIntField(line, "shards", &shards)) {
-      record.pong_shards = static_cast<int>(shards);
+    if (!ParseNumber(NumberField(line, "shards", "-1"), &record.pong_shards,
+                     -1) ||
+        !ParseNumber(NumberField(line, "nodes", "-1"), &record.pong_nodes,
+                     -1)) {
+      return Malformed(line, "bad pong footprint");
     }
-    if (ParseIntField(line, "nodes", &nodes)) record.pong_nodes = nodes;
     return record;
   }
 
@@ -178,25 +205,20 @@ Result<ParsedRecord> ParseRecordLine(const std::string& line) {
 
   record.kind = ParsedRecord::Kind::kResult;
   KDASH_RETURN_IF_ERROR(ParseTopArray(line, &record.result.top));
-  long long visited = 0;
-  long long computed = 0;
-  if (!ParseIntField(line, "visited", &visited) ||
-      !ParseIntField(line, "computed", &computed)) {
-    return Malformed(line, "result record without stats");
+  core::SearchStats& stats = record.result.stats;
+  if (!ParseNumber(NumberField(line, "visited"), &stats.nodes_visited, 0) ||
+      !ParseNumber(NumberField(line, "computed"),
+                   &stats.proximity_computations, 0)) {
+    return Malformed(line, "result record without valid stats");
   }
-  record.result.stats.nodes_visited = static_cast<NodeId>(visited);
-  record.result.stats.proximity_computations = static_cast<NodeId>(computed);
-  record.result.stats.terminated_early =
-      line.find("\"pruned\":true") != std::string::npos;
-  long long shards_ok = 0;
-  long long shards_failed = 0;
+  stats.terminated_early = line.find("\"pruned\":true") != std::string::npos;
   // Present only on degraded records; a complete record leaves both 0 and
   // the router substitutes the slot's full shard weight.
-  if (ParseIntField(line, "shards_ok", &shards_ok)) {
-    record.result.shards_ok = static_cast<int>(shards_ok);
-  }
-  if (ParseIntField(line, "shards_failed", &shards_failed)) {
-    record.result.shards_failed = static_cast<int>(shards_failed);
+  if (!ParseNumber(NumberField(line, "shards_ok", "0"),
+                   &record.result.shards_ok, 0) ||
+      !ParseNumber(NumberField(line, "shards_failed", "0"),
+                   &record.result.shards_failed, 0)) {
+    return Malformed(line, "bad shard tags");
   }
   return record;
 }

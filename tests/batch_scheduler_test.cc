@@ -212,6 +212,54 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   EXPECT_EQ(backend_queries.load(), 1u);  // one batch, one distinct query
 }
 
+TEST(BatchSchedulerTest, CoalescedGroupRunsUnderItsLatestDeadline) {
+  // A coalesced group is computed once, so the query the backend sees must
+  // carry a budget every member can live with: the latest deadline, or
+  // none if any member has none. Otherwise a no-deadline request could come
+  // back DEADLINE_EXCEEDED from a retrying backend because of a batchmate.
+  using std::chrono::hours;
+  using Clock = std::chrono::steady_clock;
+  const Engine engine = BuildTestEngine();
+  struct Case {
+    Clock::duration first, second;  // zero = no timeout
+    bool want_none;
+  };
+  for (const Case& c : {Case{hours(1), Clock::duration::zero(), true},
+                        Case{Clock::duration::zero(), hours(1), true},
+                        Case{hours(1), hours(3), false},
+                        Case{hours(3), hours(1), false}}) {
+    test::BackendGate gate;
+    std::mutex mutex;
+    std::vector<Clock::time_point> seen;
+    BatchScheduler scheduler(
+        gate.Wrap([&](std::span<const Query> queries) {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            for (const Query& query : queries) seen.push_back(query.deadline);
+          }
+          return engine.SearchBatch(queries);
+        }));
+    auto occupant = scheduler.Submit(Query::Single(0, 1));
+    gate.AwaitOccupant();
+    const Clock::time_point before = Clock::now();
+    auto first = scheduler.Submit(Query::Single(5, 10), c.first);
+    auto second = scheduler.Submit(Query::Single(5, 10), c.second);
+    gate.Release();
+    ASSERT_TRUE(occupant.get().ok());
+    ASSERT_TRUE(first.get().ok());
+    ASSERT_TRUE(second.get().ok());
+
+    std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(seen.size(), 1u);  // the pair coalesced into one query
+    if (c.want_none) {
+      EXPECT_EQ(seen[0], Clock::time_point::max());
+    } else {
+      EXPECT_GE(seen[0], before + hours(3));
+      EXPECT_LT(seen[0], Clock::time_point::max());
+    }
+  }
+}
+
 TEST(BatchSchedulerTest, IdleDispatchesAtOnceAndQueuedRequestsFormTheNextBatch) {
   // No batching timer. A lone request on an idle scheduler reaches the
   // backend at once, as a batch of 1. Its deadline is well under a

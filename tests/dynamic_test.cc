@@ -44,7 +44,7 @@ std::vector<Scalar> TruthAfterMutations(
 TEST(DynamicTest, NoUpdatesMatchesStaticSolve) {
   const auto g = test::RandomDirectedGraph(80, 500, 11);
   DynamicKDash dynamic(g, {});
-  const auto p = dynamic.Solve(5);
+  const auto p = dynamic.Solve({5});
   const auto truth = rwr::SolveRwr(g.NormalizedAdjacency(), 5, {});
   for (std::size_t u = 0; u < p.size(); ++u) {
     EXPECT_NEAR(p[u], truth.proximity[u], 1e-9);
@@ -58,7 +58,7 @@ TEST(DynamicTest, SingleEdgeAdditionExact) {
   ASSERT_TRUE(dynamic.AddEdge(3, 40, 2.0).ok());
   EXPECT_EQ(dynamic.pending_columns(), 1);
 
-  const auto p = dynamic.Solve(3);
+  const auto p = dynamic.Solve({3});
   const auto truth = TruthAfterMutations(g, {{3, 40, 2.0}}, {}, 3, 0.95);
   for (std::size_t u = 0; u < p.size(); ++u) {
     EXPECT_NEAR(p[u], truth[u], 1e-9) << "u=" << u;
@@ -74,7 +74,7 @@ TEST(DynamicTest, EdgeRemovalExact) {
 
   DynamicKDash dynamic(g, {});
   ASSERT_TRUE(dynamic.RemoveEdge(src, dst).ok());
-  const auto p = dynamic.Solve(src);
+  const auto p = dynamic.Solve({src});
   const auto truth = TruthAfterMutations(g, {}, {{src, dst}}, src, 0.95);
   for (std::size_t u = 0; u < p.size(); ++u) {
     EXPECT_NEAR(p[u], truth[u], 1e-9) << "u=" << u;
@@ -100,7 +100,7 @@ TEST(DynamicTest, ManyMixedUpdatesExact) {
   EXPECT_EQ(dynamic.rebuild_count(), 1);  // only the constructor's build
 
   for (const NodeId q : {0, 33, 99}) {
-    const auto p = dynamic.Solve(q);
+    const auto p = dynamic.Solve({q});
     const auto truth = TruthAfterMutations(g, additions, {}, q, 0.95);
     for (std::size_t u = 0; u < p.size(); ++u) {
       EXPECT_NEAR(p[u], truth[u], 1e-8) << "q=" << q << " u=" << u;
@@ -126,10 +126,10 @@ TEST(DynamicTest, ManualRebuildPreservesAnswers) {
   DynamicKDash dynamic(g, {});
   ASSERT_TRUE(dynamic.AddEdge(1, 50, 3.0).ok());
   ASSERT_TRUE(dynamic.AddEdge(2, 60, 1.5).ok());
-  const auto before = dynamic.Solve(1);
+  const auto before = dynamic.Solve({1});
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_columns(), 0);
-  const auto after = dynamic.Solve(1);
+  const auto after = dynamic.Solve({1});
   for (std::size_t u = 0; u < before.size(); ++u) {
     EXPECT_NEAR(before[u], after[u], 1e-9);
   }
@@ -142,17 +142,39 @@ TEST(DynamicTest, TopKTracksUpdates) {
   const NodeId query = 4;
   const NodeId target = 77;
 
-  const auto before = dynamic.TopK(query, 5);
+  const auto before = dynamic.Search(Query::Single(query, 5)).top;
   bool target_in_before = false;
   for (const auto& entry : before) target_in_before |= entry.node == target;
   EXPECT_FALSE(target_in_before);
 
   // Dominate the query's out-mass.
   ASSERT_TRUE(dynamic.AddEdge(query, target, 500.0).ok());
-  const auto after = dynamic.TopK(query, 5);
+  const auto after = dynamic.Search(Query::Single(query, 5)).top;
   ASSERT_GE(after.size(), 2u);
   EXPECT_EQ(after[0].node, query);
   EXPECT_EQ(after[1].node, target);
+}
+
+TEST(DynamicTest, SearchReportsAFullScanAndHonorsExclude) {
+  // The solve is global, so the stats count every node; excluded nodes
+  // never come back, and the rest keep their exact ranking.
+  const auto g = test::RandomDirectedGraph(60, 350, 20);
+  DynamicKDash dynamic(g, {});
+  const auto full = dynamic.Search(Query::Personalized({2, 9}, 6));
+  EXPECT_EQ(full.stats.nodes_visited, g.num_nodes());
+  EXPECT_EQ(full.stats.proximity_computations, g.num_nodes());
+  EXPECT_EQ(full.stats.tree_size, g.num_nodes());
+  EXPECT_FALSE(full.stats.terminated_early);
+  ASSERT_EQ(full.top.size(), 6u);
+
+  Query query = Query::Personalized({2, 9}, 5);
+  query.exclude = {full.top[0].node};
+  const auto excluded = dynamic.Search(query);
+  ASSERT_EQ(excluded.top.size(), 5u);
+  for (std::size_t r = 0; r < excluded.top.size(); ++r) {
+    EXPECT_EQ(excluded.top[r].node, full.top[r + 1].node) << "rank " << r;
+    EXPECT_EQ(excluded.top[r].score, full.top[r + 1].score) << "rank " << r;
+  }
 }
 
 TEST(DynamicTest, RemoveNonexistentEdgeIsNotFound) {
@@ -175,16 +197,16 @@ TEST(DynamicTest, OutOfRangeEdgeUpdatesAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(DynamicTest, SolvePersonalizedMatchesAverageOfSolves) {
+TEST(DynamicTest, MultiSourceSolveMatchesAverageOfSolves) {
   const auto g = test::RandomDirectedGraph(70, 400, 21);
   DynamicKDash dynamic(g, {});
   // Exercise the correction path too.
   ASSERT_TRUE(dynamic.AddEdge(2, 30, 1.5).ok());
   const std::vector<NodeId> sources{3, 10, 44};
-  const auto personalized = dynamic.SolvePersonalized(sources);
+  const auto personalized = dynamic.Solve(sources);
   std::vector<Scalar> average(static_cast<std::size_t>(g.num_nodes()), 0.0);
   for (const NodeId s : sources) {
-    const auto p = dynamic.Solve(s);
+    const auto p = dynamic.Solve({s});
     for (std::size_t u = 0; u < p.size(); ++u) {
       average[u] += p[u] / static_cast<Scalar>(sources.size());
     }

@@ -49,7 +49,7 @@ TEST_P(EngineConsistencyTest, ExactEnginesAgreeOnFullVectors) {
     const NodeId q = rng.NextNode(dataset.graph.num_nodes());
     const auto iterative = rwr::SolveRwr(a, q, pi).proximity;
     const auto factored = direct.Solve(q);
-    const auto dynamic_p = dynamic.Solve(q);
+    const auto dynamic_p = dynamic.Solve({q});
     for (std::size_t u = 0; u < iterative.size(); ++u) {
       EXPECT_NEAR(factored[u], iterative[u], 1e-9)
           << dataset.name << " direct q=" << q << " u=" << u;
@@ -77,7 +77,7 @@ TEST_P(EngineConsistencyTest, KDashTopKIsSubsetOfBasicPushAnswer) {
   Rng rng(5);
   for (int trial = 0; trial < 3; ++trial) {
     const NodeId q = rng.NextNode(dataset.graph.num_nodes());
-    const auto exact = searcher.TopK(q, 5);
+    const auto exact = searcher.Search(Query::Single(q, 5)).top;
     const auto pushed = bpa.TopK(q, 5);
     std::set<NodeId> answer;
     for (const auto& entry : pushed) answer.insert(entry.node);
@@ -108,7 +108,7 @@ TEST_P(EngineConsistencyTest, MonteCarloTopOneMatchesExact) {
   for (int trial = 0; trial < 3; ++trial) {
     const NodeId q = rng.NextNode(dataset.graph.num_nodes());
     if (dataset.graph.OutDegree(q) == 0) continue;
-    const auto exact = searcher.TopK(q, 1);
+    const auto exact = searcher.Search(Query::Single(q, 1)).top;
     const auto sampled = mc.TopK(q, 1);
     ASSERT_FALSE(exact.empty());
     ASSERT_FALSE(sampled.empty());
@@ -137,7 +137,7 @@ TEST_P(EngineConsistencyTest, NbLinFullRankMatchesExactTopK) {
   const baselines::NbLin nb(a, nb_options);
 
   const NodeId q = 1;
-  const auto exact = searcher.TopK(q, 5);
+  const auto exact = searcher.Search(Query::Single(q, 5)).top;
   const auto approx = nb.TopK(q, 5);
   ASSERT_GE(approx.size(), exact.size());
   for (std::size_t i = 0; i < exact.size(); ++i) {

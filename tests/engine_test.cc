@@ -39,11 +39,6 @@ TEST(EngineTest, BuildRejectsBadOptions) {
   bad_c.index.restart_prob = 1.5;
   EXPECT_EQ(Engine::Build(g, bad_c).status().code(),
             StatusCode::kInvalidArgument);
-
-  EngineOptions bad_pending = UpdatableOptions();
-  bad_pending.max_pending_columns = 0;
-  EXPECT_EQ(Engine::Build(g, bad_pending).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, SearchMatchesSearcherInternals) {
@@ -57,16 +52,15 @@ TEST(EngineTest, SearchMatchesSearcherInternals) {
   for (const NodeId q : {0, 17, 63, 119}) {
     const auto got = engine->Search(Query::Single(q, 10));
     ASSERT_TRUE(got.ok()) << got.status();
-    core::SearchStats want_stats;
-    const auto want = searcher.TopK(q, 10, {}, &want_stats);
-    ASSERT_EQ(got->top.size(), want.size()) << "q=" << q;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got->top[i].node, want[i].node);
-      EXPECT_DOUBLE_EQ(got->top[i].score, want[i].score);
+    const SearchResult want = searcher.Search(Query::Single(q, 10));
+    ASSERT_EQ(got->top.size(), want.top.size()) << "q=" << q;
+    for (std::size_t i = 0; i < want.top.size(); ++i) {
+      EXPECT_EQ(got->top[i].node, want.top[i].node);
+      EXPECT_DOUBLE_EQ(got->top[i].score, want.top[i].score);
     }
-    EXPECT_EQ(got->stats.nodes_visited, want_stats.nodes_visited);
+    EXPECT_EQ(got->stats.nodes_visited, want.stats.nodes_visited);
     EXPECT_EQ(got->stats.proximity_computations,
-              want_stats.proximity_computations);
+              want.stats.proximity_computations);
   }
 }
 
@@ -87,9 +81,7 @@ TEST(EngineTest, PersonalizedAndExclusionQueries) {
 
   const core::KDashIndex index = core::KDashIndex::Build(g, {});
   core::KDashSearcher searcher(&index);
-  core::SearchOptions options;
-  options.excluded = query.exclude;
-  const auto want = searcher.TopKPersonalized({3, 40, 77}, 8, options);
+  const auto want = searcher.Search(query).top;
   ASSERT_EQ(result->top.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(result->top[i].node, want[i].node);
@@ -148,22 +140,14 @@ TEST(EngineTest, QueryValidationAtTheBoundary) {
 // what a plain searcher over the same graph returns for `query`.
 void ExpectMatchesSearcher(core::KDashSearcher& searcher, const Query& query,
                            const SearchResult& got) {
-  core::SearchOptions options;
-  options.excluded = query.exclude;
-  core::SearchStats want_stats;
-  const auto want =
-      query.sources.size() == 1
-          ? searcher.TopK(query.sources.front(), query.k, options,
-                          &want_stats)
-          : searcher.TopKPersonalized(query.sources, query.k, options,
-                                      &want_stats);
-  ASSERT_EQ(got.top.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(got.top[r].node, want[r].node) << "rank " << r;
-    EXPECT_EQ(got.top[r].score, want[r].score) << "rank " << r;
+  const SearchResult want = searcher.Search(query);
+  ASSERT_EQ(got.top.size(), want.top.size());
+  for (std::size_t r = 0; r < want.top.size(); ++r) {
+    EXPECT_EQ(got.top[r].node, want.top[r].node) << "rank " << r;
+    EXPECT_EQ(got.top[r].score, want.top[r].score) << "rank " << r;
   }
   EXPECT_EQ(got.stats.proximity_computations,
-            want_stats.proximity_computations);
+            want.stats.proximity_computations);
   EXPECT_GT(got.stats.proximity_computations, 0);
 }
 

@@ -1,7 +1,7 @@
 // Tests for result exclusion — the filtering feature used by the
 // recommender scenario (exclude already-rated items) while preserving
-// exactness for the allowed nodes. SearchOptions::excluded is a view, so
-// each test keeps its exclusion list in a local vector.
+// exactness for the allowed nodes. The searcher reads Query::exclude in
+// place; duplicates in it are harmless at this layer.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -20,12 +20,11 @@ TEST(ExclusionTest, ExcludedNodesNeverReturned) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
 
-  const std::vector<NodeId> excluded{0, 1, 2, 3};  // includes the query
-  SearchOptions options;
-  options.excluded = excluded;
-  const auto top = searcher.TopK(0, 10, options);
+  Query query = Query::Single(0, 10);
+  query.exclude = {0, 1, 2, 3};  // includes the query
+  const auto top = searcher.Search(query).top;
   for (const auto& entry : top) {
-    for (const NodeId banned : excluded) {
+    for (const NodeId banned : query.exclude) {
       EXPECT_NE(entry.node, banned);
     }
   }
@@ -38,10 +37,10 @@ TEST(ExclusionTest, ResultIsExactTopKOfAllowedNodes) {
   KDashSearcher searcher(&index);
 
   const std::vector<NodeId> excluded{7, 11, 30, 31, 32, 90};
-  SearchOptions options;
-  options.excluded = excluded;
   const NodeId query = 7;
-  const auto got = searcher.TopK(query, 8, options);
+  Query request = Query::Single(query, 8);
+  request.exclude = excluded;
+  const auto got = searcher.Search(request).top;
 
   // Reference: full solve, drop excluded, rank.
   const auto full = rwr::SolveRwr(a, query, {});
@@ -64,14 +63,12 @@ TEST(ExclusionTest, ExclusionDoesNotAffectSubsequentQueries) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
 
-  const auto before = searcher.TopK(5, 5);
-  {
-    const std::vector<NodeId> excluded{5};
-    SearchOptions options;
-    options.excluded = excluded;
-    searcher.TopK(5, 5, options);
-  }
-  const auto after = searcher.TopK(5, 5);  // workspace must be clean
+  const auto before = searcher.Search(Query::Single(5, 5)).top;
+  Query excluding = Query::Single(5, 5);
+  excluding.exclude = {5};
+  searcher.Search(excluding);
+  // The workspace must be clean again.
+  const auto after = searcher.Search(Query::Single(5, 5)).top;
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i].node, after[i].node);
@@ -84,10 +81,9 @@ TEST(ExclusionTest, WorksWithPersonalizedQueries) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
 
-  const std::vector<NodeId> sources{3, 60};
-  SearchOptions options;
-  options.excluded = sources;  // recommenders exclude the sources themselves
-  const auto top = searcher.TopKPersonalized(sources, 5, options);
+  Query query = Query::Personalized({3, 60}, 5);
+  query.exclude = query.sources;  // recommenders exclude the sources
+  const auto top = searcher.Search(query).top;
   for (const auto& entry : top) {
     EXPECT_NE(entry.node, 3);
     EXPECT_NE(entry.node, 60);
@@ -98,10 +94,9 @@ TEST(ExclusionTest, DuplicateExclusionsHarmless) {
   const auto g = test::RandomDirectedGraph(60, 350, 75);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const std::vector<NodeId> excluded{10, 10, 10};
-  SearchOptions options;
-  options.excluded = excluded;
-  const auto top = searcher.TopK(10, 5, options);
+  Query query = Query::Single(10, 5);
+  query.exclude = {10, 10, 10};
+  const auto top = searcher.Search(query).top;
   for (const auto& entry : top) EXPECT_NE(entry.node, 10);
 }
 

@@ -40,7 +40,7 @@ TEST(FoldocCaseStudyTest, MicrosoftNeighborhoodMatchesTable2) {
   const TermGraph tg = MakeFoldocCaseStudy();
   const auto index = core::KDashIndex::Build(tg.graph, {});
   core::KDashSearcher searcher(&index);
-  const auto top = searcher.TopK(tg.IdOf("Microsoft"), 5);
+  const auto top = searcher.Search(Query::Single(tg.IdOf("Microsoft"), 5)).top;
   ASSERT_EQ(top.size(), 5u);
   EXPECT_EQ(top[0].node, tg.IdOf("Microsoft"));
 
@@ -57,7 +57,7 @@ TEST(FoldocCaseStudyTest, AllFiveQueriesRankSelfFirst) {
   const auto index = core::KDashIndex::Build(tg.graph, {});
   core::KDashSearcher searcher(&index);
   for (const std::string& query : CaseStudyQueries()) {
-    const auto top = searcher.TopK(tg.IdOf(query), 5);
+    const auto top = searcher.Search(Query::Single(tg.IdOf(query), 5)).top;
     ASSERT_FALSE(top.empty()) << query;
     EXPECT_EQ(top[0].node, tg.IdOf(query)) << query;
   }
@@ -88,7 +88,7 @@ TEST(FoldocCaseStudyTest, AllFiveTable2ListsReproduced) {
   const auto index = core::KDashIndex::Build(tg.graph, {});
   core::KDashSearcher searcher(&index);
   for (const auto& row : kTable2) {
-    const auto top = searcher.TopK(tg.IdOf(row.query), 5);
+    const auto top = searcher.Search(Query::Single(tg.IdOf(row.query), 5)).top;
     ASSERT_EQ(top.size(), 5u) << row.query;
     EXPECT_EQ(tg.names[static_cast<std::size_t>(top[0].node)], row.query);
     for (int i = 0; i < 4; ++i) {
@@ -106,7 +106,7 @@ TEST(FoldocCaseStudyTest, KDashMatchesGroundTruthOnTermGraph) {
   core::KDashSearcher searcher(&index);
   for (const std::string& query : CaseStudyQueries()) {
     const NodeId q = tg.IdOf(query);
-    const auto got = searcher.TopK(q, 5);
+    const auto got = searcher.Search(Query::Single(q, 5)).top;
     const auto truth = rwr::TopKByPowerIteration(a, q, 5, {});
     ASSERT_EQ(got.size(), 5u) << query;
     for (std::size_t i = 0; i < 5; ++i) {

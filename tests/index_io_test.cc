@@ -67,8 +67,8 @@ TEST(IndexIoTest, LoadedIndexAnswersIdentically) {
   KDashSearcher original(&index);
   KDashSearcher restored(&*loaded);
   for (const NodeId q : {0, 17, 63, 119}) {
-    const auto a = original.TopK(q, 10);
-    const auto b = restored.TopK(q, 10);
+    const auto a = original.Search(Query::Single(q, 10)).top;
+    const auto b = restored.Search(Query::Single(q, 10)).top;
     ASSERT_EQ(a.size(), b.size()) << "q=" << q;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].node, b[i].node);

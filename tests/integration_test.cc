@@ -30,7 +30,7 @@ TEST_P(DatasetPipelineTest, KDashExactOnDataset) {
   Rng rng(17);
   for (int trial = 0; trial < 4; ++trial) {
     const NodeId q = rng.NextNode(dataset.graph.num_nodes());
-    const auto got = searcher.TopK(q, 5);
+    const auto got = searcher.Search(Query::Single(q, 5)).top;
     auto truth = rwr::TopKByPowerIteration(a, q, 5, {});
     while (!truth.empty() && truth.back().score < 1e-13) truth.pop_back();
     ASSERT_EQ(got.size(), truth.size()) << dataset.name << " q=" << q;
@@ -51,7 +51,7 @@ TEST_P(DatasetPipelineTest, AllReorderingsBuildAndAgree) {
     options.reorder_method = method;
     const auto index = core::KDashIndex::Build(dataset.graph, options);
     core::KDashSearcher searcher(&index);
-    results.push_back(searcher.TopK(1, 5));
+    results.push_back(searcher.Search(Query::Single(1, 5)).top);
   }
   for (std::size_t m = 1; m < results.size(); ++m) {
     ASSERT_EQ(results[m].size(), results[0].size()) << dataset.name;
@@ -92,7 +92,7 @@ TEST_P(DatasetPipelineTest, BaselinesAgreeWithKDashOnEasyQueries) {
   Rng rng(23);
   for (int trial = 0; trial < 3; ++trial) {
     const NodeId q = rng.NextNode(dataset.graph.num_nodes());
-    const auto exact = searcher.TopK(q, 5);
+    const auto exact = searcher.Search(Query::Single(q, 5)).top;
     const auto pushed = bpa.TopK(q, 5);
     // BPA guarantees recall 1: every exact answer appears in its set.
     std::set<NodeId> push_set;
@@ -133,7 +133,7 @@ TEST(IntegrationTest, NbLinPrecisionBelowKDashOnDictionary) {
     std::set<NodeId> truth_set;
     for (const auto& entry : truth) truth_set.insert(entry.node);
 
-    for (const auto& entry : searcher.TopK(q, 5)) {
+    for (const auto& entry : searcher.Search(Query::Single(q, 5)).top) {
       kdash_hits += truth_set.count(entry.node);
     }
     for (const auto& entry : nb_lin.TopK(q, truth.size())) {

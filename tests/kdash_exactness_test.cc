@@ -21,7 +21,7 @@ void ExpectExactTopK(const graph::Graph& g, const KDashOptions& options,
                      NodeId query, std::size_t k, const std::string& label) {
   const auto index = KDashIndex::Build(g, options);
   KDashSearcher searcher(&index);
-  const auto got = searcher.TopK(query, k);
+  const auto got = searcher.Search(Query::Single(query, k)).top;
 
   rwr::PowerIterationOptions pi;
   pi.restart_prob = options.restart_prob;

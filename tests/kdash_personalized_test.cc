@@ -37,13 +37,19 @@ TEST(PersonalizedTest, SingletonSetMatchesPlainTopK) {
   const auto g = test::RandomDirectedGraph(100, 600, 81);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
+  // {q} is the single-source query; {q, q} takes the multi-source path
+  // (counted dedup) and must land on the same restart vector e_q.
   for (const NodeId q : {0, 33, 99}) {
-    const auto plain = searcher.TopK(q, 7);
-    const auto personalized = searcher.TopKPersonalized({q}, 7);
-    ASSERT_EQ(plain.size(), personalized.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain[i].node, personalized[i].node);
-      EXPECT_DOUBLE_EQ(plain[i].score, personalized[i].score);
+    const auto plain = searcher.Search(Query::Single(q, 7)).top;
+    for (const auto& sources : {std::vector<NodeId>{q},
+                                std::vector<NodeId>{q, q}}) {
+      const auto personalized =
+          searcher.Search(Query::Personalized(sources, 7)).top;
+      ASSERT_EQ(plain.size(), personalized.size());
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i].node, personalized[i].node);
+        EXPECT_DOUBLE_EQ(plain[i].score, personalized[i].score);
+      }
     }
   }
 }
@@ -58,7 +64,7 @@ TEST(PersonalizedTest, DuplicateSourcesWeightByMultiplicity) {
   KDashSearcher searcher(&index);
 
   const std::vector<NodeId> sources{9, 5, 5, 9, 5};
-  const auto got = searcher.TopKPersonalized(sources, 6);
+  const auto got = searcher.Search(Query::Personalized(sources, 6)).top;
   const auto truth = GroundTruthPersonalized(a, sources, 6, 0.95);
   ASSERT_EQ(got.size(), truth.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -89,8 +95,9 @@ TEST(PersonalizedTest, UniformDuplicationMatchesDedupedSet) {
   const auto g = test::RandomDirectedGraph(60, 350, 82);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const auto deduped = searcher.TopKPersonalized({5, 9}, 6);
-  const auto duplicated = searcher.TopKPersonalized({5, 9, 5, 9}, 6);
+  const auto deduped = searcher.Search(Query::Personalized({5, 9}, 6)).top;
+  const auto duplicated =
+      searcher.Search(Query::Personalized({5, 9, 5, 9}, 6)).top;
   ASSERT_EQ(deduped.size(), duplicated.size());
   for (std::size_t i = 0; i < deduped.size(); ++i) {
     EXPECT_EQ(deduped[i].node, duplicated[i].node);
@@ -118,7 +125,7 @@ TEST_P(PersonalizedExactnessTest, MatchesPowerIterationRestartVector) {
   std::vector<NodeId> sources;
   for (int s = 0; s < set_size; ++s) sources.push_back(rng.NextNode(n));
 
-  const auto got = searcher.TopKPersonalized(sources, 10);
+  const auto got = searcher.Search(Query::Personalized(sources, 10)).top;
   const auto truth = GroundTruthPersonalized(a, sources, 10, c);
   ASSERT_EQ(got.size(), truth.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -137,7 +144,7 @@ TEST(PersonalizedTest, SourcesLeadTheRanking) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
   const std::vector<NodeId> sources{3, 40, 77};
-  const auto top = searcher.TopKPersonalized(sources, 3);
+  const auto top = searcher.Search(Query::Personalized(sources, 3)).top;
   ASSERT_EQ(top.size(), 3u);
   for (const auto& entry : top) {
     EXPECT_TRUE(entry.node == 3 || entry.node == 40 || entry.node == 77)
@@ -154,8 +161,9 @@ TEST(PersonalizedTest, PruningStillFiresAndStaysExact) {
   KDashSearcher searcher(&index);
 
   const std::vector<NodeId> sources{10, 200, 400};
-  SearchStats stats;
-  const auto got = searcher.TopKPersonalized(sources, 5, {}, &stats);
+  const auto result = searcher.Search(Query::Personalized(sources, 5));
+  const auto& got = result.top;
+  const SearchStats& stats = result.stats;
   EXPECT_TRUE(stats.terminated_early);
   EXPECT_LT(stats.proximity_computations, g.num_nodes() / 2);
 
@@ -175,7 +183,7 @@ TEST(PersonalizedTest, DisconnectedSourcesCoverBothComponents) {
   const auto g = std::move(builder).Build();
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const auto top = searcher.TopKPersonalized({0, 3}, 6);
+  const auto top = searcher.Search(Query::Personalized({0, 3}, 6)).top;
   ASSERT_EQ(top.size(), 4u);  // {0,1} and {3,4} reachable; 2 and 5 not
   for (const auto& entry : top) {
     EXPECT_TRUE(entry.node == 0 || entry.node == 1 || entry.node == 3 ||

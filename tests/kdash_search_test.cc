@@ -14,7 +14,7 @@ TEST(KDashSearchTest, QueryNodeIsRankOne) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
   for (const NodeId q : {0, 13, 57, 99}) {
-    const auto top = searcher.TopK(q, 5);
+    const auto top = searcher.Search(Query::Single(q, 5)).top;
     ASSERT_FALSE(top.empty());
     EXPECT_EQ(top[0].node, q);
     EXPECT_GE(top[0].score, 0.95 - 1e-12);
@@ -25,7 +25,7 @@ TEST(KDashSearchTest, ResultsSortedDescending) {
   const auto g = test::RandomDirectedGraph(80, 500, 32);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const auto top = searcher.TopK(7, 10);
+  const auto top = searcher.Search(Query::Single(7, 10)).top;
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_LE(top[i].score, top[i - 1].score);
   }
@@ -42,7 +42,7 @@ TEST(KDashSearchTest, FewerReachableThanK) {
   const auto g = std::move(builder).Build();
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const auto top = searcher.TopK(0, 5);
+  const auto top = searcher.Search(Query::Single(0, 5)).top;
   ASSERT_EQ(top.size(), 2u);  // only {0, 1} are reachable
   EXPECT_EQ(top[0].node, 0);
   EXPECT_EQ(top[1].node, 1);
@@ -53,17 +53,19 @@ TEST(KDashSearchTest, PruningReducesProximityComputations) {
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
 
-  SearchStats pruned, unpruned;
-  SearchOptions no_pruning;
+  Query no_pruning = Query::Single(11, 5);
   no_pruning.use_pruning = false;
-  const auto a = searcher.TopK(11, 5, {}, &pruned);
-  const auto b = searcher.TopK(11, 5, no_pruning, &unpruned);
+  const auto pruned = searcher.Search(Query::Single(11, 5));
+  const auto unpruned = searcher.Search(no_pruning);
 
-  EXPECT_TRUE(pruned.terminated_early);
-  EXPECT_LT(pruned.proximity_computations, unpruned.proximity_computations);
-  EXPECT_EQ(unpruned.proximity_computations, unpruned.tree_size);
+  EXPECT_TRUE(pruned.stats.terminated_early);
+  EXPECT_LT(pruned.stats.proximity_computations,
+            unpruned.stats.proximity_computations);
+  EXPECT_EQ(unpruned.stats.proximity_computations, unpruned.stats.tree_size);
 
   // Same answers either way.
+  const auto& a = pruned.top;
+  const auto& b = unpruned.top;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].node, b[i].node);
@@ -75,8 +77,7 @@ TEST(KDashSearchTest, StatsAreConsistent) {
   const auto g = test::RandomDirectedGraph(200, 1200, 34);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  SearchStats stats;
-  searcher.TopK(3, 5, {}, &stats);
+  const SearchStats stats = searcher.Search(Query::Single(3, 5)).stats;
   EXPECT_GE(stats.nodes_visited, stats.proximity_computations);
   EXPECT_LE(stats.nodes_visited, stats.tree_size);
   EXPECT_GT(stats.proximity_computations, 0);
@@ -88,9 +89,9 @@ TEST(KDashSearchTest, SearcherIsReusableAcrossQueries) {
   KDashSearcher searcher(&index);
   // Interleave queries and check against fresh searchers.
   for (const NodeId q : {5, 80, 5, 33, 80}) {
-    const auto reused = searcher.TopK(q, 7);
+    const auto reused = searcher.Search(Query::Single(q, 7)).top;
     KDashSearcher fresh(&index);
-    const auto reference = fresh.TopK(q, 7);
+    const auto reference = fresh.Search(Query::Single(q, 7)).top;
     ASSERT_EQ(reused.size(), reference.size()) << "q=" << q;
     for (std::size_t i = 0; i < reused.size(); ++i) {
       EXPECT_EQ(reused[i].node, reference[i].node);
@@ -108,30 +109,27 @@ TEST(KDashSearchTest, RootOverrideVisitsOnlyThatTree) {
   const auto g = std::move(builder).Build();
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  SearchOptions options;
-  options.root_override = 2;  // disconnected from the query
-  SearchStats stats;
-  searcher.TopK(0, 2, options, &stats);
-  EXPECT_EQ(stats.tree_size, 2);  // only {2, 3}
+  Query query = Query::Single(0, 2);
+  query.root_override = 2;  // disconnected from the query
+  EXPECT_EQ(searcher.Search(query).stats.tree_size, 2);  // only {2, 3}
 }
 
 TEST(KDashSearchTest, LargerKNeverTerminatesEarlier) {
   const auto g = test::RandomDirectedGraph(300, 1800, 36);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  SearchStats k5, k50;
-  searcher.TopK(9, 5, {}, &k5);
-  searcher.TopK(9, 50, {}, &k50);
+  const SearchStats k5 = searcher.Search(Query::Single(9, 5)).stats;
+  const SearchStats k50 = searcher.Search(Query::Single(9, 50)).stats;
   EXPECT_LE(k5.proximity_computations, k50.proximity_computations);
 }
 
 TEST(KDashSearchTest, TopKPrefixesAgree) {
-  // TopK(q, 5) must be the first 5 entries of TopK(q, 20).
+  // The top 5 for q must be the first 5 entries of its top 20.
   const auto g = test::RandomDirectedGraph(150, 900, 37);
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  const auto small = searcher.TopK(4, 5);
-  const auto large = searcher.TopK(4, 20);
+  const auto small = searcher.Search(Query::Single(4, 5)).top;
+  const auto large = searcher.Search(Query::Single(4, 20)).top;
   ASSERT_GE(large.size(), small.size());
   for (std::size_t i = 0; i < small.size(); ++i) {
     EXPECT_EQ(small[i].node, large[i].node);

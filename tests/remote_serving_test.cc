@@ -643,6 +643,49 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(RemoteServingTest, WireRejectsOutOfRangeRecordFields) {
+  // Each record is well-formed JSON-lines except for one field a worker of
+  // this repo can never emit. Accepting any of them would hand the merge a
+  // wrapped node id, a bogus counter, or a NaN that breaks its ordering.
+  const auto record = [](const std::string& entry, const std::string& tail) {
+    return R"({"id":1,"top":[)" + entry + "]," + tail + "}";
+  };
+  const std::string entry = R"({"node":4,"score":0.5})";
+  const std::string stats = R"("visited":1,"computed":1,"pruned":false)";
+  for (const std::string& line : std::vector<std::string>{
+           record(R"({"node":4294967296,"score":0.5})", stats),
+           record(R"({"node":-7,"score":0.5})", stats),
+           record(R"({"node":4,"score":0.5,"score_hex":"nan"})", stats),
+           record(R"({"node":4,"score":abc})", stats),
+           record(R"({"node":4,"score":1.5})", stats),
+           record(entry,
+                  R"("visited":1,"computed":99999999999,"pruned":false)"),
+           record(entry, R"("visited":7x,"computed":1,"pruned":false)"),
+           record(entry, stats + R"(,"shards_ok":-3,"shards_failed":1)"),
+           R"({"id":1,"pong":1,"shards":-2})"}) {
+    const auto parsed = wire::ParseRecordLine(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+
+  // The same shapes with in-range values still parse — including a score
+  // a rounding ulp above 1, which a self-loop-only node really produces.
+  const auto parsed = wire::ParseRecordLine(record(
+      R"({"node":8,"score":1,"score_hex":"0x1.0000000000001p+0"},)" + entry,
+      R"("visited":3,"computed":2,"pruned":true,"shards_ok":1,)"
+      R"("shards_failed":1)"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->result.top.size(), 2u);
+  EXPECT_EQ(parsed->result.top[0].node, 8);
+  EXPECT_EQ(parsed->result.top[0].score, 1.0 + 0x1p-52);
+  EXPECT_EQ(parsed->result.top[1].node, 4);
+  EXPECT_EQ(parsed->result.top[1].score, 0.5);
+  EXPECT_EQ(parsed->result.stats.nodes_visited, 3);
+  EXPECT_EQ(parsed->result.stats.proximity_computations, 2);
+  EXPECT_EQ(parsed->result.shards_ok, 1);
+  EXPECT_EQ(parsed->result.shards_failed, 1);
+}
+
 TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
   const std::string past_max =
       std::to_string(static_cast<long long>(std::numeric_limits<NodeId>::max()) +

@@ -18,7 +18,7 @@ void ExpectExact(const graph::Graph& g, NodeId query, std::size_t k,
   options.restart_prob = c;
   const auto index = KDashIndex::Build(g, options);
   KDashSearcher searcher(&index);
-  const auto got = searcher.TopK(query, k);
+  const auto got = searcher.Search(Query::Single(query, k)).top;
 
   rwr::PowerIterationOptions pi;
   pi.restart_prob = c;
@@ -61,8 +61,7 @@ TEST(StressTest, LongChain) {
   // after a handful of layers rather than walking all 2000.
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  SearchStats stats;
-  searcher.TopK(0, 5, {}, &stats);
+  const SearchStats stats = searcher.Search(Query::Single(0, 5)).stats;
   EXPECT_LT(stats.nodes_visited, 50);
 }
 
@@ -161,7 +160,7 @@ TEST(StressTest, RcmOrderingExactAndValid) {
   options.reorder_method = reorder::Method::kRcm;
   const auto index = KDashIndex::Build(g, options);
   KDashSearcher searcher(&index);
-  const auto got = searcher.TopK(3, 10);
+  const auto got = searcher.Search(Query::Single(3, 10)).top;
 
   rwr::PowerIterationOptions pi;
   pi.tolerance = 1e-14;
