@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/top_k.h"
-#include "lu/triangular.h"
 #include "sparse/coo_builder.h"
 
 namespace kdash::core {
@@ -48,8 +48,7 @@ DynamicKDash::DynamicKDash(const graph::Graph& graph,
 
 void DynamicKDash::Rebuild() {
   base_a_ = NormalizedFromMaps(num_nodes_, out_edges_);
-  base_factors_ = lu::FactorizeLu(
-      lu::BuildRwrSystemMatrix(base_a_, options_.restart_prob));
+  base_solver_.emplace(base_a_, options_.restart_prob);
   delta_columns_.clear();
   z_ = linalg::DenseMatrix();
   m_ = linalg::DenseMatrix();
@@ -132,13 +131,6 @@ std::vector<Scalar> DynamicKDash::CurrentColumn(NodeId u) const {
   return column;
 }
 
-std::vector<Scalar> DynamicKDash::BaseSolve(const std::vector<Scalar>& rhs) const {
-  std::vector<Scalar> x = rhs;
-  lu::SolveLowerInPlace(base_factors_.lower, x);
-  lu::SolveUpperInPlace(base_factors_.upper, x);
-  return x;
-}
-
 void DynamicKDash::RefreshCorrection() {
   const int d = static_cast<int>(delta_columns_.size());
   const Scalar damp = 1.0 - options_.restart_prob;
@@ -153,7 +145,7 @@ void DynamicKDash::RefreshCorrection() {
       delta[static_cast<std::size_t>(base_a_.RowIndex(k))] -= base_a_.Value(k);
     }
     for (auto& value : delta) value *= -damp;
-    const std::vector<Scalar> column = BaseSolve(delta);
+    const std::vector<Scalar> column = base_solver_->Solve(std::move(delta));
     for (NodeId i = 0; i < num_nodes_; ++i) {
       z_(i, j) = column[static_cast<std::size_t>(i)];
     }
@@ -184,7 +176,7 @@ std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
     KDASH_CHECK(s >= 0 && s < num_nodes_) << "source " << s;
     rhs[static_cast<std::size_t>(s)] += restart_mass;
   }
-  std::vector<Scalar> p = BaseSolve(rhs);
+  std::vector<Scalar> p = base_solver_->Solve(std::move(rhs));
   const int d = static_cast<int>(delta_columns_.size());
   if (d == 0) return p;
 

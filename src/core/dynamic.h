@@ -14,18 +14,20 @@
 //
 //   W⁻¹x = W₀⁻¹x − Z·M·(S·W₀⁻¹x),  Z = W₀⁻¹D,  M = (I_d + S·Z)⁻¹.
 //
-// Solves against W₀ use the stored sparse LU factors (two triangular
-// solves); Z and M are refreshed only when the set of touched columns
-// changes. When d exceeds `max_pending_columns` the index auto-rebuilds
-// from the current graph, restoring the fast path. Queries take the same
-// core/query.h `Query` as the static searcher and solve for the full exact
-// proximity vector (no BFS pruning — the correction term is global), so
-// this sits between the iterative solver and the static K-dash index:
-// exact, factor-based, update-friendly.
+// Solves against W₀ go through a rwr::DirectRwrSolver over the base graph
+// (two triangular solves on its LU factors); Z and M are refreshed only
+// when the set of touched columns changes. When d exceeds
+// `max_pending_columns` the index auto-rebuilds from the current graph,
+// restoring the fast path. Queries take the same core/query.h `Query` as
+// the static searcher and solve for the full exact proximity vector (no
+// BFS pruning — the correction term is global), so this sits between the
+// iterative solver and the static K-dash index: exact, factor-based,
+// update-friendly.
 #ifndef KDASH_CORE_DYNAMIC_H_
 #define KDASH_CORE_DYNAMIC_H_
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -33,7 +35,7 @@
 #include "core/query.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
-#include "lu/sparse_lu.h"
+#include "rwr/direct_solver.h"
 #include "sparse/csc_matrix.h"
 
 namespace kdash::core {
@@ -86,7 +88,6 @@ class DynamicKDash {
   std::vector<Scalar> CurrentColumn(NodeId u) const;
   void MarkColumnChanged(NodeId u);
   void RefreshCorrection();
-  std::vector<Scalar> BaseSolve(const std::vector<Scalar>& rhs) const;
 
   DynamicKDashOptions options_;
   NodeId num_nodes_ = 0;
@@ -94,9 +95,9 @@ class DynamicKDash {
   // Mutable adjacency (current graph).
   std::vector<std::map<NodeId, Scalar>> out_edges_;
 
-  // Base system (as of the last Rebuild).
+  // Base system (as of the last Rebuild) and its factorization W₀ = LU.
   sparse::CscMatrix base_a_;
-  lu::LuFactors base_factors_;
+  std::optional<rwr::DirectRwrSolver> base_solver_;
 
   // Correction state.
   std::vector<NodeId> delta_columns_;       // changed column ids, sorted

@@ -229,21 +229,26 @@ Result<SearchResult> Engine::Search(const Query& query) const {
   return result;
 }
 
-Result<std::vector<SearchResult>> Engine::SearchBatch(
+std::vector<Result<SearchResult>> Engine::SearchBatch(
     std::span<const Query> queries) const {
+  // Each query is validated on its own: an invalid one keeps Search's
+  // status, a valid one's placeholder is overwritten below.
+  std::vector<Result<SearchResult>> results;
+  results.reserve(queries.size());
+  std::vector<std::size_t> valid;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Status status = ValidateQuery(queries[i], impl_->num_nodes,
-                                        impl_->dynamic != nullptr);
-    if (!status.ok()) {
-      if (queries.size() == 1) return status;  // no prefix for a lone query
-      return Status(status.code(), "query " + std::to_string(i) + ": " +
-                                       status.message());
+    Status status = ValidateQuery(queries[i], impl_->num_nodes,
+                                  impl_->dynamic != nullptr);
+    if (status.ok()) {
+      results.emplace_back(SearchResult{});
+      valid.push_back(i);
+    } else {
+      results.emplace_back(std::move(status));
     }
   }
-  std::vector<SearchResult> results(queries.size());
   if (impl_->dynamic != nullptr) {
     MutexLock lock(impl_->dynamic_mutex);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
+    for (const std::size_t i : valid) {
       obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
       WallTimer timer;
       results[i] = impl_->dynamic->Search(queries[i]);
@@ -251,20 +256,21 @@ Result<std::vector<SearchResult>> Engine::SearchBatch(
     }
     return results;
   }
-  if (queries.empty()) return results;
-  // Each pool rank pulls query indexes off a shared cursor with one
+  if (valid.empty()) return results;
+  // Each pool rank pulls valid query indexes off a shared cursor with one
   // searcher checked out of the same list Search uses; a rank that finds
   // no work takes none.
   std::atomic<std::size_t> cursor{0};
   ThreadPool::Shared().RunOnAllThreads([&](int /*rank*/) {
-    std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (i >= queries.size()) return;
+    std::size_t v = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (v >= valid.size()) return;
     auto searcher = impl_->AcquireSearcher();
-    for (; i < queries.size();
-         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
+    for (; v < valid.size();
+         v = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      const Query& query = queries[valid[v]];
+      obs::ScopedSpan span(query.trace.get(), "engine.search");
       WallTimer timer;
-      results[i] = searcher->Search(queries[i]);
+      results[valid[v]] = searcher->Search(query);
       impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
     }
     impl_->ReleaseSearcher(std::move(searcher));

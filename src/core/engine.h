@@ -84,12 +84,12 @@ class Engine {
   // kInvalidArgument with a precise message on violation. Thread-safe.
   [[nodiscard]] Result<SearchResult> Search(const Query& query) const;
 
-  // Answer a batch; results[i] answers queries[i]. On a static engine the
-  // batch fans out over the process-wide thread pool (KDASH_NUM_THREADS
-  // workers), each worker borrowing a searcher from the same checkout list
-  // as Search; any invalid query fails the whole batch (use Search per
-  // query for per-query error handling). Thread-safe.
-  [[nodiscard]] Result<std::vector<SearchResult>> SearchBatch(
+  // Answer a batch; results[i] answers queries[i] with exactly what
+  // Search(queries[i]) would return, invalid queries included. On a static
+  // engine the valid queries fan out over the process-wide thread pool
+  // (KDASH_NUM_THREADS workers), each worker borrowing a searcher from the
+  // same checkout list as Search. Thread-safe.
+  [[nodiscard]] std::vector<Result<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 
   // Graph mutation (updatable engines only; kFailedPrecondition otherwise).

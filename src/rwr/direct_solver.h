@@ -18,8 +18,11 @@ class DirectRwrSolver {
   // Factors W = I - (1-c)A once; Solve() then costs two triangular solves.
   DirectRwrSolver(const sparse::CscMatrix& a, Scalar restart_prob);
 
-  // Full proximity vector for query node q.
+  // Full proximity vector for query node q: Solve(c · e_q).
   std::vector<Scalar> Solve(NodeId query) const;
+
+  // x = W⁻¹ rhs, one forward and one backward triangular solve.
+  std::vector<Scalar> Solve(std::vector<Scalar> rhs) const;
 
   Scalar restart_prob() const { return restart_prob_; }
   const lu::LuFactors& factors() const { return factors_; }

@@ -52,8 +52,11 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
   Request request;
   request.query = std::move(query);
   request.arrival = Clock::now();
-  request.deadline = timeout.count() > 0 ? request.arrival + timeout
-                                         : Clock::time_point::max();
+  // Compared before the add, which would overflow past time_point::max().
+  const bool bounded = timeout.count() > 0 &&
+                       timeout < Clock::time_point::max() - request.arrival;
+  request.deadline =
+      bounded ? request.arrival + timeout : Clock::time_point::max();
   // The effective deadline is the tighter of the scheduler's timeout and
   // any budget the query arrived with (e.g. a deadline_us= wire field).
   // Stamping it back onto the query propagates the budget into the
@@ -210,10 +213,9 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
     }
 
     // Look every distinct query up (a null cache misses them all) and run
-    // only the misses: whole-batch first, per-query on a batch-level error
-    // (e.g. one malformed query fails an Engine::SearchBatch) so only the
-    // bad ones fail. Results are admitted under the epoch captured before
-    // the backend ran (an Invalidate in between rejects the admission).
+    // only the misses, in one backend call. Results are admitted under the
+    // epoch captured before the backend ran (an Invalidate in between
+    // rejects the admission).
     const std::uint64_t admit_epoch = cache_ != nullptr ? cache_->epoch() : 0;
     std::vector<SearchResult> hit_results(queries.size());
     std::vector<char> hit(queries.size(), 0);
@@ -223,23 +225,16 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
       if (!hit[u]) miss_queries.push_back(std::move(queries[u]));
     }
     std::vector<Result<SearchResult>> miss_results;
-    miss_results.reserve(miss_queries.size());
     if (!miss_queries.empty()) {
-      auto results = InvokeBackend(miss_queries);
-      if (results.ok()) {
-        KDASH_CHECK(results->size() == miss_queries.size())
-            << "backend returned " << results->size() << " results for "
-            << miss_queries.size() << " queries";
-        for (auto& result : *results) miss_results.push_back(std::move(result));
-      } else {
-        for (const Query& query : miss_queries) {
-          auto single = InvokeBackend({&query, 1});
-          miss_results.push_back(single.ok()
-                                     ? Result<SearchResult>(
-                                           std::move(single->front()))
-                                     : Result<SearchResult>(single.status()));
-        }
-      }
+      // Chaos hook: a firing "scheduler.dispatch" stands in for a backend
+      // failure at the moment of dispatch, failing every query of the call.
+      const Status injected = fault::Check("scheduler.dispatch");
+      miss_results = injected.ok() ? backend_(miss_queries)
+                                   : std::vector<Result<SearchResult>>(
+                                         miss_queries.size(), injected);
+      KDASH_CHECK(miss_results.size() == miss_queries.size())
+          << "backend returned " << miss_results.size() << " results for "
+          << miss_queries.size() << " queries";
     }
     std::vector<Result<SearchResult>> per_unique;
     per_unique.reserve(queries.size());
@@ -290,15 +285,6 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     live[i].promise.set_value(std::move(outcomes[i]));
   }
-}
-
-Result<std::vector<SearchResult>> BatchScheduler::InvokeBackend(
-    std::span<const Query> queries) {
-  // Chaos hook: a firing "scheduler.dispatch" stands in for a backend
-  // failure at the moment of dispatch.
-  Status injected = fault::Check("scheduler.dispatch");
-  if (!injected.ok()) return injected;
-  return backend_(queries);
 }
 
 void BatchScheduler::Shutdown() {

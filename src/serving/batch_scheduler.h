@@ -30,10 +30,9 @@
 //     every already-accepted request (deadlines still honored), then joins
 //     the scheduler thread. Submissions after shutdown resolve immediately
 //     to kUnavailable.
-//   - No retries: a batch's distinct queries go to the backend in one
-//     call. Only a batch-level error (Engine::SearchBatch fails the whole
-//     batch on one invalid query) is followed by one call per distinct
-//     request, so one bad request never poisons its batchmates. Retrying
+//   - One backend call per batch, no retries: a batch's distinct cache
+//     misses go to the backend once, and the backend answers each query on
+//     its own, so one bad request never poisons its batchmates. Retrying
 //     transient member failures is the fan-out's job (ShardFailurePolicy
 //     in serving/fan_out.h), where the member, the policy and the deadline
 //     are known.
@@ -96,9 +95,10 @@ struct BatchSchedulerOptions {
 class BatchScheduler {
  public:
   // The execution backend: Engine::SearchBatch, ShardedEngine::SearchBatch,
-  // or any compatible callable (tests inject slow/failing backends).
+  // or any compatible callable (tests inject slow/failing backends). It
+  // returns one result per query, results[i] answering queries[i].
   using Backend =
-      std::function<Result<std::vector<SearchResult>>(std::span<const Query>)>;
+      std::function<std::vector<Result<SearchResult>>(std::span<const Query>)>;
 
   explicit BatchScheduler(Backend backend,
                           const BatchSchedulerOptions& options = {});
@@ -110,7 +110,8 @@ class BatchScheduler {
   // Enqueue one query; the future resolves when its batch completes. The
   // optional timeout is measured from submission: a request still queued
   // when it expires resolves to kDeadlineExceeded. timeout <= 0 (the
-  // default) means no deadline.
+  // default) means no deadline, and so does one that would run past what
+  // steady_clock can hold.
   [[nodiscard]] std::future<Result<SearchResult>> Submit(
       Query query,
       std::chrono::steady_clock::duration timeout =
@@ -150,15 +151,11 @@ class BatchScheduler {
   static Metrics ResolveMetrics();
 
   void SchedulerLoop() KDASH_EXCLUDES(mutex_);
-  // Resolves a popped batch: expired requests get kDeadlineExceeded, the
-  // rest run through the backend (whole-batch first, per-request on a
-  // batch-level error). Runs with mutex_ released — the backend call is
-  // the long pole and must not block Submit.
+  // Resolves a popped batch: expired requests get kDeadlineExceeded, cache
+  // hits their cached result, and the misses one backend call. Runs with
+  // mutex_ released — the backend call is the long pole and must not block
+  // Submit.
   void RunBatch(std::vector<Request> batch) KDASH_EXCLUDES(mutex_);
-  // One backend call, behind the "scheduler.dispatch" fault-injection
-  // site.
-  [[nodiscard]] Result<std::vector<SearchResult>> InvokeBackend(
-      std::span<const Query> queries) KDASH_EXCLUDES(mutex_);
 
   Backend backend_;
   BatchSchedulerOptions options_;

@@ -64,7 +64,7 @@ Status SearchWithRetries(const ShardSet& members, const Query& query,
 
 }  // namespace
 
-Result<std::vector<SearchResult>> FanOut(const ShardSet& members,
+std::vector<Result<SearchResult>> FanOut(const ShardSet& members,
                                          std::span<const Query> queries,
                                          const ShardFailurePolicy& policy,
                                          ThreadPool& pool,
@@ -170,16 +170,11 @@ Result<std::vector<SearchResult>> FanOut(const ShardSet& members,
         static_cast<std::uint64_t>(attempts[i] - (statuses[i].ok() ? 1 : 0));
   }
 
-  const auto fail_query = [&](std::size_t q, const Status& status) -> Status {
-    if (num_queries == 1) return status;
-    return Status(status.code(),
-                  "query " + std::to_string(q) + ": " + status.message());
-  };
-
   // Per-query failure domains: a member failure poisons only its own
   // query, and only as far as the policy allows.
   const bool degrade = policy.mode == ShardFailureMode::kDegrade;
-  std::vector<SearchResult> results(num_queries);
+  std::vector<Result<SearchResult>> results;
+  results.reserve(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
     int ok_shards = 0;
     int failed_shards = 0;
@@ -209,14 +204,18 @@ Result<std::vector<SearchResult>> FanOut(const ShardSet& members,
       // itself; its own policy already sanctioned the partial answer, so
       // only the tag and the count remain.
       if (first_failure != nullptr) {
-        if (invalid || !degrade) return fail_query(q, *first_failure);
+        if (invalid || !degrade) {
+          results.emplace_back(*first_failure);
+          continue;
+        }
         if (ok_shards < policy.min_shards_ok) {
-          return fail_query(
-              q, Status(first_failure->code(),
-                        "degraded below min_shards_ok (" +
-                            std::to_string(ok_shards) + "/" +
-                            std::to_string(ok_shards + failed_shards) +
-                            " shards ok): " + first_failure->message()));
+          results.emplace_back(
+              Status(first_failure->code(),
+                     "degraded below min_shards_ok (" +
+                         std::to_string(ok_shards) + "/" +
+                         std::to_string(ok_shards + failed_shards) +
+                         " shards ok): " + first_failure->message()));
+          continue;
         }
       }
       ++tally->degraded;
@@ -224,10 +223,11 @@ Result<std::vector<SearchResult>> FanOut(const ShardSet& members,
 
     obs::ScopedSpan span(queries[q].trace.get(), merge_span);
     WallTimer timer;
-    results[q] = merge(q, [](std::size_t) { return true; });
-    results[q].shards_ok = ok_shards;
-    results[q].shards_failed = failed_shards;
+    SearchResult merged = merge(q, [](std::size_t) { return true; });
+    merged.shards_ok = ok_shards;
+    merged.shards_failed = failed_shards;
     merge_us.Record(static_cast<std::uint64_t>(timer.Micros()));
+    results.emplace_back(std::move(merged));
   }
   return results;
 }

@@ -28,11 +28,10 @@ namespace kdash::serving {
 // What the fan-out does when one member's search fails (an injected fault,
 // a failed IO-backed shard, a dead worker) while the others succeed. A
 // kInvalidArgument is never subject to this policy: every member validates
-// the query identically, so an invalid query fails the call outright under
-// every mode — degradation must never mask caller bugs.
+// the query identically, so an invalid query fails outright under every
+// mode — degradation must never mask caller bugs.
 enum class ShardFailureMode {
-  // The default: the first member failure fails the whole query
-  // (SearchBatch: the whole batch).
+  // The default: the first member failure fails the query.
   kFailFast,
   // Retry the failing member with bounded exponential backoff; if it still
   // fails after max_retries extra attempts, fail the query.
@@ -101,12 +100,12 @@ struct FanOutTally {
 // c), and their exact partials seed the query's threshold θ. Phase B
 // searches every other member whose score_bound is not strictly below θ;
 // no node of a skipped member can displace k found candidates, so answers
-// stay bit-identical. Failures are scanned per query in member order, so
-// the reported error never depends on timing. `policy` is the caller's,
-// fixed when it was built, opened or connected, so no lock guards it;
-// `merge_span` names the trace span of each query's merge. Fills *tally
-// even when the call fails.
-[[nodiscard]] Result<std::vector<SearchResult>> FanOut(
+// stay bit-identical. results[q] answers queries[q] on its own: failures
+// are scanned per query in member order, so the reported error never
+// depends on timing or on batchmates. `policy` is the caller's, fixed when
+// it was built, opened or connected, so no lock guards it; `merge_span`
+// names the trace span of each query's merge.
+[[nodiscard]] std::vector<Result<SearchResult>> FanOut(
     const ShardSet& members, std::span<const Query> queries,
     const ShardFailurePolicy& policy, ThreadPool& pool, const char* merge_span,
     FanOutTally* tally);

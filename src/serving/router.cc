@@ -329,13 +329,11 @@ class Router::Slots final : public ShardSet {
 };
 
 Result<SearchResult> Router::Search(const Query& query) const {
-  KDASH_ASSIGN_OR_RETURN(auto results, SearchBatch({&query, 1}));
-  return std::move(results.front());
+  return std::move(SearchBatch({&query, 1}).front());
 }
 
-Result<std::vector<SearchResult>> Router::SearchBatch(
+std::vector<Result<SearchResult>> Router::SearchBatch(
     std::span<const Query> queries) const {
-  if (queries.empty()) return std::vector<SearchResult>{};
   // The IO pool, never the shared one: slot attempts block on recv().
   FanOutTally tally;
   auto results = FanOut(Slots(*this), queries, options_.failure_policy,

@@ -91,12 +91,13 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   // Same contracts as ShardedEngine::Search/SearchBatch, with slots in
-  // place of shards: results[i] answers queries[i]; a worker-reported
-  // kInvalidArgument fails the call outright under every policy; under
-  // kDegrade a result may cover only surviving slots (check degraded()),
-  // and a worker that degraded itself passes its own tags through.
+  // place of shards: results[i] answers queries[i] on its own; a
+  // worker-reported kInvalidArgument fails its query outright under every
+  // policy; under kDegrade a result may cover only surviving slots (check
+  // degraded()), and a worker that degraded itself passes its own tags
+  // through.
   [[nodiscard]] Result<SearchResult> Search(const Query& query) const;
-  [[nodiscard]] Result<std::vector<SearchResult>> SearchBatch(
+  [[nodiscard]] std::vector<Result<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 
   int num_slots() const { return static_cast<int>(slots_.size()); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,11 +26,6 @@ struct ShardedEngine::ControlBlock {
   // bump it, and a relaxed add is all the accounting needs.
   std::atomic<std::uint64_t> shards_skipped{0};
 
-  // Bound-based shard skipping (see the header). On by default; an atomic
-  // bool because flipping it mid-flight is safe — any individual fan-out
-  // reads it once.
-  std::atomic<bool> skip_enabled{true};
-
   // Registry counters (process-cumulative, across every ShardedEngine) plus
   // the per-shard latency histograms, resolved once so the fan-out hot
   // path never takes the registry lock. The histogram vector is filled by
@@ -50,14 +46,6 @@ ShardedEngine::ShardedEngine(ShardedEngine&&) noexcept = default;
 ShardedEngine& ShardedEngine::operator=(ShardedEngine&&) noexcept = default;
 ShardedEngine::~ShardedEngine() = default;
 
-bool ShardedEngine::skip_enabled() const {
-  return control_->skip_enabled.load(std::memory_order_relaxed);
-}
-
-void ShardedEngine::set_skip_enabled(bool enabled) {
-  control_->skip_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 std::uint64_t ShardedEngine::shards_skipped() const {
   return control_->shards_skipped.load(std::memory_order_relaxed);
 }
@@ -67,10 +55,31 @@ namespace {
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "kdash-sharded-index v1";
 
-std::string ShardFileName(int s) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard-%04d.kdash", s);
+std::string ShardFileName(int s, std::uint64_t generation) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "shard-%04d.g%llu.kdash", s,
+                static_cast<unsigned long long>(generation));
   return name;
+}
+
+// One above the highest save generation of any shard file in `dir`, so a
+// save never writes over a file some MANIFEST may name.
+std::uint64_t NextGeneration(const std::string& dir) {
+  std::uint64_t generation = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    const std::size_t g = name.find(".g");
+    if (name.rfind("shard-", 0) != 0 || g == std::string::npos) continue;
+    std::uint64_t parsed = 0;
+    if (std::from_chars(name.data() + g + 2, name.data() + name.size(),
+                        parsed)
+            .ec == std::errc()) {
+      generation = std::max(generation, parsed);
+    }
+  }
+  return generation + 1;
 }
 
 // Contiguous fenceposts splitting [0, n) into P near-equal ranges.
@@ -85,6 +94,82 @@ std::vector<NodeId> MakeBounds(NodeId n, int num_shards) {
 
 Status ManifestError(const std::string& detail) {
   return Status::DataLoss("corrupt sharded-index manifest: " + detail);
+}
+
+// A parsed MANIFEST: shard g owns [bounds[g], bounds[g + 1]) and is stored
+// in `files[g]`, a name relative to the directory.
+struct Manifest {
+  NodeId num_nodes = 0;
+  std::vector<NodeId> bounds;
+  std::vector<std::string> files;
+};
+
+// Reads and validates dir/MANIFEST (missing = kNotFound, malformed =
+// kDataLoss, version mismatch = kFailedPrecondition).
+Result<Manifest> ReadManifest(const std::string& dir) {
+  const std::string manifest_path = dir + "/" + kManifestName;
+  std::ifstream manifest(manifest_path);
+  if (!manifest.good()) {
+    return Status::NotFound("no sharded-index manifest at " + manifest_path);
+  }
+
+  std::string header;
+  if (!std::getline(manifest, header)) {
+    return ManifestError("empty manifest");
+  }
+  if (header != kManifestHeader) {
+    if (header.rfind("kdash-sharded-index", 0) == 0) {
+      return Status::FailedPrecondition(
+          "sharded-index version mismatch: manifest says \"" + header +
+          "\", this build reads \"" + kManifestHeader + "\"");
+    }
+    return ManifestError("unrecognized header \"" + header + "\"");
+  }
+
+  NodeId num_nodes = -1;
+  long long num_shards = -1;
+  {
+    std::string keyword;
+    std::string line;
+    if (!std::getline(manifest, line) ||
+        !(std::istringstream(line) >> keyword >> num_nodes) ||
+        keyword != "num_nodes" || num_nodes <= 0) {
+      return ManifestError("bad num_nodes line");
+    }
+    if (!std::getline(manifest, line) ||
+        !(std::istringstream(line) >> keyword >> num_shards) ||
+        keyword != "num_shards" || num_shards < 1 || num_shards > num_nodes) {
+      return ManifestError("bad num_shards line");
+    }
+  }
+
+  const auto shard_count = static_cast<std::size_t>(num_shards);
+  std::vector<NodeId> bounds(shard_count + 1, 0);
+  std::vector<std::string> files(shard_count);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    std::string line;
+    if (!std::getline(manifest, line)) {
+      return ManifestError("missing shard line " + std::to_string(s));
+    }
+    std::istringstream fields(line);
+    std::string keyword, file;
+    long long id = -1;
+    NodeId begin = -1, end = -1;
+    if (!(fields >> keyword >> id >> begin >> end >> file) ||
+        keyword != "shard" || id != static_cast<long long>(s)) {
+      return ManifestError("bad shard line " + std::to_string(s));
+    }
+    // Shards must partition [0, num_nodes) contiguously and in order.
+    if (begin != bounds[s] || end < begin || end > num_nodes ||
+        (s + 1 == shard_count && end != num_nodes)) {
+      return ManifestError("shard ranges do not partition [0, " +
+                           std::to_string(num_nodes) + ")");
+    }
+    bounds[s + 1] = end;
+    files[s] = std::move(file);
+  }
+
+  return Manifest{num_nodes, std::move(bounds), std::move(files)};
 }
 
 }  // namespace
@@ -157,95 +242,54 @@ Status ShardedEngine::Save(const std::string& dir) const {
     return Status::FailedPrecondition("cannot create directory " + dir + ": " +
                                       ec.message());
   }
-  // Shard files first, the MANIFEST last: a save that fails midway leaves
-  // the previous MANIFEST in place.
+  // Shard files first, under names no earlier save used, and the MANIFEST
+  // last: a save that fails midway leaves the previous MANIFEST and every
+  // file it names untouched.
+  const Result<Manifest> previous = ReadManifest(dir);
+  const std::uint64_t generation = NextGeneration(dir);
+  std::vector<std::string> files;
   for (int s = 0; s < num_shards(); ++s) {
+    files.push_back(ShardFileName(s, generation));
     KDASH_RETURN_IF_ERROR(
-        shards_[static_cast<std::size_t>(s)].Save(dir + "/" + ShardFileName(s)));
+        shards_[static_cast<std::size_t>(s)].Save(dir + "/" + files.back()));
   }
-  return WriteFileAtomically(
-      dir + "/" + kManifestName, [this](std::ostream& manifest) {
+  KDASH_RETURN_IF_ERROR(WriteFileAtomically(
+      dir + "/" + kManifestName, [&](std::ostream& manifest) {
         manifest << kManifestHeader << "\n";
         manifest << "num_nodes " << num_nodes_ << "\n";
         manifest << "num_shards " << num_shards() << "\n";
         for (int s = 0; s < num_shards(); ++s) {
           manifest << "shard " << s << " " << shard_begin(s) << " "
-                   << shard_end(s) << " " << ShardFileName(s) << "\n";
+                   << shard_end(s) << " "
+                   << files[static_cast<std::size_t>(s)] << "\n";
         }
         return Status::Ok();
-      });
+      }));
+  // Best effort: the previous generation's files, now unreferenced. Only
+  // plain names inside `dir` are removed, whatever the old MANIFEST says.
+  if (previous.ok()) {
+    for (const std::string& file : previous->files) {
+      if (std::filesystem::path(file).filename() != file ||
+          std::find(files.begin(), files.end(), file) != files.end()) {
+        continue;
+      }
+      std::filesystem::remove(dir + "/" + file, ec);
+    }
+  }
+  return Status::Ok();
 }
 
 Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
                                           const std::vector<int>& shards,
                                           const ShardFailurePolicy& policy) {
   KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(policy));
-  const std::string manifest_path = dir + "/" + kManifestName;
-  std::ifstream manifest(manifest_path);
-  if (!manifest.good()) {
-    return Status::NotFound("no sharded-index manifest at " + manifest_path);
-  }
-
-  std::string header;
-  if (!std::getline(manifest, header)) {
-    return ManifestError("empty manifest");
-  }
-  if (header != kManifestHeader) {
-    if (header.rfind("kdash-sharded-index", 0) == 0) {
-      return Status::FailedPrecondition(
-          "sharded-index version mismatch: manifest says \"" + header +
-          "\", this build reads \"" + kManifestHeader + "\"");
-    }
-    return ManifestError("unrecognized header \"" + header + "\"");
-  }
-
-  NodeId num_nodes = -1;
-  long long num_shards = -1;
-  {
-    std::string keyword;
-    std::string line;
-    if (!std::getline(manifest, line) ||
-        !(std::istringstream(line) >> keyword >> num_nodes) ||
-        keyword != "num_nodes" || num_nodes <= 0) {
-      return ManifestError("bad num_nodes line");
-    }
-    if (!std::getline(manifest, line) ||
-        !(std::istringstream(line) >> keyword >> num_shards) ||
-        keyword != "num_shards" || num_shards < 1 || num_shards > num_nodes) {
-      return ManifestError("bad num_shards line");
-    }
-  }
-
-  const auto shard_count = static_cast<std::size_t>(num_shards);
-  std::vector<NodeId> bounds(shard_count + 1, 0);
-  std::vector<std::string> files(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    std::string line;
-    if (!std::getline(manifest, line)) {
-      return ManifestError("missing shard line " + std::to_string(s));
-    }
-    std::istringstream fields(line);
-    std::string keyword, file;
-    long long id = -1;
-    NodeId begin = -1, end = -1;
-    if (!(fields >> keyword >> id >> begin >> end >> file) ||
-        keyword != "shard" || id != static_cast<long long>(s)) {
-      return ManifestError("bad shard line " + std::to_string(s));
-    }
-    // Shards must partition [0, num_nodes) contiguously and in order.
-    if (begin != bounds[s] || end < begin || end > num_nodes ||
-        (s + 1 == shard_count && end != num_nodes)) {
-      return ManifestError("shard ranges do not partition [0, " +
-                           std::to_string(num_nodes) + ")");
-    }
-    bounds[s + 1] = end;
-    files[s] = std::move(file);
-  }
+  KDASH_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(dir));
+  const int num_shards = static_cast<int>(manifest.files.size());
 
   // The served ids: every MANIFEST shard, or the requested ones, each once.
   std::vector<int> ids = shards;
   if (ids.empty()) {
-    ids.resize(shard_count);
+    ids.resize(manifest.files.size());
     std::iota(ids.begin(), ids.end(), 0);
   }
   std::sort(ids.begin(), ids.end());
@@ -270,7 +314,7 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
         for (Index t = begin; t < end; ++t) {
           const auto i = static_cast<std::size_t>(t);
           auto engine = Engine::Open(
-              dir + "/" + files[static_cast<std::size_t>(ids[i])]);
+              dir + "/" + manifest.files[static_cast<std::size_t>(ids[i])]);
           if (engine.ok()) {
             loaded[i].emplace(std::move(*engine));
           } else {
@@ -286,9 +330,9 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
     }
     const Engine& engine = *loaded[i];
     const auto g = static_cast<std::size_t>(ids[i]);
-    if (engine.num_nodes() != num_nodes ||
-        engine.index().owned_begin() != bounds[g] ||
-        engine.index().owned_end() != bounds[g + 1] ||
+    if (engine.num_nodes() != manifest.num_nodes ||
+        engine.index().owned_begin() != manifest.bounds[g] ||
+        engine.index().owned_end() != manifest.bounds[g + 1] ||
         engine.restart_prob() != loaded[0]->restart_prob()) {
       return ManifestError(shard + " file disagrees with the manifest");
     }
@@ -298,17 +342,16 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
   for (auto& engine : loaded) engines.push_back(std::move(*engine));
 
   ShardedEngine sharded;
-  sharded.num_nodes_ = num_nodes;
+  sharded.num_nodes_ = manifest.num_nodes;
   sharded.policy_ = policy;
-  sharded.bounds_ = std::move(bounds);
+  sharded.bounds_ = std::move(manifest.bounds);
   sharded.SetShards(std::move(ids), std::move(engines));
   return sharded;
 }
 
 class ShardedEngine::Members final : public ShardSet {
  public:
-  Members(const ShardedEngine& engine, bool skip)
-      : engine_(engine), skip_(skip) {}
+  explicit Members(const ShardedEngine& engine) : engine_(engine) {}
 
   std::size_t size() const override { return engine_.shards_.size(); }
 
@@ -350,10 +393,8 @@ class ShardedEngine::Members final : public ShardSet {
     return engine_.shard_score_bounds_[s];
   }
 
-  // With skipping off no shard is mandatory: phase A stays empty, θ stays
-  // 0, and every shard runs in phase B.
   std::optional<std::size_t> owner(NodeId u) const override {
-    if (!skip_ || u < 0 || u >= engine_.num_nodes_) return std::nullopt;
+    if (u < 0 || u >= engine_.num_nodes_) return std::nullopt;
     const auto& bounds = engine_.bounds_;
     const int id = static_cast<int>(
         std::upper_bound(bounds.begin(), bounds.end(), u) - bounds.begin() -
@@ -366,19 +407,15 @@ class ShardedEngine::Members final : public ShardSet {
 
  private:
   const ShardedEngine& engine_;
-  const bool skip_;
 };
 
 Result<SearchResult> ShardedEngine::Search(const Query& query) const {
-  KDASH_ASSIGN_OR_RETURN(auto results, SearchBatch({&query, 1}));
-  return std::move(results.front());
+  return std::move(SearchBatch({&query, 1}).front());
 }
 
-Result<std::vector<SearchResult>> ShardedEngine::SearchBatch(
+std::vector<Result<SearchResult>> ShardedEngine::SearchBatch(
     std::span<const Query> queries) const {
-  if (queries.empty()) return std::vector<SearchResult>{};
-  // Skipping reads its flag once per call.
-  const Members members(*this, skip_enabled());
+  const Members members(*this);
   FanOutTally tally;
   auto results = FanOut(members, queries, policy_, ThreadPool::Shared(),
                         "sharded.merge", &tally);

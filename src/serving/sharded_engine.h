@@ -82,10 +82,13 @@ class ShardedEngine {
       const std::string& dir, const std::vector<int>& shards = {},
       const ShardFailurePolicy& policy = {});
 
-  // Persist as a directory: one index file per shard, then the MANIFEST.
-  // Each file is replaced atomically (common/atomic_file.h).
-  // kFailedPrecondition on an engine opened with a strict subset of its
-  // directory's shards.
+  // Persist as a directory: one index file per shard, named for this save
+  // (shard-<id>.g<generation>.kdash, a generation above any already in
+  // `dir`), then the MANIFEST naming them, then a best-effort removal of
+  // the files the previous MANIFEST named. Each file is written atomically
+  // (common/atomic_file.h), so a save that fails midway leaves the previous
+  // MANIFEST and every file it names intact. kFailedPrecondition on an
+  // engine opened with a strict subset of its directory's shards.
   [[nodiscard]] Status Save(const std::string& dir) const;
 
   // Fan one query out to every shard (in parallel) and merge the per-shard
@@ -99,9 +102,8 @@ class ShardedEngine {
 
   // Batch variant: queries × shards fan out as one flat parallel loop, so a
   // large batch keeps every worker busy even when P is small. results[i]
-  // answers queries[i]; any invalid query fails the whole batch, like
-  // Engine::SearchBatch.
-  [[nodiscard]] Result<std::vector<SearchResult>> SearchBatch(
+  // answers queries[i] with exactly what Search(queries[i]) would return.
+  [[nodiscard]] std::vector<Result<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -121,9 +123,8 @@ class ShardedEngine {
   // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax), which FanOut
   // (fan_out.h) uses to skip shards exactly. With c = 0.95 the bound is
   // ≈ 0.05, so skips fire mostly on k=1 single-source workloads where the
-  // source shard alone yields θ ≈ c.
-  bool skip_enabled() const;
-  void set_skip_enabled(bool enabled);
+  // source shard alone yields θ ≈ c. Nothing is skipped while the
+  // source-owning shards hold fewer than k candidates (θ stays 0).
 
   // Cumulative (query, shard) fan-out slots pruned by the bound, across
   // every Search/SearchBatch on this engine. Also counted into the
@@ -143,7 +144,7 @@ class ShardedEngine {
   ~ShardedEngine();
 
  private:
-  // The shard-skip flag and counter plus registry handles (see .cc).
+  // The shard-skip counter plus registry handles (see .cc).
   // Behind a unique_ptr: atomics are neither movable nor copyable, but a
   // ShardedEngine is movable.
   struct ControlBlock;

@@ -28,7 +28,7 @@ class BackendGate {
   // evaluations and no counts to what the test measures.
   serving::BatchScheduler::Backend Wrap(serving::BatchScheduler::Backend inner) {
     return [this, inner = std::move(inner)](std::span<const Query> queries)
-               -> Result<std::vector<SearchResult>> {
+               -> std::vector<Result<SearchResult>> {
       bool occupant = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -38,7 +38,7 @@ class BackendGate {
       if (!occupant) return inner(queries);
       entered_.set_value();
       released_.wait();
-      return std::vector<SearchResult>(queries.size());
+      return std::vector<Result<SearchResult>>(queries.size(), SearchResult{});
     };
   }
 

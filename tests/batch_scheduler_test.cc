@@ -118,10 +118,10 @@ TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
   options.max_batch_size = 1;  // each request dispatches alone
   const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      [&](std::span<const Query> queries) -> std::vector<Result<SearchResult>> {
         ++backend_calls;
         std::this_thread::sleep_for(milliseconds(100));
-        return std::vector<SearchResult>(queries.size());
+        return std::vector<Result<SearchResult>>(queries.size(), SearchResult{});
       },
       options);
 
@@ -268,10 +268,10 @@ TEST(BatchSchedulerTest, IdleDispatchesAtOnceAndQueuedRequestsFormTheNextBatch) 
   std::mutex mutex;
   std::vector<std::size_t> lone_sizes;
   BatchScheduler idle(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      [&](std::span<const Query> queries) -> std::vector<Result<SearchResult>> {
         std::lock_guard<std::mutex> lock(mutex);
         lone_sizes.push_back(queries.size());
-        return std::vector<SearchResult>(queries.size());
+        return std::vector<Result<SearchResult>>(queries.size(), SearchResult{});
       });
   bool served = false;
   for (NodeId attempt = 0; attempt < 100 && !served; ++attempt) {
@@ -324,10 +324,10 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   options.max_batch_size = 1;
   const test::CounterDelta deadline_expired("scheduler.deadline_expired");
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      [&](std::span<const Query> queries) -> std::vector<Result<SearchResult>> {
         backend_queries += queries.size();
         gate.wait();
-        return std::vector<SearchResult>(queries.size());
+        return std::vector<Result<SearchResult>>(queries.size(), SearchResult{});
       },
       options);
 
@@ -423,9 +423,34 @@ TEST(BatchSchedulerTest, BadRequestDoesNotPoisonItsBatch) {
   EXPECT_TRUE(good2.get().ok());
   const auto bad_result = bad.get();
   ASSERT_FALSE(bad_result.ok());
-  EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
-  // The failed batch of three, then one call per request.
-  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
+  EXPECT_EQ(bad_result.status(),
+            engine.Search(Query::Single(engine.num_nodes() + 7, 5)).status());
+  // One backend call for the batch of three; nothing is re-run.
+  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3}));
+}
+
+TEST(BatchSchedulerTest, TimeoutPastTheClockRangeMeansNoDeadline) {
+  // arrival + duration::max() would overflow steady_clock; such a timeout
+  // is no deadline, not one already in the past.
+  using Clock = std::chrono::steady_clock;
+  const Engine engine = BuildTestEngine();
+  std::mutex mutex;
+  std::vector<Clock::time_point> seen;
+  BatchScheduler scheduler([&](std::span<const Query> queries) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      for (const Query& query : queries) seen.push_back(query.deadline);
+    }
+    return engine.SearchBatch(queries);
+  });
+  for (const Clock::duration timeout :
+       {Clock::duration::max(), Clock::time_point::max() - Clock::now()}) {
+    const auto result = scheduler.Submit(Query::Single(3, 5), timeout).get();
+    EXPECT_TRUE(result.ok()) << result.status();
+  }
+  scheduler.Shutdown();
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(seen, std::vector<Clock::time_point>(2, Clock::time_point::max()));
 }
 
 }  // namespace

@@ -167,18 +167,18 @@ TEST(EngineTest, SearchBatchMatchesSequentialSearch) {
   queries.push_back(Query::Personalized({5, 50, 100}, 12));
 
   const auto batch = engine->SearchBatch(queries);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), queries.size());
+  ASSERT_TRUE(test::AllOk(batch));
+  ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto single = engine->Search(queries[i]);
     ASSERT_TRUE(single.ok()) << single.status();
-    ASSERT_EQ((*batch)[i].top.size(), single->top.size()) << "query " << i;
+    ASSERT_EQ(batch[i]->top.size(), single->top.size()) << "query " << i;
     for (std::size_t r = 0; r < single->top.size(); ++r) {
-      EXPECT_EQ((*batch)[i].top[r].node, single->top[r].node);
-      EXPECT_DOUBLE_EQ((*batch)[i].top[r].score, single->top[r].score);
+      EXPECT_EQ(batch[i]->top[r].node, single->top[r].node);
+      EXPECT_DOUBLE_EQ(batch[i]->top[r].score, single->top[r].score);
     }
     SCOPED_TRACE("query " + std::to_string(i));
-    ExpectMatchesSearcher(searcher, queries[i], (*batch)[i]);
+    ExpectMatchesSearcher(searcher, queries[i], *batch[i]);
   }
 
   // Three more batches on the same engine: searchers checked back in by
@@ -189,29 +189,27 @@ TEST(EngineTest, SearchBatchMatchesSequentialSearch) {
       reuse.push_back(Query::Single(q, 5));
     }
     const auto again = engine->SearchBatch(reuse);
-    ASSERT_TRUE(again.ok()) << again.status();
-    ASSERT_EQ(again->size(), reuse.size());
+    ASSERT_TRUE(test::AllOk(again));
+    ASSERT_EQ(again.size(), reuse.size());
     for (std::size_t i = 0; i < reuse.size(); ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " query " +
                    std::to_string(i));
-      ExpectMatchesSearcher(searcher, reuse[i], (*again)[i]);
+      ExpectMatchesSearcher(searcher, reuse[i], *again[i]);
     }
   }
 
   // An empty batch is a valid, empty answer.
-  const auto empty = engine->SearchBatch({});
-  ASSERT_TRUE(empty.ok()) << empty.status();
-  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(engine->SearchBatch({}).empty());
 
   // Fewer queries than pool ranks: the idle ranks take no searcher and
   // the two answers still land in input order.
   const std::vector<Query> pair{Query::Single(0, 3), Query::Single(1, 3)};
   const auto two = engine->SearchBatch(pair);
-  ASSERT_TRUE(two.ok()) << two.status();
-  ASSERT_EQ(two->size(), 2u);
+  ASSERT_TRUE(test::AllOk(two));
+  ASSERT_EQ(two.size(), 2u);
   for (std::size_t i = 0; i < pair.size(); ++i) {
     SCOPED_TRACE("pair query " + std::to_string(i));
-    ExpectMatchesSearcher(searcher, pair[i], (*two)[i]);
+    ExpectMatchesSearcher(searcher, pair[i], *two[i]);
   }
 
   // Personalized restart sets with repeated sources (each occurrence
@@ -221,24 +219,45 @@ TEST(EngineTest, SearchBatchMatchesSequentialSearch) {
       Query::Personalized({7, 30, 7, 30, 7}, 8),
       Query::Personalized({12, 88, 12}, 10)};
   const auto restart_sets = engine->SearchBatch(personalized);
-  ASSERT_TRUE(restart_sets.ok()) << restart_sets.status();
-  ASSERT_EQ(restart_sets->size(), personalized.size());
+  ASSERT_TRUE(test::AllOk(restart_sets));
+  ASSERT_EQ(restart_sets.size(), personalized.size());
   for (std::size_t i = 0; i < personalized.size(); ++i) {
     SCOPED_TRACE("personalized query " + std::to_string(i));
-    ExpectMatchesSearcher(searcher, personalized[i], (*restart_sets)[i]);
+    ExpectMatchesSearcher(searcher, personalized[i], *restart_sets[i]);
   }
 }
 
-TEST(EngineTest, SearchBatchReportsOffendingQueryIndex) {
+TEST(EngineTest, SearchBatchAnswersEachQueryOnItsOwn) {
   const auto g = test::RandomDirectedGraph(40, 250, 205);
   auto engine = Engine::Build(g, StaticOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  std::vector<Query> queries{Query::Single(0, 5), Query::Single(999, 5)};
+  // An invalid query between valid ones: the valid ones are answered bit
+  // for bit as Search answers them, the invalid one with Search's status.
+  Query bad_exclude = Query::Single(3, 5);
+  bad_exclude.exclude = {7, 7};
+  const std::vector<Query> queries{Query::Single(0, 5), Query::Single(999, 5),
+                                   Query::Personalized({1, 2}, 4),
+                                   bad_exclude, Query::Single(39, 5)};
   const auto batch = engine->SearchBatch(queries);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(batch.status().message().find("query 1"), std::string::npos);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const auto single = engine->Search(queries[i]);
+    ASSERT_EQ(batch[i].ok(), single.ok());
+    if (!single.ok()) {
+      EXPECT_EQ(batch[i].status(), single.status());
+      continue;
+    }
+    ASSERT_EQ(batch[i]->top.size(), single->top.size());
+    for (std::size_t r = 0; r < single->top.size(); ++r) {
+      EXPECT_EQ(batch[i]->top[r].node, single->top[r].node);
+      EXPECT_EQ(batch[i]->top[r].score, single->top[r].score);
+    }
+  }
+  EXPECT_EQ(batch[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch[3].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(batch[0].ok() && batch[2].ok() && batch[4].ok());
 }
 
 TEST(EngineTest, SaveOpenRoundTrip) {
@@ -430,14 +449,18 @@ TEST(EngineTest, UpdatableEngineFullQuerySurface) {
   // Batches work on the dynamic backend too.
   std::vector<Query> queries{Query::Single(0, 5), query};
   const auto batch = engine->SearchBatch(queries);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->size(), 2u);
+  ASSERT_TRUE(test::AllOk(batch));
+  EXPECT_EQ(batch.size(), 2u);
 
   // Diagnostics that require the static BFS machinery are typed errors.
   Query rooted = Query::Single(0, 5);
   rooted.root_override = 3;
   EXPECT_EQ(engine->Search(rooted).status().code(),
             StatusCode::kUnimplemented);
+  const std::vector<Query> mixed{rooted, Query::Single(1, 5)};
+  const auto mixed_batch = engine->SearchBatch(mixed);
+  EXPECT_EQ(mixed_batch[0].status(), engine->Search(rooted).status());
+  EXPECT_TRUE(mixed_batch[1].ok()) << mixed_batch[1].status();
 
   // Updatable engines cannot persist.
   std::stringstream sink;

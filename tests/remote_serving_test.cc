@@ -207,11 +207,11 @@ TEST_F(RemoteServingTest, BitIdenticalToInProcessShardedEngine) {
     // Batch path: one flat fan-out, same answers.
     const auto expected_batch = sharded.SearchBatch(queries);
     const auto got_batch = (*router)->SearchBatch(queries);
-    ASSERT_TRUE(expected_batch.ok());
-    ASSERT_TRUE(got_batch.ok());
-    ASSERT_EQ(got_batch->size(), expected_batch->size());
-    for (std::size_t i = 0; i < expected_batch->size(); ++i) {
-      ExpectBitIdentical((*got_batch)[i], (*expected_batch)[i],
+    ASSERT_TRUE(test::AllOk(expected_batch));
+    ASSERT_TRUE(test::AllOk(got_batch));
+    ASSERT_EQ(got_batch.size(), expected_batch.size());
+    for (std::size_t i = 0; i < expected_batch.size(); ++i) {
+      ExpectBitIdentical(*got_batch[i], *expected_batch[i],
                          "batch query " + std::to_string(i));
     }
   }
@@ -294,7 +294,6 @@ TEST_F(RemoteServingTest, MultiShardWorkersMatchInProcessAndPassDegradationOn) {
   for (const std::vector<int>& ids : {std::vector<int>{0, 1, 2}, {3, 4}}) {
     auto opened = ShardedEngine::Open(dir, ids, degrade);
     ASSERT_TRUE(opened.ok()) << opened.status();
-    ASSERT_TRUE(opened->skip_enabled());
     subsets.push_back(std::move(*opened));
   }
   for (const ShardedEngine& subset : subsets) {

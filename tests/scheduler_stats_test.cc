@@ -21,8 +21,8 @@ namespace {
 
 using std::chrono::milliseconds;
 
-std::vector<SearchResult> OkResults(std::size_t n) {
-  return std::vector<SearchResult>(n);
+std::vector<Result<SearchResult>> OkResults(std::size_t n) {
+  return std::vector<Result<SearchResult>>(n, SearchResult{});
 }
 
 TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
@@ -45,7 +45,7 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
   const test::CounterDelta served("scheduler.served");
   const test::CounterDelta degraded("scheduler.degraded");
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      [&](std::span<const Query> queries) -> std::vector<Result<SearchResult>> {
         if (backend_calls.fetch_add(1) == 0) entered.set_value();
         gate.wait();
         return OkResults(queries.size());
@@ -97,11 +97,10 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
   EXPECT_EQ(backend_calls.load(), 3);  // shed/expired never reached it
 }
 
-TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest) {
+TEST(SchedulerStatsTest, BackendErrorCostsOneCallPerBatch) {
   // The scheduler has no retry policy (that lives in the fan-out, per
-  // member): a failing backend sees exactly the whole-batch call plus the
-  // per-request fallback, one call per distinct request, whether the
-  // code is transient or not.
+  // member): a backend that fails every query sees exactly one call per
+  // batch of distinct queries, whether the code is transient or not.
   for (const StatusCode code :
        {StatusCode::kUnavailable, StatusCode::kResourceExhausted,
         StatusCode::kDataLoss, StatusCode::kInternal}) {
@@ -112,9 +111,9 @@ TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest)
     const test::CounterDelta served("scheduler.served");
     const test::CounterDelta coalesced("scheduler.coalesced");
     BatchScheduler scheduler(
-        gate.Wrap([code](std::span<const Query>)
-                      -> Result<std::vector<SearchResult>> {
-          return Status(code, "backend down");
+        gate.Wrap([code](std::span<const Query> queries) {
+          return std::vector<Result<SearchResult>>(
+              queries.size(), Status(code, "backend down"));
         }),
         options);
 
@@ -131,9 +130,8 @@ TEST(SchedulerStatsTest, BackendErrorCostsOneBatchCallPlusOnePerDistinctRequest)
       ASSERT_FALSE(result.ok());
       EXPECT_EQ(result.status().code(), code);
     }
-    // The occupant, the failed batch of 3 distinct queries, then one call
-    // for each of them.
-    EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
+    // The occupant, then one call for the 3 distinct queries.
+    EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, 3}));
     EXPECT_EQ(served(), 1u + 4);  // resolved through the backend path
     EXPECT_EQ(coalesced(), 1u);
   }
@@ -149,15 +147,15 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   const test::CounterDelta degraded("scheduler.degraded");
   BatchScheduler scheduler(
       gate.Wrap([&](std::span<const Query> queries)
-                    -> Result<std::vector<SearchResult>> {
-        std::vector<SearchResult> results(queries.size());
+                    -> std::vector<Result<SearchResult>> {
+        std::vector<Result<SearchResult>> results = OkResults(queries.size());
         for (std::size_t q = 0; q < queries.size(); ++q) {
           // Even sources hit the lost shard; odd ones are served complete.
           if (queries[q].sources[0] % 2 == 0) {
-            results[q].shards_ok = 2;
-            results[q].shards_failed = 1;
+            results[q]->shards_ok = 2;
+            results[q]->shards_failed = 1;
           } else {
-            results[q].shards_ok = 3;
+            results[q]->shards_ok = 3;
           }
         }
         return results;
@@ -197,7 +195,7 @@ TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
   const test::CounterDelta submitted("scheduler.submitted");
   const test::CounterDelta served("scheduler.served");
   BatchScheduler scheduler(
-      [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+      [&](std::span<const Query> queries) -> std::vector<Result<SearchResult>> {
         if (backend_calls.fetch_add(1) == 0) entered.set_value();
         gate.wait();
         return OkResults(queries.size());

@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "datasets/datasets.h"
 #include "serving/sharded_engine.h"
 #include "test_util.h"
@@ -60,6 +63,22 @@ std::vector<Query> MixedQueries(NodeId n) {
   return queries;
 }
 
+// The shard file names dir/MANIFEST lists, in shard order.
+std::vector<std::string> ManifestFiles(const std::string& dir) {
+  std::ifstream manifest(dir + "/MANIFEST");
+  std::vector<std::string> files;
+  for (std::string line; std::getline(manifest, line);) {
+    std::istringstream fields(line);
+    std::string keyword, file;
+    long long id = 0, begin = 0, end = 0;
+    if (fields >> keyword >> id >> begin >> end >> file &&
+        keyword == "shard") {
+      files.push_back(file);
+    }
+  }
+  return files;
+}
+
 TEST(ShardedEngineTest, BitIdenticalToSingleEngineOnSeedGraphs) {
   struct Case {
     const char* name;
@@ -106,14 +125,14 @@ TEST(ShardedEngineTest, SearchBatchMatchesSingleEngineBatch) {
   const auto queries = MixedQueries(g.num_nodes());
   const auto expected = single->SearchBatch(queries);
   const auto got = sharded->SearchBatch(queries);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), expected->size());
-  for (std::size_t i = 0; i < expected->size(); ++i) {
-    ASSERT_EQ((*got)[i].top.size(), (*expected)[i].top.size()) << i;
-    for (std::size_t r = 0; r < (*expected)[i].top.size(); ++r) {
-      EXPECT_EQ((*got)[i].top[r].node, (*expected)[i].top[r].node);
-      EXPECT_EQ((*got)[i].top[r].score, (*expected)[i].top[r].score);
+  ASSERT_TRUE(test::AllOk(expected));
+  ASSERT_TRUE(test::AllOk(got));
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(got[i]->top.size(), expected[i]->top.size()) << i;
+    for (std::size_t r = 0; r < expected[i]->top.size(); ++r) {
+      EXPECT_EQ(got[i]->top[r].node, expected[i]->top[r].node);
+      EXPECT_EQ(got[i]->top[r].score, expected[i]->top[r].score);
     }
   }
 }
@@ -138,7 +157,6 @@ TEST(ShardedEngineTest, ScoreBoundSkipFiresAndStaysBitIdentical) {
     options.num_shards = num_shards;
     auto sharded = ShardedEngine::Build(g, options);
     ASSERT_TRUE(sharded.ok());
-    ASSERT_TRUE(sharded->skip_enabled());  // on by default
     for (int s = 0; s < num_shards; ++s) {
       EXPECT_GT(sharded->shard_score_bound(s), 0.0);
       EXPECT_LE(sharded->shard_score_bound(s), 1.0);
@@ -155,25 +173,6 @@ TEST(ShardedEngineTest, ScoreBoundSkipFiresAndStaysBitIdentical) {
     any_skipped = any_skipped || sharded->shards_skipped() > 0;
   }
   EXPECT_TRUE(any_skipped);
-}
-
-TEST(ShardedEngineTest, DisablingSkipVisitsEveryShardAndMatches) {
-  const auto g = test::RandomDirectedGraph(150, 900, 29);
-  auto single = Engine::Build(g);
-  ASSERT_TRUE(single.ok());
-  ShardedEngineOptions options;
-  options.num_shards = 3;
-  auto sharded = ShardedEngine::Build(g, options);
-  ASSERT_TRUE(sharded.ok());
-  sharded->set_skip_enabled(false);
-  EXPECT_FALSE(sharded->skip_enabled());
-
-  std::vector<Query> queries;
-  for (NodeId q = 0; q < g.num_nodes(); q += 7) {
-    queries.push_back(Query::Single(q, 1));
-  }
-  ExpectIdentical(*single, *sharded, queries, "skip-off/P=3");
-  EXPECT_EQ(sharded->shards_skipped(), 0u);
 }
 
 TEST(ShardedEngineTest, MixedWorkloadWithSkipStaysBitIdentical) {
@@ -286,9 +285,10 @@ TEST(ShardedEngineTest, SaveOpenRoundTripStaysBitIdentical) {
 }
 
 TEST(ShardedEngineTest, OpenReadsOnlyManifestShardsAndValidatesSubsets) {
-  // A P=3 save over a P=4 directory leaves a stale shard-0003.kdash behind.
-  // Opening must follow the MANIFEST, never the files on disk: serving the
-  // stale shard too would return its nodes twice.
+  // A P=3 save over a P=4 directory, plus a stale file where an older
+  // P=4 save kept its last shard. Opening must follow the MANIFEST, never
+  // the files on disk: serving the stale shard too would return its nodes
+  // twice.
   const auto g = test::RandomDirectedGraph(90, 500, 19);
   auto single = Engine::Build(g);
   ASSERT_TRUE(single.ok());
@@ -300,8 +300,13 @@ TEST(ShardedEngineTest, OpenReadsOnlyManifestShardsAndValidatesSubsets) {
     auto built = ShardedEngine::Build(g, options);
     ASSERT_TRUE(built.ok());
     ASSERT_TRUE(built->Save(dir).ok());
+    if (num_shards == 4) {
+      std::filesystem::copy_file(dir + "/" + ManifestFiles(dir).back(),
+                                 dir + "/shard-0003.kdash");
+    }
   }
   ASSERT_TRUE(std::filesystem::exists(dir + "/shard-0003.kdash"));
+  EXPECT_EQ(ManifestFiles(dir).size(), 3u);
 
   const auto queries = MixedQueries(g.num_nodes());
   auto all = ShardedEngine::Open(dir);
@@ -327,6 +332,51 @@ TEST(ShardedEngineTest, OpenReadsOnlyManifestShardsAndValidatesSubsets) {
   EXPECT_EQ(subset->shard_begin(1), all->shard_begin(2));
   EXPECT_EQ(subset->Save(dir + "-copy").code(),
             StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, FailedSaveLeavesThePreviousSaveServing) {
+  // Save A, then a save of B (another graph, same n and P) that fails
+  // after its first shard file. The directory must still open as A: the
+  // failed save wrote under names no MANIFEST lists.
+  const auto graph_a = test::RandomDirectedGraph(200, 1200, 41);
+  const auto graph_b = test::RandomDirectedGraph(200, 1200, 42);
+  auto single_a = Engine::Build(graph_a);
+  auto single_b = Engine::Build(graph_b);
+  ASSERT_TRUE(single_a.ok());
+  ASSERT_TRUE(single_b.ok());
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  auto a = ShardedEngine::Build(graph_a, options);
+  auto b = ShardedEngine::Build(graph_b, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const std::string dir = ::testing::TempDir() + "/kdash_sharded_failed_save";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(a->Save(dir).ok());
+  const std::vector<std::string> files_a = ManifestFiles(dir);
+  {
+    fault::FaultSpec spec;
+    spec.fire_on_hits = {1};  // the second shard file's write
+    fault::ScopedFault fault("index_io.write", spec);
+    EXPECT_FALSE(b->Save(dir).ok());
+  }
+  EXPECT_EQ(ManifestFiles(dir), files_a);
+  const auto queries = MixedQueries(graph_a.num_nodes());
+  auto opened = ShardedEngine::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  ExpectIdentical(*single_a, *opened, queries, "after a failed save");
+
+  // A save that succeeds serves B and removes A's now unlisted files.
+  ASSERT_TRUE(b->Save(dir).ok());
+  const std::vector<std::string> files_b = ManifestFiles(dir);
+  ASSERT_EQ(files_b.size(), 2u);
+  for (const std::string& file : files_a) {
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + file)) << file;
+  }
+  auto reopened = ShardedEngine::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ExpectIdentical(*single_b, *reopened, queries, "after the next save");
   std::filesystem::remove_all(dir);
 }
 
@@ -404,11 +454,20 @@ TEST(ShardedEngineTest, InvalidQueriesSurfaceTheEngineStatus) {
   EXPECT_EQ(sharded->Search(bad).status().code(),
             StatusCode::kInvalidArgument);
 
+  // In a batch the bad query fails on its own, with Search's status, and
+  // its batchmate is answered as Search answers it.
   std::vector<Query> batch{Query::Single(0, 5), bad};
   const auto result = sharded->SearchBatch(batch);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("query 1"), std::string::npos);
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[1].status(), sharded->Search(bad).status());
+  ASSERT_TRUE(result[0].ok()) << result[0].status();
+  const auto alone = sharded->Search(batch[0]);
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  ASSERT_EQ(result[0]->top.size(), alone->top.size());
+  for (std::size_t r = 0; r < alone->top.size(); ++r) {
+    EXPECT_EQ(result[0]->top[r].node, alone->top[r].node);
+    EXPECT_EQ(result[0]->top[r].score, alone->top[r].score);
+  }
 }
 
 }  // namespace

@@ -144,18 +144,19 @@ TEST_F(ShardedFailureTest, RetryExhaustsWithBoundedAttempts) {
 
 TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
   // Retries belong to the fan-out, which knows the member, the policy and
-  // the deadline. A scheduler in front of it adds none: one whole-batch
-  // call, then one call per distinct query. So with one dead shard each of
-  // B batched queries costs the dead shard's site exactly
-  // 2 * (1 + max_retries) evaluations.
+  // the deadline. A scheduler in front of it adds none: one call per
+  // batch. So with one dead shard each of B batched queries costs the dead
+  // shard's site exactly 1 + max_retries evaluations.
   const auto graph = test::RandomDirectedGraph(90, 500, 3);
   ShardFailurePolicy policy;
   policy.mode = ShardFailureMode::kRetry;
   policy.max_retries = 2;
   policy.initial_backoff = std::chrono::microseconds(10);
-  auto sharded = BuildSharded(graph, policy);
-  sharded.set_skip_enabled(false);  // every query visits every shard
+  const auto sharded = BuildSharded(graph, policy);
   const test::CounterDelta retries("serving.shard_retries");
+  // k above every shard's node count keeps θ at 0, so every query visits
+  // every shard.
+  const auto k = static_cast<std::size_t>(graph.num_nodes());
 
   constexpr std::size_t kBatch = 5;
   BatchSchedulerOptions options;
@@ -171,7 +172,7 @@ TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
   fault::ScopedFault guard(ShardSite(1), AlwaysFail());
   std::vector<std::future<Result<SearchResult>>> futures;
   for (NodeId source = 1; source <= static_cast<NodeId>(kBatch); ++source) {
-    futures.push_back(scheduler.Submit(Query::Single(source * 7, 5)));
+    futures.push_back(scheduler.Submit(Query::Single(source * 7, k)));
   }
   gate.Release();
   ASSERT_TRUE(occupant.get().ok());
@@ -182,12 +183,10 @@ TEST_F(ShardedFailureTest, ScheduledBatchSpendsOnlyTheFanOutRetryBudget) {
   }
   scheduler.Shutdown();
 
-  EXPECT_EQ(gate.batch_sizes(),
-            (std::vector<std::size_t>{1, kBatch, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(gate.batch_sizes(), (std::vector<std::size_t>{1, kBatch}));
   const auto max_retries = static_cast<std::uint64_t>(policy.max_retries);
-  EXPECT_EQ(fault::GetStats(ShardSite(1)).fires,
-            2 * kBatch * (1 + max_retries));
-  EXPECT_EQ(retries(), 2 * kBatch * max_retries);
+  EXPECT_EQ(fault::GetStats(ShardSite(1)).fires, kBatch * (1 + max_retries));
+  EXPECT_EQ(retries(), kBatch * max_retries);
 }
 
 TEST_F(ShardedFailureTest, DegradeMergesSurvivorsExactlyForEveryLostShard) {
@@ -313,10 +312,10 @@ TEST_F(ShardedFailureTest, BatchTagsEveryDegradedResult) {
   {
     fault::ScopedFault guard(ShardSite(0), AlwaysFail());
     const auto results = sharded.SearchBatch(batch);
-    ASSERT_TRUE(results.ok()) << results.status();
-    ASSERT_EQ(results->size(), batch.size());
+    ASSERT_TRUE(test::AllOk(results));
+    ASSERT_EQ(results.size(), batch.size());
     for (std::size_t q = 0; q < batch.size(); ++q) {
-      const SearchResult& got = (*results)[q];
+      const SearchResult& got = *results[q];
       EXPECT_EQ(got.shards_ok, kShards - 1) << "query " << q;
       EXPECT_EQ(got.shards_failed, 1) << "query " << q;
       const SearchResult expected = MergeSurvivors(sharded, batch[q], {1, 2});
@@ -326,11 +325,11 @@ TEST_F(ShardedFailureTest, BatchTagsEveryDegradedResult) {
 
   // Faults gone: the same batch is complete again and tagged as such.
   const auto healthy = sharded.SearchBatch(batch);
-  ASSERT_TRUE(healthy.ok()) << healthy.status();
-  for (const SearchResult& result : *healthy) {
-    EXPECT_EQ(result.shards_ok, kShards);
-    EXPECT_EQ(result.shards_failed, 0);
-    EXPECT_FALSE(result.degraded());
+  ASSERT_TRUE(test::AllOk(healthy));
+  for (const auto& result : healthy) {
+    EXPECT_EQ(result->shards_ok, kShards);
+    EXPECT_EQ(result->shards_failed, 0);
+    EXPECT_FALSE(result->degraded());
   }
 }
 

@@ -2,12 +2,17 @@
 #ifndef KDASH_TESTS_TEST_UTIL_H_
 #define KDASH_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "common/types.h"
+#include "core/query.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
 #include "obs/metrics.h"
@@ -105,6 +110,19 @@ class CounterDelta {
   const obs::Counter& counter_;
   const std::uint64_t start_;
 };
+
+// Success iff every result of a batch is OK; otherwise names the first
+// failing query and its status:  ASSERT_TRUE(test::AllOk(batch));
+inline ::testing::AssertionResult AllOk(
+    const std::vector<Result<SearchResult>>& results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      return ::testing::AssertionFailure()
+             << "query " << i << ": " << results[i].status();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 }  // namespace kdash::test
 

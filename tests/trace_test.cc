@@ -184,9 +184,9 @@ TEST(TraceEndToEndTest, SkippedShardStampsSkipSpan) {
   ASSERT_TRUE(sharded->Search(query).ok());
   ASSERT_TRUE(HasStage(*query.trace, "sharded.shard_skip"));
 
-  // Disabling skipping removes the spans again.
-  sharded->set_skip_enabled(false);
-  Query unskipped = Query::Single(0, 1);
+  // A k above every shard's node count keeps θ at 0: no shard is skipped,
+  // so no skip span is stamped.
+  Query unskipped = Query::Single(0, 150);
   unskipped.trace = std::make_shared<TraceContext>();
   ASSERT_TRUE(sharded->Search(unskipped).ok());
   EXPECT_FALSE(HasStage(*unskipped.trace, "sharded.shard_skip"));

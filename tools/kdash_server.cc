@@ -7,7 +7,7 @@
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
 //                [--deadline-ms=0] [--window=256]
 //                [--max-queue=4096] [--degrade=fail|retry|degrade]
-//                [--cache-entries=1024] [--no-shard-skip] [--shards=a,b,...]
+//                [--cache-entries=1024] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
 //   kdash_server --workers=host:port[+replica...][,slot2...] [common flags]
 //                [--no-hedge] [--hedge-delay-us=0] [--probe-period-ms=250]
@@ -47,7 +47,8 @@
 //                    at once, and a batch forms from whatever queued while
 //                    the previous one ran
 //   --deadline-ms=N  per-request deadline; expired requests come back as
-//                    {"code":"DEADLINE_EXCEEDED",...} records (0 = none).
+//                    {"code":"DEADLINE_EXCEEDED",...} records (0 = none;
+//                    an N past what steady_clock can hold is a usage error).
 //                    The remaining budget also propagates to workers in
 //                    router mode, so a worker never computes an answer the
 //                    front end has already given up on
@@ -62,8 +63,6 @@
 //   --cache-entries=N  cross-batch result cache capacity (distinct query
 //                    identities); repeats of a cached query are answered
 //                    without touching the backend (0 = caching off)
-//   --no-shard-skip  disable the score-bound shard-skip optimization on
-//                    sharded indexes (every query visits every shard)
 //   --shards=a,b,... serve only these shards of a sharded directory
 //
 //   --stats-period=N per-process metric snapshot (obs::MetricRegistry) to
@@ -107,7 +106,6 @@ struct ServerConfig {
   tools::StreamConfig stream;
   int port = -1;                         // -1 = stdin/stdout mode
   std::chrono::seconds stats_period{0};  // 0 = no periodic stats dump
-  bool shard_skip = true;                // sharded indexes only
   std::vector<int> shards;               // sharded indexes only; empty = all
   serving::BatchSchedulerOptions scheduler;
   serving::ShardFailurePolicy failure_policy;  // sharded/router backends
@@ -125,9 +123,8 @@ int Usage() {
                "                    [--batch=64] [--deadline-ms=0]\n"
                "                    [--window=256] [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
-               "                    [--cache-entries=1024] [--no-shard-skip]\n"
-               "                    [--shards=a,b,...] [--port=7607]\n"
-               "                    [--stats-period=0]\n"
+               "                    [--cache-entries=1024] [--shards=a,b,...]\n"
+               "                    [--port=7607] [--stats-period=0]\n"
                "       kdash_server --workers=h:p[+h:p...][,h:p...]\n"
                "                    [--no-hedge] [--hedge-delay-us=0]\n"
                "                    [--probe-period-ms=250] [common flags]\n");
@@ -138,6 +135,13 @@ int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
+
+// The largest --deadline-ms whose conversion to steady_clock's tick does
+// not overflow.
+constexpr long long kMaxDeadlineMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count();
 
 bool NumericFlag(const std::string& arg, const char* name, long long* value) {
   std::string text;
@@ -208,7 +212,8 @@ int Main(int argc, char** argv) {
       config.stream.default_k = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--batch", &value) && value > 0) {
       config.scheduler.max_batch_size = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0 &&
+               value <= kMaxDeadlineMs) {
       config.stream.deadline = std::chrono::milliseconds(value);
     } else if (NumericFlag(arg, "--window", &value) && value > 0) {
       config.stream.window = static_cast<std::size_t>(value);
@@ -216,8 +221,6 @@ int Main(int argc, char** argv) {
       config.scheduler.max_queue_depth = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--cache-entries", &value) && value >= 0) {
       config.scheduler.cache_entries = static_cast<std::size_t>(value);
-    } else if (arg == "--no-shard-skip") {
-      config.shard_skip = false;
     } else if (arg == "--no-hedge") {
       config.router.hedging = false;
     } else if (NumericFlag(arg, "--hedge-delay-us", &value) && value >= 0) {
@@ -273,7 +276,6 @@ int Main(int argc, char** argv) {
                                                config.failure_policy);
     if (!opened.ok()) return Fail(opened.status());
     sharded = std::make_unique<serving::ShardedEngine>(std::move(*opened));
-    sharded->set_skip_enabled(config.shard_skip);
     backend = [&s = *sharded](std::span<const Query> queries) {
       return s.SearchBatch(queries);
     };
