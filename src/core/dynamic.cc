@@ -48,7 +48,11 @@ DynamicKDash::DynamicKDash(const graph::Graph& graph,
 
 void DynamicKDash::Rebuild() {
   base_a_ = NormalizedFromMaps(num_nodes_, out_edges_);
-  base_solver_.emplace(base_a_, options_.restart_prob);
+  // Assigned, not emplaced: the new factors are built while the old ones
+  // are still held, so a failed factorization leaves the old solver in
+  // place, and every rebuild peaks at the same two-factor footprint instead
+  // of leaving the process's peak to allocator timing.
+  base_solver_ = rwr::DirectRwrSolver(base_a_, options_.restart_prob);
   delta_columns_.clear();
   z_ = linalg::DenseMatrix();
   m_ = linalg::DenseMatrix();
