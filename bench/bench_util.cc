@@ -6,9 +6,11 @@
 #include <cstdlib>
 
 #include "common/parallel.h"
+#include "common/parse_number.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
+#include "serving/wire.h"
 
 // Stamped by CMake at configure time (git rev-parse --short HEAD); builds
 // outside a git checkout fall back to "unknown".
@@ -20,8 +22,8 @@ namespace kdash::bench {
 
 double BenchScale() {
   const char* env = std::getenv("KDASH_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  const double value = std::atof(env);
+  double value = 0;
+  if (env == nullptr || !ParseNumber(env, &value)) return 1.0;
   return std::clamp(value, 0.01, 16.0);
 }
 
@@ -74,19 +76,7 @@ double PrecisionAtK(const std::vector<ScoredNode>& approx,
   return static_cast<double>(hits) / static_cast<double>(k);
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
-}  // namespace
+using serving::wire::JsonEscape;
 
 JsonObject& JsonObject::Add(const std::string& key, double value) {
   char buffer[64];

@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "common/parse_number.h"
 #include "obs/metrics.h"
 
 namespace kdash::fault {
@@ -210,32 +211,17 @@ Status ArmFromSpec(std::string_view spec) {
     const std::string_view code_text = take_suffix(':');
     const std::string_view seed_text = take_suffix('@');
 
-    const auto parse_u64 = [](std::string_view text, std::uint64_t* out) {
-      if (text.empty()) return false;
-      char* end = nullptr;
-      const std::string copy(text);
-      *out = std::strtoull(copy.c_str(), &end, 10);
-      return end == copy.c_str() + copy.size();
-    };
-    {
-      if (rest.empty()) return fail("missing probability");
-      char* end = nullptr;
-      const std::string copy(rest);
-      fault.probability = std::strtod(copy.c_str(), &end);
-      // Written as !(in-range) so NaN — which fails every comparison —
-      // is rejected too.
-      if (end != copy.c_str() + copy.size() ||
-          !(fault.probability >= 0.0 && fault.probability <= 1.0)) {
-        return fail("probability must be a number in [0, 1]");
-      }
+    if (rest.empty()) return fail("missing probability");
+    if (!ParseNumber(rest, &fault.probability, 0.0, 1.0)) {
+      return fail("probability must be a number in [0, 1]");
     }
-    if (!seed_text.empty() && !parse_u64(seed_text, &fault.seed)) {
+    if (!seed_text.empty() && !ParseNumber(seed_text, &fault.seed)) {
       return fail("seed must be a non-negative integer");
     }
     if (!code_text.empty() && !ParseCode(code_text, &fault.code)) {
       return fail("unknown status code \"" + std::string(code_text) + "\"");
     }
-    if (!max_text.empty() && !parse_u64(max_text, &fault.max_fires)) {
+    if (!max_text.empty() && !ParseNumber(max_text, &fault.max_fires)) {
       return fail("max_fires must be a non-negative integer");
     }
     parsed.emplace_back(std::move(site), std::move(fault));

@@ -6,18 +6,16 @@
 #include <memory>
 
 #include "common/check.h"
+#include "common/parse_number.h"
 
 namespace kdash {
 
 namespace internal {
 
 int ParseNumThreads(const char* text) {
-  if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return 0;
-  if (value < 1 || value > 1024) return 0;
-  return static_cast<int>(value);
+  int threads = 0;
+  if (text == nullptr || !ParseNumber(text, &threads, 1, 1024)) return 0;
+  return threads;
 }
 
 }  // namespace internal

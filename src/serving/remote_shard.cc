@@ -199,26 +199,15 @@ Result<RemoteWorker::Call> RemoteWorker::Begin(const std::string& line) {
   Metrics().requests->Add();
   const Status sent = [&]() -> Status {
     KDASH_INJECT_FAULT("remote.send");
-    return SendLine(*call, line);
+    return Send(*call, line);
   }();
   if (!sent.ok()) return FailIo(sent);
   return std::move(*call);
 }
 
-Status RemoteWorker::SendLine(const Call& call, std::string_view line) {
-  const std::string payload = std::string(line) + "\n";
-  std::size_t done = 0;
-  while (done < payload.size()) {
-    const ssize_t wrote = ::send(call.fd_, payload.data() + done,
-                                 payload.size() - done, MSG_NOSIGNAL);
-    if (wrote < 0 && errno == EINTR) continue;
-    if (wrote <= 0) {
-      return Status::Unavailable("send to " + endpoint_.ToString() +
-                                 " failed");
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
-  return Status::Ok();
+Status RemoteWorker::Send(const Call& call, std::string_view line) const {
+  if (wire::SendLine(call.fd_, line)) return Status::Ok();
+  return Status::Unavailable("send to " + endpoint_.ToString() + " failed");
 }
 
 Status RemoteWorker::FailIo(Status status) {
@@ -295,7 +284,7 @@ Status RemoteWorker::Probe() {
   // backoff gate, which Begin would re-apply), and the remote.send fault
   // site stays on the query path.
   Metrics().requests->Add();
-  const Status sent = SendLine(*call, wire::PingLine());
+  const Status sent = Send(*call, wire::PingLine());
   if (!sent.ok()) return FailIo(sent);
   KDASH_ASSIGN_OR_RETURN(
       std::string line,

@@ -137,9 +137,9 @@ class RemoteWorker {
   // `bypass_backoff`.
   [[nodiscard]] Result<Call> CheckOut(bool bypass_backoff);
 
-  // Writes `line` plus a newline on the call's connection, looping over
-  // short writes. kUnavailable when the connection fails mid-line.
-  [[nodiscard]] Status SendLine(const Call& call, std::string_view line);
+  // wire::SendLine on the call's connection; kUnavailable naming this
+  // endpoint when the connection fails mid-line.
+  [[nodiscard]] Status Send(const Call& call, std::string_view line) const;
 
   // Counts an IO error against the endpoint's health and returns `status`.
   // The caller drops the call, whose destructor closes the connection.

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "common/parse_number.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,15 +44,13 @@ Result<RemoteEndpoint> ParseEndpoint(const std::string& text) {
     return Status::InvalidArgument("worker endpoint \"" + text +
                                    "\" is not host:port");
   }
-  char* end = nullptr;
-  const long port = std::strtol(text.c_str() + colon + 1, &end, 10);
-  if (*end != '\0' || port < 1 || port > 65535) {
+  RemoteEndpoint endpoint;
+  if (!ParseNumber(std::string_view(text).substr(colon + 1), &endpoint.port,
+                   1, 65535)) {
     return Status::InvalidArgument("worker endpoint \"" + text +
                                    "\" has a bad port");
   }
-  RemoteEndpoint endpoint;
   endpoint.host = text.substr(0, colon);
-  endpoint.port = static_cast<int>(port);
   return endpoint;
 }
 

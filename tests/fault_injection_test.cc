@@ -149,6 +149,9 @@ TEST_F(FaultTest, MalformedSpecArmsNothing) {
       "no_equals",        "=0.5",          "site=",
       "site=nan",         "site=2.0",      "site=-0.1",
       "site=0.5@notanum", "site=0.5:BOGUS_CODE",
+      "site=0.5@-1",      "site=0.5#-1",
+      "site=0.5@99999999999999999999999",
+      "site= 0.5",
       "ok.site=1,bad.site=oops",  // one bad entry poisons the whole spec
   };
   for (const char* spec : bad) {

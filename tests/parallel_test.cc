@@ -24,6 +24,8 @@ TEST(ParseNumThreadsTest, InvalidValuesFallBack) {
   EXPECT_EQ(internal::ParseNumThreads("2000"), 0);
   EXPECT_EQ(internal::ParseNumThreads("four"), 0);
   EXPECT_EQ(internal::ParseNumThreads("4x"), 0);
+  EXPECT_EQ(internal::ParseNumThreads("+4"), 0);
+  EXPECT_EQ(internal::ParseNumThreads(" 4"), 0);
 }
 
 TEST(ThreadPoolTest, DefaultNumThreadsIsPositive) {

@@ -15,7 +15,9 @@
 // router: connects refused, pooled connections EOF.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -27,6 +29,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/random.h"
 #include "common/top_k.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -604,7 +607,7 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
                 {2, static_cast<Scalar>(1.0) / 3}};
   result.stats.nodes_visited = 42;
   result.stats.proximity_computations = 17;
-  const std::string record = tools::FormatResultRecord(
+  const std::string record = wire::FormatResultRecord(
       9, query, result, /*t_us=*/5, /*hex_scores=*/true);
   auto parsed = wire::ParseRecordLine(record);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -619,7 +622,7 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
   EXPECT_EQ(parsed->result.stats.proximity_computations, 17);
 
   // Error records carry the canonical code across the boundary.
-  const std::string error_record = tools::FormatErrorRecord(
+  const std::string error_record = wire::FormatErrorRecord(
       3, Status::DeadlineExceeded("too slow"), /*t_us=*/1);
   auto parsed_error = wire::ParseRecordLine(error_record);
   ASSERT_TRUE(parsed_error.ok()) << parsed_error.status();
@@ -628,8 +631,8 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
 
   // Pongs advertise the worker footprint.
   auto parsed_pong =
-      wire::ParseRecordLine(tools::FormatPongRecord(0, 2, /*shards=*/3,
-                                                    /*nodes=*/120));
+      wire::ParseRecordLine(wire::FormatPongRecord(0, 2, /*shards=*/3,
+                                                   /*nodes=*/120));
   ASSERT_TRUE(parsed_pong.ok()) << parsed_pong.status();
   ASSERT_EQ(parsed_pong->kind, wire::ParsedRecord::Kind::kPong);
   EXPECT_EQ(parsed_pong->pong_shards, 3);
@@ -640,6 +643,107 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
       R"({"id":4,"code":"UNAVAILABLE","error":"worker cra)");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(RemoteServingTest, WireRoundTripsRandomQueriesAndScoresExactly) {
+  // A seeded oracle over inputs no fixed case reaches: every query field
+  // the request line carries, and scores across the whole [0, 1] range —
+  // subnormals included — through the hexfloat side channel.
+  using Clock = std::chrono::steady_clock;
+  Rng rng(25);
+  const auto node = [&rng] {
+    return static_cast<NodeId>(
+        rng.NextBounded(std::numeric_limits<NodeId>::max()));
+  };
+  const Scalar special_scores[] = {
+      0.0, std::numeric_limits<Scalar>::denorm_min(), 1.0 / 3, 1.0 + 0x1p-52};
+  for (int trial = 0; trial < 500; ++trial) {
+    Query query;
+    query.sources.resize(1 + rng.NextBounded(4));
+    for (NodeId& source : query.sources) source = node();
+    query.exclude.resize(rng.NextBounded(4));
+    for (NodeId& excluded : query.exclude) excluded = node();
+    query.k = 1 + rng.NextBounded(std::uint64_t{1} << 40);
+    query.use_pruning = rng.NextBounded(2) == 0;
+    if (rng.NextBounded(2) == 0) query.root_override = node();
+    const int deadline_kind = static_cast<int>(rng.NextBounded(3));
+    if (deadline_kind == 1) {
+      query.deadline = Clock::now() + std::chrono::seconds(1) +
+                       std::chrono::microseconds(
+                           rng.NextBounded(3'600'000'000));
+    } else if (deadline_kind == 2) {
+      query.deadline = Clock::now() - std::chrono::microseconds(
+                                          1 + rng.NextBounded(1'000'000));
+    }
+
+    const Clock::time_point formatted_at = Clock::now();
+    const std::string line = wire::FormatRequestLine(query);
+    Query parsed;
+    std::string error;
+    bool hex = false;
+    ASSERT_TRUE(wire::ParseQueryLine(line, 5, &parsed, &error, &hex))
+        << line << ": " << error;
+    const Clock::time_point parsed_at = Clock::now();
+    EXPECT_TRUE(hex) << line;
+    EXPECT_EQ(parsed.sources, query.sources) << line;
+    EXPECT_EQ(parsed.exclude, query.exclude) << line;
+    EXPECT_EQ(parsed.k, query.k) << line;
+    EXPECT_EQ(parsed.use_pruning, query.use_pruning) << line;
+    EXPECT_EQ(parsed.root_override, query.root_override) << line;
+    if (deadline_kind == 0) {
+      EXPECT_EQ(parsed.deadline, Clock::time_point::max()) << line;
+    } else if (deadline_kind == 1) {
+      // The remaining budget is truncated to whole µs on the way out and
+      // re-anchored at receipt, so the deadline can only move by the
+      // truncation (down) or by the time the round trip took (up).
+      EXPECT_GE(parsed.deadline,
+                query.deadline - std::chrono::microseconds(1))
+          << line;
+      EXPECT_LE(parsed.deadline, query.deadline + (parsed_at - formatted_at))
+          << line;
+    } else {
+      EXPECT_LE(parsed.deadline, parsed_at) << line;  // arrives expired
+    }
+
+    SearchResult result;
+    result.top.resize(rng.NextBounded(6));
+    for (ScoredNode& entry : result.top) {
+      entry.node = node();
+      const std::uint64_t pick = rng.NextBounded(8);
+      entry.score =
+          pick < 4 ? special_scores[pick]
+                   : std::ldexp(rng.NextDouble(),
+                                -static_cast<int>(rng.NextBounded(1100)));
+    }
+    result.stats.nodes_visited = node();
+    result.stats.proximity_computations = node();
+    result.stats.terminated_early = rng.NextBounded(2) == 0;
+    if (rng.NextBounded(2) == 0) {
+      result.shards_ok = static_cast<int>(rng.NextBounded(8));
+      result.shards_failed = 1 + static_cast<int>(rng.NextBounded(8));
+    }
+    const long long id = static_cast<long long>(rng.NextBounded(1'000'000));
+    const std::string record = wire::FormatResultRecord(
+        id, parsed, result, /*t_us=*/trial, /*hex_scores=*/true);
+    auto round_tripped = wire::ParseRecordLine(record);
+    ASSERT_TRUE(round_tripped.ok()) << round_tripped.status();
+    ASSERT_EQ(round_tripped->kind, wire::ParsedRecord::Kind::kResult);
+    EXPECT_EQ(round_tripped->id, id);
+    const SearchResult& got = round_tripped->result;
+    ASSERT_EQ(got.top.size(), result.top.size()) << record;
+    for (std::size_t r = 0; r < result.top.size(); ++r) {
+      EXPECT_EQ(got.top[r].node, result.top[r].node) << record;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.top[r].score),
+                std::bit_cast<std::uint64_t>(result.top[r].score))
+          << record;
+    }
+    EXPECT_EQ(got.stats.nodes_visited, result.stats.nodes_visited);
+    EXPECT_EQ(got.stats.proximity_computations,
+              result.stats.proximity_computations);
+    EXPECT_EQ(got.stats.terminated_early, result.stats.terminated_early);
+    EXPECT_EQ(got.shards_ok, result.shards_ok);
+    EXPECT_EQ(got.shards_failed, result.shards_failed);
+  }
 }
 
 TEST_F(RemoteServingTest, WireRejectsOutOfRangeRecordFields) {
@@ -692,10 +796,12 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
   for (const std::string& line : std::vector<std::string>{
            "3 k=5abc", "3 k=2.9", "3 k=0", "3 k=-3", "3 k=", "3 root=1x",
            "3 deadline_us=", "3 deadline_us=5ms", "3x", "3 -- 4y", past_max,
-           "3 -- " + past_max}) {
+           "3 -- " + past_max, "3 k=99999999999999999999", "3 k=+5", "+3",
+           "3 -- +4", "3 deadline_us=99999999999999999999",
+           "3 deadline_us=-99999999999999999999"}) {
     Query query;
     std::string error;
-    EXPECT_FALSE(tools::ParseQueryLine(line, 5, &query, &error)) << line;
+    EXPECT_FALSE(wire::ParseQueryLine(line, 5, &query, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
   }
 
@@ -721,7 +827,7 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
     Query query;
     std::string error;
     bool hex = false;
-    ASSERT_TRUE(tools::ParseQueryLine(want.line, 5, &query, &error, &hex))
+    ASSERT_TRUE(wire::ParseQueryLine(want.line, 5, &query, &error, &hex))
         << want.line << ": " << error;
     EXPECT_EQ(query.sources, want.sources) << want.line;
     EXPECT_EQ(query.exclude, want.exclude) << want.line;
@@ -751,7 +857,7 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
        }) {
     Query query;
     std::string error;
-    ASSERT_TRUE(tools::ParseQueryLine(want.line, 5, &query, &error))
+    ASSERT_TRUE(wire::ParseQueryLine(want.line, 5, &query, &error))
         << want.line << ": " << error;
     EXPECT_EQ(query.deadline <= std::chrono::steady_clock::now(), want.expired)
         << want.line;

@@ -16,8 +16,8 @@
 #include "core/engine.h"
 #include "serving/batch_scheduler.h"
 #include "serving/sharded_engine.h"
+#include "serving/wire.h"
 #include "test_util.h"
-#include "tools/json_lines.h"
 
 namespace kdash {
 namespace {
@@ -25,6 +25,7 @@ namespace {
 using obs::ScopedSpan;
 using obs::Span;
 using obs::TraceContext;
+namespace wire = serving::wire;
 
 std::vector<std::string> Stages(const TraceContext& trace) {
   std::vector<std::string> stages;
@@ -80,9 +81,9 @@ TEST(ScopedSpanTest, NullContextIsANoOp) {
 TEST(TraceProtocolTest, ParseQueryLineTraceFlag) {
   Query query;
   std::string error;
-  ASSERT_TRUE(tools::ParseQueryLine("3 k=2", 5, &query, &error));
+  ASSERT_TRUE(wire::ParseQueryLine("3 k=2", 5, &query, &error));
   EXPECT_EQ(query.trace, nullptr);
-  ASSERT_TRUE(tools::ParseQueryLine("3 k=2 trace=1", 5, &query, &error));
+  ASSERT_TRUE(wire::ParseQueryLine("3 k=2 trace=1", 5, &query, &error));
   ASSERT_NE(query.trace, nullptr);
   EXPECT_EQ(query.k, 2u);
   ASSERT_EQ(query.sources.size(), 1u);
@@ -97,7 +98,7 @@ TEST(TraceProtocolTest, ResultRecordCarriesTraceAndLatency) {
   result.top.push_back({1, 0.5});
 
   const std::string with_both =
-      tools::FormatResultRecord(7, query, result, /*t_us=*/123);
+      wire::FormatResultRecord(7, query, result, /*t_us=*/123);
   EXPECT_NE(with_both.find("\"t_us\":123"), std::string::npos);
   EXPECT_NE(with_both.find(
                 "\"trace\":[{\"stage\":\"engine.search\",\"start_us\":1,"
@@ -106,16 +107,16 @@ TEST(TraceProtocolTest, ResultRecordCarriesTraceAndLatency) {
 
   // Untraced offline records stay byte-stable: no t_us, no trace.
   query.trace = nullptr;
-  const std::string plain = tools::FormatResultRecord(7, query, result);
+  const std::string plain = wire::FormatResultRecord(7, query, result);
   EXPECT_EQ(plain.find("t_us"), std::string::npos);
   EXPECT_EQ(plain.find("trace"), std::string::npos);
 
   const std::string error_record =
-      tools::FormatErrorRecord(8, Status::Unavailable("down"), /*t_us=*/9);
+      wire::FormatErrorRecord(8, Status::Unavailable("down"), /*t_us=*/9);
   EXPECT_NE(error_record.find("\"t_us\":9"), std::string::npos);
-  EXPECT_NE(tools::FormatPongRecord(9, 4).find("\"t_us\":4"),
+  EXPECT_NE(wire::FormatPongRecord(9, 4).find("\"t_us\":4"),
             std::string::npos);
-  EXPECT_NE(tools::FormatStatsRecord(10, "{\"metrics\":[]}", 5)
+  EXPECT_NE(wire::FormatStatsRecord(10, "{\"metrics\":[]}", 5)
                 .find("\"stats\":{\"metrics\":[]}"),
             std::string::npos);
 }

@@ -22,10 +22,10 @@
 // `kdash_server <index.kdash>`, which reads stdin when given no --port.
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.h"
 #include "common/timer.h"
 #include "core/engine.h"
 #include "datasets/datasets.h"
@@ -68,8 +68,6 @@ Result<Engine> OpenIndexFile(const std::string& path) {
 }
 
 using tools::FlagValue;
-using tools::ParseWholeDouble;
-using tools::ParseWholeInt;
 
 bool ParseReorder(const std::string& name, reorder::Method* method) {
   if (name == "hybrid") *method = reorder::Method::kHybrid;
@@ -89,18 +87,11 @@ int CmdBuild(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--c", &value)) {
-      if (!ParseWholeDouble(value, &options.index.restart_prob)) {
-        return Usage();
-      }
+      if (!ParseNumber(value, &options.index.restart_prob)) return Usage();
     } else if (FlagValue(args[i], "--reorder", &value)) {
       if (!ParseReorder(value, &options.index.reorder_method)) return Usage();
     } else if (FlagValue(args[i], "--shards", &value)) {
-      long long parsed = 0;
-      if (!ParseWholeInt(value, &parsed) || parsed < 1 ||
-          parsed > std::numeric_limits<int>::max()) {
-        return Usage();
-      }
-      shards = static_cast<int>(parsed);
+      if (!ParseNumber(value, &shards, 1)) return Usage();
     } else if (args[i] == "--undirected") {
       undirected = true;
     } else {
@@ -171,23 +162,19 @@ int CmdQuery(const std::vector<std::string>& args) {
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--k", &value)) {
-      long long parsed = 0;
-      if (!ParseWholeInt(value, &parsed) || parsed <= 0) return Usage();
-      k = static_cast<std::size_t>(parsed);
+      if (!ParseNumber(value, &k, 1)) return Usage();
     } else if (args[i] == "--personalized") {
       personalized = true;
     } else {
-      long long id = 0;
-      if (!ParseWholeInt(args[i], &id) ||
-          id < std::numeric_limits<NodeId>::min() ||
-          id > std::numeric_limits<NodeId>::max()) {
+      NodeId id = 0;
+      if (!ParseNumber(args[i], &id)) {
         std::fprintf(stderr, "error: bad node id '%s'\n", args[i].c_str());
         return Usage();
       }
-      nodes.push_back(static_cast<NodeId>(id));
+      nodes.push_back(id);
     }
   }
-  if (nodes.empty() || k == 0) return Usage();
+  if (nodes.empty()) return Usage();
 
   auto engine = OpenIndexFile(args[0]);
   if (!engine.ok()) return Fail(engine.status());
@@ -235,11 +222,9 @@ int CmdGenerate(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     std::string value;
     if (FlagValue(args[i], "--scale", &value)) {
-      if (!ParseWholeDouble(value, &scale) || scale <= 0) return Usage();
+      if (!ParseNumber(value, &scale) || scale <= 0) return Usage();
     } else if (FlagValue(args[i], "--seed", &value)) {
-      long long parsed = 0;
-      if (!ParseWholeInt(value, &parsed)) return Usage();
-      seed = static_cast<std::uint64_t>(parsed);
+      if (!ParseNumber(value, &seed)) return Usage();
     } else {
       return Usage();
     }

@@ -38,6 +38,11 @@ nearly bitten:
                          Reader helpers of src/core/index_io.cc — every
                          other byte off a stream goes through a helper
                          that bounds-checks the length first.
+  raw-number-parse       No strto*/ato*/std::sto* calls: text becomes a
+                         number only through ParseNumber
+                         (src/common/parse_number.h), which rejects
+                         saturation, a leading '+' or blank, and trailing
+                         junk.
 
 Waivers: a violating line is allowed when it, or one of the two lines
 above it, carries
@@ -74,6 +79,9 @@ METRIC_CALL = re.compile(
 DETACH = re.compile(r"\.detach\s*\(\s*\)")
 NAKED_NEW = re.compile(r"\bnew\b")
 RAW_READ = re.compile(r"\.read\s*\(")
+RAW_NUMBER_PARSE = re.compile(
+    r"\b(?:strto(?:l|ll|ul|ull|d|f|ld|imax|umax)|ato(?:i|l|ll|f)|"
+    r"sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 
 # The one sanctioned home of raw istream::read calls.
 READER_FILE = "index_io.cc"
@@ -260,6 +268,14 @@ def lint_file(path: pathlib.Path, registry: Sequence[str],
                 path, line, "raw-read",
                 "raw istream::read — go through the checked Reader "
                 "helpers in src/core/index_io.cc"))
+
+    for m in RAW_NUMBER_PARSE.finditer(bare):
+        line = line_of(bare, m.start())
+        if not waived(lines, line, "raw-number-parse"):
+            violations.append(Violation(
+                path, line, "raw-number-parse",
+                "hand-rolled number parse — use ParseNumber "
+                "(src/common/parse_number.h)"))
 
     return violations
 

@@ -1,12 +1,12 @@
 // kdash_server — JSON-lines serving front end over the micro-batching
-// scheduler. Speaks the tools/json_lines.h protocol (one request per line,
-// one JSON record per line, inline error records) and routes every request
-// through serving::BatchScheduler, so concurrent request streams coalesce
-// into SearchBatch micro-batches on the shared thread pool.
+// scheduler. Speaks the protocol documented in src/serving/wire.h and
+// routes every request through serving::BatchScheduler, so concurrent
+// request streams coalesce into SearchBatch micro-batches on the shared
+// thread pool.
 //
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
-//                [--deadline-ms=0] [--window=256]
-//                [--max-queue=4096] [--degrade=fail|retry|degrade]
+//                [--deadline-ms=0] [--max-queue=4096]
+//                [--degrade=fail|retry|degrade]
 //                [--cache-entries=1024] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
 //   kdash_server --workers=host:port[+replica...][,slot2...] [common flags]
@@ -18,9 +18,7 @@
 // shards of the directory (MANIFEST ids): the per-process memory win of a
 // multi-process topology, where each such server is one worker — one
 // failure domain — behind a router. Its answers are the exact top-k over
-// its own shards, its pongs advertise how many shards it serves
-// ({"pong":1,"shards":N}), and queries may carry hex=1 (exact hexfloat
-// "score_hex" fields) and deadline_us=N (the router's remaining budget).
+// its own shards, and its pongs advertise how many shards it serves.
 //
 // Router mode (--workers= in place of an index path) serves no index
 // itself: every query fans out over TCP to the listed worker servers —
@@ -35,7 +33,7 @@
 // marks crashed workers down and restarted ones back up.
 //
 // Without --port the server pumps stdin→stdout: requests are submitted
-// asynchronously with up to --window in flight, responses print in input
+// asynchronously with up to 256 in flight, responses print in input
 // order, and EOF drains the scheduler cleanly. With --port it accepts TCP
 // connections on 127.0.0.1 (one thread per connection, same line protocol
 // per connection; --port=0 picks an ephemeral port, printed on the
@@ -69,14 +67,10 @@
 //                    stderr every N seconds (0 = off). On exit the server
 //                    prints one last snapshot, prefixed "metrics at exit: "
 //
-// Every error record carries the canonical status-code name in "code", and
-// the literal request line {"ping":1} answers {"id":N,"pong":1} in order —
-// a health probe that works even while queries are being shed. The literal
-// line {"stats":1} answers {"id":N,"stats":{...}} with the live metric
-// registry snapshot (scheduler, per-shard, router, IO, and fault-site
-// metrics in one deterministic JSON object) — like pings it is answered in
-// order and never queued or shed. Every record carries "t_us", the
-// server-side end-to-end latency of its request.
+// Pings and {"stats":1} requests are answered in order and never queued or
+// shed, so a health probe works even while queries are being shed; the
+// stats record is the live metric registry snapshot (scheduler, per-shard,
+// router, IO, and fault-site metrics in one deterministic JSON object).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -90,6 +84,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/parse_number.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "json_lines.h"
@@ -121,7 +116,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: kdash_server <index.kdash|sharded-dir> [--k=5]\n"
                "                    [--batch=64] [--deadline-ms=0]\n"
-               "                    [--window=256] [--max-queue=4096]\n"
+               "                    [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
                "                    [--cache-entries=1024] [--shards=a,b,...]\n"
                "                    [--port=7607] [--stats-period=0]\n"
@@ -143,22 +138,22 @@ constexpr long long kMaxDeadlineMs =
         std::chrono::steady_clock::duration::max())
         .count();
 
-bool NumericFlag(const std::string& arg, const char* name, long long* value) {
+// `--name=<n>` with n in [lo, hi]; false for any other argument.
+bool NumericFlag(const std::string& arg, const char* name, long long* value,
+                 long long lo = 0,
+                 long long hi = std::numeric_limits<long long>::max()) {
   std::string text;
   return tools::FlagValue(arg, name, &text) &&
-         tools::ParseWholeInt(text, value);
+         ParseNumber(text, value, lo, hi);
 }
 
 // "a,b,..." → non-negative shard ids; false on an empty or malformed list.
 bool ParseShardList(const std::string& text, std::vector<int>* shards) {
   std::istringstream list(text);
   for (std::string token; std::getline(list, token, ',');) {
-    long long id = 0;
-    if (!tools::ParseWholeInt(token, &id) || id < 0 ||
-        id > std::numeric_limits<int>::max()) {
-      return false;
-    }
-    shards->push_back(static_cast<int>(id));
+    int id = 0;
+    if (!ParseNumber(token, &id, 0)) return false;
+    shards->push_back(id);
   }
   return !shards->empty();
 }
@@ -208,24 +203,21 @@ int Main(int argc, char** argv) {
   for (int i = first_flag; i < argc; ++i) {
     const std::string arg = argv[i];
     long long value = 0;
-    if (NumericFlag(arg, "--k", &value) && value > 0) {
+    if (NumericFlag(arg, "--k", &value, 1)) {
       config.stream.default_k = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--batch", &value) && value > 0) {
+    } else if (NumericFlag(arg, "--batch", &value, 1)) {
       config.scheduler.max_batch_size = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0 &&
-               value <= kMaxDeadlineMs) {
+    } else if (NumericFlag(arg, "--deadline-ms", &value, 0, kMaxDeadlineMs)) {
       config.stream.deadline = std::chrono::milliseconds(value);
-    } else if (NumericFlag(arg, "--window", &value) && value > 0) {
-      config.stream.window = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--max-queue", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--max-queue", &value)) {
       config.scheduler.max_queue_depth = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--cache-entries", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--cache-entries", &value)) {
       config.scheduler.cache_entries = static_cast<std::size_t>(value);
     } else if (arg == "--no-hedge") {
       config.router.hedging = false;
-    } else if (NumericFlag(arg, "--hedge-delay-us", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--hedge-delay-us", &value)) {
       config.router.hedge_delay = std::chrono::microseconds(value);
-    } else if (NumericFlag(arg, "--probe-period-ms", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--probe-period-ms", &value)) {
       config.router.probe_period = std::chrono::milliseconds(value);
     } else if (std::string mode; tools::FlagValue(arg, "--degrade", &mode)) {
       if (mode == "fail") {
@@ -239,10 +231,9 @@ int Main(int argc, char** argv) {
       }
     } else if (std::string list; tools::FlagValue(arg, "--shards", &list)) {
       if (!ParseShardList(list, &config.shards)) return Usage();
-    } else if (NumericFlag(arg, "--port", &value) && value >= 0 &&
-               value < 65536) {
+    } else if (NumericFlag(arg, "--port", &value, 0, 65535)) {
       config.port = static_cast<int>(value);
-    } else if (NumericFlag(arg, "--stats-period", &value) && value >= 0) {
+    } else if (NumericFlag(arg, "--stats-period", &value)) {
       config.stats_period = std::chrono::seconds(value);
     } else {
       return Usage();

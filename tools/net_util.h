@@ -15,8 +15,8 @@
 //   - PumpStream: the per-connection request pump — reader submits lines
 //     to the BatchScheduler with a bounded in-flight window, writer
 //     resolves responses in input order.
-//   - SendAll / SocketStreamBuf / IgnoreSigpipe / ConfigureAcceptedSocket:
-//     socket primitives.
+//   - SocketStreamBuf / IgnoreSigpipe / ConfigureAcceptedSocket: socket
+//     primitives (records go out through serving::wire::SendLine).
 //
 // A dead client must never kill the process: every send uses MSG_NOSIGNAL
 // and servers call IgnoreSigpipe() at startup anyway (belt and braces —
@@ -49,9 +49,9 @@
 #include "common/mutex.h"
 #include "common/timer.h"
 #include "core/engine.h"
-#include "json_lines.h"
 #include "obs/metrics.h"
 #include "serving/batch_scheduler.h"
+#include "serving/wire.h"
 
 namespace kdash::tools {
 
@@ -61,11 +61,14 @@ namespace kdash::tools {
 // degrades to an EPIPE error return instead of killing the process.
 inline void IgnoreSigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
+// Max requests in flight per stream: enough for batches to form, without
+// unbounded memory behind a client that never reads.
+inline constexpr std::size_t kStreamWindow = 256;
+
 // Per-stream serving knobs of one LineServer or stdin pump.
 struct StreamConfig {
   std::size_t default_k = 5;
   std::chrono::milliseconds deadline{0};  // 0 = none
-  std::size_t window = 256;               // max in-flight requests per stream
 
   // Pong footprint advertisement: shards served (kdash_server sets it
   // whenever it serves a sharded directory), so a router can weigh this
@@ -119,35 +122,36 @@ inline bool Resolve(Pending& pending, const WriteLine& write,
   const ServerMetrics metrics = GetServerMetrics();
   metrics.requests->Add();
   if (pending.is_ping) {
-    return write(tools::FormatPongRecord(
+    return write(serving::wire::FormatPongRecord(
         pending.id, static_cast<long long>(pending.timer.Micros()),
         config.pong_shards, config.pong_nodes));
   }
   if (pending.is_stats) {
     // Snapshot taken here, at answer time, so the record reflects every
     // request resolved before it in stream order.
-    return write(tools::FormatStatsRecord(
+    return write(serving::wire::FormatStatsRecord(
         pending.id, obs::MetricRegistry::Global().SnapshotToJson(),
         static_cast<long long>(pending.timer.Micros())));
   }
   if (!pending.future.has_value()) {
     const long long t_us = static_cast<long long>(pending.timer.Micros());
     metrics.request_us->Record(static_cast<std::uint64_t>(t_us));
-    return write(
-        tools::FormatErrorRecord(pending.id, pending.parse_error, t_us));
+    return write(serving::wire::FormatErrorRecord(
+        pending.id, Status::InvalidArgument(pending.parse_error), t_us));
   }
   Result<SearchResult> result = pending.future->get();
   const long long t_us = static_cast<long long>(pending.timer.Micros());
   metrics.request_us->Record(static_cast<std::uint64_t>(t_us));
   if (!result.ok()) {
-    return write(tools::FormatErrorRecord(pending.id, result.status(), t_us));
+    return write(
+        serving::wire::FormatErrorRecord(pending.id, result.status(), t_us));
   }
-  return write(tools::FormatResultRecord(pending.id, pending.query, *result,
-                                         t_us, pending.hex_scores));
+  return write(serving::wire::FormatResultRecord(
+      pending.id, pending.query, *result, t_us, pending.hex_scores));
 }
 
 // Pumps one request stream through the scheduler: a reader submits each
-// line as it arrives (at most `window` in flight, so batches can form
+// line as it arrives (at most kStreamWindow in flight, so batches can form
 // without unbounded memory) while a writer thread resolves responses in
 // input order as soon as they complete — a request-response client gets
 // its answer once its batch runs, never "once the window fills or EOF".
@@ -193,18 +197,18 @@ inline void PumpStream(std::istream& in, const WriteLine& write,
     if (line.empty() || line[0] == '#') continue;
     Pending pending;
     pending.id = id++;
-    if (tools::IsPingLine(line)) {
+    if (serving::wire::IsPingLine(line)) {
       pending.is_ping = true;  // answered in order, never queued or shed
-    } else if (tools::IsStatsLine(line)) {
+    } else if (serving::wire::IsStatsLine(line)) {
       pending.is_stats = true;  // like pings: in order, never queued or shed
-    } else if (tools::ParseQueryLine(line, config.default_k, &pending.query,
-                                     &pending.parse_error,
-                                     &pending.hex_scores)) {
+    } else if (serving::wire::ParseQueryLine(
+                   line, config.default_k, &pending.query,
+                   &pending.parse_error, &pending.hex_scores)) {
       pending.future = scheduler.Submit(pending.query, timeout);
     }
     {
       MutexLock lock(state.mutex);
-      while (state.in_flight.size() >= config.window && state.sink_ok) {
+      while (state.in_flight.size() >= kStreamWindow && state.sink_ok) {
         state.changed.Wait(state.mutex);
       }
       if (!state.sink_ok) break;  // client went away; stop reading
@@ -241,24 +245,6 @@ class SocketStreamBuf : public std::streambuf {
   char buffer_[4096];
 };
 
-inline bool SendAll(int fd, const std::string& record) {
-  // Chaos hook: a firing "server.send" behaves exactly like a dead client
-  // socket — the stream winds down and the worker exits cleanly.
-  if (fault::AnyArmed() && !fault::Check("server.send").ok()) return false;
-  std::string payload = record + "\n";
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t wrote =
-        ::send(fd, payload.data() + sent, payload.size() - sent, MSG_NOSIGNAL);
-    // EINTR means a signal interrupted the call before any byte moved —
-    // the connection is fine; killing it here dropped healthy clients.
-    if (wrote < 0 && errno == EINTR) continue;
-    if (wrote <= 0) return false;
-    sent += static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
 // Socket options for one accepted client connection.
 //   - TCP_NODELAY: a record goes out as soon as it is written. With Nagle
 //     on, a short record sent while an earlier one is unacknowledged waits
@@ -267,7 +253,7 @@ inline bool SendAll(int fd, const std::string& record) {
 //     reading its responses would otherwise park the worker in a blocking
 //     send() forever — surviving the drain's SHUT_RD (which only wakes
 //     readers) and pinning its pipeline window in steady state. After the
-//     timeout SendAll fails, the stream winds down, and the worker exits.
+//     timeout the send fails, the stream winds down, and the worker exits.
 inline void ConfigureAcceptedSocket(int fd,
                                     std::chrono::milliseconds send_timeout) {
   const int no_delay = 1;
@@ -399,7 +385,12 @@ class LineServer {
         SocketStreamBuf buf(conn_fd);
         std::istream in(&buf);
         PumpStream(in, [conn_fd](const std::string& record) {
-          return SendAll(conn_fd, record);
+          // Chaos hook: a firing "server.send" behaves exactly like a dead
+          // client socket — the stream winds down, the worker exits cleanly.
+          if (fault::AnyArmed() && !fault::Check("server.send").ok()) {
+            return false;
+          }
+          return serving::wire::SendLine(conn_fd, record);
         }, scheduler_, config_);
         // Deregister and close under the registry lock so the drain sweep
         // can never shutdown() a recycled descriptor.
