@@ -73,18 +73,25 @@ void BM_Bfs(benchmark::State& state) {
 BENCHMARK(BM_Bfs)->Arg(1000)->Arg(4000);
 
 void BM_LuFactorize(benchmark::State& state) {
-  const auto g = BenchGraph(static_cast<NodeId>(state.range(0)));
+  // The LU of a hybrid-reordered graph, as the index build runs it. Arg is
+  // the thread count of the dense tail; the dense_tail counter is the
+  // number of columns it factored (0 = the sparse path alone ran).
+  const auto g = BenchGraph(4000);
   const auto index_order =
       reorder::ComputeReordering(g, reorder::Method::kHybrid);
   const auto a =
       sparse::PermuteSymmetric(g.NormalizedAdjacency(), index_order.new_of_old);
   const auto w = lu::BuildRwrSystemMatrix(a, 0.95);
+  const int threads = static_cast<int>(state.range(0));
+  NodeId dense_begin = w.rows();
   for (auto _ : state) {
-    auto factors = lu::FactorizeLu(w);
+    auto factors = lu::FactorizeLu(w, threads);
+    dense_begin = factors.dense_begin;
     benchmark::DoNotOptimize(factors.lower.nnz());
   }
+  state.counters["dense_tail"] = static_cast<double>(w.rows() - dense_begin);
 }
-BENCHMARK(BM_LuFactorize)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_LuFactorize)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_TriangularSolve(benchmark::State& state) {
   const auto g = BenchGraph(static_cast<NodeId>(state.range(0)));

@@ -7,6 +7,7 @@
 // trigger a huge allocation.
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -65,6 +66,26 @@ void WriteCsr(std::ostream& out, const sparse::CsrMatrix& m) {
   WriteVector(out, m.row_ptr());
   WriteVector(out, m.col_idx());
   WriteVector(out, m.values());
+}
+
+// The trailing PrecomputeStats block, field by field. The struct ends in 4
+// bytes of padding after num_partitions; they are written as zeros so an
+// index always saves to the same bytes. Load reads the block back whole.
+static_assert(sizeof(PrecomputeStats) == 72 &&
+                  offsetof(PrecomputeStats, num_partitions) == 64,
+              "the index trailer layout changed: bump kVersion");
+void WriteStats(std::ostream& out, const PrecomputeStats& stats) {
+  WritePod(out, stats.reorder_seconds);
+  WritePod(out, stats.lu_seconds);
+  WritePod(out, stats.inverse_seconds);
+  WritePod(out, stats.total_seconds);
+  WritePod(out, stats.nnz_lower);
+  WritePod(out, stats.nnz_upper);
+  WritePod(out, stats.nnz_lower_inverse);
+  WritePod(out, stats.nnz_upper_inverse);
+  WritePod(out, stats.num_partitions);
+  constexpr char kPadding[4] = {};
+  out.write(kPadding, sizeof(kPadding));
 }
 
 // Checked reader: every primitive returns a Status, and vector lengths are
@@ -256,7 +277,7 @@ Status KDashIndex::Save(std::ostream& out) const {
   WriteVector(out, state.adjacency_ptr);
   WriteVector(out, state.adjacency);
 
-  WritePod(out, stats_);
+  WriteStats(out, stats_);
   out.flush();
   if (!out.good()) return Status::DataLoss("index write failed");
   save_us.Record(static_cast<std::uint64_t>(timer.Micros()));

@@ -45,14 +45,14 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   index.stats_.num_partitions = reordering.num_partitions;
   index.stats_.reorder_seconds = phase_timer.Seconds();
 
-  // Step 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (sequential; see
-  // lu/sparse_lu.h).
+  // Step 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (its dense tail runs on
+  // num_threads; see lu/sparse_lu.h).
   phase_timer.Restart();
   const sparse::CscMatrix a_perm =
       sparse::PermuteSymmetric(a, state.new_of_old);
   const sparse::CscMatrix w =
       lu::BuildRwrSystemMatrix(a_perm, options.restart_prob);
-  lu::LuFactors factors = lu::FactorizeLu(w);
+  lu::LuFactors factors = lu::FactorizeLu(w, options.num_threads);
   index.stats_.lu_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower = factors.lower.nnz();
   index.stats_.nnz_upper = factors.upper.nnz();

@@ -35,8 +35,8 @@ struct KDashOptions {
   reorder::Method reorder_method = reorder::Method::kHybrid;
   std::uint64_t seed = 42;
   // Worker threads for the precompute's parallel stages: the
-  // phase-synchronous Louvain reordering and the explicit triangular
-  // inverses (the LU factorization is sequential; see lu/sparse_lu.h).
+  // phase-synchronous Louvain reordering, the LU factorization's dense tail
+  // (see lu/sparse_lu.h) and the explicit triangular inverses.
   // 0 = KDASH_NUM_THREADS or hardware concurrency. An execution knob, not
   // index state: it does not affect the built index (every parallel stage is
   // bit-identical to its sequential counterpart) and is not serialized by

@@ -407,5 +407,33 @@ TEST(IndexIoTest, UnknownFutureVersionSuggestsRebuild) {
   EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos);
 }
 
+// The last 4 bytes of a saved index: the tail padding of the trailing
+// PrecomputeStats block.
+std::string TrailerPadding(const KDashIndex& index) {
+  std::stringstream buffer;
+  EXPECT_TRUE(index.Save(buffer).ok());
+  const std::string bytes = buffer.str();
+  return bytes.substr(bytes.size() - 4);
+}
+
+TEST(IndexIoTest, TrailerPaddingIsWrittenAsZeros) {
+  const std::string zeros(4, '\0');
+  const auto g = test::RandomDirectedGraph(90, 540, 101);
+  const auto index = KDashIndex::Build(g, {});
+  EXPECT_EQ(TrailerPadding(index), zeros) << "built index";
+  EXPECT_EQ(TrailerPadding(index.Restrict(10, 50)), zeros) << "shard";
+
+  // Load reads the block whole, padding included: a file whose padding
+  // holds garbage must still save back with zeros.
+  std::stringstream buffer;
+  ASSERT_TRUE(index.Save(buffer).ok());
+  std::string bytes = buffer.str();
+  bytes.replace(bytes.size() - 4, 4, "\xab\xcd\xef\x01");
+  std::stringstream dirty(bytes);
+  const auto loaded = KDashIndex::Load(dirty);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(TrailerPadding(*loaded), zeros) << "load -> save";
+}
+
 }  // namespace
 }  // namespace kdash::core

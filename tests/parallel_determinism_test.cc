@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/kdash_index.h"
+#include "datasets/datasets.h"
 #include "lu/sparse_lu.h"
 #include "lu/triangular.h"
 #include "reorder/reorder.h"
@@ -72,6 +73,28 @@ TEST(ParallelInverseDeterminismTest, OddBlockBoundariesAcrossThreads) {
         << "threads=" << threads;
     EXPECT_EQ(InvertUpperTriangular(factors.upper, threads), upper)
         << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLuDeterminismTest, DenseTailBitIdenticalAcrossThreads) {
+  // The LU's dense tail forms the Schur complement column-parallel and
+  // updates it in tiles on the pool; every thread count must give the same
+  // factors, byte for byte. The Citation stand-in's trailing block spans
+  // several panels, row tiles and column tiles.
+  const auto g =
+      datasets::MakeDataset(datasets::DatasetId::kCitation, 0.2).graph;
+  const auto order = reorder::ComputeReordering(g, reorder::Method::kHybrid);
+  const CscMatrix w = BuildRwrSystemMatrix(
+      sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
+      0.95);
+  const LuFactors sequential = FactorizeLu(w, 1);
+  ASSERT_LT(sequential.dense_begin, w.rows());
+  for (int threads : {2, 3, 8}) {
+    const LuFactors parallel = FactorizeLu(w, threads);
+    EXPECT_EQ(parallel.dense_begin, sequential.dense_begin)
+        << "threads=" << threads;
+    EXPECT_EQ(parallel.lower, sequential.lower) << "threads=" << threads;
+    EXPECT_EQ(parallel.upper, sequential.upper) << "threads=" << threads;
   }
 }
 

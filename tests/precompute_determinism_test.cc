@@ -16,6 +16,9 @@
 
 #include "common/check.h"
 #include "core/kdash_index.h"
+#include "datasets/datasets.h"
+#include "lu/sparse_lu.h"
+#include "sparse/permute.h"
 #include "test_util.h"
 
 namespace kdash::core {
@@ -64,6 +67,28 @@ TEST(PrecomputeDeterminismTest, IndexBytesIdenticalAcrossThreadCounts) {
     EXPECT_EQ(index.upper_inverse(), via_env.upper_inverse())
         << "threads=" << threads;
     ExpectSameBytes(SerializedBody(index), reference,
+                    "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(PrecomputeDeterminismTest, IndexBytesIdenticalWithDenseLuTail) {
+  // A graph whose LU switches to its dense tail: the tiled, pool-driven
+  // part of the factorization must not leak the thread count into the
+  // index either.
+  const auto g = datasets::MakeDataset(datasets::DatasetId::kSocial, 0.1).graph;
+  KDashOptions options;
+  options.num_threads = 1;
+  const auto order = reorder::ComputeReordering(
+      g, options.reorder_method, {options.seed, options.num_threads});
+  const auto w = lu::BuildRwrSystemMatrix(
+      sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
+      options.restart_prob);
+  ASSERT_LT(lu::FactorizeLu(w, 1).dense_begin, w.rows());
+
+  const std::string sequential = SerializedBody(KDashIndex::Build(g, options));
+  for (const int threads : {2, 3, 8}) {
+    options.num_threads = threads;
+    ExpectSameBytes(SerializedBody(KDashIndex::Build(g, options)), sequential,
                     "threads=" + std::to_string(threads));
   }
 }

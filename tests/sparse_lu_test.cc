@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "datasets/datasets.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
 #include "reorder/reorder.h"
@@ -127,11 +129,20 @@ graph::Graph TwoBlocksGraph() {
   return std::move(builder).Build();
 }
 
+// A synthetic dataset stand-in in hybrid order, as KDashIndex::Build
+// stages it.
+CscMatrix HybridStandIn(datasets::DatasetId id, double scale) {
+  return ReorderedRwrSystem(datasets::MakeDataset(id, scale).graph,
+                            reorder::Method::kHybrid, 0.95);
+}
+
 // One LTimesUEqualsW input: a named recipe for the system matrix W (built
 // lazily, inside the test, so reordering never runs at registration time).
+// `dense_tail` marks inputs on which FactorizeLu must take its dense tail.
 struct ReconstructionCase {
   std::string name;
   std::function<CscMatrix()> make_w;
+  bool dense_tail = false;
 };
 
 void PrintTo(const ReconstructionCase& c, std::ostream* os) { *os << c.name; }
@@ -202,6 +213,20 @@ std::vector<ReconstructionCase> ReconstructionCases() {
                          graph::GraphBuilder(1).Build().NormalizedAdjacency(),
                          0.95);
                    }});
+  // Inputs whose factor turns dense: the sparse columns hand over to the
+  // dense tail part-way (the stand-ins) or almost at once (the dense graph).
+  cases.push_back({"social_hybrid",
+                   [] { return HybridStandIn(datasets::DatasetId::kSocial, 0.2); },
+                   /*dense_tail=*/true});
+  cases.push_back(
+      {"citation_hybrid",
+       [] { return HybridStandIn(datasets::DatasetId::kCitation, 0.2); },
+       /*dense_tail=*/true});
+  cases.push_back({"dense_random", [] {
+                     const auto g = test::RandomDirectedGraph(600, 12000, 8);
+                     return BuildRwrSystemMatrix(g.NormalizedAdjacency(), 0.95);
+                   },
+                   /*dense_tail=*/true});
   return cases;
 }
 
@@ -211,6 +236,9 @@ class LuReconstructionTest
 TEST_P(LuReconstructionTest, LTimesUEqualsW) {
   const CscMatrix w = GetParam().make_w();
   const LuFactors factors = FactorizeLu(w);
+  if (GetParam().dense_tail) {
+    EXPECT_LT(factors.dense_begin, w.rows());
+  }
 
   const auto dense_l = test::ToDense(factors.lower);
   const auto dense_u = test::ToDense(factors.upper);
@@ -224,6 +252,67 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ReconstructionCase>& info) {
       return info.param.name;
     });
+
+TEST(SparseLuTest, EmailStandInStaysSparse) {
+  // No L column of the Email stand-in reaches a quarter of the remaining
+  // rows, unreordered (as the updatable engine factors it) or hybrid.
+  const auto email = datasets::MakeDataset(datasets::DatasetId::kEmail, 1.0);
+  const CscMatrix identity =
+      BuildRwrSystemMatrix(email.graph.NormalizedAdjacency(), 0.95);
+  EXPECT_EQ(FactorizeLu(identity).dense_begin, identity.rows());
+  const CscMatrix hybrid =
+      ReorderedRwrSystem(email.graph, reorder::Method::kHybrid, 0.95);
+  EXPECT_EQ(FactorizeLu(hybrid).dense_begin, hybrid.rows());
+}
+
+// The textbook dense LU without pivoting, in place: L (unit diagonal
+// implicit) below the diagonal, U on and above it.
+void DenseNoPivotLu(linalg::DenseMatrix& a) {
+  const int n = a.rows();
+  for (int p = 0; p < n; ++p) {
+    for (int i = p + 1; i < n; ++i) {
+      const Scalar l = a(i, p) /= a(p, p);
+      for (int q = p + 1; q < n; ++q) a(i, q) -= l * a(p, q);
+    }
+  }
+}
+
+// The sparse columns and the dense tail together must reproduce the dense
+// factorization: the same nonzero pattern, and every value within a few
+// ulps (W's off-diagonals all share one sign, so nothing cancels).
+void ExpectMatchesDenseLu(const CscMatrix& w) {
+  const LuFactors factors = FactorizeLu(w);
+  ASSERT_LT(factors.dense_begin, w.rows());
+  ASSERT_GT(factors.dense_begin, 0);
+
+  auto oracle = test::ToDense(w);
+  DenseNoPivotLu(oracle);
+  const auto lower = test::ToDense(factors.lower);
+  const auto upper = test::ToDense(factors.upper);
+  for (const CscMatrix* m : {&factors.lower, &factors.upper}) {
+    for (const Scalar v : m->values()) ASSERT_NE(v, 0.0) << "stored zero";
+  }
+  const int n = w.rows();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const Scalar got = i > j ? lower(i, j) : upper(i, j);
+      const Scalar want = oracle(i, j);
+      ASSERT_EQ(got != 0.0, want != 0.0) << "pattern at (" << i << ", " << j
+                                         << ")";
+      ASSERT_LE(std::abs(got - want), 1e-13 * std::abs(want))
+          << "(" << i << ", " << j << "): " << got << " vs " << want;
+    }
+    ASSERT_EQ(lower(i, i), 1.0);
+  }
+}
+
+TEST(SparseLuTest, BothPathsMatchDenseLuEntryByEntry) {
+  // The Social stand-in switches late; the dense random graph switches at
+  // once, and its trailing block spans several panels and row tiles.
+  ExpectMatchesDenseLu(HybridStandIn(datasets::DatasetId::kSocial, 0.2));
+  const auto g = test::RandomDirectedGraph(600, 12000, 8);
+  ExpectMatchesDenseLu(BuildRwrSystemMatrix(g.NormalizedAdjacency(), 0.95));
+}
 
 TEST(SparseLuTest, SingleNode) {
   const CscMatrix w = BuildRwrSystemMatrix(

@@ -14,9 +14,11 @@ Three record formats are understood:
            bench_micro_kernels. Every benchmark whose name matches --filter
            and exists in both runs is gated on real_time; the default
            filter pins the single-thread query-latency benchmarks, which
-           must never pay for precompute-side parallelism, and the
+           must never pay for precompute-side parallelism, the
            single-thread L and U inverse builds, so a slower inverse
-           kernel cannot silently replace the blocked one.
+           kernel cannot silently replace the blocked one, and the
+           single-thread LU factorization, whose gated input takes the
+           dense tail.
 
   latency  one bench_util JSON line whose "metrics" array carries the
            process metric-registry snapshot (src/obs/metrics.h). The gated
@@ -243,7 +245,7 @@ def main():
     micro.add_argument("--baseline", required=True)
     micro.add_argument("--current", required=True)
     micro.add_argument("--max-regress", type=float, default=0.10)
-    micro.add_argument("--filter", default=r"BM_KDashQuery|BM_ProximityRowDot|BM_TriangularInvert.*/1$")
+    micro.add_argument("--filter", default=r"BM_KDashQuery|BM_ProximityRowDot|BM_TriangularInvert.*/1$|BM_LuFactorize/1$")
     micro.set_defaults(func=gate_micro)
 
     latency = sub.add_parser(
