@@ -17,19 +17,13 @@ namespace {
 
 constexpr double kScaleMultiplier = 0.4;
 
-// Entries of a compressed square matrix (CSC or CSR) that are on the
-// diagonal or above 1e-16 in magnitude.
-Index CountAboveEps(const std::vector<Index>& ptr,
-                    const std::vector<NodeId>& idx,
-                    const std::vector<Scalar>& vals) {
+// Entries of a square matrix that are on the diagonal or above 1e-16 in
+// magnitude (the same count for the matrix and its transpose).
+Index CountAboveEps(const sparse::CscMatrix& m) {
   Index count = 0;
-  for (std::size_t outer = 0; outer + 1 < ptr.size(); ++outer) {
-    for (Index k = ptr[outer]; k < ptr[outer + 1]; ++k) {
-      const auto pos = static_cast<std::size_t>(k);
-      if (static_cast<std::size_t>(idx[pos]) == outer ||
-          std::abs(vals[pos]) > 1e-16) {
-        ++count;
-      }
+  for (NodeId col = 0; col < m.cols(); ++col) {
+    for (Index k = m.ColBegin(col); k < m.ColEnd(col); ++k) {
+      if (m.RowIndex(k) == col || std::abs(m.Value(k)) > 1e-16) ++count;
     }
   }
   return count;
@@ -65,14 +59,11 @@ void Run() {
       options.reorder_method = method;
       const auto index = core::KDashIndex::Build(all[d].graph, options);
       const sparse::CscMatrix& lower = index.lower_inverse();
-      const sparse::CsrMatrix& upper = index.upper_inverse();
+      const sparse::CscMatrix& upper = index.upper_inverse();
       exact[d].push_back(
           static_cast<double>(lower.nnz() + upper.nnz()) / edges);
       eps[d].push_back(
-          static_cast<double>(
-              CountAboveEps(lower.col_ptr(), lower.row_idx(), lower.values()) +
-              CountAboveEps(upper.row_ptr(), upper.col_idx(),
-                            upper.values())) /
+          static_cast<double>(CountAboveEps(lower) + CountAboveEps(upper)) /
           edges);
     }
   }

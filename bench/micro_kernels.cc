@@ -143,15 +143,16 @@ BENCHMARK(BM_TriangularInvertUpper)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ProximityRowDot(benchmark::State& state) {
   // The dense-gather side of the adaptive proximity kernel: U⁻¹ row · y
-  // with y scattered dense. Arg is the graph size.
+  // (a ColumnDot over the stored transpose) with y scattered dense. Arg is
+  // the graph size.
   const auto g = BenchGraph(static_cast<NodeId>(state.range(0)));
   const auto index = core::KDashIndex::Build(g, {});
-  const auto& uinv = index.upper_inverse();
+  const auto& uinv_t = index.upper_inverse();
   std::vector<Scalar> y(static_cast<std::size_t>(index.num_nodes()), 0.01);
   Rng rng(3);
   Scalar acc = 0.0;
   for (auto _ : state) {
-    acc += uinv.RowDot(rng.NextNode(index.num_nodes()), y);
+    acc += uinv_t.ColumnDot(rng.NextNode(index.num_nodes()), y);
   }
   benchmark::DoNotOptimize(acc);
 }
@@ -162,7 +163,7 @@ void BM_ProximityRowDotSparse(benchmark::State& state) {
   // support (every 64th node), the shape a short L⁻¹ column produces.
   const auto g = BenchGraph(static_cast<NodeId>(state.range(0)));
   const auto index = core::KDashIndex::Build(g, {});
-  const auto& uinv = index.upper_inverse();
+  const auto& uinv_t = index.upper_inverse();
   std::vector<Scalar> y(static_cast<std::size_t>(index.num_nodes()), 0.0);
   std::vector<NodeId> support;
   for (NodeId i = 0; i < index.num_nodes(); i += 64) {
@@ -172,7 +173,8 @@ void BM_ProximityRowDotSparse(benchmark::State& state) {
   Rng rng(3);
   Scalar acc = 0.0;
   for (auto _ : state) {
-    acc += uinv.RowDotSparse(rng.NextNode(index.num_nodes()), y, support);
+    acc +=
+        uinv_t.ColumnDotSparse(rng.NextNode(index.num_nodes()), y, support);
   }
   benchmark::DoNotOptimize(acc);
 }

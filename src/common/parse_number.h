@@ -1,7 +1,9 @@
 // The one way this tree turns text into a number (tools/kdash_lint.py's
-// raw-number-parse rule bans strto*/ato*/std::sto*): every caller names the
-// type and the accepted range, so a value that does not fit is a parse
-// error, never a saturated number the caller must remember to re-check.
+// raw-number-parse rule bans strto*/ato*/std::sto* and a from_chars outside
+// this header): every caller names the type and the accepted range, so a
+// value that does not fit is a parse error, never a saturated number the
+// caller must remember to re-check. SplitOn cuts a line into the fields
+// ParseNumber then reads.
 #ifndef KDASH_COMMON_PARSE_NUMBER_H_
 #define KDASH_COMMON_PARSE_NUMBER_H_
 
@@ -11,6 +13,7 @@
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 namespace kdash {
 
@@ -33,6 +36,20 @@ template <typename T>
   }
   *out = value;
   return true;
+}
+
+// Splits `text` at every `separator`: k separators give k + 1 fields, empty
+// ones included, so a doubled or trailing separator surfaces as an empty
+// field that a strict grammar rejects. The views alias `text`.
+inline std::vector<std::string_view> SplitOn(std::string_view text,
+                                             char separator) {
+  std::vector<std::string_view> parts;
+  for (;;) {
+    const std::size_t at = text.find(separator);
+    parts.push_back(text.substr(0, at));
+    if (at == std::string_view::npos) return parts;
+    text.remove_prefix(at + 1);
+  }
 }
 
 }  // namespace kdash

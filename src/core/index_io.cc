@@ -60,14 +60,6 @@ void WriteCsc(std::ostream& out, const sparse::CscMatrix& m) {
   WriteVector(out, m.values());
 }
 
-void WriteCsr(std::ostream& out, const sparse::CsrMatrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteVector(out, m.row_ptr());
-  WriteVector(out, m.col_idx());
-  WriteVector(out, m.values());
-}
-
 // The trailing PrecomputeStats block, field by field. The struct ends in 4
 // bytes of padding after num_partitions; they are written as zeros so an
 // index always saves to the same bytes. Load reads the block back whole.
@@ -204,7 +196,8 @@ Status CheckCompressed(const char* what, NodeId minor_dim, NodeId major_dim,
   return Status::Ok();
 }
 
-Result<sparse::CscMatrix> ReadCsc(Reader& reader) {
+// `section` names the matrix in a corrupt-stream error ("U⁻¹").
+Result<sparse::CscMatrix> ReadCsc(Reader& reader, const char* section) {
   NodeId rows = 0, cols = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&rows));
   KDASH_RETURN_IF_ERROR(reader.Pod(&cols));
@@ -214,25 +207,8 @@ Result<sparse::CscMatrix> ReadCsc(Reader& reader) {
   KDASH_RETURN_IF_ERROR(reader.Vec(&ptr));
   KDASH_RETURN_IF_ERROR(reader.Vec(&idx));
   KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
-  KDASH_RETURN_IF_ERROR(CheckCompressed("CSC factor", rows, cols, ptr, idx,
-                                        vals));
+  KDASH_RETURN_IF_ERROR(CheckCompressed(section, rows, cols, ptr, idx, vals));
   return sparse::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
-                           std::move(vals));
-}
-
-Result<sparse::CsrMatrix> ReadCsr(Reader& reader) {
-  NodeId rows = 0, cols = 0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&rows));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&cols));
-  std::vector<Index> ptr;
-  std::vector<NodeId> idx;
-  std::vector<Scalar> vals;
-  KDASH_RETURN_IF_ERROR(reader.Vec(&ptr));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&idx));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
-  KDASH_RETURN_IF_ERROR(CheckCompressed("CSR factor", cols, rows, ptr, idx,
-                                        vals));
-  return sparse::CsrMatrix(rows, cols, std::move(ptr), std::move(idx),
                            std::move(vals));
 }
 
@@ -273,7 +249,9 @@ Status KDashIndex::Save(std::ostream& out) const {
   WriteVector(out, state.new_of_old);
   WriteVector(out, state.old_of_new);
   WriteCsc(out, state.lower_inverse);
-  WriteCsr(out, upper_inverse_);
+  // U⁻¹ is held as the CSC of its transpose, which is exactly the CSR of
+  // U⁻¹: the same bytes the format has always stored for it.
+  WriteCsc(out, upper_inverse_);
   WriteVector(out, state.adjacency_ptr);
   WriteVector(out, state.adjacency);
 
@@ -372,8 +350,8 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.c_prime_of_node));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.new_of_old));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.old_of_new));
-  KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadCsc(reader));
-  KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadCsr(reader));
+  KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadCsc(reader, "L⁻¹"));
+  KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadCsc(reader, "U⁻¹"));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency_ptr));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency));
 

@@ -61,9 +61,9 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   phase_timer.Restart();
   state.lower_inverse =
       lu::InvertLowerTriangular(factors.lower, options.num_threads);
-  const sparse::CscMatrix upper_inverse_csc =
-      lu::InvertUpperTriangular(factors.upper, options.num_threads);
-  index.upper_inverse_ = upper_inverse_csc.ToCsr();
+  index.upper_inverse_ =
+      lu::InvertUpperTriangular(factors.upper, options.num_threads)
+          .Transposed();
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();
   index.stats_.nnz_upper_inverse = index.upper_inverse_.nnz();
@@ -105,37 +105,38 @@ KDashIndex KDashIndex::Restrict(NodeId begin, NodeId end) const {
   shard.owned_score_bound_ =
       OwnedScoreBound(begin, end, shared_->amax, shared_->c_prime_of_node);
 
-  // Keep only the U⁻¹ rows of owned nodes. Ownership is an original-id
-  // window but U⁻¹ lives in reordered space, so the kept rows are scattered:
-  // row new_of_old[u] survives iff u ∈ [begin, end). Kept rows are copied
+  // Keep only the U⁻¹ rows of owned nodes, i.e. the owned columns of the
+  // stored transpose. Ownership is an original-id window but U⁻¹ lives in
+  // reordered space, so the kept columns are scattered: column
+  // new_of_old[u] survives iff u ∈ [begin, end). Kept columns are copied
   // verbatim (same values, same order), so shard proximities are
   // bit-identical to the full index's.
   const NodeId n = num_nodes_;
   const std::vector<NodeId>& old_of_new = shared_->old_of_new;
-  std::vector<Index> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<Index> col_ptr(static_cast<std::size_t>(n) + 1, 0);
   Index kept_nnz = 0;
-  for (NodeId row = 0; row < n; ++row) {
-    const NodeId old_id = old_of_new[static_cast<std::size_t>(row)];
+  for (NodeId col = 0; col < n; ++col) {
+    const NodeId old_id = old_of_new[static_cast<std::size_t>(col)];
     if (old_id >= begin && old_id < end) {
-      kept_nnz += upper_inverse_.RowNnz(row);
+      kept_nnz += upper_inverse_.ColNnz(col);
     }
-    row_ptr[static_cast<std::size_t>(row) + 1] = kept_nnz;
+    col_ptr[static_cast<std::size_t>(col) + 1] = kept_nnz;
   }
-  std::vector<NodeId> col_idx;
+  std::vector<NodeId> row_idx;
   std::vector<Scalar> values;
-  col_idx.reserve(static_cast<std::size_t>(kept_nnz));
+  row_idx.reserve(static_cast<std::size_t>(kept_nnz));
   values.reserve(static_cast<std::size_t>(kept_nnz));
-  for (NodeId row = 0; row < n; ++row) {
-    const NodeId old_id = old_of_new[static_cast<std::size_t>(row)];
+  for (NodeId col = 0; col < n; ++col) {
+    const NodeId old_id = old_of_new[static_cast<std::size_t>(col)];
     if (old_id < begin || old_id >= end) continue;
-    for (Index k = upper_inverse_.RowBegin(row); k < upper_inverse_.RowEnd(row);
+    for (Index k = upper_inverse_.ColBegin(col); k < upper_inverse_.ColEnd(col);
          ++k) {
-      col_idx.push_back(upper_inverse_.ColIndex(k));
+      row_idx.push_back(upper_inverse_.RowIndex(k));
       values.push_back(upper_inverse_.Value(k));
     }
   }
-  shard.upper_inverse_ = sparse::CsrMatrix(n, n, std::move(row_ptr),
-                                           std::move(col_idx),
+  shard.upper_inverse_ = sparse::CscMatrix(n, n, std::move(col_ptr),
+                                           std::move(row_idx),
                                            std::move(values));
   shard.stats_.nnz_upper_inverse = shard.upper_inverse_.nnz();
   return shard;

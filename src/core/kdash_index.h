@@ -4,7 +4,9 @@
 //   1. node reordering (Section 4.2.2; hybrid by default),
 //   2. W = I - (1-c)A in the reordered space,
 //   3. sparse LU factorization W = LU,
-//   4. explicit sparse inverses L⁻¹ (CSC) and U⁻¹ (CSR),
+//   4. explicit sparse inverses L⁻¹ and U⁻¹, both CSC; U⁻¹ is kept
+//      transposed, so row u of U⁻¹ (the one proximity dot of Eq. 3) is one
+//      contiguous column,
 //   5. the estimator's precomputed values Amax, Amax(u), c′(u)
 //      (Section 4.3.1) in *original* node-id space.
 // The index also keeps an unweighted copy of the out-adjacency for the
@@ -24,7 +26,6 @@
 #include "graph/graph.h"
 #include "reorder/reorder.h"
 #include "sparse/csc_matrix.h"
-#include "sparse/csr_matrix.h"
 
 namespace kdash::core {
 
@@ -90,13 +91,14 @@ class KDashIndex {
   // *shard* of this index that answers only for original-node ids in
   // [begin, end): it keeps the full L⁻¹ (any node can be a query source),
   // the full adjacency and estimator tables (the per-query BFS and bounds
-  // span the whole graph), but drops every U⁻¹ row outside the window —
-  // the rows are the per-node payload that dominates the footprint, so a
-  // P-way sharding splits the U⁻¹ storage P ways. The kept state is not
-  // copied: every index holds its immutable non-U⁻¹ machinery behind a
-  // shared_ptr, so P in-process shards of one index share a single L⁻¹ /
-  // adjacency / estimator allocation (replication only happens across
-  // saved shard files, i.e. across processes). Searches on a shard return
+  // span the whole graph), but drops every U⁻¹ row (a column of
+  // upper_inverse()) outside the window — the rows are the per-node
+  // payload that dominates the footprint, so a P-way sharding splits the
+  // U⁻¹ storage P ways. The kept state is not copied: every index holds
+  // its immutable non-U⁻¹ machinery behind a shared_ptr, so P in-process
+  // shards of one index share a single L⁻¹ / adjacency / estimator
+  // allocation (replication only happens across saved shard files, i.e.
+  // across processes). Searches on a shard return
   // the exact top-k among owned nodes with bit-identical scores to the
   // full index (see serving::ShardedEngine for the merge).
   KDashIndex Restrict(NodeId begin, NodeId end) const;
@@ -130,11 +132,13 @@ class KDashIndex {
   const std::vector<NodeId>& new_of_old() const { return shared_->new_of_old; }
   const std::vector<NodeId>& old_of_new() const { return shared_->old_of_new; }
 
-  // Inverse factors in the reordered space.
+  // Inverse factors in the reordered space. upper_inverse() is U⁻¹
+  // *transposed*: its column u is row u of U⁻¹, so a node's proximity
+  // c · U⁻¹(u,:) · y is one ColumnDot.
   const sparse::CscMatrix& lower_inverse() const {
     return shared_->lower_inverse;
   }
-  const sparse::CsrMatrix& upper_inverse() const { return upper_inverse_; }
+  const sparse::CscMatrix& upper_inverse() const { return upper_inverse_; }
 
   // Out-neighbors of `u` (original ids, no weights) for the BFS tree.
   std::span<const NodeId> OutNeighbors(NodeId u) const {
@@ -183,8 +187,9 @@ class KDashIndex {
 
   std::shared_ptr<const SharedState> shared_;
 
-  // The per-shard payload (rows of owned nodes only on a shard).
-  sparse::CsrMatrix upper_inverse_;
+  // The per-shard payload: U⁻¹ transposed (columns of owned nodes only on a
+  // shard).
+  sparse::CscMatrix upper_inverse_;
 };
 
 }  // namespace kdash::core

@@ -21,7 +21,8 @@ KDashSearcher::KDashSearcher(const KDashIndex* index)
 
 Scalar KDashSearcher::Proximity(NodeId u) const {
   const NodeId reordered = index_->new_of_old()[static_cast<std::size_t>(u)];
-  const sparse::CsrMatrix& uinv = index_->upper_inverse();
+  // Column u of the stored transpose is row u of U⁻¹.
+  const sparse::CscMatrix& uinv_t = index_->upper_inverse();
   // Adaptive kernel: y = L⁻¹ q is often far sparser than a U⁻¹ row is long
   // (a query near the end of the reordering touches a short L⁻¹ column).
   // When it is, intersecting the row with y's support beats scanning the
@@ -31,10 +32,11 @@ Scalar KDashSearcher::Proximity(NodeId u) const {
   // y_nnz within 4x of overflow, which would flip the compare and send the
   // query down the (correct but slow) scan path.
   const auto y_nnz = static_cast<std::int64_t>(y_rows_.size());
-  if (y_nnz * 4 < static_cast<std::int64_t>(uinv.RowNnz(reordered))) {
-    return index_->restart_prob() * uinv.RowDotSparse(reordered, y_, y_rows_);
+  if (y_nnz * 4 < static_cast<std::int64_t>(uinv_t.ColNnz(reordered))) {
+    return index_->restart_prob() *
+           uinv_t.ColumnDotSparse(reordered, y_, y_rows_);
   }
-  return index_->restart_prob() * uinv.RowDot(reordered, y_);
+  return index_->restart_prob() * uinv_t.ColumnDot(reordered, y_);
 }
 
 SearchResult KDashSearcher::Search(const Query& query) {

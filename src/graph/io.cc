@@ -1,16 +1,18 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse_number.h"
 
 namespace kdash::graph {
 
-Graph ReadEdgeList(std::istream& in, bool undirected) {
+Result<Graph> ReadEdgeList(std::istream& in, bool undirected) {
   std::unordered_map<long long, NodeId> dense_id;
   std::vector<NodeId> src, dst;
   std::vector<Scalar> weight;
@@ -24,16 +26,30 @@ Graph ReadEdgeList(std::istream& in, bool undirected) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
+    const std::string_view text =
+        std::string_view(line).substr(0, line.find('#'));
+    // Up to one field past the three a line may hold, so a fourth is seen.
+    std::string_view fields[4];
+    std::size_t count = 0;
+    for (std::size_t at = 0; count < 4;) {
+      at = text.find_first_not_of(" \t\r\f\v", at);
+      if (at == std::string_view::npos) break;
+      const std::size_t end = std::min(text.find_first_of(" \t\r\f\v", at),
+                                       text.size());
+      fields[count++] = text.substr(at, end - at);
+      at = end;
+    }
+    if (count == 0) continue;  // blank/comment line
     long long raw_src = 0, raw_dst = 0;
-    if (!(fields >> raw_src)) continue;  // blank/comment line
-    KDASH_CHECK(static_cast<bool>(fields >> raw_dst))
-        << "malformed edge at line " << line_no;
     double w = 1.0;
-    fields >> w;
-    KDASH_CHECK(w > 0.0) << "non-positive weight at line " << line_no;
+    if (count < 2 || count > 3 || !ParseNumber(fields[0], &raw_src, 0) ||
+        !ParseNumber(fields[1], &raw_dst, 0) ||
+        (count == 3 && !(ParseNumber(fields[2], &w) && w > 0.0))) {
+      return Status::DataLoss(
+          "malformed edge at line " + std::to_string(line_no) + ": \"" +
+          line + "\" (want `src dst [weight]`: ids in [0, 2^63), weight "
+          "finite and > 0)");
+    }
     const NodeId u = densify(raw_src);
     const NodeId v = densify(raw_dst);
     src.push_back(u);
@@ -49,9 +65,9 @@ Graph ReadEdgeList(std::istream& in, bool undirected) {
                std::move(dst), std::move(weight));
 }
 
-Graph ReadEdgeListFile(const std::string& path, bool undirected) {
+Result<Graph> ReadEdgeListFile(const std::string& path, bool undirected) {
   std::ifstream in(path);
-  KDASH_CHECK(in.good()) << "cannot open " << path;
+  if (!in.good()) return Status::NotFound("cannot open edge list " + path);
   return ReadEdgeList(in, undirected);
 }
 

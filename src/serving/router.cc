@@ -54,17 +54,6 @@ Result<RemoteEndpoint> ParseEndpoint(const std::string& text) {
   return endpoint;
 }
 
-std::vector<std::string> SplitOn(const std::string& text, char separator) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t at = text.find(separator, begin);
-    parts.push_back(text.substr(begin, at - begin));
-    if (at == std::string::npos) return parts;
-    begin = at + 1;
-  }
-}
-
 }  // namespace
 
 Router::Router(RouterOptions options)
@@ -81,11 +70,11 @@ Result<std::unique_ptr<Router>> Router::Connect(const std::string& spec,
   // kdash-lint: allow(naked-new) private constructor; ownership lands in
   // the unique_ptr on the same line.
   std::unique_ptr<Router> router(new Router(std::move(options)));
-  for (const std::string& slot_spec : SplitOn(spec, ',')) {
+  for (const std::string_view slot_spec : SplitOn(spec, ',')) {
     std::vector<std::unique_ptr<RemoteWorker>> replicas;
-    for (const std::string& replica_spec : SplitOn(slot_spec, '+')) {
+    for (const std::string_view replica_spec : SplitOn(slot_spec, '+')) {
       KDASH_ASSIGN_OR_RETURN(RemoteEndpoint endpoint,
-                             ParseEndpoint(replica_spec));
+                             ParseEndpoint(std::string(replica_spec)));
       replicas.push_back(std::make_unique<RemoteWorker>(
           std::move(endpoint), router->options_.remote));
     }

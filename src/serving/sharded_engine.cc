@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/parallel.h"
+#include "common/parse_number.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -71,11 +70,12 @@ std::uint64_t NextGeneration(const std::string& dir) {
        !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
     const std::size_t g = name.find(".g");
-    if (name.rfind("shard-", 0) != 0 || g == std::string::npos) continue;
+    if (!name.starts_with("shard-") || g == std::string::npos) continue;
+    // The <N> of shard-<s>.g<N>.kdash (or of a leftover <...>.kdash.tmp).
+    const std::string_view digits =
+        std::string_view(name).substr(g + 2, name.find('.', g + 2) - (g + 2));
     std::uint64_t parsed = 0;
-    if (std::from_chars(name.data() + g + 2, name.data() + name.size(),
-                        parsed)
-            .ec == std::errc()) {
+    if (ParseNumber(digits, &parsed)) {
       generation = std::max(generation, parsed);
     }
   }
@@ -126,37 +126,35 @@ Result<Manifest> ReadManifest(const std::string& dir) {
     return ManifestError("unrecognized header \"" + header + "\"");
   }
 
-  NodeId num_nodes = -1;
-  long long num_shards = -1;
-  {
-    std::string keyword;
-    std::string line;
-    if (!std::getline(manifest, line) ||
-        !(std::istringstream(line) >> keyword >> num_nodes) ||
-        keyword != "num_nodes" || num_nodes <= 0) {
-      return ManifestError("bad num_nodes line");
-    }
-    if (!std::getline(manifest, line) ||
-        !(std::istringstream(line) >> keyword >> num_shards) ||
-        keyword != "num_shards" || num_shards < 1 || num_shards > num_nodes) {
-      return ManifestError("bad num_shards line");
-    }
+  // Every line after the header is single-space separated with an exact
+  // field count, and every number goes through ParseNumber, so "3junk",
+  // "+2" or a trailing extra field makes the manifest corrupt.
+  std::string line;
+  std::vector<std::string_view> fields;
+  const auto next_line = [&](std::string_view keyword, std::size_t count) {
+    if (!std::getline(manifest, line)) return false;
+    fields = SplitOn(line, ' ');
+    return fields.size() == count && fields[0] == keyword;
+  };
+  NodeId num_nodes = 0;
+  if (!next_line("num_nodes", 2) || !ParseNumber(fields[1], &num_nodes, 1)) {
+    return ManifestError("bad num_nodes line");
+  }
+  NodeId num_shards = 0;
+  if (!next_line("num_shards", 2) ||
+      !ParseNumber(fields[1], &num_shards, 1, num_nodes)) {
+    return ManifestError("bad num_shards line");
   }
 
   const auto shard_count = static_cast<std::size_t>(num_shards);
   std::vector<NodeId> bounds(shard_count + 1, 0);
   std::vector<std::string> files(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    std::string line;
-    if (!std::getline(manifest, line)) {
-      return ManifestError("missing shard line " + std::to_string(s));
-    }
-    std::istringstream fields(line);
-    std::string keyword, file;
-    long long id = -1;
-    NodeId begin = -1, end = -1;
-    if (!(fields >> keyword >> id >> begin >> end >> file) ||
-        keyword != "shard" || id != static_cast<long long>(s)) {
+    std::size_t id = 0;
+    NodeId begin = 0, end = 0;
+    if (!next_line("shard", 5) || !ParseNumber(fields[1], &id) || id != s ||
+        !ParseNumber(fields[2], &begin) || !ParseNumber(fields[3], &end) ||
+        fields[4].empty()) {
       return ManifestError("bad shard line " + std::to_string(s));
     }
     // Shards must partition [0, num_nodes) contiguously and in order.
@@ -166,7 +164,7 @@ Result<Manifest> ReadManifest(const std::string& dir) {
                            std::to_string(num_nodes) + ")");
     }
     bounds[s + 1] = end;
-    files[s] = std::move(file);
+    files[s] = std::string(fields[4]);
   }
 
   return Manifest{num_nodes, std::move(bounds), std::move(files)};

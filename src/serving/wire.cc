@@ -73,6 +73,8 @@ std::string Unescape(std::string_view text) {
       plain += next;
       ++i;
     } else if (next == 'u' && hex.size() == 4 &&
+               // kdash-lint: allow(raw-number-parse) the XX is base 16, and
+               // ParseNumber reads base 10 only.
                std::from_chars(hex.data(), hex_end, byte, 16).ptr == hex_end &&
                byte <= 0xFF) {
       plain += static_cast<char>(byte);
@@ -109,6 +111,8 @@ bool ParseHexScore(std::string_view text, Scalar* score) {
   text.remove_prefix(2);
   Scalar value = 0;
   const char* last = text.data() + text.size();
+  // ParseNumber reads base 10 only, and these are hex-float digits.
+  // kdash-lint: allow(raw-number-parse) hex float; full match checked below
   const auto [end, error] =
       std::from_chars(text.data(), last, value, std::chars_format::hex);
   if (error != std::errc() || end != last) return false;

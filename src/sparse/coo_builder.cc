@@ -13,67 +13,42 @@ void CooBuilder::Add(NodeId row, NodeId col, Scalar value) {
   values_.push_back(value);
 }
 
-namespace {
-
-struct CompressedArrays {
-  std::vector<Index> ptr;
-  std::vector<NodeId> idx;
-  std::vector<Scalar> values;
-};
-
-// Sorts triplets by (outer, inner), sums duplicates, and compresses into
-// (ptr, idx, values) with ptr indexed by outer.
-CompressedArrays Compress(NodeId outer_count,
-                          const std::vector<NodeId>& outer,
-                          const std::vector<NodeId>& inner,
-                          const std::vector<Scalar>& values) {
-  std::vector<std::size_t> order(values.size());
+CscMatrix CooBuilder::BuildCsc() const {
+  std::vector<std::size_t> order(values_.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (outer[a] != outer[b]) return outer[a] < outer[b];
-    return inner[a] < inner[b];
+    if (cols_idx_[a] != cols_idx_[b]) return cols_idx_[a] < cols_idx_[b];
+    return rows_idx_[a] < rows_idx_[b];
   });
 
-  // Merge duplicates into flat (outer, inner, value) runs.
-  std::vector<NodeId> merged_outer;
-  CompressedArrays out;
-  merged_outer.reserve(values.size());
-  out.idx.reserve(values.size());
-  out.values.reserve(values.size());
+  // Merge duplicates into flat (col, row, value) runs.
+  std::vector<NodeId> merged_cols;
+  std::vector<NodeId> row_idx;
+  std::vector<Scalar> values;
+  merged_cols.reserve(values_.size());
+  row_idx.reserve(values_.size());
+  values.reserve(values_.size());
   for (const std::size_t t : order) {
-    if (!merged_outer.empty() && merged_outer.back() == outer[t] &&
-        out.idx.back() == inner[t]) {
-      out.values.back() += values[t];
+    if (!merged_cols.empty() && merged_cols.back() == cols_idx_[t] &&
+        row_idx.back() == rows_idx_[t]) {
+      values.back() += values_[t];
     } else {
-      merged_outer.push_back(outer[t]);
-      out.idx.push_back(inner[t]);
-      out.values.push_back(values[t]);
+      merged_cols.push_back(cols_idx_[t]);
+      row_idx.push_back(rows_idx_[t]);
+      values.push_back(values_[t]);
     }
   }
 
-  // Count per-outer sizes and prefix-sum into ptr.
-  out.ptr.assign(static_cast<std::size_t>(outer_count) + 1, 0);
-  for (const NodeId o : merged_outer) {
-    ++out.ptr[static_cast<std::size_t>(o) + 1];
+  // Count per-column sizes and prefix-sum into col_ptr.
+  std::vector<Index> col_ptr(static_cast<std::size_t>(cols_) + 1, 0);
+  for (const NodeId c : merged_cols) {
+    ++col_ptr[static_cast<std::size_t>(c) + 1];
   }
-  for (std::size_t o = 1; o < out.ptr.size(); ++o) {
-    out.ptr[o] += out.ptr[o - 1];
+  for (std::size_t c = 1; c < col_ptr.size(); ++c) {
+    col_ptr[c] += col_ptr[c - 1];
   }
-  return out;
-}
-
-}  // namespace
-
-CscMatrix CooBuilder::BuildCsc() const {
-  CompressedArrays a = Compress(cols_, cols_idx_, rows_idx_, values_);
-  return CscMatrix(rows_, cols_, std::move(a.ptr), std::move(a.idx),
-                   std::move(a.values));
-}
-
-CsrMatrix CooBuilder::BuildCsr() const {
-  CompressedArrays a = Compress(rows_, rows_idx_, cols_idx_, values_);
-  return CsrMatrix(rows_, cols_, std::move(a.ptr), std::move(a.idx),
-                   std::move(a.values));
+  return CscMatrix(rows_, cols_, std::move(col_ptr), std::move(row_idx),
+                   std::move(values));
 }
 
 }  // namespace kdash::sparse

@@ -9,7 +9,6 @@
 
 #include "common/types.h"
 #include "sparse/csc_matrix.h"
-#include "sparse/csr_matrix.h"
 
 namespace kdash::sparse {
 
@@ -31,9 +30,6 @@ class CooBuilder {
 
   // Builds a CSC matrix with sorted columns and summed duplicates.
   CscMatrix BuildCsc() const;
-
-  // Builds a CSR matrix with sorted rows and summed duplicates.
-  CsrMatrix BuildCsr() const;
 
  private:
   NodeId rows_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sparse/csr_matrix.h"
-
 namespace kdash::sparse {
 
 CscMatrix::CscMatrix(NodeId rows, NodeId cols, std::vector<Index> col_ptr,
@@ -93,8 +91,10 @@ std::vector<Scalar> CscMatrix::Diagonal() const {
 
 namespace {
 
-// Shared kernel: converts (outer_ptr, inner_idx, values) compressed storage
-// into the transposed compression. Used for CSC→CSR, CSR→CSC, and transpose.
+// Converts (outer_ptr, inner_idx, values) compressed storage into the
+// transposed compression: the kernel of Transposed(), which is also how the
+// index turns U⁻¹ into the CSC of its transpose (the row-major layout of U⁻¹
+// that per-node proximities read).
 void SwapCompression(NodeId outer_count, NodeId inner_count,
                      const std::vector<Index>& outer_ptr,
                      const std::vector<NodeId>& inner_idx,
@@ -132,14 +132,6 @@ CscMatrix CscMatrix::Transposed() const {
   std::vector<Scalar> vals;
   SwapCompression(cols_, rows_, col_ptr_, row_idx_, values_, ptr, idx, vals);
   return CscMatrix(cols_, rows_, std::move(ptr), std::move(idx), std::move(vals));
-}
-
-CsrMatrix CscMatrix::ToCsr() const {
-  std::vector<Index> ptr;
-  std::vector<NodeId> idx;
-  std::vector<Scalar> vals;
-  SwapCompression(cols_, rows_, col_ptr_, row_idx_, values_, ptr, idx, vals);
-  return CsrMatrix(rows_, cols_, std::move(ptr), std::move(idx), std::move(vals));
 }
 
 void CscMatrix::ScatterColumn(NodeId col, std::vector<Scalar>& out) const {

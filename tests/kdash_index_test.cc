@@ -50,7 +50,7 @@ TEST(KDashIndexTest, InverseFactorsReconstructSystemInverse) {
                                                index.new_of_old());
   const auto w = lu::BuildRwrSystemMatrix(a_perm, 0.9);
   const auto inverse_product =
-      linalg::MatMul(test::ToDense(index.upper_inverse().ToCsc()),
+      linalg::MatMul(test::ToDense(index.upper_inverse().Transposed()),
                      test::ToDense(index.lower_inverse()));
   const auto should_be_identity =
       linalg::MatMul(test::ToDense(w), inverse_product);
@@ -106,7 +106,7 @@ TEST(KDashIndexTest, ReorderMethodsProduceSameProximities) {
     for (NodeId u = 0; u < 60; ++u) {
       const NodeId ur = index.new_of_old()[static_cast<std::size_t>(u)];
       p[static_cast<std::size_t>(u)] =
-          index.restart_prob() * index.upper_inverse().RowDot(ur, y);
+          index.restart_prob() * index.upper_inverse().ColumnDot(ur, y);
     }
     per_method.push_back(std::move(p));
   }

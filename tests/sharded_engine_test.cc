@@ -403,6 +403,22 @@ TEST(ShardedEngineTest, OpenRejectsMissingAndCorruptManifests) {
         << "shard 0 0 4 shard-0000.kdash\nshard 1 5 10 shard-0001.kdash\n";
     EXPECT_EQ(ShardedEngine::Open(dir).status().code(), StatusCode::kDataLoss);
   }
+  // A number with junk or a sign, or an extra field, is corrupt.
+  for (const char* body : {
+           "num_nodes 10\nnum_shards 2junk\n"
+           "shard 0 0 5 shard-0000.kdash\nshard 1 5 10 shard-0001.kdash\n",
+           "num_nodes +10\nnum_shards 2\n"
+           "shard 0 0 5 shard-0000.kdash\nshard 1 5 10 shard-0001.kdash\n",
+           "num_nodes 10\nnum_shards 2\n"
+           "shard 0 0 5 shard-0000.kdash\nshard 1 +5 10 shard-0001.kdash\n",
+           "num_nodes 10\nnum_shards 2\n"
+           "shard 0 0 5 shard-0000.kdash extra\n"
+           "shard 1 5 10 shard-0001.kdash\n",
+       }) {
+    std::ofstream(dir + "/MANIFEST") << "kdash-sharded-index v1\n" << body;
+    EXPECT_EQ(ShardedEngine::Open(dir).status().code(), StatusCode::kDataLoss)
+        << body;
+  }
   {  // Well-formed manifest but missing shard files.
     std::ofstream(dir + "/MANIFEST")
         << "kdash-sharded-index v1\nnum_nodes 10\nnum_shards 2\n"

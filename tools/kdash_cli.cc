@@ -100,7 +100,9 @@ int CmdBuild(const std::vector<std::string>& args) {
   }
 
   WallTimer timer;
-  const graph::Graph graph = graph::ReadEdgeListFile(args[0], undirected);
+  auto loaded = graph::ReadEdgeListFile(args[0], undirected);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const graph::Graph& graph = *loaded;
   std::printf("loaded %s: %s (%.2fs)\n", args[0].c_str(),
               graph::DescribeGraph(graph).c_str(), timer.Seconds());
 
