@@ -32,11 +32,9 @@ sparse::CscMatrix NormalizedFromMaps(
 
 }  // namespace
 
-DynamicKDash::DynamicKDash(const graph::Graph& graph,
-                           const DynamicKDashOptions& options)
-    : options_(options), num_nodes_(graph.num_nodes()) {
-  KDASH_CHECK(options.restart_prob > 0.0 && options.restart_prob < 1.0);
-  KDASH_CHECK(options.max_pending_columns >= 1);
+DynamicKDash::DynamicKDash(const graph::Graph& graph, Scalar restart_prob)
+    : restart_prob_(restart_prob), num_nodes_(graph.num_nodes()) {
+  KDASH_CHECK(restart_prob > 0.0 && restart_prob < 1.0);
   out_edges_.resize(static_cast<std::size_t>(num_nodes_));
   for (NodeId u = 0; u < num_nodes_; ++u) {
     for (const graph::Neighbor& nb : graph.OutNeighbors(u)) {
@@ -52,7 +50,7 @@ void DynamicKDash::Rebuild() {
   // are still held, so a failed factorization leaves the old solver in
   // place, and every rebuild peaks at the same two-factor footprint instead
   // of leaving the process's peak to allocator timing.
-  base_solver_ = rwr::DirectRwrSolver(base_a_, options_.restart_prob);
+  base_solver_ = rwr::DirectRwrSolver(base_a_, restart_prob_);
   delta_columns_.clear();
   z_ = linalg::DenseMatrix();
   m_ = linalg::DenseMatrix();
@@ -117,7 +115,7 @@ void DynamicKDash::MarkColumnChanged(NodeId u) {
     delta_columns_.insert(it, u);
   }
   correction_fresh_ = false;
-  if (static_cast<int>(delta_columns_.size()) > options_.max_pending_columns) {
+  if (static_cast<int>(delta_columns_.size()) > kMaxPendingColumns) {
     Rebuild();
   }
 }
@@ -137,7 +135,7 @@ std::vector<Scalar> DynamicKDash::CurrentColumn(NodeId u) const {
 
 void DynamicKDash::RefreshCorrection() {
   const int d = static_cast<int>(delta_columns_.size());
-  const Scalar damp = 1.0 - options_.restart_prob;
+  const Scalar damp = 1.0 - restart_prob_;
 
   // Z = W₀⁻¹ D, one triangular-solve pair per changed column. The delta of
   // column u is −(1-c)·(a_current(u) − a_base(u)).
@@ -175,7 +173,7 @@ std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
   // KDashSearcher::Search (q = e_source for a single source).
   std::vector<Scalar> rhs(static_cast<std::size_t>(num_nodes_), 0.0);
   const Scalar restart_mass =
-      options_.restart_prob / static_cast<Scalar>(sources.size());
+      restart_prob_ / static_cast<Scalar>(sources.size());
   for (const NodeId s : sources) {
     KDASH_CHECK(s >= 0 && s < num_nodes_) << "source " << s;
     rhs[static_cast<std::size_t>(s)] += restart_mass;

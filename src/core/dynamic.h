@@ -17,7 +17,7 @@
 // Solves against W₀ go through a rwr::DirectRwrSolver over the base graph
 // (two triangular solves on its LU factors); Z and M are refreshed only
 // when the set of touched columns changes. When d exceeds
-// `max_pending_columns` the index auto-rebuilds from the current graph,
+// kMaxPendingColumns the index auto-rebuilds from the current graph,
 // restoring the fast path. Queries take the same core/query.h `Query` as
 // the static searcher and solve for the full exact proximity vector (no
 // BFS pruning — the correction term is global), so this sits between the
@@ -40,15 +40,12 @@
 
 namespace kdash::core {
 
-struct DynamicKDashOptions {
-  Scalar restart_prob = 0.95;
-  // Auto-rebuild (refactorize) once this many distinct columns changed.
-  int max_pending_columns = 64;
-};
+// Auto-rebuild (refactorize) past this many distinct changed columns.
+inline constexpr int kMaxPendingColumns = 64;
 
 class DynamicKDash {
  public:
-  DynamicKDash(const graph::Graph& graph, const DynamicKDashOptions& options);
+  DynamicKDash(const graph::Graph& graph, Scalar restart_prob);
 
   // Edge mutations. AddEdge on an existing edge adds weight; RemoveEdge
   // returns kNotFound if the edge does not exist; both return
@@ -89,7 +86,7 @@ class DynamicKDash {
   void MarkColumnChanged(NodeId u);
   void RefreshCorrection();
 
-  DynamicKDashOptions options_;
+  Scalar restart_prob_;
   NodeId num_nodes_ = 0;
 
   // Mutable adjacency (current graph).

@@ -17,8 +17,8 @@ namespace kdash {
 
 // The facade's moving parts. Static engines own the immutable KDashIndex
 // plus a checkout list of reusable searcher workspaces: every concurrent
-// caller — a Search, or one rank of a SearchBatch — borrows a private
-// searcher, so N threads search truly in parallel.
+// caller — one rank of a SearchBatch (a Search is a batch of one) —
+// borrows a private searcher, so N threads search truly in parallel.
 // Updatable engines own a DynamicKDash whose correction state is shared,
 // so every operation on it takes the exclusive lock.
 struct Engine::Impl {
@@ -156,10 +156,8 @@ Result<Engine> Engine::Build(const graph::Graph& graph,
   impl->num_nodes = graph.num_nodes();
   impl->restart_prob = options.index.restart_prob;
   if (options.updatable) {
-    core::DynamicKDashOptions dynamic_options;
-    dynamic_options.restart_prob = options.index.restart_prob;
-    impl->dynamic =
-        std::make_unique<core::DynamicKDash>(graph, dynamic_options);
+    impl->dynamic = std::make_unique<core::DynamicKDash>(
+        graph, options.index.restart_prob);
   } else {
     impl->index = std::make_unique<core::KDashIndex>(
         core::KDashIndex::Build(graph, options.index));
@@ -212,27 +210,13 @@ Status Engine::Save(const std::string& path) const {
 }
 
 Result<SearchResult> Engine::Search(const Query& query) const {
-  KDASH_RETURN_IF_ERROR(
-      ValidateQuery(query, impl_->num_nodes, impl_->dynamic != nullptr));
-  obs::ScopedSpan span(query.trace.get(), "engine.search");
-  WallTimer timer;
-  if (impl_->dynamic != nullptr) {
-    MutexLock lock(impl_->dynamic_mutex);
-    SearchResult result = impl_->dynamic->Search(query);
-    impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
-    return result;
-  }
-  auto searcher = impl_->AcquireSearcher();
-  SearchResult result = searcher->Search(query);
-  impl_->ReleaseSearcher(std::move(searcher));
-  impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
-  return result;
+  return std::move(SearchBatch({&query, 1}).front());
 }
 
 std::vector<Result<SearchResult>> Engine::SearchBatch(
     std::span<const Query> queries) const {
-  // Each query is validated on its own: an invalid one keeps Search's
-  // status, a valid one's placeholder is overwritten below.
+  // Each query is validated on its own: an invalid one keeps its status, a
+  // valid one's placeholder is overwritten below.
   std::vector<Result<SearchResult>> results;
   results.reserve(queries.size());
   std::vector<std::size_t> valid;
@@ -257,11 +241,11 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
     return results;
   }
   if (valid.empty()) return results;
-  // Each pool rank pulls valid query indexes off a shared cursor with one
-  // searcher checked out of the same list Search uses; a rank that finds
-  // no work takes none.
+  // Each rank pulls valid query indexes off a shared cursor with one
+  // searcher checked out of the engine's list; a rank that finds no work
+  // takes none.
   std::atomic<std::size_t> cursor{0};
-  ThreadPool::Shared().RunOnAllThreads([&](int /*rank*/) {
+  const auto run_rank = [&](int /*rank*/) {
     std::size_t v = cursor.fetch_add(1, std::memory_order_relaxed);
     if (v >= valid.size()) return;
     auto searcher = impl_->AcquireSearcher();
@@ -274,7 +258,15 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
       impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
     }
     impl_->ReleaseSearcher(std::move(searcher));
-  });
+  };
+  // One valid query must run on the caller: FanOut runs shard searches on
+  // ThreadPool::Shared() workers and RunOnAllThreads is not reentrant, and
+  // waking the pool would add its latency to every single search.
+  if (valid.size() == 1) {
+    run_rank(0);
+  } else {
+    ThreadPool::Shared().RunOnAllThreads(run_rank);
+  }
   return results;
 }
 

@@ -43,15 +43,15 @@ namespace kdash {
 
 struct EngineOptions {
   // Precompute knobs for the underlying index (restart probability,
-  // reordering, threads, ...).
+  // reordering, threads, ...). An updatable engine uses only
+  // index.restart_prob; it neither reorders nor builds inverses.
   core::KDashOptions index;
 
   // Build an updatable engine: AddEdge/RemoveEdge are accepted and queries
   // stay exact under the mutated graph (Woodbury correction over the base
-  // factorization, auto-refactorize after DynamicKDashOptions' default
-  // number of distinct changed columns). Updatable engines serve queries
-  // under an exclusive lock (the correction state is shared) and cannot be
-  // Saved/Opened.
+  // factorization, auto-refactorize past core::kMaxPendingColumns distinct
+  // changed columns). Updatable engines serve queries under an exclusive
+  // lock (the correction state is shared) and cannot be Saved/Opened.
   bool updatable = false;
 };
 
@@ -79,16 +79,17 @@ class Engine {
   [[nodiscard]] Status Save(const std::string& path) const;
   [[nodiscard]] Status Save(std::ostream& out) const;
 
-  // Answer one query. Validates every input (source/exclude ids in range,
-  // non-empty sources, duplicate-free excludes, k ≥ 1) and returns
-  // kInvalidArgument with a precise message on violation. Thread-safe.
+  // Answer one query: SearchBatch over a batch of one, so it runs on the
+  // calling thread. Thread-safe.
   [[nodiscard]] Result<SearchResult> Search(const Query& query) const;
 
-  // Answer a batch; results[i] answers queries[i] with exactly what
-  // Search(queries[i]) would return, invalid queries included. On a static
-  // engine the valid queries fan out over the process-wide thread pool
+  // Answer a batch; results[i] answers queries[i] on its own. Validates
+  // every query (source/exclude ids in range, non-empty sources,
+  // duplicate-free excludes, k ≥ 1) and gives an invalid one
+  // kInvalidArgument with a precise message. On a static engine two or more
+  // valid queries fan out over the process-wide thread pool
   // (KDASH_NUM_THREADS workers), each worker borrowing a searcher from the
-  // same checkout list as Search. Thread-safe.
+  // engine's checkout list; one runs on the caller. Thread-safe.
   [[nodiscard]] std::vector<Result<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 

@@ -422,11 +422,16 @@ Status KDashIndex::SaveFile(const std::string& path) const {
 }
 
 Result<KDashIndex> KDashIndex::LoadFile(const std::string& path) {
-  KDASH_INJECT_FAULT("index_io.open");
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  // An injected open failure counts as a failed load, like a real one.
+  Status opened = fault::Check("index_io.open");
+  std::ifstream in;
+  if (opened.ok()) {
+    in.open(path, std::ios::binary);
+    if (!in.good()) opened = Status::NotFound("cannot open " + path);
+  }
+  if (!opened.ok()) {
     obs::MetricRegistry::Global().GetCounter("index_io.load_errors").Add();
-    return Status::NotFound("cannot open " + path);
+    return opened;
   }
   return Load(in);
 }

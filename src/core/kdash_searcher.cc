@@ -147,38 +147,28 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
     // would. Pruning gets weaker, exactness of the owned top-k does not.
     const bool owned = index_->OwnsNode(u);
 
-    if (head < roots.size()) {
-      // A layer-0 root: p̄ = 1 by Definition 1 — never prunable since θ
-      // starts at 0, scores are ≤ 1, and Algorithm 4 compares strictly.
-      Scalar proximity = 0.0;
-      if (owned) {
-        proximity = Proximity(u);
-        ++local_stats.proximity_computations;
-        if (!excluded_[static_cast<std::size_t>(u)]) heap.Push(u, proximity);
-      }
+    // One visit step (Algorithm 4). A layer-0 root has p̄ = 1 by Definition
+    // 1 and is never estimated: θ starts at 0, scores are ≤ 1, and the
+    // comparison is strict.
+    const bool root = head < roots.size();
+    if (use_pruning && !root &&
+        estimator_.EstimateNext(u, layer_[static_cast<std::size_t>(u)]) <
+            heap.Threshold()) {
+      // Lemma 2: every remaining node's bound is ≤ this one; terminate.
+      local_stats.terminated_early = true;
+      break;
+    }
+    Scalar proximity = 0.0;
+    if (owned) {
+      proximity = Proximity(u);
+      ++local_stats.proximity_computations;
+      // Push keeps it only if it beats the current K-th.
+      if (!excluded_[static_cast<std::size_t>(u)]) heap.Push(u, proximity);
+    }
+    if (root) {
       estimator_.RecordQuery(u, proximity);
-    } else {
-      const NodeId u_layer = layer_[static_cast<std::size_t>(u)];
-      if (use_pruning) {
-        const Scalar upper_bound = estimator_.EstimateNext(u, u_layer);
-        if (upper_bound < heap.Threshold()) {
-          // Lemma 2: every remaining node's bound is ≤ this one; terminate.
-          local_stats.terminated_early = true;
-          break;
-        }
-        Scalar proximity = 0.0;
-        if (owned) {
-          proximity = Proximity(u);
-          ++local_stats.proximity_computations;
-          // Push keeps it only if it beats the current K-th.
-          if (!excluded_[static_cast<std::size_t>(u)]) heap.Push(u, proximity);
-        }
-        estimator_.RecordSelected(u, proximity);
-      } else if (owned) {
-        const Scalar proximity = Proximity(u);
-        ++local_stats.proximity_computations;
-        if (!excluded_[static_cast<std::size_t>(u)]) heap.Push(u, proximity);
-      }
+    } else if (use_pruning) {
+      estimator_.RecordSelected(u, proximity);
     }
 
     // Expand: discover u's out-neighbors for the next layer.

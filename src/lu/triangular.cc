@@ -1,6 +1,7 @@
 #include "lu/triangular.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -68,12 +69,12 @@ constexpr NodeId kNoSlot = -1;
 // reorder's border) share most of their patterns, so each tail column is
 // read once per block instead of up to 16 times.
 //
-// Build() farms out fixed chunks of whole blocks to a thread pool; each
-// worker owns a workspace and appends its chunk's columns to a per-chunk
-// buffer. Assembly is two passes: per-column nnz counts become exact
-// offsets via a prefix sum, then chunks are copied into the final arrays in
-// parallel. Every column's output depends only on the column, so the
-// result is bit-identical for any thread count.
+// Build() farms out fixed chunks of whole blocks to a thread pool (a pool of
+// 1 runs them inline); each worker owns a workspace and appends its chunk's
+// columns to a per-chunk buffer. Assembly is two passes: per-column nnz
+// counts become exact offsets via a prefix sum, then chunks are copied into
+// the final arrays in parallel. Every column's output depends only on the
+// column, so the result is bit-identical for any thread count.
 class TriangularInverter {
  public:
   TriangularInverter(const sparse::CscMatrix& matrix, bool lower)
@@ -82,32 +83,19 @@ class TriangularInverter {
   }
 
   sparse::CscMatrix Build(int num_threads) {
-    // 0 borrows the process-wide shared pool (no per-call thread spawns);
-    // an explicit T > 1 gets a dedicated pool of that size.
-    if (num_threads <= 0) {
-      ThreadPool& shared = ThreadPool::Shared();
-      if (shared.num_threads() == 1 || m_.cols() < 2) return BuildSequential();
-      return BuildParallel(shared);
-    }
-    if (num_threads == 1 || m_.cols() < 2) return BuildSequential();
-    ThreadPool pool(num_threads);
-    return BuildParallel(pool);
+    std::unique_ptr<ThreadPool> local_pool;
+    return BuildParallel(SelectPool(num_threads, local_pool));
   }
 
  private:
-  // Per-worker scratch. `slot` is restored after each block, so a block
-  // costs O(pattern) rather than O(n).
+  // Per-worker scratch, sized on a worker's first chunk. `slot` is restored
+  // after each block, so a block costs O(pattern) rather than O(n).
   struct Workspace {
     // Row → slot; slot s owns acc[s·B, (s+1)·B).
     std::vector<NodeId> slot;
     std::vector<Scalar> acc;
     std::vector<NodeId> pattern;
     std::vector<NodeId> heap;
-
-    void EnsureSize(NodeId n) {
-      if (slot.size() == static_cast<std::size_t>(n)) return;
-      slot.assign(static_cast<std::size_t>(n), kNoSlot);
-    }
   };
 
   // Min-heap worklist keyed in elimination order: ascending rows for the
@@ -132,17 +120,6 @@ class TriangularInverter {
   // Puts a pattern popped in elimination order into ascending row order.
   void IntoAscendingRows(std::vector<NodeId>& pattern) const {
     if (!lower_) std::reverse(pattern.begin(), pattern.end());
-  }
-
-  // Computes columns [begin, end) (begin a multiple of kBlockWidth), appends
-  // them to rows/vals and stores each column's kept nnz in col_nnz[j + 1].
-  void ComputeColumns(NodeId begin, NodeId end, Workspace& ws,
-                      std::vector<NodeId>& rows, std::vector<Scalar>& vals,
-                      std::vector<Index>& col_nnz) const {
-    for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
-      ComputeBlock(j0, std::min<NodeId>(kBlockWidth, end - j0), ws, rows, vals,
-                   col_nnz);
-    }
   }
 
   // Computes columns [j0, j0 + width) in one pass over the union of their
@@ -227,19 +204,6 @@ class TriangularInverter {
     for (std::size_t j = 1; j < ptr.size(); ++j) ptr[j] += ptr[j - 1];
   }
 
-  sparse::CscMatrix BuildSequential() {
-    const NodeId n = m_.rows();
-    std::vector<Index> ptr(static_cast<std::size_t>(n) + 1, 0);
-    std::vector<NodeId> rows;
-    std::vector<Scalar> vals;
-    Workspace ws;
-    ws.EnsureSize(n);
-    ComputeColumns(0, n, ws, rows, vals, ptr);
-    PrefixSum(ptr);
-    return sparse::CscMatrix(n, n, std::move(ptr), std::move(rows),
-                             std::move(vals));
-  }
-
   sparse::CscMatrix BuildParallel(ThreadPool& pool) {
     const int num_threads = pool.num_threads();
     const NodeId n = m_.rows();
@@ -266,12 +230,16 @@ class TriangularInverter {
     // record per-column nnz counts in ptr[j + 1].
     pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
       Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
-      ws.EnsureSize(n);
+      if (ws.slot.empty()) ws.slot.assign(static_cast<std::size_t>(n), kNoSlot);
       for (Index c = c_begin; c < c_end; ++c) {
         Chunk& chunk = chunks[static_cast<std::size_t>(c)];
-        ComputeColumns(static_cast<NodeId>(c * grain),
-                       static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain)),
-                       ws, chunk.rows, chunk.vals, ptr);
+        const auto begin = static_cast<NodeId>(c * grain);
+        const auto end =
+            static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain));
+        for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
+          ComputeBlock(j0, std::min<NodeId>(kBlockWidth, end - j0), ws,
+                       chunk.rows, chunk.vals, ptr);
+        }
       }
     });
 

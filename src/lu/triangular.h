@@ -16,11 +16,11 @@
 // of once per column. Each column's nonzero updates are applied in the
 // same order as in the dense solve, so the blocking does not change a bit.
 //
-// Blocks are computed in parallel on a thread pool into per-chunk buffers
-// and then assembled into one CSC matrix with a two-pass scheme
-// (per-column nnz counts → exact offsets → parallel fill). Every column's
-// values depend only on the column, so the parallel result is
-// bit-identical to the sequential one.
+// Blocks are computed on a thread pool into per-chunk buffers and then
+// assembled into one CSC matrix with a two-pass scheme (per-column nnz
+// counts → exact offsets → parallel fill). One thread runs the same chunks
+// inline. Every column's values depend only on the column, so the output
+// is identical at every thread count.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 
@@ -41,9 +41,9 @@ void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 
 // Explicit inverse of a lower triangular matrix: column j is
 // SolveLowerInPlace(e_j), computed in blocks of columns, keeping every
-// numerically nonzero entry (exact). num_threads: 0 = DefaultNumThreads()
-// (KDASH_NUM_THREADS or hardware concurrency), 1 = sequential, T > 1 = a
-// pool of T workers. The output is identical for every thread count.
+// numerically nonzero entry (exact). num_threads picks the pool as
+// SelectPool (common/parallel.h) does; 1 runs inline on the caller. The
+// output is identical for every thread count.
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                         int num_threads = 0);
 

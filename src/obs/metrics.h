@@ -58,7 +58,7 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "cache.hit",                // scheduler answered from the result cache
     "cache.invalidated",        // entries purged by an epoch change
     "cache.miss",               // lookup fell through to the backend
-    "engine.search_us",         // per-query latency inside Engine::Search*
+    "engine.search_us",         // one per Engine search; per shard if sharded
     "engine.searcher_created",  // checkout miss: a new searcher was built
     "engine.searcher_reused",   // checkout hit: an idle searcher was popped
     "fault.fired.<N>",          // injected-fault fires, one metric per site

@@ -43,7 +43,7 @@ std::vector<Scalar> TruthAfterMutations(
 
 TEST(DynamicTest, NoUpdatesMatchesStaticSolve) {
   const auto g = test::RandomDirectedGraph(80, 500, 11);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   const auto p = dynamic.Solve({5});
   const auto truth = rwr::SolveRwr(g.NormalizedAdjacency(), 5, {});
   for (std::size_t u = 0; u < p.size(); ++u) {
@@ -54,7 +54,7 @@ TEST(DynamicTest, NoUpdatesMatchesStaticSolve) {
 
 TEST(DynamicTest, SingleEdgeAdditionExact) {
   const auto g = test::RandomDirectedGraph(60, 350, 12);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   ASSERT_TRUE(dynamic.AddEdge(3, 40, 2.0).ok());
   EXPECT_EQ(dynamic.pending_columns(), 1);
 
@@ -72,7 +72,7 @@ TEST(DynamicTest, EdgeRemovalExact) {
   ASSERT_GT(g.OutDegree(src), 0);
   const NodeId dst = g.OutNeighbors(src)[0].node;
 
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   ASSERT_TRUE(dynamic.RemoveEdge(src, dst).ok());
   const auto p = dynamic.Solve({src});
   const auto truth = TruthAfterMutations(g, {}, {{src, dst}}, src, 0.95);
@@ -83,9 +83,7 @@ TEST(DynamicTest, EdgeRemovalExact) {
 
 TEST(DynamicTest, ManyMixedUpdatesExact) {
   const auto g = test::RandomDirectedGraph(100, 700, 14);
-  DynamicKDashOptions options;
-  options.max_pending_columns = 128;  // keep everything in the correction
-  DynamicKDash dynamic(g, options);
+  DynamicKDash dynamic(g, 0.95);  // 20 writes stay in the correction
 
   Rng rng(15);
   std::vector<std::tuple<NodeId, NodeId, Scalar>> additions;
@@ -109,21 +107,19 @@ TEST(DynamicTest, ManyMixedUpdatesExact) {
 }
 
 TEST(DynamicTest, AutoRebuildKicksIn) {
-  const auto g = test::RandomDirectedGraph(80, 500, 16);
-  DynamicKDashOptions options;
-  options.max_pending_columns = 4;
-  DynamicKDash dynamic(g, options);
-  Rng rng(17);
-  for (int e = 0; e < 12; ++e) {
-    ASSERT_TRUE(dynamic.AddEdge(rng.NextNode(80), rng.NextNode(80), 1.0).ok());
+  const auto g = test::RandomDirectedGraph(200, 1200, 16);
+  DynamicKDash dynamic(g, 0.95);
+  // One edge out of each of kMaxPendingColumns + 8 distinct sources.
+  for (NodeId src = 0; src < kMaxPendingColumns + 8; ++src) {
+    ASSERT_TRUE(dynamic.AddEdge(src, (src + 100) % 200, 1.0).ok());
   }
   EXPECT_GT(dynamic.rebuild_count(), 1);
-  EXPECT_LE(dynamic.pending_columns(), 4);
+  EXPECT_LE(dynamic.pending_columns(), kMaxPendingColumns);
 }
 
 TEST(DynamicTest, ManualRebuildPreservesAnswers) {
   const auto g = test::RandomDirectedGraph(70, 400, 18);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   ASSERT_TRUE(dynamic.AddEdge(1, 50, 3.0).ok());
   ASSERT_TRUE(dynamic.AddEdge(2, 60, 1.5).ok());
   const auto before = dynamic.Solve({1});
@@ -138,7 +134,7 @@ TEST(DynamicTest, ManualRebuildPreservesAnswers) {
 TEST(DynamicTest, TopKTracksUpdates) {
   // Adding a strong edge from the query must promote the target node.
   const auto g = test::RandomDirectedGraph(90, 500, 19);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   const NodeId query = 4;
   const NodeId target = 77;
 
@@ -159,7 +155,7 @@ TEST(DynamicTest, SearchReportsAFullScanAndHonorsExclude) {
   // The solve is global, so the stats count every node; excluded nodes
   // never come back, and the rest keep their exact ranking.
   const auto g = test::RandomDirectedGraph(60, 350, 20);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   const auto full = dynamic.Search(Query::Personalized({2, 9}, 6));
   EXPECT_EQ(full.stats.nodes_visited, g.num_nodes());
   EXPECT_EQ(full.stats.proximity_computations, g.num_nodes());
@@ -179,7 +175,7 @@ TEST(DynamicTest, SearchReportsAFullScanAndHonorsExclude) {
 
 TEST(DynamicTest, RemoveNonexistentEdgeIsNotFound) {
   const auto g = test::SmallDirectedGraph();
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   const Status status = dynamic.RemoveEdge(0, 4);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
@@ -188,7 +184,7 @@ TEST(DynamicTest, RemoveNonexistentEdgeIsNotFound) {
 
 TEST(DynamicTest, OutOfRangeEdgeUpdatesAreInvalidArgument) {
   const auto g = test::SmallDirectedGraph();
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   EXPECT_EQ(dynamic.AddEdge(-1, 0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(dynamic.AddEdge(0, g.num_nodes()).code(),
             StatusCode::kInvalidArgument);
@@ -199,7 +195,7 @@ TEST(DynamicTest, OutOfRangeEdgeUpdatesAreInvalidArgument) {
 
 TEST(DynamicTest, MultiSourceSolveMatchesAverageOfSolves) {
   const auto g = test::RandomDirectedGraph(70, 400, 21);
-  DynamicKDash dynamic(g, {});
+  DynamicKDash dynamic(g, 0.95);
   // Exercise the correction path too.
   ASSERT_TRUE(dynamic.AddEdge(2, 30, 1.5).ok());
   const std::vector<NodeId> sources{3, 10, 44};

@@ -40,9 +40,7 @@ TEST_P(EngineConsistencyTest, ExactEnginesAgreeOnFullVectors) {
   pi.tolerance = 1e-14;
   pi.max_iterations = 20000;
   const rwr::DirectRwrSolver direct(a, c);
-  core::DynamicKDashOptions dyn_options;
-  dyn_options.restart_prob = c;
-  core::DynamicKDash dynamic(dataset.graph, dyn_options);
+  core::DynamicKDash dynamic(dataset.graph, c);
 
   Rng rng(3);
   for (int trial = 0; trial < 3; ++trial) {

@@ -12,8 +12,10 @@
 #include <sstream>
 
 #include "common/fault.h"
+#include "core/engine.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace kdash::core {
@@ -292,6 +294,30 @@ TEST(IndexIoTest, FailedSaveFileKeepsPreviousIndex) {
   ASSERT_TRUE(a.Save(want).ok());
   ASSERT_TRUE(loaded->Save(got).ok());
   EXPECT_EQ(got.str(), want.str());
+  std::remove(path.c_str());
+}
+
+TEST(IndexIoTest, InjectedOpenFailureCountsAsLoadError) {
+  const std::string path = ::testing::TempDir() + "/kdash_injected_open.bin";
+  ASSERT_TRUE(KDashIndex::Build(test::RandomDirectedGraph(30, 150, 85), {})
+                  .SaveFile(path)
+                  .ok());
+  const obs::Counter& load_errors =
+      obs::MetricRegistry::Global().GetCounter("index_io.load_errors");
+  const std::uint64_t before = load_errors.Value();
+  {
+    fault::FaultSpec spec;
+    spec.code = StatusCode::kResourceExhausted;
+    spec.max_fires = 1;
+    fault::ScopedFault guard("index_io.open", spec);
+    const auto opened = Engine::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(load_errors.Value(), before + 1);
+    // The site fired its one time: the same file now opens.
+    EXPECT_TRUE(Engine::Open(path).ok());
+  }
+  EXPECT_EQ(load_errors.Value(), before + 1);
   std::remove(path.c_str());
 }
 

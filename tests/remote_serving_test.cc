@@ -5,8 +5,9 @@
 // worker killed mid-run (identical to the in-process engine degraded by an
 // injected fault on the same shard), replica failover, hedged requests
 // against a deliberately slow primary, the worker health state machine
-// across a kill + restart, and the deadline-aware retry backoff the wire
-// deadline propagation depends on.
+// across a kill + restart, one injected failure at each transport fault
+// site (remote.connect / remote.send / remote.recv), and the deadline-aware
+// retry backoff the wire deadline propagation depends on.
 //
 // Workers here are the real thing minus the process boundary: each one is
 // a tools::LineServer over a BatchScheduler over shard engines — the exact
@@ -18,6 +19,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -171,6 +173,47 @@ class RemoteServingTest : public ::testing::Test {
       EXPECT_EQ(got.top[r].score, expected.top[r].score)
           << what << " rank " << r;
     }
+  }
+
+  // A kFailFast router over one in-process worker per shard of a P=3
+  // engine, with transport fault `site` armed by `fault_spec` (before
+  // Connect when `arm_before_connect`). The first query must fail with the
+  // injected code and raise `counter_name` by exactly 1; the next must be
+  // bit-identical to the in-process ShardedEngine.
+  void ExpectOneInjectedTransportFailure(const char* site,
+                                         const fault::FaultSpec& fault_spec,
+                                         bool arm_before_connect,
+                                         const char* counter_name) {
+    const auto graph = test::RandomDirectedGraph(90, 500, 53);
+    const auto sharded = BuildSharded(graph, 3);
+    std::string spec;
+    auto workers = SpawnWorkers(sharded, &spec);
+    std::optional<fault::ScopedFault> guard;
+    if (arm_before_connect) guard.emplace(site, fault_spec);
+    auto router =
+        Router::Connect(spec, FastOptions(ShardFailureMode::kFailFast));
+    ASSERT_TRUE(router.ok()) << router.status();
+    if (!arm_before_connect) guard.emplace(site, fault_spec);
+    // Past any reconnect backoff a failed Connect probe left behind.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    const obs::Counter& counter =
+        obs::MetricRegistry::Global().GetCounter(counter_name);
+    const std::uint64_t before = counter.Value();
+    const Query query = Query::Single(7, 10);
+    const auto failed = (*router)->Search(query);
+    ASSERT_FALSE(failed.ok()) << site;
+    EXPECT_EQ(failed.status().code(), fault_spec.code) << failed.status();
+    EXPECT_EQ(counter.Value(), before + 1) << site;
+
+    // Past the failed slot's reconnect backoff, if it was a dial.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto expected = sharded.Search(query);
+    const auto got = (*router)->Search(query);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(got.ok()) << site << ": " << got.status();
+    ExpectBitIdentical(*got, *expected, site);
+    EXPECT_EQ(counter.Value(), before + 1) << site;
   }
 };
 
@@ -544,6 +587,36 @@ TEST_F(RemoteServingTest, ProberMarksWorkerDownAndBackUpAcrossRestart) {
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(got.ok()) << got.status();
   ExpectBitIdentical(*got, *expected, "after restart");
+}
+
+TEST_F(RemoteServingTest, InjectedConnectFailureFailsOneQuery) {
+  // Connect's probe round dials each of the 3 workers once (evaluations
+  // 0-2, all fired, so no connection is pooled); the query's first dial is
+  // evaluation 3.
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kDataLoss;
+  spec.fire_on_hits = {0, 1, 2, 3};
+  ExpectOneInjectedTransportFailure("remote.connect", spec,
+                                    /*arm_before_connect=*/true,
+                                    "serving.remote.connect_errors");
+}
+
+TEST_F(RemoteServingTest, InjectedSendFailureFailsOneQuery) {
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kDataLoss;
+  spec.max_fires = 1;
+  ExpectOneInjectedTransportFailure("remote.send", spec,
+                                    /*arm_before_connect=*/false,
+                                    "serving.remote.io_errors");
+}
+
+TEST_F(RemoteServingTest, InjectedRecvFailureFailsOneQuery) {
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kDataLoss;
+  spec.max_fires = 1;
+  ExpectOneInjectedTransportFailure("remote.recv", spec,
+                                    /*arm_before_connect=*/false,
+                                    "serving.remote.io_errors");
 }
 
 TEST_F(RemoteServingTest, WireDeadlinePropagatesToWorker) {

@@ -17,6 +17,9 @@ nearly bitten:
   fault-site-unused      Every kKnownFaultSites entry is evaluated by at
                          least one injection point — the registry and the
                          code cannot drift apart in either direction.
+  fault-site-unarmed     Every kKnownFaultSites entry appears as a literal
+                         in tests/ or .github/workflows/ (a `<N>` family by
+                         its prefix): no injection point goes untested.
   metric-name-grammar    Every metric name literal passed to GetCounter /
                          GetGauge / GetHistogram matches the same grammar
                          as fault sites, so metric names stay greppable
@@ -88,6 +91,10 @@ PARSE_NUMBER_FILE = ("common", "parse_number.h")
 
 # The one sanctioned home of raw istream::read calls.
 READER_FILE = "index_io.cc"
+
+# Where registered fault sites must be armed (not recursive: no fixtures).
+ARMED_FILES = (("tests", "*.cc"), ("tests", "*.h"),
+               (".github/workflows", "*.yml"))
 
 
 class Violation(NamedTuple):
@@ -222,6 +229,30 @@ def check_name_calls(path: pathlib.Path, code: str, call_pattern: re.Pattern,
     return violations
 
 
+def armed_text(path: pathlib.Path) -> str:
+    """The file minus comments and any kKnownFaultSites table."""
+    text = path.read_text()
+    if path.suffix == ".yml":
+        return REGISTRY.sub("", re.sub(r"(?m)^\s*#.*$", "", text))
+    return REGISTRY.sub("", strip_comments(text))
+
+
+def check_armed(registry: Sequence[str], registry_path: pathlib.Path,
+                corpus: str) -> List[Violation]:
+    """Each entry must be named in `corpus`: whole, not as the head of a
+    longer name, or for a `<N>` family by its prefix."""
+    violations = []
+    for entry in registry:
+        tail = "" if entry.endswith("<N>") else r"(?![a-z0-9_]|\.[a-z])"
+        name = re.escape(entry.replace("<N>", ""))
+        if not re.search(r"(?<![a-z0-9_.])" + name + tail, corpus):
+            violations.append(Violation(
+                registry_path, 1, "fault-site-unarmed",
+                f'registry entry "{entry}" is armed by no test or CI '
+                "workflow — add a case that arms it"))
+    return violations
+
+
 def lint_file(path: pathlib.Path, registry: Sequence[str],
               used_sites: Set[str], metric_registry: Sequence[str] = (),
               used_metrics: Set[str] | None = None) -> List[Violation]:
@@ -321,6 +352,9 @@ def run(root: pathlib.Path) -> int:
                 fault_h, 1, "fault-site-unused",
                 f'registry entry "{entry}" is evaluated by no injection '
                 "point — remove it or add the site"))
+    violations.extend(check_armed(registry, fault_h, "\n".join(
+        armed_text(path) for sub, pattern in ARMED_FILES
+        for path in sorted((root / sub).glob(pattern)))))
     for entry in metric_registry:
         if entry not in used_metrics:
             violations.append(Violation(
@@ -363,6 +397,10 @@ def selftest(root: pathlib.Path) -> int:
         expected = set(header.group(1).split(",")) - {"clean"}
         got = {v.rule for v in lint_file(fixture, registry, set(),
                                          metric_registry, set())}
+        # A fixture with its own fault-site table is its own armed corpus.
+        if REGISTRY.search(strip_comments(fixture.read_text())):
+            got |= {v.rule for v in check_armed(parse_registry(
+                fixture.read_text()), fixture, armed_text(fixture))}
         if got == expected:
             print(f"ok   {fixture.name}: {sorted(got) or ['clean']}")
         else:

@@ -22,10 +22,13 @@ Three record formats are understood:
 
   latency  one bench_util JSON line whose "metrics" array carries the
            process metric-registry snapshot (src/obs/metrics.h). The gated
-           value is the p99 of --metric (default engine.search_us, the
-           per-query serving latency histogram) from --bench (default
+           value is the p99 of --metric (default engine.search_us, one
+           sample per Engine search) from --bench (default
            serving_throughput, run single-threaded in CI so queueing noise
-           stays out of the tail). Histogram quantiles are bucket lower
+           stays out of the tail). That bench's histogram mixes whole-graph
+           queries with the shard searches of its P=4 ShardedEngine and of
+           its in-process router workers, so the gated p99 is not a
+           per-query serving latency. Histogram quantiles are bucket lower
            bounds — deterministic, so two identical runs compare exactly
            equal; p50 and count are reported informationally.
 
