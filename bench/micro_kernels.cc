@@ -40,7 +40,7 @@ void BM_EstimateUpdate(benchmark::State& state) {
   const NodeId n = 1 << 16;
   std::vector<Scalar> amax_of_node(static_cast<std::size_t>(n), 0.25);
   std::vector<Scalar> c_prime(static_cast<std::size_t>(n), 0.05);
-  core::ProximityEstimator estimator(0.5, &amax_of_node, &c_prime);
+  core::ProximityEstimator estimator(0.5, 0.95, &amax_of_node, &c_prime);
   estimator.Reset();
   estimator.RecordQuery(0, 0.95);
   NodeId u = 1;

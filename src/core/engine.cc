@@ -51,6 +51,11 @@ struct Engine::Impl {
   // than ever-built searchers are searching at once.
   obs::Histogram* search_us =
       &obs::MetricRegistry::Global().GetHistogram("engine.search_us");
+  obs::Histogram* nodes_visited =
+      &obs::MetricRegistry::Global().GetHistogram("engine.nodes_visited");
+  obs::Histogram* proximity_computations =
+      &obs::MetricRegistry::Global().GetHistogram(
+          "engine.proximity_computations");
   obs::Counter* searcher_created =
       &obs::MetricRegistry::Global().GetCounter("engine.searcher_created");
   obs::Counter* searcher_reused =
@@ -73,6 +78,15 @@ struct Engine::Impl {
   void ReleaseSearcher(std::unique_ptr<core::KDashSearcher> searcher) const {
     MutexLock lock(searcher_mutex);
     idle_searchers.push_back(std::move(searcher));
+  }
+
+  // One sample per search in each search histogram.
+  void RecordSearch(const WallTimer& timer,
+                    const core::SearchStats& stats) const {
+    search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
+    nodes_visited->Record(static_cast<std::uint64_t>(stats.nodes_visited));
+    proximity_computations->Record(
+        static_cast<std::uint64_t>(stats.proximity_computations));
   }
 };
 
@@ -236,7 +250,7 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
       obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
       WallTimer timer;
       results[i] = impl_->dynamic->Search(queries[i]);
-      impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
+      impl_->RecordSearch(timer, results[i]->stats);
     }
     return results;
   }
@@ -255,7 +269,7 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
       obs::ScopedSpan span(query.trace.get(), "engine.search");
       WallTimer timer;
       results[valid[v]] = searcher->Search(query);
-      impl_->search_us->Record(static_cast<std::uint64_t>(timer.Micros()));
+      impl_->RecordSearch(timer, results[valid[v]]->stats);
     }
     impl_->ReleaseSearcher(std::move(searcher));
   };

@@ -6,16 +6,17 @@ namespace kdash::core {
 
 Scalar ProximityEstimator::EstimateDirect(
     NodeId u, NodeId layer, const std::vector<Selected>& selected, Scalar amax,
-    const std::vector<Scalar>& amax_of_node,
+    Scalar restart_prob, const std::vector<Scalar>& amax_of_node,
     const std::vector<Scalar>& c_prime_of_node) {
-  // Definition 1, term by term.
+  // Definition 1, term by term, with the dangling-node charge on term 3.
+  const Scalar dangling_charge = DanglingCharge(restart_prob);
   Scalar term1 = 0.0;  // selected nodes one layer above u
   Scalar term2 = 0.0;  // selected nodes on u's layer (visited before u)
-  Scalar selected_mass = 0.0;
+  Scalar selected_mass = 0.0;  // Σ charge(v)·p(v)
   for (const Selected& s : selected) {
-    selected_mass += s.proximity;
-    const Scalar contribution =
-        s.proximity * amax_of_node[static_cast<std::size_t>(s.node)];
+    const Scalar amax_of_v = amax_of_node[static_cast<std::size_t>(s.node)];
+    selected_mass += s.proximity * (amax_of_v == 0.0 ? dangling_charge : 1.0);
+    const Scalar contribution = s.proximity * amax_of_v;
     if (s.layer == layer - 1) {
       term1 += contribution;
     } else if (s.layer == layer) {

@@ -19,6 +19,37 @@
 // (1 - p_q)·Amax(u); Definition 1 requires the global Amax, which is what we
 // implement, since Lemma 1 needs the remainder bounded for every node
 // (checked by EstimatorPropertyTest.Definition2EqualsDefinition1).
+//
+// Walk mass lost at dangling nodes. Definition 1 charges every unvisited
+// node at Amax·(1 − Σ_selected p), as if the proximities summed to 1. They
+// do not when the graph has dangling nodes (no out-edges; column v of A is
+// all zero, every other column sums to 1): from W·p = c·q, 1ᵀq = 1 and
+// 1ᵀA = 1ᵀ − dᵀ (d marks the dangling nodes),
+//
+//     Σ_v p(v) = 1 − λ·Σ_{v dangling} p(v),   λ = (1 − c)/c,
+//
+// so the unvisited mass is at most 1 − Σ_sel p − λ·Σ_{sel, dangling} p.
+// The estimator therefore charges each selected node's proximity against
+// the remainder at charge(v) = 1 + λ when v is dangling, 1 otherwise:
+//
+//     term3 = Amax·(1 − Σ_sel charge(v)·p(v)).
+//
+// It still bounds every unvisited node's share (Lemma 1), it is pointwise
+// ≤ the paper's term, and each update still only lowers p̄ (Lemma 2, since
+// Amax(v) ≤ Amax ≤ charge(v)·Amax), so the early stop stays exact and never
+// fires later than without the charge. Without it, the remainder can never
+// fall below the leaked mass and a query whose θ sits under that floor
+// scores every reachable node.
+//   - Dangling test: v is dangling iff Amax(v) = 0 — a column with positive
+//     out-weight has a positive entry (edge weights are > 0).
+//   - Rounding: the charge uses λ·(1 − kLeakChargeSlack). Computed
+//     proximities carry a relative error near 1e-13, far inside the 1e-6
+//     slack, so rounding never over-charges.
+//   - Restart sets: the identity needs only 1ᵀq = 1, which the weighted
+//     roots of a personalized query satisfy; roots are charged in
+//     RecordQuery like any selected node.
+//   - Shards: a non-owned node is recorded at proximity 0 and so charges
+//     nothing — a shard takes off only the leak it actually computed.
 #ifndef KDASH_CORE_ESTIMATOR_H_
 #define KDASH_CORE_ESTIMATOR_H_
 
@@ -31,12 +62,15 @@ namespace kdash::core {
 
 class ProximityEstimator {
  public:
-  // `amax` = max element of A; `amax_of_node[v]` = max element of column v
-  // (both precomputed, Section 4.3.1); `c_prime_of_node[u]` =
-  // (1-c) / (1 - A(u,u) + c·A(u,u)) (Definition 1).
-  ProximityEstimator(Scalar amax, const std::vector<Scalar>* amax_of_node,
+  // `amax` = max element of A; `restart_prob` = c; `amax_of_node[v]` = max
+  // element of column v (both precomputed, Section 4.3.1; 0 marks a
+  // dangling node); `c_prime_of_node[u]` = (1-c) / (1 - A(u,u) + c·A(u,u))
+  // (Definition 1).
+  ProximityEstimator(Scalar amax, Scalar restart_prob,
+                     const std::vector<Scalar>* amax_of_node,
                      const std::vector<Scalar>* c_prime_of_node)
       : amax_(amax),
+        dangling_charge_(DanglingCharge(restart_prob)),
         amax_of_node_(amax_of_node),
         c_prime_of_node_(c_prime_of_node) {
     KDASH_CHECK(amax_of_node != nullptr && c_prime_of_node != nullptr);
@@ -65,9 +99,9 @@ class ProximityEstimator {
     KDASH_CHECK(!pending_record_);
     has_query_ = true;
     prev_is_query_ = true;
-    root_contribution_ +=
-        proximity * (*amax_of_node_)[static_cast<std::size_t>(query)];
-    root_mass_ += proximity;
+    const Scalar amax_root = (*amax_of_node_)[static_cast<std::size_t>(query)];
+    root_contribution_ += proximity * amax_root;
+    root_mass_ += proximity * Charge(amax_root);
     prev_node_ = query;
     prev_layer_ = 0;
     prev_proximity_ = proximity;
@@ -87,12 +121,12 @@ class ProximityEstimator {
       sum3_ = (1.0 - root_mass_) * amax_;  // global Amax (see erratum)
     } else if (layer == prev_layer_) {
       sum2_ += prev_proximity_ * amax_prev;
-      sum3_ -= prev_proximity_ * amax_;
+      sum3_ -= prev_proximity_ * Charge(amax_prev) * amax_;
     } else {
       KDASH_DCHECK_EQ(layer, prev_layer_ + 1);
       sum1_ = sum2_ + prev_proximity_ * amax_prev;
       sum2_ = 0.0;
-      sum3_ -= prev_proximity_ * amax_;
+      sum3_ -= prev_proximity_ * Charge(amax_prev) * amax_;
     }
     prev_is_query_ = false;
     prev_node_ = u;
@@ -123,12 +157,30 @@ class ProximityEstimator {
   };
   static Scalar EstimateDirect(NodeId u, NodeId layer,
                                const std::vector<Selected>& selected,
-                               Scalar amax,
+                               Scalar amax, Scalar restart_prob,
                                const std::vector<Scalar>& amax_of_node,
                                const std::vector<Scalar>& c_prime_of_node);
 
  private:
+  // Relative slack taken off λ so rounding never over-charges (see the
+  // header comment).
+  static constexpr Scalar kLeakChargeSlack = 1e-6;
+
+  // Remainder charge per unit proximity of a selected dangling node:
+  // 1 + λ·(1 − kLeakChargeSlack), λ = (1 − c)/c.
+  static Scalar DanglingCharge(Scalar restart_prob) {
+    return 1.0 +
+           (1.0 - restart_prob) / restart_prob * (1.0 - kLeakChargeSlack);
+  }
+
+  // charge(v) given Amax(v): a dangling node (Amax(v) = 0) also takes the
+  // walk mass it leaks off the remainder.
+  Scalar Charge(Scalar amax_of_v) const {
+    return amax_of_v == 0.0 ? dangling_charge_ : 1.0;
+  }
+
   Scalar amax_;
+  Scalar dangling_charge_;
   const std::vector<Scalar>* amax_of_node_;
   const std::vector<Scalar>* c_prime_of_node_;
 
@@ -137,7 +189,7 @@ class ProximityEstimator {
   bool pending_record_ = false;
   Scalar sum1_ = 0.0, sum2_ = 0.0, sum3_ = 0.0;
   Scalar root_contribution_ = 0.0;  // Σ_roots p_r · Amax(r)
-  Scalar root_mass_ = 0.0;          // Σ_roots p_r
+  Scalar root_mass_ = 0.0;          // Σ_roots charge(r) · p_r
   NodeId prev_node_ = kInvalidNode;
   NodeId prev_layer_ = -1;
   Scalar prev_proximity_ = 0.0;

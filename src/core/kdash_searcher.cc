@@ -10,7 +10,7 @@ namespace kdash::core {
 
 KDashSearcher::KDashSearcher(const KDashIndex* index)
     : index_(index),
-      estimator_(index->amax(), &index->amax_of_node(),
+      estimator_(index->amax(), index->restart_prob(), &index->amax_of_node(),
                  &index->c_prime_of_node()),
       y_(static_cast<std::size_t>(index->num_nodes()), 0.0),
       layer_(static_cast<std::size_t>(index->num_nodes()), kInvalidNode),
@@ -142,9 +142,10 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
     // stored U⁻¹ row, so its exact proximity cannot (and need not) be
     // computed here — some other shard answers for it. Recording proximity
     // 0 keeps the estimator's Lemma 1 bound valid: the node's true
-    // probability mass stays inside the (1 − Σp)·Amax remainder term, which
-    // upper-bounds it at least as loosely as its exact p·Amax(u) term
-    // would. Pruning gets weaker, exactness of the owned top-k does not.
+    // probability mass (and, if it is dangling, the mass it leaks) stays
+    // inside the remainder term, which upper-bounds it at least as loosely
+    // as its exact p·Amax(u) term would. Pruning gets weaker, exactness of
+    // the owned top-k does not.
     const bool owned = index_->OwnsNode(u);
 
     // One visit step (Algorithm 4). A layer-0 root has p̄ = 1 by Definition

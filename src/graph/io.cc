@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -72,9 +73,16 @@ Result<Graph> ReadEdgeListFile(const std::string& path, bool undirected) {
 }
 
 void WriteEdgeList(const Graph& graph, std::ostream& out) {
+  // Shortest form that parses back to the same double. A stream's default
+  // 6 significant digits would change the graph (1/3 → 0.333333).
+  char weight[32];
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     for (const Neighbor& nb : graph.OutNeighbors(u)) {
-      out << u << ' ' << nb.node << ' ' << nb.weight << '\n';
+      const auto written =
+          std::to_chars(weight, weight + sizeof(weight), nb.weight);
+      KDASH_CHECK(written.ec == std::errc());
+      out << u << ' ' << nb.node << ' '
+          << std::string_view(weight, written.ptr) << '\n';
     }
   }
 }

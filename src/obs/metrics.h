@@ -58,6 +58,8 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "cache.hit",                // scheduler answered from the result cache
     "cache.invalidated",        // entries purged by an epoch change
     "cache.miss",               // lookup fell through to the backend
+    "engine.nodes_visited",     // per Engine search: SearchStats count
+    "engine.proximity_computations",  // per Engine search: exact row-dots
     "engine.search_us",         // one per Engine search; per shard if sharded
     "engine.searcher_created",  // checkout miss: a new searcher was built
     "engine.searcher_reused",   // checkout hit: an idle searcher was popped

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -258,6 +259,46 @@ TEST(EngineTest, SearchBatchAnswersEachQueryOnItsOwn) {
   EXPECT_EQ(batch[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(batch[3].status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(batch[0].ok() && batch[2].ok() && batch[4].ok());
+}
+
+TEST(EngineTest, SearchBatchRecordsWorkHistograms) {
+  // One sample per search in engine.nodes_visited and
+  // engine.proximity_computations, summing to the answers' SearchStats; an
+  // invalid query is not searched and records nothing. Both backends.
+  const auto g = test::RandomDirectedGraph(90, 500, 206, 0.3);
+  std::vector<Query> queries{Query::Single(999, 5),
+                             Query::Personalized({1, 2, 2}, 4)};
+  for (NodeId q = 0; q < g.num_nodes(); q += 4) {
+    queries.push_back(Query::Single(q, 1 + static_cast<std::size_t>(q) % 9));
+  }
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  const obs::Histogram& visited = registry.GetHistogram("engine.nodes_visited");
+  const obs::Histogram& proximities =
+      registry.GetHistogram("engine.proximity_computations");
+  for (const EngineOptions& options : {StaticOptions(), UpdatableOptions()}) {
+    SCOPED_TRACE(options.updatable ? "updatable" : "static");
+    auto engine = Engine::Build(g, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    const std::uint64_t visited_count = visited.Count();
+    const std::uint64_t visited_sum = visited.Sum();
+    const std::uint64_t proximities_count = proximities.Count();
+    const std::uint64_t proximities_sum = proximities.Sum();
+
+    const auto batch = engine->SearchBatch(queries);
+    ASSERT_FALSE(batch[0].ok());
+    std::uint64_t searches = 0, want_visited = 0, want_proximities = 0;
+    for (std::size_t i = 1; i < batch.size(); ++i) {
+      ASSERT_TRUE(batch[i].ok()) << batch[i].status();
+      ++searches;
+      want_visited += static_cast<std::uint64_t>(batch[i]->stats.nodes_visited);
+      want_proximities +=
+          static_cast<std::uint64_t>(batch[i]->stats.proximity_computations);
+    }
+    EXPECT_EQ(visited.Count() - visited_count, searches);
+    EXPECT_EQ(visited.Sum() - visited_sum, want_visited);
+    EXPECT_EQ(proximities.Count() - proximities_count, searches);
+    EXPECT_EQ(proximities.Sum() - proximities_sum, want_proximities);
+  }
 }
 
 TEST(EngineTest, SaveOpenRoundTrip) {

@@ -80,7 +80,7 @@ void ExpectSuffixAdmissible(const graph::Graph& g, const VisitOrder& visit,
   const std::vector<Scalar> amax_of_node = a.ColumnMax();
   const std::vector<Scalar> c_prime = ComputeCPrime(a.Diagonal(), c);
 
-  ProximityEstimator estimator(amax, &amax_of_node, &c_prime);
+  ProximityEstimator estimator(amax, c, &amax_of_node, &c_prime);
   estimator.Reset();
   for (std::size_t r = 0; r < num_roots; ++r) {
     const NodeId root = visit.order[r];
@@ -122,14 +122,18 @@ std::vector<Scalar> SolvePersonalizedTruth(const sparse::CscMatrix& a,
   return rwr::SolveRwrVector(a, restart, options).proximity;
 }
 
+// (n, m, c, seed, fraction of dangling nodes): in the 0.3 family the
+// proximities sum to well under 1 and the dangling-node charge fires at
+// every visited sink, so the suffix bound is checked where it is tightest.
 class AdmissibilitySweepTest
-    : public ::testing::TestWithParam<std::tuple<int, int, double, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, double, int, double>> {};
 
 TEST_P(AdmissibilitySweepTest, SingleRootSuffixBound) {
-  const auto [n, m, c, seed] = GetParam();
-  const auto g = test::RandomDirectedGraph(static_cast<NodeId>(n),
-                                           static_cast<Index>(m),
-                                           static_cast<std::uint64_t>(seed));
+  const auto [n, m, c, seed, sink_fraction] = GetParam();
+  const auto g = test::RandomDirectedGraph(
+      static_cast<NodeId>(n), static_cast<Index>(m),
+      static_cast<std::uint64_t>(seed), sink_fraction);
   const auto a = g.NormalizedAdjacency();
   const NodeId root = static_cast<NodeId>((seed * 13) % n);
   const std::vector<Scalar> truth = rwr::DirectRwrSolver(a, c).Solve(root);
@@ -137,10 +141,10 @@ TEST_P(AdmissibilitySweepTest, SingleRootSuffixBound) {
 }
 
 TEST_P(AdmissibilitySweepTest, MultiSourceSuffixBound) {
-  const auto [n, m, c, seed] = GetParam();
-  const auto g = test::RandomDirectedGraph(static_cast<NodeId>(n),
-                                           static_cast<Index>(m),
-                                           static_cast<std::uint64_t>(seed) + 7);
+  const auto [n, m, c, seed, sink_fraction] = GetParam();
+  const auto g = test::RandomDirectedGraph(
+      static_cast<NodeId>(n), static_cast<Index>(m),
+      static_cast<std::uint64_t>(seed) + 7, sink_fraction);
   const auto a = g.NormalizedAdjacency();
   // A raw multiset (duplicates allowed): multiplicity weighting must not
   // break the layer-0 generalization of Definition 2.
@@ -161,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(25, 80, 160),
                        ::testing::Values(100, 500),
                        ::testing::Values(0.5, 0.8, 0.95),
-                       ::testing::Values(1, 2, 3, 4)));
+                       ::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(0.0, 0.3)));
 
 TEST(AdmissibilityTest, DeepPathMaximizesLayerCount) {
   // A directed path: one node per layer, so every EstimateNext takes the
@@ -219,6 +224,7 @@ TEST(AdmissibilityTest, SelfLoopsKeepPerNodeBound) {
   // Lemma-2 monotone-sequence argument no longer applies — but the Lemma-1
   // per-node bound (what admissibility of each individual estimate means)
   // must still hold through the c′(u) correction.
+  constexpr Scalar c = 0.9;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     graph::GraphBuilder builder(40);
@@ -235,12 +241,12 @@ TEST(AdmissibilityTest, SelfLoopsKeepPerNodeBound) {
     const auto a = g.NormalizedAdjacency();
     const Scalar amax = a.MaxValue();
     const std::vector<Scalar> amax_of_node = a.ColumnMax();
-    const std::vector<Scalar> c_prime = ComputeCPrime(a.Diagonal(), 0.9);
+    const std::vector<Scalar> c_prime = ComputeCPrime(a.Diagonal(), c);
     const NodeId root = static_cast<NodeId>(seed % 40);
-    const std::vector<Scalar> truth = rwr::DirectRwrSolver(a, 0.9).Solve(root);
+    const std::vector<Scalar> truth = rwr::DirectRwrSolver(a, c).Solve(root);
     const VisitOrder visit = MultiSourceBfs(g, {root});
 
-    ProximityEstimator estimator(amax, &amax_of_node, &c_prime);
+    ProximityEstimator estimator(amax, c, &amax_of_node, &c_prime);
     estimator.Reset();
     estimator.RecordQuery(root, truth[static_cast<std::size_t>(root)]);
     for (std::size_t pos = 1; pos < visit.order.size(); ++pos) {

@@ -39,22 +39,31 @@ TEST(IoTest, InlineCommentsAndBlankLines) {
 }
 
 TEST(IoTest, WriteReadRoundTrip) {
-  const Graph g = test::SmallDirectedGraph();
-  std::ostringstream out;
-  WriteEdgeList(g, out);
-  std::istringstream in(out.str());
-  const Graph round = ReadEdgeList(in, false).value();
-  ASSERT_EQ(round.num_nodes(), g.num_nodes());
-  ASSERT_EQ(round.num_edges(), g.num_edges());
-  // Node ids are assigned by first appearance, which for a full write in id
-  // order preserves ids; adjacency must match exactly.
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto a = g.OutNeighbors(u);
-    const auto b = round.OutNeighbors(u);
-    ASSERT_EQ(a.size(), b.size()) << "node " << u;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].node, b[i].node);
-      EXPECT_DOUBLE_EQ(a[i].weight, b[i].weight);
+  // A weighted graph too: weights must survive the text form bit for bit,
+  // including ones with no short decimal expansion.
+  GraphBuilder weighted(3);
+  weighted.AddEdge(0, 1, 1.0 / 3.0);
+  weighted.AddEdge(1, 2, 0.1);
+  weighted.AddEdge(2, 0, 1.0 / 7.0);
+  weighted.AddEdge(2, 1, 2.0);
+  for (const Graph& g :
+       {test::SmallDirectedGraph(), std::move(weighted).Build()}) {
+    std::ostringstream out;
+    WriteEdgeList(g, out);
+    std::istringstream in(out.str());
+    const Graph round = ReadEdgeList(in, false).value();
+    ASSERT_EQ(round.num_nodes(), g.num_nodes());
+    ASSERT_EQ(round.num_edges(), g.num_edges());
+    // Node ids are assigned by first appearance, which for a full write in
+    // id order preserves ids; adjacency must match exactly.
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto a = g.OutNeighbors(u);
+      const auto b = round.OutNeighbors(u);
+      ASSERT_EQ(a.size(), b.size()) << "node " << u;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].node, b[i].node);
+        EXPECT_EQ(a[i].weight, b[i].weight) << "edge " << u << "->" << a[i].node;
+      }
     }
   }
 }

@@ -57,14 +57,23 @@ inline graph::Graph Figure8Graph() {
 }
 
 // Uniform random directed graph (simple, no self loops) for property tests.
-inline graph::Graph RandomDirectedGraph(NodeId n, Index m, std::uint64_t seed) {
+// Each node but 0 is, with probability `sink_fraction`, dangling: it gets
+// no out-edges, so the walk loses its mass there. Sinks come from their own
+// stream, so sink_fraction = 0 gives the plain graph of every seed.
+inline graph::Graph RandomDirectedGraph(NodeId n, Index m, std::uint64_t seed,
+                                        double sink_fraction = 0.0) {
+  std::vector<bool> sink(static_cast<std::size_t>(n), false);
+  Rng sink_rng(seed ^ 0x5eed51c4ULL);
+  for (NodeId u = 1; u < n; ++u) {  // node 0 always keeps its out-edges
+    sink[static_cast<std::size_t>(u)] = sink_rng.NextDouble() < sink_fraction;
+  }
   Rng rng(seed);
   graph::GraphBuilder builder(n);
   Index added = 0;
   while (added < m) {
     const NodeId u = rng.NextNode(n);
     const NodeId v = rng.NextNode(n);
-    if (u == v) continue;
+    if (u == v || sink[static_cast<std::size_t>(u)]) continue;
     builder.AddEdge(u, v, 0.25 + rng.NextDouble());
     ++added;
   }
