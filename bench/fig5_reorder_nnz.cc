@@ -58,8 +58,8 @@ void Run() {
       core::KDashOptions options;
       options.reorder_method = method;
       const auto index = core::KDashIndex::Build(all[d].graph, options);
-      const sparse::CscMatrix& lower = index.lower_inverse();
-      const sparse::CscMatrix& upper = index.upper_inverse();
+      const sparse::CscMatrix lower = index.lower_inverse().ToCsc();
+      const sparse::CscMatrix upper = index.upper_inverse().ToCsc();
       exact[d].push_back(
           static_cast<double>(lower.nnz() + upper.nnz()) / edges);
       eps[d].push_back(

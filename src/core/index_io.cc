@@ -52,12 +52,34 @@ void WriteVector(std::ostream& out, const std::vector<T>& values) {
   }
 }
 
-void WriteCsc(std::ostream& out, const sparse::CscMatrix& m) {
+// An inverse is written as the CSC of its stored nonzeros — rows, cols,
+// col_ptr, row ids, values — exactly the bytes of ToCsc(), streamed a few
+// columns at a time so a save never holds a second copy of the inverse.
+// The row ids and the values are two passes over the columns, since the
+// format stores them apart.
+void WriteInverse(std::ostream& out, const sparse::HeadRunMatrix& m) {
   WritePod(out, m.rows());
   WritePod(out, m.cols());
   WriteVector(out, m.col_ptr());
-  WriteVector(out, m.row_idx());
-  WriteVector(out, m.values());
+  constexpr std::size_t kFlushEntries = std::size_t{1} << 16;
+  std::vector<NodeId> rows;
+  std::vector<Scalar> values;
+  for (const bool write_rows : {true, false}) {
+    WritePod(out, static_cast<std::uint64_t>(m.nnz()));
+    for (NodeId col = 0; col < m.cols(); ++col) {
+      m.AppendColumn(col, rows, values);
+      if (rows.size() < kFlushEntries && col + 1 < m.cols()) continue;
+      if (write_rows) {
+        out.write(reinterpret_cast<const char*>(rows.data()),
+                  static_cast<std::streamsize>(rows.size() * sizeof(NodeId)));
+      } else {
+        out.write(reinterpret_cast<const char*>(values.data()),
+                  static_cast<std::streamsize>(values.size() * sizeof(Scalar)));
+      }
+      rows.clear();
+      values.clear();
+    }
+  }
 }
 
 // The trailing PrecomputeStats block, field by field. The struct ends in 4
@@ -196,8 +218,13 @@ Status CheckCompressed(const char* what, NodeId minor_dim, NodeId major_dim,
   return Status::Ok();
 }
 
-// `section` names the matrix in a corrupt-stream error ("U⁻¹").
-Result<sparse::CscMatrix> ReadCsc(Reader& reader, const char* section) {
+// Reads an inverse saved as CSC and converts it to head + run form.
+// `section` names the matrix in a corrupt-stream error ("U⁻¹"). A stored
+// exact zero is refused: the builder never keeps one, and the run form
+// could not tell it from a run's fill, so the file would not save back to
+// the same bytes.
+Result<sparse::HeadRunMatrix> ReadInverse(Reader& reader,
+                                          const char* section) {
   NodeId rows = 0, cols = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&rows));
   KDASH_RETURN_IF_ERROR(reader.Pod(&cols));
@@ -208,8 +235,16 @@ Result<sparse::CscMatrix> ReadCsc(Reader& reader, const char* section) {
   KDASH_RETURN_IF_ERROR(reader.Vec(&idx));
   KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
   KDASH_RETURN_IF_ERROR(CheckCompressed(section, rows, cols, ptr, idx, vals));
-  return sparse::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
-                           std::move(vals));
+  if (std::find(vals.begin(), vals.end(), 0.0) != vals.end()) {
+    return Status::DataLoss(std::string("corrupt index stream: ") + section +
+                            " stores an exact zero");
+  }
+  // One thread: ShardedEngine::Open loads shard files on
+  // ThreadPool::Shared() workers, and the pool is not reentrant.
+  return sparse::HeadRunMatrix::FromCsc(
+      sparse::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
+                        std::move(vals)),
+      /*num_threads=*/1);
 }
 
 Status CheckSize(const char* what, std::size_t got, std::size_t want) {
@@ -248,10 +283,10 @@ Status KDashIndex::Save(std::ostream& out) const {
   WriteVector(out, state.c_prime_of_node);
   WriteVector(out, state.new_of_old);
   WriteVector(out, state.old_of_new);
-  WriteCsc(out, state.lower_inverse);
-  // U⁻¹ is held as the CSC of its transpose, which is exactly the CSR of
-  // U⁻¹: the same bytes the format has always stored for it.
-  WriteCsc(out, upper_inverse_);
+  WriteInverse(out, state.lower_inverse);
+  // U⁻¹ is held as its transpose, whose CSC is exactly the CSR of U⁻¹: the
+  // same bytes the format has always stored for it.
+  WriteInverse(out, upper_inverse_);
   WriteVector(out, state.adjacency_ptr);
   WriteVector(out, state.adjacency);
 
@@ -350,8 +385,8 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.c_prime_of_node));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.new_of_old));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.old_of_new));
-  KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadCsc(reader, "L⁻¹"));
-  KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadCsc(reader, "U⁻¹"));
+  KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadInverse(reader, "L⁻¹"));
+  KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadInverse(reader, "U⁻¹"));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency_ptr));
   KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency));
 

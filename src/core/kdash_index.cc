@@ -57,13 +57,21 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   index.stats_.nnz_lower = factors.lower.nnz();
   index.stats_.nnz_upper = factors.upper.nnz();
 
-  // Step 4: explicit sparse inverses (parallel across column blocks).
+  // Step 4: explicit sparse inverses (parallel across column blocks), each
+  // converted to head + run form as soon as it is built, its CSC freed
+  // before the next one is built (and U⁻¹ itself before its transpose is
+  // converted).
   phase_timer.Restart();
-  state.lower_inverse =
-      lu::InvertLowerTriangular(factors.lower, options.num_threads);
-  index.upper_inverse_ =
-      lu::InvertUpperTriangular(factors.upper, options.num_threads)
-          .Transposed();
+  state.lower_inverse = sparse::HeadRunMatrix::FromCsc(
+      lu::InvertLowerTriangular(factors.lower, options.num_threads),
+      options.num_threads);
+  {
+    const sparse::CscMatrix upper_inverse_t =
+        lu::InvertUpperTriangular(factors.upper, options.num_threads)
+            .Transposed();
+    index.upper_inverse_ = sparse::HeadRunMatrix::FromCsc(
+        upper_inverse_t, options.num_threads);
+  }
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();
   index.stats_.nnz_upper_inverse = index.upper_inverse_.nnz();
@@ -109,35 +117,14 @@ KDashIndex KDashIndex::Restrict(NodeId begin, NodeId end) const {
   // stored transpose. Ownership is an original-id window but U⁻¹ lives in
   // reordered space, so the kept columns are scattered: column
   // new_of_old[u] survives iff u ∈ [begin, end). Kept columns are copied
-  // verbatim (same values, same order), so shard proximities are
-  // bit-identical to the full index's.
-  const NodeId n = num_nodes_;
+  // verbatim (same head, same run), so shard proximities are bit-identical
+  // to the full index's.
   const std::vector<NodeId>& old_of_new = shared_->old_of_new;
-  std::vector<Index> col_ptr(static_cast<std::size_t>(n) + 1, 0);
-  Index kept_nnz = 0;
-  for (NodeId col = 0; col < n; ++col) {
-    const NodeId old_id = old_of_new[static_cast<std::size_t>(col)];
-    if (old_id >= begin && old_id < end) {
-      kept_nnz += upper_inverse_.ColNnz(col);
-    }
-    col_ptr[static_cast<std::size_t>(col) + 1] = kept_nnz;
+  std::vector<bool> keep(static_cast<std::size_t>(num_nodes_));
+  for (std::size_t col = 0; col < keep.size(); ++col) {
+    keep[col] = old_of_new[col] >= begin && old_of_new[col] < end;
   }
-  std::vector<NodeId> row_idx;
-  std::vector<Scalar> values;
-  row_idx.reserve(static_cast<std::size_t>(kept_nnz));
-  values.reserve(static_cast<std::size_t>(kept_nnz));
-  for (NodeId col = 0; col < n; ++col) {
-    const NodeId old_id = old_of_new[static_cast<std::size_t>(col)];
-    if (old_id < begin || old_id >= end) continue;
-    for (Index k = upper_inverse_.ColBegin(col); k < upper_inverse_.ColEnd(col);
-         ++k) {
-      row_idx.push_back(upper_inverse_.RowIndex(k));
-      values.push_back(upper_inverse_.Value(k));
-    }
-  }
-  shard.upper_inverse_ = sparse::CscMatrix(n, n, std::move(col_ptr),
-                                           std::move(row_idx),
-                                           std::move(values));
+  shard.upper_inverse_ = upper_inverse_.KeepColumns(keep);
   shard.stats_.nnz_upper_inverse = shard.upper_inverse_.nnz();
   return shard;
 }

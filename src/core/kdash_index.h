@@ -4,9 +4,12 @@
 //   1. node reordering (Section 4.2.2; hybrid by default),
 //   2. W = I - (1-c)A in the reordered space,
 //   3. sparse LU factorization W = LU,
-//   4. explicit sparse inverses L⁻¹ and U⁻¹, both CSC; U⁻¹ is kept
-//      transposed, so row u of U⁻¹ (the one proximity dot of Eq. 3) is one
-//      contiguous column,
+//   4. explicit sparse inverses L⁻¹ and U⁻¹, built CSC and then stored in
+//      head + run form (sparse/head_run_matrix.h): each column keeps a
+//      sparse head and one dense run, cut where the column takes the fewest
+//      bytes, and the CSC is freed. U⁻¹ is kept transposed, so row u of U⁻¹
+//      (the one proximity dot of Eq. 3) is one column — mostly one
+//      contiguous run,
 //   5. the estimator's precomputed values Amax, Amax(u), c′(u)
 //      (Section 4.3.1) in *original* node-id space.
 // The index also keeps an unweighted copy of the out-adjacency for the
@@ -25,7 +28,7 @@
 #include "common/types.h"
 #include "graph/graph.h"
 #include "reorder/reorder.h"
-#include "sparse/csc_matrix.h"
+#include "sparse/head_run_matrix.h"
 
 namespace kdash::core {
 
@@ -74,7 +77,11 @@ class KDashIndex {
   // server treat index files as untrusted. An index built with a lossy
   // drop tolerance by an older binary is kFailedPrecondition: every index
   // this build serves is exact. SaveFile replaces the file atomically, so
-  // a failed save leaves the previous index intact.
+  // a failed save leaves the previous index intact. The inverses are saved
+  // as the CSC of their stored nonzeros and converted to head + run form on
+  // Load, which refuses (kDataLoss) an inverse that stores an exact zero:
+  // the builder never writes one, so every file Load accepts saves back
+  // byte for byte.
   [[nodiscard]] Status Save(std::ostream& out) const;
   [[nodiscard]] static Result<KDashIndex> Load(std::istream& in);
   [[nodiscard]] Status SaveFile(const std::string& path) const;
@@ -132,13 +139,14 @@ class KDashIndex {
   const std::vector<NodeId>& new_of_old() const { return shared_->new_of_old; }
   const std::vector<NodeId>& old_of_new() const { return shared_->old_of_new; }
 
-  // Inverse factors in the reordered space. upper_inverse() is U⁻¹
-  // *transposed*: its column u is row u of U⁻¹, so a node's proximity
-  // c · U⁻¹(u,:) · y is one ColumnDot.
-  const sparse::CscMatrix& lower_inverse() const {
+  // Inverse factors in the reordered space, in head + run form.
+  // upper_inverse() is U⁻¹ *transposed*: its column u is row u of U⁻¹, so a
+  // node's proximity c · U⁻¹(u,:) · y is one ColumnDot. Their col_ptr() and
+  // nnz() count the stored nonzeros, as the CSC the index file holds does.
+  const sparse::HeadRunMatrix& lower_inverse() const {
     return shared_->lower_inverse;
   }
-  const sparse::CscMatrix& upper_inverse() const { return upper_inverse_; }
+  const sparse::HeadRunMatrix& upper_inverse() const { return upper_inverse_; }
 
   // Out-neighbors of `u` (original ids, no weights) for the BFS tree.
   std::span<const NodeId> OutNeighbors(NodeId u) const {
@@ -167,7 +175,7 @@ class KDashIndex {
     std::vector<NodeId> new_of_old;
     std::vector<NodeId> old_of_new;
 
-    sparse::CscMatrix lower_inverse;
+    sparse::HeadRunMatrix lower_inverse;
 
     std::vector<Index> adjacency_ptr;
     std::vector<NodeId> adjacency;
@@ -189,7 +197,7 @@ class KDashIndex {
 
   // The per-shard payload: U⁻¹ transposed (columns of owned nodes only on a
   // shard).
-  sparse::CscMatrix upper_inverse_;
+  sparse::HeadRunMatrix upper_inverse_;
 };
 
 }  // namespace kdash::core

@@ -13,6 +13,7 @@ KDashSearcher::KDashSearcher(const KDashIndex* index)
       estimator_(index->amax(), index->restart_prob(), &index->amax_of_node(),
                  &index->c_prime_of_node()),
       y_(static_cast<std::size_t>(index->num_nodes()), 0.0),
+      in_support_(static_cast<std::size_t>(index->num_nodes()), 0),
       layer_(static_cast<std::size_t>(index->num_nodes()), kInvalidNode),
       excluded_(static_cast<std::size_t>(index->num_nodes()), false) {
   KDASH_CHECK(index != nullptr);
@@ -22,21 +23,81 @@ KDashSearcher::KDashSearcher(const KDashIndex* index)
 Scalar KDashSearcher::Proximity(NodeId u) const {
   const NodeId reordered = index_->new_of_old()[static_cast<std::size_t>(u)];
   // Column u of the stored transpose is row u of U⁻¹.
-  const sparse::CscMatrix& uinv_t = index_->upper_inverse();
+  const sparse::HeadRunMatrix& uinv_t = index_->upper_inverse();
   // Adaptive kernel: y = L⁻¹ q is often far sparser than a U⁻¹ row is long
   // (a query near the end of the reordering touches a short L⁻¹ column).
   // When it is, intersecting the row with y's support beats scanning the
   // whole row. The cutover only depends on the two nnz counts, so the same
   // query always takes the same path (deterministic scores).
-  // 64-bit: Index is 32-bit and a dense-support personalized query can put
-  // y_nnz within 4x of overflow, which would flip the compare and send the
-  // query down the (correct but slow) scan path.
-  const auto y_nnz = static_cast<std::int64_t>(y_rows_.size());
-  if (y_nnz * 4 < static_cast<std::int64_t>(uinv_t.ColNnz(reordered))) {
+  const auto y_nnz = static_cast<Index>(y_rows_.size());  // Index is 64-bit
+  if (y_nnz * 4 < uinv_t.ColNnz(reordered)) {
     return index_->restart_prob() *
            uinv_t.ColumnDotSparse(reordered, y_, y_rows_);
   }
   return index_->restart_prob() * uinv_t.ColumnDot(reordered, y_);
+}
+
+void KDashSearcher::LoadQueryColumns(std::span<const NodeId> sources,
+                                     std::span<const Scalar> source_weights) {
+  const sparse::HeadRunMatrix& linv = index_->lower_inverse();
+  const bool one_column = sources.size() == 1;
+  y_rows_.clear();
+  // The row range a multi-source query marked in in_support_.
+  NodeId lo = index_->num_nodes();
+  NodeId hi = 0;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const NodeId col =
+        index_->new_of_old()[static_cast<std::size_t>(sources[s])];
+    const Scalar weight = source_weights[s];
+    const std::span<const NodeId> head_rows = linv.HeadRows(col);
+    const std::span<const Scalar> head_values = linv.HeadValues(col);
+    const std::span<const Scalar> run = linv.Run(col);
+    const NodeId run_begin = linv.RunBegin(col);
+    for (std::size_t t = 0; t < head_rows.size(); ++t) {
+      y_[static_cast<std::size_t>(head_rows[t])] += weight * head_values[t];
+    }
+    Scalar* y_run = y_.data() + run_begin;
+    for (std::size_t i = 0; i < run.size(); ++i) y_run[i] += weight * run[i];
+
+    if (one_column) {
+      // The head rows, then the run's nonzero rows (appended branch-free),
+      // are y's support in ascending order.
+      y_rows_.assign(head_rows.begin(), head_rows.end());
+      std::size_t count = y_rows_.size();
+      y_rows_.resize(count + run.size());
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        y_rows_[count] = run_begin + static_cast<NodeId>(i);
+        count += run[i] != 0.0 ? 1 : 0;
+      }
+      y_rows_.resize(count);
+      return;
+    }
+    for (const NodeId row : head_rows) {
+      in_support_[static_cast<std::size_t>(row)] = 1;
+    }
+    std::uint8_t* marks = in_support_.data() + run_begin;
+    for (std::size_t i = 0; i < run.size(); ++i) marks[i] |= run[i] != 0.0;
+    // The column's nonzeros lie in [first, end); an empty column's
+    // run_begin is num_nodes, so it widens nothing.
+    const NodeId first = head_rows.empty() ? run_begin : head_rows.front();
+    const NodeId end = !run.empty()
+                           ? run_begin + static_cast<NodeId>(run.size())
+                           : (head_rows.empty() ? 0 : head_rows.back() + 1);
+    lo = std::min(lo, first);
+    hi = std::max(hi, end);
+  }
+  // Several columns: one scan of the marked range gives the sorted,
+  // duplicate-free support (and clears the mask) without a sort.
+  if (lo >= hi) return;
+  y_rows_.resize(static_cast<std::size_t>(hi - lo));
+  std::size_t count = 0;
+  for (NodeId row = lo; row < hi; ++row) {
+    std::uint8_t& mark = in_support_[static_cast<std::size_t>(row)];
+    y_rows_[count] = row;
+    count += mark;
+    mark = 0;
+  }
+  y_rows_.resize(count);
 }
 
 SearchResult KDashSearcher::Search(const Query& query) {
@@ -95,28 +156,9 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
     }
   }
 
-  // Step 1: y = L⁻¹ q — accumulate the stored sparse columns of the
-  // inverse lower factor, one per source, scaled by the restart weight.
-  const sparse::CscMatrix& linv = index_->lower_inverse();
-  y_rows_.clear();
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const NodeId reordered =
-        index_->new_of_old()[static_cast<std::size_t>(sources[s])];
-    const Scalar weight = source_weights[s];
-    const Index col_end = linv.ColEnd(reordered);
-    for (Index t = linv.ColBegin(reordered); t < col_end; ++t) {
-      const NodeId row = linv.RowIndex(t);
-      y_[static_cast<std::size_t>(row)] += weight * linv.Value(t);
-      y_rows_.push_back(row);
-    }
-  }
-  // The sparse proximity kernel needs y's support sorted and unique, and a
-  // duplicate-free list also avoids redundant clears below. A single source
-  // is one CSC column — already sorted and unique per the CSC invariant.
-  if (sources.size() > 1) {
-    std::sort(y_rows_.begin(), y_rows_.end());
-    y_rows_.erase(std::unique(y_rows_.begin(), y_rows_.end()), y_rows_.end());
-  }
+  // Step 1: y = L⁻¹ q — accumulate the inverse lower factor's columns,
+  // one per source, scaled by the restart weight.
+  LoadQueryColumns(sources, source_weights);
 
   // Steps 2–5: lazy breadth-first expansion from the roots interleaved
   // with the layer-ordered visit. The FIFO discipline makes pop order

@@ -1,22 +1,26 @@
 // K-dash top-k search (Algorithm 4 of the paper).
 //
 // Per query:
-//   1. load y = L⁻¹ q (stored sparse columns of the inverse lower factor;
-//      q is e_source for a single-source Query, or the restart distribution
-//      over Query::sources for a personalized one),
+//   1. load y = L⁻¹ q (q is e_source for a single-source Query, or the
+//      restart distribution over Query::sources for a personalized one):
+//      each source's column of the inverse lower factor is a head scatter
+//      plus one dense run axpy (sparse/head_run_matrix.h),
 //   2. lazily expand the breadth-first tree rooted at the query node(s),
 //   3. visit nodes in ascending layer order, maintaining the O(1)
 //      incremental upper bound p̄ (Definitions 1–2),
 //   4. if p̄(u) < θ (the current K-th best proximity), terminate: by
 //      Lemmas 1–2 no unvisited node can reach the top-k (Theorem 2),
 //   5. otherwise compute the exact proximity
-//      p(u) = c · U⁻¹(u,:) · y  — one sparse row dot product —
-//      and offer it to the top-k heap.
+//      p(u) = c · U⁻¹(u,:) · y  — one row dot product: a head gather
+//      plus one contiguous SIMD dot over the row's dense run, or, when y
+//      is much sparser than the row, a walk of y's support — and offer it
+//      to the top-k heap.
 //
 // The searcher owns reusable per-query workspace; one searcher per thread.
 #ifndef KDASH_CORE_KDASH_SEARCHER_H_
 #define KDASH_CORE_KDASH_SEARCHER_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,17 +61,25 @@ class KDashSearcher {
                    std::span<const NodeId> roots, std::size_t k,
                    bool use_pruning, std::span<const NodeId> exclude);
 
+  // Step 1: y = Σ_s weight_s · L⁻¹(:, source_s), and y_rows_ = its
+  // support.
+  void LoadQueryColumns(std::span<const NodeId> sources,
+                        std::span<const Scalar> source_weights);
+
   // Exact proximity of original node u using the loaded query column.
   Scalar Proximity(NodeId u) const;
 
   const KDashIndex* index_;
   ProximityEstimator estimator_;
 
-  // Dense y = L⁻¹ q in reordered space. y_rows_ is y's support, sorted
-  // ascending and duplicate-free — the sparse proximity kernel intersects
-  // it with U⁻¹ rows — and drives the O(nnz) clear after each query.
+  // Dense y = L⁻¹ q in reordered space. y_rows_ is y's support (the rows
+  // of the sources' stored nonzeros), sorted ascending and duplicate-free —
+  // the sparse proximity kernel intersects it with U⁻¹ rows — and drives
+  // the O(nnz) clear after each query. in_support_ is the all-zero byte
+  // mask a multi-source query marks its support in.
   std::vector<Scalar> y_;
   std::vector<NodeId> y_rows_;
+  std::vector<std::uint8_t> in_support_;
 
   // BFS workspace.
   std::vector<NodeId> layer_;

@@ -59,6 +59,7 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "cache.invalidated",        // entries purged by an epoch change
     "cache.miss",               // lookup fell through to the backend
     "engine.nodes_visited",     // per Engine search: SearchStats count
+    "engine.personalized_search_us",  // engine.search_us, >1-source queries
     "engine.proximity_computations",  // per Engine search: exact row-dots
     "engine.search_us",         // one per Engine search; per shard if sharded
     "engine.searcher_created",  // checkout miss: a new searcher was built

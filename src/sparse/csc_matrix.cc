@@ -134,15 +134,6 @@ CscMatrix CscMatrix::Transposed() const {
   return CscMatrix(cols_, rows_, std::move(ptr), std::move(idx), std::move(vals));
 }
 
-void CscMatrix::ScatterColumn(NodeId col, std::vector<Scalar>& out) const {
-  KDASH_CHECK_EQ(out.size(), static_cast<std::size_t>(rows_));
-  std::fill(out.begin(), out.end(), 0.0);
-  const Index end = ColEnd(col);
-  for (Index k = ColBegin(col); k < end; ++k) {
-    out[static_cast<std::size_t>(RowIndex(k))] = Value(k);
-  }
-}
-
 void CscMatrix::Validate() const {
   KDASH_CHECK_EQ(col_ptr_.size(), static_cast<std::size_t>(cols_) + 1);
   KDASH_CHECK_EQ(col_ptr_.front(), 0);

@@ -1,16 +1,17 @@
 // Compressed sparse column (CSC) matrix.
 //
-// The one compressed format of the library: the column-normalized adjacency
-// matrix A, the factors L and U, and the explicit inverse L⁻¹ are stored CSC,
-// and so is U⁻¹ — as the CSC of its transpose, whose column u is row u of
-// U⁻¹ (a CSR matrix is the CSC matrix of its transpose). Within each column,
-// row indices are kept sorted ascending; several kernels (triangular solves,
-// Crout-order reasoning in the paper's Eq. 4–7, the binary search of
-// ColumnDotSparse) rely on that invariant, and `Validate()` enforces it.
+// The general compressed format of the library: the column-normalized
+// adjacency matrix A and the factors L and U are stored CSC, and the
+// explicit inverses L⁻¹ and U⁻¹ are built CSC (U⁻¹ as the CSC of its
+// transpose, whose column u is row u of U⁻¹; a CSR matrix is the CSC matrix
+// of its transpose) before the index converts them to head + run form
+// (sparse/head_run_matrix.h). Within each column, row indices are kept
+// sorted ascending; several kernels (triangular solves, Crout-order
+// reasoning in the paper's Eq. 4–7, the head + run split) rely on that
+// invariant, and `Validate()` enforces it.
 #ifndef KDASH_SPARSE_CSC_MATRIX_H_
 #define KDASH_SPARSE_CSC_MATRIX_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -53,52 +54,6 @@ class CscMatrix {
   // O(log nnz(col)) random access; returns 0 for structural zeros.
   Scalar At(NodeId row, NodeId col) const;
 
-  // Sparse column · dense vector. `x` must have size rows(). Four independent
-  // accumulators keep the gather pipeline busy; the summation order is fixed
-  // (never input-dependent), so results are reproducible run to run.
-  Scalar ColumnDot(NodeId col, const std::vector<Scalar>& x) const {
-    const Index begin = ColBegin(col);
-    const Index count = ColEnd(col) - begin;
-    const NodeId* rows = row_idx_.data() + begin;
-    const Scalar* vals = values_.data() + begin;
-    Scalar acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    Index k = 0;
-    for (; k + 4 <= count; k += 4) {
-      acc0 += vals[k] * x[static_cast<std::size_t>(rows[k])];
-      acc1 += vals[k + 1] * x[static_cast<std::size_t>(rows[k + 1])];
-      acc2 += vals[k + 2] * x[static_cast<std::size_t>(rows[k + 2])];
-      acc3 += vals[k + 3] * x[static_cast<std::size_t>(rows[k + 3])];
-    }
-    for (; k < count; ++k) {
-      acc0 += vals[k] * x[static_cast<std::size_t>(rows[k])];
-    }
-    return (acc0 + acc1) + (acc2 + acc3);
-  }
-
-  // Sparse column · sparse vector. `x_rows` must list the (candidate) nonzero
-  // positions of the dense vector `x` in strictly ascending order. Walks the
-  // shorter support with a shrinking binary search into the column segment,
-  // so the cost is O(nnz(x) · log nnz(col)) — a win over ColumnDot whenever
-  // x is much sparser than the column is long.
-  Scalar ColumnDotSparse(NodeId col, const std::vector<Scalar>& x,
-                         const std::vector<NodeId>& x_rows) const {
-    Scalar acc = 0.0;
-    const NodeId* rows = row_idx_.data();
-    Index lo = ColBegin(col);
-    const Index hi = ColEnd(col);
-    for (const NodeId r : x_rows) {
-      const NodeId* it = std::lower_bound(rows + lo, rows + hi, r);
-      lo = static_cast<Index>(it - rows);
-      if (lo >= hi) break;
-      if (*it == r) {
-        acc += values_[static_cast<std::size_t>(lo)] *
-               x[static_cast<std::size_t>(r)];
-        ++lo;
-      }
-    }
-    return acc;
-  }
-
   // y = alpha * A * x + beta * y.
   void MultiplyVector(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                       Scalar alpha = 1.0, Scalar beta = 0.0) const;
@@ -121,9 +76,6 @@ class CscMatrix {
   // Transpose, i.e., reinterpret this CSC matrix as CSR of the transpose and
   // materialize it back as CSC. O(nnz + rows + cols).
   CscMatrix Transposed() const;
-
-  // Dense column extraction: out must have size rows(), is overwritten.
-  void ScatterColumn(NodeId col, std::vector<Scalar>& out) const;
 
   // Checks structural invariants; aborts on violation. Used by tests and by
   // constructors in debug builds.

@@ -112,84 +112,6 @@ TEST(CscMatrixTest, TransposedSwapsIndices) {
   }
 }
 
-TEST(CscMatrixTest, ColumnDot) {
-  const CscMatrix m = Example3x3();
-  const std::vector<Scalar> x{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(m.ColumnDot(0, x), 1.0 * 1 + 4.0 * 3);
-  EXPECT_DOUBLE_EQ(m.ColumnDot(1, x), 3.0 * 2);
-  EXPECT_DOUBLE_EQ(m.ColumnDot(2, x), 2.0 * 1 + 5.0 * 3);
-}
-
-TEST(CscMatrixTest, ColumnDotLongColumnMatchesNaive) {
-  // Columns longer than the 4-way unroll width, including remainders 0..3.
-  Rng rng(11);
-  for (int len : {5, 8, 9, 10, 11, 31}) {
-    CooBuilder builder(40, 1);
-    std::vector<Scalar> x(40);
-    for (auto& v : x) v = rng.NextDouble() - 0.5;
-    Scalar naive = 0.0;
-    for (int t = 0; t < len; ++t) {
-      const NodeId row = static_cast<NodeId>(t * 40 / len);
-      const Scalar value = rng.NextDouble();
-      builder.Add(row, 0, value);
-      naive += value * x[static_cast<std::size_t>(row)];
-    }
-    const CscMatrix m = builder.BuildCsc();
-    EXPECT_NEAR(m.ColumnDot(0, x), naive, 1e-14) << "len=" << len;
-  }
-}
-
-TEST(CscMatrixTest, ColumnDotSparseMatchesDense) {
-  const CscMatrix m = Example3x3();
-  std::vector<Scalar> x(3, 0.0);
-  x[0] = 1.0;
-  x[2] = 3.0;
-  const std::vector<NodeId> support{0, 2};
-  for (NodeId col = 0; col < 3; ++col) {
-    EXPECT_DOUBLE_EQ(m.ColumnDotSparse(col, x, support), m.ColumnDot(col, x));
-  }
-}
-
-TEST(CscMatrixTest, ColumnDotSparseEdgeCases) {
-  const CscMatrix m = Example3x3();
-  const std::vector<Scalar> x{1.0, 2.0, 3.0};
-  // Empty support.
-  EXPECT_DOUBLE_EQ(m.ColumnDotSparse(0, x, {}), 0.0);
-  // Support disjoint from the column pattern.
-  EXPECT_DOUBLE_EQ(m.ColumnDotSparse(1, x, {0, 2}), 0.0);
-  // Support covering every row (superset of the column pattern).
-  EXPECT_DOUBLE_EQ(m.ColumnDotSparse(2, x, {0, 1, 2}), m.ColumnDot(2, x));
-}
-
-TEST(CscMatrixTest, ColumnDotSparseRandomAgreesWithDense) {
-  Rng rng(29);
-  CooBuilder builder(30, 30);
-  for (int e = 0; e < 200; ++e) {
-    builder.Add(rng.NextNode(30), rng.NextNode(30), rng.NextDouble());
-  }
-  const CscMatrix m = builder.BuildCsc();
-  std::vector<Scalar> x(30, 0.0);
-  std::vector<NodeId> support;
-  for (NodeId i = 0; i < 30; i += 3) {
-    support.push_back(i);
-    x[static_cast<std::size_t>(i)] = rng.NextDouble() - 0.5;
-  }
-  for (NodeId col = 0; col < 30; ++col) {
-    EXPECT_NEAR(m.ColumnDotSparse(col, x, support), m.ColumnDot(col, x),
-                1e-14)
-        << "col " << col;
-  }
-}
-
-TEST(CscMatrixTest, ScatterColumn) {
-  const CscMatrix m = Example3x3();
-  std::vector<Scalar> out(3, -1.0);
-  m.ScatterColumn(0, out);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-  EXPECT_DOUBLE_EQ(out[2], 4.0);
-}
-
 TEST(CscMatrixTest, RandomRoundTripAndSpMVAgainstDense) {
   Rng rng(77);
   for (int trial = 0; trial < 10; ++trial) {

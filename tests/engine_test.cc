@@ -301,6 +301,25 @@ TEST(EngineTest, SearchBatchRecordsWorkHistograms) {
   }
 }
 
+TEST(EngineTest, PersonalizedSearchesRecordTheirOwnLatency) {
+  // engine.personalized_search_us takes one sample per search whose query
+  // has more than one source; single-source searches leave it alone.
+  const auto g = test::RandomDirectedGraph(60, 300, 207);
+  auto engine = Engine::Build(g, StaticOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const obs::Histogram& personalized =
+      obs::MetricRegistry::Global().GetHistogram(
+          "engine.personalized_search_us");
+  const std::vector<Query> queries{Query::Single(3, 5),
+                                   Query::Personalized({4, 9, 17}, 5),
+                                   Query::Single(11, 5)};
+  const std::uint64_t before = personalized.Count();
+  for (const auto& result : engine->SearchBatch(queries)) {
+    ASSERT_TRUE(result.ok()) << result.status();
+  }
+  EXPECT_EQ(personalized.Count() - before, 1u);
+}
+
 TEST(EngineTest, SaveOpenRoundTrip) {
   const auto g = test::RandomDirectedGraph(90, 600, 206);
   auto engine = Engine::Build(g, StaticOptions());

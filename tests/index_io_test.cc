@@ -10,11 +10,14 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/fault.h"
 #include "core/engine.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
+#include "datasets/datasets.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -77,6 +80,85 @@ TEST(IndexIoTest, LoadedIndexAnswersIdentically) {
       EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
     }
   }
+}
+
+std::string SavedBytes(const KDashIndex& index) {
+  std::stringstream buffer;
+  EXPECT_TRUE(index.Save(buffer).ok());
+  return buffer.str();
+}
+
+// Every source at k = 10: the ids and the score bits must match.
+void ExpectSameAnswers(const KDashIndex& a, const KDashIndex& b) {
+  KDashSearcher searcher_a(&a);
+  KDashSearcher searcher_b(&b);
+  for (NodeId q = 0; q < a.num_nodes(); ++q) {
+    const auto want = searcher_a.Search(Query::Single(q, 10));
+    const auto got = searcher_b.Search(Query::Single(q, 10));
+    ASSERT_EQ(got.top, want.top) << "q=" << q;
+    EXPECT_EQ(got.stats.proximity_computations,
+              want.stats.proximity_computations)
+        << "q=" << q;
+  }
+}
+
+TEST(IndexIoTest, ResavedStandInsMatchTheirFilesByteForByte) {
+  // Load converts the saved CSC inverses to head + run form and Save writes
+  // them back as CSC: a built index and its save-load copy must give the
+  // same file and the same answers, on every stand-in and on a shard.
+  for (const datasets::DatasetId id : datasets::AllDatasets()) {
+    const datasets::Dataset dataset = datasets::MakeDataset(id, 0.1);
+    SCOPED_TRACE(dataset.name);
+    const auto built = KDashIndex::Build(dataset.graph, {});
+    std::vector<KDashIndex> indexes;
+    indexes.push_back(built);
+    if (id == datasets::DatasetId::kSocial) {
+      const NodeId n = built.num_nodes();
+      indexes.push_back(built.Restrict(n / 3, 2 * n / 3));
+    }
+    for (const KDashIndex& index : indexes) {
+      SCOPED_TRACE(index.IsSharded() ? "shard" : "full index");
+      const std::string saved = SavedBytes(index);
+      std::stringstream buffer(saved);
+      const auto loaded = KDashIndex::Load(buffer);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(SavedBytes(*loaded), saved);
+      ExpectSameAnswers(index, *loaded);
+    }
+  }
+}
+
+TEST(IndexIoTest, RejectsInverseStoringAnExactZero) {
+  // The builder never stores an exact zero in L⁻¹ or U⁻¹, and a zero
+  // inside a dense run could not be told from the run's fill, so such a
+  // file would not save back to its own bytes: Load refuses it.
+  const auto g = test::RandomDirectedGraph(40, 220, 102);
+  const auto index = KDashIndex::Build(g, {});
+  const std::string full = SavedBytes(index);
+
+  // L⁻¹ follows the four per-node vectors (each a u64 length, then the
+  // elements) as rows, cols, col_ptr, row ids, values; take a middle value.
+  const auto n = static_cast<std::size_t>(index.num_nodes());
+  const sparse::CscMatrix lower = index.lower_inverse().ToCsc();
+  const std::size_t nnz = lower.values().size();
+  const std::size_t at =
+      56 + 2 * (8 + n * sizeof(Scalar)) + 2 * (8 + n * sizeof(NodeId)) +
+      2 * sizeof(NodeId) + 8 + (n + 1) * sizeof(Index) +
+      8 + nnz * sizeof(NodeId) + 8 + (nnz / 2) * sizeof(Scalar);
+  Scalar stored = 0.0;
+  std::memcpy(&stored, &full[at], sizeof(stored));
+  ASSERT_EQ(stored, lower.values()[nnz / 2]);
+  ASSERT_NE(stored, 0.0);
+
+  std::string bytes = full;
+  const Scalar zero = 0.0;
+  std::memcpy(&bytes[at], &zero, sizeof(zero));
+  std::stringstream corrupted(bytes);
+  const auto loaded = KDashIndex::Load(corrupted);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("L⁻¹"), std::string::npos)
+      << loaded.status();
 }
 
 TEST(IndexIoTest, FileRoundTrip) {

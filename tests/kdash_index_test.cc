@@ -50,8 +50,8 @@ TEST(KDashIndexTest, InverseFactorsReconstructSystemInverse) {
                                                index.new_of_old());
   const auto w = lu::BuildRwrSystemMatrix(a_perm, 0.9);
   const auto inverse_product =
-      linalg::MatMul(test::ToDense(index.upper_inverse().Transposed()),
-                     test::ToDense(index.lower_inverse()));
+      linalg::MatMul(test::ToDense(index.upper_inverse().ToCsc().Transposed()),
+                     test::ToDense(index.lower_inverse().ToCsc()));
   const auto should_be_identity =
       linalg::MatMul(test::ToDense(w), inverse_product);
   EXPECT_LT(test::MaxAbsDiff(should_be_identity,
