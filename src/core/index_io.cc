@@ -52,34 +52,12 @@ void WriteVector(std::ostream& out, const std::vector<T>& values) {
   }
 }
 
-// An inverse is written as the CSC of its stored nonzeros — rows, cols,
-// col_ptr, row ids, values — exactly the bytes of ToCsc(), streamed a few
-// columns at a time so a save never holds a second copy of the inverse.
-// The row ids and the values are two passes over the columns, since the
-// format stores them apart.
-void WriteInverse(std::ostream& out, const sparse::HeadRunMatrix& m) {
+void WriteCsc(std::ostream& out, const sparse::CscMatrix& m) {
   WritePod(out, m.rows());
   WritePod(out, m.cols());
   WriteVector(out, m.col_ptr());
-  constexpr std::size_t kFlushEntries = std::size_t{1} << 16;
-  std::vector<NodeId> rows;
-  std::vector<Scalar> values;
-  for (const bool write_rows : {true, false}) {
-    WritePod(out, static_cast<std::uint64_t>(m.nnz()));
-    for (NodeId col = 0; col < m.cols(); ++col) {
-      m.AppendColumn(col, rows, values);
-      if (rows.size() < kFlushEntries && col + 1 < m.cols()) continue;
-      if (write_rows) {
-        out.write(reinterpret_cast<const char*>(rows.data()),
-                  static_cast<std::streamsize>(rows.size() * sizeof(NodeId)));
-      } else {
-        out.write(reinterpret_cast<const char*>(values.data()),
-                  static_cast<std::streamsize>(values.size() * sizeof(Scalar)));
-      }
-      rows.clear();
-      values.clear();
-    }
-  }
+  WriteVector(out, m.row_idx());
+  WriteVector(out, m.values());
 }
 
 // The trailing PrecomputeStats block, field by field. The struct ends in 4
@@ -283,10 +261,11 @@ Status KDashIndex::Save(std::ostream& out) const {
   WriteVector(out, state.c_prime_of_node);
   WriteVector(out, state.new_of_old);
   WriteVector(out, state.old_of_new);
-  WriteInverse(out, state.lower_inverse);
-  // U⁻¹ is held as its transpose, whose CSC is exactly the CSR of U⁻¹: the
-  // same bytes the format has always stored for it.
-  WriteInverse(out, upper_inverse_);
+  // Each inverse is written as the CSC of its stored nonzeros. U⁻¹ is held
+  // as its transpose, whose CSC is exactly the CSR of U⁻¹: the same bytes
+  // the format has always stored for it.
+  WriteCsc(out, state.lower_inverse.ToCsc());
+  WriteCsc(out, upper_inverse_.ToCsc());
   WriteVector(out, state.adjacency_ptr);
   WriteVector(out, state.adjacency);
 

@@ -90,26 +90,23 @@ HeadRunMatrix HeadRunMatrix::FromCsc(const CscMatrix& csc, int num_threads) {
   return m;
 }
 
-void HeadRunMatrix::AppendColumn(NodeId col, std::vector<NodeId>& rows,
-                                 std::vector<Scalar>& values) const {
-  const std::span<const NodeId> head_rows = HeadRows(col);
-  const std::span<const Scalar> head_values = HeadValues(col);
-  rows.insert(rows.end(), head_rows.begin(), head_rows.end());
-  values.insert(values.end(), head_values.begin(), head_values.end());
-  const std::span<const Scalar> run = Run(col);
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    if (run[i] == 0.0) continue;
-    rows.push_back(RunBegin(col) + static_cast<NodeId>(i));
-    values.push_back(run[i]);
-  }
-}
-
 CscMatrix HeadRunMatrix::ToCsc() const {
   std::vector<NodeId> rows;
   std::vector<Scalar> values;
   rows.reserve(static_cast<std::size_t>(nnz()));
   values.reserve(static_cast<std::size_t>(nnz()));
-  for (NodeId col = 0; col < cols_; ++col) AppendColumn(col, rows, values);
+  for (NodeId col = 0; col < cols_; ++col) {
+    const std::span<const NodeId> head_rows = HeadRows(col);
+    const std::span<const Scalar> head_values = HeadValues(col);
+    rows.insert(rows.end(), head_rows.begin(), head_rows.end());
+    values.insert(values.end(), head_values.begin(), head_values.end());
+    const std::span<const Scalar> run = Run(col);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (run[i] == 0.0) continue;
+      rows.push_back(RunBegin(col) + static_cast<NodeId>(i));
+      values.push_back(run[i]);
+    }
+  }
   KDASH_CHECK_EQ(static_cast<Index>(rows.size()), nnz())
       << "a run holds an uncounted nonzero";
   return CscMatrix(rows_, cols_, col_ptr_, std::move(rows), std::move(values));

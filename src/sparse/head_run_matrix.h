@@ -24,15 +24,11 @@
 // CSC meaning — the pointer array and count of the stored nonzeros.
 //
 // The run turns a row · dense-vector product into one contiguous dot with
-// no row ids and no gathers: ColumnDot runs it with a fixed SSE2 lane
-// assignment (a scalar mirror of the same lanes where SSE2 is missing), so
-// a column's dot with a given vector is the same on every call.
+// no row ids and no gathers: ColumnDot runs it with a fixed lane
+// assignment, so a column's dot with a given vector is the same on every
+// call.
 #ifndef KDASH_SPARSE_HEAD_RUN_MATRIX_H_
 #define KDASH_SPARSE_HEAD_RUN_MATRIX_H_
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include <algorithm>
 #include <span>
@@ -43,32 +39,14 @@
 
 namespace kdash::sparse {
 
-// Σ a[i]·b[i] over i < n, with a fixed summation order: eight lanes (four
-// SSE2 registers) take i mod 8 over whole blocks of eight, the leftover
-// pairs go to lanes 0–1, and an odd last element is added after the lanes
-// are reduced.
+// Σ a[i]·b[i] over i < n, with a fixed summation order: eight lanes take
+// i mod 8 over whole blocks of eight, the leftover pairs go to lanes 0–1,
+// and an odd last element is added after the lanes are reduced. The lanes
+// are independent, so GCC keeps them in vector registers at baseline SSE2
+// without reassociating any sum.
 inline Scalar RunDot(const Scalar* a, const Scalar* b, Index n) {
-  Index i = 0;
-#if defined(__SSE2__)
-  const auto Mul = [](const Scalar* x, const Scalar* y) {
-    return _mm_mul_pd(_mm_loadu_pd(x), _mm_loadu_pd(y));
-  };
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  __m128d acc2 = _mm_setzero_pd();
-  __m128d acc3 = _mm_setzero_pd();
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm_add_pd(acc0, Mul(a + i, b + i));
-    acc1 = _mm_add_pd(acc1, Mul(a + i + 2, b + i + 2));
-    acc2 = _mm_add_pd(acc2, Mul(a + i + 4, b + i + 4));
-    acc3 = _mm_add_pd(acc3, Mul(a + i + 6, b + i + 6));
-  }
-  for (; i + 2 <= n; i += 2) acc0 = _mm_add_pd(acc0, Mul(a + i, b + i));
-  const __m128d sum =
-      _mm_add_pd(_mm_add_pd(acc0, acc1), _mm_add_pd(acc2, acc3));
-  Scalar total = _mm_cvtsd_f64(sum) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
-#else
   Scalar lane[8] = {};
+  Index i = 0;
   for (; i + 8 <= n; i += 8) {
     for (int l = 0; l < 8; ++l) lane[l] += a[i + l] * b[i + l];
   }
@@ -78,7 +56,6 @@ inline Scalar RunDot(const Scalar* a, const Scalar* b, Index n) {
   }
   Scalar total = ((lane[0] + lane[2]) + (lane[4] + lane[6])) +
                  ((lane[1] + lane[3]) + (lane[5] + lane[7]));
-#endif
   if (i < n) total += a[i] * b[i];
   return total;
 }
@@ -185,10 +162,6 @@ class HeadRunMatrix {
 
   // Dense column extraction: out must have size rows(), is overwritten.
   void ScatterColumn(NodeId col, std::vector<Scalar>& out) const;
-
-  // Appends column col's stored nonzeros (ascending rows) to rows/values.
-  void AppendColumn(NodeId col, std::vector<NodeId>& rows,
-                    std::vector<Scalar>& values) const;
 
   // A copy that keeps column j iff keep[j] and empties every other column.
   // Kept columns are copied verbatim (same head, same run), which is what
