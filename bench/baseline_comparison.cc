@@ -1,17 +1,12 @@
 // Summary comparison of every engine in the library on one dataset:
 // precompute cost, per-query cost, and precision@5 against the iterative
-// ground truth. Condenses the paper's Section 6 narrative into one table
-// and adds the Sun-et-al. partition-local method (cited in Section 2 as
-// the approximation NB_LIN superseded).
+// ground truth. Condenses the paper's Section 6 narrative into one table.
 #include <cstdio>
 
 #include "baselines/b_lin.h"
 #include "baselines/basic_push.h"
-#include "baselines/local_rwr.h"
-#include "baselines/monte_carlo.h"
 #include "baselines/nb_lin.h"
 #include "bench_util.h"
-#include "common/timer.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
 #include "rwr/power_iteration.h"
@@ -91,19 +86,6 @@ void Run() {
     measure("BasicPush", bpa.precompute_seconds(),
             [&](NodeId q) { return bpa.TopK(q, kTopK); });
   }
-  {
-    WallTimer timer;
-    const baselines::PartitionLocalRwr local(graph, {});
-    measure("SunLocal", timer.Seconds(),
-            [&](NodeId q) { return local.TopK(q, kTopK); });
-  }
-  {
-    WallTimer timer;
-    const baselines::MonteCarloRwr mc(
-        a, {.restart_prob = 0.95, .num_walks = 5000});
-    measure("MonteCarlo", timer.Seconds(),
-            [&](NodeId q) { return mc.TopK(q, kTopK); });
-  }
 
   bench::PrintTableHeader({"method", "precomp[s]", "query[s]", "precision"});
   for (const Row& row : rows) {
@@ -114,9 +96,8 @@ void Run() {
   std::printf(
       "\nExpected shape: only Iterative and K-dash reach precision 1 (and\n"
       "BasicPush via its recall-1 sets); K-dash answers queries orders of\n"
-      "magnitude faster than Iterative. SunLocal is fast but blind to\n"
-      "cross-partition proximity; NB_LIN/B_LIN trade rank for accuracy;\n"
-      "MonteCarlo converges like 1/sqrt(walks) — never exactly.\n");
+      "magnitude faster than Iterative; NB_LIN/B_LIN trade rank for\n"
+      "accuracy.\n");
 }
 
 }  // namespace

@@ -37,8 +37,7 @@ void Run() {
   const auto all = bench::LoadAllDatasets(kScaleMultiplier);
   const std::vector<reorder::Method> methods = {
       reorder::Method::kDegree, reorder::Method::kCluster,
-      reorder::Method::kHybrid, reorder::Method::kRcm,
-      reorder::Method::kRandom};
+      reorder::Method::kHybrid, reorder::Method::kRandom};
 
   // Two accountings of the same exact index:
   //  * exact:   every stored entry — every numerically nonzero value, the
@@ -74,7 +73,7 @@ void Run() {
                       "accounting)"
                     : "every stored entry (exact)");
     bench::PrintTableHeader(
-        {"dataset", "Degree", "Cluster", "Hybrid", "RCM", "Random"});
+        {"dataset", "Degree", "Cluster", "Hybrid", "Random"});
     for (std::size_t d = 0; d < all.size(); ++d) {
       bench::PrintTableRow(all[d].name, machine_precision ? eps[d] : exact[d],
                            "%14.2f");

@@ -18,11 +18,9 @@ void Run() {
   const auto all = bench::LoadAllDatasets(kScaleMultiplier);
   const std::vector<reorder::Method> methods = {
       reorder::Method::kDegree, reorder::Method::kCluster,
-      reorder::Method::kHybrid, reorder::Method::kRcm,
-      reorder::Method::kRandom};
+      reorder::Method::kHybrid, reorder::Method::kRandom};
 
-  bench::PrintTableHeader(
-      {"dataset", "Degree", "Cluster", "Hybrid", "RCM", "Random"});
+  bench::PrintTableHeader({"dataset", "Degree", "Cluster", "Hybrid", "Random"});
   for (const auto& dataset : all) {
     std::vector<double> row;
     for (const auto method : methods) {

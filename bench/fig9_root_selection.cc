@@ -39,13 +39,6 @@ void Run() {
     bench::PrintTableRow(dataset.name, {query_root, random_root}, "%14.1f");
     std::fflush(stdout);
   }
-
-  std::printf(
-      "\nExpected shape (paper): rooting the tree at the query node needs\n"
-      "far fewer proximity computations — the query's neighborhood holds\n"
-      "the high-proximity nodes, so the threshold rises fast and pruning\n"
-      "fires early. (Random rooting is a diagnostic only: it does not\n"
-      "guarantee exactness.)\n");
 }
 
 }  // namespace

@@ -18,7 +18,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double Millis() const { return Seconds() * 1e3; }
   double Micros() const { return Seconds() * 1e6; }
 
  private:

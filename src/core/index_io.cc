@@ -319,7 +319,7 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   std::int32_t reorder_method = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
   if (reorder_method < 0 ||
-      reorder_method > static_cast<std::int32_t>(reorder::Method::kRcm)) {
+      reorder_method > static_cast<std::int32_t>(reorder::Method::kHybrid)) {
     return Status::DataLoss("corrupt index stream: unknown reorder method");
   }
   index.options_.reorder_method = static_cast<reorder::Method>(reorder_method);

@@ -28,7 +28,7 @@
 //
 //   kLegacySequential — the original asynchronous sequential algorithm
 //   (seeded random visit order, moves visible immediately). Kept as the
-//   quality baseline for tests and ablations; not parallelizable.
+//   quality baseline for tests; not parallelizable.
 #ifndef KDASH_REORDER_LOUVAIN_H_
 #define KDASH_REORDER_LOUVAIN_H_
 

@@ -30,60 +30,6 @@ std::vector<NodeId> AscendingDegreeOrder(const graph::Graph& graph) {
   return order;
 }
 
-// Reverse Cuthill–McKee over the symmetrized graph: per weakly-connected
-// component, BFS from a minimum-degree peripheral node with neighbors
-// enqueued in ascending degree order; the concatenated order is reversed.
-// A classic bandwidth-reducing ordering, included as an extra control for
-// the Figure 5/6 ablations.
-std::vector<NodeId> ReverseCuthillMcKeeOrder(const graph::Graph& graph) {
-  const NodeId n = graph.num_nodes();
-  // Symmetrized simple adjacency.
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    for (const graph::Neighbor& nb : graph.OutNeighbors(u)) {
-      if (nb.node == u) continue;
-      adj[static_cast<std::size_t>(u)].push_back(nb.node);
-      adj[static_cast<std::size_t>(nb.node)].push_back(u);
-    }
-  }
-  for (auto& list : adj) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    // Ascending degree within each neighbor list (ties by id).
-    std::stable_sort(list.begin(), list.end(), [&](NodeId a, NodeId b) {
-      return adj[static_cast<std::size_t>(a)].size() <
-             adj[static_cast<std::size_t>(b)].size();
-    });
-  }
-
-  // Component seeds in ascending degree order.
-  std::vector<NodeId> by_degree(static_cast<std::size_t>(n));
-  std::iota(by_degree.begin(), by_degree.end(), 0);
-  std::stable_sort(by_degree.begin(), by_degree.end(), [&](NodeId a, NodeId b) {
-    return adj[static_cast<std::size_t>(a)].size() <
-           adj[static_cast<std::size_t>(b)].size();
-  });
-
-  std::vector<bool> visited(static_cast<std::size_t>(n), false);
-  std::vector<NodeId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (const NodeId seed : by_degree) {
-    if (visited[static_cast<std::size_t>(seed)]) continue;
-    visited[static_cast<std::size_t>(seed)] = true;
-    order.push_back(seed);
-    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
-      for (const NodeId v : adj[static_cast<std::size_t>(order[head])]) {
-        if (!visited[static_cast<std::size_t>(v)]) {
-          visited[static_cast<std::size_t>(v)] = true;
-          order.push_back(v);
-        }
-      }
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
 // Algorithm 2: Louvain partitions; any node incident to a cross-partition
 // edge is re-homed to the border partition κ+1; nodes are then laid out
 // partition by partition with the border last, giving the doubly-bordered
@@ -172,7 +118,6 @@ std::string MethodName(Method method) {
     case Method::kDegree: return "Degree";
     case Method::kCluster: return "Cluster";
     case Method::kHybrid: return "Hybrid";
-    case Method::kRcm: return "RCM";
   }
   return "Unknown";
 }
@@ -199,8 +144,6 @@ Reordering ComputeReordering(const graph::Graph& graph, Method method,
       return ClusterImpl(graph, options, /*degree_sort_within=*/false);
     case Method::kHybrid:
       return ClusterImpl(graph, options, /*degree_sort_within=*/true);
-    case Method::kRcm:
-      return FromOldOfNew(ReverseCuthillMcKeeOrder(graph));
   }
   KDASH_CHECK(false) << "unreachable";
   return {};

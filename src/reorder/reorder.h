@@ -22,8 +22,6 @@ enum class Method {
   kDegree,    // Algorithm 1: ascending total degree
   kCluster,   // Algorithm 2: Louvain partitions, border partition last
   kHybrid,    // Algorithm 3: cluster, then ascending degree inside partitions
-  kRcm,       // extension: reverse Cuthill–McKee (bandwidth-minimizing
-              // control; not in the paper, used by the ablation benches)
 };
 
 std::string MethodName(Method method);

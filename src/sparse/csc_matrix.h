@@ -45,7 +45,6 @@ class CscMatrix {
 
   NodeId RowIndex(Index k) const { return row_idx_[static_cast<std::size_t>(k)]; }
   Scalar Value(Index k) const { return values_[static_cast<std::size_t>(k)]; }
-  Scalar& MutableValue(Index k) { return values_[static_cast<std::size_t>(k)]; }
 
   const std::vector<Index>& col_ptr() const { return col_ptr_; }
   const std::vector<NodeId>& row_idx() const { return row_idx_; }

@@ -4,15 +4,13 @@
 //   exact engines     : power iteration, direct LU solver, K-dash,
 //                       DynamicKDash (no pending updates)
 //   approximate       : NB_LIN, B_LIN (→ exact at full rank),
-//                       Basic Push (recall-1 sets), partition-local,
-//                       Monte Carlo (unbiased)
+//                       Basic Push (recall-1 sets)
 #include <gtest/gtest.h>
 
 #include <set>
 #include <tuple>
 
 #include "baselines/basic_push.h"
-#include "baselines/monte_carlo.h"
 #include "baselines/nb_lin.h"
 #include "common/random.h"
 #include "core/dynamic.h"
@@ -84,34 +82,6 @@ TEST_P(EngineConsistencyTest, KDashTopKIsSubsetOfBasicPushAnswer) {
       EXPECT_TRUE(answer.count(entry.node))
           << dataset.name << " q=" << q << " node " << entry.node;
     }
-  }
-}
-
-TEST_P(EngineConsistencyTest, MonteCarloTopOneMatchesExact) {
-  const auto [dataset_id, c] = GetParam();
-  const auto dataset = datasets::MakeDataset(dataset_id, 0.04);
-  const auto a = dataset.graph.NormalizedAdjacency();
-
-  core::KDashOptions kd_options;
-  kd_options.restart_prob = c;
-  const auto index = core::KDashIndex::Build(dataset.graph, kd_options);
-  core::KDashSearcher searcher(&index);
-
-  baselines::MonteCarloOptions mc_options;
-  mc_options.restart_prob = c;
-  mc_options.num_walks = 4000;
-  const baselines::MonteCarloRwr mc(a, mc_options);
-
-  Rng rng(7);
-  for (int trial = 0; trial < 3; ++trial) {
-    const NodeId q = rng.NextNode(dataset.graph.num_nodes());
-    if (dataset.graph.OutDegree(q) == 0) continue;
-    const auto exact = searcher.Search(Query::Single(q, 1)).top;
-    const auto sampled = mc.TopK(q, 1);
-    ASSERT_FALSE(exact.empty());
-    ASSERT_FALSE(sampled.empty());
-    // Rank 1 is the query node itself at these restart probabilities.
-    EXPECT_EQ(sampled[0].node, exact[0].node) << dataset.name << " q=" << q;
   }
 }
 

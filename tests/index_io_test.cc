@@ -268,16 +268,18 @@ TEST(IndexIoTest, RejectsCorruptScalarOptions) {
   }
 
   // reorder_method follows restart_prob at offset 16; force an unknown id.
-  {
+  // 5 is the retired reverse Cuthill–McKee order's id.
+  for (const std::int32_t bad_method : {12345, 5, -1}) {
     std::string bytes = full;
-    const std::int32_t bad_method = 12345;
     std::memcpy(&bytes[16], &bad_method, sizeof(bad_method));
     std::stringstream corrupted(bytes);
     const auto loaded = KDashIndex::Load(corrupted);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    ASSERT_FALSE(loaded.ok()) << "method " << bad_method;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << "method " << bad_method;
     EXPECT_NE(loaded.status().message().find("reorder method"),
-              std::string::npos);
+              std::string::npos)
+        << "method " << bad_method;
   }
 }
 

@@ -7,10 +7,20 @@
 // `use_pruning = false` top-k bit for bit, ids and scores. Any change to the
 // estimator's bound is guarded here: an inadmissible bound stops a search
 // before some top-k node is scored.
+//
+// Fig. 7 (pruning cuts work): over every single source, at each k, no
+// pruned search computes more exact proximities than the unpruned one, and
+// the stand-in's pruned total is strictly below the unpruned total.
+//
+// Fig. 9 (root selection): at k = 5, the total exact proximities with the
+// BFS tree rooted at the query node are strictly below the total with the
+// tree rooted at a seeded random node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -54,9 +64,10 @@ std::string FirstDifference(const SearchResult& pruned, std::size_t pruned_k,
   return {};
 }
 
-class Theorem2Test : public ::testing::TestWithParam<datasets::DatasetId> {};
+class PaperClaimsTest
+    : public ::testing::TestWithParam<datasets::DatasetId> {};
 
-TEST_P(Theorem2Test, PrunedTopKEqualsUnprunedTopK) {
+TEST_P(PaperClaimsTest, PrunedSearchIsExactAndCheaper) {
   const datasets::Dataset dataset = datasets::MakeDataset(GetParam(), kScale);
   const core::KDashIndex index = core::KDashIndex::Build(dataset.graph, {});
   core::KDashSearcher searcher(&index);
@@ -74,18 +85,44 @@ TEST_P(Theorem2Test, PrunedTopKEqualsUnprunedTopK) {
     queries.push_back(Query::Personalized(std::move(sources), kMaxK));
   }
 
+  // Exact proximities summed over the single-source queries.
+  std::int64_t unpruned_total = 0;
+  std::int64_t pruned_total[std::size(kKs)] = {};
+  std::int64_t random_root_total = 0;
+  Rng root_rng(11);
   for (Query& query : queries) {
     const SearchResult unpruned = Unpruned(searcher, query);
-    for (const std::size_t k : kKs) {
+    const bool single = query.sources.size() == 1;
+    if (single) unpruned_total += unpruned.stats.proximity_computations;
+    for (std::size_t i = 0; i < std::size(kKs); ++i) {
+      const std::size_t k = kKs[i];
       query.k = k;
-      const std::string difference =
-          FirstDifference(searcher.Search(query), k, unpruned);
+      const SearchResult pruned = searcher.Search(query);
+      const std::string difference = FirstDifference(pruned, k, unpruned);
       ASSERT_TRUE(difference.empty())
           << dataset.name << " source " << query.sources.front() << " ("
           << query.sources.size() << " sources) k=" << k << ": "
           << difference;
+      if (!single) continue;
+      // Fig. 7, per query.
+      ASSERT_LE(pruned.stats.proximity_computations,
+                unpruned.stats.proximity_computations)
+          << dataset.name << " source " << query.sources.front()
+          << " k=" << k;
+      pruned_total[i] += pruned.stats.proximity_computations;
+    }
+    if (single) {  // Fig. 9: the same source with a random root.
+      query.k = kKs[0];
+      query.root_override = root_rng.NextNode(n);
+      random_root_total += searcher.Search(query).stats.proximity_computations;
     }
   }
+
+  for (std::size_t i = 0; i < std::size(kKs); ++i) {
+    EXPECT_LT(pruned_total[i], unpruned_total)
+        << dataset.name << " k=" << kKs[i];
+  }
+  EXPECT_LT(pruned_total[0], random_root_total) << dataset.name;
 }
 
 // A query on the Social stand-in (30% of nodes dangling) whose k-th score
@@ -110,7 +147,7 @@ TEST(Theorem2Test, DanglingChargeStopsAFormerFullScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Datasets, Theorem2Test, ::testing::ValuesIn(datasets::AllDatasets()),
+    Datasets, PaperClaimsTest, ::testing::ValuesIn(datasets::AllDatasets()),
     [](const ::testing::TestParamInfo<datasets::DatasetId>& info) {
       return datasets::DatasetName(info.param);
     });

@@ -118,41 +118,12 @@ TEST(ReorderTest, HybridAndClusterShareBorderMembership) {
   EXPECT_EQ(cluster.num_partitions, hybrid.num_partitions);
 }
 
-TEST(ReorderTest, RcmIsValidPermutation) {
-  const graph::Graph g = test::RandomDirectedGraph(150, 600, 11);
-  const Reordering r = ComputeReordering(g, Method::kRcm);
-  ExpectValidReordering(r, g.num_nodes());
-}
-
-TEST(ReorderTest, RcmReducesBandwidthOnPath) {
-  // On a path graph RCM recovers a consecutive layout: every edge connects
-  // adjacent positions.
-  graph::GraphBuilder builder(50);
-  // Scramble the ids so the input order is not already optimal.
-  for (NodeId u = 0; u + 1 < 50; ++u) {
-    builder.AddUndirectedEdge(static_cast<NodeId>((u * 17) % 50),
-                              static_cast<NodeId>(((u + 1) * 17) % 50));
-  }
-  const graph::Graph g = std::move(builder).Build();
-  const Reordering r = ComputeReordering(g, Method::kRcm);
-  NodeId max_bandwidth = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const graph::Neighbor& nb : g.OutNeighbors(u)) {
-      const NodeId d = std::abs(r.new_of_old[static_cast<std::size_t>(u)] -
-                                r.new_of_old[static_cast<std::size_t>(nb.node)]);
-      max_bandwidth = std::max(max_bandwidth, d);
-    }
-  }
-  EXPECT_LE(max_bandwidth, 2);
-}
-
 TEST(ReorderTest, MethodNames) {
   EXPECT_EQ(MethodName(Method::kIdentity), "Identity");
   EXPECT_EQ(MethodName(Method::kRandom), "Random");
   EXPECT_EQ(MethodName(Method::kDegree), "Degree");
   EXPECT_EQ(MethodName(Method::kCluster), "Cluster");
   EXPECT_EQ(MethodName(Method::kHybrid), "Hybrid");
-  EXPECT_EQ(MethodName(Method::kRcm), "RCM");
 }
 
 }  // namespace

@@ -154,23 +154,5 @@ TEST(StressTest, RepeatedBuildsAreIdentical) {
   EXPECT_EQ(a.upper_inverse(), b.upper_inverse());
 }
 
-TEST(StressTest, RcmOrderingExactAndValid) {
-  const auto g = test::RandomDirectedGraph(150, 900, 11);
-  KDashOptions options;
-  options.reorder_method = reorder::Method::kRcm;
-  const auto index = KDashIndex::Build(g, options);
-  KDashSearcher searcher(&index);
-  const auto got = searcher.Search(Query::Single(3, 10)).top;
-
-  rwr::PowerIterationOptions pi;
-  pi.tolerance = 1e-14;
-  auto truth = rwr::TopKByPowerIteration(g.NormalizedAdjacency(), 3, 10, pi);
-  while (!truth.empty() && truth.back().score < 1e-13) truth.pop_back();
-  ASSERT_EQ(got.size(), truth.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].score, truth[i].score, 1e-9);
-  }
-}
-
 }  // namespace
 }  // namespace kdash::core
