@@ -20,8 +20,8 @@ namespace {
 // geography, collaboration groups, trust clusters. Plain power-law
 // generators do not have it, so without composition the cluster/hybrid
 // reorderings would (correctly but unrepresentatively) degenerate: almost
-// every node would carry a cross-partition edge and be exiled to the
-// border partition.
+// every node would carry a cross-partition edge, and the border partition
+// that covers those edges would hold most of the graph.
 template <typename MakeBlock>
 graph::Graph ComposeCommunities(NodeId num_nodes, NodeId num_blocks,
                                 double cross_fraction, bool undirected_cross,

@@ -20,7 +20,8 @@ enum class Method {
   kIdentity,  // keep input order (control)
   kRandom,    // uniform random order (control; the paper's "Random")
   kDegree,    // Algorithm 1: ascending total degree
-  kCluster,   // Algorithm 2: Louvain partitions, border partition last
+  kCluster,   // Algorithm 2: Louvain partitions, border partition last; the
+              // border covers each cut edge with one endpoint, not both
   kHybrid,    // Algorithm 3: cluster, then ascending degree inside partitions
 };
 
@@ -33,9 +34,11 @@ struct Reordering {
   std::vector<NodeId> old_of_new;
 
   // For kCluster/kHybrid: partition label per ORIGINAL node id; labels
-  // 0..num_partitions-1 are Louvain partitions (cross-partition nodes have
-  // been re-homed), label num_partitions is the border partition κ+1.
-  // Empty for the other methods.
+  // 0..num_partitions-1 are Louvain partitions, label num_partitions is the
+  // border partition κ+1. The border is a vertex cover of the cut: every
+  // cross-partition edge has at least one endpoint in it (the endpoint
+  // with more cross-partition edges, the smaller id on a tie), where the
+  // paper's Algorithm 2 moves both. Empty for the other methods.
   std::vector<NodeId> partition_of_node;
   NodeId num_partitions = 0;  // κ (border partition not counted)
 };

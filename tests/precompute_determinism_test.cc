@@ -74,8 +74,9 @@ TEST(PrecomputeDeterminismTest, IndexBytesIdenticalAcrossThreadCounts) {
 TEST(PrecomputeDeterminismTest, IndexBytesIdenticalWithDenseLuTail) {
   // A graph whose LU switches to its dense tail: the tiled, pool-driven
   // part of the factorization must not leak the thread count into the
-  // index either.
-  const auto g = datasets::MakeDataset(datasets::DatasetId::kSocial, 0.1).graph;
+  // index either. Social at scale 0.2 starts its tail at column 1096 of
+  // 1200; at 0.1 its border is too small to reach one.
+  const auto g = datasets::MakeDataset(datasets::DatasetId::kSocial, 0.2).graph;
   KDashOptions options;
   options.num_threads = 1;
   const auto order = reorder::ComputeReordering(

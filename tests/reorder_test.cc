@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/generators.h"
+#include "reorder/louvain.h"
 #include "sparse/permute.h"
 #include "test_util.h"
 
@@ -72,6 +75,69 @@ TEST(ReorderTest, ClusterProducesDoublyBorderedBlockDiagonal) {
       const NodeId pv = r.partition_of_node[static_cast<std::size_t>(nb.node)];
       if (pu != border && pv != border) {
         EXPECT_EQ(pu, pv) << "cross-partition edge " << u << "→" << nb.node;
+      }
+    }
+  }
+}
+
+// The border covers the cut: every edge between two Louvain communities
+// keeps at least one endpoint in the border, and only nodes on such an edge
+// enter it, so the border is a subset of the paper's both-ends border.
+TEST(ReorderTest, ClusterBorderIsACoverOfTheCut) {
+  constexpr std::uint64_t kSeed = 5;
+  Rng rng(11);
+  struct Case {
+    const char* name;
+    graph::Graph graph;
+    bool planted;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"planted", graph::PlantedPartition(400, 6, 8.0, 0.6, false, rng), true});
+  cases.push_back({"random", test::RandomDirectedGraph(300, 1500, 17), false});
+  for (const Case& c : cases) {
+    const graph::Graph& g = c.graph;
+    LouvainOptions louvain_options;
+    louvain_options.seed = kSeed;
+    const std::vector<NodeId> community =
+        RunLouvain(g, louvain_options).community_of_node;
+    const auto crosses = [&](NodeId u, NodeId v) {
+      return community[static_cast<std::size_t>(u)] !=
+             community[static_cast<std::size_t>(v)];
+    };
+    for (const Method method : {Method::kCluster, Method::kHybrid}) {
+      const Reordering r = ComputeReordering(g, method, kSeed);
+      const NodeId border = r.num_partitions;
+      const auto in_border = [&](NodeId u) {
+        return r.partition_of_node[static_cast<std::size_t>(u)] == border;
+      };
+      std::size_t border_size = 0;
+      std::size_t both_ends_size = 0;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        bool on_cut = false;
+        for (const graph::Neighbor& nb : g.OutNeighbors(u)) {
+          if (!crosses(u, nb.node)) continue;
+          on_cut = true;
+          EXPECT_TRUE(in_border(u) || in_border(nb.node))
+              << c.name << ": uncovered cut edge " << u << "→" << nb.node;
+        }
+        for (const graph::Neighbor& nb : g.InNeighbors(u)) {
+          on_cut = on_cut || crosses(u, nb.node);
+        }
+        if (in_border(u)) {
+          ++border_size;
+          EXPECT_TRUE(on_cut) << c.name << ": border node " << u
+                              << " has no cross-community edge";
+        } else {
+          EXPECT_EQ(r.partition_of_node[static_cast<std::size_t>(u)],
+                    community[static_cast<std::size_t>(u)])
+              << c.name << ": node " << u;
+        }
+        both_ends_size += on_cut;
+      }
+      EXPECT_GT(border_size, 0u) << c.name;
+      if (c.planted) {
+        EXPECT_LT(border_size, both_ends_size) << c.name;
       }
     }
   }
