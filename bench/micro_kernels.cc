@@ -119,7 +119,10 @@ lu::LuFactors InvertBenchFactors() {
 }
 
 void BM_TriangularInvert(benchmark::State& state) {
-  // The parallelized precompute stage, isolated: L⁻¹. Arg is the thread
+  // The parallelized precompute stage, isolated: L⁻¹, written row by row
+  // from backward solves on Lᵀ (in hybrid order a row stays inside its
+  // block unless it is a border row, O(b³) in all, where forward solves by
+  // column would each cross the dense border, O(n·b²)). Arg is the thread
   // count.
   const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
@@ -131,7 +134,9 @@ void BM_TriangularInvert(benchmark::State& state) {
 BENCHMARK(BM_TriangularInvert)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_TriangularInvertUpper(benchmark::State& state) {
-  // U⁻¹, the other half of the inverse stage. Arg is the thread count.
+  // U⁻¹ column by column: the same backward-substitution kernel as L⁻¹,
+  // written in the other orientation. The index builds U⁻¹ᵀ with that
+  // kernel too, as InvertLowerTriangular(Uᵀ). Arg is the thread count.
   const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -4,12 +4,16 @@
 //   1. node reordering (Section 4.2.2; hybrid by default),
 //   2. W = I - (1-c)A in the reordered space,
 //   3. sparse LU factorization W = LU,
-//   4. explicit sparse inverses L⁻¹ and U⁻¹, built CSC and then stored in
-//      head + run form (sparse/head_run_matrix.h): each column keeps a
-//      sparse head and one dense run, cut where the column takes the fewest
-//      bytes, and the CSC is freed. U⁻¹ is kept transposed, so row u of U⁻¹
-//      (the one proximity dot of Eq. 3) is one column — mostly one
-//      contiguous run,
+//   4. explicit sparse inverses L⁻¹ and U⁻¹ᵀ, both built in one
+//      elimination order (backward substitution, lu/triangular.h) and
+//      written row by row as CSC: row j of L⁻¹ solves Lᵀ y = e_j, and U⁻¹ᵀ
+//      is the same builder applied to Uᵀ. Rows rather than columns because
+//      in hybrid order the rows of L⁻¹ cost O(b³) and its columns O(n·b²)
+//      for a border of b nodes. Each is then stored in head + run form
+//      (sparse/head_run_matrix.h): each column keeps a sparse head and one
+//      dense run, cut where the column takes the fewest bytes, and the CSC
+//      is freed. U⁻¹ is kept transposed, so row u of U⁻¹ (the one proximity
+//      dot of Eq. 3) is one column — mostly one contiguous run,
 //   5. the estimator's precomputed values Amax, Amax(u), c′(u)
 //      (Section 4.3.1) in *original* node-id space.
 // The index also keeps an unweighted copy of the out-adjacency for the

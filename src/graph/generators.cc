@@ -20,29 +20,6 @@ std::uint64_t EdgeKey(NodeId u, NodeId v) {
 
 }  // namespace
 
-Graph ErdosRenyi(NodeId num_nodes, Index num_edges, bool directed, Rng& rng) {
-  KDASH_CHECK(num_nodes >= 2);
-  GraphBuilder builder(num_nodes);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(num_edges) * 2);
-  Index added = 0;
-  while (added < num_edges) {
-    const NodeId u = rng.NextNode(num_nodes);
-    const NodeId v = rng.NextNode(num_nodes);
-    if (u == v) continue;
-    const std::uint64_t key =
-        directed ? EdgeKey(u, v) : EdgeKey(std::min(u, v), std::max(u, v));
-    if (!seen.insert(key).second) continue;
-    if (directed) {
-      builder.AddEdge(u, v);
-    } else {
-      builder.AddUndirectedEdge(u, v);
-    }
-    ++added;
-  }
-  return std::move(builder).Build();
-}
-
 Graph BarabasiAlbert(NodeId num_nodes, NodeId edges_per_node, Rng& rng) {
   KDASH_CHECK(num_nodes > edges_per_node);
   KDASH_CHECK(edges_per_node >= 1);

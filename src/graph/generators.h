@@ -13,10 +13,6 @@
 
 namespace kdash::graph {
 
-// G(n, m) Erdős–Rényi: m distinct directed (or undirected) edges chosen
-// uniformly at random, no self-loops.
-Graph ErdosRenyi(NodeId num_nodes, Index num_edges, bool directed, Rng& rng);
-
 // Barabási–Albert preferential attachment. Each new node attaches
 // `edges_per_node` undirected edges to existing nodes with probability
 // proportional to their current degree. Produces the power-law degree

@@ -63,18 +63,6 @@ std::vector<Scalar> MatVec(const DenseMatrix& a, const std::vector<Scalar>& x) {
   return y;
 }
 
-std::vector<Scalar> TransposeMatVec(const DenseMatrix& a,
-                                    const std::vector<Scalar>& x) {
-  KDASH_CHECK_EQ(x.size(), static_cast<std::size_t>(a.rows()));
-  std::vector<Scalar> y(static_cast<std::size_t>(a.cols()), 0.0);
-  for (int i = 0; i < a.rows(); ++i) {
-    const Scalar xi = x[static_cast<std::size_t>(i)];
-    if (xi == 0.0) continue;
-    for (int j = 0; j < a.cols(); ++j) y[static_cast<std::size_t>(j)] += a(i, j) * xi;
-  }
-  return y;
-}
-
 DenseMatrix SparseDenseMatMul(const sparse::CscMatrix& s, const DenseMatrix& x) {
   KDASH_CHECK_EQ(s.cols(), x.rows());
   DenseMatrix y(s.rows(), x.cols());

@@ -61,10 +61,6 @@ DenseMatrix TransposeMatMul(const DenseMatrix& a, const DenseMatrix& b);
 // y = A · x.
 std::vector<Scalar> MatVec(const DenseMatrix& a, const std::vector<Scalar>& x);
 
-// y = Aᵀ · x.
-std::vector<Scalar> TransposeMatVec(const DenseMatrix& a,
-                                    const std::vector<Scalar>& x);
-
 // Y = S · X where S is sparse CSC (rows n) and X is dense (n × k).
 DenseMatrix SparseDenseMatMul(const sparse::CscMatrix& s, const DenseMatrix& x);
 

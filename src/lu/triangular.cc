@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ranges>
 #include <utility>
 
 #include "common/check.h"
@@ -45,40 +46,41 @@ void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b) {
 
 namespace {
 
-// Inverse columns computed per pass of the blocked kernel. A touched row owns
-// 16 contiguous accumulators (128 bytes), one per column of the block.
+// Solves computed per pass of the blocked kernel. A touched row owns 16
+// contiguous accumulators (128 bytes), one per solve of the block.
 constexpr NodeId kBlockWidth = 16;
 constexpr NodeId kNoSlot = -1;
 
-// Explicit inverse builder.
+// Explicit inverse builder: backward substitution on an upper triangular T.
 //
-// For the lower case, column j of L⁻¹ solves L x = e_j; the nonzero pattern
-// is the set of nodes reachable from j in the DAG "k → rows below the
-// diagonal of L(:, k)", and processing discovered nodes in ascending row
-// order is a valid elimination order for a lower triangular matrix (all
-// updates flow strictly downward). The upper case is the mirror image.
+// Solve j is T x = e_j, i.e. column j of T⁻¹. Its nonzero pattern is the set
+// of nodes reachable from j in the DAG "k → rows above the diagonal of
+// T(:, k)", and processing discovered nodes in descending row order is a
+// valid elimination order (all updates flow strictly upward). Each solved
+// column is written either as column j of the output (T⁻¹) or as row j
+// (T⁻¹ᵀ); nothing else depends on the orientation.
 //
-// Columns are computed in aligned blocks of kBlockWidth, solved together
-// over the union of their patterns: each factor column is streamed once per
-// block and updates all lanes with a branch-free loop. For every column the
-// nonzero updates arrive in the same elimination order as in
-// SolveLowerInPlace / SolveUpperInPlace; a lane whose x_k is zero subtracts
-// ±0, which leaves every nonzero value unchanged, and zeros (including
-// cancelled values) are dropped at gather, so the result is the exact
-// inverse. Neighbouring columns of a factor with a dense tail (the hybrid
-// reorder's border) share most of their patterns, so each tail column is
+// Solves are computed in aligned blocks of kBlockWidth, together over the
+// union of their patterns: each column of T is streamed once per block and
+// updates all lanes with a branch-free loop. For every solve the nonzero
+// updates arrive in the same elimination order as in SolveUpperInPlace; a
+// lane whose x_k is zero subtracts ±0, which leaves every nonzero value
+// unchanged, and zeros (including cancelled values) are dropped at gather,
+// so the result is the exact inverse. Neighbouring solves that reach the
+// same dense tail of T share most of their patterns, so each tail column is
 // read once per block instead of up to 16 times.
 //
 // Build() farms out fixed chunks of whole blocks to a thread pool (a pool of
 // 1 runs them inline); each worker owns a workspace and appends its chunk's
-// columns to a per-chunk buffer. Assembly is two passes: per-column nnz
-// counts become exact offsets via a prefix sum, then chunks are copied into
-// the final arrays in parallel. Every column's output depends only on the
-// column, so the result is bit-identical for any thread count.
+// solves to a per-chunk buffer. One sequential assembly loop then visits
+// the solves in ascending j, first to count each output column's entries
+// and then to place them, so every output column comes out in ascending
+// row order. Every solve depends only on j, so the result is bit-identical
+// for any thread count.
 class TriangularInverter {
  public:
-  TriangularInverter(const sparse::CscMatrix& matrix, bool lower)
-      : m_(matrix), lower_(lower) {
+  TriangularInverter(const sparse::CscMatrix& upper, bool write_rows)
+      : m_(upper), write_rows_(write_rows) {
     KDASH_CHECK_EQ(m_.rows(), m_.cols());
   }
 
@@ -95,39 +97,17 @@ class TriangularInverter {
     std::vector<NodeId> slot;
     std::vector<Scalar> acc;
     std::vector<NodeId> pattern;
+    // Max-heap worklist: every row enters once, and rows leave it in
+    // descending order, the elimination order.
     std::vector<NodeId> heap;
   };
 
-  // Min-heap worklist keyed in elimination order: ascending rows for the
-  // lower case, descending for the upper case (keys are mirrored so one
-  // min-heap serves both). Every row enters the heap once, and rows leave
-  // it strictly in elimination order.
-  NodeId HeapKey(NodeId row) const {
-    return lower_ ? row : static_cast<NodeId>(m_.rows() - 1 - row);
-  }
-  static bool HeapAfter(NodeId a, NodeId b) { return a > b; }
-  void HeapPush(std::vector<NodeId>& heap, NodeId row) const {
-    heap.push_back(HeapKey(row));
-    std::push_heap(heap.begin(), heap.end(), HeapAfter);
-  }
-  NodeId HeapPop(std::vector<NodeId>& heap) const {
-    std::pop_heap(heap.begin(), heap.end(), HeapAfter);
-    const NodeId row = HeapKey(heap.back());  // the key map is an involution
-    heap.pop_back();
-    return row;
-  }
-
-  // Puts a pattern popped in elimination order into ascending row order.
-  void IntoAscendingRows(std::vector<NodeId>& pattern) const {
-    if (!lower_) std::reverse(pattern.begin(), pattern.end());
-  }
-
-  // Computes columns [j0, j0 + width) in one pass over the union of their
-  // patterns, appends them column after column to rows/vals and stores
-  // their kept nnz in col_nnz[j + 1].
+  // Solves j ∈ [j0, j0 + width) in one pass over the union of their
+  // patterns, appends them solve after solve (ascending rows) to rows/vals
+  // and stores their kept nnz in solve_nnz[j].
   void ComputeBlock(NodeId j0, NodeId width, Workspace& ws,
                     std::vector<NodeId>& rows, std::vector<Scalar>& vals,
-                    std::vector<Index>& col_nnz) const {
+                    std::vector<Index>& solve_nnz) const {
     std::vector<NodeId>& slot = ws.slot;
     std::vector<Scalar>& acc = ws.acc;
     std::vector<NodeId>& pattern = ws.pattern;
@@ -142,21 +122,24 @@ class TriangularInverter {
       if (s == kNoSlot) {
         s = static_cast<NodeId>(acc.size() / kBlockWidth);
         acc.resize(acc.size() + kBlockWidth, 0.0);
-        HeapPush(heap, i);
+        heap.push_back(i);
+        std::push_heap(heap.begin(), heap.end());
       }
       return acc.data() + static_cast<std::size_t>(s) * kBlockWidth;
     };
     for (NodeId lane = 0; lane < width; ++lane) lanes_of(j0 + lane)[lane] = 1.0;
 
     while (!heap.empty()) {
-      const NodeId k = HeapPop(heap);
+      std::pop_heap(heap.begin(), heap.end());
+      const NodeId k = heap.back();
+      heap.pop_back();
       pattern.push_back(k);
 
       const Index begin = m_.ColBegin(k);
       const Index end = m_.ColEnd(k);
-      const Index diag_pos = lower_ ? begin : end - 1;
-      KDASH_DCHECK(m_.RowIndex(diag_pos) == k) << "missing diagonal";
-      const Scalar diag = m_.Value(diag_pos);
+      KDASH_DCHECK(begin < end && m_.RowIndex(end - 1) == k)
+          << "missing diagonal";
+      const Scalar diag = m_.Value(end - 1);
       Scalar* const lanes_k = lanes_of(k);
       // Separate lane loops: fused, GCC keeps x_k in scalar registers and
       // leaves the update loop below unvectorized.
@@ -168,9 +151,7 @@ class TriangularInverter {
         lanes_k[lane] = xk[lane];
       }
 
-      const Index lo = lower_ ? begin + 1 : begin;
-      const Index hi = lower_ ? end : end - 1;
-      for (Index t = lo; t < hi; ++t) {
+      for (Index t = begin; t < end - 1; ++t) {
         Scalar* const lanes_i = lanes_of(m_.RowIndex(t));
         const Scalar v = m_.Value(t);
         for (NodeId lane = 0; lane < kBlockWidth; ++lane) {
@@ -179,12 +160,11 @@ class TriangularInverter {
       }
     }
 
-    // Gather: split the block back into columns (ascending rows).
-    IntoAscendingRows(pattern);
+    // Gather: split the block back into solves. The pattern was popped in
+    // descending order, so walking it backwards gives ascending rows.
     for (NodeId lane = 0; lane < width; ++lane) {
-      const NodeId j = j0 + lane;
       Index kept = 0;
-      for (const NodeId i : pattern) {
+      for (const NodeId i : std::views::reverse(pattern)) {
         const Scalar xi =
             acc[static_cast<std::size_t>(slot[static_cast<std::size_t>(i)]) *
                     kBlockWidth +
@@ -194,14 +174,9 @@ class TriangularInverter {
         vals.push_back(xi);
         ++kept;
       }
-      col_nnz[static_cast<std::size_t>(j) + 1] = kept;
+      solve_nnz[static_cast<std::size_t>(j0 + lane)] = kept;
     }
     for (const NodeId i : pattern) slot[static_cast<std::size_t>(i)] = kNoSlot;
-  }
-
-  // Turns per-column counts in ptr[j + 1] into column offsets.
-  static void PrefixSum(std::vector<Index>& ptr) {
-    for (std::size_t j = 1; j < ptr.size(); ++j) ptr[j] += ptr[j - 1];
   }
 
   sparse::CscMatrix BuildParallel(ThreadPool& pool) {
@@ -209,7 +184,7 @@ class TriangularInverter {
     const NodeId n = m_.rows();
     // Fixed chunks of whole blocks: small enough for load balance under the
     // dynamic scheduler, large enough to amortize the per-chunk buffers.
-    // Boundaries do not affect the output (columns are independent), only
+    // Boundaries do not affect the output (solves are independent), only
     // performance.
     const Index grain =
         kBlockWidth *
@@ -223,11 +198,10 @@ class TriangularInverter {
       std::vector<Scalar> vals;
     };
     std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
-    std::vector<Index> ptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<Index> solve_nnz(static_cast<std::size_t>(n), 0);
     std::vector<Workspace> workspaces(static_cast<std::size_t>(num_threads));
 
-    // Pass 1 (parallel): compute every column into its chunk's buffer and
-    // record per-column nnz counts in ptr[j + 1].
+    // Solve every column into its chunk's buffer (parallel).
     pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
       Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
       if (ws.slot.empty()) ws.slot.assign(static_cast<std::size_t>(n), kNoSlot);
@@ -238,28 +212,51 @@ class TriangularInverter {
             static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain));
         for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
           ComputeBlock(j0, std::min<NodeId>(kBlockWidth, end - j0), ws,
-                       chunk.rows, chunk.vals, ptr);
+                       chunk.rows, chunk.vals, solve_nnz);
         }
       }
     });
 
-    // Pass 2a (sequential): per-column counts → exact offsets.
-    PrefixSum(ptr);
+    // The assembly loop: visits every entry (i, x) of solve j, in ascending
+    // j and then ascending i, as visit(column, row, x) of the output.
+    const auto for_each_entry = [&](const auto& visit) {
+      for (Index c = 0; c < num_chunks; ++c) {
+        const Chunk& chunk = chunks[static_cast<std::size_t>(c)];
+        std::size_t t = 0;
+        const auto end =
+            static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain));
+        for (auto j = static_cast<NodeId>(c * grain); j < end; ++j) {
+          const std::size_t solve_end =
+              t + static_cast<std::size_t>(
+                      solve_nnz[static_cast<std::size_t>(j)]);
+          for (; t < solve_end; ++t) {
+            const NodeId i = chunk.rows[t];
+            if (write_rows_) {
+              visit(i, j, chunk.vals[t]);
+            } else {
+              visit(j, i, chunk.vals[t]);
+            }
+          }
+        }
+      }
+    };
 
-    // Pass 2b (parallel): copy each chunk to its exact position. A chunk's
-    // first column starts at ptr[chunk's first column].
+    // Count each output column's entries, turn the counts into offsets,
+    // then place every entry at its column's cursor.
+    std::vector<Index> ptr(static_cast<std::size_t>(n) + 1, 0);
+    for_each_entry([&](NodeId col, NodeId, Scalar) {
+      ++ptr[static_cast<std::size_t>(col) + 1];
+    });
+    for (std::size_t col = 1; col < ptr.size(); ++col) ptr[col] += ptr[col - 1];
     const Index total_nnz = ptr[static_cast<std::size_t>(n)];
     std::vector<NodeId> rows(static_cast<std::size_t>(total_nnz));
     std::vector<Scalar> vals(static_cast<std::size_t>(total_nnz));
-    pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int) {
-      for (Index c = c_begin; c < c_end; ++c) {
-        const Chunk& chunk = chunks[static_cast<std::size_t>(c)];
-        const Index offset = ptr[static_cast<std::size_t>(c * grain)];
-        std::copy(chunk.rows.begin(), chunk.rows.end(),
-                  rows.begin() + static_cast<std::ptrdiff_t>(offset));
-        std::copy(chunk.vals.begin(), chunk.vals.end(),
-                  vals.begin() + static_cast<std::ptrdiff_t>(offset));
-      }
+    std::vector<Index> cursor(ptr.begin(), ptr.end() - 1);
+    for_each_entry([&](NodeId col, NodeId row, Scalar x) {
+      const auto dst =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(col)]++);
+      rows[dst] = row;
+      vals[dst] = x;
     });
 
     return sparse::CscMatrix(n, n, std::move(ptr), std::move(rows),
@@ -267,19 +264,22 @@ class TriangularInverter {
   }
 
   const sparse::CscMatrix& m_;
-  bool lower_;
+  bool write_rows_;
 };
 
 }  // namespace
 
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                         int num_threads) {
-  return TriangularInverter(lower, /*lower=*/true).Build(num_threads);
+  // Row j of L⁻¹ is the solve of Lᵀ y = e_j: column j of (Lᵀ)⁻¹, written as
+  // row j.
+  const sparse::CscMatrix lower_t = lower.Transposed();
+  return TriangularInverter(lower_t, /*write_rows=*/true).Build(num_threads);
 }
 
 sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                         int num_threads) {
-  return TriangularInverter(upper, /*lower=*/false).Build(num_threads);
+  return TriangularInverter(upper, /*write_rows=*/false).Build(num_threads);
 }
 
 }  // namespace kdash::lu

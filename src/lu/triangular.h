@@ -7,20 +7,29 @@
 //   * dense forward/backward substitution (reference + tests),
 //   * the exact explicit inverse builders.
 //
-// Column j of an inverse is the sparse solve of L x = e_j (U x = e_j), at a
-// cost proportional to its nonzeros, and it equals SolveLowerInPlace
-// (SolveUpperInPlace) applied to e_j bit for bit. The builders solve blocks
-// of 16 consecutive columns in one pass over the union of their patterns,
-// so neighbouring columns that reach the same dense tail of the factor (the
-// hybrid reorder's border) read each factor column once per block instead
-// of once per column. Each column's nonzero updates are applied in the
-// same order as in the dense solve, so the blocking does not change a bit.
+// Both builders run one elimination order: backward substitution on an
+// upper triangular T, where solve j is T x = e_j at a cost proportional to
+// its nonzeros, bit for bit SolveUpperInPlace applied to e_j. The solved
+// column is written either as an output column or as an output row:
+//   * InvertUpperTriangular(U) writes solve j as column j of U⁻¹;
+//   * InvertLowerTriangular(X) solves on Xᵀ and writes solve j as row j,
+//     which is row j of X⁻¹ because (Xᵀ)⁻¹ = X⁻¹ᵀ. The index stores U⁻¹
+//     transposed, so it calls InvertLowerTriangular(Uᵀ) for that too.
+// The orientation decides the cost. In hybrid order the factors end in a
+// dense border of b nodes. Every column of L⁻¹ reaches the border, so
+// forward substitution column by column costs O(n·b²); a row of L⁻¹,
+// solved backward on Lᵀ, stays inside its own block unless it is a border
+// row, which costs O(b³) over all border rows.
 //
-// Blocks are computed on a thread pool into per-chunk buffers and then
-// assembled into one CSC matrix with a two-pass scheme (per-column nnz
-// counts → exact offsets → parallel fill). One thread runs the same chunks
-// inline. Every column's values depend only on the column, so the output
-// is identical at every thread count.
+// The builders solve blocks of 16 consecutive j in one pass over the union
+// of their patterns, so neighbouring solves that reach the same dense tail
+// of T read each of its columns once per block instead of once per solve.
+// Each solve's nonzero updates are applied in the same order as in the
+// dense solve, so the blocking does not change a bit. Blocks are computed
+// on a thread pool into per-chunk buffers (one thread runs the same chunks
+// inline); one sequential loop then counts and places the entries in the
+// output orientation. Every solve depends only on j, so the output is
+// identical at every thread count.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 
@@ -39,16 +48,16 @@ void SolveLowerInPlace(const sparse::CscMatrix& lower, std::vector<Scalar>& b);
 // triangular CSC with the diagonal stored last in each column.
 void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 
-// Explicit inverse of a lower triangular matrix: column j is
-// SolveLowerInPlace(e_j), computed in blocks of columns, keeping every
-// numerically nonzero entry (exact). num_threads picks the pool as
-// SelectPool (common/parallel.h) does; 1 runs inline on the caller. The
-// output is identical for every thread count.
+// Explicit inverse of a lower triangular matrix: row j is
+// SolveUpperInPlace(lowerᵀ, e_j), keeping every numerically nonzero entry
+// (exact). num_threads picks the pool as SelectPool (common/parallel.h)
+// does; 1 runs inline on the caller. The output is identical for every
+// thread count.
 sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                         int num_threads = 0);
 
 // Explicit inverse of an upper triangular matrix: column j is
-// SolveUpperInPlace(e_j); otherwise as InvertLowerTriangular.
+// SolveUpperInPlace(upper, e_j); otherwise as InvertLowerTriangular.
 sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                         int num_threads = 0);
 

@@ -47,22 +47,6 @@ void CscMatrix::MultiplyVector(const std::vector<Scalar>& x,
   }
 }
 
-void CscMatrix::MultiplyTransposeVector(const std::vector<Scalar>& x,
-                                        std::vector<Scalar>& y, Scalar alpha,
-                                        Scalar beta) const {
-  KDASH_CHECK_EQ(x.size(), static_cast<std::size_t>(rows_));
-  y.resize(static_cast<std::size_t>(cols_), 0.0);
-  for (NodeId col = 0; col < cols_; ++col) {
-    Scalar acc = 0.0;
-    const Index end = ColEnd(col);
-    for (Index k = ColBegin(col); k < end; ++k) {
-      acc += Value(k) * x[static_cast<std::size_t>(RowIndex(k))];
-    }
-    auto& slot = y[static_cast<std::size_t>(col)];
-    slot = alpha * acc + (beta == 0.0 ? 0.0 : beta * slot);
-  }
-}
-
 Scalar CscMatrix::MaxValue() const {
   Scalar best = 0.0;
   for (const Scalar v : values_) best = std::max(best, v);
@@ -92,9 +76,7 @@ std::vector<Scalar> CscMatrix::Diagonal() const {
 namespace {
 
 // Converts (outer_ptr, inner_idx, values) compressed storage into the
-// transposed compression: the kernel of Transposed(), which is also how the
-// index turns U⁻¹ into the CSC of its transpose (the row-major layout of U⁻¹
-// that per-node proximities read).
+// transposed compression: the kernel of Transposed().
 void SwapCompression(NodeId outer_count, NodeId inner_count,
                      const std::vector<Index>& outer_ptr,
                      const std::vector<NodeId>& inner_idx,

@@ -57,11 +57,6 @@ class CscMatrix {
   void MultiplyVector(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                       Scalar alpha = 1.0, Scalar beta = 0.0) const;
 
-  // y = alpha * Aᵀ * x + beta * y.
-  void MultiplyTransposeVector(const std::vector<Scalar>& x,
-                               std::vector<Scalar>& y, Scalar alpha = 1.0,
-                               Scalar beta = 0.0) const;
-
   // Largest value in the matrix (0 for an empty matrix). The paper's Amax.
   Scalar MaxValue() const;
 

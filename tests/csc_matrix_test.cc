@@ -66,17 +66,6 @@ TEST(CscMatrixTest, MultiplyVectorAlphaBeta) {
   EXPECT_DOUBLE_EQ(y[2], 10.0 + 2.0 * 9.0);
 }
 
-TEST(CscMatrixTest, MultiplyTransposeVector) {
-  const CscMatrix m = Example3x3();
-  std::vector<Scalar> x{1.0, 2.0, 3.0};
-  std::vector<Scalar> y;
-  m.MultiplyTransposeVector(x, y);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 1.0 * 1 + 4.0 * 3);
-  EXPECT_DOUBLE_EQ(y[1], 3.0 * 2);
-  EXPECT_DOUBLE_EQ(y[2], 2.0 * 1 + 5.0 * 3);
-}
-
 TEST(CscMatrixTest, MaxValueAndColumnMax) {
   const CscMatrix m = Example3x3();
   EXPECT_DOUBLE_EQ(m.MaxValue(), 5.0);

@@ -11,28 +11,6 @@
 namespace kdash::graph {
 namespace {
 
-TEST(GeneratorsTest, ErdosRenyiDirectedEdgeCount) {
-  Rng rng(1);
-  const Graph g = ErdosRenyi(100, 300, /*directed=*/true, rng);
-  EXPECT_EQ(g.num_nodes(), 100);
-  EXPECT_EQ(g.num_edges(), 300);
-}
-
-TEST(GeneratorsTest, ErdosRenyiUndirectedIsSymmetric) {
-  Rng rng(2);
-  const Graph g = ErdosRenyi(80, 200, /*directed=*/false, rng);
-  EXPECT_EQ(g.num_edges(), 400);  // both directions
-  EXPECT_TRUE(g.IsSymmetric());
-}
-
-TEST(GeneratorsTest, ErdosRenyiNoSelfLoops) {
-  Rng rng(3);
-  const Graph g = ErdosRenyi(50, 150, true, rng);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const Neighbor& nb : g.OutNeighbors(u)) EXPECT_NE(nb.node, u);
-  }
-}
-
 TEST(GeneratorsTest, GeneratorsAreDeterministic) {
   Rng rng_a(7), rng_b(7);
   const Graph a = BarabasiAlbert(200, 3, rng_a);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -114,21 +115,18 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
   EXPECT_LT(test::MaxAbsDiff(product, linalg::DenseMatrix::Identity(n)), 1e-11);
 }
 
-// The oracle for the inverse builders: column j of L⁻¹ (U⁻¹) is the dense
-// solve of L x = e_j (U x = e_j), bit for bit, with exact zeros dropped.
-// Returns the number of columns that differ.
-NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
-                                      const CscMatrix& inverse, bool lower) {
-  const NodeId n = factor.cols();
+// The oracle for the inverse builders, which both run backward
+// substitution: column j of `inverse` is the dense solve of
+// upper x = e_j, bit for bit, with exact zeros dropped. Returns the number
+// of columns that differ.
+NodeId ColumnsDifferingFromBackwardSolve(const CscMatrix& upper,
+                                         const CscMatrix& inverse) {
+  const NodeId n = upper.cols();
   NodeId differing = 0;
   for (NodeId j = 0; j < n; ++j) {
     std::vector<Scalar> x(static_cast<std::size_t>(n), 0.0);
     x[static_cast<std::size_t>(j)] = 1.0;
-    if (lower) {
-      SolveLowerInPlace(factor, x);
-    } else {
-      SolveUpperInPlace(factor, x);
-    }
+    SolveUpperInPlace(upper, x);
     std::vector<NodeId> want_rows;
     std::vector<Scalar> want_vals;
     for (NodeId i = 0; i < n; ++i) {
@@ -152,33 +150,28 @@ NodeId ColumnsDifferingFromDenseSolve(const CscMatrix& factor,
   return differing;
 }
 
-void ExpectInversesMatchDenseSolve(const LuFactors& factors,
-                                   const std::string& label) {
-  for (const int threads : {1, 3}) {
-    const CscMatrix l_inv = InvertLowerTriangular(factors.lower, threads);
-    EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.lower, l_inv, true), 0)
-        << label << " L, threads=" << threads;
-    const CscMatrix u_inv = InvertUpperTriangular(factors.upper, threads);
-    EXPECT_EQ(ColumnsDifferingFromDenseSolve(factors.upper, u_inv, false), 0)
-        << label << " U, threads=" << threads;
-  }
+bool BitIdentical(const CscMatrix& a, const CscMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         a.col_ptr() == b.col_ptr() && a.row_idx() == b.row_idx() &&
+         a.values().size() == b.values().size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size() * sizeof(Scalar)) == 0;
 }
 
-TEST(TriangularInverseOracleTest, ColumnsEqualDenseSolvesAroundBlockSizes) {
-  // Around the 16-column block: one partial block, exactly one, one plus a
-  // column, and two plus a partial third.
+// The oracle's inputs. Random factors around the 16-solve block (one
+// partial block, exactly one, one plus a solve, and two plus a partial
+// third), then hybrid-reordered factors as the index builds them: Social's
+// border gives the factors a dense tail shared by neighbouring solves,
+// while Email's factors stay so sparse that neighbouring solves barely
+// overlap.
+std::vector<std::pair<std::string, LuFactors>> OracleInputs() {
+  std::vector<std::pair<std::string, LuFactors>> inputs;
   for (const NodeId n : {1, 15, 16, 17, 35}) {
-    ExpectInversesMatchDenseSolve(
+    inputs.emplace_back(
+        "n=" + std::to_string(n),
         FactorsOfRandomRwr(n, n > 1 ? static_cast<Index>(6 * n) : 0, 0.9,
-                           static_cast<std::uint64_t>(60 + n)),
-        "n=" + std::to_string(n));
+                           static_cast<std::uint64_t>(60 + n)));
   }
-}
-
-TEST(TriangularInverseOracleTest, ColumnsEqualDenseSolvesOnReorderedDatasets) {
-  // Hybrid-reordered factors as the index builds them: Social's border
-  // gives L⁻¹ a dense tail shared by neighbouring columns, while Email's
-  // factors stay so sparse that neighbouring columns barely overlap.
   for (const datasets::DatasetId id :
        {datasets::DatasetId::kSocial, datasets::DatasetId::kEmail}) {
     const datasets::Dataset data = datasets::MakeDataset(id, 0.1);
@@ -186,8 +179,40 @@ TEST(TriangularInverseOracleTest, ColumnsEqualDenseSolvesOnReorderedDatasets) {
         reorder::ComputeReordering(data.graph, reorder::Method::kHybrid);
     const CscMatrix a = sparse::PermuteSymmetric(
         data.graph.NormalizedAdjacency(), order.new_of_old);
-    ExpectInversesMatchDenseSolve(FactorizeLu(BuildRwrSystemMatrix(a, 0.95)),
-                                  data.name);
+    inputs.emplace_back(data.name,
+                        FactorizeLu(BuildRwrSystemMatrix(a, 0.95)));
+  }
+  return inputs;
+}
+
+TEST(TriangularInverseOracleTest, InversesEqualBackwardSolves) {
+  // Row i of L⁻¹ is the backward solve of Lᵀ y = e_i, i.e. column i of
+  // L⁻¹ᵀ; column j of U⁻¹ is the backward solve of U x = e_j.
+  for (const auto& [label, factors] : OracleInputs()) {
+    const CscMatrix lower_t = factors.lower.Transposed();
+    for (const int threads : {1, 3}) {
+      const CscMatrix l_inv = InvertLowerTriangular(factors.lower, threads);
+      EXPECT_EQ(
+          ColumnsDifferingFromBackwardSolve(lower_t, l_inv.Transposed()), 0)
+          << label << " L rows, threads=" << threads;
+      const CscMatrix u_inv = InvertUpperTriangular(factors.upper, threads);
+      EXPECT_EQ(ColumnsDifferingFromBackwardSolve(factors.upper, u_inv), 0)
+          << label << " U columns, threads=" << threads;
+    }
+  }
+}
+
+TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
+  // The index stores U⁻¹ᵀ as InvertLowerTriangular(Uᵀ); it must be the
+  // transpose of InvertUpperTriangular(U) bit for bit.
+  for (const auto& [label, factors] : OracleInputs()) {
+    const CscMatrix upper_t = factors.upper.Transposed();
+    for (const int threads : {1, 3}) {
+      EXPECT_TRUE(BitIdentical(
+          InvertLowerTriangular(upper_t, threads),
+          InvertUpperTriangular(factors.upper, threads).Transposed()))
+          << label << ", threads=" << threads;
+    }
   }
 }
 
