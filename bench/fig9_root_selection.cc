@@ -26,13 +26,13 @@ void Run() {
 
     double query_root = 0.0, random_root = 0.0;
     for (const NodeId q : queries) {
-      Query query = Query::Single(q, 5);
+      const Query query = Query::Single(q, 5);
       query_root += static_cast<double>(
           searcher.Search(query).stats.proximity_computations);
 
-      query.root_override = rng.NextNode(dataset.graph.num_nodes());
+      const NodeId root = rng.NextNode(dataset.graph.num_nodes());
       random_root += static_cast<double>(
-          searcher.Search(query).stats.proximity_computations);
+          searcher.Search(query, root).stats.proximity_computations);
     }
     query_root /= static_cast<double>(queries.size());
     random_root /= static_cast<double>(queries.size());

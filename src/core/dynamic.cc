@@ -197,8 +197,6 @@ std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
 }
 
 SearchResult DynamicKDash::Search(const Query& query) {
-  KDASH_CHECK(query.root_override == kInvalidNode)
-      << "root_override needs a BFS tree; the updatable backend has none";
   const auto scores = Solve(query.sources);
   TopKHeap heap(query.k);
   if (query.exclude.empty()) {

@@ -68,8 +68,7 @@ class DynamicKDash {
   // Exact top-k for `query` under the current graph. Unreachable nodes
   // (proximity ~ 0) are not answers, as with the static searcher. The
   // solve is global (the correction touches every node), so the stats
-  // report a full scan, `use_pruning` is moot and `root_override` must be
-  // unset.
+  // report a full scan and `use_pruning` is moot.
   SearchResult Search(const Query& query);
 
   // Number of columns currently represented as a correction.

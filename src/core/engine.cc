@@ -109,7 +109,7 @@ Status ValidateNode(const char* what, NodeId node, NodeId num_nodes) {
   return Status::Ok();
 }
 
-Status ValidateQuery(const Query& query, NodeId num_nodes, bool updatable) {
+Status ValidateQuery(const Query& query, NodeId num_nodes) {
   if (query.k == 0) {
     return Status::InvalidArgument("query k must be >= 1");
   }
@@ -131,19 +131,6 @@ Status ValidateQuery(const Query& query, NodeId num_nodes, bool updatable) {
       return Status::InvalidArgument("duplicate excluded node " +
                                      std::to_string(*dup));
     }
-  }
-  if (query.root_override != kInvalidNode) {
-    if (updatable) {
-      return Status::Unimplemented(
-          "root_override is a static-engine BFS diagnostic; updatable "
-          "engines have no BFS tree");
-    }
-    if (query.sources.size() > 1) {
-      return Status::InvalidArgument(
-          "root_override requires a single-source query");
-    }
-    KDASH_RETURN_IF_ERROR(
-        ValidateNode("root_override", query.root_override, num_nodes));
   }
   return Status::Ok();
 }
@@ -243,8 +230,7 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
   results.reserve(queries.size());
   std::vector<std::size_t> valid;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    Status status = ValidateQuery(queries[i], impl_->num_nodes,
-                                  impl_->dynamic != nullptr);
+    Status status = ValidateQuery(queries[i], impl_->num_nodes);
     if (status.ok()) {
       results.emplace_back(SearchResult{});
       valid.push_back(i);

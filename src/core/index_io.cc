@@ -160,42 +160,6 @@ class Reader {
   std::uint64_t remaining_ = 0;
 };
 
-// Structural validation of compressed-sparse arrays before the matrix
-// constructors run (their Validate() aborts on violation — correct for
-// in-process construction bugs, wrong for untrusted file bytes).
-Status CheckCompressed(const char* what, NodeId minor_dim, NodeId major_dim,
-                       const std::vector<Index>& ptr,
-                       const std::vector<NodeId>& idx,
-                       const std::vector<Scalar>& values) {
-  const auto fail = [&](const std::string& detail) {
-    return Status::DataLoss(std::string("corrupt index stream: ") + what +
-                            " " + detail);
-  };
-  if (minor_dim < 0 || major_dim < 0) return fail("has negative dimensions");
-  if (ptr.size() != static_cast<std::size_t>(major_dim) + 1) {
-    return fail("pointer array has wrong length");
-  }
-  if (ptr.front() != 0 || ptr.back() != static_cast<Index>(idx.size()) ||
-      idx.size() != values.size()) {
-    return fail("pointer/index/value arrays disagree");
-  }
-  for (NodeId major = 0; major < major_dim; ++major) {
-    const Index begin = ptr[static_cast<std::size_t>(major)];
-    const Index end = ptr[static_cast<std::size_t>(major) + 1];
-    if (begin > end) return fail("has a non-monotone pointer array");
-    for (Index k = begin; k < end; ++k) {
-      const NodeId minor = idx[static_cast<std::size_t>(k)];
-      if (minor < 0 || minor >= minor_dim) {
-        return fail("has an out-of-range index");
-      }
-      if (k > begin && idx[static_cast<std::size_t>(k - 1)] >= minor) {
-        return fail("has unsorted or duplicate indices");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 // Reads an inverse saved as CSC and converts it to head + run form.
 // `section` names the matrix in a corrupt-stream error ("U⁻¹"). A stored
 // exact zero is refused: the builder never keeps one, and the run form
@@ -212,7 +176,11 @@ Result<sparse::HeadRunMatrix> ReadInverse(Reader& reader,
   KDASH_RETURN_IF_ERROR(reader.Vec(&ptr));
   KDASH_RETURN_IF_ERROR(reader.Vec(&idx));
   KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
-  KDASH_RETURN_IF_ERROR(CheckCompressed(section, rows, cols, ptr, idx, vals));
+  // Check the arrays before the CscMatrix constructor, whose checks abort:
+  // right for in-process bugs, wrong for untrusted file bytes.
+  KDASH_RETURN_IF_ERROR(sparse::CheckCscArrays(
+      std::string("corrupt index stream: ") + section, rows, cols, ptr, idx,
+      vals));
   if (std::find(vals.begin(), vals.end(), 0.0) != vals.end()) {
     return Status::DataLoss(std::string("corrupt index stream: ") + section +
                             " stores an exact zero");

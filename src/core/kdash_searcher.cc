@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "common/check.h"
 #include "common/top_k.h"
@@ -37,18 +38,17 @@ Scalar KDashSearcher::Proximity(NodeId u) const {
   return index_->restart_prob() * uinv_t.ColumnDot(reordered, y_);
 }
 
-void KDashSearcher::LoadQueryColumns(std::span<const NodeId> sources,
-                                     std::span<const Scalar> source_weights) {
+void KDashSearcher::LoadQueryColumns() {
   const sparse::HeadRunMatrix& linv = index_->lower_inverse();
-  const bool one_column = sources.size() == 1;
+  const bool one_column = sources_.size() == 1;
   y_rows_.clear();
   // The row range a multi-source query marked in in_support_.
   NodeId lo = index_->num_nodes();
   NodeId hi = 0;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
     const NodeId col =
-        index_->new_of_old()[static_cast<std::size_t>(sources[s])];
-    const Scalar weight = source_weights[s];
+        index_->new_of_old()[static_cast<std::size_t>(sources_[s])];
+    const Scalar weight = weights_[s];
     const std::span<const NodeId> head_rows = linv.HeadRows(col);
     const std::span<const Scalar> head_values = linv.HeadValues(col);
     const std::span<const Scalar> run = linv.Run(col);
@@ -100,54 +100,40 @@ void KDashSearcher::LoadQueryColumns(std::span<const NodeId> sources,
   y_rows_.resize(count);
 }
 
-SearchResult KDashSearcher::Search(const Query& query) {
+SearchResult KDashSearcher::Search(const Query& query, NodeId root) {
+  KDASH_CHECK(query.k > 0);
   KDASH_CHECK(!query.sources.empty());
-  if (query.sources.size() == 1) {
-    const NodeId source = query.sources.front();
-    KDASH_CHECK(source >= 0 && source < index_->num_nodes());
-    const NodeId root =
-        query.root_override == kInvalidNode ? source : query.root_override;
-    KDASH_CHECK(root >= 0 && root < index_->num_nodes());
-    const Scalar weight = 1.0;
-    return Run(query.sources, {&weight, 1}, {&root, 1}, query.k,
-               query.use_pruning, query.exclude);
-  }
+  KDASH_CHECK(root == kInvalidNode ||
+              (query.sources.size() == 1 && root >= 0 &&
+               root < index_->num_nodes()))
+      << "root " << root << " needs a single-source query and an id in range";
+
   // Counted dedup: a repeated source carries extra restart mass, so each
-  // unique source is weighted by multiplicity / |sources| — dropping the
-  // duplicates and renormalizing by 1/|unique| (the old behavior) silently
-  // rescaled the restart vector.
-  std::vector<NodeId> sorted = query.sources;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<NodeId> unique;
-  std::vector<Scalar> weights;
-  unique.reserve(sorted.size());
-  weights.reserve(sorted.size());
+  // unique source is weighted by multiplicity / |sources|. One source gets
+  // weight 1/1 = 1.0 exactly, so y holds its L⁻¹ column's own bits.
+  sources_.assign(query.sources.begin(), query.sources.end());
+  std::sort(sources_.begin(), sources_.end());
+  weights_.clear();
   const Scalar per_occurrence = 1.0 / static_cast<Scalar>(query.sources.size());
-  for (const NodeId s : sorted) {
+  std::size_t unique = 0;
+  for (const NodeId s : sources_) {
     KDASH_CHECK(s >= 0 && s < index_->num_nodes()) << "source " << s;
-    if (!unique.empty() && unique.back() == s) {
-      weights.back() += per_occurrence;
+    if (unique > 0 && sources_[unique - 1] == s) {
+      weights_.back() += per_occurrence;
     } else {
-      unique.push_back(s);
-      weights.push_back(per_occurrence);
+      sources_[unique++] = s;
+      weights_.push_back(per_occurrence);
     }
   }
-  // The roots are the sources.
-  return Run(unique, weights, unique, query.k, query.use_pruning,
-             query.exclude);
-}
-
-SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
-                                std::span<const Scalar> source_weights,
-                                std::span<const NodeId> roots, std::size_t k,
-                                bool use_pruning,
-                                std::span<const NodeId> exclude) {
-  KDASH_CHECK(k > 0);
-  KDASH_CHECK(sources.size() == source_weights.size());
+  sources_.resize(unique);
+  // The roots are the sources, unless the caller roots the tree elsewhere.
+  const std::span<const NodeId> roots =
+      root == kInvalidNode ? std::span<const NodeId>(sources_)
+                           : std::span<const NodeId>(&root, 1);
 
   // Mark the exclusion set (cleared at the end of the query).
   excluded_rows_.clear();
-  for (const NodeId node : exclude) {
+  for (const NodeId node : query.exclude) {
     KDASH_CHECK(node >= 0 && node < index_->num_nodes())
         << "excluded node " << node;
     if (!excluded_[static_cast<std::size_t>(node)]) {
@@ -158,7 +144,7 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
 
   // Step 1: y = L⁻¹ q — accumulate the inverse lower factor's columns,
   // one per source, scaled by the restart weight.
-  LoadQueryColumns(sources, source_weights);
+  LoadQueryColumns();
 
   // Steps 2–5: lazy breadth-first expansion from the roots interleaved
   // with the layer-ordered visit. The FIFO discipline makes pop order
@@ -167,12 +153,12 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
   // of the graph — per-query cost stays proportional to the visited
   // neighborhood rather than O(n + m).
   order_.clear();
-  for (const NodeId root : roots) {
-    layer_[static_cast<std::size_t>(root)] = 0;
-    order_.push_back(root);
+  for (const NodeId seed : roots) {
+    layer_[static_cast<std::size_t>(seed)] = 0;
+    order_.push_back(seed);
   }
 
-  TopKHeap heap(k);
+  TopKHeap heap(query.k);
   estimator_.Reset();
   SearchStats local_stats;
 
@@ -193,8 +179,8 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
     // One visit step (Algorithm 4). A layer-0 root has p̄ = 1 by Definition
     // 1 and is never estimated: θ starts at 0, scores are ≤ 1, and the
     // comparison is strict.
-    const bool root = head < roots.size();
-    if (use_pruning && !root &&
+    const bool is_root = head < roots.size();
+    if (query.use_pruning && !is_root &&
         estimator_.EstimateNext(u, layer_[static_cast<std::size_t>(u)]) <
             heap.Threshold()) {
       // Lemma 2: every remaining node's bound is ≤ this one; terminate.
@@ -208,9 +194,9 @@ SearchResult KDashSearcher::Run(std::span<const NodeId> sources,
       // Push keeps it only if it beats the current K-th.
       if (!excluded_[static_cast<std::size_t>(u)]) heap.Push(u, proximity);
     }
-    if (root) {
+    if (is_root) {
       estimator_.RecordQuery(u, proximity);
-    } else if (use_pruning) {
+    } else if (query.use_pruning) {
       estimator_.RecordSelected(u, proximity);
     }
 

@@ -21,7 +21,6 @@
 #define KDASH_CORE_KDASH_SEARCHER_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -45,32 +44,33 @@ class KDashSearcher {
   //     is a legal answer and, with proximity ≥ c, is in practice rank 1.
   //   - Several sources: the restart-set query. Exact, since Lemma 1
   //     carries over to a multi-source BFS tree with every source a
-  //     layer-0 root; `root_override` is ignored.
+  //     layer-0 root.
   //   - `exclude` is read in place, never copied, and may hold duplicates.
   //     Excluded nodes still feed the estimator; they only skip the heap.
-  // Aborts (KDASH_CHECK) on k = 0, an empty source set or an out-of-range
-  // id; Engine::Search validates first and returns a Status instead.
-  SearchResult Search(const Query& query);
+  //   - `root` is the Figure 9 diagnostic (Appendix D.1): it roots the BFS
+  //     tree of a single-source query at that node instead of the source.
+  //     The answer is then not guaranteed exact (Theorem 2 needs the
+  //     query-rooted tree); no serving path sets it.
+  // Aborts (KDASH_CHECK) on k = 0, an empty source set, an out-of-range
+  // id, or a `root` with several sources; Engine::Search validates first
+  // and returns a Status instead.
+  SearchResult Search(const Query& query, NodeId root = kInvalidNode);
 
  private:
-  // Shared engine. `source_weights[i]` (parallel to `sources`) scales
-  // source i's L⁻¹ column when building y; `roots` seed layer 0 of the BFS
-  // in visit order.
-  SearchResult Run(std::span<const NodeId> sources,
-                   std::span<const Scalar> source_weights,
-                   std::span<const NodeId> roots, std::size_t k,
-                   bool use_pruning, std::span<const NodeId> exclude);
-
-  // Step 1: y = Σ_s weight_s · L⁻¹(:, source_s), and y_rows_ = its
+  // Step 1: y = Σ_s weights_[s] · L⁻¹(:, sources_[s]), and y_rows_ = its
   // support.
-  void LoadQueryColumns(std::span<const NodeId> sources,
-                        std::span<const Scalar> source_weights);
+  void LoadQueryColumns();
 
   // Exact proximity of original node u using the loaded query column.
   Scalar Proximity(NodeId u) const;
 
   const KDashIndex* index_;
   ProximityEstimator estimator_;
+
+  // The query's deduplicated sources, sorted, and the restart weight of
+  // each (parallel to sources_).
+  std::vector<NodeId> sources_;
+  std::vector<Scalar> weights_;
 
   // Dense y = L⁻¹ q in reordered space. y_rows_ is y's support (the rows
   // of the sources' stored nonzeros), sorted ascending and duplicate-free —

@@ -49,12 +49,11 @@ struct Query {
   // nodes. Must be duplicate-free and in range.
   std::vector<NodeId> exclude;
 
-  // Diagnostics (Figure 7 / Figure 9 of the paper). `use_pruning = false`
-  // disables tree-estimation pruning; `root_override` roots the BFS tree
-  // at a non-query node (single-source static queries only — results are
-  // then not guaranteed exact).
+  // Diagnostic (Figure 7 of the paper): `use_pruning = false` disables
+  // tree-estimation pruning. The answer stays exact either way (Theorem
+  // 2); only the work counts move. Figure 9's inexact BFS-root diagnostic
+  // is not a query field but a core::KDashSearcher::Search argument.
   bool use_pruning = true;
-  NodeId root_override = kInvalidNode;
 
   // Absolute serving deadline. time_point::max() (the default) means none.
   // Like `trace`, the deadline never affects the answer and never

@@ -84,17 +84,6 @@ std::string DatasetName(DatasetId id) {
   return "Unknown";
 }
 
-PaperDatasetShape PaperShape(DatasetId id) {
-  switch (id) {
-    case DatasetId::kDictionary: return {13356, 120238, true, false};
-    case DatasetId::kInternet: return {22963, 48436, false, false};
-    case DatasetId::kCitation: return {31163, 120029, false, true};
-    case DatasetId::kSocial: return {131828, 841372, true, false};
-    case DatasetId::kEmail: return {265214, 420045, true, false};
-  }
-  return {};
-}
-
 Dataset MakeDataset(DatasetId id, double scale, std::uint64_t seed) {
   KDASH_CHECK(scale > 0.0);
   Rng rng(seed ^ (static_cast<std::uint64_t>(id) << 32));

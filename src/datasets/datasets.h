@@ -41,16 +41,6 @@ struct Dataset {
 Dataset MakeDataset(DatasetId id, double scale = 1.0,
                     std::uint64_t seed = 42);
 
-// Paper-reported sizes of the real datasets, for documentation and for the
-// `scale = 4.0` sanity checks.
-struct PaperDatasetShape {
-  NodeId num_nodes;
-  Index num_edges;
-  bool directed;
-  bool weighted;
-};
-PaperDatasetShape PaperShape(DatasetId id);
-
 }  // namespace kdash::datasets
 
 #endif  // KDASH_DATASETS_DATASETS_H_

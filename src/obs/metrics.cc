@@ -70,20 +70,6 @@ std::uint64_t Histogram::Quantile(double q) const {
   return BucketLowerBound(kNumBuckets - 1);  // unreachable
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  sum_stripes_[StripeIndex()].value.fetch_add(other.Sum(),
-                                              std::memory_order_relaxed);
-  const std::uint64_t other_max = other.Max();
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (other_max > prev && !max_.compare_exchange_weak(
-                                 prev, other_max, std::memory_order_relaxed)) {
-  }
-}
-
 void Histogram::AppendJsonFields(std::string* out) const {
   // One coherent pass over the buckets feeds count, quantiles, and the
   // bucket list alike, so a snapshot never contradicts itself (e.g. a p99

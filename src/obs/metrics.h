@@ -199,11 +199,6 @@ class Histogram {
   // empty). q in [0, 1].
   std::uint64_t Quantile(double q) const;
 
-  // Fold another histogram's samples into this one (layouts are fixed, so
-  // this is exact position-wise addition). Not atomic with respect to
-  // concurrent Record on `other`.
-  void MergeFrom(const Histogram& other);
-
   static int BucketIndex(std::uint64_t value) {
     if (value < kLinearLimit) return static_cast<int>(value);
     const int e = 63 - std::countl_zero(value);

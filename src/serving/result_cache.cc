@@ -9,9 +9,6 @@ namespace kdash::serving {
 int CompareQueries(const Query& a, const Query& b) {
   if (a.k != b.k) return a.k < b.k ? -1 : 1;
   if (a.use_pruning != b.use_pruning) return a.use_pruning ? -1 : 1;
-  if (a.root_override != b.root_override) {
-    return a.root_override < b.root_override ? -1 : 1;
-  }
   if (a.sources != b.sources) return a.sources < b.sources ? -1 : 1;
   if (a.exclude != b.exclude) return a.exclude < b.exclude ? -1 : 1;
   return 0;

@@ -9,9 +9,9 @@
 //
 // Semantics:
 //   - Keying. Entries are keyed on the same total order CompareQueries
-//     gives the coalescing sort — k, pruning, root override, sources,
-//     exclusions; `trace` is excluded — so a cache hit returns exactly what
-//     coalescing with the original request would have.
+//     gives the coalescing sort — k, pruning, sources, exclusions;
+//     `trace` is excluded — so a cache hit returns exactly what coalescing
+//     with the original request would have.
 //   - Eviction ("degree-weighted LRU"). At capacity the entry with the
 //     fewest hits goes first, ties broken least-recently-used. Under a
 //     degree-weighted stream an entry's hit count tracks its node's degree,

@@ -185,9 +185,6 @@ std::string FormatRequestLine(const Query& query) {
   }
   line += " k=" + std::to_string(query.k);
   if (!query.use_pruning) line += " pruning=0";
-  if (query.root_override != kInvalidNode) {
-    line += " root=" + std::to_string(query.root_override);
-  }
   if (query.deadline != std::chrono::steady_clock::time_point::max()) {
     const auto remaining = std::chrono::duration_cast<std::chrono::microseconds>(
         query.deadline - std::chrono::steady_clock::now());
@@ -230,14 +227,6 @@ bool ParseQueryLine(const std::string& line, std::size_t default_k,
     }
     if (token == "pruning=0") {
       query->use_pruning = false;
-      continue;
-    }
-    if (token.rfind("root=", 0) == 0) {
-      const std::string value = token.substr(5);
-      if (!ParseNumber(value, &query->root_override, 0)) {
-        *error = "bad root '" + value + "'";
-        return false;
-      }
       continue;
     }
     if (token.rfind("deadline_us=", 0) == 0) {

@@ -6,7 +6,7 @@
 //
 // Request line grammar (whitespace-separated):
 //   <source> [<source> ...] [-- <exclude> ...] [k=<n>] [trace=1]
-//   [pruning=0] [root=<node>] [deadline_us=<n>] [hex=1]
+//   [pruning=0] [deadline_us=<n>] [hex=1]
 // plus the literal health request `{"ping":1}` (answered in order with a
 // pong record, without touching the scheduler or the index) and the stats
 // request `{"stats":1}` (answered in order with a metric-registry
@@ -14,18 +14,18 @@
 // its field's type (common/parse_number.h): a leading '+', trailing junk
 // or a value outside the type is a malformed line.
 //
-// The last four tokens exist for the distributed tier (serving::Router →
+// The last three tokens exist for the distributed tier (serving::Router →
 // `kdash_server <dir> --shards=...` workers), though any client may use
-// them: `pruning=0` and `root=<node>` carry the Query diagnostics fields
-// that would otherwise be unreachable over the wire, `deadline_us=<n>`
-// hands the server the request's *remaining* budget (it stamps
-// Query::deadline n µs from receipt, so an expired budget comes back
-// DEADLINE_EXCEEDED instead of as an answer nobody is waiting for), and
-// `hex=1` asks for a "score_hex" hexfloat (%a) alongside each entry's
-// decimal score: "score":%.12g is for humans and loses low-order bits, so
-// every router request carries hex=1 and ParseRecordLine prefers the
-// hexfloat, which round-trips the double exactly. That is what keeps the
-// router's cross-worker merge bit-identical to ShardedEngine's.
+// them: `pruning=0` carries the Query diagnostic field that would
+// otherwise be unreachable over the wire, `deadline_us=<n>` hands the
+// server the request's *remaining* budget (it stamps Query::deadline n µs
+// from receipt, so an expired budget comes back DEADLINE_EXCEEDED instead
+// of as an answer nobody is waiting for), and `hex=1` asks for a
+// "score_hex" hexfloat (%a) alongside each entry's decimal score:
+// "score":%.12g is for humans and loses low-order bits, so every router
+// request carries hex=1 and ParseRecordLine prefers the hexfloat, which
+// round-trips the double exactly. That is what keeps the router's
+// cross-worker merge bit-identical to ShardedEngine's.
 //
 // Response records:
 //   {"id":7,"sources":[3],"k":5,"top":[{"node":9,"score":0.0123},...],

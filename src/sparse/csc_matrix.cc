@@ -1,8 +1,40 @@
 #include "sparse/csc_matrix.h"
 
 #include <algorithm>
+#include <string>
 
 namespace kdash::sparse {
+
+Status CheckCscArrays(std::string_view what, NodeId rows, NodeId cols,
+                      const std::vector<Index>& col_ptr,
+                      const std::vector<NodeId>& row_idx,
+                      const std::vector<Scalar>& values) {
+  const auto fail = [what](const char* detail) {
+    return Status::DataLoss(std::string(what) + ' ' + detail);
+  };
+  if (rows < 0 || cols < 0) return fail("has negative dimensions");
+  if (col_ptr.size() != static_cast<std::size_t>(cols) + 1) {
+    return fail("pointer array has wrong length");
+  }
+  if (col_ptr.front() != 0 ||
+      col_ptr.back() != static_cast<Index>(row_idx.size()) ||
+      row_idx.size() != values.size()) {
+    return fail("pointer/index/value arrays disagree");
+  }
+  for (NodeId col = 0; col < cols; ++col) {
+    const Index begin = col_ptr[static_cast<std::size_t>(col)];
+    const Index end = col_ptr[static_cast<std::size_t>(col) + 1];
+    if (begin > end) return fail("has a non-monotone pointer array");
+    for (Index k = begin; k < end; ++k) {
+      const NodeId row = row_idx[static_cast<std::size_t>(k)];
+      if (row < 0 || row >= rows) return fail("has an out-of-range index");
+      if (k > begin && row_idx[static_cast<std::size_t>(k - 1)] >= row) {
+        return fail("has unsorted or duplicate indices");
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 CscMatrix::CscMatrix(NodeId rows, NodeId cols, std::vector<Index> col_ptr,
                      std::vector<NodeId> row_idx, std::vector<Scalar> values)
@@ -117,21 +149,9 @@ CscMatrix CscMatrix::Transposed() const {
 }
 
 void CscMatrix::Validate() const {
-  KDASH_CHECK_EQ(col_ptr_.size(), static_cast<std::size_t>(cols_) + 1);
-  KDASH_CHECK_EQ(col_ptr_.front(), 0);
-  KDASH_CHECK_EQ(col_ptr_.back(), static_cast<Index>(row_idx_.size()));
-  KDASH_CHECK_EQ(row_idx_.size(), values_.size());
-  for (NodeId col = 0; col < cols_; ++col) {
-    KDASH_CHECK_LE(ColBegin(col), ColEnd(col));
-    for (Index k = ColBegin(col); k < ColEnd(col); ++k) {
-      const NodeId row = RowIndex(k);
-      KDASH_CHECK(row >= 0 && row < rows_) << "row " << row << " out of range";
-      if (k > ColBegin(col)) {
-        KDASH_CHECK_LT(RowIndex(k - 1), row)
-            << "unsorted/duplicate rows in column " << col;
-      }
-    }
-  }
+  const Status status =
+      CheckCscArrays("CSC matrix", rows_, cols_, col_ptr_, row_idx_, values_);
+  KDASH_CHECK(status.ok()) << status;
 }
 
 }  // namespace kdash::sparse

@@ -12,12 +12,25 @@
 #ifndef KDASH_SPARSE_CSC_MATRIX_H_
 #define KDASH_SPARSE_CSC_MATRIX_H_
 
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace kdash::sparse {
+
+// The structural invariants of raw CSC arrays: non-negative dimensions;
+// `col_ptr` of cols + 1 entries, from 0 up to the length of `row_idx`,
+// never decreasing; `row_idx` and `values` of equal length; and within each
+// column, rows in [0, rows), ascending and unique. On the first violation
+// returns kDataLoss "<what> <violated invariant>" — the form for arrays not
+// yet trusted, such as a loaded file's. CscMatrix::Validate aborts on it.
+Status CheckCscArrays(std::string_view what, NodeId rows, NodeId cols,
+                      const std::vector<Index>& col_ptr,
+                      const std::vector<NodeId>& row_idx,
+                      const std::vector<Scalar>& values);
 
 class CscMatrix {
  public:
@@ -71,8 +84,8 @@ class CscMatrix {
   // materialize it back as CSC. O(nnz + rows + cols).
   CscMatrix Transposed() const;
 
-  // Checks structural invariants; aborts on violation. Used by tests and by
-  // constructors in debug builds.
+  // Checks structural invariants (CheckCscArrays); aborts on violation.
+  // Used by tests and by constructors in debug builds.
   void Validate() const;
 
   friend bool operator==(const CscMatrix& a, const CscMatrix& b) = default;

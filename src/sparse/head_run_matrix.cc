@@ -112,18 +112,6 @@ CscMatrix HeadRunMatrix::ToCsc() const {
   return CscMatrix(rows_, cols_, col_ptr_, std::move(rows), std::move(values));
 }
 
-void HeadRunMatrix::ScatterColumn(NodeId col, std::vector<Scalar>& out) const {
-  KDASH_CHECK_EQ(out.size(), static_cast<std::size_t>(rows_));
-  std::fill(out.begin(), out.end(), 0.0);
-  const std::span<const NodeId> head_rows = HeadRows(col);
-  const std::span<const Scalar> head_values = HeadValues(col);
-  for (std::size_t k = 0; k < head_rows.size(); ++k) {
-    out[static_cast<std::size_t>(head_rows[k])] = head_values[k];
-  }
-  const std::span<const Scalar> run = Run(col);
-  std::copy(run.begin(), run.end(), out.begin() + RunBegin(col));
-}
-
 HeadRunMatrix HeadRunMatrix::KeepColumns(const std::vector<bool>& keep) const {
   KDASH_CHECK_EQ(keep.size(), static_cast<std::size_t>(cols_));
   HeadRunMatrix m;

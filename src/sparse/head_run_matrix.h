@@ -160,9 +160,6 @@ class HeadRunMatrix {
     return acc;
   }
 
-  // Dense column extraction: out must have size rows(), is overwritten.
-  void ScatterColumn(NodeId col, std::vector<Scalar>& out) const;
-
   // A copy that keeps column j iff keep[j] and empties every other column.
   // Kept columns are copied verbatim (same head, same run), which is what
   // FromCsc would derive for them.

@@ -34,6 +34,43 @@ TEST(CscMatrixTest, EmptyMatrix) {
   m.Validate();
 }
 
+TEST(CscMatrixTest, CheckCscArraysNamesTheFirstViolatedInvariant) {
+  // Example3x3's arrays, then one invariant broken at a time.
+  const std::vector<Index> ptr{0, 2, 3, 5};
+  const std::vector<NodeId> idx{0, 2, 1, 0, 2};
+  const std::vector<Scalar> vals{1, 4, 3, 2, 5};
+  EXPECT_TRUE(CheckCscArrays("m", 3, 3, ptr, idx, vals).ok());
+  struct Case {
+    NodeId rows, cols;
+    std::vector<Index> ptr;
+    std::vector<NodeId> idx;
+    std::vector<Scalar> vals;
+    const char* message;
+  };
+  for (const Case& c : std::vector<Case>{
+           {-1, 3, ptr, idx, vals, "m has negative dimensions"},
+           {3, 3, {0, 2, 5}, idx, vals, "m pointer array has wrong length"},
+           {3, 3, {1, 2, 3, 5}, idx, vals,
+            "m pointer/index/value arrays disagree"},
+           {3, 3, {0, 2, 3, 4}, idx, vals,
+            "m pointer/index/value arrays disagree"},
+           {3, 3, ptr, idx, {1, 4, 3, 2},
+            "m pointer/index/value arrays disagree"},
+           {3, 3, {0, 2, 1, 5}, idx, vals,
+            "m has a non-monotone pointer array"},
+           {3, 3, ptr, {0, 3, 1, 0, 2}, vals, "m has an out-of-range index"},
+           {3, 3, ptr, {2, 0, 1, 0, 2}, vals,
+            "m has unsorted or duplicate indices"},
+           {3, 3, ptr, {0, 2, 1, 2, 2}, vals,
+            "m has unsorted or duplicate indices"},
+       }) {
+    const Status status =
+        CheckCscArrays("m", c.rows, c.cols, c.ptr, c.idx, c.vals);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << c.message;
+    EXPECT_EQ(status.message(), c.message);
+  }
+}
+
 TEST(CscMatrixTest, AtReadsStoredAndStructuralZero) {
   const CscMatrix m = Example3x3();
   EXPECT_DOUBLE_EQ(m.At(0, 0), 1.0);

@@ -16,18 +16,6 @@ TEST(DatasetsTest, AllFivePaperDatasetsPresent) {
   EXPECT_EQ(DatasetName(all[4]), "Email");
 }
 
-TEST(DatasetsTest, PaperShapesMatchPublishedCounts) {
-  EXPECT_EQ(PaperShape(DatasetId::kDictionary).num_nodes, 13356);
-  EXPECT_EQ(PaperShape(DatasetId::kDictionary).num_edges, 120238);
-  EXPECT_EQ(PaperShape(DatasetId::kInternet).num_nodes, 22963);
-  EXPECT_EQ(PaperShape(DatasetId::kCitation).num_nodes, 31163);
-  EXPECT_EQ(PaperShape(DatasetId::kSocial).num_edges, 841372);
-  EXPECT_EQ(PaperShape(DatasetId::kEmail).num_nodes, 265214);
-  EXPECT_TRUE(PaperShape(DatasetId::kEmail).directed);
-  EXPECT_FALSE(PaperShape(DatasetId::kInternet).directed);
-  EXPECT_TRUE(PaperShape(DatasetId::kCitation).weighted);
-}
-
 TEST(DatasetsTest, DeterministicConstruction) {
   const Dataset a = MakeDataset(DatasetId::kDictionary, 0.1, 7);
   const Dataset b = MakeDataset(DatasetId::kDictionary, 0.1, 7);

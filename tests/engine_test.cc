@@ -126,12 +126,6 @@ TEST(EngineTest, QueryValidationAtTheBoundary) {
   EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos);
 
-  // root_override with a multi-source query.
-  Query bad_root = Query::Personalized({1, 2}, 5);
-  bad_root.root_override = 3;
-  EXPECT_EQ(engine->Search(bad_root).status().code(),
-            StatusCode::kInvalidArgument);
-
   // Duplicate sources are legal (restart-set semantics dedupe them).
   const auto dup_sources = engine->Search(Query::Personalized({4, 4, 9}, 5));
   EXPECT_TRUE(dup_sources.ok()) << dup_sources.status();
@@ -512,30 +506,15 @@ TEST(EngineTest, UpdatableEngineFullQuerySurface) {
   ASSERT_TRUE(test::AllOk(batch));
   EXPECT_EQ(batch.size(), 2u);
 
-  // Diagnostics that require the static BFS machinery are typed errors.
-  Query rooted = Query::Single(0, 5);
-  rooted.root_override = 3;
-  EXPECT_EQ(engine->Search(rooted).status().code(),
-            StatusCode::kUnimplemented);
-  const std::vector<Query> mixed{rooted, Query::Single(1, 5)};
-  const auto mixed_batch = engine->SearchBatch(mixed);
-  EXPECT_EQ(mixed_batch[0].status(), engine->Search(rooted).status());
-  EXPECT_TRUE(mixed_batch[1].ok()) << mixed_batch[1].status();
-
   // Updatable engines cannot persist.
   std::stringstream sink;
   EXPECT_EQ(engine->Save(sink).code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(EngineTest, RootOverrideDiagnosticWorksOnStaticEngine) {
+TEST(EngineTest, PruningDiagnosticWorksOnStaticEngine) {
   const auto g = test::RandomDirectedGraph(60, 400, 210);
   auto engine = Engine::Build(g, StaticOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
-  Query rooted = Query::Single(0, 5);
-  rooted.root_override = 1;
-  const auto result = engine->Search(rooted);
-  ASSERT_TRUE(result.ok()) << result.status();
-
   Query no_pruning = Query::Single(0, 5);
   no_pruning.use_pruning = false;
   const auto exhaustive = engine->Search(no_pruning);

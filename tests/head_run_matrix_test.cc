@@ -273,20 +273,6 @@ TEST(HeadRunMatrixTest, SmallExampleDots) {
   }
 }
 
-TEST(HeadRunMatrixTest, ScatterColumnIsExact) {
-  const CscMatrix csc = RandomMatrix(80, 40, 5, /*mixed_signs=*/true);
-  const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
-  std::vector<Scalar> want(80), got(80, 9.0);
-  for (NodeId col = 0; col < csc.cols(); ++col) {
-    std::fill(want.begin(), want.end(), 0.0);
-    for (Index k = csc.ColBegin(col); k < csc.ColEnd(col); ++k) {
-      want[static_cast<std::size_t>(csc.RowIndex(k))] = csc.Value(k);
-    }
-    m.ScatterColumn(col, got);
-    EXPECT_EQ(got, want) << "col " << col;
-  }
-}
-
 TEST(HeadRunMatrixTest, KeepColumnsMatchesConvertingTheKeptCsc) {
   Rng rng(3);
   std::vector<std::vector<NodeId>> patterns;

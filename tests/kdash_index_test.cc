@@ -100,8 +100,11 @@ TEST(KDashIndexTest, ReorderMethodsProduceSameProximities) {
     // p = c U⁻¹ L⁻¹ e_q in reordered space, mapped back.
     const NodeId q = 5;
     const NodeId qr = index.new_of_old()[static_cast<std::size_t>(q)];
+    const sparse::CscMatrix linv = index.lower_inverse().ToCsc();
     std::vector<Scalar> y(60, 0.0);
-    index.lower_inverse().ScatterColumn(qr, y);
+    for (Index k = linv.ColBegin(qr); k < linv.ColEnd(qr); ++k) {
+      y[static_cast<std::size_t>(linv.RowIndex(k))] = linv.Value(k);
+    }
     std::vector<Scalar> p(60, 0.0);
     for (NodeId u = 0; u < 60; ++u) {
       const NodeId ur = index.new_of_old()[static_cast<std::size_t>(u)];

@@ -100,7 +100,7 @@ TEST(KDashSearchTest, SearcherIsReusableAcrossQueries) {
   }
 }
 
-TEST(KDashSearchTest, RootOverrideVisitsOnlyThatTree) {
+TEST(KDashSearchTest, RootArgumentVisitsOnlyThatTree) {
   graph::GraphBuilder builder(4);
   builder.AddEdge(0, 1);
   builder.AddEdge(1, 0);
@@ -109,9 +109,9 @@ TEST(KDashSearchTest, RootOverrideVisitsOnlyThatTree) {
   const auto g = std::move(builder).Build();
   const auto index = KDashIndex::Build(g, {});
   KDashSearcher searcher(&index);
-  Query query = Query::Single(0, 2);
-  query.root_override = 2;  // disconnected from the query
-  EXPECT_EQ(searcher.Search(query).stats.tree_size, 2);  // only {2, 3}
+  // Root 2 is disconnected from the query: the tree is only {2, 3}.
+  EXPECT_EQ(searcher.Search(Query::Single(0, 2), /*root=*/2).stats.tree_size,
+            2);
 }
 
 TEST(KDashSearchTest, LargerKNeverTerminatesEarlier) {

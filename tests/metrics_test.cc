@@ -119,21 +119,6 @@ TEST(HistogramTest, EmptyHistogramIsAllZero) {
   EXPECT_EQ(hist.Quantile(0.99), 0u);
 }
 
-TEST(HistogramTest, MergeFromIsExact) {
-  Histogram a, b, all;
-  for (std::uint64_t v = 0; v < 1000; ++v) {
-    (v % 2 == 0 ? a : b).Record(v * v);
-    all.Record(v * v);
-  }
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Count(), all.Count());
-  EXPECT_EQ(a.Sum(), all.Sum());
-  EXPECT_EQ(a.Max(), all.Max());
-  for (const double q : {0.5, 0.9, 0.99}) {
-    EXPECT_EQ(a.Quantile(q), all.Quantile(q));
-  }
-}
-
 TEST(MetricRegistryTest, GetReturnsStableReferences) {
   MetricRegistry registry;
   Counter& c1 = registry.GetCounter("test.counter");

@@ -118,8 +118,9 @@ TEST_P(PaperClaimsTest, PrunedSearchIsExactAndCheaper) {
     }
     if (single) {  // Fig. 9: the same source with a random root.
       query.k = kKs[0];
-      query.root_override = root_rng.NextNode(n);
-      random_root_total += searcher.Search(query).stats.proximity_computations;
+      random_root_total +=
+          searcher.Search(query, root_rng.NextNode(n))
+              .stats.proximity_computations;
     }
   }
 

@@ -738,7 +738,6 @@ TEST_F(RemoteServingTest, WireRoundTripsRandomQueriesAndScoresExactly) {
     for (NodeId& excluded : query.exclude) excluded = node();
     query.k = 1 + rng.NextBounded(std::uint64_t{1} << 40);
     query.use_pruning = rng.NextBounded(2) == 0;
-    if (rng.NextBounded(2) == 0) query.root_override = node();
     const int deadline_kind = static_cast<int>(rng.NextBounded(3));
     if (deadline_kind == 1) {
       query.deadline = Clock::now() + std::chrono::seconds(1) +
@@ -762,7 +761,6 @@ TEST_F(RemoteServingTest, WireRoundTripsRandomQueriesAndScoresExactly) {
     EXPECT_EQ(parsed.exclude, query.exclude) << line;
     EXPECT_EQ(parsed.k, query.k) << line;
     EXPECT_EQ(parsed.use_pruning, query.use_pruning) << line;
-    EXPECT_EQ(parsed.root_override, query.root_override) << line;
     if (deadline_kind == 0) {
       EXPECT_EQ(parsed.deadline, Clock::time_point::max()) << line;
     } else if (deadline_kind == 1) {
@@ -867,7 +865,7 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
       std::to_string(static_cast<long long>(std::numeric_limits<NodeId>::max()) +
                      1);
   for (const std::string& line : std::vector<std::string>{
-           "3 k=5abc", "3 k=2.9", "3 k=0", "3 k=-3", "3 k=", "3 root=1x",
+           "3 k=5abc", "3 k=2.9", "3 k=0", "3 k=-3", "3 k=",
            "3 deadline_us=", "3 deadline_us=5ms", "3x", "3 -- 4y", past_max,
            "3 -- " + past_max, "3 k=99999999999999999999", "3 k=+5", "+3",
            "3 -- +4", "3 deadline_us=99999999999999999999",
@@ -876,6 +874,15 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
     std::string error;
     EXPECT_FALSE(wire::ParseQueryLine(line, 5, &query, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
+  }
+
+  // root= is no request token: Figure 9's BFS-root diagnostic is a
+  // searcher argument, never a serving field.
+  {
+    Query query;
+    std::string error;
+    EXPECT_FALSE(wire::ParseQueryLine("3 root=2", 5, &query, &error));
+    EXPECT_EQ(error, "bad token 'root=2'");
   }
 
   struct Accepted {
@@ -894,7 +901,7 @@ TEST(QueryLineGrammarTest, RejectsMalformedNumbersAndAcceptsEveryFlag) {
            {"3 hex=1", {3}, {}, 5, true, true, false},
            {"3 pruning=0", {3}, {}, 5, false, false, false},
            {"3 trace=1", {3}, {}, 5, true, false, true},
-           {"3 root=2 deadline_us=1000 hex=1 trace=1 pruning=0 k=2",
+           {"3 deadline_us=1000 hex=1 trace=1 pruning=0 k=2",
             {3}, {}, 2, false, true, true},
        }) {
     Query query;
