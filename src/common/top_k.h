@@ -1,7 +1,7 @@
 // Bounded top-k accumulator over (score, node) pairs.
 //
 // Used by every search engine in the library (K-dash, power iteration,
-// NB_LIN, B_LIN, Basic Push) so that tie-breaking is identical everywhere:
+// NB_LIN, Basic Push) so that tie-breaking is identical everywhere:
 // higher score wins; on equal scores the smaller node id wins. Deterministic
 // tie-breaking is what lets the exactness tests compare engines node-by-node.
 #ifndef KDASH_COMMON_TOP_K_H_

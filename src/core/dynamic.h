@@ -65,10 +65,14 @@ class DynamicKDash {
   // KDashSearcher::Search. Sources must be non-empty and in range.
   std::vector<Scalar> Solve(const std::vector<NodeId>& sources);
 
-  // Exact top-k for `query` under the current graph. Unreachable nodes
-  // (proximity ~ 0) are not answers, as with the static searcher. The
-  // solve is global (the correction touches every node), so the stats
-  // report a full scan and `use_pruning` is moot.
+  // Exact top-k for `query` under the current graph. Every answer below
+  // 1e-13 is dropped, reachable or not: the global solve gives unreachable
+  // nodes rounding noise, not zeros. This differs from the static searcher,
+  // which scores only BFS-reachable nodes and keeps their tiny proximities
+  // (on a directed 30-node cycle at c = 0.95 and k = 25 it returns 25
+  // answers; this engine returns 10). The solve is global (the correction
+  // touches every node), so the stats report a full scan and `use_pruning`
+  // is moot.
   SearchResult Search(const Query& query);
 
   // Number of columns currently represented as a correction.

@@ -8,7 +8,8 @@ Scalar ProximityEstimator::EstimateDirect(
     NodeId u, NodeId layer, const std::vector<Selected>& selected, Scalar amax,
     Scalar restart_prob, const std::vector<Scalar>& amax_of_node,
     const std::vector<Scalar>& c_prime_of_node) {
-  // Definition 1, term by term, with the dangling-node charge on term 3.
+  // Definition 1, term by term, with the dangling-node charge on term 3
+  // and term 3 floored at 0.
   const Scalar dangling_charge = DanglingCharge(restart_prob);
   Scalar term1 = 0.0;  // selected nodes one layer above u
   Scalar term2 = 0.0;  // selected nodes on u's layer (visited before u)
@@ -23,7 +24,7 @@ Scalar ProximityEstimator::EstimateDirect(
       term2 += contribution;
     }
   }
-  const Scalar term3 = (1.0 - selected_mass) * amax;
+  const Scalar term3 = std::max((1.0 - selected_mass) * amax, 0.0);
   return c_prime_of_node[static_cast<std::size_t>(u)] * (term1 + term2 + term3);
 }
 

@@ -50,9 +50,18 @@
 //     RecordQuery like any selected node.
 //   - Shards: a non-owned node is recorded at proximity 0 and so charges
 //     nothing — a shard takes off only the leak it actually computed.
+//   - Floor: term 3 is taken as max(term3, 0). Once the unvisited mass
+//     falls under an ulp of 1 (on a directed cycle at c = 0.95, after about
+//     a dozen nodes), the computed charged mass reaches 1 and the repeated
+//     subtraction leaves term 3 a few ulps below 0. A negative p̄ would then
+//     stop the search at `p̄ < θ` even while θ = 0, before the heap is full.
+//     The true remainder is never negative, so the floored bound stays
+//     admissible (Lemma 1); the floor only raises p̄, so it never makes a
+//     search stop earlier.
 #ifndef KDASH_CORE_ESTIMATOR_H_
 #define KDASH_CORE_ESTIMATOR_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -134,7 +143,7 @@ class ProximityEstimator {
     prev_proximity_ = 0.0;  // filled in by RecordSelected
     pending_record_ = true;
     return (*c_prime_of_node_)[static_cast<std::size_t>(u)] *
-           (sum1_ + sum2_ + sum3_);
+           (sum1_ + sum2_ + std::max(sum3_, 0.0));
   }
 
   // Records the exact proximity of the node just estimated. Must follow

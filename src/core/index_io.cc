@@ -29,12 +29,10 @@ namespace kdash::core {
 namespace {
 
 constexpr char kMagic[4] = {'K', 'D', 'S', 'H'};
-// v2: adds the node-ownership window (owned_begin, owned_end) after the node
-// count, so shard indexes produced by Restrict() persist and reload.
-// v1 (pre-sharding) files carry no window; Load() still reads them, giving
-// the full window [0, num_nodes) — a v1 file is exactly a full index.
-// Save() always writes the current version.
-constexpr std::uint32_t kVersionV1 = 1;
+// v2 added the node-ownership window (owned_begin, owned_end) after the node
+// count, so shard indexes produced by Restrict() persist and reload. Save()
+// writes v2 and Load() reads only v2: a v1 (pre-sharding) file is refused
+// like any other version, with a hint to rebuild.
 constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
@@ -269,11 +267,10 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   }
   std::uint32_t version = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&version));
-  if (version != kVersion && version != kVersionV1) {
+  if (version != kVersion) {
     return Status::FailedPrecondition(
         "index version mismatch: file has version " + std::to_string(version) +
-        ", this build reads versions " + std::to_string(kVersionV1) + "-" +
-        std::to_string(kVersion) +
+        ", this build reads version " + std::to_string(kVersion) +
         " — rebuild the index with this binary (kdash_cli build)");
   }
 
@@ -313,14 +310,8 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   if (index.num_nodes_ < 0) {
     return Status::DataLoss("corrupt index stream: negative node count");
   }
-  if (version >= 2) {
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_end_));
-  } else {
-    // v1 predates sharding: every file is a full index.
-    index.owned_begin_ = 0;
-    index.owned_end_ = index.num_nodes_;
-  }
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_end_));
   if (index.owned_begin_ < 0 || index.owned_begin_ > index.owned_end_ ||
       index.owned_end_ > index.num_nodes_) {
     return Status::DataLoss(

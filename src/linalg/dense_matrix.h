@@ -1,9 +1,10 @@
-// Minimal dense matrix type and kernels for the low-rank baselines.
+// Minimal dense matrix type and kernels for NB_LIN and the updatable engine.
 //
-// The approximate comparators (NB_LIN, B_LIN — Tong et al., ICDM'06) work
-// with O(n·r) dense factors from a truncated SVD plus small r×r dense
-// inverses. This module provides exactly the dense operations they need;
-// the exact K-dash path never touches it.
+// NB_LIN (Tong et al., ICDM'06) works with O(n·r) dense factors from a
+// truncated SVD plus a small r×r dense inverse; the updatable engine
+// (core/dynamic.h) keeps its Woodbury correction as an n×d and a d×d dense
+// matrix. This module provides exactly the dense operations they need; the
+// static K-dash path never touches it.
 #ifndef KDASH_LINALG_DENSE_MATRIX_H_
 #define KDASH_LINALG_DENSE_MATRIX_H_
 

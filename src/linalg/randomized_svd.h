@@ -1,11 +1,11 @@
 // Randomized truncated SVD (Halko–Martinsson–Tropp).
 //
-// NB_LIN and B_LIN approximate the (cross-partition) adjacency matrix by a
-// rank-r SVD. The paper's authors used exact SVD and report multi-week
-// precompute times; we substitute the standard randomized range-finder with
-// power iterations, which has the same approximation role: an exact SVD of
-// the paper's graphs would put the baselines' precompute out of reach of
-// an offline benchmark run.
+// NB_LIN approximates the adjacency matrix by a rank-r SVD. The paper's
+// authors used exact SVD and report multi-week precompute times; we
+// substitute the standard randomized range-finder with power iterations,
+// which has the same approximation role: an exact SVD of the paper's graphs
+// would put the baseline's precompute out of reach of an offline benchmark
+// run.
 #ifndef KDASH_LINALG_RANDOMIZED_SVD_H_
 #define KDASH_LINALG_RANDOMIZED_SVD_H_
 

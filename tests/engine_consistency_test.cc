@@ -1,9 +1,9 @@
-// Cross-engine consistency: all seven proximity engines agree on what they
+// Cross-engine consistency: all six proximity engines agree on what they
 // are supposed to agree on, across datasets and restart probabilities.
 //
 //   exact engines     : power iteration, direct LU solver, K-dash,
 //                       DynamicKDash (no pending updates)
-//   approximate       : NB_LIN, B_LIN (→ exact at full rank),
+//   approximate       : NB_LIN (→ exact at full rank),
 //                       Basic Push (recall-1 sets)
 #include <gtest/gtest.h>
 

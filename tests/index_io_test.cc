@@ -438,83 +438,24 @@ TEST(IndexIoTest, LoadFileTruncatedFileFails) {
   std::remove(path.c_str());
 }
 
-// Rewrites current (v2) index bytes as the v1 layout: version field 1,
-// and the 8-byte node-ownership window (two NodeId) that v2 inserted after
-// the node count removed. Everything up to that point — magic, version,
-// the four option pods, num_nodes — is fixed-layout.
-std::string AsV1Bytes(const std::string& v2) {
-  constexpr std::size_t kWindowOffset =
-      4 /*magic*/ + sizeof(std::uint32_t) /*version*/ +
-      sizeof(Scalar) /*restart_prob*/ + sizeof(std::int32_t) /*method*/ +
-      sizeof(std::uint64_t) /*seed*/ + sizeof(Scalar) /*drop-tolerance slot*/ +
-      sizeof(NodeId) /*num_nodes*/;
-  std::string v1 = v2;
-  v1[4] = 1;  // version field follows the 4-byte magic (little-endian)
-  v1.erase(kWindowOffset, 2 * sizeof(NodeId));
-  return v1;
-}
-
-TEST(IndexIoTest, ReadsVersion1StreamsAsFullIndexes) {
-  // A v1 file predates sharding: Load must accept it and give it the full
-  // ownership window, with every payload byte landing where v2 puts it.
-  const auto g = test::RandomDirectedGraph(60, 360, 97);
-  const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-
-  std::stringstream v1_stream(AsV1Bytes(buffer.str()));
-  const auto loaded = KDashIndex::Load(v1_stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectIndexesEquivalent(index, *loaded);
-  EXPECT_EQ(loaded->owned_begin(), 0);
-  EXPECT_EQ(loaded->owned_end(), loaded->num_nodes());
-  EXPECT_FALSE(loaded->IsSharded());
-}
-
-TEST(IndexIoTest, Version1RoundTripsThroughVersion2Save) {
-  // v1 in → v2 out: saving a loaded v1 index writes a current-version
-  // stream whose payload round-trips bit-exactly.
-  const auto g = test::RandomDirectedGraph(50, 300, 98);
-  const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  const std::string v2_bytes = buffer.str();
-
-  std::stringstream v1_stream(AsV1Bytes(v2_bytes));
-  const auto loaded = KDashIndex::Load(v1_stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-  std::stringstream resaved;
-  ASSERT_TRUE(loaded->Save(resaved).ok());
-  EXPECT_EQ(resaved.str(), v2_bytes);
-}
-
-TEST(IndexIoTest, Version1TruncationStillRejected) {
-  // The v1 path shares the checked reader: a truncated v1 stream must fail
-  // recoverably, not abort or misparse.
-  const auto g = test::RandomDirectedGraph(40, 220, 99);
-  const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  const std::string v1 = AsV1Bytes(buffer.str());
-  std::stringstream truncated(v1.substr(0, v1.size() / 2));
-  const auto loaded = KDashIndex::Load(truncated);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-}
-
 TEST(IndexIoTest, UnknownFutureVersionSuggestsRebuild) {
   const auto g = test::RandomDirectedGraph(30, 150, 100);
   const auto index = KDashIndex::Build(g, {});
   std::stringstream buffer;
   ASSERT_TRUE(index.Save(buffer).ok());
-  std::string bytes = buffer.str();
-  bytes[4] = 7;  // some future version this build cannot read
-  std::stringstream mismatched(bytes);
-  const auto loaded = KDashIndex::Load(mismatched);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos);
+  // 7: some future version this build cannot read. 1: the retired
+  // pre-sharding layout, refused the same way.
+  for (const char version : {7, 1}) {
+    std::string bytes = buffer.str();
+    bytes[4] = version;  // the version field follows the 4-byte magic
+    std::stringstream mismatched(bytes);
+    const auto loaded = KDashIndex::Load(mismatched);
+    ASSERT_FALSE(loaded.ok()) << "version " << int{version};
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+        << "version " << int{version};
+    EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+        << "version " << int{version};
+  }
 }
 
 // The last 4 bytes of a saved index: the tail padding of the trailing

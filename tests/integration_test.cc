@@ -6,7 +6,6 @@
 #include <set>
 
 #include "baselines/basic_push.h"
-#include "baselines/nb_lin.h"
 #include "common/random.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
@@ -63,22 +62,6 @@ TEST_P(DatasetPipelineTest, AllReorderingsBuildAndAgree) {
   }
 }
 
-TEST_P(DatasetPipelineTest, HybridInversesSparserThanRandom) {
-  // Figure 5's headline: hybrid reordering yields far fewer inverse
-  // nonzeros than random ordering.
-  const auto dataset = datasets::MakeDataset(GetParam(), kTinyScale);
-  core::KDashOptions hybrid, random;
-  hybrid.reorder_method = reorder::Method::kHybrid;
-  random.reorder_method = reorder::Method::kRandom;
-  const auto hybrid_index = core::KDashIndex::Build(dataset.graph, hybrid);
-  const auto random_index = core::KDashIndex::Build(dataset.graph, random);
-  const Index hybrid_nnz = hybrid_index.stats().nnz_lower_inverse +
-                           hybrid_index.stats().nnz_upper_inverse;
-  const Index random_nnz = random_index.stats().nnz_lower_inverse +
-                           random_index.stats().nnz_upper_inverse;
-  EXPECT_LT(hybrid_nnz, random_nnz) << dataset.name;
-}
-
 TEST_P(DatasetPipelineTest, BaselinesAgreeWithKDashOnEasyQueries) {
   const auto dataset = datasets::MakeDataset(GetParam(), kTinyScale);
   const auto a = dataset.graph.NormalizedAdjacency();
@@ -110,40 +93,6 @@ INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetPipelineTest,
                          [](const auto& info) {
                            return datasets::DatasetName(info.param);
                          });
-
-TEST(IntegrationTest, NbLinPrecisionBelowKDashOnDictionary) {
-  // The Figure 3 story in miniature: K-dash precision 1, NB_LIN < 1 at low
-  // rank.
-  const auto dataset =
-      datasets::MakeDataset(datasets::DatasetId::kDictionary, kTinyScale);
-  const auto a = dataset.graph.NormalizedAdjacency();
-  const auto index = core::KDashIndex::Build(dataset.graph, {});
-  core::KDashSearcher searcher(&index);
-
-  baselines::NbLinOptions nb_options;
-  nb_options.target_rank = 8;
-  const baselines::NbLin nb_lin(a, nb_options);
-
-  Rng rng(29);
-  int kdash_hits = 0, nb_hits = 0, total = 0;
-  for (int trial = 0; trial < 5; ++trial) {
-    const NodeId q = rng.NextNode(dataset.graph.num_nodes());
-    auto truth = rwr::TopKByPowerIteration(a, q, 5, {});
-    while (!truth.empty() && truth.back().score < 1e-13) truth.pop_back();
-    std::set<NodeId> truth_set;
-    for (const auto& entry : truth) truth_set.insert(entry.node);
-
-    for (const auto& entry : searcher.Search(Query::Single(q, 5)).top) {
-      kdash_hits += truth_set.count(entry.node);
-    }
-    for (const auto& entry : nb_lin.TopK(q, truth.size())) {
-      nb_hits += truth_set.count(entry.node);
-    }
-    total += static_cast<int>(truth.size());
-  }
-  EXPECT_EQ(kdash_hits, total);  // precision exactly 1
-  EXPECT_LT(nb_hits, total);     // rank-8 SVD must miss something
-}
 
 }  // namespace
 }  // namespace kdash

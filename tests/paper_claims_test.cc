@@ -19,20 +19,29 @@
 // Fig. 5 (reordering sparsifies the inverses): nnz(L⁻¹) + nnz(U⁻¹) under
 // each of the Degree, Cluster and Hybrid orders is strictly below the
 // Random order's.
+//
+// Fig. 3 (precision): on the Dictionary stand-in, against power-iteration
+// ground truth, K-dash's precision@5 is exactly 1, while NB_LIN's is below
+// 1 at each of the figure's four SVD ranks and does not fall as the rank
+// rises.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baselines/nb_lin.h"
 #include "common/random.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
 #include "datasets/datasets.h"
+#include "graph/graph.h"
 #include "reorder/reorder.h"
+#include "rwr/power_iteration.h"
 
 namespace kdash {
 namespace {
@@ -168,6 +177,81 @@ TEST(Theorem2Test, DanglingChargeStopsAFormerFullScan) {
   EXPECT_LT(pruned.stats.proximity_computations,
             unpruned.stats.proximity_computations);
   EXPECT_EQ(FirstDifference(pruned, query.k, unpruned), "");
+}
+
+// A directed 30-node cycle: from node q the proximities fall by a factor
+// 1 − c = 0.05 per hop, so after about a dozen nodes the unvisited mass
+// is below an ulp of 1 and the estimator's remainder term rounds below 0.
+// Unfloored, that made p̄ negative and stopped the search at `p̄ < θ` with
+// θ = 0, returning 15 of the 25 reachable answers.
+TEST(Theorem2Test, RoundedRemainderNeverStopsAPartialHeap) {
+  constexpr NodeId kCycle = 30;
+  constexpr std::size_t kK = 25;
+  graph::GraphBuilder builder(kCycle);
+  for (NodeId u = 0; u < kCycle; ++u) builder.AddEdge(u, (u + 1) % kCycle);
+  const graph::Graph cycle = std::move(builder).Build();
+  const core::KDashIndex index = core::KDashIndex::Build(cycle, {});
+  core::KDashSearcher searcher(&index);
+
+  for (NodeId source = 0; source < kCycle; ++source) {
+    const Query query = Query::Single(source, kK);
+    const SearchResult pruned = searcher.Search(query);
+    EXPECT_EQ(pruned.top.size(), kK) << "source " << source;
+    EXPECT_EQ(FirstDifference(pruned, kK, Unpruned(searcher, query)), "")
+        << "source " << source;
+  }
+}
+
+// Fig. 3 sweeps NB_LIN's target rank over {100, 400, 700, 1000} on
+// n = 13,356; the same n fractions (with bench/fig3_precision.cc's
+// minimums) keep the sweep's shape at the test's scale.
+TEST(Fig3Test, KDashIsExactWhileNbLinMissesAndImprovesWithRank) {
+  const datasets::Dataset dictionary =
+      datasets::MakeDataset(datasets::DatasetId::kDictionary, kScale);
+  const graph::Graph& graph = dictionary.graph;
+  const sparse::CscMatrix a = graph.NormalizedAdjacency();
+  const NodeId n = graph.num_nodes();
+  const int ranks[] = {std::max(4, n / 134), std::max(8, n / 33),
+                       std::max(12, n / 19), std::max(16, n / 13)};
+  constexpr std::size_t kTopK = 5;
+
+  const core::KDashIndex index = core::KDashIndex::Build(graph, {});
+  core::KDashSearcher searcher(&index);
+  std::vector<NodeId> sources;
+  std::vector<std::set<NodeId>> truth;
+  int kdash_hits = 0;
+  int total = 0;
+  Rng rng(31);
+  for (int i = 0; i < 20; ++i) {
+    const NodeId q = rng.NextNode(n);
+    std::set<NodeId> true_top;
+    for (const ScoredNode& entry : rwr::TopKByPowerIteration(a, q, kTopK)) {
+      if (entry.score >= 1e-13) true_top.insert(entry.node);
+    }
+    for (const ScoredNode& entry :
+         searcher.Search(Query::Single(q, kTopK)).top) {
+      kdash_hits += static_cast<int>(true_top.count(entry.node));
+    }
+    total += static_cast<int>(true_top.size());
+    sources.push_back(q);
+    truth.push_back(std::move(true_top));
+  }
+  EXPECT_EQ(kdash_hits, total);  // precision@5 exactly 1
+
+  int previous_hits = 0;
+  for (const int rank : ranks) {
+    const baselines::NbLin nb_lin(a, {.target_rank = rank});
+    int hits = 0;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      for (const ScoredNode& entry :
+           nb_lin.TopK(sources[i], truth[i].size())) {
+        hits += static_cast<int>(truth[i].count(entry.node));
+      }
+    }
+    EXPECT_LT(hits, total) << "rank " << rank;
+    EXPECT_GE(hits, previous_hits) << "rank " << rank;
+    previous_hits = hits;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
