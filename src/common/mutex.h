@@ -50,19 +50,33 @@ class KDASH_CAPABILITY("mutex") Mutex {
 };
 
 // Reader/writer mutex (the fault registry: many concurrent Evaluate readers,
-// rare Arm/Disarm writers).
+// rare Arm/Disarm writers; the updatable engine: concurrent search batches,
+// edge updates). A waiting writer is not starved by a stream of readers: it
+// holds the turnstile while it waits, so readers that arrive after it wait
+// behind it instead of overlapping the readers it waits for. (glibc's
+// std::shared_mutex prefers readers: four threads issuing batches back to
+// back kept an edge update waiting for as long as they ran.) Shared holds
+// must not nest on one thread: a writer queued between them would deadlock
+// it.
 class KDASH_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() KDASH_ACQUIRE() { mutex_.lock(); }
+  void Lock() KDASH_ACQUIRE() {
+    std::lock_guard<std::mutex> turn(turnstile_);
+    mutex_.lock();
+  }
   void Unlock() KDASH_RELEASE() { mutex_.unlock(); }
-  void LockShared() KDASH_ACQUIRE_SHARED() { mutex_.lock_shared(); }
+  void LockShared() KDASH_ACQUIRE_SHARED() {
+    { std::lock_guard<std::mutex> turn(turnstile_); }
+    mutex_.lock_shared();
+  }
   void UnlockShared() KDASH_RELEASE_SHARED() { mutex_.unlock_shared(); }
 
  private:
+  std::mutex turnstile_;
   std::shared_mutex mutex_;
 };
 

@@ -52,9 +52,8 @@ void DynamicKDash::Rebuild() {
   // of leaving the process's peak to allocator timing.
   base_solver_ = rwr::DirectRwrSolver(base_a_, restart_prob_);
   delta_columns_.clear();
-  z_ = linalg::DenseMatrix();
+  z_columns_.clear();
   m_ = linalg::DenseMatrix();
-  correction_fresh_ = true;
   ++rebuild_count_;
 }
 
@@ -87,7 +86,7 @@ Status DynamicKDash::AddEdge(NodeId src, NodeId dst, Scalar weight) {
                                    std::to_string(src) +
                                    " would overflow to infinity");
   }
-  MarkColumnChanged(src);
+  UpdateColumn(src);
   return Status::Ok();
 }
 
@@ -104,69 +103,71 @@ Status DynamicKDash::RemoveEdge(NodeId src, NodeId dst) {
                             std::to_string(dst) + " does not exist");
   }
   edges.erase(it);
-  MarkColumnChanged(src);
+  UpdateColumn(src);
   return Status::Ok();
 }
 
-void DynamicKDash::MarkColumnChanged(NodeId u) {
+void DynamicKDash::UpdateColumn(NodeId u) {
+  // D(:, u) = −(1-c)·(a_current(u) − a_base(u)). Both columns are normalized
+  // from the same map in the same order as NormalizedFromMaps, so a column
+  // that is back at its base value gives exact zeros.
+  std::vector<Scalar> delta(static_cast<std::size_t>(num_nodes_), 0.0);
+  const auto& edges = out_edges_[static_cast<std::size_t>(u)];
+  Scalar total = 0.0;
+  for (const auto& [dst, weight] : edges) total += weight;
+  if (total > 0.0) {
+    for (const auto& [dst, weight] : edges) {
+      delta[static_cast<std::size_t>(dst)] = weight / total;
+    }
+  }
+  for (Index k = base_a_.ColBegin(u); k < base_a_.ColEnd(u); ++k) {
+    delta[static_cast<std::size_t>(base_a_.RowIndex(k))] -= base_a_.Value(k);
+  }
+  const bool restored = std::all_of(delta.begin(), delta.end(),
+                                    [](Scalar value) { return value == 0.0; });
+
   const auto it =
       std::lower_bound(delta_columns_.begin(), delta_columns_.end(), u);
-  if (it == delta_columns_.end() || *it != u) {
-    delta_columns_.insert(it, u);
-  }
-  correction_fresh_ = false;
-  if (static_cast<int>(delta_columns_.size()) > kMaxPendingColumns) {
-    Rebuild();
-  }
-}
-
-std::vector<Scalar> DynamicKDash::CurrentColumn(NodeId u) const {
-  std::vector<Scalar> column(static_cast<std::size_t>(num_nodes_), 0.0);
-  Scalar total = 0.0;
-  for (const auto& [dst, weight] : out_edges_[static_cast<std::size_t>(u)]) {
-    total += weight;
-  }
-  if (total <= 0.0) return column;
-  for (const auto& [dst, weight] : out_edges_[static_cast<std::size_t>(u)]) {
-    column[static_cast<std::size_t>(dst)] = weight / total;
-  }
-  return column;
-}
-
-void DynamicKDash::RefreshCorrection() {
-  const int d = static_cast<int>(delta_columns_.size());
-  const Scalar damp = 1.0 - restart_prob_;
-
-  // Z = W₀⁻¹ D, one triangular-solve pair per changed column. The delta of
-  // column u is −(1-c)·(a_current(u) − a_base(u)).
-  z_ = linalg::DenseMatrix(num_nodes_, d);
-  for (int j = 0; j < d; ++j) {
-    const NodeId u = delta_columns_[static_cast<std::size_t>(j)];
-    std::vector<Scalar> delta = CurrentColumn(u);
-    for (Index k = base_a_.ColBegin(u); k < base_a_.ColEnd(u); ++k) {
-      delta[static_cast<std::size_t>(base_a_.RowIndex(k))] -= base_a_.Value(k);
+  const auto z_it = z_columns_.begin() + (it - delta_columns_.begin());
+  const bool pending = it != delta_columns_.end() && *it == u;
+  if (restored) {
+    if (!pending) return;
+    delta_columns_.erase(it);
+    z_columns_.erase(z_it);
+  } else {
+    if (!pending &&
+        static_cast<int>(delta_columns_.size()) == kMaxPendingColumns) {
+      Rebuild();
+      return;
     }
+    const Scalar damp = 1.0 - restart_prob_;
     for (auto& value : delta) value *= -damp;
-    const std::vector<Scalar> column = base_solver_->Solve(std::move(delta));
-    for (NodeId i = 0; i < num_nodes_; ++i) {
-      z_(i, j) = column[static_cast<std::size_t>(i)];
+    std::vector<Scalar> column = base_solver_->Solve(std::move(delta));
+    if (pending) {
+      *z_it = std::move(column);
+    } else {
+      delta_columns_.insert(it, u);
+      z_columns_.insert(z_it, std::move(column));
     }
   }
 
   // M = (I_d + S Z)⁻¹ where S picks the changed rows of Z.
+  const int d = static_cast<int>(delta_columns_.size());
   linalg::DenseMatrix core(d, d);
   for (int r = 0; r < d; ++r) {
-    const NodeId u = delta_columns_[static_cast<std::size_t>(r)];
-    for (int j = 0; j < d; ++j) core(r, j) = z_(u, j);
+    const auto row = static_cast<std::size_t>(
+        delta_columns_[static_cast<std::size_t>(r)]);
+    for (int j = 0; j < d; ++j) {
+      core(r, j) = z_columns_[static_cast<std::size_t>(j)][row];
+    }
     core(r, r) += 1.0;
   }
   m_ = linalg::InvertDense(core);
-  correction_fresh_ = true;
 }
 
-std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
+std::vector<Scalar> DynamicKDash::Solve(
+    const std::vector<NodeId>& sources) const {
   KDASH_CHECK(!sources.empty());
-  if (!correction_fresh_) RefreshCorrection();
 
   // rhs = c·q with q the restart distribution placing 1/|sources| on each
   // occurrence — a duplicated source accumulates multiplicity, matching
@@ -182,21 +183,22 @@ std::vector<Scalar> DynamicKDash::Solve(const std::vector<NodeId>& sources) {
   const int d = static_cast<int>(delta_columns_.size());
   if (d == 0) return p;
 
-  // p ← p − Z·M·(S·p).
+  // p ← p − Z·M·(S·p), one column of Z at a time.
   std::vector<Scalar> selected(static_cast<std::size_t>(d), 0.0);
   for (int r = 0; r < d; ++r) {
     selected[static_cast<std::size_t>(r)] =
         p[static_cast<std::size_t>(delta_columns_[static_cast<std::size_t>(r)])];
   }
   const std::vector<Scalar> coefficients = linalg::MatVec(m_, selected);
-  const std::vector<Scalar> correction = linalg::MatVec(z_, coefficients);
-  for (NodeId i = 0; i < num_nodes_; ++i) {
-    p[static_cast<std::size_t>(i)] -= correction[static_cast<std::size_t>(i)];
+  for (int j = 0; j < d; ++j) {
+    const Scalar coefficient = coefficients[static_cast<std::size_t>(j)];
+    const std::vector<Scalar>& z = z_columns_[static_cast<std::size_t>(j)];
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] -= coefficient * z[i];
   }
   return p;
 }
 
-SearchResult DynamicKDash::Search(const Query& query) {
+SearchResult DynamicKDash::Search(const Query& query) const {
   const auto scores = Solve(query.sources);
   TopKHeap heap(query.k);
   if (query.exclude.empty()) {

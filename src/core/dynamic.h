@@ -15,14 +15,18 @@
 //   W⁻¹x = W₀⁻¹x − Z·M·(S·W₀⁻¹x),  Z = W₀⁻¹D,  M = (I_d + S·Z)⁻¹.
 //
 // Solves against W₀ go through a rwr::DirectRwrSolver over the base graph
-// (two triangular solves on its LU factors); Z and M are refreshed only
-// when the set of touched columns changes. When d exceeds
-// kMaxPendingColumns the index auto-rebuilds from the current graph,
-// restoring the fast path. Queries take the same core/query.h `Query` as
-// the static searcher and solve for the full exact proximity vector (no
-// BFS pruning — the correction term is global), so this sits between the
-// iterative solver and the static K-dash index: exact, factor-based,
-// update-friendly.
+// (two triangular solves on its LU factors). Z and M are kept current on the
+// write path: an edit of node u's out-edges costs one solve for Z's column u
+// plus an O(d³) inversion of the d × d matrix M, so a read only applies them.
+// An edit that restores u's base column (an added edge removed again, a
+// removed edge re-added at its base weight) gives an exact-zero delta and
+// takes u out of the correction. kMaxPendingColumns counts the columns that
+// differ from the base; when one more would exceed it the index
+// auto-rebuilds from the current graph. Queries take the same core/query.h
+// `Query` as the static searcher and solve for the full exact proximity
+// vector (no BFS pruning — the correction term is global), so this sits
+// between the iterative solver and the static K-dash index: exact,
+// factor-based, update-friendly.
 #ifndef KDASH_CORE_DYNAMIC_H_
 #define KDASH_CORE_DYNAMIC_H_
 
@@ -40,7 +44,8 @@
 
 namespace kdash::core {
 
-// Auto-rebuild (refactorize) past this many distinct changed columns.
+// Auto-rebuild (refactorize) past this many columns that differ from the
+// base.
 inline constexpr int kMaxPendingColumns = 64;
 
 class DynamicKDash {
@@ -53,8 +58,8 @@ class DynamicKDash {
   // kInvalidArgument, leaving the graph unchanged, for a weight that is not
   // positive and finite or that would make the source's out-weight total
   // overflow to infinity.
-  // Both are O(out-degree) plus a deferred O(solve) refresh on the next
-  // query.
+  // Each costs O(n) plus one base solve and an O(d³) refresh of M (or a
+  // full rebuild when the column would be the (kMaxPendingColumns + 1)-th).
   [[nodiscard]] Status AddEdge(NodeId src, NodeId dst, Scalar weight = 1.0);
   [[nodiscard]] Status RemoveEdge(NodeId src, NodeId dst);
 
@@ -63,7 +68,7 @@ class DynamicKDash {
   // of W⁻¹. Each occurrence carries 1/|sources| of the restart mass, so a
   // repeated source is weighted by its multiplicity, as in
   // KDashSearcher::Search. Sources must be non-empty and in range.
-  std::vector<Scalar> Solve(const std::vector<NodeId>& sources);
+  std::vector<Scalar> Solve(const std::vector<NodeId>& sources) const;
 
   // Exact top-k for `query` under the current graph. Every answer below
   // 1e-13 is dropped, reachable or not: the global solve gives unreachable
@@ -73,9 +78,10 @@ class DynamicKDash {
   // answers; this engine returns 10). The solve is global (the correction
   // touches every node), so the stats report a full scan and `use_pruning`
   // is moot.
-  SearchResult Search(const Query& query);
+  SearchResult Search(const Query& query) const;
 
-  // Number of columns currently represented as a correction.
+  // Number of columns that differ from the base, each one a correction
+  // column.
   int pending_columns() const { return static_cast<int>(delta_columns_.size()); }
 
   // Fold all pending updates into a fresh factorization.
@@ -84,10 +90,8 @@ class DynamicKDash {
   int rebuild_count() const { return rebuild_count_; }
 
  private:
-  // Current out-adjacency of node u as a sorted (dst, weight) list.
-  std::vector<Scalar> CurrentColumn(NodeId u) const;
-  void MarkColumnChanged(NodeId u);
-  void RefreshCorrection();
+  // Brings Z's column u and M up to date after an edit of u's out-edges.
+  void UpdateColumn(NodeId u);
 
   Scalar restart_prob_;
   NodeId num_nodes_ = 0;
@@ -99,11 +103,11 @@ class DynamicKDash {
   sparse::CscMatrix base_a_;
   std::optional<rwr::DirectRwrSolver> base_solver_;
 
-  // Correction state.
-  std::vector<NodeId> delta_columns_;       // changed column ids, sorted
-  linalg::DenseMatrix z_;                   // W₀⁻¹ D, n × d
-  linalg::DenseMatrix m_;                   // (I + S Z)⁻¹, d × d
-  bool correction_fresh_ = true;
+  // Correction state: z_columns_[j] = W₀⁻¹ D(:, j), the n-vector of the
+  // j-th column in delta_columns_.
+  std::vector<NodeId> delta_columns_;             // changed column ids, sorted
+  std::vector<std::vector<Scalar>> z_columns_;    // Z, one n-vector per column
+  linalg::DenseMatrix m_;                         // (I + S Z)⁻¹, d × d
   int rebuild_count_ = 0;
 };
 

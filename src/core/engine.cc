@@ -19,8 +19,9 @@ namespace kdash {
 // plus a checkout list of reusable searcher workspaces: every concurrent
 // caller — one rank of a SearchBatch (a Search is a batch of one) —
 // borrows a private searcher, so N threads search truly in parallel.
-// Updatable engines own a DynamicKDash whose correction state is shared,
-// so every operation on it takes the exclusive lock.
+// Updatable engines own a DynamicKDash whose reads are const: a batch holds
+// a shared lock while its ranks search in parallel, and an edge update holds
+// the lock exclusively while it refreshes the correction.
 struct Engine::Impl {
   NodeId num_nodes = 0;
   Scalar restart_prob = 0.0;
@@ -32,13 +33,13 @@ struct Engine::Impl {
   mutable std::vector<std::unique_ptr<core::KDashSearcher>> idle_searchers
       KDASH_GUARDED_BY(searcher_mutex);
 
-  // Updatable backend: the DynamicKDash's correction state is shared, so
-  // every solve and every edge update holds dynamic_mutex. The pointer is
-  // set once at construction (reading it is how callers tell the two
-  // backend kinds apart); only the pointee needs the lock.
+  // Updatable backend: searches hold dynamic_mutex shared, edge updates
+  // hold it exclusively. The pointer is set once at construction (reading
+  // it is how callers tell the two backend kinds apart); only the pointee
+  // needs the lock.
   std::unique_ptr<core::DynamicKDash> dynamic
       KDASH_PT_GUARDED_BY(dynamic_mutex);
-  mutable Mutex dynamic_mutex;
+  mutable SharedMutex dynamic_mutex;
 
   // Bumped on every successful edge mutation (see Engine::update_epoch).
   // Atomic so lock-free cache-invalidation polls never touch dynamic_mutex.
@@ -238,42 +239,46 @@ std::vector<Result<SearchResult>> Engine::SearchBatch(
       results.emplace_back(std::move(status));
     }
   }
-  if (impl_->dynamic != nullptr) {
-    MutexLock lock(impl_->dynamic_mutex);
-    for (const std::size_t i : valid) {
-      obs::ScopedSpan span(queries[i].trace.get(), "engine.search");
-      WallTimer timer;
-      results[i] = impl_->dynamic->Search(queries[i]);
-      impl_->RecordSearch(timer, queries[i], results[i]->stats);
-    }
-    return results;
-  }
   if (valid.empty()) return results;
-  // Each rank pulls valid query indexes off a shared cursor with one
-  // searcher checked out of the engine's list; a rank that finds no work
-  // takes none.
+  // Each rank pulls valid query indexes off a shared cursor. On a static
+  // engine it checks one searcher out of the engine's list; a rank that
+  // finds no work takes none. On an updatable engine every rank searches
+  // the DynamicKDash under the batch's shared hold.
+  const core::DynamicKDash* dynamic = impl_->dynamic.get();
   std::atomic<std::size_t> cursor{0};
   const auto run_rank = [&](int /*rank*/) {
     std::size_t v = cursor.fetch_add(1, std::memory_order_relaxed);
     if (v >= valid.size()) return;
-    auto searcher = impl_->AcquireSearcher();
+    std::unique_ptr<core::KDashSearcher> searcher;
+    if (dynamic == nullptr) searcher = impl_->AcquireSearcher();
     for (; v < valid.size();
          v = cursor.fetch_add(1, std::memory_order_relaxed)) {
       const Query& query = queries[valid[v]];
       obs::ScopedSpan span(query.trace.get(), "engine.search");
       WallTimer timer;
-      results[valid[v]] = searcher->Search(query);
+      results[valid[v]] =
+          searcher != nullptr ? searcher->Search(query) : dynamic->Search(query);
       impl_->RecordSearch(timer, query, results[valid[v]]->stats);
     }
-    impl_->ReleaseSearcher(std::move(searcher));
+    if (searcher != nullptr) impl_->ReleaseSearcher(std::move(searcher));
   };
   // One valid query must run on the caller: FanOut runs shard searches on
   // ThreadPool::Shared() workers and RunOnAllThreads is not reentrant, and
   // waking the pool would add its latency to every single search.
-  if (valid.size() == 1) {
-    run_rank(0);
+  const auto run_batch = [&] {
+    if (valid.size() == 1) {
+      run_rank(0);
+    } else {
+      ThreadPool::Shared().RunOnAllThreads(run_rank);
+    }
+  };
+  if (dynamic == nullptr) {
+    run_batch();
   } else {
-    ThreadPool::Shared().RunOnAllThreads(run_rank);
+    // One shared hold for the whole batch: edge updates wait for it, so
+    // every answer in the batch sees the same graph.
+    ReaderMutexLock lock(impl_->dynamic_mutex);
+    run_batch();
   }
   return results;
 }
@@ -284,7 +289,7 @@ Status Engine::AddEdge(NodeId src, NodeId dst, Scalar weight) {
         "engine is not updatable; build with EngineOptions::updatable to "
         "accept edge updates");
   }
-  MutexLock lock(impl_->dynamic_mutex);
+  WriterMutexLock lock(impl_->dynamic_mutex);
   const Status status = impl_->dynamic->AddEdge(src, dst, weight);
   if (status.ok()) {
     impl_->update_epoch.fetch_add(1, std::memory_order_release);
@@ -298,7 +303,7 @@ Status Engine::RemoveEdge(NodeId src, NodeId dst) {
         "engine is not updatable; build with EngineOptions::updatable to "
         "accept edge updates");
   }
-  MutexLock lock(impl_->dynamic_mutex);
+  WriterMutexLock lock(impl_->dynamic_mutex);
   const Status status = impl_->dynamic->RemoveEdge(src, dst);
   if (status.ok()) {
     impl_->update_epoch.fetch_add(1, std::memory_order_release);

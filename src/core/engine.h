@@ -20,7 +20,11 @@
 //   - An Engine is either *static* (immutable precomputed index — the
 //     paper's K-dash, milliseconds per query) or *updatable*
 //     (EngineOptions::updatable — Woodbury-corrected exact solves that
-//     absorb AddEdge/RemoveEdge without refactorizing). Both backends
+//     absorb AddEdge/RemoveEdge without refactorizing). On an updatable
+//     engine searches share a reader lock and run in parallel like static
+//     ones; AddEdge/RemoveEdge take it exclusively, bring the correction up
+//     to date and return, so a search never pays for an earlier edit. Both
+//     backends
 //     take the same core/query.h `Query` (KDashSearcher::Search,
 //     DynamicKDash::Search); Engine validates it and hands it through
 //     unchanged.
@@ -49,9 +53,10 @@ struct EngineOptions {
 
   // Build an updatable engine: AddEdge/RemoveEdge are accepted and queries
   // stay exact under the mutated graph (Woodbury correction over the base
-  // factorization, auto-refactorize past core::kMaxPendingColumns distinct
-  // changed columns). Updatable engines serve queries under an exclusive
-  // lock (the correction state is shared) and cannot be Saved/Opened.
+  // factorization, kept current by each edge update, auto-refactorize past
+  // core::kMaxPendingColumns columns that differ from the base). Updatable
+  // engines serve queries under a shared lock that edge updates take
+  // exclusively, and cannot be Saved/Opened.
   bool updatable = false;
 };
 
@@ -86,17 +91,19 @@ class Engine {
   // Answer a batch; results[i] answers queries[i] on its own. Validates
   // every query (source/exclude ids in range, non-empty sources,
   // duplicate-free excludes, k ≥ 1) and gives an invalid one
-  // kInvalidArgument with a precise message. On a static engine two or more
-  // valid queries fan out over the process-wide thread pool
-  // (KDASH_NUM_THREADS workers), each worker borrowing a searcher from the
-  // engine's checkout list; one runs on the caller. Thread-safe.
+  // kInvalidArgument with a precise message. Two or more valid queries fan
+  // out over the process-wide thread pool (KDASH_NUM_THREADS workers); one
+  // runs on the caller. On a static engine each worker borrows a searcher
+  // from the engine's checkout list; on an updatable engine the whole batch
+  // runs under one shared hold, so it sees one graph. Thread-safe.
   [[nodiscard]] std::vector<Result<SearchResult>> SearchBatch(
       std::span<const Query> queries) const;
 
   // Graph mutation (updatable engines only; kFailedPrecondition otherwise).
   // RemoveEdge of an absent edge returns kNotFound. Exclusive with
   // concurrent searches — callers see either the old or the new graph,
-  // never a torn state.
+  // never a torn state. Each costs one solve against the base factors plus
+  // an O(d³) refresh of the d × d Woodbury core, d ≤ kMaxPendingColumns.
   [[nodiscard]] Status AddEdge(NodeId src, NodeId dst, Scalar weight = 1.0);
   [[nodiscard]] Status RemoveEdge(NodeId src, NodeId dst);
 

@@ -2,7 +2,7 @@
 //
 // NB_LIN (Tong et al., ICDM'06) works with O(n·r) dense factors from a
 // truncated SVD plus a small r×r dense inverse; the updatable engine
-// (core/dynamic.h) keeps its Woodbury correction as an n×d and a d×d dense
+// (core/dynamic.h) keeps the d×d core of its Woodbury correction as a dense
 // matrix. This module provides exactly the dense operations they need; the
 // static K-dash path never touches it.
 #ifndef KDASH_LINALG_DENSE_MATRIX_H_

@@ -3,6 +3,8 @@
 // from scratch and against power iteration on the mutated graph.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "core/dynamic.h"
 #include "rwr/power_iteration.h"
@@ -115,6 +117,136 @@ TEST(DynamicTest, AutoRebuildKicksIn) {
   }
   EXPECT_GT(dynamic.rebuild_count(), 1);
   EXPECT_LE(dynamic.pending_columns(), kMaxPendingColumns);
+}
+
+// True when `src` already has an out-edge to `dst` in `g`.
+bool HasEdge(const graph::Graph& g, NodeId src, NodeId dst) {
+  for (const graph::Neighbor& nb : g.OutNeighbors(src)) {
+    if (nb.node == dst) return true;
+  }
+  return false;
+}
+
+// The first node after `src` (cyclically) that `src` has no edge to.
+NodeId NonNeighbor(const graph::Graph& g, NodeId src) {
+  for (NodeId step = 1; step < g.num_nodes(); ++step) {
+    const NodeId dst = (src + step) % g.num_nodes();
+    if (!HasEdge(g, src, dst)) return dst;
+  }
+  ADD_FAILURE() << "node " << src << " links to every other node";
+  return src;
+}
+
+// Bit-for-bit equality of two solves, so a cancelled edit that left any
+// rounding residue behind fails.
+void ExpectSameBits(const std::vector<Scalar>& got,
+                    const std::vector<Scalar>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Scalar)),
+            0);
+}
+
+TEST(DynamicTest, CancelledEditsLeaveTheCorrection) {
+  const auto g = test::RandomDirectedGraph(80, 500, 22);
+  const DynamicKDash untouched(g, 0.95);
+  const std::vector<std::vector<NodeId>> sources{{5}, {17}, {2, 9, 40}};
+
+  // A new edge, added and then removed.
+  DynamicKDash dynamic(g, 0.95);
+  const NodeId src = 5;
+  const NodeId dst = NonNeighbor(g, src);
+  ASSERT_TRUE(dynamic.AddEdge(src, dst, 1.0).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 1);
+  ASSERT_TRUE(dynamic.RemoveEdge(src, dst).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 0);
+  EXPECT_EQ(dynamic.rebuild_count(), 1);
+  for (const auto& s : sources) ExpectSameBits(dynamic.Solve(s), untouched.Solve(s));
+
+  // A base edge, removed and then re-added at its base weight.
+  ASSERT_GT(g.OutDegree(src), 0);
+  const graph::Neighbor base_edge = g.OutNeighbors(src)[0];
+  ASSERT_TRUE(dynamic.RemoveEdge(src, base_edge.node).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 1);
+  ASSERT_TRUE(dynamic.AddEdge(src, base_edge.node, base_edge.weight).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 0);
+  EXPECT_EQ(dynamic.rebuild_count(), 1);
+  for (const auto& s : sources) ExpectSameBits(dynamic.Solve(s), untouched.Solve(s));
+}
+
+TEST(DynamicTest, CancelledEditsNeverRebuild) {
+  // Every added edge is removed kLag writes later, as in a stream of
+  // short-lived edges: at most kLag columns differ from the base at once,
+  // however many distinct sources the stream touches.
+  constexpr NodeId kLag = 8;
+  const auto g = test::RandomDirectedGraph(200, 1200, 23);
+  DynamicKDash dynamic(g, 0.95);
+  const NodeId pairs = 2 * kMaxPendingColumns;
+  for (NodeId src = 0; src < pairs + kLag; ++src) {
+    if (src < pairs) {
+      ASSERT_TRUE(dynamic.AddEdge(src, NonNeighbor(g, src), 1.0).ok());
+    }
+    if (src >= kLag) {
+      const NodeId old = src - kLag;
+      ASSERT_TRUE(dynamic.RemoveEdge(old, NonNeighbor(g, old)).ok());
+    }
+    EXPECT_LE(dynamic.pending_columns(), kLag) << "after source " << src;
+  }
+  EXPECT_EQ(dynamic.pending_columns(), 0);
+  EXPECT_EQ(dynamic.rebuild_count(), 1);
+}
+
+TEST(DynamicTest, EditsOfPendingColumnsStayExact) {
+  // Re-edits a column that is already pending (onto a new edge and onto a
+  // base edge) and cancels one from the middle of the sorted set, checking
+  // every answer after every write.
+  const auto g = test::RandomDirectedGraph(100, 700, 24);
+  DynamicKDash dynamic(g, 0.95);
+  std::vector<std::tuple<NodeId, NodeId, Scalar>> additions;
+  std::vector<std::pair<NodeId, NodeId>> removals;
+  const auto check = [&](int pending, const char* step) {
+    EXPECT_EQ(dynamic.pending_columns(), pending) << step;
+    for (const NodeId q : {3, 10, 57}) {
+      const auto p = dynamic.Solve({q});
+      const auto truth = TruthAfterMutations(g, additions, removals, q, 0.95);
+      for (std::size_t u = 0; u < p.size(); ++u) {
+        ASSERT_NEAR(p[u], truth[u], 1e-9) << step << " q=" << q << " u=" << u;
+      }
+    }
+  };
+  const NodeId a = NonNeighbor(g, 3);
+  const NodeId b = NonNeighbor(g, 10);
+  const NodeId c = NonNeighbor(g, 20);
+  ASSERT_GT(g.OutDegree(20), 0);
+  ASSERT_GT(g.OutDegree(7), 0);
+  const NodeId base_of_20 = g.OutNeighbors(20)[0].node;
+  const NodeId base_of_7 = g.OutNeighbors(7)[0].node;
+
+  ASSERT_TRUE(dynamic.AddEdge(3, a, 1.5).ok());
+  additions.emplace_back(3, a, 1.5);
+  check(1, "add 3");
+  ASSERT_TRUE(dynamic.AddEdge(10, b, 0.7).ok());
+  additions.emplace_back(10, b, 0.7);
+  check(2, "add 10");
+  ASSERT_TRUE(dynamic.AddEdge(20, c, 2.0).ok());
+  additions.emplace_back(20, c, 2.0);
+  check(3, "add 20");
+  ASSERT_TRUE(dynamic.AddEdge(3, a, 0.5).ok());  // onto the pending new edge
+  additions.emplace_back(3, a, 0.5);
+  check(3, "re-add 3");
+  ASSERT_TRUE(dynamic.AddEdge(20, base_of_20, 1.0).ok());  // onto a base edge
+  additions.emplace_back(20, base_of_20, 1.0);
+  check(3, "add onto base edge of 20");
+  ASSERT_TRUE(dynamic.RemoveEdge(10, b).ok());  // cancels the middle column
+  additions.erase(additions.begin() + 1);
+  check(2, "cancel 10");
+  ASSERT_TRUE(dynamic.RemoveEdge(7, base_of_7).ok());
+  removals.emplace_back(7, base_of_7);
+  check(3, "remove base edge of 7");
+  ASSERT_TRUE(dynamic.RemoveEdge(3, a).ok());
+  additions.erase(additions.begin());  // both additions to 3 -> a
+  additions.erase(additions.begin() + 1);
+  check(2, "cancel 3");
+  EXPECT_EQ(dynamic.rebuild_count(), 1);
 }
 
 TEST(DynamicTest, ManualRebuildPreservesAnswers) {

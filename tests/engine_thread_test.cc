@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -223,6 +224,99 @@ TEST(EngineThreadTest, UpdatableEngineSearchesAndUpdatesDoNotTear) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+Engine BuildUpdatable(const graph::Graph& g) {
+  EngineOptions options;
+  options.updatable = true;
+  auto engine = Engine::Build(g, options);
+  KDASH_CHECK(engine.ok()) << engine.status();
+  return std::move(engine).value();
+}
+
+TEST(EngineThreadTest, UpdatableSearchBatchBitIdenticalToSearch) {
+  // The batch's ranks share the engine's reader lock and run on the pool
+  // (KDASH_NUM_THREADS workers); each answer must equal the query's own
+  // Search, with a live Woodbury correction.
+  const auto g = test::RandomDirectedGraph(140, 1000, 304);
+  Engine engine = BuildUpdatable(g);
+  for (NodeId src = 0; src < 12; ++src) {
+    ASSERT_TRUE(engine.AddEdge(src, (src * 7 + 50) % 140, 0.75).ok());
+  }
+  const auto queries = MixedQueries(g.num_nodes(), 48);
+  const auto batch = engine.SearchBatch(queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(batch[q].ok()) << batch[q].status();
+    const auto single = engine.Search(queries[q]);
+    ASSERT_TRUE(single.ok()) << single.status();
+    ExpectIdentical(*batch[q], *single, q);
+  }
+}
+
+TEST(EngineThreadTest, WriterFinishesUnderReaderHeavyLoad) {
+  // Readers issue batches back to back for as long as the writer runs; the
+  // writer must still get the exclusive lock for every one of its edits.
+  // Afterwards the engine answers exactly like one that took the same edits
+  // with no readers around.
+  const auto g = test::RandomDirectedGraph(120, 800, 305);
+  Engine engine = BuildUpdatable(g);
+  Engine quiet = BuildUpdatable(g);
+  const auto queries = MixedQueries(g.num_nodes(), 32);
+
+  constexpr int kReaders = 4;
+  constexpr int kEdits = 40;
+  // Every other added edge is removed again; the rest get a second AddEdge
+  // onto their pending column, so the correction ends non-empty.
+  const auto edit = [](Engine& target, int i) {
+    const NodeId src = static_cast<NodeId>((i / 2 * 13) % 120);
+    const NodeId dst = static_cast<NodeId>((i / 2 * 13 + 61) % 120);
+    switch (i % 4) {
+      case 1:
+        return target.RemoveEdge(src, dst);
+      case 3:
+        return target.AddEdge(src, dst, 0.5);
+      default:
+        return target.AddEdge(src, dst, 2.0);
+    }
+  };
+  // A starved writer fails the test at the deadline instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> readers_gave_up{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      while (!writer_done.load()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          readers_gave_up.store(true);
+          return;
+        }
+        for (const auto& result : engine.SearchBatch(queries)) {
+          if (!result.ok() || result->top.empty()) ++failures;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kEdits; ++i) {
+      if (!edit(engine, i).ok()) ++failures;
+    }
+    writer_done.store(true);
+  });
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_FALSE(readers_gave_up.load()) << "the writer was starved";
+
+  for (int i = 0; i < kEdits; ++i) ASSERT_TRUE(edit(quiet, i).ok());
+  const auto got = engine.SearchBatch(queries);
+  const auto want = quiet.SearchBatch(queries);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(got[q].ok() && want[q].ok());
+    ExpectIdentical(*got[q], *want[q], q);
+  }
 }
 
 }  // namespace
