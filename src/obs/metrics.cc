@@ -46,14 +46,19 @@ std::uint64_t Histogram::Sum() const {
   return total;
 }
 
-std::uint64_t Histogram::Quantile(double q) const {
-  std::array<std::uint64_t, kNumBuckets> counts;
-  std::uint64_t total = 0;
+Histogram::BucketCounts Histogram::LoadCounts(std::uint64_t* total) const {
+  BucketCounts counts;
+  *total = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     counts[static_cast<std::size_t>(i)] =
         buckets_[i].load(std::memory_order_relaxed);
-    total += counts[static_cast<std::size_t>(i)];
+    *total += counts[static_cast<std::size_t>(i)];
   }
+  return counts;
+}
+
+std::uint64_t Histogram::QuantileOf(const BucketCounts& counts,
+                                    std::uint64_t total, double q) {
   if (total == 0) return 0;
   // 1-based rank of the requested sample in bucket order; q = 0.5 over an
   // even count picks the lower median — a fixed, documented choice, not a
@@ -70,32 +75,20 @@ std::uint64_t Histogram::Quantile(double q) const {
   return BucketLowerBound(kNumBuckets - 1);  // unreachable
 }
 
+std::uint64_t Histogram::Quantile(double q) const {
+  std::uint64_t total = 0;
+  const BucketCounts counts = LoadCounts(&total);
+  return QuantileOf(counts, total, q);
+}
+
 void Histogram::AppendJsonFields(std::string* out) const {
   // One coherent pass over the buckets feeds count, quantiles, and the
   // bucket list alike, so a snapshot never contradicts itself (e.g. a p99
   // rank beyond its own count). Sum and max are read separately and may
   // trail the buckets by in-flight samples — documented, and irrelevant
   // once writers quiesce.
-  std::array<std::uint64_t, kNumBuckets> counts;
   std::uint64_t total = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    counts[static_cast<std::size_t>(i)] =
-        buckets_[i].load(std::memory_order_relaxed);
-    total += counts[static_cast<std::size_t>(i)];
-  }
-  const auto quantile = [&](double q) -> std::uint64_t {
-    if (total == 0) return 0;
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(total)));
-    if (rank < 1) rank = 1;
-    if (rank > total) rank = total;
-    std::uint64_t cumulative = 0;
-    for (int i = 0; i < kNumBuckets; ++i) {
-      cumulative += counts[static_cast<std::size_t>(i)];
-      if (cumulative >= rank) return BucketLowerBound(i);
-    }
-    return BucketLowerBound(kNumBuckets - 1);
-  };
+  const BucketCounts counts = LoadCounts(&total);
   out->append("\"count\":");
   AppendUint(out, total);
   out->append(",\"sum\":");
@@ -103,11 +96,11 @@ void Histogram::AppendJsonFields(std::string* out) const {
   out->append(",\"max\":");
   AppendUint(out, Max());
   out->append(",\"p50\":");
-  AppendUint(out, quantile(0.50));
+  AppendUint(out, QuantileOf(counts, total, 0.50));
   out->append(",\"p90\":");
-  AppendUint(out, quantile(0.90));
+  AppendUint(out, QuantileOf(counts, total, 0.90));
   out->append(",\"p99\":");
-  AppendUint(out, quantile(0.99));
+  AppendUint(out, QuantileOf(counts, total, 0.99));
   out->append(",\"buckets\":[");
   bool first = true;
   for (int i = 0; i < kNumBuckets; ++i) {

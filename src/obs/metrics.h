@@ -35,6 +35,7 @@
 #ifndef KDASH_OBS_METRICS_H_
 #define KDASH_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -71,8 +72,6 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "router.degraded_queries",  // router answers missing >= 1 slot's shards
     "router.failovers",         // slot served by a non-primary replica
     "router.health_probes",     // background pings sent to workers
-    "router.hedge_wins",        // hedged copy answered before the original
-    "router.hedges",            // hedged (duplicate) requests issued
     "router.marked_down",       // endpoint transitions healthy -> down
     "router.marked_up",         // endpoint transitions down -> healthy
     "router.remote_us",         // per-call wire round-trip latency
@@ -219,7 +218,17 @@ class Histogram {
   void AppendJsonFields(std::string* out) const;
 
  private:
+  using BucketCounts = std::array<std::uint64_t, kNumBuckets>;
+
   static std::size_t StripeIndex();
+
+  // One relaxed pass over the buckets; `*total` is their sum.
+  BucketCounts LoadCounts(std::uint64_t* total) const;
+
+  // The quantile rule over one bucket-count snapshot: lower bound of the
+  // bucket holding the 1-based rank-⌈q·total⌉ sample, 0 when total is 0.
+  static std::uint64_t QuantileOf(const BucketCounts& counts,
+                                  std::uint64_t total, double q);
 
   struct alignas(64) Stripe {
     std::atomic<std::uint64_t> value{0};

@@ -22,7 +22,7 @@ namespace {
 // Cap on the doubling reconnect backoff.
 constexpr std::chrono::milliseconds kMaxReconnectBackoff{2000};
 
-// Registry handles resolved once — Begin/Finish sit on the query path.
+// Registry handles resolved once — RoundTrip sits on the query path.
 struct RemoteMetrics {
   obs::Counter* connects;
   obs::Counter* connect_errors;
@@ -44,8 +44,10 @@ const RemoteMetrics& Metrics() {
   return metrics;
 }
 
-}  // namespace
-
+// Milliseconds until `deadline` for poll(), rounded up so a wait never
+// ends before it, clamped to [0, 60 s] for poll()'s int argument (callers
+// re-poll until the deadline has really passed). An already-passed
+// deadline gives 0: one non-blocking readiness check.
 int PollTimeoutMs(std::chrono::steady_clock::time_point deadline) {
   const auto remaining = deadline - std::chrono::steady_clock::now();
   if (remaining.count() <= 0) return 0;
@@ -54,20 +56,24 @@ int PollTimeoutMs(std::chrono::steady_clock::time_point deadline) {
   return static_cast<int>(std::min<long long>(ms, 60'000));
 }
 
-RemoteWorker::Call::~Call() {
-  if (fd_ >= 0) ::close(fd_);
+}  // namespace
+
+bool RemoteEndpoint::Resolve(sockaddr_in* addr) const {
+  *addr = sockaddr_in{};
+  addr->sin_family = AF_INET;
+  addr->sin_port = htons(static_cast<std::uint16_t>(port));
+  return ::inet_pton(AF_INET, host == "localhost" ? "127.0.0.1" : host.c_str(),
+                     &addr->sin_addr) == 1;
+}
+
+RemoteWorker::Connection::~Connection() {
+  if (fd >= 0) ::close(fd);
 }
 
 RemoteWorker::RemoteWorker(RemoteEndpoint endpoint, RemoteOptions options)
     : endpoint_(std::move(endpoint)),
       options_(options),
       dial_backoff_(options.reconnect_backoff) {}
-
-RemoteWorker::~RemoteWorker() {
-  MutexLock lock(mutex_);
-  for (const auto& [fd, leftover] : idle_) ::close(fd);
-  idle_.clear();
-}
 
 bool RemoteWorker::healthy() const {
   MutexLock lock(mutex_);
@@ -114,12 +120,8 @@ Result<int> RemoteWorker::Dial() {
     }
   }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(endpoint_.port));
-  const std::string host =
-      endpoint_.host == "localhost" ? "127.0.0.1" : endpoint_.host;
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  sockaddr_in addr;
+  if (!endpoint_.Resolve(&addr)) {
     return Status::InvalidArgument("unresolvable worker host \"" +
                                    endpoint_.host +
                                    "\" (numeric IPv4 or localhost)");
@@ -161,15 +163,13 @@ Result<int> RemoteWorker::Dial() {
   return fd;
 }
 
-Result<RemoteWorker::Call> RemoteWorker::CheckOut(bool bypass_backoff) {
+Result<RemoteWorker::Connection> RemoteWorker::CheckOut(bool bypass_backoff) {
   {
     MutexLock lock(mutex_);
     if (!idle_.empty()) {
-      Call call;
-      call.fd_ = idle_.back().first;
-      call.buffer_ = std::move(idle_.back().second);
+      Connection connection = std::move(idle_.back());
       idle_.pop_back();
-      return call;
+      return connection;
     }
     if (!bypass_backoff && std::chrono::steady_clock::now() < next_dial_) {
       return Status::Unavailable(endpoint_.ToString() +
@@ -185,28 +185,28 @@ Result<RemoteWorker::Call> RemoteWorker::CheckOut(bool bypass_backoff) {
   }
   dial_backoff_ = options_.reconnect_backoff;
   next_dial_ = std::chrono::steady_clock::time_point::min();
-  Call call;
-  call.fd_ = *fd;
-  return call;
+  return Connection(*fd);
 }
 
-Result<RemoteWorker::Call> RemoteWorker::Begin(const std::string& line) {
-  Result<Call> call = CheckOut(/*bypass_backoff=*/false);
-  if (!call.ok()) {
+Result<std::string> RemoteWorker::RoundTrip(
+    const std::string& line, std::chrono::steady_clock::time_point deadline) {
+  Result<Connection> connection = CheckOut(/*bypass_backoff=*/false);
+  if (!connection.ok()) {
     MarkTransportFailure();
-    return call.status();
+    return connection.status();
   }
   Metrics().requests->Add();
   const Status sent = [&]() -> Status {
     KDASH_INJECT_FAULT("remote.send");
-    return Send(*call, line);
+    return Send(*connection, line);
   }();
   if (!sent.ok()) return FailIo(sent);
-  return std::move(*call);
+  return Receive(std::move(*connection), deadline);
 }
 
-Status RemoteWorker::Send(const Call& call, std::string_view line) const {
-  if (wire::SendLine(call.fd_, line)) return Status::Ok();
+Status RemoteWorker::Send(const Connection& connection,
+                          std::string_view line) const {
+  if (wire::SendLine(connection.fd, line)) return Status::Ok();
   return Status::Unavailable("send to " + endpoint_.ToString() + " failed");
 }
 
@@ -216,33 +216,28 @@ Status RemoteWorker::FailIo(Status status) {
   return status;
 }
 
-Result<std::string> RemoteWorker::Finish(
-    Call call, std::chrono::steady_clock::time_point deadline) {
-  if (!call.active()) {
-    return Status::Internal("Finish on an inactive remote call");
-  }
-  // Every failure below returns FailIo(...): `call` goes out of scope and
-  // closes the connection.
+Result<std::string> RemoteWorker::Receive(
+    Connection connection, std::chrono::steady_clock::time_point deadline) {
+  // Every failure below returns FailIo(...): `connection` goes out of scope
+  // and closes its fd.
   if (fault::AnyArmed()) {
     const Status injected = fault::Check("remote.recv");
     if (!injected.ok()) return FailIo(injected);
   }
   for (;;) {
-    const std::size_t newline = call.buffer_.find('\n');
+    const std::size_t newline = connection.buffer.find('\n');
     if (newline != std::string::npos) {
-      std::string line = call.buffer_.substr(0, newline);
-      std::string leftover = call.buffer_.substr(newline + 1);
-      const int fd = call.fd_;
-      call.fd_ = -1;  // ownership moves to the idle pool
+      std::string line = connection.buffer.substr(0, newline);
+      connection.buffer.erase(0, newline + 1);
       {
         MutexLock lock(mutex_);
-        idle_.emplace_back(fd, std::move(leftover));
+        idle_.push_back(std::move(connection));
       }
       MarkTransportSuccess();
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    pollfd pfd{call.fd_, POLLIN, 0};
+    pollfd pfd{connection.fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (ready < 0 && errno == EINTR) continue;
     if (ready < 0) {
@@ -258,38 +253,32 @@ Result<std::string> RemoteWorker::Finish(
       continue;  // clamped poll window expired; the deadline has not
     }
     char chunk[4096];
-    const ssize_t got = ::recv(call.fd_, chunk, sizeof(chunk), 0);
+    const ssize_t got = ::recv(connection.fd, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) {
       return FailIo(
           Status::Unavailable(endpoint_.ToString() + " closed the connection"));
     }
-    call.buffer_.append(chunk, static_cast<std::size_t>(got));
+    connection.buffer.append(chunk, static_cast<std::size_t>(got));
   }
-}
-
-void RemoteWorker::Abandon(Call call) {
-  // The moved-in call's destructor closes the connection; an abandoned
-  // request's late response must never be read as some other request's.
-  (void)call;
 }
 
 Status RemoteWorker::Probe() {
-  Result<Call> call = CheckOut(/*bypass_backoff=*/true);
-  if (!call.ok()) {
+  Result<Connection> connection = CheckOut(/*bypass_backoff=*/true);
+  if (!connection.ok()) {
     MarkTransportFailure();
-    return call.status();
+    return connection.status();
   }
-  // Not Begin: the probe already holds a connection (checked out past the
-  // backoff gate, which Begin would re-apply), and the remote.send fault
-  // site stays on the query path.
+  // Not RoundTrip: the probe already holds a connection (checked out past
+  // the backoff gate, which RoundTrip would re-apply), and the remote.send
+  // fault site stays on the query path.
   Metrics().requests->Add();
-  const Status sent = Send(*call, wire::PingLine());
+  const Status sent = Send(*connection, wire::PingLine());
   if (!sent.ok()) return FailIo(sent);
   KDASH_ASSIGN_OR_RETURN(
       std::string line,
-      Finish(std::move(*call),
-             std::chrono::steady_clock::now() + options_.io_timeout));
+      Receive(std::move(*connection),
+              std::chrono::steady_clock::now() + options_.io_timeout));
   KDASH_ASSIGN_OR_RETURN(wire::ParsedRecord record,
                          wire::ParseRecordLine(line));
   if (record.kind != wire::ParsedRecord::Kind::kPong) {

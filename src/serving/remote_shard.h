@@ -16,10 +16,8 @@
 //     failures mark the endpoint down (the router then prefers healthy
 //     replicas), one successful round-trip — usually the background
 //     prober's ping — marks it back up;
-//   - a split Begin/Finish/Abandon call surface so the router can hedge:
-//     Begin writes the request and exposes the connection's fd for
-//     poll(), Finish reads the response line, Abandon closes a loser
-//     connection whose late response would desynchronize the stream.
+//   - one call, RoundTrip: write a request line, read one response line
+//     back before a deadline.
 //
 // Every transport step is a registered fault site (remote.connect /
 // remote.send / remote.recv), so chaos tests can kill exactly one hop.
@@ -35,6 +33,8 @@
 #include "common/mutex.h"
 #include "common/status.h"
 
+struct sockaddr_in;
+
 namespace kdash::serving {
 
 struct RemoteEndpoint {
@@ -42,6 +42,10 @@ struct RemoteEndpoint {
   int port = 0;
 
   std::string ToString() const { return host + ":" + std::to_string(port); }
+
+  // Fills `addr` for connect(); false when host is neither numeric IPv4
+  // nor "localhost" (there is no DNS lookup).
+  bool Resolve(sockaddr_in* addr) const;
 };
 
 struct RemoteOptions {
@@ -61,60 +65,23 @@ struct RemoteOptions {
   int down_after_failures = 3;
 };
 
-// Milliseconds until `deadline` for poll(), rounded up so a wait never
-// ends before it, clamped to [0, 60 s] for poll()'s int argument (callers
-// re-poll until the deadline has really passed). An already-passed
-// deadline gives 0: one non-blocking readiness check.
-int PollTimeoutMs(std::chrono::steady_clock::time_point deadline);
-
 class RemoteWorker {
  public:
   RemoteWorker(RemoteEndpoint endpoint, RemoteOptions options);
-  ~RemoteWorker();  // closes every pooled connection
+  ~RemoteWorker() = default;  // closes every pooled connection
 
   RemoteWorker(const RemoteWorker&) = delete;
   RemoteWorker& operator=(const RemoteWorker&) = delete;
 
   const RemoteEndpoint& endpoint() const { return endpoint_; }
 
-  // An in-flight request: Begin succeeded, Finish/Abandon pending. Move-
-  // only; destroying an active call closes its connection (equivalent to
-  // Abandon — safe, never silently reusable).
-  class Call {
-   public:
-    Call() = default;
-    Call(Call&& other) noexcept { *this = std::move(other); }
-    Call& operator=(Call&& other) noexcept {
-      std::swap(fd_, other.fd_);
-      std::swap(buffer_, other.buffer_);
-      return *this;
-    }
-    ~Call();
-
-    bool active() const { return fd_ >= 0; }
-    // For poll(): readable means Finish will not block.
-    int fd() const { return fd_; }
-
-   private:
-    friend class RemoteWorker;
-    int fd_ = -1;
-    std::string buffer_;  // bytes received ahead of the newline
-  };
-
   // Write one request line (newline appended) on a pooled or fresh
-  // connection. Transport failure counts against the endpoint's health.
-  [[nodiscard]] Result<Call> Begin(const std::string& line);
-
-  // Read the response line (no newline), waiting until `deadline` at the
-  // latest. Success returns the connection to the pool and counts toward
-  // mark-up; failure closes it and counts toward mark-down.
-  [[nodiscard]] Result<std::string> Finish(
-      Call call, std::chrono::steady_clock::time_point deadline);
-
-  // Drop an in-flight call whose answer lost a hedge race. The connection
-  // is closed, not pooled — its response may still arrive and would be
-  // mistaken for the next request's. Does not touch health accounting.
-  void Abandon(Call call);
+  // connection and read the response line (no newline), waiting until
+  // `deadline` at the latest. Success returns the connection to the pool
+  // and counts toward mark-up; a transport failure closes it and counts
+  // toward mark-down.
+  [[nodiscard]] Result<std::string> RoundTrip(
+      const std::string& line, std::chrono::steady_clock::time_point deadline);
 
   // One {"ping":1} round-trip, bypassing the reconnect-backoff gate. A
   // pong marks the endpoint up and harvests its advertised shard count for
@@ -129,20 +96,45 @@ class RemoteWorker {
   int shard_weight() const;
 
  private:
+  // A checked-out connection: its fd and any bytes received ahead of the
+  // newline. Move-only; destroying one that still holds its fd closes it,
+  // so a connection that failed mid-exchange is never reused.
+  struct Connection {
+    Connection() = default;
+    explicit Connection(int fd_in) : fd(fd_in) {}
+    Connection(Connection&& other) noexcept { *this = std::move(other); }
+    Connection& operator=(Connection&& other) noexcept {
+      std::swap(fd, other.fd);
+      std::swap(buffer, other.buffer);
+      return *this;
+    }
+    ~Connection();
+
+    int fd = -1;
+    std::string buffer;
+  };
+
   // Dial a fresh connection (non-blocking connect bounded by
   // connect_timeout). Returns the connected fd.
   [[nodiscard]] Result<int> Dial();
 
   // Pop a pooled connection or dial, honoring the backoff gate unless
   // `bypass_backoff`.
-  [[nodiscard]] Result<Call> CheckOut(bool bypass_backoff);
+  [[nodiscard]] Result<Connection> CheckOut(bool bypass_backoff);
 
-  // wire::SendLine on the call's connection; kUnavailable naming this
-  // endpoint when the connection fails mid-line.
-  [[nodiscard]] Status Send(const Call& call, std::string_view line) const;
+  // wire::SendLine on the connection; kUnavailable naming this endpoint
+  // when the connection fails mid-line.
+  [[nodiscard]] Status Send(const Connection& connection,
+                            std::string_view line) const;
+
+  // RoundTrip's read half, shared with Probe: the response line, the
+  // connection pooled on success and closed on failure, with the same
+  // health accounting.
+  [[nodiscard]] Result<std::string> Receive(
+      Connection connection, std::chrono::steady_clock::time_point deadline);
 
   // Counts an IO error against the endpoint's health and returns `status`.
-  // The caller drops the call, whose destructor closes the connection.
+  // The caller drops the connection, whose destructor closes it.
   Status FailIo(Status status);
 
   void MarkTransportFailure();
@@ -154,7 +146,7 @@ class RemoteWorker {
   mutable Mutex mutex_;
   // Idle connections ready for reuse, with any bytes read past a previous
   // response's newline (none in practice — one request, one line back).
-  std::vector<std::pair<int, std::string>> idle_ KDASH_GUARDED_BY(mutex_);
+  std::vector<Connection> idle_ KDASH_GUARDED_BY(mutex_);
   int consecutive_failures_ KDASH_GUARDED_BY(mutex_) = 0;
   bool healthy_ KDASH_GUARDED_BY(mutex_) = true;
   int shard_weight_ KDASH_GUARDED_BY(mutex_) = 1;

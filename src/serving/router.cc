@@ -1,9 +1,8 @@
 #include "serving/router.h"
 
-#include <poll.h>
+#include <netinet/in.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <limits>
 #include <utility>
 
@@ -22,21 +21,11 @@ struct Router::RouterMetrics {
       &obs::MetricRegistry::Global().GetCounter("router.failovers");
   obs::Counter* health_probes =
       &obs::MetricRegistry::Global().GetCounter("router.health_probes");
-  obs::Counter* hedge_wins =
-      &obs::MetricRegistry::Global().GetCounter("router.hedge_wins");
-  obs::Counter* hedges =
-      &obs::MetricRegistry::Global().GetCounter("router.hedges");
-  // The live round-trip distribution that also drives the adaptive hedge
-  // delay (its p99).
   obs::Histogram* remote_us =
       &obs::MetricRegistry::Global().GetHistogram("router.remote_us");
 };
 
 namespace {
-
-// Bounds on the p99-derived hedge delay.
-constexpr std::chrono::microseconds kHedgeMinDelay{1'000};
-constexpr std::chrono::microseconds kHedgeMaxDelay{50'000};
 
 Result<RemoteEndpoint> ParseEndpoint(const std::string& text) {
   const std::size_t colon = text.rfind(':');
@@ -51,6 +40,11 @@ Result<RemoteEndpoint> ParseEndpoint(const std::string& text) {
                                    "\" has a bad port");
   }
   endpoint.host = text.substr(0, colon);
+  if (sockaddr_in addr{}; !endpoint.Resolve(&addr)) {
+    return Status::InvalidArgument("worker endpoint \"" + text +
+                                   "\" has an unresolvable host (numeric "
+                                   "IPv4 or localhost)");
+  }
   return endpoint;
 }
 
@@ -166,16 +160,9 @@ bool Router::slot_healthy(int slot) const {
   return false;
 }
 
-std::chrono::microseconds Router::HedgeDelay() const {
-  if (options_.hedge_delay.count() > 0) return options_.hedge_delay;
-  const auto p99 =
-      std::chrono::microseconds(metrics_->remote_us->Quantile(0.99));
-  return std::clamp(p99, kHedgeMinDelay, kHedgeMaxDelay);
-}
-
-Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
-                       const std::string& line, const Query& query,
-                       std::size_t slot, SearchResult* out) const {
+Status Router::Attempt(RemoteWorker* worker, const std::string& line,
+                       const Query& query, std::size_t slot,
+                       SearchResult* out) const {
   obs::ScopedSpan span(query.trace.get(), "router.remote_call",
                        static_cast<int>(slot));
   WallTimer timer;
@@ -184,70 +171,11 @@ Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
   const auto deadline =
       std::min(query.deadline,
                std::chrono::steady_clock::now() + options_.remote.io_timeout);
-
-  KDASH_ASSIGN_OR_RETURN(RemoteWorker::Call call, primary->Begin(line));
-
-  RemoteWorker* winner = primary;
-  Result<std::string> response = Status::Internal("unreachable");
-  bool resolved = false;
-  if (options_.hedging && hedge != nullptr) {
-    // Give the primary the full hedge delay; re-issue to the replica only
-    // when it misses it, then take whichever answers first. poll() counts
-    // whole milliseconds, so the wait rounds up and re-polls until the
-    // hedge instant has really passed — a hedge never fires early.
-    const auto wait_until =
-        std::min(std::chrono::steady_clock::now() + HedgeDelay(), deadline);
-    int ready = 0;
-    for (;;) {
-      pollfd pfd{call.fd(), POLLIN, 0};
-      ready = ::poll(&pfd, 1, PollTimeoutMs(wait_until));
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready == 0 && std::chrono::steady_clock::now() < wait_until) {
-        continue;
-      }
-      break;
-    }
-    if (ready == 0 && std::chrono::steady_clock::now() < deadline) {
-      metrics_->hedges->Add();
-      obs::ScopedSpan hedge_span(query.trace.get(), "router.hedge",
-                                 static_cast<int>(slot));
-      Result<RemoteWorker::Call> hedged = hedge->Begin(line);
-      if (hedged.ok()) {
-        for (;;) {
-          pollfd fds[2] = {{call.fd(), POLLIN, 0}, {hedged->fd(), POLLIN, 0}};
-          const int both = ::poll(fds, 2, PollTimeoutMs(deadline));
-          if (both < 0 && errno == EINTR) continue;
-          if (both == 0 && std::chrono::steady_clock::now() < deadline) {
-            continue;
-          }
-          if (both <= 0) {
-            // Neither made the deadline (or poll failed); Finish on the
-            // primary surfaces the status and handles health accounting.
-            hedge->Abandon(std::move(*hedged));
-            break;
-          }
-          if (fds[0].revents != 0) {
-            hedge->Abandon(std::move(*hedged));
-            response = primary->Finish(std::move(call), deadline);
-            resolved = true;
-            break;
-          }
-          metrics_->hedge_wins->Add();
-          winner = hedge;
-          primary->Abandon(std::move(call));
-          response = hedge->Finish(std::move(*hedged), deadline);
-          resolved = true;
-          break;
-        }
-      }
-    }
-  }
-  if (!resolved) response = primary->Finish(std::move(call), deadline);
-  if (!response.ok()) return response.status();
-
+  KDASH_ASSIGN_OR_RETURN(std::string response,
+                         worker->RoundTrip(line, deadline));
   metrics_->remote_us->Record(static_cast<std::uint64_t>(timer.Micros()));
   KDASH_ASSIGN_OR_RETURN(wire::ParsedRecord record,
-                         wire::ParseRecordLine(*response));
+                         wire::ParseRecordLine(response));
   switch (record.kind) {
     case wire::ParsedRecord::Kind::kError:
       // The worker answered — transport is fine, the *query* failed there
@@ -255,7 +183,7 @@ Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
       // status to the failure policy.
       return record.error;
     case wire::ParsedRecord::Kind::kPong:
-      return Status::Internal(winner->endpoint().ToString() +
+      return Status::Internal(worker->endpoint().ToString() +
                               " answered a query with a pong");
     case wire::ParsedRecord::Kind::kResult:
       *out = std::move(record.result);
@@ -286,16 +214,9 @@ class Router::Slots final : public ShardSet {
     RemoteWorker* target =
         ordered[static_cast<std::size_t>(attempt) % ordered.size()];
     if (target != replicas.front().get()) router_.metrics_->failovers->Add();
-    RemoteWorker* hedge = nullptr;
-    for (RemoteWorker* candidate : ordered) {
-      if (candidate != target && candidate->healthy()) {
-        hedge = candidate;
-        break;
-      }
-    }
     // Formatted per attempt, so a retry carries the budget left now.
-    return router_.Attempt(target, hedge, wire::FormatRequestLine(query),
-                           query, slot, out);
+    return router_.Attempt(target, wire::FormatRequestLine(query), query,
+                           slot, out);
   }
 
   int weight(std::size_t slot) const override {

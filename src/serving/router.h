@@ -15,18 +15,13 @@
 // ShardFailurePolicy, so operators reason about one policy, not two. Slots
 // carry no score bounds, so the router never skips one. On top of that:
 //
-//   - replica failover: a slot's replicas are tried healthy-first; an
-//     answer from any replica is the slot's answer (replicas serve
-//     identical shards, so answers are interchangeable bit-for-bit);
+//   - replica failover: each attempt sends one request to one replica,
+//     healthy-first and rotating per retry; an answer from any replica is
+//     the slot's answer (replicas serve identical shards, so answers are
+//     interchangeable bit-for-bit);
 //   - shard-unit accounting: under kDegrade a dead slot counts as the
 //     shards its workers' pongs advertise, so shards_ok/shards_failed
 //     match what an in-process ShardedEngine would report;
-//   - hedged requests: when a slot's first replica has not answered
-//     within the hedge delay — the observed p99 of router.remote_us, or a
-//     fixed override — the request is re-issued to another healthy
-//     replica and the first answer wins (the loser's connection is
-//     abandoned). Tail latency from one slow worker stops being the
-//     query's tail latency;
 //   - a background prober pings every worker each probe_period, marking
 //     crashed workers down (calls then fail fast to their replicas) and
 //     restarted workers back up.
@@ -60,14 +55,6 @@ struct RouterOptions {
   // Transport knobs applied to every worker connection.
   RemoteOptions remote;
 
-  // Hedging. hedge_delay == 0 derives the delay from the live p99 of
-  // router.remote_us, clamped to [1 ms, 50 ms]; a positive hedge_delay is a
-  // fixed override (tests pin it to make hedges deterministic). Hedging
-  // needs a second healthy replica to re-issue to; single-replica slots
-  // never hedge.
-  bool hedging = true;
-  std::chrono::microseconds hedge_delay{0};
-
   // Background health-probe cadence; 0 disables the prober (tests that
   // want full control of mark-down/mark-up timing).
   std::chrono::milliseconds probe_period{250};
@@ -76,12 +63,14 @@ struct RouterOptions {
 class Router {
  public:
   // Topology spec: comma-separated slots, '+'-separated replicas within a
-  // slot — "h1:7611,h1:7612" is two single-replica slots,
-  // "h1:7611+h2:7611" one slot with a failover replica. Hosts are numeric
-  // IPv4 or "localhost". Connect validates the spec, spins up the IO pool
-  // and prober, and sends one best-effort probe round so replica weights
-  // and initial health reflect reality (unreachable workers are tolerated
-  // — they are exactly what the failure policy is for).
+  // slot — "10.0.0.1:7611,10.0.0.1:7612" is two single-replica slots,
+  // "10.0.0.1:7611+10.0.0.2:7611" one slot with a failover replica. Hosts
+  // are numeric IPv4 or "localhost"; any other host, like a bad port,
+  // fails Connect with kInvalidArgument. Connect validates the spec, spins
+  // up the IO pool and prober, and sends one best-effort probe round so
+  // replica weights and initial health reflect reality (unreachable
+  // workers are tolerated — they are exactly what the failure policy is
+  // for).
   [[nodiscard]] static Result<std::unique_ptr<Router>> Connect(
       const std::string& spec, RouterOptions options = {});
 
@@ -115,17 +104,15 @@ class Router {
  private:
   explicit Router(RouterOptions options);
 
-  // The slots as the fan-out's member set: one attempt picks a replica
-  // (healthy-first, rotating per retry) and a hedge target (.cc).
+  // The slots as the fan-out's member set: one attempt picks one replica,
+  // healthy-first and rotating per retry (.cc).
   class Slots;
 
-  // One request/response against `primary`, hedged to `hedge` when it is
-  // non-null and the primary misses the hedge delay.
-  [[nodiscard]] Status Attempt(RemoteWorker* primary, RemoteWorker* hedge,
-                               const std::string& line, const Query& query,
-                               std::size_t slot, SearchResult* out) const;
+  // One request/response against `worker`, parsed into `out`.
+  [[nodiscard]] Status Attempt(RemoteWorker* worker, const std::string& line,
+                               const Query& query, std::size_t slot,
+                               SearchResult* out) const;
 
-  std::chrono::microseconds HedgeDelay() const;
   int SlotWeight(std::size_t slot) const;
 
   RouterOptions options_;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace kdash::obs {
@@ -101,6 +102,19 @@ TEST(HistogramTest, QuantilesMatchBruteForceReference) {
   EXPECT_EQ(hist.Count(), samples.size());
   for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_EQ(hist.Quantile(q), ReferenceQuantile(samples, q)) << "q=" << q;
+  }
+  // The snapshot's quantile fields follow the same rule.
+  std::string json;
+  hist.AppendJsonFields(&json);
+  for (const auto& [field, q] : {std::pair<const char*, double>{"p50", 0.5},
+                                 {"p90", 0.9},
+                                 {"p99", 0.99}}) {
+    const std::string key = std::string("\"") + field + "\":";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_EQ(std::stoull(json.substr(at + key.size())),
+              ReferenceQuantile(samples, q))
+        << field << " in " << json;
   }
   std::uint64_t sum = 0, max = 0;
   for (const std::uint64_t v : samples) {

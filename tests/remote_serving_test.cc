@@ -3,10 +3,11 @@
 // from the in-process ShardedEngine on the same shards. Covers the parity
 // invariant for P ∈ {1, 2, 3} worker slots, exact degraded merges with a
 // worker killed mid-run (identical to the in-process engine degraded by an
-// injected fault on the same shard), replica failover, hedged requests
-// against a deliberately slow primary, the worker health state machine
-// across a kill + restart, one injected failure at each transport fault
-// site (remote.connect / remote.send / remote.recv), and the deadline-aware
+// injected fault on the same shard), replica failover, one request per
+// attempt on a replicated slot with a deliberately slow primary, the
+// worker health state machine across a kill + restart, one injected
+// failure at each transport fault site (remote.connect / remote.send /
+// remote.recv), a worker host rejected at Connect, and the deadline-aware
 // retry backoff the wire deadline propagation depends on.
 //
 // Workers here are the real thing minus the process boundary: each one is
@@ -141,7 +142,6 @@ class RemoteServingTest : public ::testing::Test {
     options.remote.io_timeout = std::chrono::milliseconds(2000);
     options.remote.reconnect_backoff = std::chrono::milliseconds(1);
     options.probe_period = std::chrono::milliseconds(0);  // no prober
-    options.hedging = false;
     return options;
   }
 
@@ -450,14 +450,14 @@ TEST_F(RemoteServingTest, FailoverServesFromReplicaWhenPrimaryDies) {
   EXPECT_EQ(again->shards_failed, 0);
 }
 
-TEST_F(RemoteServingTest, HedgedRequestBeatsSlowPrimary) {
+TEST_F(RemoteServingTest, OneRequestPerAttemptOnReplicatedSlot) {
   const auto graph = test::RandomDirectedGraph(80, 450, 37);
   const auto sharded = BuildSharded(graph, 1);
   const long long nodes = graph.num_nodes();
 
   // The primary answers correctly but slowly; the replica is prompt. With
-  // a pinned 2ms hedge delay every query should hedge, and the hedge
-  // should win.
+  // default options the router still sends the one request to the primary
+  // and waits for it: no duplicate goes to the replica.
   constexpr auto kSlow = std::chrono::milliseconds(250);
   BatchScheduler::Backend slow_backend =
       [&engine = sharded.shard(0), kSlow](std::span<const Query> queries) {
@@ -468,82 +468,51 @@ TEST_F(RemoteServingTest, HedgedRequestBeatsSlowPrimary) {
   TestWorker prompt(ShardBackend(sharded.shard(0)), WorkerStream(1, nodes));
   const std::string spec = "127.0.0.1:" + std::to_string(slow.port()) +
                            "+127.0.0.1:" + std::to_string(prompt.port());
-  auto options = FastOptions(ShardFailureMode::kRetry);
-  options.hedging = true;
-  options.hedge_delay = std::chrono::milliseconds(2);
+  RouterOptions options;
+  options.probe_period = std::chrono::milliseconds(0);  // no prober
   auto router = Router::Connect(spec, options);
   ASSERT_TRUE(router.ok()) << router.status();
+  ASSERT_EQ((*router)->num_replicas(0), 2);
 
   const Query query = Query::Single(5, 10);
   const auto expected = sharded.Search(query);
   ASSERT_TRUE(expected.ok());
 
-  obs::Counter& hedges =
-      obs::MetricRegistry::Global().GetCounter("router.hedges");
-  obs::Counter& hedge_wins =
-      obs::MetricRegistry::Global().GetCounter("router.hedge_wins");
-  const std::uint64_t hedges_before = hedges.Value();
-  const std::uint64_t wins_before = hedge_wins.Value();
+  const obs::Counter& requests =
+      obs::MetricRegistry::Global().GetCounter("serving.remote.requests");
+  const obs::Counter& failovers =
+      obs::MetricRegistry::Global().GetCounter("router.failovers");
+  const std::uint64_t requests_before = requests.Value();
+  const std::uint64_t failovers_before = failovers.Value();
 
   const auto start = std::chrono::steady_clock::now();
   const auto got = (*router)->Search(query);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(got.ok()) << got.status();
-  ExpectBitIdentical(*got, *expected, "hedged");
-  EXPECT_GT(hedges.Value(), hedges_before);
-  EXPECT_GT(hedge_wins.Value(), wins_before);
-  // The hedge answered well before the slow primary would have.
-  EXPECT_LT(elapsed, kSlow);
-
-  // The counters surface in the {"stats":1} snapshot payload.
-  const std::string snapshot = obs::MetricRegistry::Global().SnapshotToJson();
-  const std::string entry = "\"name\":\"router.hedges\",\"type\":\"counter\",\"value\":";
-  const std::size_t pos = snapshot.find(entry);
-  ASSERT_NE(pos, std::string::npos) << snapshot;
-  EXPECT_NE(snapshot[pos + entry.size()], '0') << snapshot;
+  ExpectBitIdentical(*got, *expected, "slow primary");
+  EXPECT_EQ(got->shards_failed, 0);
+  EXPECT_EQ(requests.Value(), requests_before + 1);
+  EXPECT_EQ(failovers.Value(), failovers_before);
+  // The answer is the primary's: it came no sooner than its delay.
+  EXPECT_GE(elapsed, kSlow);
 }
 
-TEST_F(RemoteServingTest, HedgeWaitsOutTheWholeDelay) {
-  // poll() takes whole milliseconds. A wait truncated to them would hedge a
-  // pinned 1ms delay at once; the hedge must start no earlier than the
-  // delay after the remote call began.
-  const auto graph = test::RandomDirectedGraph(80, 450, 37);
-  const auto sharded = BuildSharded(graph, 1);
-  const long long nodes = graph.num_nodes();
-
-  constexpr auto kSlow = std::chrono::milliseconds(100);
-  BatchScheduler::Backend slow_backend =
-      [&engine = sharded.shard(0), kSlow](std::span<const Query> queries) {
-        std::this_thread::sleep_for(kSlow);
-        return engine.SearchBatch(queries);
-      };
-  TestWorker slow(std::move(slow_backend), WorkerStream(1, nodes));
-  TestWorker prompt(ShardBackend(sharded.shard(0)), WorkerStream(1, nodes));
-  const std::string spec = "127.0.0.1:" + std::to_string(slow.port()) +
-                           "+127.0.0.1:" + std::to_string(prompt.port());
-  auto options = FastOptions(ShardFailureMode::kRetry);
-  options.hedging = true;
-  options.hedge_delay = std::chrono::milliseconds(1);
-  auto router = Router::Connect(spec, options);
-  ASSERT_TRUE(router.ok()) << router.status();
-
-  Query query = Query::Single(5, 10);
-  query.trace = std::make_shared<obs::TraceContext>();
-  const auto got = (*router)->Search(query);
-  ASSERT_TRUE(got.ok()) << got.status();
-
-  const std::vector<obs::Span> spans = query.trace->spans();
-  const auto find = [&spans](const char* stage) -> const obs::Span* {
-    for (const obs::Span& span : spans) {
-      if (span.stage == stage) return &span;
-    }
-    return nullptr;
-  };
-  const obs::Span* call = find("router.remote_call");
-  const obs::Span* hedge = find("router.hedge");
-  ASSERT_NE(call, nullptr) << query.trace->ToJson();
-  ASSERT_NE(hedge, nullptr) << query.trace->ToJson();
-  EXPECT_GE(hedge->start_us, call->start_us + 1000) << query.trace->ToJson();
+TEST_F(RemoteServingTest, ConnectRejectsUnresolvableHost) {
+  // A host that is neither numeric IPv4 nor localhost is an operator's
+  // config error: Connect refuses the spec instead of failing every query.
+  for (const std::string spec : {"nohost:7611", "127.0.0.1:1+nohost:2"}) {
+    const auto router =
+        Router::Connect(spec, FastOptions(ShardFailureMode::kDegrade));
+    ASSERT_FALSE(router.ok()) << spec;
+    EXPECT_EQ(router.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(router.status().message().find("nohost"), std::string::npos)
+        << router.status();
+  }
+  // localhost is accepted; an unreachable worker is the failure policy's
+  // business, not Connect's.
+  EXPECT_TRUE(
+      Router::Connect("localhost:1", FastOptions(ShardFailureMode::kDegrade))
+          .ok());
 }
 
 TEST_F(RemoteServingTest, ProberMarksWorkerDownAndBackUpAcrossRestart) {

@@ -10,7 +10,7 @@
 //                [--cache-entries=1024] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
 //   kdash_server --workers=host:port[+replica...][,slot2...] [common flags]
-//                [--no-hedge] [--hedge-delay-us=0] [--probe-period-ms=250]
+//                [--probe-period-ms=250]
 //
 // The index argument is a single-index file, or a directory written by
 // serving::ShardedEngine::Save (detected automatically; queries then fan
@@ -27,10 +27,11 @@
 // top-k, bit-identical to the in-process sharded engine over the same
 // shards. --degrade selects the same failure policy across the process
 // boundary (a dead worker under --degrade=degrade yields partial answers
-// tagged "shards_failed"); hedging re-issues slow requests to a replica
-// (--no-hedge disables, --hedge-delay-us pins the delay, 0 derives it from
-// the live p99); --probe-period-ms paces the background health prober that
-// marks crashed workers down and restarted ones back up.
+// tagged "shards_failed"); each attempt sends one request to one replica
+// of a slot, and a retry fails over to the next; --probe-period-ms paces
+// the background health prober that marks crashed workers down and
+// restarted ones back up. A worker host that is neither numeric IPv4 nor
+// localhost fails start-up.
 //
 // Without --port the server pumps stdin→stdout: requests are submitted
 // asynchronously with up to 256 in flight, responses print in input
@@ -121,7 +122,6 @@ int Usage() {
                "                    [--cache-entries=1024] [--shards=a,b,...]\n"
                "                    [--port=7607] [--stats-period=0]\n"
                "       kdash_server --workers=h:p[+h:p...][,h:p...]\n"
-               "                    [--no-hedge] [--hedge-delay-us=0]\n"
                "                    [--probe-period-ms=250] [common flags]\n");
   return 2;
 }
@@ -213,10 +213,6 @@ int Main(int argc, char** argv) {
       config.scheduler.max_queue_depth = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--cache-entries", &value)) {
       config.scheduler.cache_entries = static_cast<std::size_t>(value);
-    } else if (arg == "--no-hedge") {
-      config.router.hedging = false;
-    } else if (NumericFlag(arg, "--hedge-delay-us", &value)) {
-      config.router.hedge_delay = std::chrono::microseconds(value);
     } else if (NumericFlag(arg, "--probe-period-ms", &value)) {
       config.router.probe_period = std::chrono::milliseconds(value);
     } else if (std::string mode; tools::FlagValue(arg, "--degrade", &mode)) {
