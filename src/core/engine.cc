@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -161,6 +162,14 @@ Result<Engine> Engine::Build(const graph::Graph& graph,
   if (graph.num_nodes() <= 0) {
     return Status::InvalidArgument("cannot build an engine over an empty "
                                    "graph");
+  }
+  // A node whose out-weight total is +inf (or NaN) would be normalized to
+  // NaN or all-zero edges: refuse it, as DynamicKDash::AddEdge does.
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    if (!std::isfinite(graph.OutWeight(u))) {
+      return Status::InvalidArgument("out-weight total of node " +
+                                     std::to_string(u) + " is not finite");
+    }
   }
   auto impl = std::make_unique<Impl>();
   impl->num_nodes = graph.num_nodes();

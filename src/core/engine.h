@@ -64,7 +64,8 @@ class Engine {
  public:
   // Precompute an index for `graph` (or, with options.updatable, factorize
   // it for update-friendly serving). Returns kInvalidArgument for an empty
-  // graph or out-of-range options instead of aborting.
+  // graph, a node whose out-weight total is not finite, or out-of-range
+  // options instead of aborting.
   [[nodiscard]] static Result<Engine> Build(const graph::Graph& graph,
                               const EngineOptions& options = {});
 

@@ -1,11 +1,37 @@
 // Binary persistence of KDashIndex (Save/Load declared in kdash_index.h).
 //
-// Every read is checked: a truncated, corrupt, or version-mismatched stream
-// comes back as a non-OK Status instead of aborting the process. Vector
-// lengths are validated against the bytes actually remaining in the stream
-// (when it is seekable) before allocation, so a corrupt length field cannot
-// trigger a huge allocation.
+// Save writes format v3; Load reads v3 and v2. Both are native-endian.
+//
+// v3 is a 16-byte header (magic "KDSH", version 3, section count, 4 zero
+// bytes), a table of one 24-byte entry per section {tag, CRC-32C, offset,
+// length} (u32, u32, u64, u64), then the sections in table order. Each
+// section starts at the next 8-byte boundary of the file, after zero
+// padding, so a reader can stream the file front to back and a mapping of
+// the file finds every array aligned. The sections, with their tags:
+//    1 options   c (f64), seed (u64), reorder method (i32)
+//    2 shape     Amax (f64), n, owned_begin, owned_end (i32 each)
+//    3 Amax(u)   n × f64
+//    4 c′        n × f64
+//    5 new_of_old, 6 old_of_new   n × i32 each
+//    7 L⁻¹, 8 U⁻¹ᵀ   head + run form (sparse/head_run_matrix.h): n column
+//                extents {head size, run begin, run size} (3 × u32), the
+//                head rows (i32), zero padding to 8 bytes, the head values
+//                (f64), the run values (f64)
+//    9 adjacency pointers   (n + 1) × i64
+//   10 adjacency targets    i32 each
+//   11 precompute stats     PrecomputeStats field by field, 4 zero bytes
+//
+// v2 is the same fields as one unaligned stream, each array prefixed by its
+// u64 length, the retired drop-tolerance slot after the seed, and the
+// inverses as CSC (converted to head + run form on load).
+//
+// Every read goes through the checked Reader: a truncated, corrupt, or
+// version-mismatched stream comes back as a non-OK Status instead of
+// aborting the process. Array lengths are validated against the bytes
+// actually remaining in the stream (when it is seekable) before
+// allocation, so a corrupt length field cannot trigger a huge allocation.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -13,10 +39,12 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
 #include <type_traits>
 
 #include "common/atomic_file.h"
+#include "common/crc32c.h"
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -30,56 +58,109 @@ namespace {
 
 constexpr char kMagic[4] = {'K', 'D', 'S', 'H'};
 // v2 added the node-ownership window (owned_begin, owned_end) after the node
-// count, so shard indexes produced by Restrict() persist and reload. Save()
-// writes v2 and Load() reads only v2: a v1 (pre-sharding) file is refused
-// like any other version, with a hint to rebuild.
-constexpr std::uint32_t kVersion = 2;
+// count, so shard indexes produced by Restrict() persist and reload. v3
+// moved every field into checksummed, aligned sections and stores the
+// inverses in head + run form. A v1 (pre-sharding) file is refused like any
+// other version, with a hint to rebuild.
+constexpr std::uint32_t kVersion2 = 2;
+constexpr std::uint32_t kVersion3 = 3;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+constexpr std::size_t kAlignment = 8;
+constexpr std::uint64_t kHeaderBytes = 16;
+
+// The sections in file order. Section i has tag i + 1 and is named
+// kSectionNames[i] in error messages.
+enum Section : std::uint32_t {
+  kOptions,
+  kShape,
+  kAmaxOfNode,
+  kCPrime,
+  kNewOfOld,
+  kOldOfNew,
+  kLowerInverse,
+  kUpperInverse,
+  kAdjacencyPtr,
+  kAdjacency,
+  kStats,
+  kNumSections,
+};
+constexpr std::array<const char*, kNumSections> kSectionNames = {
+    "options",    "shape",      "Amax(u)",
+    "c′",         "new_of_old", "old_of_new",
+    "L⁻¹",        "U⁻¹",        "adjacency pointers",
+    "adjacency targets",        "precompute stats"};
+
+struct SectionEntry {
+  std::uint32_t tag = 0;
+  std::uint32_t crc = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+static_assert(sizeof(SectionEntry) == 24);
+
+constexpr std::uint64_t AlignUp(std::uint64_t at) {
+  return (at + kAlignment - 1) / kAlignment * kAlignment;
 }
 
-template <typename T>
-void WriteVector(std::ostream& out, const std::vector<T>& values) {
-  WritePod(out, static_cast<std::uint64_t>(values.size()));
-  if (!values.empty()) {
-    out.write(reinterpret_cast<const char*>(values.data()),
-              static_cast<std::streamsize>(values.size() * sizeof(T)));
-  }
-}
-
-void WriteCsc(std::ostream& out, const sparse::CscMatrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteVector(out, m.col_ptr());
-  WriteVector(out, m.row_idx());
-  WriteVector(out, m.values());
-}
-
-// The trailing PrecomputeStats block, field by field. The struct ends in 4
-// bytes of padding after num_partitions; they are written as zeros so an
-// index always saves to the same bytes. Load reads the block back whole.
+// The PrecomputeStats fields in file order. The struct ends in 4 bytes of
+// padding after num_partitions; a file holds them as zeros so an index
+// always saves to the same bytes.
 static_assert(sizeof(PrecomputeStats) == 72 &&
                   offsetof(PrecomputeStats, num_partitions) == 64,
-              "the index trailer layout changed: bump kVersion");
-void WriteStats(std::ostream& out, const PrecomputeStats& stats) {
-  WritePod(out, stats.reorder_seconds);
-  WritePod(out, stats.lu_seconds);
-  WritePod(out, stats.inverse_seconds);
-  WritePod(out, stats.total_seconds);
-  WritePod(out, stats.nnz_lower);
-  WritePod(out, stats.nnz_upper);
-  WritePod(out, stats.nnz_lower_inverse);
-  WritePod(out, stats.nnz_upper_inverse);
-  WritePod(out, stats.num_partitions);
-  constexpr char kPadding[4] = {};
-  out.write(kPadding, sizeof(kPadding));
+              "the stats layout changed: bump the index version");
+template <typename Stats, typename Fn>
+void ForEachStatsField(Stats& stats, Fn fn) {
+  fn(stats.reorder_seconds);
+  fn(stats.lu_seconds);
+  fn(stats.inverse_seconds);
+  fn(stats.total_seconds);
+  fn(stats.nnz_lower);
+  fn(stats.nnz_upper);
+  fn(stats.nnz_lower_inverse);
+  fn(stats.nnz_upper_inverse);
+  fn(stats.num_partitions);
+}
+constexpr std::uint32_t kStatsPadding = 0;
+
+// ---- writing ---------------------------------------------------------------
+
+template <typename T>
+void Append(std::string* out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-// Checked reader: every primitive returns a Status, and vector lengths are
-// bounded by the stream's remaining byte count before allocation.
+template <typename T>
+std::span<const char> Bytes(const std::vector<T>& values) {
+  return {reinterpret_cast<const char*>(values.data()),
+          values.size() * sizeof(T)};
+}
+
+constexpr char kZeros[kAlignment] = {};
+
+// One section as Save writes it: the concatenation of `pieces`, which
+// point into the index (or into a buffer Save keeps alive).
+using SectionPieces = std::vector<std::span<const char>>;
+
+// An inverse's section: its column extents, then the stored arrays as the
+// matrix holds them, with the head rows padded to 8 bytes.
+SectionPieces InversePieces(const sparse::HeadRunMatrix& m,
+                            const std::vector<sparse::ColumnExtent>& extents) {
+  const std::span<const char> head_rows = Bytes(m.head_rows());
+  return {Bytes(extents), head_rows,
+          {kZeros, AlignUp(head_rows.size()) - head_rows.size()},
+          Bytes(m.head_values()), Bytes(m.run_values())};
+}
+
+// ---- reading ---------------------------------------------------------------
+
+std::string Corrupt(const std::string& what) {
+  return "corrupt index stream: " + what;
+}
+
+// Checked reader: every primitive returns a Status, and array lengths are
+// bounded by the stream's remaining byte count before allocation. It
+// keeps the CRC-32C of the bytes read since the last ResetCrc().
 class Reader {
  public:
   explicit Reader(std::istream& in) : in_(in) {
@@ -104,23 +185,23 @@ class Reader {
     KDASH_INJECT_FAULT("index_io.read");
     in_.read(reinterpret_cast<char*>(out), sizeof(T));
     if (!in_.good()) return Status::DataLoss("truncated index stream");
-    Consume(sizeof(T));
+    Consume(out, sizeof(T));
     return Status::Ok();
   }
 
+  // `size` elements into *out.
   template <typename T>
-  Status Vec(std::vector<T>* out) {
-    std::uint64_t size = 0;
-    KDASH_RETURN_IF_ERROR(Pod(&size));
+  Status Array(std::vector<T>* out, std::uint64_t size) {
+    static_assert(std::is_trivially_copyable_v<T>);
     KDASH_INJECT_FAULT("index_io.read");
     if (size > std::numeric_limits<std::uint64_t>::max() / sizeof(T) ||
         (remaining_known_ && size * sizeof(T) > remaining_)) {
-      return Status::DataLoss("corrupt index stream: array length exceeds "
-                             "remaining file size");
+      return Status::DataLoss(
+          Corrupt("array length exceeds remaining file size"));
     }
     out->clear();
     if (!remaining_known_) {
-      // Non-seekable stream (pipe/socket): the length field cannot be
+      // Non-seekable stream (pipe/socket): the length cannot be
       // bounds-checked up front, so grow in bounded chunks — a corrupt
       // huge length then fails on the first missing byte instead of
       // attempting one enormous allocation.
@@ -133,6 +214,7 @@ class Reader {
         in_.read(reinterpret_cast<char*>(out->data() + old_size),
                  static_cast<std::streamsize>(chunk * sizeof(T)));
         if (!in_.good()) return Status::DataLoss("truncated index stream");
+        Consume(out->data() + old_size, chunk * sizeof(T));
         todo -= chunk;
       }
       return Status::Ok();
@@ -143,28 +225,180 @@ class Reader {
       in_.read(reinterpret_cast<char*>(out->data()),
                static_cast<std::streamsize>(bytes));
       if (!in_.good()) return Status::DataLoss("truncated index stream");
-      Consume(bytes);
+      Consume(out->data(), bytes);
     }
     return Status::Ok();
   }
 
+  // A u64 element count, then the elements (the v2 array encoding).
+  template <typename T>
+  Status Vec(std::vector<T>* out) {
+    std::uint64_t size = 0;
+    KDASH_RETURN_IF_ERROR(Pod(&size));
+    return Array(out, size);
+  }
+
+  // `bytes` bytes that must all be zero; `what` names them in the error.
+  Status Zeros(std::uint64_t bytes, const std::string& what) {
+    for (std::uint64_t i = 0; i < bytes; ++i) {
+      char byte = 0;
+      KDASH_RETURN_IF_ERROR(Pod(&byte));
+      if (byte != 0) return Status::DataLoss(Corrupt("nonzero " + what));
+    }
+    return Status::Ok();
+  }
+
+  std::uint64_t position() const { return position_; }
+  std::uint32_t crc() const { return crc_; }
+  void ResetCrc() { crc_ = 0; }
+
  private:
-  void Consume(std::uint64_t bytes) {
+  void Consume(const void* data, std::uint64_t bytes) {
     if (remaining_known_) remaining_ -= bytes;
+    position_ += bytes;
+    crc_ = Crc32cExtend(crc_, data, static_cast<std::size_t>(bytes));
   }
 
   std::istream& in_;
   bool remaining_known_ = false;
   std::uint64_t remaining_ = 0;
+  std::uint64_t position_ = 0;
+  std::uint32_t crc_ = 0;
 };
 
-// Reads an inverse saved as CSC and converts it to head + run form.
+// The v3 section table, read and checked against kSectionNames: every
+// known section once, in order, and nothing else.
+Result<std::vector<SectionEntry>> ReadSectionTable(Reader& reader) {
+  std::uint32_t count = 0;
+  KDASH_RETURN_IF_ERROR(reader.Pod(&count));
+  KDASH_RETURN_IF_ERROR(reader.Zeros(4, "padding in the header"));
+  std::vector<SectionEntry> table;
+  for (std::uint32_t i = 0; i < count && i < kNumSections; ++i) {
+    SectionEntry entry;
+    KDASH_RETURN_IF_ERROR(reader.Pod(&entry));
+    const std::uint32_t want = i + 1;
+    if (entry.tag == 0 || entry.tag > kNumSections) {
+      return Status::DataLoss(Corrupt("unknown section tag " +
+                                      std::to_string(entry.tag)));
+    }
+    const std::string name = kSectionNames[entry.tag - 1];
+    if (entry.tag < want) {
+      return Status::DataLoss(Corrupt("duplicate section " + name));
+    }
+    if (entry.tag > want) {
+      return Status::DataLoss(Corrupt("section " + name + " out of order: " +
+                                      kSectionNames[i] + " missing"));
+    }
+    table.push_back(entry);
+  }
+  if (count < kNumSections) {
+    return Status::DataLoss(
+        Corrupt(std::string("section ") + kSectionNames[count] + " missing"));
+  }
+  if (count > kNumSections) {
+    return Status::DataLoss(Corrupt("unknown section after " +
+                                    std::string(kSectionNames.back())));
+  }
+  return table;
+}
+
+// Reads v3 section `section` of `table`: the zero padding before it, then
+// `body`, which reads the section's fields. The section must start at its
+// table offset and end at its table length, and its bytes must match its
+// CRC; every error names the section.
+template <typename Body>
+Status ReadSection(Reader& reader, const std::vector<SectionEntry>& table,
+                   Section section, Body body) {
+  const SectionEntry& entry = table[section];
+  const std::string name = kSectionNames[section];
+  const std::uint64_t start = AlignUp(reader.position());
+  if (entry.offset != start) {
+    return Status::DataLoss(Corrupt(name + " section has offset " +
+                                    std::to_string(entry.offset) +
+                                    ", want " + std::to_string(start)));
+  }
+  KDASH_RETURN_IF_ERROR(
+      reader.Zeros(start - reader.position(), "padding before " + name));
+  reader.ResetCrc();
+  KDASH_RETURN_IF_ERROR(body(entry.length));
+  if (reader.position() - start != entry.length) {
+    return Status::DataLoss(Corrupt(name + " section length disagrees with "
+                                           "its contents"));
+  }
+  if (reader.crc() != entry.crc) {
+    return Status::DataLoss(Corrupt(name + " section fails its CRC"));
+  }
+  return Status::Ok();
+}
+
+// A section's table length against the one its contents imply (from n,
+// or from the inverse's column extents).
+Status CheckLength(Section section, std::uint64_t got, std::uint64_t want) {
+  if (got != want) {
+    return Status::DataLoss(Corrupt(std::string(kSectionNames[section]) +
+                                    " section length " + std::to_string(got) +
+                                    ", want " + std::to_string(want)));
+  }
+  return Status::Ok();
+}
+
+// An array section of `count` elements.
+template <typename T>
+Status ReadArraySection(Reader& reader, const std::vector<SectionEntry>& table,
+                        Section section, std::uint64_t count,
+                        std::vector<T>* out) {
+  return ReadSection(reader, table, section, [&](std::uint64_t length) {
+    KDASH_RETURN_IF_ERROR(CheckLength(section, length, count * sizeof(T)));
+    return reader.Array(out, count);
+  });
+}
+
+// A v3 inverse section of an n × n matrix, in head + run form.
+Result<sparse::HeadRunMatrix> ReadInverseV3(
+    Reader& reader, const std::vector<SectionEntry>& table, Section section,
+    NodeId n) {
+  const char* name = kSectionNames[section];
+  std::vector<sparse::ColumnExtent> extents;
+  std::vector<NodeId> head_rows;
+  std::vector<Scalar> head_values;
+  std::vector<Scalar> run_values;
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, section, [&](std::uint64_t length) {
+        const auto cols = static_cast<std::uint64_t>(n);
+        const std::uint64_t extent_bytes = cols * sizeof(sparse::ColumnExtent);
+        if (length < extent_bytes) {
+          return CheckLength(section, length, extent_bytes);
+        }
+        KDASH_RETURN_IF_ERROR(reader.Array(&extents, cols));
+        std::uint64_t head_size = 0, run_size = 0;
+        for (const sparse::ColumnExtent& extent : extents) {
+          head_size += extent.head_size;
+          run_size += extent.run_size;
+        }
+        const std::uint64_t head_row_bytes = head_size * sizeof(NodeId);
+        KDASH_RETURN_IF_ERROR(CheckLength(
+            section, length,
+            extent_bytes + AlignUp(head_row_bytes) +
+                (head_size + run_size) * sizeof(Scalar)));
+        KDASH_RETURN_IF_ERROR(reader.Array(&head_rows, head_size));
+        KDASH_RETURN_IF_ERROR(
+            reader.Zeros(AlignUp(head_row_bytes) - head_row_bytes,
+                         std::string("padding in ") + name));
+        KDASH_RETURN_IF_ERROR(reader.Array(&head_values, head_size));
+        return reader.Array(&run_values, run_size);
+      }));
+  return sparse::HeadRunMatrix::FromStored(
+      n, extents, std::move(head_rows), std::move(head_values),
+      std::move(run_values), Corrupt(name));
+}
+
+// Reads a v2 inverse saved as CSC and converts it to head + run form.
 // `section` names the matrix in a corrupt-stream error ("U⁻¹"). A stored
 // exact zero is refused: the builder never keeps one, and the run form
 // could not tell it from a run's fill, so the file would not save back to
 // the same bytes.
-Result<sparse::HeadRunMatrix> ReadInverse(Reader& reader,
-                                          const char* section) {
+Result<sparse::HeadRunMatrix> ReadInverseV2(Reader& reader,
+                                            const char* section) {
   NodeId rows = 0, cols = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&rows));
   KDASH_RETURN_IF_ERROR(reader.Pod(&cols));
@@ -176,12 +410,11 @@ Result<sparse::HeadRunMatrix> ReadInverse(Reader& reader,
   KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
   // Check the arrays before the CscMatrix constructor, whose checks abort:
   // right for in-process bugs, wrong for untrusted file bytes.
-  KDASH_RETURN_IF_ERROR(sparse::CheckCscArrays(
-      std::string("corrupt index stream: ") + section, rows, cols, ptr, idx,
-      vals));
+  KDASH_RETURN_IF_ERROR(sparse::CheckCscArrays(Corrupt(section), rows, cols,
+                                               ptr, idx, vals));
   if (std::find(vals.begin(), vals.end(), 0.0) != vals.end()) {
-    return Status::DataLoss(std::string("corrupt index stream: ") + section +
-                            " stores an exact zero");
+    return Status::DataLoss(Corrupt(std::string(section) +
+                                    " stores an exact zero"));
   }
   // One thread: ShardedEngine::Open loads shard files on
   // ThreadPool::Shared() workers, and the pool is not reentrant.
@@ -191,10 +424,28 @@ Result<sparse::HeadRunMatrix> ReadInverse(Reader& reader,
       /*num_threads=*/1);
 }
 
+Status CheckOptions(const KDashOptions& options, std::int32_t reorder_method) {
+  if (!(options.restart_prob > 0.0 && options.restart_prob < 1.0)) {
+    return Status::DataLoss(Corrupt("restart probability outside (0, 1)"));
+  }
+  if (reorder_method < 0 ||
+      reorder_method > static_cast<std::int32_t>(reorder::Method::kHybrid)) {
+    return Status::DataLoss(Corrupt("unknown reorder method"));
+  }
+  return Status::Ok();
+}
+
+Status CheckShape(NodeId n, NodeId owned_begin, NodeId owned_end) {
+  if (n < 0) return Status::DataLoss(Corrupt("negative node count"));
+  if (owned_begin < 0 || owned_begin > owned_end || owned_end > n) {
+    return Status::DataLoss(Corrupt("node-ownership window outside [0, n]"));
+  }
+  return Status::Ok();
+}
+
 Status CheckSize(const char* what, std::size_t got, std::size_t want) {
   if (got != want) {
-    return Status::DataLoss(std::string("corrupt index stream: ") + what +
-                            " has wrong length");
+    return Status::DataLoss(Corrupt(std::string(what) + " has wrong length"));
   }
   return Status::Ok();
 }
@@ -208,34 +459,67 @@ Status KDashIndex::Save(std::ostream& out) const {
       obs::MetricRegistry::Global().GetHistogram("index_io.save_us");
   WallTimer timer;
   KDASH_INJECT_FAULT("index_io.write");
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, kVersion);
-
-  WritePod(out, options_.restart_prob);
-  WritePod(out, static_cast<std::int32_t>(options_.reorder_method));
-  WritePod(out, options_.seed);
-  // The retired drop-tolerance slot. Every index is exact, so it holds 0.
-  const Scalar drop_tolerance = 0.0;
-  WritePod(out, drop_tolerance);
-
   const SharedState& state = *shared_;
-  WritePod(out, num_nodes_);
-  WritePod(out, owned_begin_);
-  WritePod(out, owned_end_);
-  WritePod(out, state.amax);
-  WriteVector(out, state.amax_of_node);
-  WriteVector(out, state.c_prime_of_node);
-  WriteVector(out, state.new_of_old);
-  WriteVector(out, state.old_of_new);
-  // Each inverse is written as the CSC of its stored nonzeros. U⁻¹ is held
-  // as its transpose, whose CSC is exactly the CSR of U⁻¹: the same bytes
-  // the format has always stored for it.
-  WriteCsc(out, state.lower_inverse.ToCsc());
-  WriteCsc(out, upper_inverse_.ToCsc());
-  WriteVector(out, state.adjacency_ptr);
-  WriteVector(out, state.adjacency);
 
-  WriteStats(out, stats_);
+  std::string options_bytes;
+  Append(&options_bytes, options_.restart_prob);
+  Append(&options_bytes, options_.seed);
+  Append(&options_bytes, static_cast<std::int32_t>(options_.reorder_method));
+  std::string shape_bytes;
+  Append(&shape_bytes, state.amax);
+  Append(&shape_bytes, num_nodes_);
+  Append(&shape_bytes, owned_begin_);
+  Append(&shape_bytes, owned_end_);
+  std::string stats_bytes;
+  ForEachStatsField(stats_,
+                    [&](const auto& field) { Append(&stats_bytes, field); });
+  Append(&stats_bytes, kStatsPadding);
+  const std::vector<sparse::ColumnExtent> lower_extents =
+      state.lower_inverse.ColumnExtents();
+  const std::vector<sparse::ColumnExtent> upper_extents =
+      upper_inverse_.ColumnExtents();
+  const std::array<SectionPieces, kNumSections> sections = {
+      SectionPieces{options_bytes},
+      SectionPieces{shape_bytes},
+      SectionPieces{Bytes(state.amax_of_node)},
+      SectionPieces{Bytes(state.c_prime_of_node)},
+      SectionPieces{Bytes(state.new_of_old)},
+      SectionPieces{Bytes(state.old_of_new)},
+      InversePieces(state.lower_inverse, lower_extents),
+      InversePieces(upper_inverse_, upper_extents),
+      SectionPieces{Bytes(state.adjacency_ptr)},
+      SectionPieces{Bytes(state.adjacency)},
+      SectionPieces{stats_bytes}};
+
+  // The table comes first, so every section's CRC is taken before any of
+  // its bytes are written: the stream need not be seekable.
+  std::array<SectionEntry, kNumSections> table;
+  std::uint64_t at = AlignUp(kHeaderBytes + sizeof(table));
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    SectionEntry& entry = table[i];
+    entry.tag = i + 1;
+    entry.offset = at;
+    for (const std::span<const char> piece : sections[i]) {
+      entry.crc = Crc32cExtend(entry.crc, piece.data(), piece.size());
+      entry.length += piece.size();
+    }
+    at = AlignUp(at + entry.length);
+  }
+
+  out.write(kMagic, sizeof(kMagic));
+  out.write(reinterpret_cast<const char*>(&kVersion3), sizeof(kVersion3));
+  const std::uint32_t count = kNumSections;
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  out.write(kZeros, 4);
+  out.write(reinterpret_cast<const char*>(table.data()), sizeof(table));
+  std::uint64_t written = kHeaderBytes + sizeof(table);
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    out.write(kZeros, static_cast<std::streamsize>(table[i].offset - written));
+    for (const std::span<const char> piece : sections[i]) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    }
+    written = table[i].offset + table[i].length;
+  }
   out.flush();
   if (!out.good()) return Status::DataLoss("index write failed");
   save_us.Record(static_cast<std::uint64_t>(timer.Micros()));
@@ -257,6 +541,107 @@ Result<KDashIndex> KDashIndex::Load(std::istream& in) {
   return loaded;
 }
 
+template <typename Reader>
+Status KDashIndex::ReadV3(Reader& reader, KDashIndex* index,
+                          SharedState* state) {
+  KDASH_ASSIGN_OR_RETURN(const std::vector<SectionEntry> table,
+                         ReadSectionTable(reader));
+  std::int32_t reorder_method = 0;
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kOptions, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(kOptions, length, 20));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.restart_prob));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.seed));
+        return reader.Pod(&reorder_method);
+      }));
+  KDASH_RETURN_IF_ERROR(CheckOptions(index->options_, reorder_method));
+  index->options_.reorder_method = static_cast<reorder::Method>(reorder_method);
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kShape, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(kShape, length, 20));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&state->amax));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index->num_nodes_));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_begin_));
+        return reader.Pod(&index->owned_end_);
+      }));
+  KDASH_RETURN_IF_ERROR(CheckShape(index->num_nodes_, index->owned_begin_,
+                                   index->owned_end_));
+  const NodeId n = index->num_nodes_;
+  const auto count = static_cast<std::uint64_t>(n);
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAmaxOfNode, count,
+                                         &state->amax_of_node));
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kCPrime, count,
+                                         &state->c_prime_of_node));
+  KDASH_RETURN_IF_ERROR(
+      ReadArraySection(reader, table, kNewOfOld, count, &state->new_of_old));
+  KDASH_RETURN_IF_ERROR(
+      ReadArraySection(reader, table, kOldOfNew, count, &state->old_of_new));
+  KDASH_ASSIGN_OR_RETURN(state->lower_inverse,
+                         ReadInverseV3(reader, table, kLowerInverse, n));
+  KDASH_ASSIGN_OR_RETURN(index->upper_inverse_,
+                         ReadInverseV3(reader, table, kUpperInverse, n));
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAdjacencyPtr,
+                                         count + 1, &state->adjacency_ptr));
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kAdjacency, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(
+            kAdjacency, length, length / sizeof(NodeId) * sizeof(NodeId)));
+        return reader.Array(&state->adjacency, length / sizeof(NodeId));
+      }));
+  return ReadSection(reader, table, kStats, [&](std::uint64_t length) {
+    KDASH_RETURN_IF_ERROR(
+        CheckLength(kStats, length, sizeof(PrecomputeStats)));
+    Status status = Status::Ok();
+    ForEachStatsField(index->stats_, [&](auto& field) {
+      if (status.ok()) status = reader.Pod(&field);
+    });
+    KDASH_RETURN_IF_ERROR(status);
+    return reader.Zeros(sizeof(kStatsPadding), "padding in precompute stats");
+  });
+}
+
+template <typename Reader>
+Status KDashIndex::ReadV2(Reader& reader, KDashIndex* index,
+                          SharedState* state) {
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.restart_prob));
+  std::int32_t reorder_method = 0;
+  KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
+  KDASH_RETURN_IF_ERROR(CheckOptions(index->options_, reorder_method));
+  index->options_.reorder_method = static_cast<reorder::Method>(reorder_method);
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.seed));
+  // The retired drop-tolerance slot. Older binaries could write a positive
+  // tolerance, which made the inverses (and every score) lossy; such an
+  // index is refused rather than served as if it were exact.
+  Scalar drop_tolerance = 0.0;
+  KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
+  if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
+    return Status::DataLoss(Corrupt("negative or non-finite drop tolerance"));
+  }
+  if (drop_tolerance > 0.0) {
+    return Status::FailedPrecondition(
+        "index was built with drop tolerance " +
+        std::to_string(drop_tolerance) +
+        ", which this build no longer serves (it answers exactly only) — "
+        "rebuild the index with this binary (kdash_cli build)");
+  }
+
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index->num_nodes_));
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_begin_));
+  KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_end_));
+  KDASH_RETURN_IF_ERROR(CheckShape(index->num_nodes_, index->owned_begin_,
+                                   index->owned_end_));
+  KDASH_RETURN_IF_ERROR(reader.Pod(&state->amax));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->amax_of_node));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->c_prime_of_node));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->new_of_old));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->old_of_new));
+  KDASH_ASSIGN_OR_RETURN(state->lower_inverse, ReadInverseV2(reader, "L⁻¹"));
+  KDASH_ASSIGN_OR_RETURN(index->upper_inverse_, ReadInverseV2(reader, "U⁻¹"));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->adjacency_ptr));
+  KDASH_RETURN_IF_ERROR(reader.Vec(&state->adjacency));
+  return reader.Pod(&index->stats_);
+}
+
 Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   Reader reader(in);
 
@@ -267,68 +652,19 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   }
   std::uint32_t version = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&version));
-  if (version != kVersion) {
+  KDashIndex index;
+  SharedState state;
+  if (version == kVersion3) {
+    KDASH_RETURN_IF_ERROR(ReadV3(reader, &index, &state));
+  } else if (version == kVersion2) {
+    KDASH_RETURN_IF_ERROR(ReadV2(reader, &index, &state));
+  } else {
     return Status::FailedPrecondition(
         "index version mismatch: file has version " + std::to_string(version) +
-        ", this build reads version " + std::to_string(kVersion) +
+        ", this build reads versions " + std::to_string(kVersion2) + " and " +
+        std::to_string(kVersion3) +
         " — rebuild the index with this binary (kdash_cli build)");
   }
-
-  KDashIndex index;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
-  if (!(index.options_.restart_prob > 0.0 &&
-        index.options_.restart_prob < 1.0)) {
-    return Status::DataLoss(
-        "corrupt index stream: restart probability outside (0, 1)");
-  }
-  std::int32_t reorder_method = 0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
-  if (reorder_method < 0 ||
-      reorder_method > static_cast<std::int32_t>(reorder::Method::kHybrid)) {
-    return Status::DataLoss("corrupt index stream: unknown reorder method");
-  }
-  index.options_.reorder_method = static_cast<reorder::Method>(reorder_method);
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
-  // The retired drop-tolerance slot. Older binaries could write a positive
-  // tolerance, which made the inverses (and every score) lossy; such an
-  // index is refused rather than served as if it were exact.
-  Scalar drop_tolerance = 0.0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
-  if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
-    return Status::DataLoss(
-        "corrupt index stream: negative or non-finite drop tolerance");
-  }
-  if (drop_tolerance > 0.0) {
-    return Status::FailedPrecondition(
-        "index was built with drop tolerance " +
-        std::to_string(drop_tolerance) +
-        ", which this build no longer serves (it answers exactly only) — "
-        "rebuild the index with this binary (kdash_cli build)");
-  }
-
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
-  if (index.num_nodes_ < 0) {
-    return Status::DataLoss("corrupt index stream: negative node count");
-  }
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_end_));
-  if (index.owned_begin_ < 0 || index.owned_begin_ > index.owned_end_ ||
-      index.owned_end_ > index.num_nodes_) {
-    return Status::DataLoss(
-        "corrupt index stream: node-ownership window outside [0, n]");
-  }
-  SharedState state;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.amax_of_node));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.c_prime_of_node));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.new_of_old));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.old_of_new));
-  KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadInverse(reader, "L⁻¹"));
-  KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadInverse(reader, "U⁻¹"));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency_ptr));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency));
-
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index.stats_));
 
   // Structural sanity before the index is used for queries.
   const auto n = static_cast<std::size_t>(index.num_nodes_);
@@ -346,7 +682,7 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
       static_cast<std::size_t>(index.upper_inverse_.rows()) != n ||
       static_cast<std::size_t>(index.upper_inverse_.cols()) != n) {
     return Status::DataLoss(
-        "corrupt index stream: factor dimensions disagree with node count");
+        Corrupt("factor dimensions disagree with node count"));
   }
   // The two permutations must be mutually inverse bijections of [0, n) —
   // this also range-checks every entry of both arrays.
@@ -356,33 +692,28 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
         state.old_of_new[static_cast<std::size_t>(mapped)] !=
             static_cast<NodeId>(old_id)) {
       return Status::DataLoss(
-          "corrupt index stream: node permutations are not mutually "
-          "inverse");
+          Corrupt("node permutations are not mutually inverse"));
     }
   }
-  if (!state.adjacency_ptr.empty()) {
-    if (state.adjacency_ptr.front() != 0 ||
-        state.adjacency_ptr.back() !=
-            static_cast<Index>(state.adjacency.size())) {
-      return Status::DataLoss("corrupt index stream: adjacency pointers "
-                              "disagree with edge array");
+  if (state.adjacency_ptr.front() != 0 ||
+      state.adjacency_ptr.back() !=
+          static_cast<Index>(state.adjacency.size())) {
+    return Status::DataLoss(
+        Corrupt("adjacency pointers disagree with edge array"));
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    if (state.adjacency_ptr[u] > state.adjacency_ptr[u + 1]) {
+      return Status::DataLoss(Corrupt("non-monotone adjacency pointers"));
     }
-    for (std::size_t u = 0; u < n; ++u) {
-      if (state.adjacency_ptr[u] > state.adjacency_ptr[u + 1]) {
-        return Status::DataLoss(
-            "corrupt index stream: non-monotone adjacency pointers");
-      }
-    }
-    for (const NodeId v : state.adjacency) {
-      if (v < 0 || static_cast<std::size_t>(v) >= n) {
-        return Status::DataLoss(
-            "corrupt index stream: adjacency target out of range");
-      }
+  }
+  for (const NodeId v : state.adjacency) {
+    if (v < 0 || static_cast<std::size_t>(v) >= n) {
+      return Status::DataLoss(Corrupt("adjacency target out of range"));
     }
   }
   // The shard score bound is derived, not stored: recomputing it from the
-  // (validated) c′ table keeps the on-disk format unchanged while loaded
-  // shards skip exactly like freshly Restrict()ed ones.
+  // (validated) c′ table keeps it out of the file while loaded shards skip
+  // exactly like freshly Restrict()ed ones.
   index.owned_score_bound_ = OwnedScoreBound(
       index.owned_begin_, index.owned_end_, state.amax, state.c_prime_of_node);
   index.shared_ = std::make_shared<const SharedState>(std::move(state));

@@ -73,18 +73,20 @@ class KDashIndex {
 
   // Persistence. The precompute is the expensive offline step of the paper
   // (hours at full dataset scale), so indexes can be saved and reloaded.
-  // The format is a versioned native-endian binary dump. All failure modes
-  // are recoverable: Load returns kDataLoss on a corrupt/truncated stream,
-  // kFailedPrecondition on a version mismatch, and the File variants return
-  // kNotFound/kFailedPrecondition when the file cannot be opened — the
-  // process never aborts on bad input, which is what lets a long-lived
-  // server treat index files as untrusted. An index built with a lossy
+  // Save writes format v3, native-endian: checksummed (CRC-32C) sections,
+  // each 8-byte aligned, with the inverses in the head + run form they are
+  // held in (layout in index_io.cc). Load reads v3 and the older v2 (CSC
+  // inverses, converted on load). All failure modes are recoverable: Load
+  // returns kDataLoss on a corrupt/truncated stream, naming the section,
+  // kFailedPrecondition on a version mismatch, and the File variants
+  // return kNotFound/kFailedPrecondition when the file cannot be opened —
+  // the process never aborts on bad input, which is what lets a long-lived
+  // server treat index files as untrusted. A v2 index built with a lossy
   // drop tolerance by an older binary is kFailedPrecondition: every index
   // this build serves is exact. SaveFile replaces the file atomically, so
-  // a failed save leaves the previous index intact. The inverses are saved
-  // as the CSC of their stored nonzeros and converted to head + run form on
-  // Load, which refuses (kDataLoss) an inverse that stores an exact zero:
-  // the builder never writes one, so every file Load accepts saves back
+  // a failed save leaves the previous index intact. Load checks every
+  // inverse column (sparse::HeadRunMatrix::FromStored), so a loaded index
+  // is one Build could have made, and every file Load accepts saves back
   // byte for byte.
   [[nodiscard]] Status Save(std::ostream& out) const;
   [[nodiscard]] static Result<KDashIndex> Load(std::istream& in);
@@ -121,7 +123,7 @@ class KDashIndex {
   // in this index's ownership window (core::OwnedScoreBound over the
   // window; see estimator.h for the Lemma-1 admissibility argument).
   // Precomputed at Build/Restrict and re-derived from the persisted c′
-  // table at Load — the serialized format is unchanged. The sharded
+  // table at Load — it is not stored in the file. The sharded
   // fan-out skips a shard whose bound is provably below the running top-k
   // threshold, but only when the shard owns none of the query's sources.
   Scalar owned_score_bound() const { return owned_score_bound_; }
@@ -146,7 +148,7 @@ class KDashIndex {
   // Inverse factors in the reordered space, in head + run form.
   // upper_inverse() is U⁻¹ *transposed*: its column u is row u of U⁻¹, so a
   // node's proximity c · U⁻¹(u,:) · y is one ColumnDot. Their col_ptr() and
-  // nnz() count the stored nonzeros, as the CSC the index file holds does.
+  // nnz() count the stored nonzeros, as CSC would.
   const sparse::HeadRunMatrix& lower_inverse() const {
     return shared_->lower_inverse;
   }
@@ -184,6 +186,16 @@ class KDashIndex {
     std::vector<Index> adjacency_ptr;
     std::vector<NodeId> adjacency;
   };
+
+  // The two file layouts behind LoadStream (index_io.cc, the only place
+  // that instantiates them): each reads the stream after the version field
+  // into `index` and `state`.
+  template <typename Reader>
+  [[nodiscard]] static Status ReadV3(Reader& reader, KDashIndex* index,
+                                     SharedState* state);
+  template <typename Reader>
+  [[nodiscard]] static Status ReadV2(Reader& reader, KDashIndex* index,
+                                     SharedState* state);
 
   KDashOptions options_;
   NodeId num_nodes_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -62,8 +63,30 @@ Result<Graph> ReadEdgeList(std::istream& in, bool undirected) {
       weight.push_back(w);
     }
   }
-  return Graph(static_cast<NodeId>(dense_id.size()), std::move(src),
-               std::move(dst), std::move(weight));
+  Graph graph(static_cast<NodeId>(dense_id.size()), std::move(src),
+              std::move(dst), std::move(weight));
+  // Finite weights can still sum to +inf: a merged duplicate edge, or a
+  // node's out-weight total. Either would normalize its edges to NaN or 0.
+  const auto file_id = [&](NodeId node) {
+    for (const auto& [raw, dense] : dense_id) {
+      if (dense == node) return "node " + std::to_string(raw);
+    }
+    return std::string();
+  };
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    for (const Neighbor& nb : graph.OutNeighbors(u)) {
+      if (!std::isfinite(nb.weight)) {
+        return Status::DataLoss("the merged weight of edge " + file_id(u) +
+                                " -> " + file_id(nb.node) +
+                                " overflows to infinity");
+      }
+    }
+    if (!std::isfinite(graph.OutWeight(u))) {
+      return Status::DataLoss("the out-weight total of " + file_id(u) +
+                              " overflows to infinity");
+    }
+  }
+  return graph;
 }
 
 Result<Graph> ReadEdgeListFile(const std::string& path, bool undirected) {

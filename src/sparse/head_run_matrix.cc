@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -88,6 +89,105 @@ HeadRunMatrix HeadRunMatrix::FromCsc(const CscMatrix& csc, int num_threads) {
     }
   });
   return m;
+}
+
+Result<HeadRunMatrix> HeadRunMatrix::FromStored(
+    NodeId rows, std::span<const ColumnExtent> extents,
+    std::vector<NodeId> head_rows, std::vector<Scalar> head_values,
+    std::vector<Scalar> run_values, const std::string& what) {
+  const auto corrupt = [&](std::size_t col, const char* why) {
+    return Status::DataLoss(what + ": column " + std::to_string(col) + " " +
+                            why);
+  };
+  HeadRunMatrix m;
+  m.rows_ = rows;
+  m.cols_ = static_cast<NodeId>(extents.size());
+  const std::size_t cols = extents.size();
+  m.col_ptr_.assign(cols + 1, 0);
+  m.head_ptr_.assign(cols + 1, 0);
+  m.run_begin_.assign(cols, rows);
+  m.run_ptr_.assign(cols + 1, 0);
+  if (rows < 0 || head_values.size() != head_rows.size()) {
+    return Status::DataLoss(what + ": arrays disagree with the extents");
+  }
+  const auto head_total = static_cast<Index>(head_rows.size());
+  const auto run_total = static_cast<Index>(run_values.size());
+  for (std::size_t col = 0; col < cols; ++col) {
+    const ColumnExtent& extent = extents[col];
+    const Index head_begin = m.head_ptr_[col];
+    const Index run_at = m.run_ptr_[col];
+    const auto head_size = static_cast<Index>(extent.head_size);
+    const auto run_size = static_cast<Index>(extent.run_size);
+    const auto run_begin = static_cast<Index>(extent.run_begin);
+    if (head_size > head_total - head_begin || run_size > run_total - run_at) {
+      return Status::DataLoss(what + ": arrays disagree with the extents");
+    }
+    Index nonzeros = head_size;
+    if (run_size == 0) {
+      if (head_size != 0 || run_begin != rows) {
+        return corrupt(col, "has no run but a head or a run begin");
+      }
+    } else {
+      if (run_begin >= rows || run_size > rows - run_begin) {
+        return corrupt(col, "has a run outside [0, rows)");
+      }
+      const Scalar* run = run_values.data() + run_at;
+      if (run[0] == 0.0 || run[run_size - 1] == 0.0) {
+        return corrupt(col, "has a run that starts or ends in a zero");
+      }
+      // The cut must be the one ChooseSplit makes. Moving it back to head
+      // entry s turns the head_size - s entries from s on into run slots
+      // and lengthens the run by run_begin - rows[s] slots: that must cost
+      // more (on a tie the longer run would have won). Moving it forward to
+      // the run's k-th nonzero, i slots in, adds k head entries and
+      // shortens the run by i slots: that must not cost less.
+      const NodeId* head = head_rows.data() + head_begin;
+      const Scalar* values = head_values.data() + head_begin;
+      for (Index s = 0; s < head_size; ++s) {
+        if (head[s] < 0 || head[s] >= run_begin ||
+            (s > 0 && head[s] <= head[s - 1])) {
+          return corrupt(col,
+                         "has head rows not strictly ascending below its run");
+        }
+        if (values[s] == 0.0) return corrupt(col, "stores an exact zero");
+        if (kRunSlotBytes * (run_begin - head[s]) <=
+            kHeadEntryBytes * (head_size - s)) {
+          return corrupt(col, "is not cut where it takes the fewest bytes");
+        }
+      }
+      Index k = 0;
+      for (Index i = 0; i < run_size; ++i) {
+        if (run[i] == 0.0) continue;
+        if (kHeadEntryBytes * k < kRunSlotBytes * i) {
+          return corrupt(col, "is not cut where it takes the fewest bytes");
+        }
+        ++k;
+      }
+      nonzeros += k;
+      m.run_begin_[col] = static_cast<NodeId>(run_begin);
+    }
+    m.col_ptr_[col + 1] = m.col_ptr_[col] + nonzeros;
+    m.head_ptr_[col + 1] = head_begin + head_size;
+    m.run_ptr_[col + 1] = run_at + run_size;
+  }
+  if (m.head_ptr_.back() != head_total || m.run_ptr_.back() != run_total) {
+    return Status::DataLoss(what + ": arrays disagree with the extents");
+  }
+  m.head_rows_ = std::move(head_rows);
+  m.head_values_ = std::move(head_values);
+  m.run_values_ = std::move(run_values);
+  return m;
+}
+
+std::vector<ColumnExtent> HeadRunMatrix::ColumnExtents() const {
+  std::vector<ColumnExtent> extents(static_cast<std::size_t>(cols_));
+  for (NodeId col = 0; col < cols_; ++col) {
+    extents[static_cast<std::size_t>(col)] = {
+        static_cast<std::uint32_t>(HeadRows(col).size()),
+        static_cast<std::uint32_t>(RunBegin(col)),
+        static_cast<std::uint32_t>(Run(col).size())};
+  }
+  return extents;
 }
 
 CscMatrix HeadRunMatrix::ToCsc() const {

@@ -13,9 +13,9 @@
 // (row id + value), 8 per run slot; among equal splits the longest run
 // wins. It depends only on the column's own pattern, so every way of
 // arriving at a column (FromCsc, a KeepColumns copy, a loaded file) gives
-// the same form. A last nonzero costs less as a run slot than as a head
-// entry, so only an empty column has no run: its Run() is empty and its
-// RunBegin() is rows().
+// the same form: FromStored refuses any other cut. A last nonzero costs
+// less as a run slot than as a head entry, so only an empty column has no
+// run: its Run() is empty and its RunBegin() is rows().
 //
 // The stored nonzeros are exactly the CSC ones: ToCsc() drops the run's
 // zeros and gives back the CSC matrix FromCsc was given, provided that
@@ -31,9 +31,12 @@
 #define KDASH_SPARSE_HEAD_RUN_MATRIX_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "sparse/csc_matrix.h"
 
@@ -60,6 +63,16 @@ inline Scalar RunDot(const Scalar* a, const Scalar* b, Index n) {
   return total;
 }
 
+// How one column is stored: its head's entry count, then the rows its run
+// covers, [run_begin, run_begin + run_size). The index file holds one per
+// column, 12 bytes each.
+struct ColumnExtent {
+  std::uint32_t head_size = 0;
+  std::uint32_t run_begin = 0;
+  std::uint32_t run_size = 0;
+};
+static_assert(sizeof(ColumnExtent) == 12);
+
 class HeadRunMatrix {
  public:
   HeadRunMatrix() = default;
@@ -69,8 +82,30 @@ class HeadRunMatrix {
   // The result does not depend on the thread count.
   static HeadRunMatrix FromCsc(const CscMatrix& csc, int num_threads);
 
+  // The matrix stored as `extents` (one per column) over the heads' rows
+  // and values and the runs' values, every column's back to back: the
+  // arrays ColumnExtents(), head_rows(), head_values() and run_values()
+  // give. The arrays come from an untrusted file, so every column is
+  // checked and a bad one is kDataLoss, its message prefixed by `what`:
+  // head rows strictly ascending below the run, a run inside [0, rows),
+  // no exact zero in the head, nonzero first and last run values, an empty
+  // column's run beginning at rows, and the byte-minimal cut FromCsc would
+  // choose. A matrix that passes is one FromCsc could have built, so every
+  // ColumnDot and ColumnDotSparse on it stays in bounds.
+  static Result<HeadRunMatrix> FromStored(
+      NodeId rows, std::span<const ColumnExtent> extents,
+      std::vector<NodeId> head_rows, std::vector<Scalar> head_values,
+      std::vector<Scalar> run_values, const std::string& what);
+
   // The CSC matrix of the stored nonzeros (the run's zeros dropped).
   CscMatrix ToCsc() const;
+
+  // One extent per column, and the stored arrays of all columns back to
+  // back: what FromStored takes.
+  std::vector<ColumnExtent> ColumnExtents() const;
+  const std::vector<NodeId>& head_rows() const { return head_rows_; }
+  const std::vector<Scalar>& head_values() const { return head_values_; }
+  const std::vector<Scalar>& run_values() const { return run_values_; }
 
   NodeId rows() const { return rows_; }
   NodeId cols() const { return cols_; }

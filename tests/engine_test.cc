@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -40,6 +42,25 @@ TEST(EngineTest, BuildRejectsBadOptions) {
   bad_c.index.restart_prob = 1.5;
   EXPECT_EQ(Engine::Build(g, bad_c).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, BuildRejectsAnInfiniteOutWeight) {
+  // Node 0's two edges are finite but sum to +inf: normalized, they would
+  // be 0 and node 0 would be served as dangling. Both backends refuse it.
+  graph::GraphBuilder builder(3);
+  builder.AddEdge(0, 1, 1e308);
+  builder.AddEdge(0, 2, 1e308);
+  builder.AddEdge(1, 0);
+  builder.AddEdge(2, 0);
+  const graph::Graph g = std::move(builder).Build();
+  ASSERT_FALSE(std::isfinite(g.OutWeight(0)));
+  for (const EngineOptions& options : {StaticOptions(), UpdatableOptions()}) {
+    const auto engine = Engine::Build(g, options);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("node 0"), std::string::npos)
+        << engine.status();
+  }
 }
 
 TEST(EngineTest, SearchMatchesSearcherInternals) {

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -163,6 +166,134 @@ TEST(HeadRunMatrixTest, SplitIsByteMinimal) {
     }
     EXPECT_EQ(ColumnBytes(m, 0), best) << "trial " << trial;
     EXPECT_EQ(chosen, first_best) << "trial " << trial;
+  }
+}
+
+// Restores `m` from the arrays it stores, as the index loader does.
+Result<HeadRunMatrix> Restore(const HeadRunMatrix& m) {
+  return HeadRunMatrix::FromStored(m.rows(), m.ColumnExtents(), m.head_rows(),
+                                   m.head_values(), m.run_values(), "test");
+}
+
+TEST(HeadRunMatrixTest, FromStoredRestoresWhatFromCscBuilt) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const HeadRunMatrix m = HeadRunMatrix::FromCsc(RandomMatrix(90, 70, seed), 1);
+    const auto restored = Restore(m);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(*restored, m) << "seed " << seed;
+    std::vector<bool> keep(70);
+    for (std::size_t c = 0; c < keep.size(); ++c) keep[c] = c % 4 == 0;
+    const auto kept = Restore(m.KeepColumns(keep));
+    ASSERT_TRUE(kept.ok()) << kept.status();
+    EXPECT_EQ(*kept, m.KeepColumns(keep)) << "seed " << seed;
+  }
+}
+
+TEST(HeadRunMatrixTest, FromStoredAcceptsOnlyTheByteMinimalCut) {
+  // Store a random column cut at each of its nonzeros in turn: only the
+  // cut FromCsc chooses loads, and it loads to FromCsc's matrix.
+  Rng rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto rows = static_cast<NodeId>(1 + rng.NextBounded(24));
+    const std::vector<NodeId> pattern = RandomPattern(rows, rng);
+    if (pattern.empty()) continue;
+    const CscMatrix csc = FromPatterns(rows, {pattern}, rng);
+    const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
+    for (std::size_t s = 0; s < pattern.size(); ++s) {
+      const ColumnExtent extent{
+          static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(pattern[s]),
+          static_cast<std::uint32_t>(pattern.back() - pattern[s] + 1)};
+      std::vector<Scalar> run(extent.run_size, 0.0);
+      for (std::size_t k = s; k < pattern.size(); ++k) {
+        run[static_cast<std::size_t>(pattern[k] - pattern[s])] = csc.values()[k];
+      }
+      const auto stored = HeadRunMatrix::FromStored(
+          rows, std::vector<ColumnExtent>{extent},
+          {pattern.begin(), pattern.begin() + static_cast<std::ptrdiff_t>(s)},
+          {csc.values().begin(), csc.values().begin() + static_cast<std::ptrdiff_t>(s)},
+          std::move(run), "test");
+      if (s == m.HeadRows(0).size()) {
+        ASSERT_TRUE(stored.ok()) << "trial " << trial << ": " << stored.status();
+        EXPECT_EQ(*stored, m) << "trial " << trial;
+      } else {
+        ASSERT_FALSE(stored.ok()) << "trial " << trial << " cut " << s;
+        EXPECT_NE(stored.status().message().find("fewest bytes"),
+                  std::string::npos)
+            << stored.status();
+      }
+    }
+  }
+}
+
+TEST(HeadRunMatrixTest, FromStoredRejectsMalformedColumns) {
+  // Column 0 is empty, column 1 is head {0, 2} + run 7..9, column 2 is a
+  // one-slot run at row 3.
+  Rng rng(17);
+  const HeadRunMatrix m =
+      HeadRunMatrix::FromCsc(FromPatterns(10, {{}, {0, 2, 7, 8, 9}, {3}}, rng), 1);
+  ASSERT_EQ(m.HeadRows(1).size(), 2u);
+  ASSERT_EQ(m.RunBegin(1), 7);
+  struct Stored {
+    std::vector<ColumnExtent> extents;
+    std::vector<NodeId> head_rows;
+    std::vector<Scalar> head_values;
+    std::vector<Scalar> run_values;
+  };
+  const Stored base{m.ColumnExtents(), m.head_rows(), m.head_values(),
+                    m.run_values()};
+  const auto expect_refused = [&](const Stored& stored, const std::string& why) {
+    const auto restored = HeadRunMatrix::FromStored(
+        10, stored.extents, stored.head_rows, stored.head_values,
+        stored.run_values, "matrix");
+    ASSERT_FALSE(restored.ok()) << why;
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(restored.status().message().find(why), std::string::npos)
+        << "want \"" << why << "\" in: " << restored.status();
+  };
+  {
+    Stored s = base;
+    std::swap(s.head_rows[0], s.head_rows[1]);
+    expect_refused(s, "matrix: column 1 has head rows not strictly ascending");
+  }
+  {
+    Stored s = base;
+    s.head_rows[1] = 7;  // inside the run
+    expect_refused(s, "column 1 has head rows not strictly ascending below");
+  }
+  {
+    Stored s = base;
+    s.head_values[0] = 0.0;
+    expect_refused(s, "column 1 stores an exact zero");
+  }
+  {
+    Stored s = base;
+    s.run_values[2] = 0.0;  // the run's last value
+    expect_refused(s, "column 1 has a run that starts or ends in a zero");
+  }
+  {
+    Stored s = base;
+    s.extents[2].run_begin = 10;
+    expect_refused(s, "column 2 has a run outside [0, rows)");
+  }
+  {
+    Stored s = base;
+    s.extents[0].run_begin = 0;
+    expect_refused(s, "column 0 has no run but a head or a run begin");
+  }
+  {
+    Stored s = base;
+    s.run_values.push_back(1.0);
+    expect_refused(s, "arrays disagree with the extents");
+  }
+  {
+    Stored s = base;
+    s.extents[2].run_size = 2;
+    expect_refused(s, "arrays disagree with the extents");
+  }
+  {
+    Stored s = base;
+    s.head_values.pop_back();
+    expect_refused(s, "arrays disagree with the extents");
   }
 }
 

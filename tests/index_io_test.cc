@@ -1,6 +1,8 @@
 // Round-trip and failure-path tests for KDashIndex persistence. Every bad
 // input (garbage, truncation, version mismatch, unopenable file) must come
-// back as a non-OK Status — never abort the process.
+// back as a non-OK Status — never abort the process. Save writes format v3;
+// the tests of v2 byte offsets run against test::SaveV2's stream, which
+// Load still reads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +12,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -18,6 +22,7 @@
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
 #include "datasets/datasets.h"
+#include "index_file_util.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -103,9 +108,11 @@ void ExpectSameAnswers(const KDashIndex& a, const KDashIndex& b) {
 }
 
 TEST(IndexIoTest, ResavedStandInsMatchTheirFilesByteForByte) {
-  // Load converts the saved CSC inverses to head + run form and Save writes
-  // them back as CSC: a built index and its save-load copy must give the
-  // same file and the same answers, on every stand-in and on a shard.
+  // Save writes the head + run arrays as they are and Load checks and
+  // adopts them: a built index and its save-load copy must give the same
+  // file and the same answers, on every stand-in and on a shard. A v2
+  // stream of the index loads to the same inverses and saves back to the
+  // same v3 file.
   for (const datasets::DatasetId id : datasets::AllDatasets()) {
     const datasets::Dataset dataset = datasets::MakeDataset(id, 0.1);
     SCOPED_TRACE(dataset.name);
@@ -124,6 +131,15 @@ TEST(IndexIoTest, ResavedStandInsMatchTheirFilesByteForByte) {
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_EQ(SavedBytes(*loaded), saved);
       ExpectSameAnswers(index, *loaded);
+
+      // The same index as a v2 stream: CSC inverses, converted on load.
+      std::stringstream v2(test::SaveV2(index));
+      const auto from_v2 = KDashIndex::Load(v2);
+      ASSERT_TRUE(from_v2.ok()) << from_v2.status();
+      EXPECT_EQ(from_v2->lower_inverse(), index.lower_inverse());
+      EXPECT_EQ(from_v2->upper_inverse(), index.upper_inverse());
+      EXPECT_EQ(SavedBytes(*from_v2), saved);
+      ExpectSameAnswers(index, *from_v2);
     }
   }
 }
@@ -134,7 +150,7 @@ TEST(IndexIoTest, RejectsInverseStoringAnExactZero) {
   // file would not save back to its own bytes: Load refuses it.
   const auto g = test::RandomDirectedGraph(40, 220, 102);
   const auto index = KDashIndex::Build(g, {});
-  const std::string full = SavedBytes(index);
+  const std::string full = test::SaveV2(index);
 
   // L⁻¹ follows the four per-node vectors (each a u64 length, then the
   // elements) as rows, cols, col_ptr, row ids, values; take a middle value.
@@ -228,21 +244,23 @@ TEST(IndexIoTest, RejectsVersionMismatch) {
 TEST(IndexIoTest, RejectsCorruptPayloadWithoutAborting) {
   const auto g = test::RandomDirectedGraph(40, 250, 97);
   const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  const std::string full = buffer.str();
-  // Flip bytes across the payload. Loads may legitimately succeed when the
-  // flip lands in a benign float, but they must never abort, and a
-  // detected corruption must be kDataLoss.
-  for (const std::size_t at :
-       {20ul, full.size() / 4, full.size() / 2, full.size() - 9}) {
-    std::string bytes = full;
-    bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
-    std::stringstream corrupted(bytes);
-    const auto loaded = KDashIndex::Load(corrupted);
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-          << "flip at " << at << ": " << loaded.status();
+  // Flip bytes across the payload. A v2 stream has no checksums, so a load
+  // may legitimately succeed when the flip lands in a benign float; v3
+  // catches every flip. No load may abort, and a detected corruption must
+  // be kDataLoss.
+  for (const std::string& full : {SavedBytes(index), test::SaveV2(index)}) {
+    const bool v3 = full[4] == 3;
+    for (const std::size_t at :
+         {20ul, full.size() / 4, full.size() / 2, full.size() - 9}) {
+      std::string bytes = full;
+      bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
+      std::stringstream corrupted(bytes);
+      const auto loaded = KDashIndex::Load(corrupted);
+      EXPECT_TRUE(!v3 || !loaded.ok()) << "flip at " << at;
+      if (!loaded.ok()) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+            << "flip at " << at << ": " << loaded.status();
+      }
     }
   }
 }
@@ -250,9 +268,7 @@ TEST(IndexIoTest, RejectsCorruptPayloadWithoutAborting) {
 TEST(IndexIoTest, RejectsCorruptScalarOptions) {
   const auto g = test::RandomDirectedGraph(30, 150, 89);
   const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  const std::string full = buffer.str();
+  const std::string full = test::SaveV2(index);
 
   // restart_prob is the 8 bytes after the 8-byte header; force it to 2.0.
   {
@@ -290,9 +306,7 @@ TEST(IndexIoTest, DropToleranceSlotMustHoldZero) {
   constexpr std::size_t kSlot = 28;
   const auto g = test::RandomDirectedGraph(30, 150, 88);
   const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  const std::string full = buffer.str();
+  const std::string full = test::SaveV2(index);
   const auto load_with = [&](double value) {
     std::string bytes = full;
     std::memcpy(&bytes[kSlot], &value, sizeof(value));
@@ -324,9 +338,7 @@ TEST(IndexIoTest, DropToleranceSlotMustHoldZero) {
 TEST(IndexIoTest, HugeLengthFieldRejectedNotAllocated) {
   const auto g = test::RandomDirectedGraph(30, 150, 98);
   const auto index = KDashIndex::Build(g, {});
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  std::string bytes = buffer.str();
+  std::string bytes = test::SaveV2(index);
   // The first vector length (amax table) sits right after the header and
   // scalar options: 4 magic + 4 version + 8 c + 4 reorder + 8 seed +
   // 8 drop_tol + 4 num_nodes + 4 owned_begin + 4 owned_end + 8 amax = 56.
@@ -407,16 +419,19 @@ TEST(IndexIoTest, InjectedOpenFailureCountsAsLoadError) {
 
 TEST(IndexIoTest, LoadFileCorruptFileFails) {
   const std::string path = ::testing::TempDir() + "/kdash_corrupt_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "KDSH";
-    const std::uint32_t version = 2;  // current format (garbage payload)
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out << "garbage-after-header";
+  // Both readable formats, each with a garbage payload.
+  for (const std::uint32_t version : {2u, 3u}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << "KDSH";
+      out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      out << "garbage-after-header";
+    }
+    const auto loaded = KDashIndex::LoadFile(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << "version " << version;
   }
-  const auto loaded = KDashIndex::LoadFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
@@ -459,11 +474,9 @@ TEST(IndexIoTest, UnknownFutureVersionSuggestsRebuild) {
 }
 
 // The last 4 bytes of a saved index: the tail padding of the trailing
-// PrecomputeStats block.
+// stats section.
 std::string TrailerPadding(const KDashIndex& index) {
-  std::stringstream buffer;
-  EXPECT_TRUE(index.Save(buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = SavedBytes(index);
   return bytes.substr(bytes.size() - 4);
 }
 
@@ -474,16 +487,373 @@ TEST(IndexIoTest, TrailerPaddingIsWrittenAsZeros) {
   EXPECT_EQ(TrailerPadding(index), zeros) << "built index";
   EXPECT_EQ(TrailerPadding(index.Restrict(10, 50)), zeros) << "shard";
 
-  // Load reads the block whole, padding included: a file whose padding
-  // holds garbage must still save back with zeros.
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Save(buffer).ok());
-  std::string bytes = buffer.str();
-  bytes.replace(bytes.size() - 4, 4, "\xab\xcd\xef\x01");
-  std::stringstream dirty(bytes);
+  // v2 reads the stats block whole, padding included: a v2 file whose
+  // padding holds garbage must still save back with zeros.
+  std::string v2 = test::SaveV2(index);
+  v2.replace(v2.size() - 4, 4, "\xab\xcd\xef\x01");
+  std::stringstream dirty(v2);
   const auto loaded = KDashIndex::Load(dirty);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(TrailerPadding(*loaded), zeros) << "load -> save";
+
+  // v3 checks it: nonzero padding is refused even under a matching CRC.
+  auto file = test::v3::File::Parse(SavedBytes(index));
+  file.sections[test::v3::kStats].back() = '\x01';
+  std::stringstream patched(file.Bytes());
+  const auto refused = KDashIndex::Load(patched);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(refused.status().message().find("padding in precompute stats"),
+            std::string::npos)
+      << refused.status();
+}
+
+// ---- format v3 --------------------------------------------------------------
+
+using test::v3::File;
+
+Result<KDashIndex> LoadBytes(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return KDashIndex::Load(in);
+}
+
+// Loading `bytes` must fail with kDataLoss and a message containing `what`.
+void ExpectDataLoss(const std::string& bytes, const std::string& what) {
+  const auto loaded = LoadBytes(bytes);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << loaded.status();
+  EXPECT_NE(loaded.status().message().find(what), std::string::npos)
+      << "want \"" << what << "\" in: " << loaded.status();
+}
+
+template <typename T>
+void AppendRaw(std::string* out, const std::vector<T>& values) {
+  out->append(reinterpret_cast<const char*>(values.data()),
+              values.size() * sizeof(T));
+}
+
+// An inverse section as the arrays HeadRunMatrix::FromStored takes.
+struct InverseArrays {
+  std::vector<sparse::ColumnExtent> extents;
+  std::vector<NodeId> head_rows;
+  std::vector<Scalar> head_values;
+  std::vector<Scalar> run_values;
+
+  static InverseArrays Of(const sparse::HeadRunMatrix& m) {
+    return {m.ColumnExtents(), m.head_rows(), m.head_values(), m.run_values()};
+  }
+
+  // Where column `col`'s head and run start in the arrays.
+  std::size_t HeadAt(std::size_t col) const {
+    std::size_t at = 0;
+    for (std::size_t c = 0; c < col; ++c) at += extents[c].head_size;
+    return at;
+  }
+  std::size_t RunAt(std::size_t col) const {
+    std::size_t at = 0;
+    for (std::size_t c = 0; c < col; ++c) at += extents[c].run_size;
+    return at;
+  }
+
+  // The section bytes: extents, head rows padded to 8 bytes, head values,
+  // run values.
+  std::string Bytes() const {
+    std::string out;
+    AppendRaw(&out, extents);
+    AppendRaw(&out, head_rows);
+    out.resize((out.size() + 7) / 8 * 8, '\0');
+    AppendRaw(&out, head_values);
+    AppendRaw(&out, run_values);
+    return out;
+  }
+};
+
+TEST(IndexIoTest, V3FileIsLaidOutAsItsTableSays) {
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(60, 360, 81), {});
+  const std::string bytes = SavedBytes(index);
+  const File file = File::Parse(bytes);
+  // Re-laying the parsed sections gives the same bytes: every section sits
+  // at the next 8-byte boundary after zero padding, and its CRC is the
+  // CRC-32C of its bytes.
+  EXPECT_EQ(file.Bytes(), bytes);
+  EXPECT_EQ(file.version, 3u);
+  ASSERT_EQ(file.sections.size(), std::size_t{test::v3::kNumSections});
+  for (std::uint32_t i = 0; i < file.tags.size(); ++i) {
+    EXPECT_EQ(file.tags[i], i + 1);
+  }
+  const std::size_t n = static_cast<std::size_t>(index.num_nodes());
+  EXPECT_EQ(file.sections[test::v3::kOptions].size(), 20u);
+  EXPECT_EQ(file.sections[test::v3::kShape].size(), 20u);
+  EXPECT_EQ(file.sections[test::v3::kAmaxOfNode].size(), 8 * n);
+  EXPECT_EQ(file.sections[test::v3::kNewOfOld].size(), 4 * n);
+  EXPECT_EQ(file.sections[test::v3::kAdjacencyPtr].size(), 8 * (n + 1));
+  EXPECT_EQ(file.sections[test::v3::kStats].size(), sizeof(PrecomputeStats));
+  // The inverses are stored as the arrays the matrices hold.
+  EXPECT_EQ(file.sections[test::v3::kLowerInverse],
+            InverseArrays::Of(index.lower_inverse()).Bytes());
+  EXPECT_EQ(file.sections[test::v3::kUpperInverse],
+            InverseArrays::Of(index.upper_inverse()).Bytes());
+}
+
+TEST(IndexIoTest, V3RejectsABadSectionTable) {
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 82), {});
+  const File base = File::Parse(SavedBytes(index));
+  ASSERT_TRUE(LoadBytes(base.Bytes()).ok());
+  {
+    File file = base;
+    file.tags[2] = 99;
+    ExpectDataLoss(file.Bytes(), "unknown section tag 99");
+  }
+  {
+    File file = base;
+    file.tags[3] = 3;
+    ExpectDataLoss(file.Bytes(), "duplicate section Amax(u)");
+  }
+  {
+    File file = base;
+    file.tags.erase(file.tags.begin() + 2);
+    file.sections.erase(file.sections.begin() + 2);
+    ExpectDataLoss(file.Bytes(), "section c′ out of order: Amax(u) missing");
+  }
+  {
+    File file = base;
+    std::swap(file.tags[4], file.tags[5]);
+    std::swap(file.sections[4], file.sections[5]);
+    ExpectDataLoss(file.Bytes(), "section old_of_new out of order");
+  }
+  {
+    File file = base;
+    file.tags.pop_back();
+    file.sections.pop_back();
+    ExpectDataLoss(file.Bytes(), "section precompute stats missing");
+  }
+  {
+    File file = base;
+    file.tags.push_back(12);
+    file.sections.push_back(std::string(8, '\0'));
+    ExpectDataLoss(file.Bytes(), "unknown section after precompute stats");
+  }
+}
+
+TEST(IndexIoTest, V3RejectsBadPaddingOffsetsLengthsAndChecksums) {
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 83), {});
+  const std::string full = SavedBytes(index);
+  using test::v3::EntryAt;
+  using test::v3::ReadAt;
+  using test::v3::WriteAt;
+  const auto offset_of = [&](std::size_t section) {
+    return ReadAt<std::uint64_t>(full, EntryAt(section) + test::v3::kOffsetAt);
+  };
+  {
+    std::string bytes = full;
+    bytes[12] = 1;  // the header's last 4 bytes
+    ExpectDataLoss(bytes, "nonzero padding in the header");
+  }
+  {
+    // The 20-byte options section is followed by 4 bytes of padding.
+    std::string bytes = full;
+    bytes[offset_of(test::v3::kOptions) + 21] = 1;
+    ExpectDataLoss(bytes, "nonzero padding before shape");
+  }
+  {
+    std::string bytes = full;
+    WriteAt(&bytes, EntryAt(test::v3::kShape) + test::v3::kOffsetAt,
+            offset_of(test::v3::kShape) + 8);
+    ExpectDataLoss(bytes, "shape section has offset");
+  }
+  {
+    std::string bytes = full;
+    bytes[offset_of(test::v3::kCPrime) + 3] ^= 0x10;
+    ExpectDataLoss(bytes, "c′ section fails its CRC");
+  }
+  {
+    std::string bytes = full;
+    WriteAt(&bytes, EntryAt(test::v3::kAmaxOfNode) + test::v3::kLengthAt,
+            std::uint64_t{8});
+    ExpectDataLoss(bytes, "Amax(u) section length 8");
+  }
+  {
+    // The adjacency targets must fill whole node ids.
+    File file = File::Parse(full);
+    file.sections[test::v3::kAdjacency].push_back('\0');
+    ExpectDataLoss(file.Bytes(), "adjacency targets section length");
+  }
+}
+
+TEST(IndexIoTest, V3RejectsCorruptScalarOptions) {
+  // The v3 twin of RejectsCorruptScalarOptions: each patch re-stamps the
+  // options section's CRC, so the semantic check is what refuses it.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 89), {});
+  const File base = File::Parse(SavedBytes(index));
+  {
+    File file = base;
+    test::v3::WriteAt(&file.sections[test::v3::kOptions], 0, 2.0);
+    ExpectDataLoss(file.Bytes(), "restart probability");
+  }
+  // The reorder method follows c and the seed.
+  for (const std::int32_t bad_method : {12345, 5, -1}) {
+    File file = base;
+    test::v3::WriteAt(&file.sections[test::v3::kOptions], 16, bad_method);
+    ExpectDataLoss(file.Bytes(), "reorder method");
+  }
+}
+
+TEST(IndexIoTest, V3OptionsHoldNoDropToleranceSlot) {
+  // The v3 twin of DropToleranceSlotMustHoldZero: v3 has no slot, so an
+  // options section carrying v2's eight bytes for it is the wrong length.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 88), {});
+  File file = File::Parse(SavedBytes(index));
+  file.sections[test::v3::kOptions].append(sizeof(Scalar), '\0');
+  ExpectDataLoss(file.Bytes(), "options section length 28");
+}
+
+TEST(IndexIoTest, V3HugeLengthFieldRejectedNotAllocated) {
+  // The v3 twin of HugeLengthFieldRejectedNotAllocated: a huge count in a
+  // column extent, under a valid CRC, disagrees with the section length
+  // before any array is sized by it; so does a huge table length.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 98), {});
+  const std::string full = SavedBytes(index);
+  {
+    File file = File::Parse(full);
+    InverseArrays lower = InverseArrays::Of(index.lower_inverse());
+    lower.extents[0].head_size = 0x7fffffffu;
+    file.sections[test::v3::kLowerInverse] = lower.Bytes();
+    ExpectDataLoss(file.Bytes(), "L⁻¹ section length");
+  }
+  {
+    std::string bytes = full;
+    test::v3::WriteAt(&bytes,
+                      test::v3::EntryAt(test::v3::kAmaxOfNode) +
+                          test::v3::kLengthAt,
+                      std::uint64_t{1} << 56);
+    ExpectDataLoss(bytes, "Amax(u) section length");
+  }
+}
+
+TEST(IndexIoTest, V3RejectsInverseStoringAnExactZero) {
+  // The v3 twin of RejectsInverseStoringAnExactZero: a zero in a head, or
+  // at either end of a run, under a valid CRC.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(40, 220, 102), {});
+  const File base = File::Parse(SavedBytes(index));
+  const InverseArrays lower = InverseArrays::Of(index.lower_inverse());
+  std::size_t col = 0;
+  while (col < lower.extents.size() && lower.extents[col].head_size == 0) ++col;
+  ASSERT_LT(col, lower.extents.size()) << "no L⁻¹ column has a head";
+  {
+    InverseArrays patched = lower;
+    patched.head_values[patched.HeadAt(col)] = 0.0;
+    File file = base;
+    file.sections[test::v3::kLowerInverse] = patched.Bytes();
+    ExpectDataLoss(file.Bytes(),
+                   "L⁻¹: column " + std::to_string(col) + " stores an exact zero");
+  }
+  for (const bool last : {false, true}) {
+    InverseArrays patched = lower;
+    patched.run_values[patched.RunAt(col) +
+                       (last ? patched.extents[col].run_size - 1 : 0)] = 0.0;
+    File file = base;
+    file.sections[test::v3::kLowerInverse] = patched.Bytes();
+    ExpectDataLoss(file.Bytes(), "has a run that starts or ends in a zero");
+  }
+}
+
+TEST(IndexIoTest, V3RejectsAnInverseNotCutWhereItTakesTheFewestBytes) {
+  // Move a U⁻¹ column's cut one nonzero into its run: the same stored
+  // nonzeros, 4 bytes more, so not the form FromCsc gives and not loaded.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(40, 220, 103), {});
+  InverseArrays upper = InverseArrays::Of(index.upper_inverse());
+  std::size_t col = 0;
+  while (col < upper.extents.size() &&
+         !(upper.extents[col].run_size >= 2 &&
+           upper.run_values[upper.RunAt(col) + 1] != 0.0)) {
+    ++col;
+  }
+  ASSERT_LT(col, upper.extents.size());
+  const std::size_t head_end = upper.HeadAt(col) + upper.extents[col].head_size;
+  const std::size_t run_at = upper.RunAt(col);
+  sparse::ColumnExtent& extent = upper.extents[col];
+  upper.head_rows.insert(upper.head_rows.begin() + head_end,
+                         static_cast<NodeId>(extent.run_begin));
+  upper.head_values.insert(upper.head_values.begin() + head_end,
+                           upper.run_values[run_at]);
+  upper.run_values.erase(upper.run_values.begin() + run_at);
+  ++extent.head_size;
+  ++extent.run_begin;
+  --extent.run_size;
+  File file = File::Parse(SavedBytes(index));
+  file.sections[test::v3::kUpperInverse] = upper.Bytes();
+  ExpectDataLoss(file.Bytes(), "U⁻¹: column " + std::to_string(col) +
+                                   " is not cut where it takes the fewest bytes");
+}
+
+TEST(IndexIoTest, V3SemanticChecksStillFireBehindAValidCrc) {
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 84), {});
+  const File base = File::Parse(SavedBytes(index));
+  const auto n = index.num_nodes();
+  {
+    // owned_end past n.
+    File file = base;
+    test::v3::WriteAt(&file.sections[test::v3::kShape], 16, n + 1);
+    ExpectDataLoss(file.Bytes(), "node-ownership window");
+  }
+  {
+    File file = base;
+    test::v3::WriteAt(&file.sections[test::v3::kNewOfOld], 0, NodeId{n});
+    ExpectDataLoss(file.Bytes(), "permutations are not mutually inverse");
+  }
+  {
+    File file = base;
+    test::v3::WriteAt(&file.sections[test::v3::kAdjacency], 0, NodeId{-1});
+    ExpectDataLoss(file.Bytes(), "adjacency target out of range");
+  }
+}
+
+TEST(IndexIoTest, EveryBitFlipFailsOrLoadsTheSameIndex) {
+  // Flip every bit of a small v3 file, one at a time. The flip must be
+  // caught — kDataLoss, or kFailedPrecondition in the version field — or
+  // the file must load to an index that answers bit for bit the same.
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(24, 90, 79), {});
+  const std::string full = SavedBytes(index);
+  std::string bytes = full;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[at] = static_cast<char>(full[at] ^ (1 << bit));
+      const auto loaded = LoadBytes(bytes);
+      if (loaded.ok()) {
+        ExpectSameAnswers(index, *loaded);
+      } else if (at >= 4 && at < 8) {
+        ASSERT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+            << "byte " << at << " bit " << bit;
+      } else {
+        ASSERT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+            << "byte " << at << " bit " << bit << ": " << loaded.status();
+      }
+    }
+    bytes[at] = full[at];
+  }
+}
+
+// A stream that cannot seek or tell, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(IndexIoTest, LoadsFromANonSeekableStream) {
+  const auto index = KDashIndex::Build(test::RandomDirectedGraph(80, 500, 78), {});
+  for (const std::string& bytes : {SavedBytes(index), test::SaveV2(index)}) {
+    PipeBuf pipe(bytes);
+    std::istream in(&pipe);
+    ASSERT_EQ(in.tellg(), std::streampos(-1));
+    const auto loaded = KDashIndex::Load(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ExpectIndexesEquivalent(index, *loaded);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "test_util.h"
 
@@ -109,6 +110,23 @@ TEST(IoTest, MalformedLinesAreDataLossNamingTheLine) {
     ASSERT_FALSE(loaded.ok()) << bad;
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << bad;
     EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos)
+        << loaded.status();
+  }
+}
+
+TEST(IoTest, WeightSumsThatOverflowAreDataLossNamingTheNode) {
+  // Each weight is finite, but a merged duplicate edge or a node's
+  // out-weight total overflows to +inf; the node is named by its file id.
+  for (const auto& [edges, want] : {
+           std::pair<const char*, const char*>{
+               "7 1 1e308\n7 1 1e308\n1 7 1\n", "edge node 7 -> node 1"},
+           {"1 0 1\n7 1 1e308\n7 2 1e308\n", "out-weight total of node 7"},
+       }) {
+    std::istringstream in(edges);
+    const auto loaded = ReadEdgeList(in, false);
+    ASSERT_FALSE(loaded.ok()) << edges;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << edges;
+    EXPECT_NE(loaded.status().message().find(want), std::string::npos)
         << loaded.status();
   }
 }

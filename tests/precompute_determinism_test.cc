@@ -1,12 +1,13 @@
 // End-to-end determinism of the whole precompute pipeline: a KDashIndex
 // built with different thread counts — KDASH_NUM_THREADS (the shared-pool
 // default) or explicit KDashOptions::num_threads — must serialize to
-// byte-identical v2 index files. This catches nondeterminism in ANY stage
+// byte-identical index files. This catches nondeterminism in ANY stage
 // (reorder, LU, inverses, estimator tables, adjacency), not just the one a
 // unit test happens to look at.
 //
-// The only bytes allowed to differ are the trailing sizeof(PrecomputeStats)
-// block: wall-clock stage timings, different on every run by construction.
+// The only bytes allowed to differ are the stats section and its CRC in the
+// section table: wall-clock stage timings, different on every run by
+// construction.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "common/check.h"
 #include "core/kdash_index.h"
 #include "datasets/datasets.h"
+#include "index_file_util.h"
 #include "lu/sparse_lu.h"
 #include "sparse/permute.h"
 #include "test_util.h"
@@ -24,15 +26,12 @@
 namespace kdash::core {
 namespace {
 
-// Serialized index minus the trailing PrecomputeStats block (wall-clock
-// timings — the one legitimately nondeterministic field).
+// Serialized index minus the stats section (wall-clock timings — the one
+// legitimately nondeterministic field) and its CRC.
 std::string SerializedBody(const KDashIndex& index) {
   std::ostringstream out;
   KDASH_CHECK(index.Save(out).ok());
-  std::string bytes = out.str();
-  KDASH_CHECK(bytes.size() > sizeof(PrecomputeStats));
-  bytes.resize(bytes.size() - sizeof(PrecomputeStats));
-  return bytes;
+  return test::v3::WithoutStats(out.str());
 }
 
 // Byte compare with a useful failure message (EXPECT_EQ on megabyte strings
@@ -129,13 +128,11 @@ TEST(PrecomputeDeterminismTest, SavedFilesByteIdenticalModuloStatsBlock) {
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
   };
-  std::string t1 = read_file(dir + "/det_t1.kdash");
-  std::string t8 = read_file(dir + "/det_t8.kdash");
-  ASSERT_GT(t1.size(), sizeof(PrecomputeStats));
+  const std::string t1 = read_file(dir + "/det_t1.kdash");
+  const std::string t8 = read_file(dir + "/det_t8.kdash");
   ASSERT_EQ(t1.size(), t8.size());
-  t1.resize(t1.size() - sizeof(PrecomputeStats));
-  t8.resize(t8.size() - sizeof(PrecomputeStats));
-  ExpectSameBytes(t8, t1, "saved files");
+  ExpectSameBytes(test::v3::WithoutStats(t8), test::v3::WithoutStats(t1),
+                  "saved files");
 }
 
 }  // namespace
