@@ -1,12 +1,6 @@
 #include "common/crc32c.h"
 
 #include <array>
-#include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <nmmintrin.h>
-#define KDASH_CRC32C_X86 1
-#endif
 
 namespace kdash {
 
@@ -45,10 +39,8 @@ std::uint32_t LoadLe32(const unsigned char* p) {
 
 }  // namespace
 
-namespace crc32c_internal {
-
-std::uint32_t ExtendPortable(std::uint32_t crc, const void* data,
-                             std::size_t size) {
+std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
+                           std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
   for (; size >= 8; p += 8, size -= 8) {
@@ -63,44 +55,6 @@ std::uint32_t ExtendPortable(std::uint32_t crc, const void* data,
     crc = kTables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
-}
-
-#ifdef KDASH_CRC32C_X86
-
-bool HasHardwareCrc32c() { return __builtin_cpu_supports("sse4.2"); }
-
-__attribute__((target("sse4.2"))) std::uint32_t ExtendHardware(
-    std::uint32_t crc, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t crc64 = ~crc;
-  for (; size >= 8; p += 8, size -= 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, sizeof(word));
-    crc64 = _mm_crc32_u64(crc64, word);
-  }
-  auto crc32 = static_cast<std::uint32_t>(crc64);
-  for (; size > 0; ++p, --size) crc32 = _mm_crc32_u8(crc32, *p);
-  return ~crc32;
-}
-
-#else
-
-bool HasHardwareCrc32c() { return false; }
-
-std::uint32_t ExtendHardware(std::uint32_t crc, const void* data,
-                             std::size_t size) {
-  return ExtendPortable(crc, data, size);
-}
-
-#endif
-
-}  // namespace crc32c_internal
-
-std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
-                           std::size_t size) {
-  static const bool hardware = crc32c_internal::HasHardwareCrc32c();
-  return hardware ? crc32c_internal::ExtendHardware(crc, data, size)
-                  : crc32c_internal::ExtendPortable(crc, data, size);
 }
 
 }  // namespace kdash

@@ -4,8 +4,8 @@
 // Crc32cExtend continues a checksum over more bytes, so a checksum over
 // several arrays needs no copy into one buffer:
 //   Crc32cExtend(Crc32c(a), b) == Crc32c(a followed by b).
-// x86-64 CPUs with SSE4.2 use the crc32 instruction; every other CPU uses
-// a slice-by-8 table. Both give the same value.
+// The implementation is portable slice-by-8: eight table lookups per eight
+// bytes.
 #ifndef KDASH_COMMON_CRC32C_H_
 #define KDASH_COMMON_CRC32C_H_
 
@@ -20,19 +20,6 @@ namespace kdash {
 [[nodiscard]] inline std::uint32_t Crc32c(const void* data, std::size_t size) {
   return Crc32cExtend(0, data, size);
 }
-
-namespace crc32c_internal {
-
-// The two implementations behind Crc32cExtend, exposed for the test that
-// checks they agree. The hardware one may only be called when
-// HasHardwareCrc32c().
-bool HasHardwareCrc32c();
-std::uint32_t ExtendHardware(std::uint32_t crc, const void* data,
-                             std::size_t size);
-std::uint32_t ExtendPortable(std::uint32_t crc, const void* data,
-                             std::size_t size);
-
-}  // namespace crc32c_internal
 
 }  // namespace kdash
 

@@ -541,107 +541,6 @@ Result<KDashIndex> KDashIndex::Load(std::istream& in) {
   return loaded;
 }
 
-template <typename Reader>
-Status KDashIndex::ReadV3(Reader& reader, KDashIndex* index,
-                          SharedState* state) {
-  KDASH_ASSIGN_OR_RETURN(const std::vector<SectionEntry> table,
-                         ReadSectionTable(reader));
-  std::int32_t reorder_method = 0;
-  KDASH_RETURN_IF_ERROR(
-      ReadSection(reader, table, kOptions, [&](std::uint64_t length) {
-        KDASH_RETURN_IF_ERROR(CheckLength(kOptions, length, 20));
-        KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.restart_prob));
-        KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.seed));
-        return reader.Pod(&reorder_method);
-      }));
-  KDASH_RETURN_IF_ERROR(CheckOptions(index->options_, reorder_method));
-  index->options_.reorder_method = static_cast<reorder::Method>(reorder_method);
-  KDASH_RETURN_IF_ERROR(
-      ReadSection(reader, table, kShape, [&](std::uint64_t length) {
-        KDASH_RETURN_IF_ERROR(CheckLength(kShape, length, 20));
-        KDASH_RETURN_IF_ERROR(reader.Pod(&state->amax));
-        KDASH_RETURN_IF_ERROR(reader.Pod(&index->num_nodes_));
-        KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_begin_));
-        return reader.Pod(&index->owned_end_);
-      }));
-  KDASH_RETURN_IF_ERROR(CheckShape(index->num_nodes_, index->owned_begin_,
-                                   index->owned_end_));
-  const NodeId n = index->num_nodes_;
-  const auto count = static_cast<std::uint64_t>(n);
-  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAmaxOfNode, count,
-                                         &state->amax_of_node));
-  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kCPrime, count,
-                                         &state->c_prime_of_node));
-  KDASH_RETURN_IF_ERROR(
-      ReadArraySection(reader, table, kNewOfOld, count, &state->new_of_old));
-  KDASH_RETURN_IF_ERROR(
-      ReadArraySection(reader, table, kOldOfNew, count, &state->old_of_new));
-  KDASH_ASSIGN_OR_RETURN(state->lower_inverse,
-                         ReadInverseV3(reader, table, kLowerInverse, n));
-  KDASH_ASSIGN_OR_RETURN(index->upper_inverse_,
-                         ReadInverseV3(reader, table, kUpperInverse, n));
-  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAdjacencyPtr,
-                                         count + 1, &state->adjacency_ptr));
-  KDASH_RETURN_IF_ERROR(
-      ReadSection(reader, table, kAdjacency, [&](std::uint64_t length) {
-        KDASH_RETURN_IF_ERROR(CheckLength(
-            kAdjacency, length, length / sizeof(NodeId) * sizeof(NodeId)));
-        return reader.Array(&state->adjacency, length / sizeof(NodeId));
-      }));
-  return ReadSection(reader, table, kStats, [&](std::uint64_t length) {
-    KDASH_RETURN_IF_ERROR(
-        CheckLength(kStats, length, sizeof(PrecomputeStats)));
-    Status status = Status::Ok();
-    ForEachStatsField(index->stats_, [&](auto& field) {
-      if (status.ok()) status = reader.Pod(&field);
-    });
-    KDASH_RETURN_IF_ERROR(status);
-    return reader.Zeros(sizeof(kStatsPadding), "padding in precompute stats");
-  });
-}
-
-template <typename Reader>
-Status KDashIndex::ReadV2(Reader& reader, KDashIndex* index,
-                          SharedState* state) {
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.restart_prob));
-  std::int32_t reorder_method = 0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
-  KDASH_RETURN_IF_ERROR(CheckOptions(index->options_, reorder_method));
-  index->options_.reorder_method = static_cast<reorder::Method>(reorder_method);
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index->options_.seed));
-  // The retired drop-tolerance slot. Older binaries could write a positive
-  // tolerance, which made the inverses (and every score) lossy; such an
-  // index is refused rather than served as if it were exact.
-  Scalar drop_tolerance = 0.0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
-  if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
-    return Status::DataLoss(Corrupt("negative or non-finite drop tolerance"));
-  }
-  if (drop_tolerance > 0.0) {
-    return Status::FailedPrecondition(
-        "index was built with drop tolerance " +
-        std::to_string(drop_tolerance) +
-        ", which this build no longer serves (it answers exactly only) — "
-        "rebuild the index with this binary (kdash_cli build)");
-  }
-
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index->num_nodes_));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_begin_));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&index->owned_end_));
-  KDASH_RETURN_IF_ERROR(CheckShape(index->num_nodes_, index->owned_begin_,
-                                   index->owned_end_));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&state->amax));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->amax_of_node));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->c_prime_of_node));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->new_of_old));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->old_of_new));
-  KDASH_ASSIGN_OR_RETURN(state->lower_inverse, ReadInverseV2(reader, "L⁻¹"));
-  KDASH_ASSIGN_OR_RETURN(index->upper_inverse_, ReadInverseV2(reader, "U⁻¹"));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->adjacency_ptr));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&state->adjacency));
-  return reader.Pod(&index->stats_);
-}
-
 Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   Reader reader(in);
 
@@ -654,10 +553,111 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   KDASH_RETURN_IF_ERROR(reader.Pod(&version));
   KDashIndex index;
   SharedState state;
+  // Format v3: the section table, then each section in table order.
+  const auto read_v3 = [&]() -> Status {
+    KDASH_ASSIGN_OR_RETURN(const std::vector<SectionEntry> table,
+                           ReadSectionTable(reader));
+    std::int32_t reorder_method = 0;
+    KDASH_RETURN_IF_ERROR(
+        ReadSection(reader, table, kOptions, [&](std::uint64_t length) {
+          KDASH_RETURN_IF_ERROR(CheckLength(kOptions, length, 20));
+          KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
+          KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
+          return reader.Pod(&reorder_method);
+        }));
+    KDASH_RETURN_IF_ERROR(CheckOptions(index.options_, reorder_method));
+    index.options_.reorder_method =
+        static_cast<reorder::Method>(reorder_method);
+    KDASH_RETURN_IF_ERROR(
+        ReadSection(reader, table, kShape, [&](std::uint64_t length) {
+          KDASH_RETURN_IF_ERROR(CheckLength(kShape, length, 20));
+          KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
+          KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
+          KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
+          return reader.Pod(&index.owned_end_);
+        }));
+    KDASH_RETURN_IF_ERROR(CheckShape(index.num_nodes_, index.owned_begin_,
+                                     index.owned_end_));
+    const NodeId n = index.num_nodes_;
+    const auto count = static_cast<std::uint64_t>(n);
+    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAmaxOfNode, count,
+                                           &state.amax_of_node));
+    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kCPrime, count,
+                                           &state.c_prime_of_node));
+    KDASH_RETURN_IF_ERROR(
+        ReadArraySection(reader, table, kNewOfOld, count, &state.new_of_old));
+    KDASH_RETURN_IF_ERROR(
+        ReadArraySection(reader, table, kOldOfNew, count, &state.old_of_new));
+    KDASH_ASSIGN_OR_RETURN(state.lower_inverse,
+                           ReadInverseV3(reader, table, kLowerInverse, n));
+    KDASH_ASSIGN_OR_RETURN(index.upper_inverse_,
+                           ReadInverseV3(reader, table, kUpperInverse, n));
+    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAdjacencyPtr,
+                                           count + 1, &state.adjacency_ptr));
+    KDASH_RETURN_IF_ERROR(
+        ReadSection(reader, table, kAdjacency, [&](std::uint64_t length) {
+          KDASH_RETURN_IF_ERROR(CheckLength(
+              kAdjacency, length, length / sizeof(NodeId) * sizeof(NodeId)));
+          return reader.Array(&state.adjacency, length / sizeof(NodeId));
+        }));
+    return ReadSection(reader, table, kStats, [&](std::uint64_t length) {
+      KDASH_RETURN_IF_ERROR(
+          CheckLength(kStats, length, sizeof(PrecomputeStats)));
+      Status status = Status::Ok();
+      ForEachStatsField(index.stats_, [&](auto& field) {
+        if (status.ok()) status = reader.Pod(&field);
+      });
+      KDASH_RETURN_IF_ERROR(status);
+      return reader.Zeros(sizeof(kStatsPadding),
+                          "padding in precompute stats");
+    });
+  };
+  // Format v2: the fields back to back, the inverses as CSC.
+  const auto read_v2 = [&]() -> Status {
+    KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
+    std::int32_t reorder_method = 0;
+    KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
+    KDASH_RETURN_IF_ERROR(CheckOptions(index.options_, reorder_method));
+    index.options_.reorder_method =
+        static_cast<reorder::Method>(reorder_method);
+    KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
+    // The retired drop-tolerance slot. Older binaries could write a positive
+    // tolerance, which made the inverses (and every score) lossy; such an
+    // index is refused rather than served as if it were exact.
+    Scalar drop_tolerance = 0.0;
+    KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
+    if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
+      return Status::DataLoss(
+          Corrupt("negative or non-finite drop tolerance"));
+    }
+    if (drop_tolerance > 0.0) {
+      return Status::FailedPrecondition(
+          "index was built with drop tolerance " +
+          std::to_string(drop_tolerance) +
+          ", which this build no longer serves (it answers exactly only) — "
+          "rebuild the index with this binary (kdash_cli build)");
+    }
+
+    KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
+    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
+    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_end_));
+    KDASH_RETURN_IF_ERROR(CheckShape(index.num_nodes_, index.owned_begin_,
+                                     index.owned_end_));
+    KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.amax_of_node));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.c_prime_of_node));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.new_of_old));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.old_of_new));
+    KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadInverseV2(reader, "L⁻¹"));
+    KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadInverseV2(reader, "U⁻¹"));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency_ptr));
+    KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency));
+    return reader.Pod(&index.stats_);
+  };
   if (version == kVersion3) {
-    KDASH_RETURN_IF_ERROR(ReadV3(reader, &index, &state));
+    KDASH_RETURN_IF_ERROR(read_v3());
   } else if (version == kVersion2) {
-    KDASH_RETURN_IF_ERROR(ReadV2(reader, &index, &state));
+    KDASH_RETURN_IF_ERROR(read_v2());
   } else {
     return Status::FailedPrecondition(
         "index version mismatch: file has version " + std::to_string(version) +

@@ -187,16 +187,6 @@ class KDashIndex {
     std::vector<NodeId> adjacency;
   };
 
-  // The two file layouts behind LoadStream (index_io.cc, the only place
-  // that instantiates them): each reads the stream after the version field
-  // into `index` and `state`.
-  template <typename Reader>
-  [[nodiscard]] static Status ReadV3(Reader& reader, KDashIndex* index,
-                                     SharedState* state);
-  template <typename Reader>
-  [[nodiscard]] static Status ReadV2(Reader& reader, KDashIndex* index,
-                                     SharedState* state);
-
   KDashOptions options_;
   NodeId num_nodes_ = 0;
   PrecomputeStats stats_;

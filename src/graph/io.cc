@@ -65,25 +65,17 @@ Result<Graph> ReadEdgeList(std::istream& in, bool undirected) {
   }
   Graph graph(static_cast<NodeId>(dense_id.size()), std::move(src),
               std::move(dst), std::move(weight));
-  // Finite weights can still sum to +inf: a merged duplicate edge, or a
-  // node's out-weight total. Either would normalize its edges to NaN or 0.
-  const auto file_id = [&](NodeId node) {
-    for (const auto& [raw, dense] : dense_id) {
-      if (dense == node) return "node " + std::to_string(raw);
-    }
-    return std::string();
-  };
+  // Finite weights can still sum to +inf (a merged duplicate edge is part
+  // of its node's total), which would normalize the node's edges to NaN or
+  // 0. Only on that error is the node's file id looked up.
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    for (const Neighbor& nb : graph.OutNeighbors(u)) {
-      if (!std::isfinite(nb.weight)) {
-        return Status::DataLoss("the merged weight of edge " + file_id(u) +
-                                " -> " + file_id(nb.node) +
+    if (std::isfinite(graph.OutWeight(u))) continue;
+    for (const auto& [raw, dense] : dense_id) {
+      if (dense == u) {
+        return Status::DataLoss("the out-weight total of node " +
+                                std::to_string(raw) +
                                 " overflows to infinity");
       }
-    }
-    if (!std::isfinite(graph.OutWeight(u))) {
-      return Status::DataLoss("the out-weight total of " + file_id(u) +
-                              " overflows to infinity");
     }
   }
   return graph;

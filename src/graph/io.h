@@ -20,9 +20,9 @@ namespace kdash::graph {
 // Parses an edge list from a stream. If `undirected`, every edge is added in
 // both directions. A line that is not blank or a comment must hold exactly
 // 2 or 3 fields, each a number in range (common/parse_number.h); anything
-// else is kDataLoss naming the line. A merged duplicate edge or a node's
-// out-weight total that overflows to infinity is kDataLoss naming the node
-// by its file id.
+// else is kDataLoss naming the line. A node whose out-weight total
+// (duplicate edges merged) overflows to infinity is kDataLoss naming the
+// node by its file id.
 [[nodiscard]] Result<Graph> ReadEdgeList(std::istream& in, bool undirected);
 
 // File overload: kNotFound when the file cannot be opened.

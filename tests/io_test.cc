@@ -119,7 +119,7 @@ TEST(IoTest, WeightSumsThatOverflowAreDataLossNamingTheNode) {
   // out-weight total overflows to +inf; the node is named by its file id.
   for (const auto& [edges, want] : {
            std::pair<const char*, const char*>{
-               "7 1 1e308\n7 1 1e308\n1 7 1\n", "edge node 7 -> node 1"},
+               "7 1 1e308\n7 1 1e308\n1 7 1\n", "out-weight total of node 7"},
            {"1 0 1\n7 1 1e308\n7 2 1e308\n", "out-weight total of node 7"},
        }) {
     std::istringstream in(edges);
