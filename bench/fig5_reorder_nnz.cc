@@ -9,6 +9,7 @@
 // default scale (override with KDASH_BENCH_SCALE).
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -19,13 +20,21 @@ namespace {
 
 constexpr double kScaleMultiplier = 0.4;
 
-// Entries of a square matrix that are on the diagonal or above 1e-16 in
+// Nonzeros of a square matrix that are on the diagonal or above 1e-16 in
 // magnitude (the same count for the matrix and its transpose).
-Index CountAboveEps(const sparse::CscMatrix& m) {
+Index CountAboveEps(const sparse::HeadRunMatrix& m) {
   Index count = 0;
+  const auto visit = [&](NodeId row, NodeId col, Scalar value) {
+    if (value != 0.0 && (row == col || std::abs(value) > 1e-16)) ++count;
+  };
   for (NodeId col = 0; col < m.cols(); ++col) {
-    for (Index k = m.ColBegin(col); k < m.ColEnd(col); ++k) {
-      if (m.RowIndex(k) == col || std::abs(m.Value(k)) > 1e-16) ++count;
+    const std::span<const NodeId> head_rows = m.HeadRows(col);
+    for (std::size_t k = 0; k < head_rows.size(); ++k) {
+      visit(head_rows[k], col, m.HeadValues(col)[k]);
+    }
+    const std::span<const Scalar> run = m.Run(col);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      visit(m.RunBegin(col) + static_cast<NodeId>(i), col, run[i]);
     }
   }
   return count;
@@ -59,8 +68,8 @@ void Run() {
       core::KDashOptions options;
       options.reorder_method = method;
       const auto index = core::KDashIndex::Build(all[d].graph, options);
-      const sparse::CscMatrix lower = index.lower_inverse().ToCsc();
-      const sparse::CscMatrix upper = index.upper_inverse().ToCsc();
+      const sparse::HeadRunMatrix& lower = index.lower_inverse();
+      const sparse::HeadRunMatrix& upper = index.upper_inverse();
       exact[d].push_back(
           static_cast<double>(lower.nnz() + upper.nnz()) / edges);
       eps[d].push_back(

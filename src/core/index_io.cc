@@ -1,9 +1,9 @@
 // Binary persistence of KDashIndex (Save/Load declared in kdash_index.h).
 //
-// Save writes format v3; Load reads v3 and v2. Both are native-endian.
+// Save writes format v3, the only one Load reads. It is native-endian.
 //
-// v3 is a 16-byte header (magic "KDSH", version 3, section count, 4 zero
-// bytes), a table of one 24-byte entry per section {tag, CRC-32C, offset,
+// The file is a 16-byte header (magic "KDSH", version 3, section count, 4
+// zero bytes), a table of one 24-byte entry per section {tag, CRC-32C, offset,
 // length} (u32, u32, u64, u64), then the sections in table order. Each
 // section starts at the next 8-byte boundary of the file, after zero
 // padding, so a reader can stream the file front to back and a mapping of
@@ -21,10 +21,6 @@
 //   10 adjacency targets    i32 each
 //   11 precompute stats     PrecomputeStats field by field, 4 zero bytes
 //
-// v2 is the same fields as one unaligned stream, each array prefixed by its
-// u64 length, the retired drop-tolerance slot after the seed, and the
-// inverses as CSC (converted to head + run form on load).
-//
 // Every read goes through the checked Reader: a truncated, corrupt, or
 // version-mismatched stream comes back as a non-OK Status instead of
 // aborting the process. Array lengths are validated against the bytes
@@ -32,7 +28,6 @@
 // allocation, so a corrupt length field cannot trigger a huge allocation.
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
@@ -57,12 +52,9 @@ namespace kdash::core {
 namespace {
 
 constexpr char kMagic[4] = {'K', 'D', 'S', 'H'};
-// v2 added the node-ownership window (owned_begin, owned_end) after the node
-// count, so shard indexes produced by Restrict() persist and reload. v3
-// moved every field into checksummed, aligned sections and stores the
-// inverses in head + run form. A v1 (pre-sharding) file is refused like any
-// other version, with a hint to rebuild.
-constexpr std::uint32_t kVersion2 = 2;
+// The only version Load reads. An older file (v2: unaligned, CSC inverses,
+// no checksums; v1: pre-sharding) is refused like any other version, with
+// a hint to rebuild.
 constexpr std::uint32_t kVersion3 = 3;
 
 constexpr std::size_t kAlignment = 8;
@@ -230,14 +222,6 @@ class Reader {
     return Status::Ok();
   }
 
-  // A u64 element count, then the elements (the v2 array encoding).
-  template <typename T>
-  Status Vec(std::vector<T>* out) {
-    std::uint64_t size = 0;
-    KDASH_RETURN_IF_ERROR(Pod(&size));
-    return Array(out, size);
-  }
-
   // `bytes` bytes that must all be zero; `what` names them in the error.
   Status Zeros(std::uint64_t bytes, const std::string& what) {
     for (std::uint64_t i = 0; i < bytes; ++i) {
@@ -392,38 +376,6 @@ Result<sparse::HeadRunMatrix> ReadInverseV3(
       std::move(run_values), Corrupt(name));
 }
 
-// Reads a v2 inverse saved as CSC and converts it to head + run form.
-// `section` names the matrix in a corrupt-stream error ("U⁻¹"). A stored
-// exact zero is refused: the builder never keeps one, and the run form
-// could not tell it from a run's fill, so the file would not save back to
-// the same bytes.
-Result<sparse::HeadRunMatrix> ReadInverseV2(Reader& reader,
-                                            const char* section) {
-  NodeId rows = 0, cols = 0;
-  KDASH_RETURN_IF_ERROR(reader.Pod(&rows));
-  KDASH_RETURN_IF_ERROR(reader.Pod(&cols));
-  std::vector<Index> ptr;
-  std::vector<NodeId> idx;
-  std::vector<Scalar> vals;
-  KDASH_RETURN_IF_ERROR(reader.Vec(&ptr));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&idx));
-  KDASH_RETURN_IF_ERROR(reader.Vec(&vals));
-  // Check the arrays before the CscMatrix constructor, whose checks abort:
-  // right for in-process bugs, wrong for untrusted file bytes.
-  KDASH_RETURN_IF_ERROR(sparse::CheckCscArrays(Corrupt(section), rows, cols,
-                                               ptr, idx, vals));
-  if (std::find(vals.begin(), vals.end(), 0.0) != vals.end()) {
-    return Status::DataLoss(Corrupt(std::string(section) +
-                                    " stores an exact zero"));
-  }
-  // One thread: ShardedEngine::Open loads shard files on
-  // ThreadPool::Shared() workers, and the pool is not reentrant.
-  return sparse::HeadRunMatrix::FromCsc(
-      sparse::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
-                        std::move(vals)),
-      /*num_threads=*/1);
-}
-
 Status CheckOptions(const KDashOptions& options, std::int32_t reorder_method) {
   if (!(options.restart_prob > 0.0 && options.restart_prob < 1.0)) {
     return Status::DataLoss(Corrupt("restart probability outside (0, 1)"));
@@ -551,120 +503,73 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
   }
   std::uint32_t version = 0;
   KDASH_RETURN_IF_ERROR(reader.Pod(&version));
-  KDashIndex index;
-  SharedState state;
-  // Format v3: the section table, then each section in table order.
-  const auto read_v3 = [&]() -> Status {
-    KDASH_ASSIGN_OR_RETURN(const std::vector<SectionEntry> table,
-                           ReadSectionTable(reader));
-    std::int32_t reorder_method = 0;
-    KDASH_RETURN_IF_ERROR(
-        ReadSection(reader, table, kOptions, [&](std::uint64_t length) {
-          KDASH_RETURN_IF_ERROR(CheckLength(kOptions, length, 20));
-          KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
-          KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
-          return reader.Pod(&reorder_method);
-        }));
-    KDASH_RETURN_IF_ERROR(CheckOptions(index.options_, reorder_method));
-    index.options_.reorder_method =
-        static_cast<reorder::Method>(reorder_method);
-    KDASH_RETURN_IF_ERROR(
-        ReadSection(reader, table, kShape, [&](std::uint64_t length) {
-          KDASH_RETURN_IF_ERROR(CheckLength(kShape, length, 20));
-          KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
-          KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
-          KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
-          return reader.Pod(&index.owned_end_);
-        }));
-    KDASH_RETURN_IF_ERROR(CheckShape(index.num_nodes_, index.owned_begin_,
-                                     index.owned_end_));
-    const NodeId n = index.num_nodes_;
-    const auto count = static_cast<std::uint64_t>(n);
-    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAmaxOfNode, count,
-                                           &state.amax_of_node));
-    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kCPrime, count,
-                                           &state.c_prime_of_node));
-    KDASH_RETURN_IF_ERROR(
-        ReadArraySection(reader, table, kNewOfOld, count, &state.new_of_old));
-    KDASH_RETURN_IF_ERROR(
-        ReadArraySection(reader, table, kOldOfNew, count, &state.old_of_new));
-    KDASH_ASSIGN_OR_RETURN(state.lower_inverse,
-                           ReadInverseV3(reader, table, kLowerInverse, n));
-    KDASH_ASSIGN_OR_RETURN(index.upper_inverse_,
-                           ReadInverseV3(reader, table, kUpperInverse, n));
-    KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAdjacencyPtr,
-                                           count + 1, &state.adjacency_ptr));
-    KDASH_RETURN_IF_ERROR(
-        ReadSection(reader, table, kAdjacency, [&](std::uint64_t length) {
-          KDASH_RETURN_IF_ERROR(CheckLength(
-              kAdjacency, length, length / sizeof(NodeId) * sizeof(NodeId)));
-          return reader.Array(&state.adjacency, length / sizeof(NodeId));
-        }));
-    return ReadSection(reader, table, kStats, [&](std::uint64_t length) {
-      KDASH_RETURN_IF_ERROR(
-          CheckLength(kStats, length, sizeof(PrecomputeStats)));
-      Status status = Status::Ok();
-      ForEachStatsField(index.stats_, [&](auto& field) {
-        if (status.ok()) status = reader.Pod(&field);
-      });
-      KDASH_RETURN_IF_ERROR(status);
-      return reader.Zeros(sizeof(kStatsPadding),
-                          "padding in precompute stats");
-    });
-  };
-  // Format v2: the fields back to back, the inverses as CSC.
-  const auto read_v2 = [&]() -> Status {
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
-    std::int32_t reorder_method = 0;
-    KDASH_RETURN_IF_ERROR(reader.Pod(&reorder_method));
-    KDASH_RETURN_IF_ERROR(CheckOptions(index.options_, reorder_method));
-    index.options_.reorder_method =
-        static_cast<reorder::Method>(reorder_method);
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
-    // The retired drop-tolerance slot. Older binaries could write a positive
-    // tolerance, which made the inverses (and every score) lossy; such an
-    // index is refused rather than served as if it were exact.
-    Scalar drop_tolerance = 0.0;
-    KDASH_RETURN_IF_ERROR(reader.Pod(&drop_tolerance));
-    if (!(drop_tolerance >= 0.0) || !std::isfinite(drop_tolerance)) {
-      return Status::DataLoss(
-          Corrupt("negative or non-finite drop tolerance"));
-    }
-    if (drop_tolerance > 0.0) {
-      return Status::FailedPrecondition(
-          "index was built with drop tolerance " +
-          std::to_string(drop_tolerance) +
-          ", which this build no longer serves (it answers exactly only) — "
-          "rebuild the index with this binary (kdash_cli build)");
-    }
-
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
-    KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_end_));
-    KDASH_RETURN_IF_ERROR(CheckShape(index.num_nodes_, index.owned_begin_,
-                                     index.owned_end_));
-    KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.amax_of_node));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.c_prime_of_node));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.new_of_old));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.old_of_new));
-    KDASH_ASSIGN_OR_RETURN(state.lower_inverse, ReadInverseV2(reader, "L⁻¹"));
-    KDASH_ASSIGN_OR_RETURN(index.upper_inverse_, ReadInverseV2(reader, "U⁻¹"));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency_ptr));
-    KDASH_RETURN_IF_ERROR(reader.Vec(&state.adjacency));
-    return reader.Pod(&index.stats_);
-  };
-  if (version == kVersion3) {
-    KDASH_RETURN_IF_ERROR(read_v3());
-  } else if (version == kVersion2) {
-    KDASH_RETURN_IF_ERROR(read_v2());
-  } else {
+  if (version != kVersion3) {
     return Status::FailedPrecondition(
         "index version mismatch: file has version " + std::to_string(version) +
-        ", this build reads versions " + std::to_string(kVersion2) + " and " +
-        std::to_string(kVersion3) +
+        ", this build reads version " + std::to_string(kVersion3) +
         " — rebuild the index with this binary (kdash_cli build)");
   }
+
+  // The section table, then each section in table order.
+  KDashIndex index;
+  SharedState state;
+  KDASH_ASSIGN_OR_RETURN(const std::vector<SectionEntry> table,
+                         ReadSectionTable(reader));
+  std::int32_t reorder_method = 0;
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kOptions, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(kOptions, length, 20));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.restart_prob));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index.options_.seed));
+        return reader.Pod(&reorder_method);
+      }));
+  KDASH_RETURN_IF_ERROR(CheckOptions(index.options_, reorder_method));
+  index.options_.reorder_method = static_cast<reorder::Method>(reorder_method);
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kShape, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(kShape, length, 20));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&state.amax));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index.num_nodes_));
+        KDASH_RETURN_IF_ERROR(reader.Pod(&index.owned_begin_));
+        return reader.Pod(&index.owned_end_);
+      }));
+  KDASH_RETURN_IF_ERROR(CheckShape(index.num_nodes_, index.owned_begin_,
+                                   index.owned_end_));
+  const auto count = static_cast<std::uint64_t>(index.num_nodes_);
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAmaxOfNode, count,
+                                         &state.amax_of_node));
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kCPrime, count,
+                                         &state.c_prime_of_node));
+  KDASH_RETURN_IF_ERROR(
+      ReadArraySection(reader, table, kNewOfOld, count, &state.new_of_old));
+  KDASH_RETURN_IF_ERROR(
+      ReadArraySection(reader, table, kOldOfNew, count, &state.old_of_new));
+  KDASH_ASSIGN_OR_RETURN(
+      state.lower_inverse,
+      ReadInverseV3(reader, table, kLowerInverse, index.num_nodes_));
+  KDASH_ASSIGN_OR_RETURN(
+      index.upper_inverse_,
+      ReadInverseV3(reader, table, kUpperInverse, index.num_nodes_));
+  KDASH_RETURN_IF_ERROR(ReadArraySection(reader, table, kAdjacencyPtr,
+                                         count + 1, &state.adjacency_ptr));
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kAdjacency, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(CheckLength(
+            kAdjacency, length, length / sizeof(NodeId) * sizeof(NodeId)));
+        return reader.Array(&state.adjacency, length / sizeof(NodeId));
+      }));
+  KDASH_RETURN_IF_ERROR(
+      ReadSection(reader, table, kStats, [&](std::uint64_t length) {
+        KDASH_RETURN_IF_ERROR(
+            CheckLength(kStats, length, sizeof(PrecomputeStats)));
+        Status status = Status::Ok();
+        ForEachStatsField(index.stats_, [&](auto& field) {
+          if (status.ok()) status = reader.Pod(&field);
+        });
+        KDASH_RETURN_IF_ERROR(status);
+        return reader.Zeros(sizeof(kStatsPadding),
+                            "padding in precompute stats");
+      }));
 
   // Structural sanity before the index is used for queries.
   const auto n = static_cast<std::size_t>(index.num_nodes_);

@@ -60,20 +60,17 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   // Step 4: explicit sparse inverses L⁻¹ and U⁻¹ᵀ = (Uᵀ)⁻¹, both by
   // InvertLowerTriangular, which writes each inverse row by row from a
   // backward solve (lu/triangular.h: in hybrid order the rows of L⁻¹ cost
-  // O(b³) where its columns cost O(n·b²)). Each is converted to head + run
-  // form as soon as it is built and its CSC freed before the next one is
-  // built.
+  // O(b³) where its columns cost O(n·b²)), straight into the head + run
+  // form the index serves and saves.
   phase_timer.Restart();
-  state.lower_inverse = sparse::HeadRunMatrix::FromCsc(
-      lu::InvertLowerTriangular(factors.lower, options.num_threads),
-      options.num_threads);
+  state.lower_inverse =
+      lu::InvertLowerTriangular(factors.lower, options.num_threads);
   // U⁻¹ᵀ needs only Uᵀ. Freeing L and U first keeps two fewer factor-sized
   // copies alive at the build's memory peak, which is this last inverse.
   const sparse::CscMatrix upper_t = factors.upper.Transposed();
   factors = {};
-  index.upper_inverse_ = sparse::HeadRunMatrix::FromCsc(
-      lu::InvertLowerTriangular(upper_t, options.num_threads),
-      options.num_threads);
+  index.upper_inverse_ =
+      lu::InvertLowerTriangular(upper_t, options.num_threads);
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();
   index.stats_.nnz_upper_inverse = index.upper_inverse_.nnz();

@@ -1,6 +1,7 @@
 #include "lu/triangular.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <ranges>
 #include <utility>
@@ -46,10 +47,32 @@ void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b) {
 
 namespace {
 
+using sparse::CutCost;
+
 // Solves computed per pass of the blocked kernel. A touched row owns 16
 // contiguous accumulators (128 bytes), one per solve of the block.
 constexpr NodeId kBlockWidth = 16;
 constexpr NodeId kNoSlot = -1;
+// Chunks per pool thread, so the dynamic scheduler can even out the last
+// ones.
+constexpr Index kChunksPerThread = 8;
+
+// Chunk boundaries over the solves of T: whole blocks, with a new chunk at
+// the first block boundary where Σ nnz(T(:, j)) before it reaches the next
+// of `targets` equal shares. In hybrid order the solves at the end reach
+// the dense border and hold most of the work, so chunks of equal width
+// would leave the last few holding most of it. The boundaries affect only
+// the speed.
+std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
+  const NodeId n = t.cols();
+  std::vector<NodeId> bounds{0};
+  for (NodeId j = kBlockWidth; j < n; j += kBlockWidth) {
+    const auto next = static_cast<Index>(bounds.size());
+    if (t.ColBegin(j) * targets >= next * t.nnz()) bounds.push_back(j);
+  }
+  bounds.push_back(n);
+  return bounds;
+}
 
 // Explicit inverse builder: backward substitution on an upper triangular T.
 //
@@ -58,7 +81,7 @@ constexpr NodeId kNoSlot = -1;
 // T(:, k)", and processing discovered nodes in descending row order is a
 // valid elimination order (all updates flow strictly upward). Each solved
 // column is written either as column j of the output (T⁻¹) or as row j
-// (T⁻¹ᵀ); nothing else depends on the orientation.
+// (T⁻¹ᵀ), in head + run form (sparse/head_run_matrix.h).
 //
 // Solves are computed in aligned blocks of kBlockWidth, together over the
 // union of their patterns: each column of T is streamed once per block and
@@ -70,13 +93,21 @@ constexpr NodeId kNoSlot = -1;
 // same dense tail of T share most of their patterns, so each tail column is
 // read once per block instead of up to 16 times.
 //
-// Build() farms out fixed chunks of whole blocks to a thread pool (a pool of
-// 1 runs them inline); each worker owns a workspace and appends its chunk's
-// solves to a per-chunk buffer. One sequential assembly loop then visits
-// the solves in ascending j, first to count each output column's entries
-// and then to place them, so every output column comes out in ascending
-// row order. Every solve depends only on j, so the result is bit-identical
-// for any thread count.
+// Build() fills the output in three stages over the chunks of ChunkBounds,
+// the first and last on a thread pool (a pool of 1 runs them inline):
+//   1. Solve. Each chunk appends its solves' entries to its own buffer and
+//      keeps a Tally per output column it reaches. Written as columns, a
+//      solve is a whole output column, so it is cut as it is gathered.
+//   2. Shape (sequential, O(n + tallies)). Each column's tallies, in chunk
+//      order, give its count and its cut, the first of least CutCost over
+//      all of its entries, and give each chunk its first index in the
+//      column. Prefix sums over the columns then give the output's
+//      pointers.
+//   3. Place. Each chunk writes its entries into the output's heads and
+//      runs at its cursors (written as columns, it copies its heads and
+//      runs whole), then frees its buffer.
+// Chunks cover ascending j, so every output column comes out in ascending
+// row order, and the output is bit-identical at every thread count.
 class TriangularInverter {
  public:
   TriangularInverter(const sparse::CscMatrix& upper, bool write_rows)
@@ -84,14 +115,12 @@ class TriangularInverter {
     KDASH_CHECK_EQ(m_.rows(), m_.cols());
   }
 
-  sparse::CscMatrix Build(int num_threads) {
-    std::unique_ptr<ThreadPool> local_pool;
-    return BuildParallel(SelectPool(num_threads, local_pool));
-  }
+  sparse::HeadRunMatrix Build(int num_threads);
 
  private:
-  // Per-worker scratch, sized on a worker's first chunk. `slot` is restored
-  // after each block, so a block costs O(pattern) rather than O(n).
+  // Per-worker solve scratch, sized on a worker's first chunk. `slot` is
+  // restored after each block, so a block costs O(pattern) rather than
+  // O(n).
   struct Workspace {
     // Row → slot; slot s owns acc[s·B, (s+1)·B).
     std::vector<NodeId> slot;
@@ -102,17 +131,49 @@ class TriangularInverter {
     std::vector<NodeId> heap;
   };
 
+  // One output column's entries within one chunk, in ascending rows: how
+  // many, the index (within the chunk) and row of the first of least
+  // CutCost among them, and the last row. Shape turns `count` into the
+  // chunk's first index in the column, the cursor Place advances.
+  struct Tally {
+    NodeId col = 0;
+    std::uint32_t count = 0;
+    std::uint32_t cut = 0;
+    NodeId cut_row = 0;
+    NodeId last_row = 0;
+
+    // Counts the column's next entry, at `row`.
+    void Add(NodeId row) {
+      if (count == 0 || CutCost(count, row) < CutCost(cut, cut_row)) {
+        cut = count;
+        cut_row = row;
+      }
+      last_row = row;
+      ++count;
+    }
+  };
+
+  // The solves [begin, end) and, until placed, their entries (the row i of
+  // T⁻¹ and the value, solve after solve). Written as columns, a solve
+  // keeps only its head there and its run in `runs`.
+  struct Chunk {
+    NodeId begin = 0;
+    NodeId end = 0;
+    std::vector<NodeId> rows;
+    std::vector<Scalar> values;
+    std::vector<Scalar> runs;
+    std::vector<Tally> tallies;
+  };
+
   // Solves j ∈ [j0, j0 + width) in one pass over the union of their
-  // patterns, appends them solve after solve (ascending rows) to rows/vals
-  // and stores their kept nnz in solve_nnz[j].
-  void ComputeBlock(NodeId j0, NodeId width, Workspace& ws,
-                    std::vector<NodeId>& rows, std::vector<Scalar>& vals,
-                    std::vector<Index>& solve_nnz) const {
+  // patterns. Afterwards lane l's x_i sits at ws.acc[ws.slot[i]·B + l] for
+  // every i in ws.pattern, which lists the touched rows in descending
+  // order.
+  void SolveBlock(NodeId j0, NodeId width, Workspace& ws) const {
     std::vector<NodeId>& slot = ws.slot;
     std::vector<Scalar>& acc = ws.acc;
-    std::vector<NodeId>& pattern = ws.pattern;
     std::vector<NodeId>& heap = ws.heap;
-    pattern.clear();
+    ws.pattern.clear();
     heap.clear();
     acc.clear();
 
@@ -133,7 +194,7 @@ class TriangularInverter {
       std::pop_heap(heap.begin(), heap.end());
       const NodeId k = heap.back();
       heap.pop_back();
-      pattern.push_back(k);
+      ws.pattern.push_back(k);
 
       const Index begin = m_.ColBegin(k);
       const Index end = m_.ColEnd(k);
@@ -159,126 +220,232 @@ class TriangularInverter {
         }
       }
     }
-
-    // Gather: split the block back into solves. The pattern was popped in
-    // descending order, so walking it backwards gives ascending rows.
-    for (NodeId lane = 0; lane < width; ++lane) {
-      Index kept = 0;
-      for (const NodeId i : std::views::reverse(pattern)) {
-        const Scalar xi =
-            acc[static_cast<std::size_t>(slot[static_cast<std::size_t>(i)]) *
-                    kBlockWidth +
-                static_cast<std::size_t>(lane)];
-        if (xi == 0.0) continue;
-        rows.push_back(i);
-        vals.push_back(xi);
-        ++kept;
-      }
-      solve_nnz[static_cast<std::size_t>(j0 + lane)] = kept;
-    }
-    for (const NodeId i : pattern) slot[static_cast<std::size_t>(i)] = kNoSlot;
   }
 
-  sparse::CscMatrix BuildParallel(ThreadPool& pool) {
-    const int num_threads = pool.num_threads();
-    const NodeId n = m_.rows();
-    // Fixed chunks of whole blocks: small enough for load balance under the
-    // dynamic scheduler, large enough to amortize the per-chunk buffers.
-    // Boundaries do not affect the output (solves are independent), only
-    // performance.
-    const Index grain =
-        kBlockWidth *
-        std::clamp<Index>(static_cast<Index>(n) /
-                              (static_cast<Index>(num_threads) * 8 * kBlockWidth),
-                          1, 32);
-    const Index num_chunks = (static_cast<Index>(n) + grain - 1) / grain;
-
-    struct Chunk {
-      std::vector<NodeId> rows;
-      std::vector<Scalar> vals;
-    };
-    std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
-    std::vector<Index> solve_nnz(static_cast<std::size_t>(n), 0);
-    std::vector<Workspace> workspaces(static_cast<std::size_t>(num_threads));
-
-    // Solve every column into its chunk's buffer (parallel).
-    pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
-      Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
-      if (ws.slot.empty()) ws.slot.assign(static_cast<std::size_t>(n), kNoSlot);
-      for (Index c = c_begin; c < c_end; ++c) {
-        Chunk& chunk = chunks[static_cast<std::size_t>(c)];
-        const auto begin = static_cast<NodeId>(c * grain);
-        const auto end =
-            static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain));
-        for (NodeId j0 = begin; j0 < end; j0 += kBlockWidth) {
-          ComputeBlock(j0, std::min<NodeId>(kBlockWidth, end - j0), ws,
-                       chunk.rows, chunk.vals, solve_nnz);
-        }
-      }
-    });
-
-    // The assembly loop: visits every entry (i, x) of solve j, in ascending
-    // j and then ascending i, as visit(column, row, x) of the output.
-    const auto for_each_entry = [&](const auto& visit) {
-      for (Index c = 0; c < num_chunks; ++c) {
-        const Chunk& chunk = chunks[static_cast<std::size_t>(c)];
-        std::size_t t = 0;
-        const auto end =
-            static_cast<NodeId>(std::min<Index>(n, (c + 1) * grain));
-        for (auto j = static_cast<NodeId>(c * grain); j < end; ++j) {
-          const std::size_t solve_end =
-              t + static_cast<std::size_t>(
-                      solve_nnz[static_cast<std::size_t>(j)]);
-          for (; t < solve_end; ++t) {
-            const NodeId i = chunk.rows[t];
-            if (write_rows_) {
-              visit(i, j, chunk.vals[t]);
-            } else {
-              visit(j, i, chunk.vals[t]);
-            }
+  // Stage 1 for one chunk: solve j's nonzeros (i, x), in ascending i, are
+  // appended to the buffer and counted into their output column's tally.
+  // Written as rows, that is the tally of column i, which `tally_of` maps
+  // to (it is all kNoSlot between chunks). Written as columns, solve j is
+  // all of column j, so its cut is known once it is gathered, and its
+  // entries from the cut on move into its run while they are in cache.
+  void Solve(Chunk& chunk, Workspace& ws, std::vector<NodeId>& tally_of) {
+    for (NodeId j0 = chunk.begin; j0 < chunk.end; j0 += kBlockWidth) {
+      const NodeId width = std::min<NodeId>(kBlockWidth, chunk.end - j0);
+      SolveBlock(j0, width, ws);
+      for (NodeId lane = 0; lane < width; ++lane) {
+        const NodeId j = j0 + lane;
+        const std::size_t first = chunk.rows.size();
+        Tally column{j};
+        for (const NodeId i : std::views::reverse(ws.pattern)) {
+          const Scalar xi =
+              ws.acc[static_cast<std::size_t>(
+                         ws.slot[static_cast<std::size_t>(i)]) *
+                         kBlockWidth +
+                     static_cast<std::size_t>(lane)];
+          if (xi == 0.0) continue;
+          chunk.rows.push_back(i);
+          chunk.values.push_back(xi);
+          if (!write_rows_) {
+            column.Add(i);
+            continue;
           }
+          NodeId& at = tally_of[static_cast<std::size_t>(i)];
+          if (at == kNoSlot) {
+            at = static_cast<NodeId>(chunk.tallies.size());
+            chunk.tallies.push_back({i});
+          }
+          chunk.tallies[static_cast<std::size_t>(at)].Add(j);
+        }
+        solve_nnz_[static_cast<std::size_t>(j)] =
+            static_cast<std::uint32_t>(chunk.rows.size() - first);
+        if (column.count == 0) continue;
+        const std::size_t head_end = first + column.cut;
+        const std::size_t run_at = chunk.runs.size();
+        chunk.runs.resize(run_at + column.last_row - column.cut_row + 1, 0.0);
+        Scalar* const run = chunk.runs.data() + run_at;
+        for (std::size_t e = head_end; e < chunk.rows.size(); ++e) {
+          run[chunk.rows[e] - column.cut_row] = chunk.values[e];
+        }
+        chunk.rows.resize(head_end);
+        chunk.values.resize(head_end);
+        chunk.tallies.push_back(column);
+      }
+      for (const NodeId i : ws.pattern) {
+        ws.slot[static_cast<std::size_t>(i)] = kNoSlot;
+      }
+    }
+    for (const Tally& tally : chunk.tallies) {
+      tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
+    }
+    chunk.tallies.shrink_to_fit();
+  }
+
+  // Stage 2. Merges every column's tallies in chunk order into its extent
+  // and nonzero count, and each chunk's first index in it, then sets the
+  // output's pointers. A chunk's candidate is the column's entry (earlier
+  // chunks' count + its `cut`) overall, and it wins only at a strictly
+  // lower CutCost, so the cut is the first of least cost. An empty column
+  // keeps no head, no run and run begin n.
+  void Shape() {
+    const auto cols = static_cast<std::size_t>(m_.cols());
+    std::vector<sparse::ColumnExtent> extents(
+        cols, {0, static_cast<std::uint32_t>(cols), 0});
+    col_ptr_.assign(cols + 1, 0);
+    for (Chunk& chunk : chunks_) {
+      for (Tally& tally : chunk.tallies) {
+        const auto col = static_cast<std::size_t>(tally.col);
+        const Index seen = col_ptr_[col + 1];
+        sparse::ColumnExtent& extent = extents[col];
+        const Index cut = seen + tally.cut;
+        if (seen == 0 || CutCost(cut, tally.cut_row) <
+                             CutCost(extent.head_size, extent.run_begin)) {
+          extent.head_size = static_cast<std::uint32_t>(cut);
+          extent.run_begin = static_cast<std::uint32_t>(tally.cut_row);
+        }
+        extent.run_size =
+            static_cast<std::uint32_t>(tally.last_row - extent.run_begin + 1);
+        col_ptr_[col + 1] = seen + tally.count;
+        tally.count = static_cast<std::uint32_t>(seen);
+      }
+    }
+    head_ptr_.assign(cols + 1, 0);
+    run_ptr_.assign(cols + 1, 0);
+    run_begin_.resize(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      col_ptr_[c + 1] += col_ptr_[c];
+      head_ptr_[c + 1] = head_ptr_[c] + extents[c].head_size;
+      run_ptr_[c + 1] = run_ptr_[c] + extents[c].run_size;
+      run_begin_[c] = static_cast<NodeId>(extents[c].run_begin);
+    }
+  }
+
+  // Stage 3 for one chunk. Written as columns, the chunk's heads and runs
+  // are one stretch of each output array. Written as rows, entry (i, x) of
+  // solve j is column i's next entry: it lands in the head while the
+  // chunk's cursor there is before the cut, else at row j of the run.
+  void Place(Chunk& chunk, std::vector<NodeId>& tally_of,
+             std::vector<NodeId>& head_rows, std::vector<Scalar>& head_values,
+             std::vector<Scalar>& run_values) const {
+    if (!write_rows_) {
+      const auto begin = static_cast<std::size_t>(chunk.begin);
+      std::copy(chunk.rows.begin(), chunk.rows.end(),
+                head_rows.begin() + head_ptr_[begin]);
+      std::copy(chunk.values.begin(), chunk.values.end(),
+                head_values.begin() + head_ptr_[begin]);
+      std::copy(chunk.runs.begin(), chunk.runs.end(),
+                run_values.begin() + run_ptr_[begin]);
+      return;
+    }
+    for (std::size_t t = 0; t < chunk.tallies.size(); ++t) {
+      tally_of[static_cast<std::size_t>(chunk.tallies[t].col)] =
+          static_cast<NodeId>(t);
+    }
+    std::size_t e = 0;
+    for (NodeId j = chunk.begin; j < chunk.end; ++j) {
+      const std::size_t solve_end =
+          e + solve_nnz_[static_cast<std::size_t>(j)];
+      for (; e < solve_end; ++e) {
+        const auto col = static_cast<std::size_t>(chunk.rows[e]);
+        Tally& tally = chunk.tallies[static_cast<std::size_t>(tally_of[col])];
+        const Index at = head_ptr_[col] + tally.count++;
+        if (at < head_ptr_[col + 1]) {
+          head_rows[static_cast<std::size_t>(at)] = j;
+          head_values[static_cast<std::size_t>(at)] = chunk.values[e];
+        } else {
+          run_values[static_cast<std::size_t>(run_ptr_[col] + j -
+                                              run_begin_[col])] =
+              chunk.values[e];
         }
       }
-    };
-
-    // Count each output column's entries, turn the counts into offsets,
-    // then place every entry at its column's cursor.
-    std::vector<Index> ptr(static_cast<std::size_t>(n) + 1, 0);
-    for_each_entry([&](NodeId col, NodeId, Scalar) {
-      ++ptr[static_cast<std::size_t>(col) + 1];
-    });
-    for (std::size_t col = 1; col < ptr.size(); ++col) ptr[col] += ptr[col - 1];
-    const Index total_nnz = ptr[static_cast<std::size_t>(n)];
-    std::vector<NodeId> rows(static_cast<std::size_t>(total_nnz));
-    std::vector<Scalar> vals(static_cast<std::size_t>(total_nnz));
-    std::vector<Index> cursor(ptr.begin(), ptr.end() - 1);
-    for_each_entry([&](NodeId col, NodeId row, Scalar x) {
-      const auto dst =
-          static_cast<std::size_t>(cursor[static_cast<std::size_t>(col)]++);
-      rows[dst] = row;
-      vals[dst] = x;
-    });
-
-    return sparse::CscMatrix(n, n, std::move(ptr), std::move(rows),
-                             std::move(vals));
+    }
+    for (const Tally& tally : chunk.tallies) {
+      tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
+    }
   }
 
   const sparse::CscMatrix& m_;
   bool write_rows_;
+  std::vector<Chunk> chunks_;
+  // Solve j's entry count.
+  std::vector<std::uint32_t> solve_nnz_;
+  // The output's pointers (col_ptr_ counts per column until Shape's prefix
+  // sum) and run begins.
+  std::vector<Index> col_ptr_;
+  std::vector<Index> head_ptr_;
+  std::vector<Index> run_ptr_;
+  std::vector<NodeId> run_begin_;
 };
+
+sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
+  std::unique_ptr<ThreadPool> local_pool;
+  ThreadPool& pool = SelectPool(num_threads, local_pool);
+  const NodeId n = m_.rows();
+  const auto cols = static_cast<std::size_t>(n);
+  const std::vector<NodeId> bounds =
+      ChunkBounds(m_, pool.num_threads() * kChunksPerThread);
+  chunks_.resize(bounds.size() - 1);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    chunks_[c].begin = bounds[c];
+    chunks_[c].end = bounds[c + 1];
+  }
+  const auto num_chunks = static_cast<Index>(chunks_.size());
+  // Per worker: output column → its tally in the current chunk.
+  std::vector<std::vector<NodeId>> tally_of(
+      static_cast<std::size_t>(pool.num_threads()),
+      std::vector<NodeId>(cols, kNoSlot));
+  solve_nnz_.assign(cols, 0);
+
+  // Stage 1: solve. The scratch is freed before the output takes its
+  // room.
+  {
+    std::vector<Workspace> workspaces(
+        static_cast<std::size_t>(pool.num_threads()));
+    pool.ParallelFor(
+        0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
+          Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
+          if (ws.slot.empty()) ws.slot.assign(cols, kNoSlot);
+          for (Index c = c_begin; c < c_end; ++c) {
+            Solve(chunks_[static_cast<std::size_t>(c)], ws,
+                  tally_of[static_cast<std::size_t>(rank)]);
+          }
+        });
+  }
+
+  // Stage 2: shape.
+  Shape();
+  std::vector<NodeId> head_rows(static_cast<std::size_t>(head_ptr_[cols]));
+  std::vector<Scalar> head_values(head_rows.size());
+  std::vector<Scalar> run_values(static_cast<std::size_t>(run_ptr_[cols]),
+                                 0.0);
+
+  // Stage 3: place.
+  pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
+    for (Index c = c_begin; c < c_end; ++c) {
+      Chunk& chunk = chunks_[static_cast<std::size_t>(c)];
+      Place(chunk, tally_of[static_cast<std::size_t>(rank)], head_rows,
+            head_values, run_values);
+      chunk = {};
+    }
+  });
+
+  return sparse::HeadRunMatrix(n, std::move(col_ptr_), std::move(head_ptr_),
+                               std::move(head_rows), std::move(head_values),
+                               std::move(run_begin_), std::move(run_ptr_),
+                               std::move(run_values));
+}
 
 }  // namespace
 
-sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
-                                        int num_threads) {
+sparse::HeadRunMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
+                                            int num_threads) {
   // Row j of L⁻¹ is the solve of Lᵀ y = e_j: column j of (Lᵀ)⁻¹, written as
   // row j.
   const sparse::CscMatrix lower_t = lower.Transposed();
   return TriangularInverter(lower_t, /*write_rows=*/true).Build(num_threads);
 }
 
-sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
-                                        int num_threads) {
+sparse::HeadRunMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
+                                            int num_threads) {
   return TriangularInverter(upper, /*write_rows=*/false).Build(num_threads);
 }
 

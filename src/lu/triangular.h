@@ -25,11 +25,15 @@
 // of their patterns, so neighbouring solves that reach the same dense tail
 // of T read each of its columns once per block instead of once per solve.
 // Each solve's nonzero updates are applied in the same order as in the
-// dense solve, so the blocking does not change a bit. Blocks are computed
-// on a thread pool into per-chunk buffers (one thread runs the same chunks
-// inline); one sequential loop then counts and places the entries in the
-// output orientation. Every solve depends only on j, so the output is
-// identical at every thread count.
+// dense solve, so the blocking does not change a bit. The output is built
+// straight into head + run form (sparse/head_run_matrix.h) by one parallel
+// fill: chunks of whole blocks, of about equal Σ nnz(T(:, j)), are solved
+// on a thread pool (one thread runs the same chunks inline); each chunk
+// finds its part of every output column's cut and count; a prefix over
+// (column, chunk) gives every column its cut and every chunk its place in
+// it; and each chunk then places its own entries. Every solve depends only
+// on j and every cut only on its column, so the output is identical at
+// every thread count.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 
@@ -37,6 +41,7 @@
 
 #include "common/types.h"
 #include "sparse/csc_matrix.h"
+#include "sparse/head_run_matrix.h"
 
 namespace kdash::lu {
 
@@ -48,18 +53,19 @@ void SolveLowerInPlace(const sparse::CscMatrix& lower, std::vector<Scalar>& b);
 // triangular CSC with the diagonal stored last in each column.
 void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 
-// Explicit inverse of a lower triangular matrix: row j is
-// SolveUpperInPlace(lowerᵀ, e_j), keeping every numerically nonzero entry
-// (exact). num_threads picks the pool as SelectPool (common/parallel.h)
-// does; 1 runs inline on the caller. The output is identical for every
-// thread count.
-sparse::CscMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
-                                        int num_threads = 0);
+// Explicit inverse of a lower triangular matrix, in head + run form: row j
+// is SolveUpperInPlace(lowerᵀ, e_j), keeping every numerically nonzero
+// entry (exact). num_threads picks the pool as SelectPool
+// (common/parallel.h) does; 1 runs inline on the caller. The output is
+// identical for every thread count.
+sparse::HeadRunMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
+                                            int num_threads = 0);
 
-// Explicit inverse of an upper triangular matrix: column j is
-// SolveUpperInPlace(upper, e_j); otherwise as InvertLowerTriangular.
-sparse::CscMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
-                                        int num_threads = 0);
+// Explicit inverse of an upper triangular matrix, in head + run form:
+// column j is SolveUpperInPlace(upper, e_j); otherwise as
+// InvertLowerTriangular.
+sparse::HeadRunMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
+                                            int num_threads = 0);
 
 }  // namespace kdash::lu
 

@@ -4,24 +4,21 @@
 // The inverse of a triangular factor is reachability-dense: under the
 // hybrid reordering almost every column's nonzeros sit in the trailing
 // (border) block, where they fill most rows from their first one to the
-// last. Column j is therefore stored as its stored nonzeros (ascending rows)
-// cut in two:
+// last. Column j is therefore stored as its nonzeros (ascending rows) cut
+// in two:
 //   * a sparse head — (row, value) pairs, as in CSC, then
 //   * one dense run — every row from RunBegin(j) through the column's last
 //     nonzero, the zeros between its nonzeros included.
-// The cut is the one that minimizes the column's bytes: 12 per head entry
-// (row id + value), 8 per run slot; among equal splits the longest run
-// wins. It depends only on the column's own pattern, so every way of
-// arriving at a column (FromCsc, a KeepColumns copy, a loaded file) gives
-// the same form: FromStored refuses any other cut. A last nonzero costs
-// less as a run slot than as a head entry, so only an empty column has no
-// run: its Run() is empty and its RunBegin() is rows().
-//
-// The stored nonzeros are exactly the CSC ones: ToCsc() drops the run's
-// zeros and gives back the CSC matrix FromCsc was given, provided that
-// matrix stored no exact zero (the inverse builders never keep one, and
-// the index loader refuses files that do). col_ptr() and nnz() keep their
-// CSC meaning — the pointer array and count of the stored nonzeros.
+// The cut is the one that minimizes the column's bytes (CutCost below). It
+// depends only on the column's own pattern, so every way of arriving at a
+// column (the inverse builders of lu/triangular.h, a KeepColumns copy, a
+// loaded file) gives the same form: FromStored refuses any other cut. A
+// last nonzero costs less as a run slot than as a head entry, so only an
+// empty column has no run: its Run() is empty and its RunBegin() is
+// rows(). No stored nonzero is an exact zero (the builders never keep one,
+// and the index loader refuses files that do), so a run's zeros are its
+// fill. col_ptr() and nnz() keep their CSC meaning — the pointer array and
+// count of the nonzeros.
 //
 // The run turns a row · dense-vector product into one contiguous dot with
 // no row ids and no gathers: ColumnDot runs it with a fixed lane
@@ -38,7 +35,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "sparse/csc_matrix.h"
 
 namespace kdash::sparse {
 
@@ -73,14 +69,32 @@ struct ColumnExtent {
 };
 static_assert(sizeof(ColumnExtent) == 12);
 
+// The bytes of a head entry (row id + value) and of a run slot (value).
+inline constexpr Index kHeadEntryBytes = sizeof(NodeId) + sizeof(Scalar);
+inline constexpr Index kRunSlotBytes = sizeof(Scalar);
+
+// The cut rule, shared by the builders and FromStored. A column whose
+// nonzero rows are r_0 < r_1 < … < r_last, cut after s head entries, takes
+// kHeadEntryBytes·s + kRunSlotBytes·(r_last − r_s + 1) bytes. r_last is
+// fixed per column, so the cut is the first s of least CutCost(s, r_s):
+// among equal splits the longest run wins.
+constexpr Index CutCost(Index s, Index row_s) {
+  return kHeadEntryBytes * s - kRunSlotBytes * row_s;
+}
+
 class HeadRunMatrix {
  public:
   HeadRunMatrix() = default;
 
-  // The head + run form of `csc`, one column at a time on the pool that
-  // `num_threads` selects (common/parallel.h's SelectPool; 1 runs inline).
-  // The result does not depend on the thread count.
-  static HeadRunMatrix FromCsc(const CscMatrix& csc, int num_threads);
+  // The matrix of arrays already in this form (the inverse builders make
+  // them; FromStored is the checked way in from a file). Column c's head is
+  // head_rows and head_values over [head_ptr[c], head_ptr[c + 1]), its run
+  // is run_values over [run_ptr[c], run_ptr[c + 1]) from row run_begin[c],
+  // and it holds col_ptr[c + 1] − col_ptr[c] nonzeros.
+  HeadRunMatrix(NodeId rows, std::vector<Index> col_ptr,
+                std::vector<Index> head_ptr, std::vector<NodeId> head_rows,
+                std::vector<Scalar> head_values, std::vector<NodeId> run_begin,
+                std::vector<Index> run_ptr, std::vector<Scalar> run_values);
 
   // The matrix stored as `extents` (one per column) over the heads' rows
   // and values and the runs' values, every column's back to back: the
@@ -89,16 +103,13 @@ class HeadRunMatrix {
   // checked and a bad one is kDataLoss, its message prefixed by `what`:
   // head rows strictly ascending below the run, a run inside [0, rows),
   // no exact zero in the head, nonzero first and last run values, an empty
-  // column's run beginning at rows, and the byte-minimal cut FromCsc would
-  // choose. A matrix that passes is one FromCsc could have built, so every
-  // ColumnDot and ColumnDotSparse on it stays in bounds.
+  // column's run beginning at rows, and the cut CutCost picks. A matrix
+  // that passes is one the builders could have made, so every ColumnDot
+  // and ColumnDotSparse on it stays in bounds.
   static Result<HeadRunMatrix> FromStored(
       NodeId rows, std::span<const ColumnExtent> extents,
       std::vector<NodeId> head_rows, std::vector<Scalar> head_values,
       std::vector<Scalar> run_values, const std::string& what);
-
-  // The CSC matrix of the stored nonzeros (the run's zeros dropped).
-  CscMatrix ToCsc() const;
 
   // One extent per column, and the stored arrays of all columns back to
   // back: what FromStored takes.
@@ -196,8 +207,8 @@ class HeadRunMatrix {
   }
 
   // A copy that keeps column j iff keep[j] and empties every other column.
-  // Kept columns are copied verbatim (same head, same run), which is what
-  // FromCsc would derive for them.
+  // Kept columns are copied verbatim (same head, same run): the cut of a
+  // column depends on nothing else.
   HeadRunMatrix KeepColumns(const std::vector<bool>& keep) const;
 
   friend bool operator==(const HeadRunMatrix& a,

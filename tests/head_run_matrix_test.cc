@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "head_run_csc.h"
 #include "sparse/csc_matrix.h"
 
 namespace kdash::sparse {
@@ -80,11 +81,10 @@ Index ColumnBytes(const HeadRunMatrix& m, NodeId col) {
 TEST(HeadRunMatrixTest, ToCscInvertsFromCscOnRandomMatrices) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const CscMatrix csc = RandomMatrix(90, 70, seed);
-    const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
-    EXPECT_EQ(m.ToCsc(), csc) << "seed " << seed;
+    const HeadRunMatrix m = test::FromCsc(csc);
+    EXPECT_EQ(test::ToCsc(m), csc) << "seed " << seed;
     EXPECT_EQ(m.nnz(), csc.nnz());
     EXPECT_EQ(m.col_ptr(), csc.col_ptr());
-    EXPECT_EQ(HeadRunMatrix::FromCsc(csc, 4), m) << "seed " << seed;
   }
 }
 
@@ -102,8 +102,8 @@ TEST(HeadRunMatrixTest, EdgeCaseColumns) {
   };
   Rng rng(7);
   const CscMatrix csc = FromPatterns(kRows, patterns, rng);
-  const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
-  EXPECT_EQ(m.ToCsc(), csc);
+  const HeadRunMatrix m = test::FromCsc(csc);
+  EXPECT_EQ(test::ToCsc(m), csc);
 
   EXPECT_TRUE(m.HeadRows(0).empty());
   EXPECT_TRUE(m.Run(0).empty());
@@ -150,7 +150,7 @@ TEST(HeadRunMatrixTest, SplitIsByteMinimal) {
     const auto rows = static_cast<NodeId>(1 + rng.NextBounded(24));
     const std::vector<NodeId> pattern = RandomPattern(rows, rng);
     const HeadRunMatrix m =
-        HeadRunMatrix::FromCsc(FromPatterns(rows, {pattern}, rng), 1);
+        test::FromCsc(FromPatterns(rows, {pattern}, rng));
     const std::size_t chosen = m.HeadRows(0).size();
     Index best = std::numeric_limits<Index>::max();
     std::size_t first_best = 0;
@@ -177,7 +177,7 @@ Result<HeadRunMatrix> Restore(const HeadRunMatrix& m) {
 
 TEST(HeadRunMatrixTest, FromStoredRestoresWhatFromCscBuilt) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const HeadRunMatrix m = HeadRunMatrix::FromCsc(RandomMatrix(90, 70, seed), 1);
+    const HeadRunMatrix m = test::FromCsc(RandomMatrix(90, 70, seed));
     const auto restored = Restore(m);
     ASSERT_TRUE(restored.ok()) << restored.status();
     EXPECT_EQ(*restored, m) << "seed " << seed;
@@ -198,7 +198,7 @@ TEST(HeadRunMatrixTest, FromStoredAcceptsOnlyTheByteMinimalCut) {
     const std::vector<NodeId> pattern = RandomPattern(rows, rng);
     if (pattern.empty()) continue;
     const CscMatrix csc = FromPatterns(rows, {pattern}, rng);
-    const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
+    const HeadRunMatrix m = test::FromCsc(csc);
     for (std::size_t s = 0; s < pattern.size(); ++s) {
       const ColumnExtent extent{
           static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(pattern[s]),
@@ -230,7 +230,7 @@ TEST(HeadRunMatrixTest, FromStoredRejectsMalformedColumns) {
   // one-slot run at row 3.
   Rng rng(17);
   const HeadRunMatrix m =
-      HeadRunMatrix::FromCsc(FromPatterns(10, {{}, {0, 2, 7, 8, 9}, {3}}, rng), 1);
+      test::FromCsc(FromPatterns(10, {{}, {0, 2, 7, 8, 9}, {3}}, rng));
   ASSERT_EQ(m.HeadRows(1).size(), 2u);
   ASSERT_EQ(m.RunBegin(1), 7);
   struct Stored {
@@ -328,7 +328,7 @@ TEST(HeadRunMatrixTest, DotsAgreeWithNaiveDenseDot) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const CscMatrix csc =
         RandomMatrix(kRows, 50, 100 + seed, /*mixed_signs=*/true);
-    const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
+    const HeadRunMatrix m = test::FromCsc(csc);
     Rng rng(seed);
     // x dense for ColumnDot; x_sparse zero outside a random support.
     std::vector<Scalar> x(static_cast<std::size_t>(kRows));
@@ -385,7 +385,7 @@ TEST(HeadRunMatrixTest, SmallExampleDots) {
   //   [ 4  0  5 ]
   const CscMatrix csc(3, 3, {0, 2, 3, 5}, {0, 2, 1, 0, 2},
                       {1.0, 4.0, 3.0, 2.0, 5.0});
-  const HeadRunMatrix m = HeadRunMatrix::FromCsc(csc, 1);
+  const HeadRunMatrix m = test::FromCsc(csc);
   const std::vector<Scalar> x{1.0, 2.0, 3.0};
   EXPECT_EQ(m.ColumnDot(0, x), 1.0 * 1 + 4.0 * 3);
   EXPECT_EQ(m.ColumnDot(1, x), 3.0 * 2);
@@ -427,8 +427,8 @@ TEST(HeadRunMatrixTest, KeepColumnsMatchesConvertingTheKeptCsc) {
   }
   const CscMatrix kept(70, 60, std::move(col_ptr), std::move(row_idx),
                        std::move(values));
-  EXPECT_EQ(HeadRunMatrix::FromCsc(csc, 1).KeepColumns(keep),
-            HeadRunMatrix::FromCsc(kept, 1));
+  EXPECT_EQ(test::FromCsc(csc).KeepColumns(keep),
+            test::FromCsc(kept));
 }
 
 }  // namespace

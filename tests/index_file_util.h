@@ -1,81 +1,18 @@
-// Byte-level helpers for tests of the index file formats (see the layout
-// comment at the top of src/core/index_io.cc): a writer of the retired v2
-// stream, which Load still reads, and a v3 file taken apart into sections.
+// Byte-level helpers for tests of the index file format (see the layout
+// comment at the top of src/core/index_io.cc): a v3 file taken apart into
+// sections.
 #ifndef KDASH_TESTS_INDEX_FILE_UTIL_H_
 #define KDASH_TESTS_INDEX_FILE_UTIL_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/crc32c.h"
-#include "common/types.h"
-#include "core/kdash_index.h"
-#include "sparse/csc_matrix.h"
 
 namespace kdash::test {
-
-// The v2 stream of `index`, written the way Save wrote it before v3: every
-// array behind a u64 length, the retired drop-tolerance slot (0.0) after
-// the seed, and each inverse as the CSC of its stored nonzeros.
-inline std::string SaveV2(const core::KDashIndex& index) {
-  std::ostringstream out;
-  const auto pod = [&](const auto& value) {
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  const auto vec = [&](const auto& values) {
-    pod(static_cast<std::uint64_t>(values.size()));
-    out.write(reinterpret_cast<const char*>(values.data()),
-              static_cast<std::streamsize>(values.size() *
-                                           sizeof(values[0])));
-  };
-  const auto csc = [&](const sparse::CscMatrix& m) {
-    pod(m.rows());
-    pod(m.cols());
-    vec(m.col_ptr());
-    vec(m.row_idx());
-    vec(m.values());
-  };
-  out.write("KDSH", 4);
-  pod(std::uint32_t{2});
-  pod(index.options().restart_prob);
-  pod(static_cast<std::int32_t>(index.options().reorder_method));
-  pod(index.options().seed);
-  pod(Scalar{0.0});
-  pod(index.num_nodes());
-  pod(index.owned_begin());
-  pod(index.owned_end());
-  pod(index.amax());
-  vec(index.amax_of_node());
-  vec(index.c_prime_of_node());
-  vec(index.new_of_old());
-  vec(index.old_of_new());
-  csc(index.lower_inverse().ToCsc());
-  csc(index.upper_inverse().ToCsc());
-  std::vector<Index> adjacency_ptr{0};
-  std::vector<NodeId> adjacency;
-  for (NodeId u = 0; u < index.num_nodes(); ++u) {
-    for (const NodeId v : index.OutNeighbors(u)) adjacency.push_back(v);
-    adjacency_ptr.push_back(static_cast<Index>(adjacency.size()));
-  }
-  vec(adjacency_ptr);
-  vec(adjacency);
-  const core::PrecomputeStats& stats = index.stats();
-  pod(stats.reorder_seconds);
-  pod(stats.lu_seconds);
-  pod(stats.inverse_seconds);
-  pod(stats.total_seconds);
-  pod(stats.nnz_lower);
-  pod(stats.nnz_upper);
-  pod(stats.nnz_lower_inverse);
-  pod(stats.nnz_upper_inverse);
-  pod(stats.num_partitions);
-  pod(std::uint32_t{0});
-  return out.str();
-}
 
 // The v3 layout: a 16-byte header {"KDSH", version u32, section count u32,
 // 4 zero bytes}, then one 24-byte table entry {tag u32, crc u32, offset

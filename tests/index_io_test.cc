@@ -1,16 +1,13 @@
 // Round-trip and failure-path tests for KDashIndex persistence. Every bad
 // input (garbage, truncation, version mismatch, unopenable file) must come
-// back as a non-OK Status — never abort the process. Save writes format v3;
-// the tests of v2 byte offsets run against test::SaveV2's stream, which
-// Load still reads.
+// back as a non-OK Status — never abort the process. Save writes format v3,
+// the only one Load reads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -110,9 +107,7 @@ void ExpectSameAnswers(const KDashIndex& a, const KDashIndex& b) {
 TEST(IndexIoTest, ResavedStandInsMatchTheirFilesByteForByte) {
   // Save writes the head + run arrays as they are and Load checks and
   // adopts them: a built index and its save-load copy must give the same
-  // file and the same answers, on every stand-in and on a shard. A v2
-  // stream of the index loads to the same inverses and saves back to the
-  // same v3 file.
+  // file and the same answers, on every stand-in and on a shard.
   for (const datasets::DatasetId id : datasets::AllDatasets()) {
     const datasets::Dataset dataset = datasets::MakeDataset(id, 0.1);
     SCOPED_TRACE(dataset.name);
@@ -131,50 +126,8 @@ TEST(IndexIoTest, ResavedStandInsMatchTheirFilesByteForByte) {
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_EQ(SavedBytes(*loaded), saved);
       ExpectSameAnswers(index, *loaded);
-
-      // The same index as a v2 stream: CSC inverses, converted on load.
-      std::stringstream v2(test::SaveV2(index));
-      const auto from_v2 = KDashIndex::Load(v2);
-      ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-      EXPECT_EQ(from_v2->lower_inverse(), index.lower_inverse());
-      EXPECT_EQ(from_v2->upper_inverse(), index.upper_inverse());
-      EXPECT_EQ(SavedBytes(*from_v2), saved);
-      ExpectSameAnswers(index, *from_v2);
     }
   }
-}
-
-TEST(IndexIoTest, RejectsInverseStoringAnExactZero) {
-  // The builder never stores an exact zero in L⁻¹ or U⁻¹, and a zero
-  // inside a dense run could not be told from the run's fill, so such a
-  // file would not save back to its own bytes: Load refuses it.
-  const auto g = test::RandomDirectedGraph(40, 220, 102);
-  const auto index = KDashIndex::Build(g, {});
-  const std::string full = test::SaveV2(index);
-
-  // L⁻¹ follows the four per-node vectors (each a u64 length, then the
-  // elements) as rows, cols, col_ptr, row ids, values; take a middle value.
-  const auto n = static_cast<std::size_t>(index.num_nodes());
-  const sparse::CscMatrix lower = index.lower_inverse().ToCsc();
-  const std::size_t nnz = lower.values().size();
-  const std::size_t at =
-      56 + 2 * (8 + n * sizeof(Scalar)) + 2 * (8 + n * sizeof(NodeId)) +
-      2 * sizeof(NodeId) + 8 + (n + 1) * sizeof(Index) +
-      8 + nnz * sizeof(NodeId) + 8 + (nnz / 2) * sizeof(Scalar);
-  Scalar stored = 0.0;
-  std::memcpy(&stored, &full[at], sizeof(stored));
-  ASSERT_EQ(stored, lower.values()[nnz / 2]);
-  ASSERT_NE(stored, 0.0);
-
-  std::string bytes = full;
-  const Scalar zero = 0.0;
-  std::memcpy(&bytes[at], &zero, sizeof(zero));
-  std::stringstream corrupted(bytes);
-  const auto loaded = KDashIndex::Load(corrupted);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("L⁻¹"), std::string::npos)
-      << loaded.status();
 }
 
 TEST(IndexIoTest, FileRoundTrip) {
@@ -244,110 +197,19 @@ TEST(IndexIoTest, RejectsVersionMismatch) {
 TEST(IndexIoTest, RejectsCorruptPayloadWithoutAborting) {
   const auto g = test::RandomDirectedGraph(40, 250, 97);
   const auto index = KDashIndex::Build(g, {});
-  // Flip bytes across the payload. A v2 stream has no checksums, so a load
-  // may legitimately succeed when the flip lands in a benign float; v3
-  // catches every flip. No load may abort, and a detected corruption must
-  // be kDataLoss.
-  for (const std::string& full : {SavedBytes(index), test::SaveV2(index)}) {
-    const bool v3 = full[4] == 3;
-    for (const std::size_t at :
-         {20ul, full.size() / 4, full.size() / 2, full.size() - 9}) {
-      std::string bytes = full;
-      bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
-      std::stringstream corrupted(bytes);
-      const auto loaded = KDashIndex::Load(corrupted);
-      EXPECT_TRUE(!v3 || !loaded.ok()) << "flip at " << at;
-      if (!loaded.ok()) {
-        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-            << "flip at " << at << ": " << loaded.status();
-      }
-    }
-  }
-}
-
-TEST(IndexIoTest, RejectsCorruptScalarOptions) {
-  const auto g = test::RandomDirectedGraph(30, 150, 89);
-  const auto index = KDashIndex::Build(g, {});
-  const std::string full = test::SaveV2(index);
-
-  // restart_prob is the 8 bytes after the 8-byte header; force it to 2.0.
-  {
+  // Flip bytes across the payload: every flip is caught, as kDataLoss,
+  // and no load aborts.
+  const std::string full = SavedBytes(index);
+  for (const std::size_t at :
+       {20ul, full.size() / 4, full.size() / 2, full.size() - 9}) {
     std::string bytes = full;
-    const double bad_c = 2.0;
-    std::memcpy(&bytes[8], &bad_c, sizeof(bad_c));
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
     std::stringstream corrupted(bytes);
     const auto loaded = KDashIndex::Load(corrupted);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(loaded.status().message().find("restart probability"),
-              std::string::npos);
-  }
-
-  // reorder_method follows restart_prob at offset 16; force an unknown id.
-  // 5 is the retired reverse Cuthill–McKee order's id.
-  for (const std::int32_t bad_method : {12345, 5, -1}) {
-    std::string bytes = full;
-    std::memcpy(&bytes[16], &bad_method, sizeof(bad_method));
-    std::stringstream corrupted(bytes);
-    const auto loaded = KDashIndex::Load(corrupted);
-    ASSERT_FALSE(loaded.ok()) << "method " << bad_method;
+    ASSERT_FALSE(loaded.ok()) << "flip at " << at;
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-        << "method " << bad_method;
-    EXPECT_NE(loaded.status().message().find("reorder method"),
-              std::string::npos)
-        << "method " << bad_method;
+        << "flip at " << at << ": " << loaded.status();
   }
-}
-
-TEST(IndexIoTest, DropToleranceSlotMustHoldZero) {
-  // The retired drop-tolerance slot, bytes 28-35 (magic, version, c,
-  // reorder method and seed precede it). Save writes 0.0; a positive value
-  // is a lossy index from an older binary, anything else is corruption.
-  constexpr std::size_t kSlot = 28;
-  const auto g = test::RandomDirectedGraph(30, 150, 88);
-  const auto index = KDashIndex::Build(g, {});
-  const std::string full = test::SaveV2(index);
-  const auto load_with = [&](double value) {
-    std::string bytes = full;
-    std::memcpy(&bytes[kSlot], &value, sizeof(value));
-    std::stringstream patched(bytes);
-    return KDashIndex::Load(patched);
-  };
-
-  double saved = -1.0;
-  std::memcpy(&saved, &full[kSlot], sizeof(saved));
-  EXPECT_EQ(saved, 0.0);
-  const auto exact = load_with(0.0);
-  ASSERT_TRUE(exact.ok()) << exact.status();
-  ExpectIndexesEquivalent(index, *exact);
-
-  const auto lossy = load_with(1e-6);
-  ASSERT_FALSE(lossy.ok());
-  EXPECT_EQ(lossy.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(lossy.status().message().find("rebuild"), std::string::npos);
-
-  for (const double corrupt :
-       {-1.0, std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity()}) {
-    const auto loaded = load_with(corrupt);
-    ASSERT_FALSE(loaded.ok()) << corrupt;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << corrupt;
-  }
-}
-
-TEST(IndexIoTest, HugeLengthFieldRejectedNotAllocated) {
-  const auto g = test::RandomDirectedGraph(30, 150, 98);
-  const auto index = KDashIndex::Build(g, {});
-  std::string bytes = test::SaveV2(index);
-  // The first vector length (amax table) sits right after the header and
-  // scalar options: 4 magic + 4 version + 8 c + 4 reorder + 8 seed +
-  // 8 drop_tol + 4 num_nodes + 4 owned_begin + 4 owned_end + 8 amax = 56.
-  // Overwrite it with 2^56.
-  bytes[56 + 7] = 0x01;
-  std::stringstream corrupted(bytes);
-  const auto loaded = KDashIndex::Load(corrupted);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
 // Satellite regression: file-open failures must surface as Status, not be
@@ -419,19 +281,17 @@ TEST(IndexIoTest, InjectedOpenFailureCountsAsLoadError) {
 
 TEST(IndexIoTest, LoadFileCorruptFileFails) {
   const std::string path = ::testing::TempDir() + "/kdash_corrupt_test.bin";
-  // Both readable formats, each with a garbage payload.
-  for (const std::uint32_t version : {2u, 3u}) {
-    {
-      std::ofstream out(path, std::ios::binary);
-      out << "KDSH";
-      out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-      out << "garbage-after-header";
-    }
-    const auto loaded = KDashIndex::LoadFile(path);
-    ASSERT_FALSE(loaded.ok()) << "version " << version;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-        << "version " << version;
+  // The readable version, with a garbage payload.
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "KDSH";
+    const std::uint32_t version = 3;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out << "garbage-after-header";
   }
+  const auto loaded = KDashIndex::LoadFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
@@ -458,9 +318,9 @@ TEST(IndexIoTest, UnknownFutureVersionSuggestsRebuild) {
   const auto index = KDashIndex::Build(g, {});
   std::stringstream buffer;
   ASSERT_TRUE(index.Save(buffer).ok());
-  // 7: some future version this build cannot read. 1: the retired
-  // pre-sharding layout, refused the same way.
-  for (const char version : {7, 1}) {
+  // 7: some future version this build cannot read. 2 and 1: the retired
+  // unchecksummed and pre-sharding layouts, refused the same way.
+  for (const char version : {7, 2, 1}) {
     std::string bytes = buffer.str();
     bytes[4] = version;  // the version field follows the 4-byte magic
     std::stringstream mismatched(bytes);
@@ -487,16 +347,7 @@ TEST(IndexIoTest, TrailerPaddingIsWrittenAsZeros) {
   EXPECT_EQ(TrailerPadding(index), zeros) << "built index";
   EXPECT_EQ(TrailerPadding(index.Restrict(10, 50)), zeros) << "shard";
 
-  // v2 reads the stats block whole, padding included: a v2 file whose
-  // padding holds garbage must still save back with zeros.
-  std::string v2 = test::SaveV2(index);
-  v2.replace(v2.size() - 4, 4, "\xab\xcd\xef\x01");
-  std::stringstream dirty(v2);
-  const auto loaded = KDashIndex::Load(dirty);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(TrailerPadding(*loaded), zeros) << "load -> save";
-
-  // v3 checks it: nonzero padding is refused even under a matching CRC.
+  // Load checks it: nonzero padding is refused even under a matching CRC.
   auto file = test::v3::File::Parse(SavedBytes(index));
   file.sections[test::v3::kStats].back() = '\x01';
   std::stringstream patched(file.Bytes());
@@ -681,8 +532,8 @@ TEST(IndexIoTest, V3RejectsBadPaddingOffsetsLengthsAndChecksums) {
 }
 
 TEST(IndexIoTest, V3RejectsCorruptScalarOptions) {
-  // The v3 twin of RejectsCorruptScalarOptions: each patch re-stamps the
-  // options section's CRC, so the semantic check is what refuses it.
+  // Each patch re-stamps the options section's CRC, so the semantic check
+  // is what refuses it.
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 89), {});
   const File base = File::Parse(SavedBytes(index));
   {
@@ -690,7 +541,8 @@ TEST(IndexIoTest, V3RejectsCorruptScalarOptions) {
     test::v3::WriteAt(&file.sections[test::v3::kOptions], 0, 2.0);
     ExpectDataLoss(file.Bytes(), "restart probability");
   }
-  // The reorder method follows c and the seed.
+  // The reorder method follows c and the seed. 5 is the retired reverse
+  // Cuthill–McKee order's id.
   for (const std::int32_t bad_method : {12345, 5, -1}) {
     File file = base;
     test::v3::WriteAt(&file.sections[test::v3::kOptions], 16, bad_method);
@@ -699,8 +551,8 @@ TEST(IndexIoTest, V3RejectsCorruptScalarOptions) {
 }
 
 TEST(IndexIoTest, V3OptionsHoldNoDropToleranceSlot) {
-  // The v3 twin of DropToleranceSlotMustHoldZero: v3 has no slot, so an
-  // options section carrying v2's eight bytes for it is the wrong length.
+  // The retired drop-tolerance slot is gone, so an options section that
+  // carries v2's eight bytes for it is the wrong length.
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 88), {});
   File file = File::Parse(SavedBytes(index));
   file.sections[test::v3::kOptions].append(sizeof(Scalar), '\0');
@@ -708,9 +560,9 @@ TEST(IndexIoTest, V3OptionsHoldNoDropToleranceSlot) {
 }
 
 TEST(IndexIoTest, V3HugeLengthFieldRejectedNotAllocated) {
-  // The v3 twin of HugeLengthFieldRejectedNotAllocated: a huge count in a
-  // column extent, under a valid CRC, disagrees with the section length
-  // before any array is sized by it; so does a huge table length.
+  // A huge count in a column extent, under a valid CRC, disagrees with the
+  // section length before any array is sized by it; so does a huge table
+  // length.
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(30, 150, 98), {});
   const std::string full = SavedBytes(index);
   {
@@ -731,8 +583,10 @@ TEST(IndexIoTest, V3HugeLengthFieldRejectedNotAllocated) {
 }
 
 TEST(IndexIoTest, V3RejectsInverseStoringAnExactZero) {
-  // The v3 twin of RejectsInverseStoringAnExactZero: a zero in a head, or
-  // at either end of a run, under a valid CRC.
+  // The builder never stores an exact zero in L⁻¹ or U⁻¹, and a zero inside
+  // a dense run could not be told from the run's fill, so such a file would
+  // not save back to its own bytes: Load refuses a zero in a head, or at
+  // either end of a run, under a valid CRC.
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(40, 220, 102), {});
   const File base = File::Parse(SavedBytes(index));
   const InverseArrays lower = InverseArrays::Of(index.lower_inverse());
@@ -759,7 +613,8 @@ TEST(IndexIoTest, V3RejectsInverseStoringAnExactZero) {
 
 TEST(IndexIoTest, V3RejectsAnInverseNotCutWhereItTakesTheFewestBytes) {
   // Move a U⁻¹ column's cut one nonzero into its run: the same stored
-  // nonzeros, 4 bytes more, so not the form FromCsc gives and not loaded.
+  // nonzeros, 4 bytes more, so not the form the builder gives and not
+  // loaded.
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(40, 220, 103), {});
   InverseArrays upper = InverseArrays::Of(index.upper_inverse());
   std::size_t col = 0;
@@ -846,14 +701,12 @@ class PipeBuf : public std::streambuf {
 
 TEST(IndexIoTest, LoadsFromANonSeekableStream) {
   const auto index = KDashIndex::Build(test::RandomDirectedGraph(80, 500, 78), {});
-  for (const std::string& bytes : {SavedBytes(index), test::SaveV2(index)}) {
-    PipeBuf pipe(bytes);
-    std::istream in(&pipe);
-    ASSERT_EQ(in.tellg(), std::streampos(-1));
-    const auto loaded = KDashIndex::Load(in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ExpectIndexesEquivalent(index, *loaded);
-  }
+  PipeBuf pipe(SavedBytes(index));
+  std::istream in(&pipe);
+  ASSERT_EQ(in.tellg(), std::streampos(-1));
+  const auto loaded = KDashIndex::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectIndexesEquivalent(index, *loaded);
 }
 
 }  // namespace

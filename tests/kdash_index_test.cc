@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "head_run_csc.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
 #include "sparse/permute.h"
@@ -49,9 +50,9 @@ TEST(KDashIndexTest, InverseFactorsReconstructSystemInverse) {
   const auto a_perm = sparse::PermuteSymmetric(g.NormalizedAdjacency(),
                                                index.new_of_old());
   const auto w = lu::BuildRwrSystemMatrix(a_perm, 0.9);
-  const auto inverse_product =
-      linalg::MatMul(test::ToDense(index.upper_inverse().ToCsc().Transposed()),
-                     test::ToDense(index.lower_inverse().ToCsc()));
+  const auto inverse_product = linalg::MatMul(
+      test::ToDense(test::ToCsc(index.upper_inverse()).Transposed()),
+      test::ToDense(test::ToCsc(index.lower_inverse())));
   const auto should_be_identity =
       linalg::MatMul(test::ToDense(w), inverse_product);
   EXPECT_LT(test::MaxAbsDiff(should_be_identity,
@@ -100,7 +101,7 @@ TEST(KDashIndexTest, ReorderMethodsProduceSameProximities) {
     // p = c U⁻¹ L⁻¹ e_q in reordered space, mapped back.
     const NodeId q = 5;
     const NodeId qr = index.new_of_old()[static_cast<std::size_t>(q)];
-    const sparse::CscMatrix linv = index.lower_inverse().ToCsc();
+    const sparse::CscMatrix linv = test::ToCsc(index.lower_inverse());
     std::vector<Scalar> y(60, 0.0);
     for (Index k = linv.ColBegin(qr); k < linv.ColEnd(qr); ++k) {
       y[static_cast<std::size_t>(linv.RowIndex(k))] = linv.Value(k);

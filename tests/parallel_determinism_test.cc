@@ -1,11 +1,13 @@
-// The acceptance contract of the parallel precompute: inverting a factor
-// with any number of threads must produce byte-identical CSC output to the
-// sequential inversion. CscMatrix::operator== compares the raw col_ptr /
-// row_idx / values arrays, so EXPECT_EQ here is a bit-level check.
+// The acceptance contract of the parallel precompute: every thread count
+// must give the same result as one thread. The inverses are compared as
+// head + run matrices, their values bit for bit (test::SameBits); the LU
+// factors as CSC, whose operator== compares the raw col_ptr / row_idx /
+// values arrays.
 #include <gtest/gtest.h>
 
 #include "core/kdash_index.h"
 #include "datasets/datasets.h"
+#include "head_run_csc.h"
 #include "lu/sparse_lu.h"
 #include "lu/triangular.h"
 #include "reorder/reorder.h"
@@ -16,6 +18,10 @@ namespace kdash::lu {
 namespace {
 
 using sparse::CscMatrix;
+using sparse::HeadRunMatrix;
+
+// The thread counts every parallel stage is compared at, against 1.
+constexpr int kThreadCounts[] = {2, 3, 4, 8};
 
 LuFactors FactorsOfRandomRwr(NodeId n, Index m, Scalar c, std::uint64_t seed) {
   const auto g = test::RandomDirectedGraph(n, m, seed);
@@ -24,19 +30,21 @@ LuFactors FactorsOfRandomRwr(NodeId n, Index m, Scalar c, std::uint64_t seed) {
 
 TEST(ParallelInverseDeterminismTest, LowerInverseBitIdenticalAcrossThreads) {
   const LuFactors factors = FactorsOfRandomRwr(300, 2400, 0.95, 17);
-  const CscMatrix sequential = InvertLowerTriangular(factors.lower, 1);
-  for (int threads : {2, 4, 8}) {
-    const CscMatrix parallel = InvertLowerTriangular(factors.lower, threads);
-    EXPECT_EQ(parallel, sequential) << "threads=" << threads;
+  const HeadRunMatrix sequential = InvertLowerTriangular(factors.lower, 1);
+  for (const int threads : kThreadCounts) {
+    EXPECT_TRUE(test::SameBits(InvertLowerTriangular(factors.lower, threads),
+                               sequential))
+        << "threads=" << threads;
   }
 }
 
 TEST(ParallelInverseDeterminismTest, UpperInverseBitIdenticalAcrossThreads) {
   const LuFactors factors = FactorsOfRandomRwr(300, 2400, 0.95, 18);
-  const CscMatrix sequential = InvertUpperTriangular(factors.upper, 1);
-  for (int threads : {2, 4, 8}) {
-    const CscMatrix parallel = InvertUpperTriangular(factors.upper, threads);
-    EXPECT_EQ(parallel, sequential) << "threads=" << threads;
+  const HeadRunMatrix sequential = InvertUpperTriangular(factors.upper, 1);
+  for (const int threads : kThreadCounts) {
+    EXPECT_TRUE(test::SameBits(InvertUpperTriangular(factors.upper, threads),
+                               sequential))
+        << "threads=" << threads;
   }
 }
 
@@ -47,31 +55,38 @@ TEST(ParallelInverseDeterminismTest, TinyMatricesAcrossThreads) {
     const LuFactors factors =
         FactorsOfRandomRwr(n, static_cast<Index>(2 * n), 0.9,
                            static_cast<std::uint64_t>(40 + n));
-    const CscMatrix sequential = InvertLowerTriangular(factors.lower, 1);
-    for (int threads : {2, 4}) {
-      EXPECT_EQ(InvertLowerTriangular(factors.lower, threads), sequential)
+    const HeadRunMatrix lower = InvertLowerTriangular(factors.lower, 1);
+    const HeadRunMatrix upper = InvertUpperTriangular(factors.upper, 1);
+    for (const int threads : kThreadCounts) {
+      EXPECT_TRUE(test::SameBits(InvertLowerTriangular(factors.lower, threads),
+                                 lower))
+          << "n=" << n << " threads=" << threads;
+      EXPECT_TRUE(test::SameBits(InvertUpperTriangular(factors.upper, threads),
+                                 upper))
           << "n=" << n << " threads=" << threads;
     }
   }
 }
 
 TEST(ParallelInverseDeterminismTest, OddBlockBoundariesAcrossThreads) {
-  // The inverses walk 16-column blocks and hand out chunks of whole blocks;
-  // n = 16·20 + 7 leaves a partial last block. Hybrid reordering gives L⁻¹
-  // a dense tail, so blocks of shared columns and blocks of sparse ones
-  // both occur.
+  // The inverses walk 16-column blocks and hand out chunks of whole blocks
+  // of about equal work; n = 16·20 + 7 leaves a partial last block. Hybrid
+  // reordering gives L⁻¹ a dense tail, so blocks of shared columns and
+  // blocks of sparse ones both occur, and the chunks differ in width.
   const NodeId n = 16 * 20 + 7;
   const auto g = test::RandomDirectedGraph(n, 6 * n, 23);
   const auto order = reorder::ComputeReordering(g, reorder::Method::kHybrid);
   const LuFactors factors = FactorizeLu(BuildRwrSystemMatrix(
       sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
       0.95));
-  const CscMatrix lower = InvertLowerTriangular(factors.lower, 1);
-  const CscMatrix upper = InvertUpperTriangular(factors.upper, 1);
-  for (int threads : {2, 3, 8}) {
-    EXPECT_EQ(InvertLowerTriangular(factors.lower, threads), lower)
+  const HeadRunMatrix lower = InvertLowerTriangular(factors.lower, 1);
+  const HeadRunMatrix upper = InvertUpperTriangular(factors.upper, 1);
+  for (const int threads : kThreadCounts) {
+    EXPECT_TRUE(
+        test::SameBits(InvertLowerTriangular(factors.lower, threads), lower))
         << "threads=" << threads;
-    EXPECT_EQ(InvertUpperTriangular(factors.upper, threads), upper)
+    EXPECT_TRUE(
+        test::SameBits(InvertUpperTriangular(factors.upper, threads), upper))
         << "threads=" << threads;
   }
 }
@@ -89,7 +104,7 @@ TEST(ParallelLuDeterminismTest, DenseTailBitIdenticalAcrossThreads) {
       0.95);
   const LuFactors sequential = FactorizeLu(w, 1);
   ASSERT_LT(sequential.dense_begin, w.rows());
-  for (int threads : {2, 3, 8}) {
+  for (const int threads : kThreadCounts) {
     const LuFactors parallel = FactorizeLu(w, threads);
     EXPECT_EQ(parallel.dense_begin, sequential.dense_begin)
         << "threads=" << threads;
@@ -99,18 +114,21 @@ TEST(ParallelLuDeterminismTest, DenseTailBitIdenticalAcrossThreads) {
 }
 
 TEST(ParallelInverseDeterminismTest, IndexBuildIdenticalAcrossThreads) {
-  // End-to-end: the whole precompute (which parallelizes only the inverse
-  // stage) must produce an identical index for every thread count.
+  // End-to-end: the whole precompute (the reorder, the LU's dense tail and
+  // the inverses all run on the pool) must produce an identical index for
+  // every thread count.
   const auto g = test::RandomDirectedGraph(200, 1200, 21);
   core::KDashOptions options;
   options.num_threads = 1;
   const auto sequential = core::KDashIndex::Build(g, options);
-  for (int threads : {2, 4}) {
+  for (const int threads : kThreadCounts) {
     options.num_threads = threads;
     const auto parallel = core::KDashIndex::Build(g, options);
-    EXPECT_EQ(parallel.lower_inverse(), sequential.lower_inverse())
+    EXPECT_TRUE(
+        test::SameBits(parallel.lower_inverse(), sequential.lower_inverse()))
         << "threads=" << threads;
-    EXPECT_EQ(parallel.upper_inverse(), sequential.upper_inverse())
+    EXPECT_TRUE(
+        test::SameBits(parallel.upper_inverse(), sequential.upper_inverse()))
         << "threads=" << threads;
   }
 }

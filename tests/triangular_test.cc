@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "common/random.h"
 #include "datasets/datasets.h"
+#include "head_run_csc.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
 #include "reorder/reorder.h"
@@ -20,6 +20,7 @@ namespace kdash::lu {
 namespace {
 
 using sparse::CscMatrix;
+using sparse::HeadRunMatrix;
 
 LuFactors FactorsOfRandomRwr(NodeId n, Index m, Scalar c, std::uint64_t seed) {
   const auto g = test::RandomDirectedGraph(n, m, seed);
@@ -53,7 +54,7 @@ TEST(TriangularSolveTest, UpperSolveMatchesDense) {
 
 TEST(TriangularInverseTest, LowerInverseTimesLowerIsIdentity) {
   const LuFactors factors = FactorsOfRandomRwr(40, 250, 0.95, 5);
-  const CscMatrix l_inv = InvertLowerTriangular(factors.lower);
+  const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
   const auto product =
       linalg::MatMul(test::ToDense(factors.lower), test::ToDense(l_inv));
   EXPECT_LT(test::MaxAbsDiff(product, linalg::DenseMatrix::Identity(40)), 1e-12);
@@ -61,7 +62,7 @@ TEST(TriangularInverseTest, LowerInverseTimesLowerIsIdentity) {
 
 TEST(TriangularInverseTest, UpperInverseTimesUpperIsIdentity) {
   const LuFactors factors = FactorsOfRandomRwr(40, 250, 0.95, 6);
-  const CscMatrix u_inv = InvertUpperTriangular(factors.upper);
+  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
   const auto product =
       linalg::MatMul(test::ToDense(factors.upper), test::ToDense(u_inv));
   EXPECT_LT(test::MaxAbsDiff(product, linalg::DenseMatrix::Identity(40)), 1e-12);
@@ -70,8 +71,8 @@ TEST(TriangularInverseTest, UpperInverseTimesUpperIsIdentity) {
 TEST(TriangularInverseTest, InversesStayTriangular) {
   // Eq. 4–5 of the paper: L⁻¹ is lower triangular, U⁻¹ upper triangular.
   const LuFactors factors = FactorsOfRandomRwr(50, 300, 0.9, 7);
-  const CscMatrix l_inv = InvertLowerTriangular(factors.lower);
-  const CscMatrix u_inv = InvertUpperTriangular(factors.upper);
+  const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
+  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
   for (NodeId j = 0; j < 50; ++j) {
     for (Index k = l_inv.ColBegin(j); k < l_inv.ColEnd(j); ++k) {
       EXPECT_GE(l_inv.RowIndex(k), j);
@@ -86,7 +87,7 @@ TEST(TriangularInverseTest, PaperEquation4Recurrence) {
   // Spot-check Eq. 4: L⁻¹(i,i) = 1/L(i,i) and
   // L⁻¹(i,j) = -1/L(i,i) Σ_{k=j..i-1} L(i,k) L⁻¹(k,j) for i > j.
   const LuFactors factors = FactorsOfRandomRwr(20, 100, 0.9, 8);
-  const CscMatrix l_inv = InvertLowerTriangular(factors.lower);
+  const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
   const auto l = test::ToDense(factors.lower);
   const auto linv = test::ToDense(l_inv);
   for (int i = 0; i < 20; ++i) {
@@ -106,8 +107,8 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
   const auto a = g.NormalizedAdjacency();
   const Scalar c = 0.9;
   const LuFactors factors = FactorizeLu(BuildRwrSystemMatrix(a, c));
-  const CscMatrix l_inv = InvertLowerTriangular(factors.lower);
-  const CscMatrix u_inv = InvertUpperTriangular(factors.upper);
+  const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
+  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
 
   const auto w_inv_dense = linalg::MatMul(test::ToDense(u_inv), test::ToDense(l_inv));
   const auto w_dense = test::ToDense(BuildRwrSystemMatrix(a, c));
@@ -116,51 +117,56 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
 }
 
 // The oracle for the inverse builders, which both run backward
-// substitution: column j of `inverse` is the dense solve of
-// upper x = e_j, bit for bit, with exact zeros dropped. Returns the number
-// of columns that differ.
-NodeId ColumnsDifferingFromBackwardSolve(const CscMatrix& upper,
-                                         const CscMatrix& inverse) {
+// substitution: column j is the dense solve of upper x = e_j, bit for bit,
+// with exact zeros dropped.
+CscMatrix BackwardSolveColumns(const CscMatrix& upper) {
   const NodeId n = upper.cols();
-  NodeId differing = 0;
+  std::vector<Index> col_ptr{0};
+  std::vector<NodeId> rows;
+  std::vector<Scalar> values;
   for (NodeId j = 0; j < n; ++j) {
     std::vector<Scalar> x(static_cast<std::size_t>(n), 0.0);
     x[static_cast<std::size_t>(j)] = 1.0;
     SolveUpperInPlace(upper, x);
-    std::vector<NodeId> want_rows;
-    std::vector<Scalar> want_vals;
     for (NodeId i = 0; i < n; ++i) {
       const Scalar xi = x[static_cast<std::size_t>(i)];
       if (xi == 0.0) continue;
-      want_rows.push_back(i);
-      want_vals.push_back(xi);
+      rows.push_back(i);
+      values.push_back(xi);
     }
-    const std::vector<NodeId> got_rows(
-        inverse.row_idx().begin() + inverse.ColBegin(j),
-        inverse.row_idx().begin() + inverse.ColEnd(j));
-    const std::vector<Scalar> got_vals(
-        inverse.values().begin() + inverse.ColBegin(j),
-        inverse.values().begin() + inverse.ColEnd(j));
-    const bool same =
-        got_rows == want_rows &&
-        std::memcmp(got_vals.data(), want_vals.data(),
-                    want_vals.size() * sizeof(Scalar)) == 0;
-    if (!same) ++differing;
+    col_ptr.push_back(static_cast<Index>(rows.size()));
   }
-  return differing;
+  return CscMatrix(n, n, std::move(col_ptr), std::move(rows),
+                   std::move(values));
 }
 
-bool BitIdentical(const CscMatrix& a, const CscMatrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         a.col_ptr() == b.col_ptr() && a.row_idx() == b.row_idx() &&
-         a.values().size() == b.values().size() &&
-         std::memcmp(a.values().data(), b.values().data(),
-                     a.values().size() * sizeof(Scalar)) == 0;
+// An n × n upper triangular factor whose off-diagonal entries all sit in
+// its last `border` columns, where they fill every row above the diagonal.
+// Chunks of equal Σ nnz(T(:, j)) then differ widely in width: one spans
+// the light columns before the border, the others a block or two each.
+CscMatrix BorderUpper(NodeId n, NodeId border, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Index> col_ptr{0};
+  std::vector<NodeId> rows;
+  std::vector<Scalar> values;
+  for (NodeId j = 0; j < n; ++j) {
+    for (NodeId i = 0; j >= n - border && i < j; ++i) {
+      rows.push_back(i);
+      values.push_back(0.1 * (rng.NextDouble() - 0.5));
+    }
+    rows.push_back(j);
+    values.push_back(1.0 + rng.NextDouble());
+    col_ptr.push_back(static_cast<Index>(rows.size()));
+  }
+  return CscMatrix(n, n, std::move(col_ptr), std::move(rows),
+                   std::move(values));
 }
 
 // The oracle's inputs. Random factors around the 16-solve block (one
 // partial block, exactly one, one plus a solve, and two plus a partial
-// third), then hybrid-reordered factors as the index builds them: Social's
+// third), the hybrid-reordered factors of a random graph with n = 16·20 +
+// 7 (a partial last block), a factor whose work all sits in its last 64
+// columns, then hybrid-reordered factors as the index builds them: Social's
 // border gives the factors a dense tail shared by neighbouring solves,
 // while Email's factors stay so sparse that neighbouring solves barely
 // overlap.
@@ -172,32 +178,56 @@ std::vector<std::pair<std::string, LuFactors>> OracleInputs() {
         FactorsOfRandomRwr(n, n > 1 ? static_cast<Index>(6 * n) : 0, 0.9,
                            static_cast<std::uint64_t>(60 + n)));
   }
+  const auto hybrid_factors = [](const graph::Graph& g) {
+    const reorder::Reordering order =
+        reorder::ComputeReordering(g, reorder::Method::kHybrid);
+    return FactorizeLu(BuildRwrSystemMatrix(
+        sparse::PermuteSymmetric(g.NormalizedAdjacency(), order.new_of_old),
+        0.95));
+  };
+  constexpr NodeId kOddN = 16 * 20 + 7;
+  inputs.emplace_back("hybrid n=16·20+7",
+                      hybrid_factors(test::RandomDirectedGraph(
+                          kOddN, 6 * kOddN, 23)));
+  const CscMatrix border = BorderUpper(kOddN, 64, 29);
+  inputs.emplace_back("border", LuFactors{border.Transposed(), border, kOddN});
   for (const datasets::DatasetId id :
        {datasets::DatasetId::kSocial, datasets::DatasetId::kEmail}) {
     const datasets::Dataset data = datasets::MakeDataset(id, 0.1);
-    const reorder::Reordering order =
-        reorder::ComputeReordering(data.graph, reorder::Method::kHybrid);
-    const CscMatrix a = sparse::PermuteSymmetric(
-        data.graph.NormalizedAdjacency(), order.new_of_old);
-    inputs.emplace_back(data.name,
-                        FactorizeLu(BuildRwrSystemMatrix(a, 0.95)));
+    inputs.emplace_back(data.name, hybrid_factors(data.graph));
   }
   return inputs;
 }
 
-TEST(TriangularInverseOracleTest, InversesEqualBackwardSolves) {
+// Restores `m` from the arrays it stores, as the index loader does.
+Result<HeadRunMatrix> Restore(const HeadRunMatrix& m) {
+  return HeadRunMatrix::FromStored(m.rows(), m.ColumnExtents(), m.head_rows(),
+                                   m.head_values(), m.run_values(), "test");
+}
+
+TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
   // Row i of L⁻¹ is the backward solve of Lᵀ y = e_i, i.e. column i of
-  // L⁻¹ᵀ; column j of U⁻¹ is the backward solve of U x = e_j.
+  // L⁻¹ᵀ; column j of U⁻¹ is the backward solve of U x = e_j. Both
+  // builders' head + run output must be the test-side FromCsc of the
+  // oracle, bit for bit, and must load back through FromStored. Eight
+  // threads are more than the small inputs have blocks.
   for (const auto& [label, factors] : OracleInputs()) {
-    const CscMatrix lower_t = factors.lower.Transposed();
-    for (const int threads : {1, 3}) {
-      const CscMatrix l_inv = InvertLowerTriangular(factors.lower, threads);
-      EXPECT_EQ(
-          ColumnsDifferingFromBackwardSolve(lower_t, l_inv.Transposed()), 0)
-          << label << " L rows, threads=" << threads;
-      const CscMatrix u_inv = InvertUpperTriangular(factors.upper, threads);
-      EXPECT_EQ(ColumnsDifferingFromBackwardSolve(factors.upper, u_inv), 0)
-          << label << " U columns, threads=" << threads;
+    const HeadRunMatrix want_lower = test::FromCsc(
+        BackwardSolveColumns(factors.lower.Transposed()).Transposed());
+    const HeadRunMatrix want_upper =
+        test::FromCsc(BackwardSolveColumns(factors.upper));
+    for (const int threads : {1, 3, 8}) {
+      SCOPED_TRACE(label + ", threads=" + std::to_string(threads));
+      for (const auto& [got, want] :
+           {std::pair{InvertLowerTriangular(factors.lower, threads),
+                      want_lower},
+            std::pair{InvertUpperTriangular(factors.upper, threads),
+                      want_upper}}) {
+        EXPECT_TRUE(test::SameBits(got, want));
+        const auto restored = Restore(got);
+        ASSERT_TRUE(restored.ok()) << restored.status();
+        EXPECT_TRUE(test::SameBits(*restored, got));
+      }
     }
   }
 }
@@ -208,9 +238,11 @@ TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
   for (const auto& [label, factors] : OracleInputs()) {
     const CscMatrix upper_t = factors.upper.Transposed();
     for (const int threads : {1, 3}) {
-      EXPECT_TRUE(BitIdentical(
+      EXPECT_TRUE(test::SameBits(
           InvertLowerTriangular(upper_t, threads),
-          InvertUpperTriangular(factors.upper, threads).Transposed()))
+          test::FromCsc(
+              test::ToCsc(InvertUpperTriangular(factors.upper, threads))
+                  .Transposed())))
           << label << ", threads=" << threads;
     }
   }

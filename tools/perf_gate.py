@@ -5,10 +5,12 @@ Three record formats are understood:
 
   scaling  one JSON line emitted by bench_parallel_scaling (bench_util's
            {"bench":"parallel_scaling","records":[...]} shape). The gated
-           metric is reorder_seconds at the highest thread count present in
-           both runs — the stage this repo just parallelized and the one
-           most likely to silently regress back to a sequential wall. The
-           other stage timings are reported informationally.
+           metrics, at the highest thread count present in both runs, are
+           reorder_seconds and the two inverse builds,
+           lower_inverse_seconds and upper_inverse_seconds: the parallel
+           set-up stages most likely to silently regress back to a
+           sequential wall (the inverses' fill included). lu_seconds is
+           reported informationally.
 
   micro    google-benchmark JSON (--benchmark_format=json) from
            bench_micro_kernels. Every benchmark whose name matches --filter
@@ -99,8 +101,8 @@ def gate_scaling(args):
     for key, gated in [
         ("reorder_seconds", True),
         ("lu_seconds", False),
-        ("lower_inverse_seconds", False),
-        ("upper_inverse_seconds", False),
+        ("lower_inverse_seconds", True),
+        ("upper_inverse_seconds", True),
     ]:
         if key not in base or key not in cur:
             continue
