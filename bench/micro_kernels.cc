@@ -135,8 +135,8 @@ BENCHMARK(BM_TriangularInvert)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_TriangularInvertUpper(benchmark::State& state) {
   // U⁻¹ column by column: the same backward-substitution kernel as L⁻¹,
-  // written in the other orientation. The index builds U⁻¹ᵀ with that
-  // kernel too, as InvertLowerTriangular(Uᵀ). Arg is the thread count.
+  // written in the other orientation. The index builds U⁻¹ᵀ written row by
+  // row, as InvertUpperTriangularTransposed(U). Arg is the thread count.
   const auto factors = InvertBenchFactors();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {

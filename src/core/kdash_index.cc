@@ -25,13 +25,6 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   const WallTimer total_timer;
   SharedState state;
 
-  // Normalized adjacency and the estimator's precomputed values, all in
-  // original id space (the estimator never sees the reordering).
-  const sparse::CscMatrix a = graph.NormalizedAdjacency();
-  state.amax = a.MaxValue();
-  state.amax_of_node = a.ColumnMax();
-  state.c_prime_of_node = ComputeCPrime(a.Diagonal(), options.restart_prob);
-
   // Step 1: reorder (phase-synchronous parallel Louvain for cluster/hybrid;
   // num_threads drives it exactly like the inverse stage).
   WallTimer phase_timer;
@@ -45,32 +38,40 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   index.stats_.num_partitions = reordering.num_partitions;
   index.stats_.reorder_seconds = phase_timer.Seconds();
 
-  // Step 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (its dense tail runs on
-  // num_threads; see lu/sparse_lu.h).
-  phase_timer.Restart();
-  const sparse::CscMatrix a_perm =
-      sparse::PermuteSymmetric(a, state.new_of_old);
-  const sparse::CscMatrix w =
-      lu::BuildRwrSystemMatrix(a_perm, options.restart_prob);
-  lu::LuFactors factors = lu::FactorizeLu(w, options.num_threads);
-  index.stats_.lu_seconds = phase_timer.Seconds();
+  // Steps 2 + 3: W = I - (1-c)·PAPᵀ, then W = LU (its dense tail runs on
+  // num_threads; see lu/sparse_lu.h). A, PAPᵀ and W are freed before the
+  // inverses, which hold the build's memory peak.
+  lu::LuFactors factors;
+  {
+    // Normalized adjacency and the estimator's precomputed values, all in
+    // original id space (the estimator never sees the reordering).
+    const sparse::CscMatrix a = graph.NormalizedAdjacency();
+    state.amax = a.MaxValue();
+    state.amax_of_node = a.ColumnMax();
+    state.c_prime_of_node = ComputeCPrime(a.Diagonal(), options.restart_prob);
+
+    phase_timer.Restart();
+    const sparse::CscMatrix w = lu::BuildRwrSystemMatrix(
+        sparse::PermuteSymmetric(a, state.new_of_old), options.restart_prob);
+    factors = lu::FactorizeLu(w, options.num_threads);
+    index.stats_.lu_seconds = phase_timer.Seconds();
+  }
   index.stats_.nnz_lower = factors.lower.nnz();
   index.stats_.nnz_upper = factors.upper.nnz();
 
-  // Step 4: explicit sparse inverses L⁻¹ and U⁻¹ᵀ = (Uᵀ)⁻¹, both by
-  // InvertLowerTriangular, which writes each inverse row by row from a
-  // backward solve (lu/triangular.h: in hybrid order the rows of L⁻¹ cost
-  // O(b³) where its columns cost O(n·b²)), straight into the head + run
-  // form the index serves and saves.
+  // Step 4: explicit sparse inverses L⁻¹ and U⁻¹ᵀ, each written row by row
+  // from a backward solve (lu/triangular.h: in hybrid order the rows of L⁻¹
+  // cost O(b³) where its columns cost O(n·b²)), straight into the head +
+  // run form the index serves and saves. U⁻¹ᵀ is solved on U itself, and L
+  // is freed before it, so no other factor-sized copy is alive at the
+  // build's memory peak, this last inverse.
   phase_timer.Restart();
   state.lower_inverse =
       lu::InvertLowerTriangular(factors.lower, options.num_threads);
-  // U⁻¹ᵀ needs only Uᵀ. Freeing L and U first keeps two fewer factor-sized
-  // copies alive at the build's memory peak, which is this last inverse.
-  const sparse::CscMatrix upper_t = factors.upper.Transposed();
-  factors = {};
+  factors.lower = {};
   index.upper_inverse_ =
-      lu::InvertLowerTriangular(upper_t, options.num_threads);
+      lu::InvertUpperTriangularTransposed(factors.upper, options.num_threads);
+  factors = {};
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();
   index.stats_.nnz_upper_inverse = index.upper_inverse_.nnz();

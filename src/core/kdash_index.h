@@ -6,14 +6,14 @@
 //   3. sparse LU factorization W = LU,
 //   4. explicit sparse inverses L⁻¹ and U⁻¹ᵀ, both built in one
 //      elimination order (backward substitution, lu/triangular.h) and
-//      written row by row as CSC: row j of L⁻¹ solves Lᵀ y = e_j, and U⁻¹ᵀ
-//      is the same builder applied to Uᵀ. Rows rather than columns because
-//      in hybrid order the rows of L⁻¹ cost O(b³) and its columns O(n·b²)
-//      for a border of b nodes. Each is then stored in head + run form
+//      written row by row: row j of L⁻¹ solves Lᵀ y = e_j, and row j of
+//      U⁻¹ᵀ solves U x = e_j. Rows rather than columns because in hybrid
+//      order the rows of L⁻¹ cost O(b³) and its columns O(n·b²) for a
+//      border of b nodes. Both are built straight into head + run form
 //      (sparse/head_run_matrix.h): each column keeps a sparse head and one
-//      dense run, cut where the column takes the fewest bytes, and the CSC
-//      is freed. U⁻¹ is kept transposed, so row u of U⁻¹ (the one proximity
-//      dot of Eq. 3) is one column — mostly one contiguous run,
+//      dense run, cut where the column takes the fewest bytes. U⁻¹ is kept
+//      transposed, so row u of U⁻¹ (the one proximity dot of Eq. 3) is one
+//      column — mostly one contiguous run,
 //   5. the estimator's precomputed values Amax, Amax(u), c′(u)
 //      (Section 4.3.1) in *original* node-id space.
 // The index also keeps an unweighted copy of the out-adjacency for the
@@ -75,15 +75,14 @@ class KDashIndex {
   // (hours at full dataset scale), so indexes can be saved and reloaded.
   // Save writes format v3, native-endian: checksummed (CRC-32C) sections,
   // each 8-byte aligned, with the inverses in the head + run form they are
-  // held in (layout in index_io.cc). Load reads v3 and the older v2 (CSC
-  // inverses, converted on load). All failure modes are recoverable: Load
-  // returns kDataLoss on a corrupt/truncated stream, naming the section,
-  // kFailedPrecondition on a version mismatch, and the File variants
-  // return kNotFound/kFailedPrecondition when the file cannot be opened —
-  // the process never aborts on bad input, which is what lets a long-lived
-  // server treat index files as untrusted. A v2 index built with a lossy
-  // drop tolerance by an older binary is kFailedPrecondition: every index
-  // this build serves is exact. SaveFile replaces the file atomically, so
+  // held in (layout in index_io.cc). Load reads v3 only: any other
+  // version, the older v2 and v1 included, is kFailedPrecondition with a
+  // hint to rebuild. All failure modes are recoverable: Load returns
+  // kDataLoss on a corrupt/truncated stream, naming the section, and the
+  // File variants return kNotFound/kFailedPrecondition when the file
+  // cannot be opened — the process never aborts on bad input, which is
+  // what lets a long-lived server treat index files as untrusted.
+  // SaveFile replaces the file atomically, so
   // a failed save leaves the previous index intact. Load checks every
   // inverse column (sparse::HeadRunMatrix::FromStored), so a loaded index
   // is one Build could have made, and every file Load accepts saves back

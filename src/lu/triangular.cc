@@ -1,6 +1,7 @@
 #include "lu/triangular.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <ranges>
@@ -88,16 +89,20 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 // updates all lanes with a branch-free loop. For every solve the nonzero
 // updates arrive in the same elimination order as in SolveUpperInPlace; a
 // lane whose x_k is zero subtracts ±0, which leaves every nonzero value
-// unchanged, and zeros (including cancelled values) are dropped at gather,
-// so the result is the exact inverse. Neighbouring solves that reach the
-// same dense tail of T share most of their patterns, so each tail column is
-// read once per block instead of up to 16 times.
+// unchanged, and zeros (including cancelled values) are dropped when the
+// output is filled, so the result is the exact inverse. Neighbouring solves
+// that reach the same dense tail of T share most of their patterns, so each
+// tail column is read once per block instead of up to 16 times.
 //
 // Build() fills the output in three stages over the chunks of ChunkBounds,
 // the first and last on a thread pool (a pool of 1 runs them inline):
-//   1. Solve. Each chunk appends its solves' entries to its own buffer and
-//      keeps a Tally per output column it reaches. Written as columns, a
-//      solve is a whole output column, so it is cut as it is gathered.
+//   1. Solve. Each chunk keeps a Tally per output column it reaches, and
+//      keeps its solves until they are placed. Written as rows, lane l of
+//      pattern row i of a block is output column i's entry at row j0 + l,
+//      so a chunk keeps each block as its pattern rows' nonzero lanes, one
+//      Block sized exactly, and counts each row into one tally. Written as
+//      columns, a solve is a whole output column, so it is cut as it is
+//      gathered, and the chunk keeps its head entries and its run.
 //   2. Shape (sequential, O(n + tallies)). Each column's tallies, in chunk
 //      order, give its count and its cut, the first of least CutCost over
 //      all of its entries, and give each chunk its first index in the
@@ -105,7 +110,7 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 //      pointers.
 //   3. Place. Each chunk writes its entries into the output's heads and
 //      runs at its cursors (written as columns, it copies its heads and
-//      runs whole), then frees its buffer.
+//      runs whole), freeing its solves as it goes.
 // Chunks cover ascending j, so every output column comes out in ascending
 // row order, and the output is bit-identical at every thread count.
 class TriangularInverter {
@@ -118,9 +123,23 @@ class TriangularInverter {
   sparse::HeadRunMatrix Build(int num_threads);
 
  private:
+  // Written as rows, one pattern row i of a solved block: the chunk's tally
+  // of output column i, and the lanes l whose x_i is nonzero (bit l).
+  struct BlockRow {
+    std::uint32_t tally;
+    std::uint32_t lanes;
+  };
+
+  // A solved block's pattern rows that hold a nonzero, and their nonzeros,
+  // row after row in ascending lanes, each sized exactly.
+  struct Block {
+    std::vector<BlockRow> rows;
+    std::vector<Scalar> values;
+  };
+
   // Per-worker solve scratch, sized on a worker's first chunk. `slot` is
-  // restored after each block, so a block costs O(pattern) rather than
-  // O(n).
+  // restored after each block and `tally_of` after each chunk, so a block
+  // costs O(pattern) rather than O(n).
   struct Workspace {
     // Row → slot; slot s owns acc[s·B, (s+1)·B).
     std::vector<NodeId> slot;
@@ -129,6 +148,10 @@ class TriangularInverter {
     // Max-heap worklist: every row enters once, and rows leave it in
     // descending order, the elimination order.
     std::vector<NodeId> heap;
+    // Written as rows: output column → its tally in the current chunk,
+    // and the block being kept.
+    std::vector<NodeId> tally_of;
+    Block block;
   };
 
   // One output column's entries within one chunk, in ascending rows: how
@@ -153,12 +176,13 @@ class TriangularInverter {
     }
   };
 
-  // The solves [begin, end) and, until placed, their entries (the row i of
-  // T⁻¹ and the value, solve after solve). Written as columns, a solve
-  // keeps only its head there and its run in `runs`.
+  // The solves [begin, end) and, until placed, their entries. Written as
+  // rows, one Block per block of solves; written as columns, each solve's
+  // head entries (rows, values) and its run (runs), solve after solve.
   struct Chunk {
     NodeId begin = 0;
     NodeId end = 0;
+    std::vector<Block> blocks;
     std::vector<NodeId> rows;
     std::vector<Scalar> values;
     std::vector<Scalar> runs;
@@ -222,62 +246,93 @@ class TriangularInverter {
     }
   }
 
-  // Stage 1 for one chunk: solve j's nonzeros (i, x), in ascending i, are
-  // appended to the buffer and counted into their output column's tally.
-  // Written as rows, that is the tally of column i, which `tally_of` maps
-  // to (it is all kNoSlot between chunks). Written as columns, solve j is
-  // all of column j, so its cut is known once it is gathered, and its
-  // entries from the cut on move into its run while they are in cache.
-  void Solve(Chunk& chunk, Workspace& ws, std::vector<NodeId>& tally_of) {
+  // Stage 1 for one chunk: solves its blocks and keeps each, as block rows
+  // or as cut columns. `tally_of` is all kNoSlot between chunks.
+  void Solve(Chunk& chunk, Workspace& ws) const {
     for (NodeId j0 = chunk.begin; j0 < chunk.end; j0 += kBlockWidth) {
       const NodeId width = std::min<NodeId>(kBlockWidth, chunk.end - j0);
       SolveBlock(j0, width, ws);
-      for (NodeId lane = 0; lane < width; ++lane) {
-        const NodeId j = j0 + lane;
-        const std::size_t first = chunk.rows.size();
-        Tally column{j};
-        for (const NodeId i : std::views::reverse(ws.pattern)) {
-          const Scalar xi =
-              ws.acc[static_cast<std::size_t>(
-                         ws.slot[static_cast<std::size_t>(i)]) *
-                         kBlockWidth +
-                     static_cast<std::size_t>(lane)];
-          if (xi == 0.0) continue;
-          chunk.rows.push_back(i);
-          chunk.values.push_back(xi);
-          if (!write_rows_) {
-            column.Add(i);
-            continue;
-          }
-          NodeId& at = tally_of[static_cast<std::size_t>(i)];
-          if (at == kNoSlot) {
-            at = static_cast<NodeId>(chunk.tallies.size());
-            chunk.tallies.push_back({i});
-          }
-          chunk.tallies[static_cast<std::size_t>(at)].Add(j);
-        }
-        solve_nnz_[static_cast<std::size_t>(j)] =
-            static_cast<std::uint32_t>(chunk.rows.size() - first);
-        if (column.count == 0) continue;
-        const std::size_t head_end = first + column.cut;
-        const std::size_t run_at = chunk.runs.size();
-        chunk.runs.resize(run_at + column.last_row - column.cut_row + 1, 0.0);
-        Scalar* const run = chunk.runs.data() + run_at;
-        for (std::size_t e = head_end; e < chunk.rows.size(); ++e) {
-          run[chunk.rows[e] - column.cut_row] = chunk.values[e];
-        }
-        chunk.rows.resize(head_end);
-        chunk.values.resize(head_end);
-        chunk.tallies.push_back(column);
+      if (write_rows_) {
+        KeepBlockRows(chunk, j0, width, ws);
+      } else {
+        GatherColumns(chunk, j0, width, ws);
       }
       for (const NodeId i : ws.pattern) {
         ws.slot[static_cast<std::size_t>(i)] = kNoSlot;
       }
     }
-    for (const Tally& tally : chunk.tallies) {
-      tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
+    if (write_rows_) {
+      for (const Tally& tally : chunk.tallies) {
+        ws.tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
+      }
     }
     chunk.tallies.shrink_to_fit();
+  }
+
+  // Written as rows: keeps the solved block's nonzeros by pattern row, and
+  // counts row i's nonzero lanes l, in ascending l, into the tally of
+  // column i at rows j0 + l.
+  void KeepBlockRows(Chunk& chunk, NodeId j0, NodeId width,
+                     Workspace& ws) const {
+    ws.block.rows.clear();
+    ws.block.values.clear();
+    for (const NodeId i : ws.pattern) {
+      const Scalar* const lanes =
+          ws.acc.data() +
+          static_cast<std::size_t>(ws.slot[static_cast<std::size_t>(i)]) *
+              kBlockWidth;
+      std::uint32_t nonzero = 0;
+      for (NodeId lane = 0; lane < width; ++lane) {
+        nonzero |= static_cast<std::uint32_t>(lanes[lane] != 0.0) << lane;
+      }
+      if (nonzero == 0) continue;  // every lane cancelled to zero
+      NodeId& at = ws.tally_of[static_cast<std::size_t>(i)];
+      if (at == kNoSlot) {
+        at = static_cast<NodeId>(chunk.tallies.size());
+        chunk.tallies.push_back({i});
+      }
+      Tally& tally = chunk.tallies[static_cast<std::size_t>(at)];
+      for (std::uint32_t rest = nonzero; rest != 0; rest &= rest - 1) {
+        const int lane = std::countr_zero(rest);
+        tally.Add(j0 + lane);
+        ws.block.values.push_back(lanes[lane]);
+      }
+      ws.block.rows.push_back({static_cast<std::uint32_t>(at), nonzero});
+    }
+    chunk.blocks.push_back(ws.block);
+  }
+
+  // Written as columns: solve j's nonzeros, in ascending rows, are all of
+  // column j, so its cut is known once they are gathered, and its entries
+  // from the cut on move into its run while they are in cache.
+  void GatherColumns(Chunk& chunk, NodeId j0, NodeId width,
+                     const Workspace& ws) const {
+    for (NodeId lane = 0; lane < width; ++lane) {
+      const std::size_t first = chunk.rows.size();
+      Tally column{j0 + lane};
+      for (const NodeId i : std::views::reverse(ws.pattern)) {
+        const Scalar xi =
+            ws.acc[static_cast<std::size_t>(
+                       ws.slot[static_cast<std::size_t>(i)]) *
+                       kBlockWidth +
+                   static_cast<std::size_t>(lane)];
+        if (xi == 0.0) continue;
+        chunk.rows.push_back(i);
+        chunk.values.push_back(xi);
+        column.Add(i);
+      }
+      if (column.count == 0) continue;
+      const std::size_t head_end = first + column.cut;
+      const std::size_t run_at = chunk.runs.size();
+      chunk.runs.resize(run_at + column.last_row - column.cut_row + 1, 0.0);
+      Scalar* const run = chunk.runs.data() + run_at;
+      for (std::size_t e = head_end; e < chunk.rows.size(); ++e) {
+        run[chunk.rows[e] - column.cut_row] = chunk.values[e];
+      }
+      chunk.rows.resize(head_end);
+      chunk.values.resize(head_end);
+      chunk.tallies.push_back(column);
+    }
   }
 
   // Stage 2. Merges every column's tallies in chunk order into its extent
@@ -320,11 +375,12 @@ class TriangularInverter {
   }
 
   // Stage 3 for one chunk. Written as columns, the chunk's heads and runs
-  // are one stretch of each output array. Written as rows, entry (i, x) of
-  // solve j is column i's next entry: it lands in the head while the
-  // chunk's cursor there is before the cut, else at row j of the run.
-  void Place(Chunk& chunk, std::vector<NodeId>& tally_of,
-             std::vector<NodeId>& head_rows, std::vector<Scalar>& head_values,
+  // are one stretch of each output array. Written as rows, lane l of a
+  // block row of block j0 is its column's next entry: it lands in the head
+  // while the chunk's cursor there is before the cut, else at row j0 + l
+  // of the run. Each block is freed once placed.
+  void Place(Chunk& chunk, std::vector<NodeId>& head_rows,
+             std::vector<Scalar>& head_values,
              std::vector<Scalar>& run_values) const {
     if (!write_rows_) {
       const auto begin = static_cast<std::size_t>(chunk.begin);
@@ -336,38 +392,32 @@ class TriangularInverter {
                 run_values.begin() + run_ptr_[begin]);
       return;
     }
-    for (std::size_t t = 0; t < chunk.tallies.size(); ++t) {
-      tally_of[static_cast<std::size_t>(chunk.tallies[t].col)] =
-          static_cast<NodeId>(t);
-    }
-    std::size_t e = 0;
-    for (NodeId j = chunk.begin; j < chunk.end; ++j) {
-      const std::size_t solve_end =
-          e + solve_nnz_[static_cast<std::size_t>(j)];
-      for (; e < solve_end; ++e) {
-        const auto col = static_cast<std::size_t>(chunk.rows[e]);
-        Tally& tally = chunk.tallies[static_cast<std::size_t>(tally_of[col])];
-        const Index at = head_ptr_[col] + tally.count++;
-        if (at < head_ptr_[col + 1]) {
-          head_rows[static_cast<std::size_t>(at)] = j;
-          head_values[static_cast<std::size_t>(at)] = chunk.values[e];
-        } else {
-          run_values[static_cast<std::size_t>(run_ptr_[col] + j -
-                                              run_begin_[col])] =
-              chunk.values[e];
+    NodeId j0 = chunk.begin;
+    for (Block& block : chunk.blocks) {
+      const Scalar* x = block.values.data();
+      for (const BlockRow& row : block.rows) {
+        Tally& tally = chunk.tallies[row.tally];
+        const auto col = static_cast<std::size_t>(tally.col);
+        for (std::uint32_t rest = row.lanes; rest != 0; rest &= rest - 1) {
+          const NodeId j = j0 + std::countr_zero(rest);
+          const Index at = head_ptr_[col] + tally.count++;
+          if (at < head_ptr_[col + 1]) {
+            head_rows[static_cast<std::size_t>(at)] = j;
+            head_values[static_cast<std::size_t>(at)] = *x++;
+          } else {
+            run_values[static_cast<std::size_t>(run_ptr_[col] + j -
+                                                run_begin_[col])] = *x++;
+          }
         }
       }
-    }
-    for (const Tally& tally : chunk.tallies) {
-      tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
+      block = {};
+      j0 += kBlockWidth;
     }
   }
 
   const sparse::CscMatrix& m_;
   bool write_rows_;
   std::vector<Chunk> chunks_;
-  // Solve j's entry count.
-  std::vector<std::uint32_t> solve_nnz_;
   // The output's pointers (col_ptr_ counts per column until Shape's prefix
   // sum) and run begins.
   std::vector<Index> col_ptr_;
@@ -389,11 +439,6 @@ sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
     chunks_[c].end = bounds[c + 1];
   }
   const auto num_chunks = static_cast<Index>(chunks_.size());
-  // Per worker: output column → its tally in the current chunk.
-  std::vector<std::vector<NodeId>> tally_of(
-      static_cast<std::size_t>(pool.num_threads()),
-      std::vector<NodeId>(cols, kNoSlot));
-  solve_nnz_.assign(cols, 0);
 
   // Stage 1: solve. The scratch is freed before the output takes its
   // room.
@@ -403,10 +448,12 @@ sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
     pool.ParallelFor(
         0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
           Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
-          if (ws.slot.empty()) ws.slot.assign(cols, kNoSlot);
+          if (ws.slot.empty()) {
+            ws.slot.assign(cols, kNoSlot);
+            if (write_rows_) ws.tally_of.assign(cols, kNoSlot);
+          }
           for (Index c = c_begin; c < c_end; ++c) {
-            Solve(chunks_[static_cast<std::size_t>(c)], ws,
-                  tally_of[static_cast<std::size_t>(rank)]);
+            Solve(chunks_[static_cast<std::size_t>(c)], ws);
           }
         });
   }
@@ -419,11 +466,10 @@ sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
                                  0.0);
 
   // Stage 3: place.
-  pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int rank) {
+  pool.ParallelFor(0, num_chunks, 1, [&](Index c_begin, Index c_end, int) {
     for (Index c = c_begin; c < c_end; ++c) {
       Chunk& chunk = chunks_[static_cast<std::size_t>(c)];
-      Place(chunk, tally_of[static_cast<std::size_t>(rank)], head_rows,
-            head_values, run_values);
+      Place(chunk, head_rows, head_values, run_values);
       chunk = {};
     }
   });
@@ -447,6 +493,11 @@ sparse::HeadRunMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
 sparse::HeadRunMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                             int num_threads) {
   return TriangularInverter(upper, /*write_rows=*/false).Build(num_threads);
+}
+
+sparse::HeadRunMatrix InvertUpperTriangularTransposed(
+    const sparse::CscMatrix& upper, int num_threads) {
+  return TriangularInverter(upper, /*write_rows=*/true).Build(num_threads);
 }
 
 }  // namespace kdash::lu

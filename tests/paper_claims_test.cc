@@ -24,6 +24,12 @@
 // ground truth, K-dash's precision@5 is exactly 1, while NB_LIN's is below
 // 1 at each of the figure's four SVD ranks and does not fall as the rank
 // rises.
+//
+// Section 6.3.3 (pruning across restart probabilities): on the Dictionary
+// stand-in at k = 5, at every c that bench/ablation_restart_prob.cc
+// sweeps, the pruned searches over every source compute fewer exact
+// proximities in total than the unpruned ones, none computes more, and
+// every pruned answer equals the unpruned one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,6 +257,34 @@ TEST(Fig3Test, KDashIsExactWhileNbLinMissesAndImprovesWithRank) {
     EXPECT_LT(hits, total) << "rank " << rank;
     EXPECT_GE(hits, previous_hits) << "rank " << rank;
     previous_hits = hits;
+  }
+}
+
+TEST(Section633Test, PruningCutsWorkAtEveryRestartProbability) {
+  const datasets::Dataset dictionary =
+      datasets::MakeDataset(datasets::DatasetId::kDictionary, kScale);
+  constexpr std::size_t kTopK = 5;
+  for (const double c : {0.5, 0.7, 0.8, 0.9, 0.95, 0.99}) {
+    core::KDashOptions options;
+    options.restart_prob = c;
+    const core::KDashIndex index =
+        core::KDashIndex::Build(dictionary.graph, options);
+    core::KDashSearcher searcher(&index);
+    std::int64_t unpruned_total = 0;
+    std::int64_t pruned_total = 0;
+    for (NodeId source = 0; source < dictionary.graph.num_nodes(); ++source) {
+      const Query query = Query::Single(source, kTopK);
+      const SearchResult unpruned = Unpruned(searcher, query);
+      const SearchResult pruned = searcher.Search(query);
+      ASSERT_EQ(FirstDifference(pruned, kTopK, unpruned), "")
+          << "c=" << c << " source " << source;
+      ASSERT_LE(pruned.stats.proximity_computations,
+                unpruned.stats.proximity_computations)
+          << "c=" << c << " source " << source;
+      unpruned_total += unpruned.stats.proximity_computations;
+      pruned_total += pruned.stats.proximity_computations;
+    }
+    EXPECT_LT(pruned_total, unpruned_total) << "c=" << c;
   }
 }
 

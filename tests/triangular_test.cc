@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -233,8 +234,8 @@ TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
 }
 
 TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
-  // The index stores U⁻¹ᵀ as InvertLowerTriangular(Uᵀ); it must be the
-  // transpose of InvertUpperTriangular(U) bit for bit.
+  // InvertLowerTriangular(Uᵀ) must be the transpose of
+  // InvertUpperTriangular(U) bit for bit.
   for (const auto& [label, factors] : OracleInputs()) {
     const CscMatrix upper_t = factors.upper.Transposed();
     for (const int threads : {1, 3}) {
@@ -244,6 +245,101 @@ TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
               test::ToCsc(InvertUpperTriangular(factors.upper, threads))
                   .Transposed())))
           << label << ", threads=" << threads;
+    }
+  }
+}
+
+TEST(TriangularInverseOracleTest, UInverseTransposedIsSolvedOnUItself) {
+  // The index stores U⁻¹ᵀ as InvertUpperTriangularTransposed(U), which
+  // solves on U with no transposed copy. It must be the oracle's U⁻¹
+  // transposed, bit for bit, and load back.
+  for (const auto& [label, factors] : OracleInputs()) {
+    const HeadRunMatrix want =
+        test::FromCsc(BackwardSolveColumns(factors.upper).Transposed());
+    for (const int threads : {1, 3, 8}) {
+      SCOPED_TRACE(label + ", threads=" + std::to_string(threads));
+      const HeadRunMatrix got =
+          InvertUpperTriangularTransposed(factors.upper, threads);
+      EXPECT_TRUE(test::SameBits(got, want));
+      const auto restored = Restore(got);
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      EXPECT_TRUE(test::SameBits(*restored, got));
+    }
+  }
+}
+
+// A unit upper triangular T of n = 21 (one full 16-solve block and a
+// partial one) whose inverse holds two exact zeros inside the pattern:
+//   * solve 2: x_1 = −1, then x_0 = 0 − 1·1 − 1·(−1) cancels to +0.0;
+//   * solve 19: x_18 = −1, x_17 cancels to +0.0 before its division by
+//     T(17, 17) = −2, which makes it −0.0.
+// Row 0 of T⁻¹ is nonzero in solves 0 and 1, and row 17 in solves 17 and
+// 18, so each zero sits beside nonzero lanes of its block row.
+CscMatrix UpperWithCancellations() {
+  constexpr NodeId kN = 21;
+  std::vector<Index> col_ptr{0};
+  std::vector<NodeId> rows;
+  std::vector<Scalar> values;
+  const auto add = [&](NodeId i, Scalar v) {
+    rows.push_back(i);
+    values.push_back(v);
+  };
+  for (NodeId j = 0; j < kN; ++j) {
+    if (j == 1) add(0, 1.0);
+    if (j == 2) {
+      add(0, 1.0);
+      add(1, 1.0);
+    }
+    if (j == 18) add(17, 1.0);
+    if (j == 19) {
+      add(17, 1.0);
+      add(18, 1.0);
+    }
+    add(j, j == 17 ? -2.0 : 1.0);
+    col_ptr.push_back(static_cast<Index>(rows.size()));
+  }
+  return CscMatrix(kN, kN, std::move(col_ptr), std::move(rows),
+                   std::move(values));
+}
+
+TEST(TriangularInverseOracleTest, ExactZerosInsideABlockRowAreDropped) {
+  const CscMatrix upper = UpperWithCancellations();
+  const NodeId n = upper.cols();
+  const auto solve = [&](NodeId j) {
+    std::vector<Scalar> x(static_cast<std::size_t>(n), 0.0);
+    x[static_cast<std::size_t>(j)] = 1.0;
+    SolveUpperInPlace(upper, x);
+    return x;
+  };
+  // The dense solves hold both zeros, with their signs.
+  const std::vector<Scalar> x2 = solve(2);
+  ASSERT_EQ(x2[1], -1.0);
+  ASSERT_EQ(x2[0], 0.0);
+  ASSERT_FALSE(std::signbit(x2[0]));
+  const std::vector<Scalar> x19 = solve(19);
+  ASSERT_EQ(x19[18], -1.0);
+  ASSERT_EQ(x19[17], 0.0);
+  ASSERT_TRUE(std::signbit(x19[17]));
+
+  const CscMatrix oracle = BackwardSolveColumns(upper);
+  const HeadRunMatrix want_upper = test::FromCsc(oracle);
+  const HeadRunMatrix want_transposed = test::FromCsc(oracle.Transposed());
+  // The diagonal, plus x_0 in solve 1, x_1 in solve 2, x_17 in solve 18
+  // and x_18 in solve 19: neither zero is kept.
+  EXPECT_EQ(want_upper.nnz(), Index{n + 4});
+  const CscMatrix upper_t = upper.Transposed();
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (const auto& [got, want] :
+         {std::pair{InvertUpperTriangular(upper, threads), want_upper},
+          std::pair{InvertUpperTriangularTransposed(upper, threads),
+                    want_transposed},
+          std::pair{InvertLowerTriangular(upper_t, threads),
+                    want_transposed}}) {
+      EXPECT_TRUE(test::SameBits(got, want));
+      const auto restored = Restore(got);
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      EXPECT_TRUE(test::SameBits(*restored, got));
     }
   }
 }

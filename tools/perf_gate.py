@@ -9,8 +9,11 @@ Three record formats are understood:
            reorder_seconds and the two inverse builds,
            lower_inverse_seconds and upper_inverse_seconds: the parallel
            set-up stages most likely to silently regress back to a
-           sequential wall (the inverses' fill included). lu_seconds is
-           reported informationally.
+           sequential wall (the inverses' fill included). Also gated is
+           build_peak_mb, how far one whole KDashIndex::Build raises the
+           process's resident high-water mark, so the build's memory peak
+           cannot silently grow back. lu_seconds is reported
+           informationally. A key missing from either run is skipped.
 
   micro    google-benchmark JSON (--benchmark_format=json) from
            bench_micro_kernels. Every benchmark whose name matches --filter
@@ -103,6 +106,7 @@ def gate_scaling(args):
         ("lu_seconds", False),
         ("lower_inverse_seconds", True),
         ("upper_inverse_seconds", True),
+        ("build_peak_mb", True),
     ]:
         if key not in base or key not in cur:
             continue
@@ -115,8 +119,9 @@ def gate_scaling(args):
             verdict = f"REGRESSION (> {args.max_regress:.0%})"
             failed = True
         marker = "gated" if gated else "info"
-        print(f"perf-gate[{marker}] t={threads} {key}: {old:.6g}s -> "
-              f"{new:.6g}s ({ratio:.3f}x) {verdict}")
+        unit = "MB" if key.endswith("_mb") else "s"
+        print(f"perf-gate[{marker}] t={threads} {key}: {old:.6g}{unit} -> "
+              f"{new:.6g}{unit} ({ratio:.3f}x) {verdict}")
 
     return 1 if failed else 0
 
