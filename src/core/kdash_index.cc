@@ -62,15 +62,16 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   // Step 4: explicit sparse inverses L⁻¹ and U⁻¹ᵀ, each written row by row
   // from a backward solve (lu/triangular.h: in hybrid order the rows of L⁻¹
   // cost O(b³) where its columns cost O(n·b²)), straight into the head +
-  // run form the index serves and saves. U⁻¹ᵀ is solved on U itself, and L
-  // is freed before it, so no other factor-sized copy is alive at the
-  // build's memory peak, this last inverse.
+  // run form the index serves and saves. InvertUpperTriangular solves on U
+  // itself and returns U⁻¹ᵀ, and L is freed before it, so no other
+  // factor-sized copy is alive at the build's memory peak, this last
+  // inverse.
   phase_timer.Restart();
   state.lower_inverse =
       lu::InvertLowerTriangular(factors.lower, options.num_threads);
   factors.lower = {};
   index.upper_inverse_ =
-      lu::InvertUpperTriangularTransposed(factors.upper, options.num_threads);
+      lu::InvertUpperTriangular(factors.upper, options.num_threads);
   factors = {};
   index.stats_.inverse_seconds = phase_timer.Seconds();
   index.stats_.nnz_lower_inverse = state.lower_inverse.nnz();

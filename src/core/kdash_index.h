@@ -4,16 +4,17 @@
 //   1. node reordering (Section 4.2.2; hybrid by default),
 //   2. W = I - (1-c)A in the reordered space,
 //   3. sparse LU factorization W = LU,
-//   4. explicit sparse inverses L⁻¹ and U⁻¹ᵀ, both built in one
-//      elimination order (backward substitution, lu/triangular.h) and
-//      written row by row: row j of L⁻¹ solves Lᵀ y = e_j, and row j of
-//      U⁻¹ᵀ solves U x = e_j. Rows rather than columns because in hybrid
-//      order the rows of L⁻¹ cost O(b³) and its columns O(n·b²) for a
-//      border of b nodes. Both are built straight into head + run form
+//   4. explicit sparse inverses L⁻¹ and U⁻¹ᵀ from the one inverse builder
+//      (lu/triangular.h), which writes each backward solve as an output
+//      row: InvertLowerTriangular(L) solves Lᵀ y = e_j for row j of L⁻¹,
+//      and InvertUpperTriangular(U) solves U x = e_j, column j of U⁻¹, for
+//      row j of the U⁻¹ᵀ it returns. Rows rather than columns because in
+//      hybrid order the rows of L⁻¹ cost O(b³) and its columns O(n·b²) for
+//      a border of b nodes. Both come straight out in head + run form
 //      (sparse/head_run_matrix.h): each column keeps a sparse head and one
-//      dense run, cut where the column takes the fewest bytes. U⁻¹ is kept
-//      transposed, so row u of U⁻¹ (the one proximity dot of Eq. 3) is one
-//      column — mostly one contiguous run,
+//      dense run, cut where the column takes the fewest bytes. So row u of
+//      U⁻¹ (the one proximity dot of Eq. 3) is one column of
+//      upper_inverse() — mostly one contiguous run,
 //   5. the estimator's precomputed values Amax, Amax(u), c′(u)
 //      (Section 4.3.1) in *original* node-id space.
 // The index also keeps an unweighted copy of the out-adjacency for the

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <ranges>
 #include <utility>
 
 #include "common/check.h"
@@ -80,9 +79,9 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 // Solve j is T x = e_j, i.e. column j of T⁻¹. Its nonzero pattern is the set
 // of nodes reachable from j in the DAG "k → rows above the diagonal of
 // T(:, k)", and processing discovered nodes in descending row order is a
-// valid elimination order (all updates flow strictly upward). Each solved
-// column is written either as column j of the output (T⁻¹) or as row j
-// (T⁻¹ᵀ), in head + run form (sparse/head_run_matrix.h).
+// valid elimination order (all updates flow strictly upward). Each solve is
+// written as row j of the output, which is T⁻¹ᵀ, in head + run form
+// (sparse/head_run_matrix.h).
 //
 // Solves are computed in aligned blocks of kBlockWidth, together over the
 // union of their patterns: each column of T is streamed once per block and
@@ -97,34 +96,30 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 // Build() fills the output in three stages over the chunks of ChunkBounds,
 // the first and last on a thread pool (a pool of 1 runs them inline):
 //   1. Solve. Each chunk keeps a Tally per output column it reaches, and
-//      keeps its solves until they are placed. Written as rows, lane l of
-//      pattern row i of a block is output column i's entry at row j0 + l,
-//      so a chunk keeps each block as its pattern rows' nonzero lanes, one
-//      Block sized exactly, and counts each row into one tally. Written as
-//      columns, a solve is a whole output column, so it is cut as it is
-//      gathered, and the chunk keeps its head entries and its run.
+//      keeps its solves until they are placed. Lane l of pattern row i of a
+//      block is output column i's entry at row j0 + l, so a chunk keeps
+//      each block as its pattern rows' nonzero lanes, one Block sized
+//      exactly, and counts each row into one tally.
 //   2. Shape (sequential, O(n + tallies)). Each column's tallies, in chunk
 //      order, give its count and its cut, the first of least CutCost over
 //      all of its entries, and give each chunk its first index in the
 //      column. Prefix sums over the columns then give the output's
 //      pointers.
 //   3. Place. Each chunk writes its entries into the output's heads and
-//      runs at its cursors (written as columns, it copies its heads and
-//      runs whole), freeing its solves as it goes.
+//      runs at its cursors, freeing its solves as it goes.
 // Chunks cover ascending j, so every output column comes out in ascending
 // row order, and the output is bit-identical at every thread count.
 class TriangularInverter {
  public:
-  TriangularInverter(const sparse::CscMatrix& upper, bool write_rows)
-      : m_(upper), write_rows_(write_rows) {
+  explicit TriangularInverter(const sparse::CscMatrix& upper) : m_(upper) {
     KDASH_CHECK_EQ(m_.rows(), m_.cols());
   }
 
   sparse::HeadRunMatrix Build(int num_threads);
 
  private:
-  // Written as rows, one pattern row i of a solved block: the chunk's tally
-  // of output column i, and the lanes l whose x_i is nonzero (bit l).
+  // One pattern row i of a solved block: the chunk's tally of output column
+  // i, and the lanes l whose x_i is nonzero (bit l).
   struct BlockRow {
     std::uint32_t tally;
     std::uint32_t lanes;
@@ -148,8 +143,8 @@ class TriangularInverter {
     // Max-heap worklist: every row enters once, and rows leave it in
     // descending order, the elimination order.
     std::vector<NodeId> heap;
-    // Written as rows: output column → its tally in the current chunk,
-    // and the block being kept.
+    // Output column → its tally in the current chunk, and the block being
+    // kept.
     std::vector<NodeId> tally_of;
     Block block;
   };
@@ -176,16 +171,12 @@ class TriangularInverter {
     }
   };
 
-  // The solves [begin, end) and, until placed, their entries. Written as
-  // rows, one Block per block of solves; written as columns, each solve's
-  // head entries (rows, values) and its run (runs), solve after solve.
+  // The solves [begin, end) and, until placed, their entries: one Block per
+  // block of solves.
   struct Chunk {
     NodeId begin = 0;
     NodeId end = 0;
     std::vector<Block> blocks;
-    std::vector<NodeId> rows;
-    std::vector<Scalar> values;
-    std::vector<Scalar> runs;
     std::vector<Tally> tallies;
   };
 
@@ -246,32 +237,26 @@ class TriangularInverter {
     }
   }
 
-  // Stage 1 for one chunk: solves its blocks and keeps each, as block rows
-  // or as cut columns. `tally_of` is all kNoSlot between chunks.
+  // Stage 1 for one chunk: solves its blocks and keeps each as block rows.
+  // `tally_of` is all kNoSlot between chunks.
   void Solve(Chunk& chunk, Workspace& ws) const {
     for (NodeId j0 = chunk.begin; j0 < chunk.end; j0 += kBlockWidth) {
       const NodeId width = std::min<NodeId>(kBlockWidth, chunk.end - j0);
       SolveBlock(j0, width, ws);
-      if (write_rows_) {
-        KeepBlockRows(chunk, j0, width, ws);
-      } else {
-        GatherColumns(chunk, j0, width, ws);
-      }
+      KeepBlockRows(chunk, j0, width, ws);
       for (const NodeId i : ws.pattern) {
         ws.slot[static_cast<std::size_t>(i)] = kNoSlot;
       }
     }
-    if (write_rows_) {
-      for (const Tally& tally : chunk.tallies) {
-        ws.tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
-      }
+    for (const Tally& tally : chunk.tallies) {
+      ws.tally_of[static_cast<std::size_t>(tally.col)] = kNoSlot;
     }
     chunk.tallies.shrink_to_fit();
   }
 
-  // Written as rows: keeps the solved block's nonzeros by pattern row, and
-  // counts row i's nonzero lanes l, in ascending l, into the tally of
-  // column i at rows j0 + l.
+  // Keeps the solved block's nonzeros by pattern row, and counts row i's
+  // nonzero lanes l, in ascending l, into the tally of column i at rows
+  // j0 + l.
   void KeepBlockRows(Chunk& chunk, NodeId j0, NodeId width,
                      Workspace& ws) const {
     ws.block.rows.clear();
@@ -300,39 +285,6 @@ class TriangularInverter {
       ws.block.rows.push_back({static_cast<std::uint32_t>(at), nonzero});
     }
     chunk.blocks.push_back(ws.block);
-  }
-
-  // Written as columns: solve j's nonzeros, in ascending rows, are all of
-  // column j, so its cut is known once they are gathered, and its entries
-  // from the cut on move into its run while they are in cache.
-  void GatherColumns(Chunk& chunk, NodeId j0, NodeId width,
-                     const Workspace& ws) const {
-    for (NodeId lane = 0; lane < width; ++lane) {
-      const std::size_t first = chunk.rows.size();
-      Tally column{j0 + lane};
-      for (const NodeId i : std::views::reverse(ws.pattern)) {
-        const Scalar xi =
-            ws.acc[static_cast<std::size_t>(
-                       ws.slot[static_cast<std::size_t>(i)]) *
-                       kBlockWidth +
-                   static_cast<std::size_t>(lane)];
-        if (xi == 0.0) continue;
-        chunk.rows.push_back(i);
-        chunk.values.push_back(xi);
-        column.Add(i);
-      }
-      if (column.count == 0) continue;
-      const std::size_t head_end = first + column.cut;
-      const std::size_t run_at = chunk.runs.size();
-      chunk.runs.resize(run_at + column.last_row - column.cut_row + 1, 0.0);
-      Scalar* const run = chunk.runs.data() + run_at;
-      for (std::size_t e = head_end; e < chunk.rows.size(); ++e) {
-        run[chunk.rows[e] - column.cut_row] = chunk.values[e];
-      }
-      chunk.rows.resize(head_end);
-      chunk.values.resize(head_end);
-      chunk.tallies.push_back(column);
-    }
   }
 
   // Stage 2. Merges every column's tallies in chunk order into its extent
@@ -374,24 +326,13 @@ class TriangularInverter {
     }
   }
 
-  // Stage 3 for one chunk. Written as columns, the chunk's heads and runs
-  // are one stretch of each output array. Written as rows, lane l of a
-  // block row of block j0 is its column's next entry: it lands in the head
-  // while the chunk's cursor there is before the cut, else at row j0 + l
-  // of the run. Each block is freed once placed.
+  // Stage 3 for one chunk. Lane l of a block row of block j0 is its
+  // column's next entry: it lands in the head while the chunk's cursor
+  // there is before the cut, else at row j0 + l of the run. Each block is
+  // freed once placed.
   void Place(Chunk& chunk, std::vector<NodeId>& head_rows,
              std::vector<Scalar>& head_values,
              std::vector<Scalar>& run_values) const {
-    if (!write_rows_) {
-      const auto begin = static_cast<std::size_t>(chunk.begin);
-      std::copy(chunk.rows.begin(), chunk.rows.end(),
-                head_rows.begin() + head_ptr_[begin]);
-      std::copy(chunk.values.begin(), chunk.values.end(),
-                head_values.begin() + head_ptr_[begin]);
-      std::copy(chunk.runs.begin(), chunk.runs.end(),
-                run_values.begin() + run_ptr_[begin]);
-      return;
-    }
     NodeId j0 = chunk.begin;
     for (Block& block : chunk.blocks) {
       const Scalar* x = block.values.data();
@@ -416,7 +357,6 @@ class TriangularInverter {
   }
 
   const sparse::CscMatrix& m_;
-  bool write_rows_;
   std::vector<Chunk> chunks_;
   // The output's pointers (col_ptr_ counts per column until Shape's prefix
   // sum) and run begins.
@@ -450,7 +390,7 @@ sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
           Workspace& ws = workspaces[static_cast<std::size_t>(rank)];
           if (ws.slot.empty()) {
             ws.slot.assign(cols, kNoSlot);
-            if (write_rows_) ws.tally_of.assign(cols, kNoSlot);
+            ws.tally_of.assign(cols, kNoSlot);
           }
           for (Index c = c_begin; c < c_end; ++c) {
             Solve(chunks_[static_cast<std::size_t>(c)], ws);
@@ -484,20 +424,14 @@ sparse::HeadRunMatrix TriangularInverter::Build(int num_threads) {
 
 sparse::HeadRunMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                             int num_threads) {
-  // Row j of L⁻¹ is the solve of Lᵀ y = e_j: column j of (Lᵀ)⁻¹, written as
-  // row j.
+  // Row j of L⁻¹ is the solve of Lᵀ y = e_j, column j of (Lᵀ)⁻¹.
   const sparse::CscMatrix lower_t = lower.Transposed();
-  return TriangularInverter(lower_t, /*write_rows=*/true).Build(num_threads);
+  return TriangularInverter(lower_t).Build(num_threads);
 }
 
 sparse::HeadRunMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                             int num_threads) {
-  return TriangularInverter(upper, /*write_rows=*/false).Build(num_threads);
-}
-
-sparse::HeadRunMatrix InvertUpperTriangularTransposed(
-    const sparse::CscMatrix& upper, int num_threads) {
-  return TriangularInverter(upper, /*write_rows=*/true).Build(num_threads);
+  return TriangularInverter(upper).Build(num_threads);
 }
 
 }  // namespace kdash::lu

@@ -7,15 +7,15 @@
 //   * dense forward/backward substitution (reference + tests),
 //   * the exact explicit inverse builders.
 //
-// The builders run one elimination order: backward substitution on an
-// upper triangular T, where solve j is T x = e_j at a cost proportional to
-// its nonzeros, bit for bit SolveUpperInPlace applied to e_j. The solved
-// column is written either as an output column or as an output row:
-//   * InvertUpperTriangular(U) writes solve j as column j of U⁻¹;
-//   * InvertUpperTriangularTransposed(U) writes it as row j, which gives
-//     U⁻¹ᵀ, the form the index stores;
-//   * InvertLowerTriangular(X) solves on Xᵀ and writes solve j as row j,
-//     which is row j of X⁻¹ because (Xᵀ)⁻¹ = X⁻¹ᵀ.
+// The builders run one elimination order and write one orientation:
+// backward substitution on an upper triangular T, where solve j is
+// T x = e_j at a cost proportional to its nonzeros, bit for bit
+// SolveUpperInPlace applied to e_j, and solve j is written as row j of the
+// output, which is T⁻¹ᵀ. So
+//   * InvertUpperTriangular(U) solves on U itself and returns U⁻¹ᵀ, the
+//     form the index stores (no transposed copy of the factor);
+//   * InvertLowerTriangular(X) solves on Xᵀ and returns X⁻¹, because
+//     (Xᵀ)⁻¹ᵀ = X⁻¹.
 // The orientation decides the cost. In hybrid order the factors end in a
 // dense border of b nodes. Every column of L⁻¹ reaches the border, so
 // forward substitution column by column costs O(n·b²); a row of L⁻¹,
@@ -28,19 +28,10 @@
 // Each solve's nonzero updates are applied in the same order as in the
 // dense solve, so the blocking does not change a bit. The output is built
 // straight into head + run form (sparse/head_run_matrix.h) by one parallel
-// fill: chunks of whole blocks, of about equal Σ nnz(T(:, j)), are solved
-// on a thread pool (one thread runs the same chunks inline), and each
-// chunk keeps its solves until they are placed. Written as rows, a chunk
-// keeps each solved block as block rows, in buffers sized exactly: per
-// pattern row i, a mask of the lanes l whose x_i is nonzero and those
-// values. They are output column i's entries at rows j0 + l, so each block
-// row is counted into, and later placed through, one tally of its column.
-// Written as columns, a solve is a whole output column, cut as it is
-// gathered into a head and a run. A prefix over (column, chunk) then gives
-// every column its cut and every chunk its place in it, and each chunk
-// places its own entries, freeing each block once placed.
-// Every solve depends only on j and every cut only on its column, so the
-// output is identical at every thread count.
+// fill over chunks of whole blocks, of about equal Σ nnz(T(:, j)), on a
+// thread pool (one thread runs the same chunks inline); triangular.cc
+// describes its stages. Every solve depends only on j and every cut only
+// on its column, so the output is identical at every thread count.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 
@@ -68,17 +59,13 @@ void SolveUpperInPlace(const sparse::CscMatrix& upper, std::vector<Scalar>& b);
 sparse::HeadRunMatrix InvertLowerTriangular(const sparse::CscMatrix& lower,
                                             int num_threads = 0);
 
-// Explicit inverse of an upper triangular matrix, in head + run form:
-// column j is SolveUpperInPlace(upper, e_j); otherwise as
-// InvertLowerTriangular.
+// U⁻¹ᵀ, the explicit inverse of an upper triangular matrix *transposed*,
+// in head + run form: column j of the result is row j of U⁻¹, and row j is
+// SolveUpperInPlace(upper, e_j). Solved on `upper` itself, so it makes no
+// transposed copy of the factor. KDashIndex::upper_inverse() holds exactly
+// this matrix. Otherwise as InvertLowerTriangular.
 sparse::HeadRunMatrix InvertUpperTriangular(const sparse::CscMatrix& upper,
                                             int num_threads = 0);
-
-// U⁻¹ᵀ, the transpose of InvertUpperTriangular(upper), bit for bit: row j
-// is SolveUpperInPlace(upper, e_j). Solved on `upper` itself, so it makes
-// no transposed copy of the factor.
-sparse::HeadRunMatrix InvertUpperTriangularTransposed(
-    const sparse::CscMatrix& upper, int num_threads = 0);
 
 }  // namespace kdash::lu
 

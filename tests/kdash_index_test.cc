@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "head_run_csc.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
+#include "lu/triangular.h"
 #include "sparse/permute.h"
 #include "test_util.h"
 
@@ -41,23 +45,37 @@ TEST(KDashIndexTest, PermutationsAreInverse) {
 }
 
 TEST(KDashIndexTest, InverseFactorsReconstructSystemInverse) {
-  // U⁻¹ L⁻¹ must equal (P W Pᵀ)⁻¹ in the reordered space.
-  const auto g = test::RandomDirectedGraph(40, 220, 22);
-  KDashOptions options;
-  options.restart_prob = 0.9;
-  const auto index = KDashIndex::Build(g, options);
+  // U⁻¹ L⁻¹ must equal (P W Pᵀ)⁻¹ in the reordered space, and the index
+  // must store exactly what the inverse builders make of W's factors:
+  // L⁻¹, and U⁻¹ᵀ as upper_inverse(). The second input spans three
+  // 16-solve blocks and a partial fourth, built on three threads.
+  for (const auto& [n, threads] : {std::pair{NodeId{40}, 0},
+                                   std::pair{NodeId{16 * 3 + 5}, 3}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto g = test::RandomDirectedGraph(n, 11 * n / 2, 22);
+    KDashOptions options;
+    options.restart_prob = 0.9;
+    options.num_threads = threads;
+    const auto index = KDashIndex::Build(g, options);
 
-  const auto a_perm = sparse::PermuteSymmetric(g.NormalizedAdjacency(),
-                                               index.new_of_old());
-  const auto w = lu::BuildRwrSystemMatrix(a_perm, 0.9);
-  const auto inverse_product = linalg::MatMul(
-      test::ToDense(test::ToCsc(index.upper_inverse()).Transposed()),
-      test::ToDense(test::ToCsc(index.lower_inverse())));
-  const auto should_be_identity =
-      linalg::MatMul(test::ToDense(w), inverse_product);
-  EXPECT_LT(test::MaxAbsDiff(should_be_identity,
-                             linalg::DenseMatrix::Identity(40)),
-            1e-11);
+    const auto a_perm = sparse::PermuteSymmetric(g.NormalizedAdjacency(),
+                                                 index.new_of_old());
+    const auto w = lu::BuildRwrSystemMatrix(a_perm, 0.9);
+    const auto inverse_product = linalg::MatMul(
+        test::ToDense(test::ToCsc(index.upper_inverse()).Transposed()),
+        test::ToDense(test::ToCsc(index.lower_inverse())));
+    const auto should_be_identity =
+        linalg::MatMul(test::ToDense(w), inverse_product);
+    EXPECT_LT(test::MaxAbsDiff(should_be_identity,
+                               linalg::DenseMatrix::Identity(n)),
+              1e-11);
+
+    const lu::LuFactors factors = lu::FactorizeLu(w);
+    EXPECT_TRUE(test::SameBits(index.lower_inverse(),
+                               lu::InvertLowerTriangular(factors.lower)));
+    EXPECT_TRUE(test::SameBits(index.upper_inverse(),
+                               lu::InvertUpperTriangular(factors.upper)));
+  }
 }
 
 TEST(KDashIndexTest, AdjacencyMirrorsGraph) {

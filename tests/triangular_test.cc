@@ -63,7 +63,9 @@ TEST(TriangularInverseTest, LowerInverseTimesLowerIsIdentity) {
 
 TEST(TriangularInverseTest, UpperInverseTimesUpperIsIdentity) {
   const LuFactors factors = FactorsOfRandomRwr(40, 250, 0.95, 6);
-  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
+  // InvertUpperTriangular returns U⁻¹ᵀ.
+  const CscMatrix u_inv =
+      test::ToCsc(InvertUpperTriangular(factors.upper)).Transposed();
   const auto product =
       linalg::MatMul(test::ToDense(factors.upper), test::ToDense(u_inv));
   EXPECT_LT(test::MaxAbsDiff(product, linalg::DenseMatrix::Identity(40)), 1e-12);
@@ -73,7 +75,8 @@ TEST(TriangularInverseTest, InversesStayTriangular) {
   // Eq. 4–5 of the paper: L⁻¹ is lower triangular, U⁻¹ upper triangular.
   const LuFactors factors = FactorsOfRandomRwr(50, 300, 0.9, 7);
   const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
-  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
+  const CscMatrix u_inv =
+      test::ToCsc(InvertUpperTriangular(factors.upper)).Transposed();
   for (NodeId j = 0; j < 50; ++j) {
     for (Index k = l_inv.ColBegin(j); k < l_inv.ColEnd(j); ++k) {
       EXPECT_GE(l_inv.RowIndex(k), j);
@@ -109,7 +112,8 @@ TEST(TriangularInverseTest, CompositionGivesSystemInverse) {
   const Scalar c = 0.9;
   const LuFactors factors = FactorizeLu(BuildRwrSystemMatrix(a, c));
   const CscMatrix l_inv = test::ToCsc(InvertLowerTriangular(factors.lower));
-  const CscMatrix u_inv = test::ToCsc(InvertUpperTriangular(factors.upper));
+  const CscMatrix u_inv =
+      test::ToCsc(InvertUpperTriangular(factors.upper)).Transposed();
 
   const auto w_inv_dense = linalg::MatMul(test::ToDense(u_inv), test::ToDense(l_inv));
   const auto w_dense = test::ToDense(BuildRwrSystemMatrix(a, c));
@@ -208,15 +212,15 @@ Result<HeadRunMatrix> Restore(const HeadRunMatrix& m) {
 
 TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
   // Row i of L⁻¹ is the backward solve of Lᵀ y = e_i, i.e. column i of
-  // L⁻¹ᵀ; column j of U⁻¹ is the backward solve of U x = e_j. Both
+  // L⁻¹ᵀ; row j of U⁻¹ᵀ is the backward solve of U x = e_j. Both
   // builders' head + run output must be the test-side FromCsc of the
-  // oracle, bit for bit, and must load back through FromStored. Eight
-  // threads are more than the small inputs have blocks.
+  // oracle's transpose, bit for bit, and must load back through
+  // FromStored. Eight threads are more than the small inputs have blocks.
   for (const auto& [label, factors] : OracleInputs()) {
     const HeadRunMatrix want_lower = test::FromCsc(
         BackwardSolveColumns(factors.lower.Transposed()).Transposed());
     const HeadRunMatrix want_upper =
-        test::FromCsc(BackwardSolveColumns(factors.upper));
+        test::FromCsc(BackwardSolveColumns(factors.upper).Transposed());
     for (const int threads : {1, 3, 8}) {
       SCOPED_TRACE(label + ", threads=" + std::to_string(threads));
       for (const auto& [got, want] :
@@ -234,36 +238,15 @@ TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
 }
 
 TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
-  // InvertLowerTriangular(Uᵀ) must be the transpose of
-  // InvertUpperTriangular(U) bit for bit.
+  // (Uᵀ)⁻¹ = U⁻¹ᵀ: InvertLowerTriangular(Uᵀ) solves on U, as
+  // InvertUpperTriangular(U) does, and must give the same matrix bit for
+  // bit.
   for (const auto& [label, factors] : OracleInputs()) {
     const CscMatrix upper_t = factors.upper.Transposed();
     for (const int threads : {1, 3}) {
-      EXPECT_TRUE(test::SameBits(
-          InvertLowerTriangular(upper_t, threads),
-          test::FromCsc(
-              test::ToCsc(InvertUpperTriangular(factors.upper, threads))
-                  .Transposed())))
+      EXPECT_TRUE(test::SameBits(InvertLowerTriangular(upper_t, threads),
+                                 InvertUpperTriangular(factors.upper, threads)))
           << label << ", threads=" << threads;
-    }
-  }
-}
-
-TEST(TriangularInverseOracleTest, UInverseTransposedIsSolvedOnUItself) {
-  // The index stores U⁻¹ᵀ as InvertUpperTriangularTransposed(U), which
-  // solves on U with no transposed copy. It must be the oracle's U⁻¹
-  // transposed, bit for bit, and load back.
-  for (const auto& [label, factors] : OracleInputs()) {
-    const HeadRunMatrix want =
-        test::FromCsc(BackwardSolveColumns(factors.upper).Transposed());
-    for (const int threads : {1, 3, 8}) {
-      SCOPED_TRACE(label + ", threads=" + std::to_string(threads));
-      const HeadRunMatrix got =
-          InvertUpperTriangularTransposed(factors.upper, threads);
-      EXPECT_TRUE(test::SameBits(got, want));
-      const auto restored = Restore(got);
-      ASSERT_TRUE(restored.ok()) << restored.status();
-      EXPECT_TRUE(test::SameBits(*restored, got));
     }
   }
 }
@@ -321,21 +304,16 @@ TEST(TriangularInverseOracleTest, ExactZerosInsideABlockRowAreDropped) {
   ASSERT_EQ(x19[17], 0.0);
   ASSERT_TRUE(std::signbit(x19[17]));
 
-  const CscMatrix oracle = BackwardSolveColumns(upper);
-  const HeadRunMatrix want_upper = test::FromCsc(oracle);
-  const HeadRunMatrix want_transposed = test::FromCsc(oracle.Transposed());
+  const HeadRunMatrix want =
+      test::FromCsc(BackwardSolveColumns(upper).Transposed());
   // The diagonal, plus x_0 in solve 1, x_1 in solve 2, x_17 in solve 18
   // and x_18 in solve 19: neither zero is kept.
-  EXPECT_EQ(want_upper.nnz(), Index{n + 4});
+  EXPECT_EQ(want.nnz(), Index{n + 4});
   const CscMatrix upper_t = upper.Transposed();
   for (const int threads : {1, 3, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    for (const auto& [got, want] :
-         {std::pair{InvertUpperTriangular(upper, threads), want_upper},
-          std::pair{InvertUpperTriangularTransposed(upper, threads),
-                    want_transposed},
-          std::pair{InvertLowerTriangular(upper_t, threads),
-                    want_transposed}}) {
+    for (const HeadRunMatrix& got : {InvertUpperTriangular(upper, threads),
+                                     InvertLowerTriangular(upper_t, threads)}) {
       EXPECT_TRUE(test::SameBits(got, want));
       const auto restored = Restore(got);
       ASSERT_TRUE(restored.ok()) << restored.status();

@@ -6,8 +6,9 @@ Three record formats are understood:
   scaling  one JSON line emitted by bench_parallel_scaling (bench_util's
            {"bench":"parallel_scaling","records":[...]} shape). The gated
            metrics, at the highest thread count present in both runs, are
-           reorder_seconds and the two inverse builds,
-           lower_inverse_seconds and upper_inverse_seconds: the parallel
+           reorder_seconds and the two inverse builds exactly as
+           KDashIndex::Build runs them, lower_inverse_seconds (L⁻¹) and
+           upper_inverse_seconds (the stored U⁻¹ᵀ): the parallel
            set-up stages most likely to silently regress back to a
            sequential wall (the inverses' fill included). Also gated is
            build_peak_mb, how far one whole KDashIndex::Build raises the
@@ -20,8 +21,8 @@ Three record formats are understood:
            and exists in both runs is gated on real_time; the default
            filter pins the single-thread query-latency benchmarks, which
            must never pay for precompute-side parallelism, the
-           single-thread L and U inverse builds, so a slower inverse
-           kernel cannot silently replace the blocked one, and the
+           single-thread builds of L⁻¹ and of the stored U⁻¹ᵀ, so a slower
+           inverse kernel cannot silently replace the blocked one, and the
            single-thread LU factorization, whose gated input takes the
            dense tail.
 
