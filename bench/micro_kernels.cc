@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the kernels on K-dash's hot
 // paths: SpMV, the O(1) estimate update, sparse triangular solves, BFS,
-// LU factorization, and a full K-dash query.
+// LU factorization, a full K-dash query, and the updatable engine's build
+// and search.
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
+#include "core/dynamic.h"
 #include "core/estimator.h"
 #include "core/kdash_index.h"
 #include "core/kdash_searcher.h"
+#include "datasets/datasets.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "lu/sparse_lu.h"
@@ -210,6 +213,40 @@ void BM_PowerIterationQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerIterationQuery)->Arg(1000)->Arg(4000);
+
+// The Email stand-in at scale 1, the updatable engine's graph in kbench's
+// update_mixed workload.
+const graph::Graph& DynamicBenchGraph() {
+  static const datasets::Dataset dataset =
+      datasets::MakeDataset(datasets::DatasetId::kEmail, 1.0);
+  return dataset.graph;
+}
+
+void BM_DynamicBuild(benchmark::State& state) {
+  // The updatable engine's set-up: the adjacency maps, the degree order
+  // and the LU of the base system (every rebuild repeats the last two).
+  const graph::Graph& g = DynamicBenchGraph();
+  for (auto _ : state) {
+    core::DynamicKDash dynamic(g, 0.95);
+    benchmark::DoNotOptimize(dynamic.rebuild_count());
+  }
+}
+BENCHMARK(BM_DynamicBuild)->Unit(benchmark::kMillisecond);
+
+void BM_DynamicSearch(benchmark::State& state) {
+  // One updatable-engine read with no pending edits: two triangular solves
+  // on the base factors and a top-k scan over every node.
+  const graph::Graph& g = DynamicBenchGraph();
+  const core::DynamicKDash dynamic(g, 0.95);
+  Rng rng(7);
+  Query query = Query::Single(0, 25);
+  for (auto _ : state) {
+    query.sources.front() = rng.NextNode(g.num_nodes());
+    const auto result = dynamic.Search(query);
+    benchmark::DoNotOptimize(result.top.data());
+  }
+}
+BENCHMARK(BM_DynamicSearch);
 
 }  // namespace
 }  // namespace kdash

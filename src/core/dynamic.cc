@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/timer.h"
 #include "common/top_k.h"
 #include "sparse/coo_builder.h"
 
@@ -13,9 +15,25 @@ namespace kdash::core {
 
 namespace {
 
-// Normalized adjacency from a mutable adjacency-map representation.
+// Total degree (in + out) of every node of a mutable adjacency map, counted
+// as graph::Graph::Degree counts it (a self-loop adds one to each side).
+std::vector<Index> TotalDegrees(
+    const std::vector<std::map<NodeId, Scalar>>& out_edges) {
+  std::vector<Index> degree(out_edges.size(), 0);
+  for (std::size_t v = 0; v < out_edges.size(); ++v) {
+    degree[v] += static_cast<Index>(out_edges[v].size());
+    for (const auto& [dst, weight] : out_edges[v]) {
+      ++degree[static_cast<std::size_t>(dst)];
+    }
+  }
+  return degree;
+}
+
+// Normalized adjacency from a mutable adjacency-map representation,
+// permuted into solver order: P·A·Pᵀ.
 sparse::CscMatrix NormalizedFromMaps(
-    NodeId n, const std::vector<std::map<NodeId, Scalar>>& out_edges) {
+    NodeId n, const std::vector<std::map<NodeId, Scalar>>& out_edges,
+    const std::vector<NodeId>& new_of_old) {
   sparse::CooBuilder builder(n, n);
   for (NodeId v = 0; v < n; ++v) {
     Scalar total = 0.0;
@@ -23,8 +41,10 @@ sparse::CscMatrix NormalizedFromMaps(
       total += weight;
     }
     if (total <= 0.0) continue;
+    const NodeId column = new_of_old[static_cast<std::size_t>(v)];
     for (const auto& [dst, weight] : out_edges[static_cast<std::size_t>(v)]) {
-      builder.Add(dst, v, weight / total);
+      builder.Add(new_of_old[static_cast<std::size_t>(dst)], column,
+                  weight / total);
     }
   }
   return builder.BuildCsc();
@@ -33,7 +53,10 @@ sparse::CscMatrix NormalizedFromMaps(
 }  // namespace
 
 DynamicKDash::DynamicKDash(const graph::Graph& graph, Scalar restart_prob)
-    : restart_prob_(restart_prob), num_nodes_(graph.num_nodes()) {
+    : restart_prob_(restart_prob),
+      num_nodes_(graph.num_nodes()),
+      rebuild_us_(&obs::MetricRegistry::Global().GetHistogram(
+          "dynamic.rebuild_us")) {
   KDASH_CHECK(restart_prob > 0.0 && restart_prob < 1.0);
   out_edges_.resize(static_cast<std::size_t>(num_nodes_));
   for (NodeId u = 0; u < num_nodes_; ++u) {
@@ -45,16 +68,23 @@ DynamicKDash::DynamicKDash(const graph::Graph& graph, Scalar restart_prob)
 }
 
 void DynamicKDash::Rebuild() {
-  base_a_ = NormalizedFromMaps(num_nodes_, out_edges_);
+  const WallTimer timer;
+  reorder::Reordering order =
+      reorder::AscendingDegreeReordering(TotalDegrees(out_edges_));
+  sparse::CscMatrix base_a =
+      NormalizedFromMaps(num_nodes_, out_edges_, order.new_of_old);
   // Assigned, not emplaced: the new factors are built while the old ones
-  // are still held, so a failed factorization leaves the old solver in
-  // place, and every rebuild peaks at the same two-factor footprint instead
-  // of leaving the process's peak to allocator timing.
-  base_solver_ = rwr::DirectRwrSolver(base_a_, restart_prob_);
+  // are still held, so a failed factorization leaves the old order, system
+  // and solver in place, and every rebuild peaks at the same two-factor
+  // footprint instead of leaving the process's peak to allocator timing.
+  base_solver_ = rwr::DirectRwrSolver(base_a, restart_prob_);
+  order_ = std::move(order);
+  base_a_ = std::move(base_a);
   delta_columns_.clear();
   z_columns_.clear();
   m_ = linalg::DenseMatrix();
   ++rebuild_count_;
+  rebuild_us_->Record(static_cast<std::uint64_t>(timer.Micros()));
 }
 
 Status DynamicKDash::AddEdge(NodeId src, NodeId dst, Scalar weight) {
@@ -108,19 +138,23 @@ Status DynamicKDash::RemoveEdge(NodeId src, NodeId dst) {
 }
 
 void DynamicKDash::UpdateColumn(NodeId u) {
-  // D(:, u) = −(1-c)·(a_current(u) − a_base(u)). Both columns are normalized
-  // from the same map in the same order as NormalizedFromMaps, so a column
-  // that is back at its base value gives exact zeros.
+  // D(:, u) = −(1-c)·(a_current(u) − a_base(u)), in solver order. Both
+  // columns are normalized from the same map in the same order as
+  // NormalizedFromMaps, so a column that is back at its base value gives
+  // exact zeros.
+  const std::vector<NodeId>& new_of_old = order_.new_of_old;
   std::vector<Scalar> delta(static_cast<std::size_t>(num_nodes_), 0.0);
   const auto& edges = out_edges_[static_cast<std::size_t>(u)];
   Scalar total = 0.0;
   for (const auto& [dst, weight] : edges) total += weight;
   if (total > 0.0) {
     for (const auto& [dst, weight] : edges) {
-      delta[static_cast<std::size_t>(dst)] = weight / total;
+      delta[static_cast<std::size_t>(
+          new_of_old[static_cast<std::size_t>(dst)])] = weight / total;
     }
   }
-  for (Index k = base_a_.ColBegin(u); k < base_a_.ColEnd(u); ++k) {
+  const NodeId column = new_of_old[static_cast<std::size_t>(u)];
+  for (Index k = base_a_.ColBegin(column); k < base_a_.ColEnd(column); ++k) {
     delta[static_cast<std::size_t>(base_a_.RowIndex(k))] -= base_a_.Value(k);
   }
   const bool restored = std::all_of(delta.begin(), delta.end(),
@@ -151,12 +185,13 @@ void DynamicKDash::UpdateColumn(NodeId u) {
     }
   }
 
-  // M = (I_d + S Z)⁻¹ where S picks the changed rows of Z.
+  // M = (I_d + S Z)⁻¹ where S picks the changed nodes' rows of Z.
   const int d = static_cast<int>(delta_columns_.size());
   linalg::DenseMatrix core(d, d);
   for (int r = 0; r < d; ++r) {
-    const auto row = static_cast<std::size_t>(
-        delta_columns_[static_cast<std::size_t>(r)]);
+    const NodeId node = delta_columns_[static_cast<std::size_t>(r)];
+    const auto row =
+        static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(node)]);
     for (int j = 0; j < d; ++j) {
       core(r, j) = z_columns_[static_cast<std::size_t>(j)][row];
     }
@@ -165,9 +200,10 @@ void DynamicKDash::UpdateColumn(NodeId u) {
   m_ = linalg::InvertDense(core);
 }
 
-std::vector<Scalar> DynamicKDash::Solve(
+std::vector<Scalar> DynamicKDash::SolveInSolverOrder(
     const std::vector<NodeId>& sources) const {
   KDASH_CHECK(!sources.empty());
+  const std::vector<NodeId>& new_of_old = order_.new_of_old;
 
   // rhs = c·q with q the restart distribution placing 1/|sources| on each
   // occurrence — a duplicated source accumulates multiplicity, matching
@@ -177,7 +213,8 @@ std::vector<Scalar> DynamicKDash::Solve(
       restart_prob_ / static_cast<Scalar>(sources.size());
   for (const NodeId s : sources) {
     KDASH_CHECK(s >= 0 && s < num_nodes_) << "source " << s;
-    rhs[static_cast<std::size_t>(s)] += restart_mass;
+    rhs[static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(s)])] +=
+        restart_mass;
   }
   std::vector<Scalar> p = base_solver_->Solve(std::move(rhs));
   const int d = static_cast<int>(delta_columns_.size());
@@ -186,8 +223,9 @@ std::vector<Scalar> DynamicKDash::Solve(
   // p ← p − Z·M·(S·p), one column of Z at a time.
   std::vector<Scalar> selected(static_cast<std::size_t>(d), 0.0);
   for (int r = 0; r < d; ++r) {
+    const NodeId node = delta_columns_[static_cast<std::size_t>(r)];
     selected[static_cast<std::size_t>(r)] =
-        p[static_cast<std::size_t>(delta_columns_[static_cast<std::size_t>(r)])];
+        p[static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(node)])];
   }
   const std::vector<Scalar> coefficients = linalg::MatVec(m_, selected);
   for (int j = 0; j < d; ++j) {
@@ -198,21 +236,35 @@ std::vector<Scalar> DynamicKDash::Solve(
   return p;
 }
 
+std::vector<Scalar> DynamicKDash::Solve(
+    const std::vector<NodeId>& sources) const {
+  const std::vector<Scalar> p = SolveInSolverOrder(sources);
+  std::vector<Scalar> proximity(p.size());
+  for (std::size_t u = 0; u < p.size(); ++u) {
+    proximity[u] = p[static_cast<std::size_t>(order_.new_of_old[u])];
+  }
+  return proximity;
+}
+
 SearchResult DynamicKDash::Search(const Query& query) const {
-  const auto scores = Solve(query.sources);
+  // Scanned in solver order; the heap ranks ties by node id, so the scan
+  // order does not change the answer.
+  const auto scores = SolveInSolverOrder(query.sources);
+  const std::vector<NodeId>& old_of_new = order_.old_of_new;
   TopKHeap heap(query.k);
   if (query.exclude.empty()) {
-    for (std::size_t u = 0; u < scores.size(); ++u) {
-      heap.Push(static_cast<NodeId>(u), scores[u]);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      heap.Push(old_of_new[i], scores[i]);
     }
   } else {
     std::vector<bool> excluded(scores.size(), false);
     for (const NodeId node : query.exclude) {
       KDASH_CHECK(node >= 0 && node < num_nodes_) << "excluded node " << node;
-      excluded[static_cast<std::size_t>(node)] = true;
+      excluded[static_cast<std::size_t>(
+          order_.new_of_old[static_cast<std::size_t>(node)])] = true;
     }
-    for (std::size_t u = 0; u < scores.size(); ++u) {
-      if (!excluded[u]) heap.Push(static_cast<NodeId>(u), scores[u]);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (!excluded[i]) heap.Push(old_of_new[i], scores[i]);
     }
   }
   SearchResult result;

@@ -2,8 +2,9 @@
 // refactorization.
 //
 // The paper's index is static; rebuilding it per edge change would cost the
-// full precompute. This wrapper keeps the *base* factorization W₀ = LU and
-// represents the current system as a low-rank correction
+// full precompute. This wrapper keeps the *base* factorization
+// P·W₀·Pᵀ = LU (P the degree order below) and represents the current
+// system as a low-rank correction
 //
 //   W = W₀ + D·S,   D = the changed columns' deltas (n × d),
 //                   S = selector rows e_uᵀ of the changed columns (d × n),
@@ -14,10 +15,20 @@
 //
 //   W⁻¹x = W₀⁻¹x − Z·M·(S·W₀⁻¹x),  Z = W₀⁻¹D,  M = (I_d + S·Z)⁻¹.
 //
-// Solves against W₀ go through a rwr::DirectRwrSolver over the base graph
-// (two triangular solves on its LU factors). Z and M are kept current on the
-// write path: an edit of node u's out-edges costs one solve for Z's column u
-// plus an O(d³) inversion of the d × d matrix M, so a read only applies them.
+// Every Rebuild orders the current graph by ascending total degree, ties
+// by id (the paper's Algorithm 1, reorder::AscendingDegreeReordering), and
+// factors the permuted base P·W₀·Pᵀ with a rwr::DirectRwrSolver. Degree
+// order keeps the factors sparse: on the Email stand-in at scale 1 its
+// L + U holds 28,756 nonzeros, where the id order gives 162,032. All solve
+// state lives in that solver order: the rhs is placed through new_of_old,
+// p and the columns of Z stay permuted, and S picks Z's rows at
+// new_of_old[u]. Node ids come back only where a result leaves the engine:
+// Search maps a position to its node as it offers it to the heap, and
+// Solve un-permutes once, on return.
+//
+// Z and M are kept current on the write path: an edit of node u's
+// out-edges costs one base solve for Z's column u plus an O(d³) inversion
+// of the d × d matrix M, so a read only applies them.
 // An edit that restores u's base column (an added edge removed again, a
 // removed edge re-added at its base weight) gives an exact-zero delta and
 // takes u out of the correction. kMaxPendingColumns counts the columns that
@@ -39,6 +50,8 @@
 #include "core/query.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
+#include "obs/metrics.h"
+#include "reorder/reorder.h"
 #include "rwr/direct_solver.h"
 #include "sparse/csc_matrix.h"
 
@@ -84,7 +97,9 @@ class DynamicKDash {
   // column.
   int pending_columns() const { return static_cast<int>(delta_columns_.size()); }
 
-  // Fold all pending updates into a fresh factorization.
+  // Fold all pending updates into a fresh factorization, in the degree
+  // order of the current graph. Each call, the constructor's included, is
+  // one dynamic.rebuild_us sample.
   void Rebuild();
 
   int rebuild_count() const { return rebuild_count_; }
@@ -93,22 +108,34 @@ class DynamicKDash {
   // Brings Z's column u and M up to date after an edit of u's out-edges.
   void UpdateColumn(NodeId u);
 
+  // W⁻¹ · c·q for the restart distribution q over `sources`, in solver
+  // order: entry new_of_old[u] is node u's proximity.
+  std::vector<Scalar> SolveInSolverOrder(
+      const std::vector<NodeId>& sources) const;
+
   Scalar restart_prob_;
   NodeId num_nodes_ = 0;
 
   // Mutable adjacency (current graph).
   std::vector<std::map<NodeId, Scalar>> out_edges_;
 
-  // Base system (as of the last Rebuild) and its factorization W₀ = LU.
+  // Solver order as of the last Rebuild: node u sits at new_of_old[u].
+  reorder::Reordering order_;
+
+  // Base adjacency (as of the last Rebuild) in solver order, P·A₀·Pᵀ, and
+  // the factorization of the system built from it.
   sparse::CscMatrix base_a_;
   std::optional<rwr::DirectRwrSolver> base_solver_;
 
   // Correction state: z_columns_[j] = W₀⁻¹ D(:, j), the n-vector of the
-  // j-th column in delta_columns_.
-  std::vector<NodeId> delta_columns_;             // changed column ids, sorted
+  // j-th column in delta_columns_, in solver order.
+  std::vector<NodeId> delta_columns_;             // changed node ids, sorted
   std::vector<std::vector<Scalar>> z_columns_;    // Z, one n-vector per column
   linalg::DenseMatrix m_;                         // (I + S Z)⁻¹, d × d
   int rebuild_count_ = 0;
+
+  // Resolved once: metric lookup takes the registry lock.
+  obs::Histogram* rebuild_us_;
 };
 
 }  // namespace kdash::core

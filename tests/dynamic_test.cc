@@ -3,10 +3,15 @@
 // from scratch and against power iteration on the mutated graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/random.h"
 #include "core/dynamic.h"
+#include "obs/metrics.h"
+#include "reorder/reorder.h"
 #include "rwr/power_iteration.h"
 #include "test_util.h"
 
@@ -41,6 +46,111 @@ std::vector<Scalar> TruthAfterMutations(
   options.tolerance = 1e-14;
   options.max_iterations = 20000;
   return rwr::SolveRwr(mutated.NormalizedAdjacency(), query, options).proximity;
+}
+
+// Checks a Search answer against a ground-truth proximity vector: every
+// answer is an allowed node scored within 1e-9 of its truth, each rank
+// holds the truth's node at that rank or one tied with it within 1e-9, and
+// no node whose truth clears 1e-9 is missing from a short answer.
+void ExpectSearchMatchesTruth(const SearchResult& result,
+                              const std::vector<Scalar>& truth,
+                              const Query& query) {
+  std::vector<bool> allowed(truth.size(), true);
+  for (const NodeId node : query.exclude) {
+    allowed[static_cast<std::size_t>(node)] = false;
+  }
+  std::vector<ScoredNode> expected;
+  for (std::size_t u = 0; u < truth.size(); ++u) {
+    if (allowed[u]) expected.push_back({static_cast<NodeId>(u), truth[u]});
+  }
+  std::sort(expected.begin(), expected.end(), RanksHigher);
+  ASSERT_LE(result.top.size(), std::min(query.k, expected.size()));
+  for (std::size_t r = 0; r < result.top.size(); ++r) {
+    const ScoredNode& got = result.top[r];
+    ASSERT_TRUE(allowed[static_cast<std::size_t>(got.node)])
+        << "rank " << r << " node " << got.node;
+    EXPECT_NEAR(got.score, truth[static_cast<std::size_t>(got.node)], 1e-9)
+        << "rank " << r << " node " << got.node;
+    if (got.node != expected[r].node) {
+      EXPECT_NEAR(truth[static_cast<std::size_t>(got.node)], expected[r].score,
+                  1e-9)
+          << "rank " << r << ": " << got.node << " for " << expected[r].node;
+    }
+  }
+  if (result.top.size() < query.k && result.top.size() < expected.size()) {
+    EXPECT_LT(expected[result.top.size()].score, 1e-9)
+        << "node " << expected[result.top.size()].node << " is missing";
+  }
+}
+
+// Uniform restart over `sources` (a repeated source counts once per
+// occurrence), by linearity of the per-source truths.
+std::vector<Scalar> MixTruths(const std::vector<std::vector<Scalar>>& per_node,
+                              const std::vector<NodeId>& sources) {
+  std::vector<Scalar> mix(per_node.front().size(), 0.0);
+  for (const NodeId s : sources) {
+    const auto& truth = per_node[static_cast<std::size_t>(s)];
+    for (std::size_t u = 0; u < mix.size(); ++u) {
+      mix[u] += truth[u] / static_cast<Scalar>(sources.size());
+    }
+  }
+  return mix;
+}
+
+TEST(DynamicTest, NodeIdsSurviveANonTrivialSolverOrder) {
+  // The solver factors the system in ascending-degree order. This graph's
+  // order is far from the identity: the hub 0 links both ways with most
+  // nodes and goes last, while the path over the highest ids, two
+  // dangling nodes and a self-loop all sit early.
+  constexpr NodeId kNodes = 40;
+  constexpr NodeId kPathBegin = 33;
+  graph::GraphBuilder builder(kNodes);
+  for (NodeId v = 1; v < 30; ++v) {
+    builder.AddEdge(0, v, 1.0 + 0.1 * v);
+    builder.AddEdge(v, 0, 2.0);
+    if (v % 3 != 0) builder.AddEdge(v, v + 1, 0.5);
+  }
+  builder.AddEdge(0, 30, 1.0);   // 30 and 39 are the dangling nodes
+  builder.AddEdge(0, kPathBegin, 0.7);
+  builder.AddEdge(31, 31, 1.0);  // the self-loop
+  builder.AddEdge(31, 0, 1.0);
+  builder.AddEdge(32, 31, 1.0);
+  builder.AddEdge(0, 32, 0.4);
+  for (NodeId v = kPathBegin; v + 1 < kNodes; ++v) builder.AddEdge(v, v + 1);
+  const auto g = std::move(builder).Build();
+  const auto order = reorder::ComputeReordering(g, reorder::Method::kDegree);
+  ASSERT_EQ(order.new_of_old[0], kNodes - 1);
+  ASSERT_LT(order.new_of_old[kNodes - 1], kNodes / 2);
+
+  DynamicKDash dynamic(g, 0.95);
+  std::vector<std::tuple<NodeId, NodeId, Scalar>> additions;
+  std::vector<std::pair<NodeId, NodeId>> removals;
+  const auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    std::vector<std::vector<Scalar>> truths;
+    for (NodeId s = 0; s < kNodes; ++s) {
+      truths.push_back(TruthAfterMutations(g, additions, removals, s, 0.95));
+      const auto p = dynamic.Solve({s});
+      for (std::size_t u = 0; u < p.size(); ++u) {
+        ASSERT_NEAR(p[u], truths.back()[u], 1e-9) << "s=" << s << " u=" << u;
+      }
+      const Query query = Query::Single(s, 8);
+      ExpectSearchMatchesTruth(dynamic.Search(query), truths.back(), query);
+    }
+    Query personalized = Query::Personalized({36, 5, 36, 31}, 12);
+    personalized.exclude = {0, 37, 6};
+    ExpectSearchMatchesTruth(dynamic.Search(personalized),
+                             MixTruths(truths, personalized.sources),
+                             personalized);
+  };
+
+  check("base");
+  ASSERT_TRUE(dynamic.AddEdge(37, 2, 1.5).ok());
+  additions.emplace_back(37, 2, 1.5);
+  ASSERT_TRUE(dynamic.RemoveEdge(0, 5).ok());
+  removals.emplace_back(0, 5);
+  EXPECT_EQ(dynamic.pending_columns(), 2);
+  check("after an add and a remove");
 }
 
 TEST(DynamicTest, NoUpdatesMatchesStaticSolve) {
@@ -110,6 +220,9 @@ TEST(DynamicTest, ManyMixedUpdatesExact) {
 
 TEST(DynamicTest, AutoRebuildKicksIn) {
   const auto g = test::RandomDirectedGraph(200, 1200, 16);
+  const obs::Histogram& rebuild_us =
+      obs::MetricRegistry::Global().GetHistogram("dynamic.rebuild_us");
+  const std::uint64_t rebuilds_before = rebuild_us.Count();
   DynamicKDash dynamic(g, 0.95);
   // One edge out of each of kMaxPendingColumns + 8 distinct sources.
   for (NodeId src = 0; src < kMaxPendingColumns + 8; ++src) {
@@ -117,6 +230,24 @@ TEST(DynamicTest, AutoRebuildKicksIn) {
   }
   EXPECT_GT(dynamic.rebuild_count(), 1);
   EXPECT_LE(dynamic.pending_columns(), kMaxPendingColumns);
+  // Every rebuild, the constructor's included, is one latency sample.
+  EXPECT_EQ(rebuild_us.Count() - rebuilds_before,
+            static_cast<std::uint64_t>(dynamic.rebuild_count()));
+
+  // The rebuild ordered the edited graph afresh: the answers must follow it.
+  std::vector<std::tuple<NodeId, NodeId, Scalar>> additions;
+  for (NodeId src = 0; src < kMaxPendingColumns + 8; ++src) {
+    additions.emplace_back(src, (src + 100) % 200, 1.0);
+  }
+  for (const NodeId q : {0, 70, 150}) {
+    const auto truth = TruthAfterMutations(g, additions, {}, q, 0.95);
+    const auto p = dynamic.Solve({q});
+    for (std::size_t u = 0; u < p.size(); ++u) {
+      ASSERT_NEAR(p[u], truth[u], 1e-9) << "q=" << q << " u=" << u;
+    }
+    const Query query = Query::Single(q, 10);
+    ExpectSearchMatchesTruth(dynamic.Search(query), truth, query);
+  }
 }
 
 // True when `src` already has an out-edge to `dst` in `g`.

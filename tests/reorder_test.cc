@@ -52,9 +52,19 @@ TEST(ReorderTest, DegreeOrderIsAscending) {
   const Reordering r = ComputeReordering(g, Method::kDegree);
   ExpectValidReordering(r, g.num_nodes());
   for (std::size_t pos = 1; pos < r.old_of_new.size(); ++pos) {
-    EXPECT_LE(g.Degree(r.old_of_new[pos - 1]), g.Degree(r.old_of_new[pos]))
-        << "position " << pos;
+    const NodeId prev = r.old_of_new[pos - 1];
+    const NodeId next = r.old_of_new[pos];
+    EXPECT_LE(g.Degree(prev), g.Degree(next)) << "position " << pos;
+    if (g.Degree(prev) == g.Degree(next)) {
+      EXPECT_LT(prev, next) << "tie at position " << pos;
+    }
   }
+
+  // The same order straight from a degree array, ties by ascending id.
+  const std::vector<Index> degree{3, 0, 3, 1, 0};
+  const Reordering from_array = AscendingDegreeReordering(degree);
+  ExpectValidReordering(from_array, 5);
+  EXPECT_EQ(from_array.old_of_new, (std::vector<NodeId>{1, 4, 3, 0, 2}));
 }
 
 TEST(ReorderTest, ClusterProducesDoublyBorderedBlockDiagonal) {
