@@ -4,6 +4,8 @@
 // and search.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "core/dynamic.h"
 #include "core/estimator.h"
@@ -223,8 +225,9 @@ const graph::Graph& DynamicBenchGraph() {
 }
 
 void BM_DynamicBuild(benchmark::State& state) {
-  // The updatable engine's set-up: the adjacency maps, the degree order
-  // and the LU of the base system (every rebuild repeats the last two).
+  // The updatable engine's set-up: the copy of the base graph, its degree
+  // order and the LU of its system (every rebuild repeats the last two,
+  // after assembling the current graph).
   const graph::Graph& g = DynamicBenchGraph();
   for (auto _ : state) {
     core::DynamicKDash dynamic(g, 0.95);
@@ -247,6 +250,29 @@ void BM_DynamicSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DynamicSearch);
+
+void BM_DynamicEdit(benchmark::State& state) {
+  // The updatable engine's write path: each iteration adds an edge between
+  // a random pair that has none and removes it again, so every write pays
+  // one base solve and the refresh of M and the correction never grows.
+  const graph::Graph& g = DynamicBenchGraph();
+  core::DynamicKDash dynamic(g, 0.95);
+  Rng rng(7);
+  for (auto _ : state) {
+    NodeId src = 0;
+    NodeId dst = 0;
+    do {
+      src = rng.NextNode(g.num_nodes());
+      dst = rng.NextNode(g.num_nodes());
+    } while (std::ranges::any_of(g.OutNeighbors(src),
+                                 [dst](const graph::Neighbor& nb) {
+                                   return nb.node == dst;
+                                 }));
+    benchmark::DoNotOptimize(dynamic.AddEdge(src, dst, 1.0).ok());
+    benchmark::DoNotOptimize(dynamic.RemoveEdge(src, dst).ok());
+  }
+}
+BENCHMARK(BM_DynamicEdit)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace kdash

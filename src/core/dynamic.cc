@@ -9,45 +9,27 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "common/top_k.h"
-#include "sparse/coo_builder.h"
+#include "sparse/permute.h"
 
 namespace kdash::core {
 
 namespace {
 
-// Total degree (in + out) of every node of a mutable adjacency map, counted
-// as graph::Graph::Degree counts it (a self-loop adds one to each side).
-std::vector<Index> TotalDegrees(
-    const std::vector<std::map<NodeId, Scalar>>& out_edges) {
-  std::vector<Index> degree(out_edges.size(), 0);
-  for (std::size_t v = 0; v < out_edges.size(); ++v) {
-    degree[v] += static_cast<Index>(out_edges[v].size());
-    for (const auto& [dst, weight] : out_edges[v]) {
-      ++degree[static_cast<std::size_t>(dst)];
-    }
+// Adds sign · (column v of the normalized adjacency, for v's out-edges
+// `out`) to `column`, at the rows new_of_old[dst]. The out-weight total is
+// summed in ascending node order, as Graph::NormalizedAdjacency sums it,
+// so equal edges give bit-equal entries.
+void AddNormalizedColumn(std::span<const graph::Neighbor> out, Scalar sign,
+                         const std::vector<NodeId>& new_of_old,
+                         std::vector<Scalar>& column) {
+  Scalar total = 0.0;
+  for (const graph::Neighbor& nb : out) total += nb.weight;
+  if (total <= 0.0) return;  // dangling: all-zero column
+  for (const graph::Neighbor& nb : out) {
+    column[static_cast<std::size_t>(
+        new_of_old[static_cast<std::size_t>(nb.node)])] +=
+        sign * (nb.weight / total);
   }
-  return degree;
-}
-
-// Normalized adjacency from a mutable adjacency-map representation,
-// permuted into solver order: P·A·Pᵀ.
-sparse::CscMatrix NormalizedFromMaps(
-    NodeId n, const std::vector<std::map<NodeId, Scalar>>& out_edges,
-    const std::vector<NodeId>& new_of_old) {
-  sparse::CooBuilder builder(n, n);
-  for (NodeId v = 0; v < n; ++v) {
-    Scalar total = 0.0;
-    for (const auto& [dst, weight] : out_edges[static_cast<std::size_t>(v)]) {
-      total += weight;
-    }
-    if (total <= 0.0) continue;
-    const NodeId column = new_of_old[static_cast<std::size_t>(v)];
-    for (const auto& [dst, weight] : out_edges[static_cast<std::size_t>(v)]) {
-      builder.Add(new_of_old[static_cast<std::size_t>(dst)], column,
-                  weight / total);
-    }
-  }
-  return builder.BuildCsc();
 }
 
 }  // namespace
@@ -58,30 +40,44 @@ DynamicKDash::DynamicKDash(const graph::Graph& graph, Scalar restart_prob)
       rebuild_us_(&obs::MetricRegistry::Global().GetHistogram(
           "dynamic.rebuild_us")) {
   KDASH_CHECK(restart_prob > 0.0 && restart_prob < 1.0);
-  out_edges_.resize(static_cast<std::size_t>(num_nodes_));
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    for (const graph::Neighbor& nb : graph.OutNeighbors(u)) {
-      out_edges_[static_cast<std::size_t>(u)][nb.node] = nb.weight;
-    }
-  }
-  Rebuild();
+  Factor(graph);
+}
+
+std::span<const graph::Neighbor> DynamicKDash::OutEdges(NodeId u) const {
+  const auto it = std::ranges::lower_bound(pending_, u, {}, &PendingNode::node);
+  if (it != pending_.end() && it->node == u) return it->out_edges;
+  return base_.OutNeighbors(u);
+}
+
+int DynamicKDash::pending_columns() const {
+  return static_cast<int>(std::ranges::count_if(
+      pending_, [](const PendingNode& entry) { return !entry.z.empty(); }));
 }
 
 void DynamicKDash::Rebuild() {
+  graph::GraphBuilder builder(num_nodes_);
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    for (const graph::Neighbor& nb : OutEdges(u)) {
+      builder.AddEdge(u, nb.node, nb.weight);
+    }
+  }
+  Factor(std::move(builder).Build());
+}
+
+void DynamicKDash::Factor(graph::Graph graph) {
   const WallTimer timer;
   reorder::Reordering order =
-      reorder::AscendingDegreeReordering(TotalDegrees(out_edges_));
-  sparse::CscMatrix base_a =
-      NormalizedFromMaps(num_nodes_, out_edges_, order.new_of_old);
+      reorder::ComputeReordering(graph, reorder::Method::kDegree);
   // Assigned, not emplaced: the new factors are built while the old ones
-  // are still held, so a failed factorization leaves the old order, system
+  // are still held, so a failed factorization leaves the old base, order
   // and solver in place, and every rebuild peaks at the same two-factor
   // footprint instead of leaving the process's peak to allocator timing.
-  base_solver_ = rwr::DirectRwrSolver(base_a, restart_prob_);
+  base_solver_ = rwr::DirectRwrSolver(
+      sparse::PermuteSymmetric(graph.NormalizedAdjacency(), order.new_of_old),
+      restart_prob_);
+  base_ = std::move(graph);
   order_ = std::move(order);
-  base_a_ = std::move(base_a);
-  delta_columns_.clear();
-  z_columns_.clear();
+  pending_.clear();
   m_ = linalg::DenseMatrix();
   ++rebuild_count_;
   rebuild_us_->Record(static_cast<std::uint64_t>(timer.Micros()));
@@ -96,27 +92,26 @@ Status DynamicKDash::AddEdge(NodeId src, NodeId dst, Scalar weight) {
   if (!(weight > 0.0 && std::isfinite(weight))) {
     return Status::InvalidArgument("edge weight must be positive and finite");
   }
-  // The column is normalized by the source's out-weight total, summed in
-  // the same map order NormalizedFromMaps uses. An infinite total would
-  // zero the column (or, for an infinite entry, turn it into NaNs), so the
-  // update is rolled back instead of applied.
-  auto& edges = out_edges_[static_cast<std::size_t>(src)];
-  const auto [it, inserted] = edges.try_emplace(dst, 0.0);
-  const Scalar previous = it->second;
-  it->second += weight;
+  const std::span<const graph::Neighbor> current = OutEdges(src);
+  std::vector<graph::Neighbor> out(current.begin(), current.end());
+  const auto it =
+      std::ranges::lower_bound(out, dst, {}, &graph::Neighbor::node);
+  if (it != out.end() && it->node == dst) {
+    it->weight += weight;
+  } else {
+    out.insert(it, graph::Neighbor{dst, weight});
+  }
+  // The column is normalized by the source's out-weight total. An infinite
+  // total would zero the column (or, for an infinite entry, turn it into
+  // NaNs), so the edit is refused instead of applied.
   Scalar total = 0.0;
-  for (const auto& [node, edge_weight] : edges) total += edge_weight;
+  for (const graph::Neighbor& nb : out) total += nb.weight;
   if (!std::isfinite(total)) {
-    if (inserted) {
-      edges.erase(it);
-    } else {
-      it->second = previous;
-    }
     return Status::InvalidArgument("out-weight total of node " +
                                    std::to_string(src) +
                                    " would overflow to infinity");
   }
-  UpdateColumn(src);
+  UpdateColumn(src, std::move(out));
   return Status::Ok();
 }
 
@@ -126,74 +121,65 @@ Status DynamicKDash::RemoveEdge(NodeId src, NodeId dst) {
                                    std::to_string(src) + "->" +
                                    std::to_string(dst));
   }
-  auto& edges = out_edges_[static_cast<std::size_t>(src)];
-  const auto it = edges.find(dst);
-  if (it == edges.end()) {
+  const std::span<const graph::Neighbor> current = OutEdges(src);
+  std::vector<graph::Neighbor> out(current.begin(), current.end());
+  const auto it =
+      std::ranges::lower_bound(out, dst, {}, &graph::Neighbor::node);
+  if (it == out.end() || it->node != dst) {
     return Status::NotFound("edge " + std::to_string(src) + "->" +
                             std::to_string(dst) + " does not exist");
   }
-  edges.erase(it);
-  UpdateColumn(src);
+  out.erase(it);
+  UpdateColumn(src, std::move(out));
   return Status::Ok();
 }
 
-void DynamicKDash::UpdateColumn(NodeId u) {
+void DynamicKDash::UpdateColumn(NodeId u, std::vector<graph::Neighbor> out) {
   // D(:, u) = −(1-c)·(a_current(u) − a_base(u)), in solver order. Both
-  // columns are normalized from the same map in the same order as
-  // NormalizedFromMaps, so a column that is back at its base value gives
-  // exact zeros.
+  // columns are normalized by the same helper, so a column that is back at
+  // its base value gives exact zeros.
   const std::vector<NodeId>& new_of_old = order_.new_of_old;
+  const std::span<const graph::Neighbor> base_out = base_.OutNeighbors(u);
   std::vector<Scalar> delta(static_cast<std::size_t>(num_nodes_), 0.0);
-  const auto& edges = out_edges_[static_cast<std::size_t>(u)];
-  Scalar total = 0.0;
-  for (const auto& [dst, weight] : edges) total += weight;
-  if (total > 0.0) {
-    for (const auto& [dst, weight] : edges) {
-      delta[static_cast<std::size_t>(
-          new_of_old[static_cast<std::size_t>(dst)])] = weight / total;
-    }
-  }
-  const NodeId column = new_of_old[static_cast<std::size_t>(u)];
-  for (Index k = base_a_.ColBegin(column); k < base_a_.ColEnd(column); ++k) {
-    delta[static_cast<std::size_t>(base_a_.RowIndex(k))] -= base_a_.Value(k);
-  }
-  const bool restored = std::all_of(delta.begin(), delta.end(),
-                                    [](Scalar value) { return value == 0.0; });
+  AddNormalizedColumn(out, 1.0, new_of_old, delta);
+  AddNormalizedColumn(base_out, -1.0, new_of_old, delta);
+  const bool changed = std::ranges::any_of(
+      delta, [](Scalar value) { return value != 0.0; });
 
-  const auto it =
-      std::lower_bound(delta_columns_.begin(), delta_columns_.end(), u);
-  const auto z_it = z_columns_.begin() + (it - delta_columns_.begin());
-  const bool pending = it != delta_columns_.end() && *it == u;
-  if (restored) {
-    if (!pending) return;
-    delta_columns_.erase(it);
-    z_columns_.erase(z_it);
-  } else {
-    if (!pending &&
-        static_cast<int>(delta_columns_.size()) == kMaxPendingColumns) {
+  auto it = std::ranges::lower_bound(pending_, u, {}, &PendingNode::node);
+  if (it == pending_.end() || it->node != u) {
+    it = pending_.insert(it, PendingNode{u, {}, {}});
+  }
+  const bool was_column = !it->z.empty();
+  it->out_edges = std::move(out);
+  if (changed) {
+    // Inserted first, so the rebuild reads u's new out-edges.
+    if (!was_column && pending_columns() == kMaxPendingColumns) {
       Rebuild();
       return;
     }
     const Scalar damp = 1.0 - restart_prob_;
     for (auto& value : delta) value *= -damp;
-    std::vector<Scalar> column = base_solver_->Solve(std::move(delta));
-    if (pending) {
-      *z_it = std::move(column);
-    } else {
-      delta_columns_.insert(it, u);
-      z_columns_.insert(z_it, std::move(column));
-    }
+    it->z = base_solver_->Solve(std::move(delta));
+  } else {
+    it->z = {};
+    if (std::ranges::equal(it->out_edges, base_out)) pending_.erase(it);
+    if (!was_column) return;
   }
 
   // M = (I_d + S Z)⁻¹ where S picks the changed nodes' rows of Z.
-  const int d = static_cast<int>(delta_columns_.size());
+  std::vector<const PendingNode*> columns;
+  for (const PendingNode& entry : pending_) {
+    if (!entry.z.empty()) columns.push_back(&entry);
+  }
+  const int d = static_cast<int>(columns.size());
   linalg::DenseMatrix core(d, d);
   for (int r = 0; r < d; ++r) {
-    const NodeId node = delta_columns_[static_cast<std::size_t>(r)];
-    const auto row =
-        static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(node)]);
+    const auto row = static_cast<std::size_t>(
+        new_of_old[static_cast<std::size_t>(
+            columns[static_cast<std::size_t>(r)]->node)]);
     for (int j = 0; j < d; ++j) {
-      core(r, j) = z_columns_[static_cast<std::size_t>(j)][row];
+      core(r, j) = columns[static_cast<std::size_t>(j)]->z[row];
     }
     core(r, r) += 1.0;
   }
@@ -217,21 +203,21 @@ std::vector<Scalar> DynamicKDash::SolveInSolverOrder(
         restart_mass;
   }
   std::vector<Scalar> p = base_solver_->Solve(std::move(rhs));
-  const int d = static_cast<int>(delta_columns_.size());
-  if (d == 0) return p;
 
   // p ← p − Z·M·(S·p), one column of Z at a time.
-  std::vector<Scalar> selected(static_cast<std::size_t>(d), 0.0);
-  for (int r = 0; r < d; ++r) {
-    const NodeId node = delta_columns_[static_cast<std::size_t>(r)];
-    selected[static_cast<std::size_t>(r)] =
-        p[static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(node)])];
+  std::vector<Scalar> selected;
+  for (const PendingNode& entry : pending_) {
+    if (entry.z.empty()) continue;
+    selected.push_back(p[static_cast<std::size_t>(
+        new_of_old[static_cast<std::size_t>(entry.node)])]);
   }
+  if (selected.empty()) return p;
   const std::vector<Scalar> coefficients = linalg::MatVec(m_, selected);
-  for (int j = 0; j < d; ++j) {
-    const Scalar coefficient = coefficients[static_cast<std::size_t>(j)];
-    const std::vector<Scalar>& z = z_columns_[static_cast<std::size_t>(j)];
-    for (std::size_t i = 0; i < p.size(); ++i) p[i] -= coefficient * z[i];
+  auto coefficient = coefficients.begin();
+  for (const PendingNode& entry : pending_) {
+    if (entry.z.empty()) continue;
+    const Scalar scale = *coefficient++;
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] -= scale * entry.z[i];
   }
   return p;
 }

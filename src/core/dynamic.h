@@ -2,9 +2,9 @@
 // refactorization.
 //
 // The paper's index is static; rebuilding it per edge change would cost the
-// full precompute. This wrapper keeps the *base* factorization
-// P·W₀·Pᵀ = LU (P the degree order below) and represents the current
-// system as a low-rank correction
+// full precompute. This wrapper keeps the graph of its last rebuild, the
+// *base*, factored once, and represents the current system as a low-rank
+// correction
 //
 //   W = W₀ + D·S,   D = the changed columns' deltas (n × d),
 //                   S = selector rows e_uᵀ of the changed columns (d × n),
@@ -15,16 +15,17 @@
 //
 //   W⁻¹x = W₀⁻¹x − Z·M·(S·W₀⁻¹x),  Z = W₀⁻¹D,  M = (I_d + S·Z)⁻¹.
 //
-// Every Rebuild orders the current graph by ascending total degree, ties
-// by id (the paper's Algorithm 1, reorder::AscendingDegreeReordering), and
-// factors the permuted base P·W₀·Pᵀ with a rwr::DirectRwrSolver. Degree
-// order keeps the factors sparse: on the Email stand-in at scale 1 its
-// L + U holds 28,756 nonzeros, where the id order gives 162,032. All solve
-// state lives in that solver order: the rhs is placed through new_of_old,
-// p and the columns of Z stay permuted, and S picks Z's rows at
-// new_of_old[u]. Node ids come back only where a result leaves the engine:
-// Search maps a position to its node as it offers it to the heap, and
-// Solve un-permutes once, on return.
+// The state is one copy of the graph, one piece per term. W₀ comes from the
+// base graph::Graph, factored as steps 1–3 of KDashIndex::Build factor one, in
+// the paper's Algorithm 1 order (ascending total degree, ties by id), which
+// keeps the factors sparse: on the Email stand-in at scale 1 L + U holds 28,756
+// nonzeros, where the id order gives 162,032. D and S come from the pending
+// nodes, whose out-edges differ from the base's: each keeps its current
+// out-edges and its column of Z. All solve state lives in the solver order: the
+// rhs is placed through new_of_old, p and the columns of Z stay permuted, and S
+// picks Z's rows at new_of_old[u]. Node ids come back only where a result
+// leaves the engine: Search maps a position to its node as it offers it to the
+// heap, and Solve un-permutes once, on return.
 //
 // Z and M are kept current on the write path: an edit of node u's
 // out-edges costs one base solve for Z's column u plus an O(d³) inversion
@@ -41,8 +42,8 @@
 #ifndef KDASH_CORE_DYNAMIC_H_
 #define KDASH_CORE_DYNAMIC_H_
 
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -53,7 +54,6 @@
 #include "obs/metrics.h"
 #include "reorder/reorder.h"
 #include "rwr/direct_solver.h"
-#include "sparse/csc_matrix.h"
 
 namespace kdash::core {
 
@@ -95,7 +95,7 @@ class DynamicKDash {
 
   // Number of columns that differ from the base, each one a correction
   // column.
-  int pending_columns() const { return static_cast<int>(delta_columns_.size()); }
+  int pending_columns() const;
 
   // Fold all pending updates into a fresh factorization, in the degree
   // order of the current graph. Each call, the constructor's included, is
@@ -105,8 +105,26 @@ class DynamicKDash {
   int rebuild_count() const { return rebuild_count_; }
 
  private:
-  // Brings Z's column u and M up to date after an edit of u's out-edges.
-  void UpdateColumn(NodeId u);
+  // A node whose current out-edges differ from the base's.
+  struct PendingNode {
+    NodeId node = kInvalidNode;
+    std::vector<graph::Neighbor> out_edges;  // current, sorted by node
+    // Z's column, W₀⁻¹ D(:, node) in solver order. Empty while the edits
+    // leave the normalized column at its base value (weights scaled alike):
+    // the node keeps its weights but adds no correction column.
+    std::vector<Scalar> z;
+  };
+
+  // Node u's current out-edges, sorted by node: its pending ones, or else
+  // the base's.
+  std::span<const graph::Neighbor> OutEdges(NodeId u) const;
+
+  // Factors `graph` as the new base and clears the correction.
+  void Factor(graph::Graph graph);
+
+  // Makes `out` node u's current out-edges and brings Z's column u and M up
+  // to date.
+  void UpdateColumn(NodeId u, std::vector<graph::Neighbor> out);
 
   // W⁻¹ · c·q for the restart distribution q over `sources`, in solver
   // order: entry new_of_old[u] is node u's proximity.
@@ -116,22 +134,16 @@ class DynamicKDash {
   Scalar restart_prob_;
   NodeId num_nodes_ = 0;
 
-  // Mutable adjacency (current graph).
-  std::vector<std::map<NodeId, Scalar>> out_edges_;
-
-  // Solver order as of the last Rebuild: node u sits at new_of_old[u].
+  // The graph as of the last Rebuild, its solver order (node u sits at
+  // new_of_old[u]) and the factorization of its system W₀.
+  graph::Graph base_;
   reorder::Reordering order_;
-
-  // Base adjacency (as of the last Rebuild) in solver order, P·A₀·Pᵀ, and
-  // the factorization of the system built from it.
-  sparse::CscMatrix base_a_;
   std::optional<rwr::DirectRwrSolver> base_solver_;
 
-  // Correction state: z_columns_[j] = W₀⁻¹ D(:, j), the n-vector of the
-  // j-th column in delta_columns_, in solver order.
-  std::vector<NodeId> delta_columns_;             // changed node ids, sorted
-  std::vector<std::vector<Scalar>> z_columns_;    // Z, one n-vector per column
-  linalg::DenseMatrix m_;                         // (I + S Z)⁻¹, d × d
+  // Correction state: the pending nodes, sorted by node, and
+  // M = (I + S Z)⁻¹ over those with a column of Z, in that order.
+  std::vector<PendingNode> pending_;
+  linalg::DenseMatrix m_;
   int rebuild_count_ = 0;
 
   // Resolved once: metric lookup takes the registry lock.

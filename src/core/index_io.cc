@@ -43,7 +43,6 @@
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "core/estimator.h"
 #include "core/kdash_index.h"
 #include "obs/metrics.h"
 
@@ -616,11 +615,6 @@ Result<KDashIndex> KDashIndex::LoadStream(std::istream& in) {
       return Status::DataLoss(Corrupt("adjacency target out of range"));
     }
   }
-  // The shard score bound is derived, not stored: recomputing it from the
-  // (validated) c′ table keeps it out of the file while loaded shards skip
-  // exactly like freshly Restrict()ed ones.
-  index.owned_score_bound_ = OwnedScoreBound(
-      index.owned_begin_, index.owned_end_, state.amax, state.c_prime_of_node);
   index.shared_ = std::make_shared<const SharedState>(std::move(state));
   return index;
 }

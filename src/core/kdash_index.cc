@@ -88,8 +88,6 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
         static_cast<Index>(state.adjacency.size());
   }
 
-  index.owned_score_bound_ = OwnedScoreBound(0, graph.num_nodes(), state.amax,
-                                             state.c_prime_of_node);
   index.shared_ = std::make_shared<const SharedState>(std::move(state));
   index.stats_.total_seconds = total_timer.Seconds();
   return index;
@@ -111,8 +109,6 @@ KDashIndex KDashIndex::Restrict(NodeId begin, NodeId end) const {
   // one index cost one L⁻¹/adjacency/estimator allocation plus P U⁻¹
   // slices.
   shard.shared_ = shared_;
-  shard.owned_score_bound_ =
-      OwnedScoreBound(begin, end, shared_->amax, shared_->c_prime_of_node);
 
   // Keep only the U⁻¹ rows of owned nodes, i.e. the owned columns of the
   // stored transpose. Ownership is an original-id window but U⁻¹ lives in

@@ -119,14 +119,6 @@ class KDashIndex {
   NodeId owned_begin() const { return owned_begin_; }
   NodeId owned_end() const { return owned_end_; }
 
-  // Upper bound on the proximity any query can assign to a NON-SOURCE node
-  // in this index's ownership window (core::OwnedScoreBound over the
-  // window; see estimator.h for the Lemma-1 admissibility argument).
-  // Precomputed at Build/Restrict and re-derived from the persisted c′
-  // table at Load — it is not stored in the file. The sharded
-  // fan-out skips a shard whose bound is provably below the running top-k
-  // threshold, but only when the shard owns none of the query's sources.
-  Scalar owned_score_bound() const { return owned_score_bound_; }
   bool IsSharded() const {
     return owned_begin_ != 0 || owned_end_ != num_nodes_;
   }
@@ -194,10 +186,6 @@ class KDashIndex {
   // Ownership window in original node-id space (see Restrict()).
   NodeId owned_begin_ = 0;
   NodeId owned_end_ = 0;  // == num_nodes_ for a full index
-
-  // min(1, Amax · max c′ over the window); 1.0 (never skippable) until
-  // Build/Restrict/Load computes the real value.
-  Scalar owned_score_bound_ = 1.0;
 
   std::shared_ptr<const SharedState> shared_;
 

@@ -37,7 +37,12 @@ struct Dataset {
   graph::Graph graph;
 };
 
-// Builds the synthetic stand-in. Deterministic in (id, scale, seed).
+// True when `scale` is positive and sizes the stand-in within NodeId's
+// range.
+bool ScaleFits(DatasetId id, double scale);
+
+// Builds the synthetic stand-in. Deterministic in (id, scale, seed). Aborts
+// unless ScaleFits(id, scale).
 Dataset MakeDataset(DatasetId id, double scale = 1.0,
                     std::uint64_t seed = 42);
 

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/parse_number.h"
 
@@ -87,7 +88,7 @@ Result<Graph> ReadEdgeListFile(const std::string& path, bool undirected) {
   return ReadEdgeList(in, undirected);
 }
 
-void WriteEdgeList(const Graph& graph, std::ostream& out) {
+Status WriteEdgeList(const Graph& graph, std::ostream& out) {
   // Shortest form that parses back to the same double. A stream's default
   // 6 significant digits would change the graph (1/3 → 0.333333).
   char weight[32];
@@ -100,13 +101,12 @@ void WriteEdgeList(const Graph& graph, std::ostream& out) {
           << std::string_view(weight, written.ptr) << '\n';
     }
   }
+  return out.good() ? Status::Ok() : Status::DataLoss("edge list write failed");
 }
 
-void WriteEdgeListFile(const Graph& graph, const std::string& path) {
-  std::ofstream out(path);
-  KDASH_CHECK(out.good()) << "cannot open " << path;
-  WriteEdgeList(graph, out);
-  KDASH_CHECK(out.good()) << "write failed for " << path;
+Status WriteEdgeListFile(const Graph& graph, const std::string& path) {
+  return WriteFileAtomically(
+      path, [&graph](std::ostream& out) { return WriteEdgeList(graph, out); });
 }
 
 }  // namespace kdash::graph

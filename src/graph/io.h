@@ -29,10 +29,14 @@ namespace kdash::graph {
 [[nodiscard]] Result<Graph> ReadEdgeListFile(const std::string& path,
                                              bool undirected);
 
-// Writes `graph` as a directed edge list with weights.
-void WriteEdgeList(const Graph& graph, std::ostream& out);
+// Writes `graph` as a directed edge list with weights. kDataLoss when the
+// stream fails.
+[[nodiscard]] Status WriteEdgeList(const Graph& graph, std::ostream& out);
 
-void WriteEdgeListFile(const Graph& graph, const std::string& path);
+// File overload, through WriteFileAtomically (common/atomic_file.h): on an
+// error (an unwritable path is kFailedPrecondition) `path` is untouched.
+[[nodiscard]] Status WriteEdgeListFile(const Graph& graph,
+                                       const std::string& path);
 
 }  // namespace kdash::graph
 

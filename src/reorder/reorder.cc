@@ -21,6 +21,28 @@ Reordering FromOldOfNew(std::vector<NodeId> old_of_new) {
   return r;
 }
 
+// Algorithm 1: nodes by ascending total degree, ties by ascending id. A
+// counting sort on degree: stable, so equal degrees keep id order, and
+// O(n + max degree) where a comparison sort would be O(n log n).
+Reordering AscendingDegreeReordering(const graph::Graph& graph) {
+  const NodeId n = graph.num_nodes();
+  Index max_degree = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    max_degree = std::max(max_degree, graph.Degree(u));
+  }
+  std::vector<NodeId> start(static_cast<std::size_t>(max_degree) + 2, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    ++start[static_cast<std::size_t>(graph.Degree(u)) + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<NodeId> old_of_new(static_cast<std::size_t>(n));
+  for (NodeId u = 0; u < n; ++u) {
+    old_of_new[static_cast<std::size_t>(
+        start[static_cast<std::size_t>(graph.Degree(u))]++)] = u;
+  }
+  return FromOldOfNew(std::move(old_of_new));
+}
+
 // Algorithm 2: Louvain partitions, a border partition κ+1, and the nodes
 // laid out partition by partition with the border last, giving the
 // doubly-bordered block diagonal shape of Figure 1-(2). The paper puts both
@@ -154,13 +176,8 @@ Reordering ComputeReordering(const graph::Graph& graph, Method method,
       rng.Shuffle(order);
       return FromOldOfNew(std::move(order));
     }
-    case Method::kDegree: {
-      std::vector<Index> degree(static_cast<std::size_t>(n));
-      for (NodeId u = 0; u < n; ++u) {
-        degree[static_cast<std::size_t>(u)] = graph.Degree(u);
-      }
-      return AscendingDegreeReordering(degree);
-    }
+    case Method::kDegree:
+      return AscendingDegreeReordering(graph);
     case Method::kCluster:
       return ClusterImpl(graph, options, /*degree_sort_within=*/false);
     case Method::kHybrid:
@@ -175,25 +192,6 @@ Reordering ComputeReordering(const graph::Graph& graph, Method method,
   ReorderOptions options;
   options.seed = seed;
   return ComputeReordering(graph, method, options);
-}
-
-Reordering AscendingDegreeReordering(std::span<const Index> degree) {
-  // A counting sort on degree: stable, so equal degrees keep id order, and
-  // O(n + max degree) where a comparison sort would be O(n log n).
-  const Index max_degree =
-      degree.empty() ? 0 : *std::ranges::max_element(degree);
-  std::vector<NodeId> start(static_cast<std::size_t>(max_degree) + 2, 0);
-  for (const Index d : degree) {
-    KDASH_CHECK(d >= 0) << "negative degree " << d;
-    ++start[static_cast<std::size_t>(d) + 1];
-  }
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  std::vector<NodeId> old_of_new(degree.size());
-  for (std::size_t u = 0; u < degree.size(); ++u) {
-    old_of_new[static_cast<std::size_t>(
-        start[static_cast<std::size_t>(degree[u])]++)] = static_cast<NodeId>(u);
-  }
-  return FromOldOfNew(std::move(old_of_new));
 }
 
 }  // namespace kdash::reorder

@@ -8,7 +8,6 @@
 #define KDASH_REORDER_REORDER_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -63,12 +62,6 @@ Reordering ComputeReordering(const graph::Graph& graph, Method method,
 // Back-compat convenience: seed-only, process-default threads.
 Reordering ComputeReordering(const graph::Graph& graph, Method method,
                              std::uint64_t seed = 42);
-
-// Algorithm 1 over a degree array: nodes by ascending degree[u], ties by
-// ascending id. ComputeReordering(graph, kDegree) is this over
-// graph.Degree; core::DynamicKDash runs it over its mutable adjacency.
-// Degrees must be non-negative.
-Reordering AscendingDegreeReordering(std::span<const Index> degree);
 
 }  // namespace kdash::reorder
 

@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/parse_number.h"
 #include "common/timer.h"
+#include "core/estimator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -221,7 +222,10 @@ void ShardedEngine::SetShards(std::vector<int> ids,
   shard_ids_ = std::move(ids);
   shards_ = std::move(shards);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shard_score_bounds_.push_back(shards_[s].index().owned_score_bound());
+    const core::KDashIndex& index = shards_[s].index();
+    shard_score_bounds_.push_back(
+        core::OwnedScoreBound(index.owned_begin(), index.owned_end(),
+                              index.amax(), index.c_prime_of_node()));
     control_->m_shard_latency_us.push_back(
         &obs::MetricRegistry::Global().GetHistogram(
             "serving.shard_latency_us.s" + std::to_string(shard_ids_[s])));

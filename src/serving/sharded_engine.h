@@ -119,9 +119,10 @@ class ShardedEngine {
   // ---- shard-skip acceleration --------------------------------------------
   //
   // Each shard carries a precomputed upper bound on the proximity any query
-  // can assign to a NON-SOURCE node it owns (KDashIndex::owned_score_bound,
-  // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax), which FanOut
-  // (fan_out.h) uses to skip shards exactly. With c = 0.95 the bound is
+  // can assign to a NON-SOURCE node it owns (core::OwnedScoreBound over its
+  // index's ownership window, derived from the Lemma-1 estimator:
+  // p(u) ≤ c′(u)·Amax; SetShards computes it), which FanOut (fan_out.h)
+  // uses to skip shards exactly. With c = 0.95 the bound is
   // ≈ 0.05, so skips fire mostly on k=1 single-source workloads where the
   // source shard alone yields θ ≈ c. Nothing is skipped while the
   // source-owning shards hold fewer than k candidates (θ stays 0).

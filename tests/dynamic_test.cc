@@ -17,12 +17,12 @@
 namespace kdash::core {
 namespace {
 
-// Ground truth on an explicitly mutated copy of the graph.
-std::vector<Scalar> TruthAfterMutations(
+// An explicitly mutated copy of the graph: `removals` dropped, then
+// `additions` added (onto an existing edge, their weights sum).
+graph::Graph MutatedGraph(
     const graph::Graph& original,
     const std::vector<std::tuple<NodeId, NodeId, Scalar>>& additions,
-    const std::vector<std::pair<NodeId, NodeId>>& removals, NodeId query,
-    Scalar c) {
+    const std::vector<std::pair<NodeId, NodeId>>& removals) {
   graph::GraphBuilder builder(original.num_nodes());
   for (NodeId u = 0; u < original.num_nodes(); ++u) {
     for (const graph::Neighbor& nb : original.OutNeighbors(u)) {
@@ -39,12 +39,23 @@ std::vector<Scalar> TruthAfterMutations(
   for (const auto& [src, dst, weight] : additions) {
     builder.AddEdge(src, dst, weight);
   }
-  const auto mutated = std::move(builder).Build();
+  return std::move(builder).Build();
+}
+
+// Ground truth on an explicitly mutated copy of the graph.
+std::vector<Scalar> TruthAfterMutations(
+    const graph::Graph& original,
+    const std::vector<std::tuple<NodeId, NodeId, Scalar>>& additions,
+    const std::vector<std::pair<NodeId, NodeId>>& removals, NodeId query,
+    Scalar c) {
   rwr::PowerIterationOptions options;
   options.restart_prob = c;
   options.tolerance = 1e-14;
   options.max_iterations = 20000;
-  return rwr::SolveRwr(mutated.NormalizedAdjacency(), query, options).proximity;
+  return rwr::SolveRwr(
+             MutatedGraph(original, additions, removals).NormalizedAdjacency(),
+             query, options)
+      .proximity;
 }
 
 // Checks a Search answer against a ground-truth proximity vector: every
@@ -390,6 +401,84 @@ TEST(DynamicTest, ManualRebuildPreservesAnswers) {
   const auto after = dynamic.Solve({1});
   for (std::size_t u = 0; u < before.size(); ++u) {
     EXPECT_NEAR(before[u], after[u], 1e-9);
+  }
+}
+
+// Checks that `engine`, right after a rebuild, answers bit for bit like a
+// fresh engine over `mutated`, the graph its edits made: full solves,
+// single-source top-k, and a personalized query with a repeated source and
+// an excluded node.
+void ExpectSameAsFreshEngine(const DynamicKDash& engine,
+                             const graph::Graph& mutated) {
+  ASSERT_EQ(engine.pending_columns(), 0);
+  const DynamicKDash fresh(mutated, 0.95);
+  for (const NodeId s : {0, 17, 64, 150}) {
+    SCOPED_TRACE(s);
+    ExpectSameBits(engine.Solve({s}), fresh.Solve({s}));
+    const Query single = Query::Single(s, 25);
+    EXPECT_EQ(engine.Search(single).top, fresh.Search(single).top);
+  }
+  Query personalized = Query::Personalized({3, 90, 3, 120}, 25);
+  personalized.exclude = {90, 41};
+  ExpectSameBits(engine.Solve(personalized.sources),
+                 fresh.Solve(personalized.sources));
+  EXPECT_EQ(engine.Search(personalized).top, fresh.Search(personalized).top);
+}
+
+TEST(DynamicTest, RebuildEqualsAFreshEngine) {
+  const auto g = test::RandomDirectedGraph(200, 1200, 25);
+
+  // An auto-rebuild: a new edge out of each of kMaxPendingColumns + 1
+  // sources, the last one past the limit.
+  DynamicKDash automatic(g, 0.95);
+  std::vector<std::tuple<NodeId, NodeId, Scalar>> additions;
+  for (NodeId src = 0; src <= kMaxPendingColumns; ++src) {
+    additions.emplace_back(src, NonNeighbor(g, src), 1.0);
+    ASSERT_TRUE(automatic.AddEdge(src, NonNeighbor(g, src), 1.0).ok());
+  }
+  ASSERT_EQ(automatic.rebuild_count(), 2);
+  ExpectSameAsFreshEngine(automatic, MutatedGraph(g, additions, {}));
+
+  // A manual rebuild with added and removed edges pending.
+  DynamicKDash manual(g, 0.95);
+  additions = {{5, NonNeighbor(g, 5), 2.5}, {140, NonNeighbor(g, 140), 0.3}};
+  std::vector<std::pair<NodeId, NodeId>> removals;
+  for (const NodeId src : {17, 150}) {
+    ASSERT_GT(g.OutDegree(src), 0);
+    removals.emplace_back(src, g.OutNeighbors(src)[0].node);
+  }
+  for (const auto& [src, dst, weight] : additions) {
+    ASSERT_TRUE(manual.AddEdge(src, dst, weight).ok());
+  }
+  for (const auto& [src, dst] : removals) {
+    ASSERT_TRUE(manual.RemoveEdge(src, dst).ok());
+  }
+  ASSERT_EQ(manual.pending_columns(), 4);
+  manual.Rebuild();
+  ExpectSameAsFreshEngine(manual, MutatedGraph(g, additions, removals));
+}
+
+TEST(DynamicTest, ScaledWeightsAreKept) {
+  // Node 0 has one out-edge, so more weight on it leaves its normalized
+  // column at its base value and no correction column is pending. The new
+  // weight must still count when a second edge splits the column.
+  graph::GraphBuilder builder(6);
+  builder.AddEdge(0, 1, 1.0);
+  for (NodeId v = 1; v < 6; ++v) builder.AddEdge(v, (v + 1) % 6, 1.0);
+  builder.AddEdge(3, 1, 2.0);
+  const auto g = std::move(builder).Build();
+  DynamicKDash dynamic(g, 0.95);
+  ASSERT_TRUE(dynamic.AddEdge(0, 1, 3.0).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 0);
+  ASSERT_TRUE(dynamic.AddEdge(0, 4, 1.0).ok());
+  EXPECT_EQ(dynamic.pending_columns(), 1);
+  for (const NodeId s : {0, 3}) {
+    const auto truth =
+        TruthAfterMutations(g, {{0, 1, 3.0}, {0, 4, 1.0}}, {}, s, 0.95);
+    const auto p = dynamic.Solve({s});
+    for (std::size_t u = 0; u < p.size(); ++u) {
+      EXPECT_NEAR(p[u], truth[u], 1e-9) << "s=" << s << " u=" << u;
+    }
   }
 }
 

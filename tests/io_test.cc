@@ -50,7 +50,7 @@ TEST(IoTest, WriteReadRoundTrip) {
   for (const Graph& g :
        {test::SmallDirectedGraph(), std::move(weighted).Build()}) {
     std::ostringstream out;
-    WriteEdgeList(g, out);
+    ASSERT_TRUE(WriteEdgeList(g, out).ok());
     std::istringstream in(out.str());
     const Graph round = ReadEdgeList(in, false).value();
     ASSERT_EQ(round.num_nodes(), g.num_nodes());
@@ -72,9 +72,16 @@ TEST(IoTest, WriteReadRoundTrip) {
 TEST(IoTest, FileRoundTrip) {
   const Graph g = test::RandomDirectedGraph(30, 90, 4);
   const std::string path = ::testing::TempDir() + "/kdash_io_test.txt";
-  WriteEdgeListFile(g, path);
+  ASSERT_TRUE(WriteEdgeListFile(g, path).ok());
   const Graph round = ReadEdgeListFile(path, false).value();
   EXPECT_EQ(round.num_edges(), g.num_edges());
+}
+
+TEST(IoTest, UnwritablePathIsAnError) {
+  const Graph g = test::SmallDirectedGraph();
+  const std::string path = ::testing::TempDir() + "/kdash_no_such_dir/e.txt";
+  EXPECT_EQ(WriteEdgeListFile(g, path).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(IoTest, ReadAcceptsTabsAndCrlf) {

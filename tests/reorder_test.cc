@@ -59,12 +59,6 @@ TEST(ReorderTest, DegreeOrderIsAscending) {
       EXPECT_LT(prev, next) << "tie at position " << pos;
     }
   }
-
-  // The same order straight from a degree array, ties by ascending id.
-  const std::vector<Index> degree{3, 0, 3, 1, 0};
-  const Reordering from_array = AscendingDegreeReordering(degree);
-  ExpectValidReordering(from_array, 5);
-  EXPECT_EQ(from_array.old_of_new, (std::vector<NodeId>{1, 4, 3, 0, 2}));
 }
 
 TEST(ReorderTest, ClusterProducesDoublyBorderedBlockDiagonal) {

@@ -238,9 +238,11 @@ int CmdGenerate(const std::vector<std::string>& args) {
   else if (args[0] == "social") id = datasets::DatasetId::kSocial;
   else if (args[0] == "email") id = datasets::DatasetId::kEmail;
   else return Usage();
+  if (!datasets::ScaleFits(id, scale)) return Usage();
 
   const auto dataset = datasets::MakeDataset(id, scale, seed);
-  graph::WriteEdgeListFile(dataset.graph, args[1]);
+  const Status written = graph::WriteEdgeListFile(dataset.graph, args[1]);
+  if (!written.ok()) return Fail(written);
   std::printf("wrote %s: %s\n", args[1].c_str(),
               graph::DescribeGraph(dataset.graph).c_str());
   return 0;
