@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the kernels on K-dash's hot
 // paths: SpMV, the O(1) estimate update, sparse triangular solves, BFS,
-// LU factorization, a full K-dash query, and the updatable engine's build
-// and search.
+// LU factorization, a full K-dash query, the graph build, and the
+// updatable engine's build, rebuild and search.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "core/dynamic.h"
@@ -224,10 +226,35 @@ const graph::Graph& DynamicBenchGraph() {
   return dataset.graph;
 }
 
+void BM_GraphBuild(benchmark::State& state) {
+  // The one sort of a graph's edges: GraphBuilder over the Email stand-in's
+  // edges, in a seeded shuffled order as an edge file gives them, then
+  // Build() (sort, sum duplicates, transpose for the in-lists).
+  const graph::Graph& g = DynamicBenchGraph();
+  std::vector<std::tuple<NodeId, NodeId, Scalar>> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const graph::Neighbor& nb : g.OutNeighbors(u)) {
+      edges.emplace_back(u, nb.node, nb.weight);
+    }
+  }
+  Rng rng(7);
+  rng.Shuffle(edges);
+  for (auto _ : state) {
+    graph::GraphBuilder builder(g.num_nodes());
+    for (const auto& [src, dst, weight] : edges) {
+      builder.AddEdge(src, dst, weight);
+    }
+    const graph::Graph built = std::move(builder).Build();
+    benchmark::DoNotOptimize(built.num_edges());
+  }
+}
+BENCHMARK(BM_GraphBuild)->Unit(benchmark::kMillisecond);
+
 void BM_DynamicBuild(benchmark::State& state) {
   // The updatable engine's set-up: the copy of the base graph, its degree
-  // order and the LU of its system (every rebuild repeats the last two,
-  // after assembling the current graph).
+  // order, the matrix assembly (A, P·A·Pᵀ and W, linear passes over the
+  // sorted out-lists) and the LU of W. Every rebuild repeats all but the
+  // copy, after assembling the current graph (BM_DynamicRebuild).
   const graph::Graph& g = DynamicBenchGraph();
   for (auto _ : state) {
     core::DynamicKDash dynamic(g, 0.95);
@@ -235,6 +262,18 @@ void BM_DynamicBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DynamicBuild)->Unit(benchmark::kMillisecond);
+
+void BM_DynamicRebuild(benchmark::State& state) {
+  // Rebuild() with no pending edits: the current graph assembled from the
+  // out-lists, then reordered, assembled into W and factored, all under
+  // the engine's exclusive lock in a serving deployment.
+  core::DynamicKDash dynamic(DynamicBenchGraph(), 0.95);
+  for (auto _ : state) {
+    dynamic.Rebuild();
+    benchmark::DoNotOptimize(dynamic.rebuild_count());
+  }
+}
+BENCHMARK(BM_DynamicRebuild)->Unit(benchmark::kMillisecond);
 
 void BM_DynamicSearch(benchmark::State& state) {
   // One updatable-engine read with no pending edits: two triangular solves

@@ -55,13 +55,21 @@ int DynamicKDash::pending_columns() const {
 }
 
 void DynamicKDash::Rebuild() {
-  graph::GraphBuilder builder(num_nodes_);
+  // The current out-lists are sorted and duplicate-free: appended in node
+  // order they are the weight matrix's columns, with nothing to sort.
+  std::vector<Index> col_ptr{0};
+  std::vector<NodeId> row_idx;
+  std::vector<Scalar> weights;
   for (NodeId u = 0; u < num_nodes_; ++u) {
     for (const graph::Neighbor& nb : OutEdges(u)) {
-      builder.AddEdge(u, nb.node, nb.weight);
+      row_idx.push_back(nb.node);
+      weights.push_back(nb.weight);
     }
+    col_ptr.push_back(static_cast<Index>(row_idx.size()));
   }
-  Factor(std::move(builder).Build());
+  Factor(graph::Graph(sparse::CscMatrix(num_nodes_, num_nodes_,
+                                        std::move(col_ptr), std::move(row_idx),
+                                        std::move(weights))));
 }
 
 void DynamicKDash::Factor(graph::Graph graph) {

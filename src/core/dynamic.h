@@ -98,8 +98,9 @@ class DynamicKDash {
   int pending_columns() const;
 
   // Fold all pending updates into a fresh factorization, in the degree
-  // order of the current graph. Each call, the constructor's included, is
-  // one dynamic.rebuild_us sample.
+  // order of the current graph, assembled from the sorted out-lists without
+  // sorting. Each call, the constructor's included, is one
+  // dynamic.rebuild_us sample.
   void Rebuild();
 
   int rebuild_count() const { return rebuild_count_; }

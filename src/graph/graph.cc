@@ -1,57 +1,30 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
-
-#include "sparse/coo_builder.h"
 
 namespace kdash::graph {
 
 namespace {
 
-// Builds a CSR-style adjacency (ptr + neighbor array) keyed by `key`,
-// merging duplicate (key, other) pairs by summing weights.
-void BuildAdjacency(NodeId num_nodes, const std::vector<NodeId>& key,
-                    const std::vector<NodeId>& other,
-                    const std::vector<Scalar>& weight,
-                    std::vector<Index>& ptr, std::vector<Neighbor>& adj) {
-  std::vector<std::size_t> order(key.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (key[a] != key[b]) return key[a] < key[b];
-    return other[a] < other[b];
-  });
-
-  adj.clear();
-  adj.reserve(key.size());
-  std::vector<NodeId> adj_key;
-  adj_key.reserve(key.size());
-  for (const std::size_t t : order) {
-    if (!adj.empty() && adj_key.back() == key[t] && adj.back().node == other[t]) {
-      adj.back().weight += weight[t];
-    } else {
-      adj_key.push_back(key[t]);
-      adj.push_back(Neighbor{other[t], weight[t]});
-    }
+// Adjacency lists (ptr + neighbor array) in which list v is column v of `m`.
+void AssignLists(const sparse::CscMatrix& m, std::vector<Index>& ptr,
+                 std::vector<Neighbor>& adj) {
+  ptr = m.col_ptr();
+  adj.resize(static_cast<std::size_t>(m.nnz()));
+  for (Index k = 0; k < m.nnz(); ++k) {
+    adj[static_cast<std::size_t>(k)] = Neighbor{m.RowIndex(k), m.Value(k)};
   }
-
-  ptr.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (const NodeId k : adj_key) ++ptr[static_cast<std::size_t>(k) + 1];
-  for (std::size_t i = 1; i < ptr.size(); ++i) ptr[i] += ptr[i - 1];
 }
 
 }  // namespace
 
-Graph::Graph(NodeId num_nodes, std::vector<NodeId> src, std::vector<NodeId> dst,
-             std::vector<Scalar> weight)
-    : num_nodes_(num_nodes) {
-  KDASH_CHECK_EQ(src.size(), dst.size());
-  KDASH_CHECK_EQ(src.size(), weight.size());
-  BuildAdjacency(num_nodes, src, dst, weight, out_ptr_, out_neighbors_);
-  BuildAdjacency(num_nodes, dst, src, weight, in_ptr_, in_neighbors_);
-  out_weight_.assign(static_cast<std::size_t>(num_nodes), 0.0);
-  for (NodeId u = 0; u < num_nodes; ++u) {
+Graph::Graph(const sparse::CscMatrix& weights) : num_nodes_(weights.cols()) {
+  KDASH_CHECK_EQ(weights.rows(), weights.cols());
+  AssignLists(weights, out_ptr_, out_neighbors_);
+  AssignLists(weights.Transposed(), in_ptr_, in_neighbors_);
+  out_weight_.assign(static_cast<std::size_t>(num_nodes_), 0.0);
+  for (NodeId u = 0; u < num_nodes_; ++u) {
     Scalar total = 0.0;
     for (const Neighbor& nb : OutNeighbors(u)) total += nb.weight;
     out_weight_[static_cast<std::size_t>(u)] = total;
@@ -59,41 +32,29 @@ Graph::Graph(NodeId num_nodes, std::vector<NodeId> src, std::vector<NodeId> dst,
 }
 
 sparse::CscMatrix Graph::NormalizedAdjacency() const {
-  sparse::CooBuilder builder(num_nodes_, num_nodes_);
-  builder.Reserve(out_neighbors_.size());
+  std::vector<NodeId> row_idx;
+  std::vector<Scalar> values;
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    const Scalar total = OutWeight(v);
-    if (total <= 0.0) continue;  // dangling: all-zero column
     for (const Neighbor& nb : OutNeighbors(v)) {
-      builder.Add(/*row=*/nb.node, /*col=*/v, nb.weight / total);
+      row_idx.push_back(nb.node);
+      values.push_back(nb.weight / OutWeight(v));
     }
   }
-  return builder.BuildCsc();
+  return sparse::CscMatrix(num_nodes_, num_nodes_, out_ptr_, std::move(row_idx),
+                           std::move(values));
 }
 
 bool Graph::IsSymmetric() const {
   for (NodeId u = 0; u < num_nodes_; ++u) {
-    for (const Neighbor& nb : OutNeighbors(u)) {
-      const auto rev = OutNeighbors(nb.node);
-      const auto it = std::lower_bound(
-          rev.begin(), rev.end(), u,
-          [](const Neighbor& n, NodeId target) { return n.node < target; });
-      if (it == rev.end() || it->node != u) return false;
+    if (!std::ranges::equal(OutNeighbors(u), InNeighbors(u), {},
+                            &Neighbor::node, &Neighbor::node)) {
+      return false;
     }
   }
   return true;
 }
 
-bool GraphBuilder::HasEdge(NodeId src, NodeId dst) const {
-  for (std::size_t i = 0; i < src_.size(); ++i) {
-    if (src_[i] == src && dst_[i] == dst) return true;
-  }
-  return false;
-}
-
-Graph GraphBuilder::Build() && {
-  return Graph(num_nodes_, std::move(src_), std::move(dst_), std::move(weight_));
-}
+Graph GraphBuilder::Build() && { return Graph(edges_.BuildCsc()); }
 
 GraphStats ComputeStats(const Graph& graph) {
   GraphStats stats;

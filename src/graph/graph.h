@@ -1,11 +1,12 @@
 // Directed weighted graph container.
 //
 // The random walk in RWR follows *out*-edges, so the primary adjacency is
-// out-neighbor CSR; in-neighbor CSR is materialized alongside because
-// generators, statistics, and the baselines need it. Node ids are dense
-// [0, n). Parallel edges are merged (weights summed) at build time;
-// self-loops are allowed (the paper's estimator handles A(u,u) ≠ 0
-// explicitly through the c′(u) factor).
+// the out-lists; the in-lists beside them are their exact transpose (same
+// entries, same weight bits), read by reorder's border detection, Louvain's
+// symmetrization, the generators, statistics, and the baselines. Node ids
+// are dense [0, n). Parallel edges are merged (weights summed) once, by
+// GraphBuilder; self-loops are allowed (the paper's estimator handles
+// A(u,u) ≠ 0 explicitly through the c′(u) factor).
 #ifndef KDASH_GRAPH_GRAPH_H_
 #define KDASH_GRAPH_GRAPH_H_
 
@@ -15,6 +16,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "sparse/coo_builder.h"
 #include "sparse/csc_matrix.h"
 
 namespace kdash::graph {
@@ -31,10 +33,10 @@ class Graph {
  public:
   Graph() = default;
 
-  // Assembles a graph from an edge list. Duplicate (src, dst) edges have
-  // their weights summed. All weights must be positive.
-  Graph(NodeId num_nodes, std::vector<NodeId> src, std::vector<NodeId> dst,
-        std::vector<Scalar> weight);
+  // The graph whose node v has column v of the square `weights` as its
+  // out-list: weights(u, v) = w(v→u), rows ascending and unique (the CSC
+  // invariant), every weight positive. The in-lists are weights' transpose.
+  explicit Graph(const sparse::CscMatrix& weights);
 
   NodeId num_nodes() const { return num_nodes_; }
   // Number of distinct directed edges after merging duplicates.
@@ -68,32 +70,34 @@ class Graph {
   // shared by every engine in this library.
   sparse::CscMatrix NormalizedAdjacency() const;
 
-  // True if for every edge u→v the edge v→u also exists.
+  // True if for every edge u→v the edge v→u also exists, i.e., every
+  // node's out-list and in-list name the same nodes.
   bool IsSymmetric() const;
 
  private:
   NodeId num_nodes_ = 0;
-  std::vector<Index> out_ptr_;
+  std::vector<Index> out_ptr_ = {0};
   std::vector<Neighbor> out_neighbors_;  // sorted by node within each list
-  std::vector<Index> in_ptr_;
+  std::vector<Index> in_ptr_ = {0};
   std::vector<Neighbor> in_neighbors_;
   std::vector<Scalar> out_weight_;
 };
 
 // Incremental edge accumulator. AddEdge / AddUndirectedEdge, then Build().
+// The one place a graph's edges are sorted and duplicates summed: every
+// later form of the graph (in-lists, A, P·A·Pᵀ, W) is a linear pass over
+// the sorted columns.
 class GraphBuilder {
  public:
-  explicit GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {
+  explicit GraphBuilder(NodeId num_nodes) : edges_(num_nodes, num_nodes) {
     KDASH_CHECK(num_nodes >= 0);
   }
 
   void AddEdge(NodeId src, NodeId dst, Scalar weight = 1.0) {
-    KDASH_CHECK(src >= 0 && src < num_nodes_) << "src " << src;
-    KDASH_CHECK(dst >= 0 && dst < num_nodes_) << "dst " << dst;
+    KDASH_CHECK(src >= 0 && src < num_nodes()) << "src " << src;
+    KDASH_CHECK(dst >= 0 && dst < num_nodes()) << "dst " << dst;
     KDASH_CHECK(weight > 0.0) << "non-positive weight";
-    src_.push_back(src);
-    dst_.push_back(dst);
-    weight_.push_back(weight);
+    edges_.Add(/*row=*/dst, /*col=*/src, weight);
   }
 
   // Adds both directions. Self-loops are added once.
@@ -102,20 +106,12 @@ class GraphBuilder {
     if (a != b) AddEdge(b, a, weight);
   }
 
-  // True if the directed edge was recorded by an earlier AddEdge call.
-  // O(#edges added from src); intended for generators avoiding duplicates.
-  bool HasEdge(NodeId src, NodeId dst) const;
-
-  NodeId num_nodes() const { return num_nodes_; }
-  std::size_t num_added() const { return src_.size(); }
+  NodeId num_nodes() const { return edges_.cols(); }
 
   Graph Build() &&;
 
  private:
-  NodeId num_nodes_;
-  std::vector<NodeId> src_;
-  std::vector<NodeId> dst_;
-  std::vector<Scalar> weight_;
+  sparse::CooBuilder edges_;  // w(src→dst) at (row dst, col src)
 };
 
 // Basic structural statistics, used by dataset tests and the bench headers.

@@ -64,8 +64,12 @@ Result<Graph> ReadEdgeList(std::istream& in, bool undirected) {
       weight.push_back(w);
     }
   }
-  Graph graph(static_cast<NodeId>(dense_id.size()), std::move(src),
-              std::move(dst), std::move(weight));
+  // The node count is known only once every id is densified.
+  GraphBuilder builder(static_cast<NodeId>(dense_id.size()));
+  for (std::size_t e = 0; e < src.size(); ++e) {
+    builder.AddEdge(src[e], dst[e], weight[e]);
+  }
+  Graph graph = std::move(builder).Build();
   // Finite weights can still sum to +inf (a merged duplicate edge is part
   // of its node's total), which would normalize the node's edges to NaN or
   // 0. Only on that error is the node's file id looked up.

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "sparse/coo_builder.h"
 
 namespace kdash::lu {
 
@@ -18,16 +17,29 @@ sparse::CscMatrix BuildRwrSystemMatrix(const sparse::CscMatrix& a,
   KDASH_CHECK(restart_prob > 0.0 && restart_prob < 1.0);
   const Scalar damp = 1.0 - restart_prob;
   const NodeId n = a.rows();
-  sparse::CooBuilder builder(n, n);
-  builder.Reserve(static_cast<std::size_t>(a.nnz() + n));
+  // The identity's 1 is merged into each sorted column of A, so nothing is
+  // sorted; a self-loop's diagonal is the two-term sum 1 + (−damp·a_jj).
+  std::vector<Index> col_ptr{0};
+  std::vector<NodeId> row_idx;
+  std::vector<Scalar> values;
+  const auto append = [&](NodeId row, Scalar value) {
+    row_idx.push_back(row);
+    values.push_back(value);
+  };
   for (NodeId col = 0; col < n; ++col) {
-    builder.Add(col, col, 1.0);
     const Index end = a.ColEnd(col);
-    for (Index k = a.ColBegin(col); k < end; ++k) {
-      builder.Add(a.RowIndex(k), col, -damp * a.Value(k));
+    Index k = a.ColBegin(col);
+    for (; k < end && a.RowIndex(k) < col; ++k) {
+      append(a.RowIndex(k), -damp * a.Value(k));
     }
+    Scalar diagonal = 1.0;
+    if (k < end && a.RowIndex(k) == col) diagonal += -damp * a.Value(k++);
+    append(col, diagonal);
+    for (; k < end; ++k) append(a.RowIndex(k), -damp * a.Value(k));
+    col_ptr.push_back(static_cast<Index>(row_idx.size()));
   }
-  return builder.BuildCsc();
+  return sparse::CscMatrix(n, n, std::move(col_ptr), std::move(row_idx),
+                           std::move(values));
 }
 
 namespace {

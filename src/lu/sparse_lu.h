@@ -60,7 +60,8 @@ struct LuFactors {
 // pool of T workers. The factors are identical for every thread count.
 LuFactors FactorizeLu(const sparse::CscMatrix& w, int num_threads = 0);
 
-// Builds W = I - (1-c) * A from a normalized adjacency matrix.
+// Builds W = I - (1-c) * A from a normalized adjacency matrix, one linear
+// pass over A's sorted columns, no sort.
 sparse::CscMatrix BuildRwrSystemMatrix(const sparse::CscMatrix& a,
                                        Scalar restart_prob);
 

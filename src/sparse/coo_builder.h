@@ -1,7 +1,7 @@
-// Triplet (COO) accumulator for assembling sparse matrices.
-//
-// Duplicate (row, col) entries are summed on build, which is the convention
-// graph builders rely on for multi-edges.
+// Triplet (COO) accumulator: where a graph's edges are sorted and duplicate
+// (row, col) entries summed. Its one library caller is graph::GraphBuilder;
+// every later matrix is a linear pass over the sorted columns, and tests
+// use this builder as those passes' oracle.
 #ifndef KDASH_SPARSE_COO_BUILDER_H_
 #define KDASH_SPARSE_COO_BUILDER_H_
 
@@ -18,13 +18,6 @@ class CooBuilder {
 
   void Add(NodeId row, NodeId col, Scalar value);
 
-  void Reserve(std::size_t nnz_hint) {
-    rows_idx_.reserve(nnz_hint);
-    cols_idx_.reserve(nnz_hint);
-    values_.reserve(nnz_hint);
-  }
-
-  std::size_t Size() const { return values_.size(); }
   NodeId rows() const { return rows_; }
   NodeId cols() const { return cols_; }
 

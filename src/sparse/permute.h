@@ -14,8 +14,9 @@
 
 namespace kdash::sparse {
 
-// Returns A′ with A′(new_of_old[i], new_of_old[j]) = A(i, j).
-// `new_of_old` must be a permutation of [0, n); validated.
+// Returns A′ with A′(new_of_old[i], new_of_old[j]) = A(i, j), moving the
+// values by linear passes (no sort). `new_of_old` must be a permutation of
+// [0, n); validated.
 CscMatrix PermuteSymmetric(const CscMatrix& a,
                            const std::vector<NodeId>& new_of_old);
 

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "sparse/coo_builder.h"
+#include "test_util.h"
 
 namespace kdash::sparse {
 namespace {
@@ -84,6 +85,37 @@ TEST(PermuteTest, InversePermutationUndoesPermute) {
   const CscMatrix round = PermuteSymmetric(PermuteSymmetric(m, p),
                                            InversePermutation(p));
   EXPECT_EQ(round, m);
+}
+
+// P·A·Pᵀ equals the COO assembly of the moved entries, bit for bit, on
+// random matrices with empty columns, diagonal entries and summed duplicates.
+TEST(PermuteTest, MatchesCooAssemblyOfMovedEntries) {
+  Rng rng(7);
+  for (const NodeId n : {1, 2, 9, 40, 150}) {
+    CooBuilder builder(n, n);
+    const int entries = static_cast<int>(n) * 3;
+    for (int e = 0; e < entries; ++e) {
+      // Columns past n / 2 stay empty unless a diagonal entry lands there.
+      const NodeId row = rng.NextNode(n);
+      const NodeId col =
+          rng.NextBounded(4) == 0 ? row : rng.NextNode(n / 2 + 1);
+      builder.Add(row, col, rng.NextDouble() - 0.5);
+    }
+    const CscMatrix m = builder.BuildCsc();
+    std::vector<NodeId> p(static_cast<std::size_t>(n));
+    std::iota(p.begin(), p.end(), 0);
+    rng.Shuffle(p);
+
+    CooBuilder oracle(n, n);
+    for (NodeId col = 0; col < n; ++col) {
+      for (Index k = m.ColBegin(col); k < m.ColEnd(col); ++k) {
+        oracle.Add(p[static_cast<std::size_t>(m.RowIndex(k))],
+                   p[static_cast<std::size_t>(col)], m.Value(k));
+      }
+    }
+    EXPECT_TRUE(test::SameCscBits(PermuteSymmetric(m, p), oracle.BuildCsc()))
+        << "n = " << n;
+  }
 }
 
 TEST(PermuteTest, ValidatePermutationAcceptsValid) {

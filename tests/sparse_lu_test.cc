@@ -41,6 +41,40 @@ TEST(BuildRwrSystemMatrixTest, Definition) {
   EXPECT_NEAR(w.At(2, 2), 1.0 - 0.1 * 0.5, 1e-15);
 }
 
+// W = I − (1−c)·A equals the COO assembly of the identity's 1s and the
+// scaled entries of A, bit for bit: a self-loop's diagonal is the same
+// two-term sum either way.
+TEST(BuildRwrSystemMatrixTest, MatchesCooAssembly) {
+  Rng rng(3);
+  for (const NodeId n : {1, 3, 12, 60}) {
+    CooBuilder builder(n, n);
+    // Column 0 holds only its diagonal; for n > 2, column n − 1 is empty.
+    builder.Add(0, 0, 0.5);
+    const int entries = static_cast<int>(n) * 4;
+    for (int e = 0; e < entries && n > 2; ++e) {
+      const NodeId row = rng.NextNode(n);
+      const NodeId col = rng.NextBounded(3) == 0
+                             ? row
+                             : 1 + rng.NextNode(n - 2);
+      if (col == 0 || col == n - 1) continue;
+      builder.Add(row, col, rng.NextDouble());
+    }
+    const CscMatrix a = builder.BuildCsc();
+    for (const Scalar c : {0.05, 0.5, 0.95}) {
+      CooBuilder oracle(n, n);
+      for (NodeId col = 0; col < n; ++col) {
+        oracle.Add(col, col, 1.0);
+        for (Index k = a.ColBegin(col); k < a.ColEnd(col); ++k) {
+          oracle.Add(a.RowIndex(k), col, -(1.0 - c) * a.Value(k));
+        }
+      }
+      EXPECT_TRUE(
+          test::SameCscBits(BuildRwrSystemMatrix(a, c), oracle.BuildCsc()))
+          << "n = " << n << ", c = " << c;
+    }
+  }
+}
+
 TEST(SparseLuTest, IdentityFactorsTrivially) {
   CooBuilder builder(4, 4);
   for (NodeId i = 0; i < 4; ++i) builder.Add(i, i, 1.0);

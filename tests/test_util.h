@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -101,6 +102,30 @@ inline Scalar MaxAbsDiff(const linalg::DenseMatrix& a,
     }
   }
   return worst;
+}
+
+// Success iff `a` and `b` have the same shape, col_ptr and row_idx, and
+// values equal bit for bit (so 0.0 and -0.0 differ). The form for checking
+// an assembly against its sparse::CooBuilder oracle.
+inline ::testing::AssertionResult SameCscBits(const sparse::CscMatrix& a,
+                                              const sparse::CscMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  if (a.col_ptr() != b.col_ptr()) {
+    return ::testing::AssertionFailure() << "col_ptr differs";
+  }
+  if (a.row_idx() != b.row_idx()) {
+    return ::testing::AssertionFailure() << "row_idx differs";
+  }
+  for (Index k = 0; k < a.nnz(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a.Value(k)) !=
+        std::bit_cast<std::uint64_t>(b.Value(k))) {
+      return ::testing::AssertionFailure()
+             << "value " << k << ": " << a.Value(k) << " vs " << b.Value(k);
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // Growth of one process-global registry counter since construction. The

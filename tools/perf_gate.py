@@ -24,10 +24,13 @@ Three record formats are understood:
            single-thread builds of L⁻¹ and of the stored U⁻¹ᵀ, so a slower
            inverse kernel cannot silently replace the blocked one, and the
            single-thread LU factorization, whose gated input takes the
-           dense tail, and the single-thread build and write path of the
-           updatable engine (BM_DynamicBuild, BM_DynamicEdit), so its base
-           factorization cannot silently lose its fill-reducing order and
-           an edit cannot silently grow dearer.
+           dense tail, the single-thread build, write path and rebuild of
+           the updatable engine (BM_DynamicBuild, BM_DynamicEdit,
+           BM_DynamicRebuild), so its base factorization cannot silently
+           lose its fill-reducing order and an edit or a rebuild cannot
+           silently grow dearer, and the graph build (BM_GraphBuild), so
+           the one sort of a graph's edges cannot silently come back as
+           several.
 
   latency  one bench_util JSON line whose "metrics" array carries the
            process metric-registry snapshot (src/obs/metrics.h). The gated
@@ -259,7 +262,7 @@ def main():
     micro.add_argument("--baseline", required=True)
     micro.add_argument("--current", required=True)
     micro.add_argument("--max-regress", type=float, default=0.10)
-    micro.add_argument("--filter", default=r"BM_KDashQuery|BM_ProximityRowDot|BM_TriangularInvert.*/1$|BM_LuFactorize/1$|BM_DynamicBuild$|BM_DynamicEdit$")
+    micro.add_argument("--filter", default=r"BM_KDashQuery|BM_ProximityRowDot|BM_TriangularInvert.*/1$|BM_LuFactorize/1$|BM_DynamicBuild$|BM_DynamicEdit$|BM_GraphBuild$|BM_DynamicRebuild$")
     micro.set_defaults(func=gate_micro)
 
     latency = sub.add_parser(
