@@ -2,9 +2,9 @@
 //
 // The random walk in RWR follows *out*-edges, so the primary adjacency is
 // the out-lists; the in-lists beside them are their exact transpose (same
-// entries, same weight bits), read by reorder's border detection, Louvain's
-// symmetrization, the generators, statistics, and the baselines. Node ids
-// are dense [0, n). Parallel edges are merged (weights summed) once, by
+// entries, same weight bits), read by reorder's degree order and border
+// detection, Louvain's symmetrization, IsSymmetric and ComputeStats. Node
+// ids are dense [0, n). Parallel edges are merged (weights summed) once, by
 // GraphBuilder; self-loops are allowed (the paper's estimator handles
 // A(u,u) ≠ 0 explicitly through the c′(u) factor).
 #ifndef KDASH_GRAPH_GRAPH_H_
