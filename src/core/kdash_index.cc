@@ -62,10 +62,12 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   // Step 4: explicit sparse inverses L⁻¹ and U⁻¹ᵀ, each written row by row
   // from a backward solve (lu/triangular.h: in hybrid order the rows of L⁻¹
   // cost O(b³) where its columns cost O(n·b²)), straight into the head +
-  // run form the index serves and saves. InvertUpperTriangular solves on U
-  // itself and returns U⁻¹ᵀ, and L is freed before it, so no other
-  // factor-sized copy is alive at the build's memory peak, this last
-  // inverse.
+  // run form the index serves and saves. Each builder sizes its output from
+  // masks of T's pattern and then solves straight into it, so it keeps no
+  // second copy of its values. InvertUpperTriangular solves on U itself and
+  // returns U⁻¹ᵀ, and L is freed before it. So at the build's memory peak,
+  // this last inverse, the factor- and inverse-sized arrays alive are L⁻¹,
+  // U, U⁻¹ᵀ's lane masks and U⁻¹ᵀ itself.
   phase_timer.Restart();
   state.lower_inverse =
       lu::InvertLowerTriangular(factors.lower, options.num_threads);

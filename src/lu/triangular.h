@@ -27,11 +27,17 @@
 // of T read each of its columns once per block instead of once per solve.
 // Each solve's nonzero updates are applied in the same order as in the
 // dense solve, so the blocking does not change a bit. The output is built
-// straight into head + run form (sparse/head_run_matrix.h) by one parallel
-// fill over chunks of whole blocks, of about equal Σ nnz(T(:, j)), on a
-// thread pool (one thread runs the same chunks inline); triangular.cc
-// describes its stages. Every solve depends only on j and every cut only
-// on its column, so the output is identical at every thread count.
+// straight into head + run form (sparse/head_run_matrix.h) over chunks of
+// whole blocks, of about equal Σ nnz(T(:, j)), on a thread pool (one thread
+// runs the same chunks inline), masks first, then values, as sparse direct
+// solvers split a symbolic pass from a numeric one: a pass over T's pattern
+// alone gives each block the lanes that reach each of its rows, which size
+// the output, and each block is then solved again straight into place, so
+// no solved value is kept anywhere but in the output. A reached entry that
+// comes out zero (cancelled or underflowed) reruns the build with masks
+// from the solved values; triangular.cc describes the stages. Every solve
+// depends only on j and every cut only on its column, so the output is
+// identical at every thread count.
 #ifndef KDASH_LU_TRIANGULAR_H_
 #define KDASH_LU_TRIANGULAR_H_
 

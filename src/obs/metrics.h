@@ -70,6 +70,7 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "index_io.load_errors",     // failed index loads (corrupt/missing/...)
     "index_io.load_us",         // wall time of successful index loads
     "index_io.save_us",         // wall time of successful index saves
+    "lu.inverse_retries",       // inverse builds rerun with numeric masks
     "router.degraded_queries",  // router answers missing >= 1 slot's shards
     "router.failovers",         // slot served by a non-primary replica
     "router.health_probes",     // background pings sent to workers

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -10,9 +11,11 @@
 
 #include "common/random.h"
 #include "datasets/datasets.h"
+#include "graph/graph.h"
 #include "head_run_csc.h"
 #include "linalg/dense_matrix.h"
 #include "lu/sparse_lu.h"
+#include "obs/metrics.h"
 #include "reorder/reorder.h"
 #include "sparse/permute.h"
 #include "test_util.h"
@@ -210,12 +213,20 @@ Result<HeadRunMatrix> Restore(const HeadRunMatrix& m) {
                                    m.head_values(), m.run_values(), "test");
 }
 
+// How many inverse builds have rerun with masks from their solved values,
+// in this process.
+std::uint64_t InverseRetries() {
+  return obs::MetricRegistry::Global().GetCounter("lu.inverse_retries").Value();
+}
+
 TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
   // Row i of L⁻¹ is the backward solve of Lᵀ y = e_i, i.e. column i of
   // L⁻¹ᵀ; row j of U⁻¹ᵀ is the backward solve of U x = e_j. Both
   // builders' head + run output must be the test-side FromCsc of the
   // oracle's transpose, bit for bit, and must load back through
   // FromStored. Eight threads are more than the small inputs have blocks.
+  // No input holds a zero inside its pattern, so no build reruns.
+  const std::uint64_t retries = InverseRetries();
   for (const auto& [label, factors] : OracleInputs()) {
     const HeadRunMatrix want_lower = test::FromCsc(
         BackwardSolveColumns(factors.lower.Transposed()).Transposed());
@@ -235,6 +246,7 @@ TEST(TriangularInverseOracleTest, InversesEqualBackwardSolvesInHeadRunForm) {
       }
     }
   }
+  EXPECT_EQ(InverseRetries(), retries);
 }
 
 TEST(TriangularInverseOracleTest, UInverseTransposedIsInverseOfUTransposed) {
@@ -310,6 +322,8 @@ TEST(TriangularInverseOracleTest, ExactZerosInsideABlockRowAreDropped) {
   // and x_18 in solve 19: neither zero is kept.
   EXPECT_EQ(want.nnz(), Index{n + 4});
   const CscMatrix upper_t = upper.Transposed();
+  // Both zeros sit on rows the masks reach, so every build reruns once.
+  const std::uint64_t retries = InverseRetries();
   for (const int threads : {1, 3, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     for (const HeadRunMatrix& got : {InvertUpperTriangular(upper, threads),
@@ -320,6 +334,70 @@ TEST(TriangularInverseOracleTest, ExactZerosInsideABlockRowAreDropped) {
       EXPECT_TRUE(test::SameBits(*restored, got));
     }
   }
+  EXPECT_EQ(InverseRetries(), retries + 6);
+}
+
+// How many entries the solves of upper triangular T reach: solve j reaches
+// every row i reachable from j in the DAG "k → rows above the diagonal of
+// T(:, k)", whatever the values.
+Index StructuralReach(const CscMatrix& upper) {
+  const NodeId n = upper.cols();
+  Index reach = 0;
+  for (NodeId j = 0; j < n; ++j) {
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    std::vector<NodeId> stack{j};
+    seen[static_cast<std::size_t>(j)] = true;
+    while (!stack.empty()) {
+      const NodeId k = stack.back();
+      stack.pop_back();
+      ++reach;
+      for (Index t = upper.ColBegin(k); t < upper.ColEnd(k); ++t) {
+        const NodeId i = upper.RowIndex(t);
+        if (seen[static_cast<std::size_t>(i)]) continue;
+        seen[static_cast<std::size_t>(i)] = true;
+        stack.push_back(i);
+      }
+    }
+  }
+  return reach;
+}
+
+TEST(TriangularInverseOracleTest, UnderflowedEntriesAreDropped) {
+  // A directed path 0 → 1 → … → 399 at c = 0.95, factored in identity
+  // order: L⁻¹(i, j) is about 0.05^(i − j), which underflows to zero
+  // beyond 248 steps. Every solve still reaches every row below it, so the
+  // 151·152/2 = 11,476 entries 249 or more steps below the diagonal are
+  // reached but zero.
+  constexpr NodeId kN = 400;
+  graph::GraphBuilder builder(kN);
+  for (NodeId u = 0; u + 1 < kN; ++u) builder.AddEdge(u, u + 1);
+  const graph::Graph path = std::move(builder).Build();
+  const LuFactors factors =
+      FactorizeLu(BuildRwrSystemMatrix(path.NormalizedAdjacency(), 0.95));
+  const CscMatrix lower_t = factors.lower.Transposed();
+  const CscMatrix oracle = BackwardSolveColumns(lower_t);
+  EXPECT_EQ(StructuralReach(lower_t) - oracle.nnz(), Index{11476});
+
+  const HeadRunMatrix want_lower = test::FromCsc(oracle.Transposed());
+  const HeadRunMatrix want_upper =
+      test::FromCsc(BackwardSolveColumns(factors.upper).Transposed());
+  // Only L⁻¹ underflows, so only its builds rerun: from L, and from Lᵀ,
+  // whose U⁻¹ᵀ is L⁻¹.
+  const std::uint64_t retries = InverseRetries();
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (const auto& [got, want] :
+         {std::pair{InvertLowerTriangular(factors.lower, threads), want_lower},
+          std::pair{InvertUpperTriangular(lower_t, threads), want_lower},
+          std::pair{InvertUpperTriangular(factors.upper, threads),
+                    want_upper}}) {
+      EXPECT_TRUE(test::SameBits(got, want));
+      const auto restored = Restore(got);
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      EXPECT_TRUE(test::SameBits(*restored, got));
+    }
+  }
+  EXPECT_EQ(InverseRetries(), retries + 6);
 }
 
 class TriangularRoundTripTest

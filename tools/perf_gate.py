@@ -13,8 +13,10 @@ Three record formats are understood:
            sequential wall (the inverses' fill included). Also gated is
            build_peak_mb, how far one whole KDashIndex::Build raises the
            process's resident high-water mark, so the build's memory peak
-           cannot silently grow back. lu_seconds is reported
-           informationally. A key missing from either run is skipped.
+           cannot silently grow back; build_peak_mb is gated at 1 thread
+           too, the inline build, whose allocation order is
+           deterministic. lu_seconds is reported informationally. A key
+           missing from either run is skipped.
 
   micro    google-benchmark JSON (--benchmark_format=json) from
            bench_micro_kernels. Every benchmark whose name matches --filter
@@ -103,18 +105,20 @@ def gate_scaling(args):
         print("perf-gate: no common thread counts with the baseline — passing")
         return 0
 
-    threads = common[-1]
-    base = by_threads_base[threads]
-    cur = by_threads_cur[threads]
-
-    failed = False
-    for key, gated in [
+    checks = [(common[-1], key, gated) for key, gated in [
         ("reorder_seconds", True),
         ("lu_seconds", False),
         ("lower_inverse_seconds", True),
         ("upper_inverse_seconds", True),
         ("build_peak_mb", True),
-    ]:
+    ]]
+    if common[-1] != 1 and 1 in common:
+        checks.append((1, "build_peak_mb", True))
+
+    failed = False
+    for threads, key, gated in checks:
+        base = by_threads_base[threads]
+        cur = by_threads_cur[threads]
         if key not in base or key not in cur:
             continue
         old, new = float(base[key]), float(cur[key])
