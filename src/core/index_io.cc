@@ -191,32 +191,21 @@ class Reader {
           Corrupt("array length exceeds remaining file size"));
     }
     out->clear();
-    if (!remaining_known_) {
-      // Non-seekable stream (pipe/socket): the length cannot be
-      // bounds-checked up front, so grow in bounded chunks — a corrupt
-      // huge length then fails on the first missing byte instead of
-      // attempting one enormous allocation.
-      constexpr std::uint64_t kChunkElems = (1u << 20);
-      std::uint64_t todo = size;
-      while (todo > 0) {
-        const std::uint64_t chunk = std::min(todo, kChunkElems);
-        const std::size_t old_size = out->size();
-        out->resize(old_size + static_cast<std::size_t>(chunk));
-        in_.read(reinterpret_cast<char*>(out->data() + old_size),
-                 static_cast<std::streamsize>(chunk * sizeof(T)));
-        if (!in_.good()) return Status::DataLoss("truncated index stream");
-        Consume(out->data() + old_size, chunk * sizeof(T));
-        todo -= chunk;
-      }
-      return Status::Ok();
-    }
-    out->resize(static_cast<std::size_t>(size));
-    if (size > 0) {
-      const std::uint64_t bytes = size * sizeof(T);
-      in_.read(reinterpret_cast<char*>(out->data()),
-               static_cast<std::streamsize>(bytes));
+    // A seekable stream's length was bounded above, so it is allocated
+    // once. A non-seekable one (pipe/socket) grows in bounded chunks, so a
+    // corrupt huge length fails on the first missing byte instead of
+    // attempting one enormous allocation.
+    if (remaining_known_) out->reserve(static_cast<std::size_t>(size));
+    constexpr std::uint64_t kChunkElems = (1u << 20);
+    for (std::uint64_t todo = size; todo > 0;) {
+      const std::uint64_t chunk = std::min(todo, kChunkElems);
+      const std::size_t old_size = out->size();
+      out->resize(old_size + static_cast<std::size_t>(chunk));
+      in_.read(reinterpret_cast<char*>(out->data() + old_size),
+               static_cast<std::streamsize>(chunk * sizeof(T)));
       if (!in_.good()) return Status::DataLoss("truncated index stream");
-      Consume(out->data(), bytes);
+      Consume(out->data() + old_size, chunk * sizeof(T));
+      todo -= chunk;
     }
     return Status::Ok();
   }

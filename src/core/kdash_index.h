@@ -46,10 +46,10 @@ struct KDashOptions {
   // Worker threads for the precompute's parallel stages: the
   // phase-synchronous Louvain reordering, the LU factorization's dense tail
   // (see lu/sparse_lu.h) and the explicit triangular inverses.
-  // 0 = KDASH_NUM_THREADS or hardware concurrency. An execution knob, not
-  // index state: it does not affect the built index (every parallel stage is
-  // bit-identical to its sequential counterpart) and is not serialized by
-  // Save/Load.
+  // 0 = KDASH_NUM_THREADS or hardware concurrency; 1 runs every stage
+  // inline and starts no thread. An execution knob, not index state: it
+  // does not affect the built index (every parallel stage is bit-identical
+  // to its sequential counterpart) and is not serialized by Save/Load.
   int num_threads = 0;
 };
 

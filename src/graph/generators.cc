@@ -181,6 +181,20 @@ Graph PlantedPartition(NodeId num_nodes, NodeId num_communities,
       static_cast<Index>(static_cast<double>(num_nodes) * avg_in_degree / 2.0);
   const Index cross_edges =
       static_cast<Index>(static_cast<double>(num_nodes) * avg_out_degree / 2.0);
+  // The loops below draw distinct pairs until each budget is met, so a
+  // budget above the pairs available would never be met.
+  const auto pairs = [](Index size) { return size * (size - 1) / 2; };
+  Index within_pairs = 0;
+  for (NodeId c = 0; c < num_communities; ++c) {
+    within_pairs += pairs(community_end(c) - community_begin(c));
+  }
+  const Index cross_pairs = pairs(num_nodes) - within_pairs;
+  KDASH_CHECK(within_edges <= within_pairs)
+      << within_edges << " within-community edges asked for, "
+      << within_pairs << " pairs available";
+  KDASH_CHECK(cross_edges <= cross_pairs)
+      << cross_edges << " cross-community edges asked for, " << cross_pairs
+      << " pairs available";
 
   std::unordered_set<std::uint64_t> seen;
   GraphBuilder builder(num_nodes);

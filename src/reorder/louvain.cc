@@ -189,17 +189,15 @@ LevelResult LocalMovingLegacy(const WorkGraph& work, double min_gain,
 //   1. propose (parallel): every node's best community against a frozen
 //      snapshot of {community, community_strength}, smallest-label
 //      tie-break;
-//   2. monitor: the snapshot's modularity, assembled from per-node partials
-//      in fixed node order — if the previous sweep's moves failed to improve
-//      it by min_gain, the phase has converged and this sweep's proposals
-//      are discarded;
-//   3. apply (sequential, ascending node id): each proposal is re-evaluated
+//   2. apply (sequential, ascending node id): each proposal is re-evaluated
 //      exactly against the *current* labels (one adjacency scan per
 //      proposer, two accumulators) and applied only if it still improves
 //      modularity — the sequential algorithm's acceptance rule, restricted
 //      to the snapshot-chosen candidate. Applied moves therefore strictly
 //      increase Q, so batched application can neither oscillate nor
 //      overshoot, and quality tracks the sequential baseline.
+// The phase ends once a sweep's applied moves raise Q by less than
+// min_gain; a sweep that applies no move raises it by nothing.
 // Every proposal is a pure function of the snapshot, the apply order is
 // fixed, and every float reduction runs in a fixed order, so the result is
 // bit-identical at every thread count.
@@ -214,10 +212,6 @@ LevelResult LocalMovingPhaseSynchronous(const WorkGraph& work, double min_gain,
   std::vector<double> community_strength = work.strength;
 
   std::vector<NodeId> proposal(static_cast<std::size_t>(n));
-  // w(u → u's own community) + 2·w(u,u): node u's contribution to the intra
-  // weight of the snapshot, captured during the propose scan so the
-  // modularity monitor costs no extra adjacency pass.
-  std::vector<double> intra_to_own(static_cast<std::size_t>(n), 0.0);
 
   struct Scratch {
     std::vector<double> weight_to;  // dense per-community accumulator
@@ -232,9 +226,7 @@ LevelResult LocalMovingPhaseSynchronous(const WorkGraph& work, double min_gain,
   std::vector<Scratch> scratches(static_cast<std::size_t>(pool.num_threads()));
 
   bool moved_any = false;
-  double prev_q = 0.0;
-  bool have_prev_q = false;
-  // The modularity monitor breaks the loop as soon as a sweep stops paying;
+  // The applied-gain test breaks the loop as soon as a sweep stops paying;
   // the pass cap is a backstop against floating-point-scale oscillation.
   for (int pass = 0; pass < 128; ++pass) {
     pool.ParallelFor(0, n, kNodeGrain, [&](Index begin, Index end, int rank) {
@@ -245,20 +237,14 @@ LevelResult LocalMovingPhaseSynchronous(const WorkGraph& work, double min_gain,
         const NodeId old_c = community[u];
         const double k_u = work.strength[u];
         scratch.touched.clear();
-        double self_weight = 0.0;
         for (const auto& [v, w] : work.adj[u]) {
-          if (static_cast<std::size_t>(v) == u) {
-            self_weight += 2.0 * w;
-            continue;
-          }
+          if (static_cast<std::size_t>(v) == u) continue;
           const NodeId c = community[static_cast<std::size_t>(v)];
           if (scratch.weight_to[static_cast<std::size_t>(c)] == 0.0) {
             scratch.touched.push_back(c);
           }
           scratch.weight_to[static_cast<std::size_t>(c)] += w;
         }
-        intra_to_own[u] =
-            scratch.weight_to[static_cast<std::size_t>(old_c)] + self_weight;
 
         // Gain of staying, with u removed from its own community.
         const double stay_gain =
@@ -291,24 +277,8 @@ LevelResult LocalMovingPhaseSynchronous(const WorkGraph& work, double min_gain,
       }
     });
 
-    // Snapshot modularity from the per-node partials, in fixed order.
-    double intra = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      intra += intra_to_own[static_cast<std::size_t>(u)];
-    }
-    double expected = 0.0;
-    for (NodeId c = 0; c < n; ++c) {
-      const double tot = community_strength[static_cast<std::size_t>(c)] / two_m;
-      expected += tot * tot;
-    }
-    const double q = intra / two_m - expected;
-    if (have_prev_q && q - prev_q < min_gain) break;
-    prev_q = q;
-    have_prev_q = true;
-
     // Apply in ascending node-id order, re-checking each move exactly
     // against the evolving state (proposals were judged on the snapshot).
-    NodeId moves = 0;
     double applied_gain = 0.0;  // Σ (move_gain - stay_gain) of applied moves
     for (NodeId u = 0; u < n; ++u) {
       const NodeId target = proposal[static_cast<std::size_t>(u)];
@@ -338,14 +308,10 @@ LevelResult LocalMovingPhaseSynchronous(const WorkGraph& work, double min_gain,
       community_strength[static_cast<std::size_t>(target)] += k_u;
       community[static_cast<std::size_t>(u)] = target;
       applied_gain += move_gain - stay_gain;
-      ++moves;
+      moved_any = true;
     }
-    if (moves == 0) break;
-    moved_any = true;
-    // ΔQ of a single move is (move_gain - stay_gain) · 2/2m, so the
-    // sweep's exact modularity improvement is already in hand — when it is
-    // below the threshold the monitor would apply next sweep, stop now
-    // instead of paying one more full propose pass just to observe it.
+    // ΔQ of a single move is (move_gain - stay_gain) · 2/2m, so this is
+    // the sweep's modularity improvement.
     if (2.0 * applied_gain / two_m < min_gain) break;
   }
 
@@ -453,7 +419,6 @@ LouvainResult RunLouvain(const graph::Graph& g, const LouvainOptions& options,
         legacy ? LocalMovingLegacy(work, kMinModularityGain, rng)
                : LocalMovingPhaseSynchronous(work, kMinModularityGain, pool);
     if (!lr.moved) break;
-    result.levels = level + 1;
     for (auto& m : membership) {
       m = lr.community[static_cast<std::size_t>(m)];
     }
@@ -467,7 +432,6 @@ LouvainResult RunLouvain(const graph::Graph& g, const LouvainOptions& options,
     result.num_communities = std::max<NodeId>(result.num_communities,
                                               static_cast<NodeId>(c + 1));
   }
-  result.modularity = Modularity(g, result.community_of_node);
   return result;
 }
 

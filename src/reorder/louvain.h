@@ -21,8 +21,9 @@
 //   node-id order, re-evaluating each one exactly against the evolving
 //   labels — the sequential acceptance rule, restricted to the
 //   snapshot-chosen candidate — so every applied move strictly increases
-//   modularity and batched application cannot oscillate. A sweep-over-sweep
-//   modularity monitor terminates the phase. Every per-node proposal is a
+//   modularity and batched application cannot oscillate. The phase ends
+//   once a sweep's applied moves gain less than the threshold below (a
+//   sweep that applies none gains nothing). Every per-node proposal is a
 //   pure function of the snapshot and every reduction runs in a fixed
 //   order, so the partition is bit-identical at every thread count.
 //
@@ -53,13 +54,11 @@ struct LouvainOptions {
   Algorithm algorithm = Algorithm::kPhaseSynchronous;
 };
 
+// The partition alone; Modularity() scores it.
 struct LouvainResult {
   // community_of_node[u] ∈ [0, num_communities), dense labels.
   std::vector<NodeId> community_of_node;
   NodeId num_communities = 0;
-  // Modularity of the returned partition on the symmetrized graph.
-  double modularity = 0.0;
-  int levels = 0;  // aggregation levels performed
 };
 
 // Partitions `graph` on `pool`. A local-moving phase stops once a full pass

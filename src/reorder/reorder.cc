@@ -21,26 +21,27 @@ Reordering FromOldOfNew(std::vector<NodeId> old_of_new) {
   return r;
 }
 
-// Algorithm 1: nodes by ascending total degree, ties by ascending id. A
-// counting sort on degree: stable, so equal degrees keep id order, and
-// O(n + max degree) where a comparison sort would be O(n log n).
-Reordering AscendingDegreeReordering(const graph::Graph& graph) {
-  const NodeId n = graph.num_nodes();
+// `nodes` by ascending total degree, equal degrees in their given order:
+// Algorithm 1 on all nodes in id order, and Algorithm 3 inside each
+// partition. A counting sort, O(|nodes| + max degree) where a comparison
+// sort would be O(|nodes| log |nodes|).
+std::vector<NodeId> ByAscendingDegree(const graph::Graph& graph,
+                                      const std::vector<NodeId>& nodes) {
   Index max_degree = 0;
-  for (NodeId u = 0; u < n; ++u) {
+  for (const NodeId u : nodes) {
     max_degree = std::max(max_degree, graph.Degree(u));
   }
   std::vector<NodeId> start(static_cast<std::size_t>(max_degree) + 2, 0);
-  for (NodeId u = 0; u < n; ++u) {
+  for (const NodeId u : nodes) {
     ++start[static_cast<std::size_t>(graph.Degree(u)) + 1];
   }
   std::partial_sum(start.begin(), start.end(), start.begin());
-  std::vector<NodeId> old_of_new(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    old_of_new[static_cast<std::size_t>(
+  std::vector<NodeId> sorted(nodes.size());
+  for (const NodeId u : nodes) {
+    sorted[static_cast<std::size_t>(
         start[static_cast<std::size_t>(graph.Degree(u))]++)] = u;
   }
-  return FromOldOfNew(std::move(old_of_new));
+  return sorted;
 }
 
 // Algorithm 2: Louvain partitions, a border partition κ+1, and the nodes
@@ -59,9 +60,8 @@ Reordering ClusterImpl(const graph::Graph& graph, const ReorderOptions& options,
   std::unique_ptr<ThreadPool> local_pool;
   ThreadPool& pool = SelectPool(options.num_threads, local_pool);
 
-  LouvainOptions louvain_options;
-  louvain_options.seed = options.seed;
-  const LouvainResult louvain = RunLouvain(graph, louvain_options, pool);
+  // The default (phase-synchronous) Louvain reads no seed.
+  const LouvainResult louvain = RunLouvain(graph, {}, pool);
   const NodeId kappa = louvain.num_communities;
   const NodeId border = kappa;  // label κ used for the (κ+1)-th partition
   const std::vector<NodeId>& community = louvain.community_of_node;
@@ -121,16 +121,13 @@ Reordering ClusterImpl(const graph::Graph& graph, const ReorderOptions& options,
   }
   if (degree_sort_within) {
     // Algorithm 3 (hybrid): ascending degree inside every partition,
-    // including the border. One independent stable sort per bucket.
+    // including the border. One independent sort per bucket.
     pool.ParallelFor(
         0, static_cast<Index>(buckets.size()), /*grain=*/1,
         [&](Index begin, Index end, int) {
           for (Index b = begin; b < end; ++b) {
             auto& bucket = buckets[static_cast<std::size_t>(b)];
-            std::stable_sort(bucket.begin(), bucket.end(),
-                             [&](NodeId a, NodeId c) {
-                               return graph.Degree(a) < graph.Degree(c);
-                             });
+            bucket = ByAscendingDegree(graph, bucket);
           }
         });
   }
@@ -162,22 +159,18 @@ std::string MethodName(Method method) {
 
 Reordering ComputeReordering(const graph::Graph& graph, Method method,
                              const ReorderOptions& options) {
-  const NodeId n = graph.num_nodes();
+  std::vector<NodeId> id_order(static_cast<std::size_t>(graph.num_nodes()));
+  std::iota(id_order.begin(), id_order.end(), 0);
   switch (method) {
-    case Method::kIdentity: {
-      std::vector<NodeId> order(static_cast<std::size_t>(n));
-      std::iota(order.begin(), order.end(), 0);
-      return FromOldOfNew(std::move(order));
-    }
+    case Method::kIdentity:
+      return FromOldOfNew(std::move(id_order));
     case Method::kRandom: {
-      std::vector<NodeId> order(static_cast<std::size_t>(n));
-      std::iota(order.begin(), order.end(), 0);
       Rng rng(options.seed);
-      rng.Shuffle(order);
-      return FromOldOfNew(std::move(order));
+      rng.Shuffle(id_order);
+      return FromOldOfNew(std::move(id_order));
     }
     case Method::kDegree:
-      return AscendingDegreeReordering(graph);
+      return FromOldOfNew(ByAscendingDegree(graph, id_order));
     case Method::kCluster:
       return ClusterImpl(graph, options, /*degree_sort_within=*/false);
     case Method::kHybrid:
@@ -185,13 +178,6 @@ Reordering ComputeReordering(const graph::Graph& graph, Method method,
   }
   KDASH_CHECK(false) << "unreachable";
   return {};
-}
-
-Reordering ComputeReordering(const graph::Graph& graph, Method method,
-                             std::uint64_t seed) {
-  ReorderOptions options;
-  options.seed = seed;
-  return ComputeReordering(graph, method, options);
 }
 
 }  // namespace kdash::reorder

@@ -44,9 +44,8 @@ struct Reordering {
 };
 
 struct ReorderOptions {
-  // Feeds the kRandom shuffle (and the legacy Louvain visit order, when a
-  // caller opts into reorder::LouvainOptions::Algorithm::kLegacySequential
-  // directly). All methods are deterministic given the seed.
+  // Feeds the kRandom shuffle; no other method reads it. Every method is
+  // deterministic.
   std::uint64_t seed = 42;
   // Worker threads for the parallel stages (phase-synchronous Louvain,
   // border detection, per-partition sorting). 0 = KDASH_NUM_THREADS or
@@ -57,11 +56,7 @@ struct ReorderOptions {
 
 // Computes the ordering.
 Reordering ComputeReordering(const graph::Graph& graph, Method method,
-                             const ReorderOptions& options);
-
-// Back-compat convenience: seed-only, process-default threads.
-Reordering ComputeReordering(const graph::Graph& graph, Method method,
-                             std::uint64_t seed = 42);
+                             const ReorderOptions& options = {});
 
 }  // namespace kdash::reorder
 

@@ -1,14 +1,12 @@
 // Compressed sparse column (CSC) matrix.
 //
 // The general compressed format of the library: the column-normalized
-// adjacency matrix A and the factors L and U are stored CSC, and the
-// explicit inverses L⁻¹ and U⁻¹ are built CSC (U⁻¹ as the CSC of its
-// transpose, whose column u is row u of U⁻¹; a CSR matrix is the CSC matrix
-// of its transpose) before the index converts them to head + run form
-// (sparse/head_run_matrix.h). Within each column, row indices are kept
-// sorted ascending; several kernels (triangular solves, Crout-order
-// reasoning in the paper's Eq. 4–7, the head + run split) rely on that
-// invariant, and `Validate()` enforces it.
+// adjacency matrix A and the factors L and U are stored CSC. The explicit
+// inverses L⁻¹ and U⁻¹ᵀ are not: the inverse builder writes them straight
+// into head + run form (sparse/head_run_matrix.h). Within each column, row
+// indices are kept sorted ascending; several kernels (triangular solves,
+// Crout-order reasoning in the paper's Eq. 4–7) rely on that invariant, and
+// `Validate()` enforces it.
 #ifndef KDASH_SPARSE_CSC_MATRIX_H_
 #define KDASH_SPARSE_CSC_MATRIX_H_
 
@@ -25,8 +23,9 @@ namespace kdash::sparse {
 // `col_ptr` of cols + 1 entries, from 0 up to the length of `row_idx`,
 // never decreasing; `row_idx` and `values` of equal length; and within each
 // column, rows in [0, rows), ascending and unique. On the first violation
-// returns kDataLoss "<what> <violated invariant>" — the form for arrays not
-// yet trusted, such as a loaded file's. CscMatrix::Validate aborts on it.
+// returns kDataLoss "<what> <violated invariant>"; CscMatrix::Validate
+// aborts on it. No loader reads CSC arrays: an index file holds the
+// inverses in head + run form, which HeadRunMatrix::FromStored checks.
 Status CheckCscArrays(std::string_view what, NodeId rows, NodeId cols,
                       const std::vector<Index>& col_ptr,
                       const std::vector<NodeId>& row_idx,

@@ -97,6 +97,20 @@ TEST(GeneratorsTest, PlantedPartitionWeightedHasFractionalWeights) {
   EXPECT_TRUE(saw_fraction);
 }
 
+TEST(GeneratorsTest, PlantedPartitionRejectsABudgetAboveThePairsAvailable) {
+  Rng rng(18);
+  // Eight communities of 8 nodes and one of 11 hold 8·28 + 55 = 279
+  // within-community pairs; an average within-degree of 8 asks for 300.
+  EXPECT_DEATH(PlantedPartition(75, 9, 8.0, 1.0, false, rng),
+               "300 within-community edges asked for, 279 pairs available");
+  // Five pairs of nodes leave 45 - 5 = 40 cross pairs; 9 per node asks 45.
+  EXPECT_DEATH(PlantedPartition(10, 5, 0.0, 9.0, false, rng),
+               "45 cross-community edges asked for, 40 pairs available");
+  // Exactly the pairs available still terminates.
+  EXPECT_EQ(PlantedPartition(10, 5, 1.0, 8.0, false, rng).num_edges(),
+            2 * 45);
+}
+
 TEST(GeneratorsTest, DirectedScaleFreeGrowsToTargetAndIsSkewed) {
   Rng rng(18);
   const NodeId n = 2000;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -38,12 +37,12 @@ TEST(ReorderTest, IdentityKeepsOrder) {
 
 TEST(ReorderTest, RandomIsValidPermutationAndSeedDependent) {
   const graph::Graph g = test::RandomDirectedGraph(100, 300, 1);
-  const Reordering a = ComputeReordering(g, Method::kRandom, 1);
-  const Reordering b = ComputeReordering(g, Method::kRandom, 2);
+  const Reordering a = ComputeReordering(g, Method::kRandom, {.seed = 1});
+  const Reordering b = ComputeReordering(g, Method::kRandom, {.seed = 2});
   ExpectValidReordering(a, g.num_nodes());
   ExpectValidReordering(b, g.num_nodes());
   EXPECT_NE(a.new_of_old, b.new_of_old);
-  const Reordering a2 = ComputeReordering(g, Method::kRandom, 1);
+  const Reordering a2 = ComputeReordering(g, Method::kRandom, {.seed = 1});
   EXPECT_EQ(a.new_of_old, a2.new_of_old);
 }
 
@@ -88,7 +87,6 @@ TEST(ReorderTest, ClusterProducesDoublyBorderedBlockDiagonal) {
 // keeps at least one endpoint in the border, and only nodes on such an edge
 // enter it, so the border is a subset of the paper's both-ends border.
 TEST(ReorderTest, ClusterBorderIsACoverOfTheCut) {
-  constexpr std::uint64_t kSeed = 5;
   Rng rng(11);
   struct Case {
     const char* name;
@@ -101,16 +99,13 @@ TEST(ReorderTest, ClusterBorderIsACoverOfTheCut) {
   cases.push_back({"random", test::RandomDirectedGraph(300, 1500, 17), false});
   for (const Case& c : cases) {
     const graph::Graph& g = c.graph;
-    LouvainOptions louvain_options;
-    louvain_options.seed = kSeed;
-    const std::vector<NodeId> community =
-        RunLouvain(g, louvain_options).community_of_node;
+    const std::vector<NodeId> community = RunLouvain(g).community_of_node;
     const auto crosses = [&](NodeId u, NodeId v) {
       return community[static_cast<std::size_t>(u)] !=
              community[static_cast<std::size_t>(v)];
     };
     for (const Method method : {Method::kCluster, Method::kHybrid}) {
-      const Reordering r = ComputeReordering(g, method, kSeed);
+      const Reordering r = ComputeReordering(g, method);
       const NodeId border = r.num_partitions;
       const auto in_border = [&](NodeId u) {
         return r.partition_of_node[static_cast<std::size_t>(u)] == border;
@@ -182,8 +177,8 @@ TEST(ReorderTest, HybridSortsByDegreeWithinPartitions) {
 TEST(ReorderTest, HybridAndClusterShareBorderMembership) {
   Rng rng(10);
   const graph::Graph g = graph::PlantedPartition(200, 4, 8.0, 0.7, false, rng);
-  const Reordering cluster = ComputeReordering(g, Method::kCluster, 3);
-  const Reordering hybrid = ComputeReordering(g, Method::kHybrid, 3);
+  const Reordering cluster = ComputeReordering(g, Method::kCluster);
+  const Reordering hybrid = ComputeReordering(g, Method::kHybrid);
   EXPECT_EQ(cluster.partition_of_node, hybrid.partition_of_node);
   EXPECT_EQ(cluster.num_partitions, hybrid.num_partitions);
 }

@@ -19,10 +19,11 @@ Three record formats are understood:
            missing from either run is skipped.
 
   micro    google-benchmark JSON (--benchmark_format=json) from
-           bench_micro_kernels. Every benchmark whose name matches --filter
-           and exists in both runs is gated on real_time; the default
-           filter pins the single-thread query-latency benchmarks, which
-           must never pay for precompute-side parallelism, the
+           bench_micro_kernels. Every benchmark the current run measured
+           that also exists in the baseline is gated on real_time, so the
+           run's --benchmark_filter (in ci.yml) is the one list of gated
+           benchmarks. It pins the single-thread query-latency benchmarks,
+           which must never pay for precompute-side parallelism, the
            single-thread builds of L⁻¹ and of the stored U⁻¹ᵀ, so a slower
            inverse kernel cannot silently replace the blocked one, and the
            single-thread LU factorization, whose gated input takes the
@@ -55,7 +56,6 @@ Exit codes: 0 pass, 1 regression, 2 usage/input error.
 
 import argparse
 import json
-import re
 import sys
 
 
@@ -154,25 +154,22 @@ def gate_micro(args):
         print(f"perf-gate: baseline unreadable ({error}) — passing")
         return 0
 
-    name_filter = re.compile(args.filter)
-
     def usable(bench):
-        return (name_filter.search(bench.get("name", "")) and
-                "real_time" in bench and not bench.get("error_occurred"))
+        return ("name" in bench and "real_time" in bench and
+                not bench.get("error_occurred"))
 
     base_by_name = {b["name"]: b
                     for b in baseline.get("benchmarks", []) if usable(b)}
-    current_matching = [b for b in current.get("benchmarks", []) if usable(b)]
-    if not current_matching:
+    current_usable = [b for b in current.get("benchmarks", []) if usable(b)]
+    if not current_usable:
         # The current run measured none of the gated kernels (bench crashed,
         # filter drifted, benchmarks errored): never approve it.
-        print(f"perf-gate: current run has no usable benchmarks matching "
-              f"'{args.filter}' — failing")
+        print("perf-gate: current run has no usable benchmarks — failing")
         return 2
 
     failed = False
     compared = 0
-    for bench in current_matching:
+    for bench in current_usable:
         name = bench["name"]
         if name not in base_by_name:
             continue
@@ -266,7 +263,6 @@ def main():
     micro.add_argument("--baseline", required=True)
     micro.add_argument("--current", required=True)
     micro.add_argument("--max-regress", type=float, default=0.10)
-    micro.add_argument("--filter", default=r"BM_KDashQuery|BM_ProximityRowDot|BM_TriangularInvert.*/1$|BM_LuFactorize/1$|BM_DynamicBuild$|BM_DynamicEdit$|BM_GraphBuild$|BM_DynamicRebuild$")
     micro.set_defaults(func=gate_micro)
 
     latency = sub.add_parser(
