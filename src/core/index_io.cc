@@ -121,8 +121,8 @@ void Append(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-std::span<const char> Bytes(const std::vector<T>& values) {
+template <typename T, typename Alloc>
+std::span<const char> Bytes(const std::vector<T, Alloc>& values) {
   return {reinterpret_cast<const char*>(values.data()),
           values.size() * sizeof(T)};
 }
@@ -180,9 +180,11 @@ class Reader {
     return Status::Ok();
   }
 
-  // `size` elements into *out.
-  template <typename T>
-  Status Array(std::vector<T>* out, std::uint64_t size) {
+  // `size` elements into *out. With a sparse::StoredArray the storage is
+  // left unfilled as it grows: every element is then read from the stream,
+  // or the load fails.
+  template <typename T, typename Alloc>
+  Status Array(std::vector<T, Alloc>* out, std::uint64_t size) {
     static_assert(std::is_trivially_copyable_v<T>);
     KDASH_INJECT_FAULT("index_io.read");
     if (size > std::numeric_limits<std::uint64_t>::max() / sizeof(T) ||
@@ -331,9 +333,9 @@ Result<sparse::HeadRunMatrix> ReadInverseV3(
     NodeId n) {
   const char* name = kSectionNames[section];
   std::vector<sparse::ColumnExtent> extents;
-  std::vector<NodeId> head_rows;
-  std::vector<Scalar> head_values;
-  std::vector<Scalar> run_values;
+  sparse::StoredArray<NodeId> head_rows;
+  sparse::StoredArray<Scalar> head_values;
+  sparse::StoredArray<Scalar> run_values;
   KDASH_RETURN_IF_ERROR(
       ReadSection(reader, table, section, [&](std::uint64_t length) {
         const auto cols = static_cast<std::uint64_t>(n);

@@ -64,7 +64,9 @@ KDashIndex KDashIndex::Build(const graph::Graph& graph,
   // cost O(b³) where its columns cost O(n·b²)), straight into the head +
   // run form the index serves and saves. Each builder sizes its output from
   // masks of T's pattern and then solves straight into it, so it keeps no
-  // second copy of its values. InvertUpperTriangular solves on U itself and
+  // second copy of its values; the output is allocated unfilled, and its
+  // pages are first touched on the pool, which zeroes the runs before the
+  // values land. InvertUpperTriangular solves on U itself and
   // returns U⁻¹ᵀ, and L is freed before it. So at the build's memory peak,
   // this last inverse, the factor- and inverse-sized arrays alive are L⁻¹,
   // U, U⁻¹ᵀ's lane masks and U⁻¹ᵀ itself.

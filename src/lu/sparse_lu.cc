@@ -105,9 +105,11 @@ class ReachDfs {
 constexpr NodeId kMinDenseTail = 64;
 constexpr std::size_t kMaxDenseTailBytes = std::size_t{512} << 20;
 
-// Dense LU blocking. Panels are factored sequentially; the row blocks of U
-// to their right are solved in chunks of kTileCols columns and the trailing
-// update runs in kTileRows × kTileCols tiles, both on the pool.
+// Dense LU blocking. Each panel's diagonal block is factored on the
+// caller; its rows below the block are eliminated in tiles of kTileRows
+// rows, the row blocks of U to its right are solved in chunks of kTileCols
+// columns, and the trailing update runs in kTileRows × kTileCols tiles, all
+// on the pool.
 constexpr Index kPanelWidth = 64;
 constexpr Index kTileRows = 256;
 constexpr Index kTileCols = 16;
@@ -208,6 +210,28 @@ void UpdateTile(Scalar* a, Index m, Index k0, Index k1, Index r0, Index r1,
   }
 }
 
+// Eliminates rows [r0, r1) of the panel a(:, k0:k1), with r0 >= k0: pivot
+// by pivot in ascending order, each row below pivot p is divided by it and
+// then updates the panel's columns right of p, skipping the exact zeros of
+// U. Every pivot and U entry it reads lies in the panel's diagonal block,
+// so once that block is factored, rows at or below k1 split into
+// independent ranges.
+void EliminatePanelRows(Scalar* a, Index m, Index k0, Index k1, Index r0,
+                        Index r1) {
+  for (Index p = k0; p < k1; ++p) {
+    Scalar* const lower = a + p * m;
+    const Scalar pivot = lower[p];
+    const Index first = std::max(r0, p + 1);
+    for (Index i = first; i < r1; ++i) lower[i] /= pivot;
+    for (Index q = p + 1; q < k1; ++q) {
+      Scalar* const column = a + q * m;
+      const Scalar u = column[p];
+      if (u == 0.0) continue;
+      for (Index i = first; i < r1; ++i) column[i] -= lower[i] * u;
+    }
+  }
+}
+
 // Factors the column-major m×m array `a` in place as L·U without pivoting:
 // L (unit diagonal implicit) below the diagonal, U on and above it.
 // Blocked right-looking. Every entry receives its updates in ascending
@@ -216,32 +240,39 @@ void UpdateTile(Scalar* a, Index m, Index k0, Index k1, Index r0, Index r1,
 void FactorDense(Scalar* a, Index m, NodeId first_column, ThreadPool& pool) {
   for (Index k0 = 0; k0 < m; k0 += kPanelWidth) {
     const Index k1 = std::min(m, k0 + kPanelWidth);
-    // The panel a(k0:m, k0:k1), column by column.
+    // The panel's diagonal block a(k0:k1, k0:k1). A pivot is final once the
+    // pivots before it are applied, so the first zero one is the one a
+    // column-by-column factorization would meet first.
+    EliminatePanelRows(a, m, k0, k1, k0, k1);
     for (Index p = k0; p < k1; ++p) {
-      Scalar* const lower = a + p * m;
-      const Scalar pivot = lower[p];
-      KDASH_CHECK(pivot != 0.0)
+      KDASH_CHECK(a[p * m + p] != 0.0)
           << "zero pivot at column " << first_column + p
           << " (matrix not diagonally dominant?)";
-      for (Index i = p + 1; i < m; ++i) lower[i] /= pivot;
-      for (Index q = p + 1; q < k1; ++q) {
-        Scalar* const column = a + q * m;
-        const Scalar u = column[p];
-        if (u == 0.0) continue;
-        for (Index i = p + 1; i < m; ++i) column[i] -= lower[i] * u;
-      }
     }
     if (k1 == m) break;
 
-    // U(k0:k1, k1:m): the unit lower solve with the panel's top block.
-    pool.ParallelFor(k1, m, kTileCols, [&](Index q0, Index q1, int) {
-      for (Index q = q0; q < q1; ++q) {
-        Scalar* const column = a + q * m;
-        for (Index p = k0; p < k1; ++p) {
-          const Scalar u = column[p];
-          if (u == 0.0) continue;
-          const Scalar* const lower = a + p * m;
-          for (Index i = p + 1; i < k1; ++i) column[i] -= lower[i] * u;
+    // The panel's rows below the block, L(k1:m, k0:k1), tile by tile, and
+    // U(k0:k1, k1:m), the unit lower solve with the block, chunk by chunk.
+    const Index panel_tiles = (m - k1 + kTileRows - 1) / kTileRows;
+    const Index u_chunks = (m - k1 + kTileCols - 1) / kTileCols;
+    pool.ParallelFor(0, panel_tiles + u_chunks, 1,
+                     [&](Index t0, Index t1, int) {
+      for (Index t = t0; t < t1; ++t) {
+        if (t < panel_tiles) {
+          const Index r0 = k1 + t * kTileRows;
+          EliminatePanelRows(a, m, k0, k1, r0, std::min(m, r0 + kTileRows));
+          continue;
+        }
+        const Index q0 = k1 + (t - panel_tiles) * kTileCols;
+        const Index q1 = std::min(m, q0 + kTileCols);
+        for (Index q = q0; q < q1; ++q) {
+          Scalar* const column = a + q * m;
+          for (Index p = k0; p < k1; ++p) {
+            const Scalar u = column[p];
+            if (u == 0.0) continue;
+            const Scalar* const lower = a + p * m;
+            for (Index i = p + 1; i < k1; ++i) column[i] -= lower[i] * u;
+          }
         }
       }
     });

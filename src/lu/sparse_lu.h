@@ -23,18 +23,22 @@
 //      array S = W₂₂ - L₂₁U₁₂ (the Schur complement);
 //   2. S is factored in place by a blocked right-looking dense LU, again
 //      without pivoting: every Schur complement of a strictly column
-//      diagonally dominant matrix is one too;
+//      diagonally dominant matrix is one too. Per 64-column panel, only
+//      its 64 × 64 diagonal block (and the zero-pivot check) is factored
+//      on the caller; the panel's rows below the block, the row block of
+//      U right of it and the trailing update run on the pool;
 //   3. S is scattered back into the CSC factors, dropping exact zeros.
 // Any switch column gives a correct factorization; the rule only decides
 // speed. Graphs whose factor never turns dense, such as the unreordered
 // Email stand-in, never switch.
 //
 // Steps 1 and 2 run on a thread pool: the trailing columns of step 1 are
-// independent, and step 2 factors 64-column panels and splits each
-// trailing update into fixed 256-row × 16-column tiles. Every entry of L
-// and U receives the same sequence of updates (ascending pivot order,
-// exact zeros of U skipped) whatever the thread count, so the factors are
-// bit-identical for every `num_threads`.
+// independent, and step 2 splits each panel's rows below its diagonal
+// block into fixed 256-row tiles, U's row block right of it into
+// 16-column chunks, and each trailing update into fixed 256-row × 16-column
+// tiles. Every entry of L and U receives the same sequence of updates
+// (ascending pivot order, exact zeros of U skipped) whatever the thread
+// count, so the factors are bit-identical for every `num_threads`.
 #ifndef KDASH_LU_SPARSE_LU_H_
 #define KDASH_LU_SPARSE_LU_H_
 

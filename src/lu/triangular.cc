@@ -97,7 +97,7 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 // once per block instead of up to 16 times.
 //
 // Build() fills the output in three stages over the chunks of ChunkBounds,
-// the first and last on a thread pool (a pool of 1 runs them inline), and
+// all but the shape on a thread pool (a pool of 1 runs them inline), and
 // no stage keeps a solved value:
 //   1. Masks. Lane l of pattern row i of a block is output column i's entry
 //      at row j0 + l. Each chunk keeps each block as its pattern rows, one
@@ -109,9 +109,13 @@ std::vector<NodeId> ChunkBounds(const sparse::CscMatrix& t, Index targets) {
 //      order, give its count and its cut, the first of least CutCost over
 //      all of its entries, and give each chunk its first index in the
 //      column. Prefix sums over the columns then give the output's
-//      pointers.
+//      pointers, which size its value arrays without writing them
+//      (sparse::StoredArray). The pool then zeroes the runs in contiguous
+//      slices, so the caller does not first-touch them alone.
 //   3. Values. Each chunk solves its blocks again and writes every masked
-//      lane straight into the output's heads and runs at its cursors.
+//      lane straight into the output's heads and runs at its cursors. The
+//      masked lanes are every entry of the output, so every head slot is
+//      written here, and a run slot no lane writes keeps its zero.
 // A reached lane can still be zero, by cancellation or underflow. Then the
 // masks overcounted, and Build reruns all three stages with masks taken
 // from the solved values (SolveBlock, keeping the lanes that are nonzero),
@@ -191,11 +195,11 @@ class TriangularInverter {
     std::vector<Tally> tallies;
   };
 
-  // The output's value arrays, sized by Shape.
+  // The output's value arrays, sized but not written by Shape.
   struct Values {
-    std::vector<NodeId> head_rows;
-    std::vector<Scalar> head_values;
-    std::vector<Scalar> run_values;
+    sparse::StoredArray<NodeId> head_rows;
+    sparse::StoredArray<Scalar> head_values;
+    sparse::StoredArray<Scalar> run_values;
   };
 
   // Queues row i, which must be below every row popped so far.
@@ -358,10 +362,11 @@ class TriangularInverter {
 
   // Stage 2. Merges every column's tallies in chunk order into its extent
   // and nonzero count, and each chunk's first index in it, then sets the
-  // output's pointers and sizes its value arrays. A chunk's candidate is
-  // the column's entry (earlier chunks' count + its `cut`) overall, and it
-  // wins only at a strictly lower CutCost, so the cut is the first of least
-  // cost. An empty column keeps no head, no run and run begin n.
+  // output's pointers and sizes its value arrays, leaving them unwritten.
+  // A chunk's candidate is the column's entry (earlier chunks' count + its
+  // `cut`) overall, and it wins only at a strictly lower CutCost, so the cut
+  // is the first of least cost. An empty column keeps no head, no run and
+  // run begin n.
   Values Shape() {
     const auto cols = static_cast<std::size_t>(m_.cols());
     std::vector<sparse::ColumnExtent> extents(
@@ -396,7 +401,7 @@ class TriangularInverter {
     Values out;
     out.head_rows.resize(static_cast<std::size_t>(head_ptr_[cols]));
     out.head_values.resize(out.head_rows.size());
-    out.run_values.assign(static_cast<std::size_t>(run_ptr_[cols]), 0.0);
+    out.run_values.resize(static_cast<std::size_t>(run_ptr_[cols]));
     return out;
   }
 
@@ -493,8 +498,16 @@ std::optional<sparse::HeadRunMatrix> TriangularInverter::TryBuild(
     Mask(chunk, numeric, ws);
   });
 
-  // Stage 2: shape.
+  // Stage 2: shape, then the runs' zeros in contiguous slices on the pool,
+  // so each thread first-touches its own.
   Values out = Shape();
+  const auto run_size = static_cast<Index>(out.run_values.size());
+  const Index slices = pool.num_threads() * kChunksPerThread;
+  pool.ParallelFor(0, run_size, (run_size + slices - 1) / slices,
+                   [&out](Index begin, Index end, int) {
+                     std::fill(out.run_values.begin() + begin,
+                               out.run_values.begin() + end, 0.0);
+                   });
 
   // Stage 3: values. Each chunk's masks are freed once it is written.
   std::atomic<bool> overcounted{false};

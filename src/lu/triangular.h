@@ -33,7 +33,9 @@
 // solvers split a symbolic pass from a numeric one: a pass over T's pattern
 // alone gives each block the lanes that reach each of its rows, which size
 // the output, and each block is then solved again straight into place, so
-// no solved value is kept anywhere but in the output. A reached entry that
+// no solved value is kept anywhere but in the output. Sizing writes
+// nothing: the pool zeroes the runs, in contiguous slices, and the solves
+// write every head slot and run nonzero. A reached entry that
 // comes out zero (cancelled or underflowed) reruns the build with masks
 // from the solved values; triangular.cc describes the stages. Every solve
 // depends only on j and every cut only on its column, so the output is

@@ -9,11 +9,11 @@ namespace kdash::sparse {
 
 HeadRunMatrix::HeadRunMatrix(NodeId rows, std::vector<Index> col_ptr,
                              std::vector<Index> head_ptr,
-                             std::vector<NodeId> head_rows,
-                             std::vector<Scalar> head_values,
+                             StoredArray<NodeId> head_rows,
+                             StoredArray<Scalar> head_values,
                              std::vector<NodeId> run_begin,
                              std::vector<Index> run_ptr,
-                             std::vector<Scalar> run_values)
+                             StoredArray<Scalar> run_values)
     : rows_(rows),
       cols_(static_cast<NodeId>(run_begin.size())),
       col_ptr_(std::move(col_ptr)),
@@ -33,8 +33,8 @@ HeadRunMatrix::HeadRunMatrix(NodeId rows, std::vector<Index> col_ptr,
 
 Result<HeadRunMatrix> HeadRunMatrix::FromStored(
     NodeId rows, std::span<const ColumnExtent> extents,
-    std::vector<NodeId> head_rows, std::vector<Scalar> head_values,
-    std::vector<Scalar> run_values, const std::string& what) {
+    StoredArray<NodeId> head_rows, StoredArray<Scalar> head_values,
+    StoredArray<Scalar> run_values, const std::string& what) {
   const auto corrupt = [&](std::size_t col, const char* why) {
     return Status::DataLoss(what + ": column " + std::to_string(col) + " " +
                             why);
@@ -135,8 +135,8 @@ HeadRunMatrix HeadRunMatrix::KeepColumns(const std::vector<bool>& keep) const {
     head_size += HeadRows(static_cast<NodeId>(c)).size();
     run_size += Run(static_cast<NodeId>(c)).size();
   }
-  std::vector<NodeId> head_rows;
-  std::vector<Scalar> head_values, run_values;
+  StoredArray<NodeId> head_rows;
+  StoredArray<Scalar> head_values, run_values;
   head_rows.reserve(head_size);
   head_values.reserve(head_size);
   run_values.reserve(run_size);

@@ -29,8 +29,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -82,6 +85,39 @@ constexpr Index CutCost(Index s, Index row_s) {
   return kHeadEntryBytes * s - kRunSlotBytes * row_s;
 }
 
+// std::allocator, except that a vector's resize(n) leaves the new elements
+// default-initialized (so a double is left unwritten) instead of zeroing
+// them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    std::uninitialized_default_construct_n(p, 1);
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+// The type of a HeadRunMatrix's three stored arrays (head rows, head
+// values, run values). Whoever sizes them writes every element afterwards,
+// so a zeroing resize would only be written over: the inverse builders
+// zero the runs on their thread pool, each thread first-touching its own
+// slice instead of the caller zeroing them all alone, and the index loader
+// reads every element from the file or fails.
+template <typename T>
+using StoredArray = std::vector<T, DefaultInitAllocator<T>>;
+
 class HeadRunMatrix {
  public:
   HeadRunMatrix() = default;
@@ -92,9 +128,9 @@ class HeadRunMatrix {
   // is run_values over [run_ptr[c], run_ptr[c + 1]) from row run_begin[c],
   // and it holds col_ptr[c + 1] − col_ptr[c] nonzeros.
   HeadRunMatrix(NodeId rows, std::vector<Index> col_ptr,
-                std::vector<Index> head_ptr, std::vector<NodeId> head_rows,
-                std::vector<Scalar> head_values, std::vector<NodeId> run_begin,
-                std::vector<Index> run_ptr, std::vector<Scalar> run_values);
+                std::vector<Index> head_ptr, StoredArray<NodeId> head_rows,
+                StoredArray<Scalar> head_values, std::vector<NodeId> run_begin,
+                std::vector<Index> run_ptr, StoredArray<Scalar> run_values);
 
   // The matrix stored as `extents` (one per column) over the heads' rows
   // and values and the runs' values, every column's back to back: the
@@ -108,15 +144,15 @@ class HeadRunMatrix {
   // and ColumnDotSparse on it stays in bounds.
   static Result<HeadRunMatrix> FromStored(
       NodeId rows, std::span<const ColumnExtent> extents,
-      std::vector<NodeId> head_rows, std::vector<Scalar> head_values,
-      std::vector<Scalar> run_values, const std::string& what);
+      StoredArray<NodeId> head_rows, StoredArray<Scalar> head_values,
+      StoredArray<Scalar> run_values, const std::string& what);
 
   // One extent per column, and the stored arrays of all columns back to
   // back: what FromStored takes.
   std::vector<ColumnExtent> ColumnExtents() const;
-  const std::vector<NodeId>& head_rows() const { return head_rows_; }
-  const std::vector<Scalar>& head_values() const { return head_values_; }
-  const std::vector<Scalar>& run_values() const { return run_values_; }
+  const StoredArray<NodeId>& head_rows() const { return head_rows_; }
+  const StoredArray<Scalar>& head_values() const { return head_values_; }
+  const StoredArray<Scalar>& run_values() const { return run_values_; }
 
   NodeId rows() const { return rows_; }
   NodeId cols() const { return cols_; }
@@ -226,11 +262,11 @@ class HeadRunMatrix {
   NodeId cols_ = 0;
   std::vector<Index> col_ptr_;       // cols_ + 1: CSC pointer of the nonzeros
   std::vector<Index> head_ptr_;      // cols_ + 1
-  std::vector<NodeId> head_rows_;    // ascending within a column
-  std::vector<Scalar> head_values_;  // nonzero
+  StoredArray<NodeId> head_rows_;    // ascending within a column
+  StoredArray<Scalar> head_values_;  // nonzero
   std::vector<NodeId> run_begin_;    // cols_; rows_ for an empty column
   std::vector<Index> run_ptr_;       // cols_ + 1
-  std::vector<Scalar> run_values_;   // first and last of each run nonzero
+  StoredArray<Scalar> run_values_;   // first and last of each run nonzero
 };
 
 }  // namespace kdash::sparse

@@ -23,9 +23,9 @@ namespace kdash::test {
 // HeadRunMatrix::FromStored, as a loaded file is.
 inline sparse::HeadRunMatrix FromCsc(const sparse::CscMatrix& csc) {
   std::vector<sparse::ColumnExtent> extents;
-  std::vector<NodeId> head_rows;
-  std::vector<Scalar> head_values;
-  std::vector<Scalar> run_values;
+  sparse::StoredArray<NodeId> head_rows;
+  sparse::StoredArray<Scalar> head_values;
+  sparse::StoredArray<Scalar> run_values;
   for (NodeId col = 0; col < csc.cols(); ++col) {
     const Index begin = csc.ColBegin(col);
     const Index end = csc.ColEnd(col);
@@ -89,8 +89,8 @@ inline sparse::CscMatrix ToCsc(const sparse::HeadRunMatrix& m) {
 // Whether a and b store the same columns with the same value bits.
 inline bool SameBits(const sparse::HeadRunMatrix& a,
                      const sparse::HeadRunMatrix& b) {
-  const auto same_bits = [](const std::vector<Scalar>& x,
-                            const std::vector<Scalar>& y) {
+  const auto same_bits = [](const sparse::StoredArray<Scalar>& x,
+                            const sparse::StoredArray<Scalar>& y) {
     return x.size() == y.size() &&
            (x.empty() ||
             std::memcmp(x.data(), y.data(), x.size() * sizeof(Scalar)) == 0);

@@ -203,7 +203,7 @@ TEST(HeadRunMatrixTest, FromStoredAcceptsOnlyTheByteMinimalCut) {
       const ColumnExtent extent{
           static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(pattern[s]),
           static_cast<std::uint32_t>(pattern.back() - pattern[s] + 1)};
-      std::vector<Scalar> run(extent.run_size, 0.0);
+      StoredArray<Scalar> run(extent.run_size, 0.0);
       for (std::size_t k = s; k < pattern.size(); ++k) {
         run[static_cast<std::size_t>(pattern[k] - pattern[s])] = csc.values()[k];
       }
@@ -235,9 +235,9 @@ TEST(HeadRunMatrixTest, FromStoredRejectsMalformedColumns) {
   ASSERT_EQ(m.RunBegin(1), 7);
   struct Stored {
     std::vector<ColumnExtent> extents;
-    std::vector<NodeId> head_rows;
-    std::vector<Scalar> head_values;
-    std::vector<Scalar> run_values;
+    StoredArray<NodeId> head_rows;
+    StoredArray<Scalar> head_values;
+    StoredArray<Scalar> run_values;
   };
   const Stored base{m.ColumnExtents(), m.head_rows(), m.head_values(),
                     m.run_values()};

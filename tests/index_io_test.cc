@@ -377,8 +377,8 @@ void ExpectDataLoss(const std::string& bytes, const std::string& what) {
       << "want \"" << what << "\" in: " << loaded.status();
 }
 
-template <typename T>
-void AppendRaw(std::string* out, const std::vector<T>& values) {
+template <typename T, typename Alloc>
+void AppendRaw(std::string* out, const std::vector<T, Alloc>& values) {
   out->append(reinterpret_cast<const char*>(values.data()),
               values.size() * sizeof(T));
 }
@@ -386,9 +386,9 @@ void AppendRaw(std::string* out, const std::vector<T>& values) {
 // An inverse section as the arrays HeadRunMatrix::FromStored takes.
 struct InverseArrays {
   std::vector<sparse::ColumnExtent> extents;
-  std::vector<NodeId> head_rows;
-  std::vector<Scalar> head_values;
-  std::vector<Scalar> run_values;
+  sparse::StoredArray<NodeId> head_rows;
+  sparse::StoredArray<Scalar> head_values;
+  sparse::StoredArray<Scalar> run_values;
 
   static InverseArrays Of(const sparse::HeadRunMatrix& m) {
     return {m.ColumnExtents(), m.head_rows(), m.head_values(), m.run_values()};

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -312,10 +313,12 @@ void DenseNoPivotLu(linalg::DenseMatrix& a) {
 }
 
 // The sparse columns and the dense tail together must reproduce the dense
-// factorization: the same nonzero pattern, and every value within a few
-// ulps (W's off-diagonals all share one sign, so nothing cancels).
-void ExpectMatchesDenseLu(const CscMatrix& w) {
-  const LuFactors factors = FactorizeLu(w);
+// factorization: the same nonzero pattern, and every value within
+// `tolerance` relative, by default a few ulps (W's off-diagonals all share
+// one sign, so nothing cancels).
+void ExpectMatchesDenseLu(const CscMatrix& w, int num_threads = 0,
+                          Scalar tolerance = 1e-13) {
+  const LuFactors factors = FactorizeLu(w, num_threads);
   ASSERT_LT(factors.dense_begin, w.rows());
   ASSERT_GT(factors.dense_begin, 0);
 
@@ -333,7 +336,7 @@ void ExpectMatchesDenseLu(const CscMatrix& w) {
       const Scalar want = oracle(i, j);
       ASSERT_EQ(got != 0.0, want != 0.0) << "pattern at (" << i << ", " << j
                                          << ")";
-      ASSERT_LE(std::abs(got - want), 1e-13 * std::abs(want))
+      ASSERT_LE(std::abs(got - want), tolerance * std::abs(want))
           << "(" << i << ", " << j << "): " << got << " vs " << want;
     }
     ASSERT_EQ(lower(i, i), 1.0);
@@ -346,6 +349,29 @@ TEST(SparseLuTest, BothPathsMatchDenseLuEntryByEntry) {
   ExpectMatchesDenseLu(HybridStandIn(datasets::DatasetId::kSocial, 0.2));
   const auto g = test::RandomDirectedGraph(600, 12000, 8);
   ExpectMatchesDenseLu(BuildRwrSystemMatrix(g.NormalizedAdjacency(), 0.95));
+}
+
+TEST(SparseLuTest, DenseTailKeepsTheTextbookUpdateOrder) {
+  // Node 0 links to every other node, so L(:, 0) is dense and the dense
+  // tail takes over at column 1, its m = 599 rows spanning several panels
+  // and row tiles. Each entry must receive the textbook loop's updates in
+  // its order, so every value is equal, not just close, at every thread
+  // count.
+  const auto g = test::RandomDirectedGraph(600, 12000, 8);
+  graph::GraphBuilder builder(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const graph::Neighbor& nb : g.OutNeighbors(u)) {
+      builder.AddEdge(u, nb.node, nb.weight);
+    }
+  }
+  for (NodeId v = 1; v < g.num_nodes(); ++v) builder.AddEdge(0, v);
+  const CscMatrix w = BuildRwrSystemMatrix(
+      std::move(builder).Build().NormalizedAdjacency(), 0.95);
+  ASSERT_EQ(FactorizeLu(w, 1).dense_begin, 1);
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectMatchesDenseLu(w, threads, /*tolerance=*/0.0);
+  }
 }
 
 TEST(SparseLuTest, SingleNode) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -362,18 +363,22 @@ Index StructuralReach(const CscMatrix& upper) {
   return reach;
 }
 
-TEST(TriangularInverseOracleTest, UnderflowedEntriesAreDropped) {
-  // A directed path 0 → 1 → … → 399 at c = 0.95, factored in identity
-  // order: L⁻¹(i, j) is about 0.05^(i − j), which underflows to zero
-  // beyond 248 steps. Every solve still reaches every row below it, so the
-  // 151·152/2 = 11,476 entries 249 or more steps below the diagonal are
-  // reached but zero.
+// The factors of a directed path 0 → 1 → … → 399 at c = 0.95, in identity
+// order: L⁻¹(i, j) is about 0.05^(i − j), which underflows to zero beyond
+// 248 steps, so the build of L⁻¹ reruns.
+LuFactors UnderflowingPathFactors() {
   constexpr NodeId kN = 400;
   graph::GraphBuilder builder(kN);
   for (NodeId u = 0; u + 1 < kN; ++u) builder.AddEdge(u, u + 1);
   const graph::Graph path = std::move(builder).Build();
-  const LuFactors factors =
-      FactorizeLu(BuildRwrSystemMatrix(path.NormalizedAdjacency(), 0.95));
+  return FactorizeLu(BuildRwrSystemMatrix(path.NormalizedAdjacency(), 0.95));
+}
+
+TEST(TriangularInverseOracleTest, UnderflowedEntriesAreDropped) {
+  // Every solve of the path still reaches every row below it, so the
+  // 151·152/2 = 11,476 entries 249 or more steps below the diagonal are
+  // reached but zero.
+  const LuFactors factors = UnderflowingPathFactors();
   const CscMatrix lower_t = factors.lower.Transposed();
   const CscMatrix oracle = BackwardSolveColumns(lower_t);
   EXPECT_EQ(StructuralReach(lower_t) - oracle.nnz(), Index{11476});
@@ -398,6 +403,59 @@ TEST(TriangularInverseOracleTest, UnderflowedEntriesAreDropped) {
     }
   }
   EXPECT_EQ(InverseRetries(), retries + 6);
+}
+
+// Sets `count` doubles to NaN and frees them. The heap hands a freed block
+// back to the next request of its size, so an array of `count` doubles
+// allocated next starts out as NaNs wherever nothing writes it. The stores
+// are volatile, so the block cannot be optimized away.
+void FreeNanBlock(std::size_t count) {
+  std::vector<Scalar> block(count);
+  volatile Scalar* const slots = block.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    slots[i] = std::numeric_limits<Scalar>::quiet_NaN();
+  }
+}
+
+// Whether every run slot of `m` that is not one of its nonzeros is +0.0:
+// the run slots that are finite and nonzero, with the head entries, are
+// exactly its nnz().
+bool RunFillIsPositiveZero(const HeadRunMatrix& m) {
+  auto nonzeros = static_cast<Index>(m.head_values().size());
+  for (const Scalar v : m.run_values()) {
+    if (std::isfinite(v) && v != 0.0) {
+      ++nonzeros;
+    } else if (v != 0.0 || std::signbit(v)) {
+      return false;
+    }
+  }
+  return nonzeros == m.nnz();
+}
+
+TEST(TriangularInverseOracleTest, OutputsAreFullyWrittenOnReusedMemory) {
+  // The builders size their output without writing it, so each build here
+  // runs on a heap that has just freed a NaN block of its run array's size.
+  // The inputs are small enough that the heap hands that block back. The
+  // path's L⁻¹ reruns, so its second pass also reuses the first's output.
+  std::vector<std::pair<std::string, LuFactors>> inputs = OracleInputs();
+  inputs.emplace_back("path", UnderflowingPathFactors());
+  for (const auto& [label, factors] : inputs) {
+    const HeadRunMatrix want_lower = test::FromCsc(
+        BackwardSolveColumns(factors.lower.Transposed()).Transposed());
+    const HeadRunMatrix want_upper =
+        test::FromCsc(BackwardSolveColumns(factors.upper).Transposed());
+    for (const int threads : {1, 3, 8}) {
+      SCOPED_TRACE(label + ", threads=" + std::to_string(threads));
+      FreeNanBlock(want_lower.run_values().size());
+      const HeadRunMatrix lower = InvertLowerTriangular(factors.lower, threads);
+      EXPECT_TRUE(test::SameBits(lower, want_lower));
+      EXPECT_TRUE(RunFillIsPositiveZero(lower));
+      FreeNanBlock(want_upper.run_values().size());
+      const HeadRunMatrix upper = InvertUpperTriangular(factors.upper, threads);
+      EXPECT_TRUE(test::SameBits(upper, want_upper));
+      EXPECT_TRUE(RunFillIsPositiveZero(upper));
+    }
+  }
 }
 
 class TriangularRoundTripTest

@@ -6,17 +6,18 @@ Three record formats are understood:
   scaling  one JSON line emitted by bench_parallel_scaling (bench_util's
            {"bench":"parallel_scaling","records":[...]} shape). The gated
            metrics, at the highest thread count present in both runs, are
-           reorder_seconds and the two inverse builds exactly as
+           the set-up stages, each parallel and so each able to silently
+           regress back to a sequential wall: reorder_seconds, lu_seconds
+           (its dense tail runs on the pool, all but each panel's diagonal
+           block), and the two inverse builds exactly as
            KDashIndex::Build runs them, lower_inverse_seconds (L⁻¹) and
-           upper_inverse_seconds (the stored U⁻¹ᵀ): the parallel
-           set-up stages most likely to silently regress back to a
-           sequential wall (the inverses' fill included). Also gated is
-           build_peak_mb, how far one whole KDashIndex::Build raises the
-           process's resident high-water mark, so the build's memory peak
-           cannot silently grow back; build_peak_mb is gated at 1 thread
-           too, the inline build, whose allocation order is
-           deterministic. lu_seconds is reported informationally. A key
-           missing from either run is skipped.
+           upper_inverse_seconds (the stored U⁻¹ᵀ), whose runs' fill is
+           zeroed on the pool too. Also gated is build_peak_mb, how far
+           one whole KDashIndex::Build raises the process's resident
+           high-water mark, so the build's memory peak cannot silently
+           grow back; build_peak_mb is gated at 1 thread too, the inline
+           build, whose allocation order is deterministic. A key missing
+           from either run is skipped.
 
   micro    google-benchmark JSON (--benchmark_format=json) from
            bench_micro_kernels. Every benchmark the current run measured
@@ -105,18 +106,18 @@ def gate_scaling(args):
         print("perf-gate: no common thread counts with the baseline — passing")
         return 0
 
-    checks = [(common[-1], key, gated) for key, gated in [
-        ("reorder_seconds", True),
-        ("lu_seconds", False),
-        ("lower_inverse_seconds", True),
-        ("upper_inverse_seconds", True),
-        ("build_peak_mb", True),
+    checks = [(common[-1], key) for key in [
+        "reorder_seconds",
+        "lu_seconds",
+        "lower_inverse_seconds",
+        "upper_inverse_seconds",
+        "build_peak_mb",
     ]]
     if common[-1] != 1 and 1 in common:
-        checks.append((1, "build_peak_mb", True))
+        checks.append((1, "build_peak_mb"))
 
     failed = False
-    for threads, key, gated in checks:
+    for threads, key in checks:
         base = by_threads_base[threads]
         cur = by_threads_cur[threads]
         if key not in base or key not in cur:
@@ -126,12 +127,11 @@ def gate_scaling(args):
             continue
         ratio = new / old
         verdict = "OK"
-        if gated and ratio > 1.0 + args.max_regress:
+        if ratio > 1.0 + args.max_regress:
             verdict = f"REGRESSION (> {args.max_regress:.0%})"
             failed = True
-        marker = "gated" if gated else "info"
         unit = "MB" if key.endswith("_mb") else "s"
-        print(f"perf-gate[{marker}] t={threads} {key}: {old:.6g}{unit} -> "
+        print(f"perf-gate[gated] t={threads} {key}: {old:.6g}{unit} -> "
               f"{new:.6g}{unit} ({ratio:.3f}x) {verdict}")
 
     return 1 if failed else 0
