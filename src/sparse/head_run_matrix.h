@@ -32,8 +32,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -87,7 +85,8 @@ constexpr Index CutCost(Index s, Index row_s) {
 
 // std::allocator, except that a vector's resize(n) leaves the new elements
 // default-initialized (so a double is left unwritten) instead of zeroing
-// them.
+// them. Only the construct without arguments is replaced: a construct with
+// arguments matches no member, so std::allocator_traits does it as usual.
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T> {
   template <typename U>
@@ -100,12 +99,8 @@ struct DefaultInitAllocator : std::allocator<T> {
   DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
 
   template <typename U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+  void construct(U* p) {
     std::uninitialized_default_construct_n(p, 1);
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    std::construct_at(p, std::forward<Args>(args)...);
   }
 };
 
